@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,21 +13,6 @@ import (
 	"repro/internal/pager"
 	"repro/internal/vecmath"
 )
-
-// Focal names one query of a shared group: either a dataset record by
-// index or a what-if record by coordinates. A non-nil Point takes
-// precedence over Index.
-type Focal struct {
-	Index int
-	Point []float64
-}
-
-// GroupResult pairs one group member's result with its error; exactly one
-// of the two is set.
-type GroupResult struct {
-	Result *Result
-	Err    error
-}
 
 // WithBatchSharing turns on shared-arrangement batch execution: QueryBatch
 // groups its focals by proximity and each group pays the dominance
@@ -42,8 +26,7 @@ type GroupResult struct {
 // execution at any group size; the Stats fields that legitimately differ
 // (IO charges the shared scan once per member, IncomparableAccessed under
 // a materialised prefix, the scheduling-dependent work counters) are
-// documented on Result. The default is off; QueryGroup shares regardless
-// of this option.
+// documented on Result. The default is off.
 func WithBatchSharing(on bool) EngineOption {
 	return func(c *engineConfig) { c.batchShare = on }
 }
@@ -52,36 +35,11 @@ func WithBatchSharing(on bool) EngineOption {
 // group prefixes.
 func (e *Engine) BatchSharing() bool { return e.batchShare }
 
-// QueryGroup runs a set of queries as one shared batch: focals are
-// grouped by proximity, each group pays its dominance-classification
-// prefix once, and every member refines independently. Unlike QueryBatch,
-// errors are reported per member (a bad focal does not fail its
-// neighbours) and what-if focals mix freely with dataset indexes. The
-// result slice is parallel to focals. Cancellation of ctx aborts all
-// outstanding members.
-func (e *Engine) QueryGroup(ctx context.Context, focals []Focal, opts ...Option) []GroupResult {
-	results, errs := e.runShared(ctx, focals, opts, false)
-	out := make([]GroupResult, len(focals))
-	for i := range out {
-		out[i] = GroupResult{Result: results[i], Err: errs[i]}
-	}
-	return out
-}
-
-// QueryGroupOpts is QueryGroup in struct form; see Engine.QueryOpts.
-func (e *Engine) QueryGroupOpts(ctx context.Context, focals []Focal, o QueryOptions) []GroupResult {
-	return e.QueryGroup(ctx, focals, o.option())
-}
-
 // queryBatchShared is QueryBatch's execution path under WithBatchSharing:
 // same contract (input-order results, first error wins and aborts the
 // rest), shared-prefix execution underneath.
 func (e *Engine) queryBatchShared(ctx context.Context, focalIndexes []int, opts []Option) ([]*Result, error) {
-	focals := make([]Focal, len(focalIndexes))
-	for i, idx := range focalIndexes {
-		focals[i] = Focal{Index: idx}
-	}
-	results, errs := e.runShared(ctx, focals, opts, true)
+	results, errs := e.runShared(ctx, focalIndexes, opts)
 	// Prefer the member error that caused the abort over the cancellations
 	// it induced in the rest of the batch (matching the independent path,
 	// which reports the first real failure).
@@ -118,20 +76,14 @@ type pendingQuery struct {
 	err     error
 }
 
-// runShared executes a set of focals with shared group prefixes. Per-slot
-// results and errors are parallel to focals. failFast makes the first
-// error cancel outstanding groups (QueryBatch semantics); without it every
-// member runs to completion (QueryGroup semantics).
-func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, failFast bool) ([]*Result, []error) {
-	n := len(focals)
+// runShared executes a non-empty batch of dataset focals with shared
+// group prefixes. Per-slot results and errors are parallel to
+// focalIndexes; the first error cancels the outstanding groups (QueryBatch
+// semantics).
+func (e *Engine) runShared(ctx context.Context, focalIndexes []int, opts []Option) ([]*Result, []error) {
+	n := len(focalIndexes)
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	if n == 0 {
-		return results, errs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg := queryConfig{}
 	for _, o := range e.defaults {
 		o(&cfg)
@@ -154,22 +106,20 @@ func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, f
 
 	// Validate, consult the cache, and dedupe identical queries. The shared
 	// path uses the cache's peek/add surface rather than Do's singleflight:
-	// in-batch duplicates collapse here, and the serving layer's coalescing
-	// window collapses concurrent identical requests before they reach the
-	// engine.
+	// in-batch duplicates collapse here.
 	var queue []*pendingQuery
 	byKey := make(map[string]*pendingQuery)
-	for i, f := range focals {
+	for i, idx := range focalIndexes {
 		e.queries.Add(1)
 		if serr != nil {
 			errs[i] = serr
 			continue
 		}
-		focal, focalID, err := e.resolveFocal(f)
-		if err != nil {
-			errs[i] = err
+		if idx < 0 || idx >= len(e.ds.points) {
+			errs[i] = fmt.Errorf("repro: focal index %d out of range [0,%d): %w", idx, len(e.ds.points), ErrBadQuery)
 			continue
 		}
+		focal, focalID := e.ds.points[idx], int64(idx)
 		key := e.cacheKey(focal, focalID, &cfg)
 		if e.cache != nil {
 			if res, ok := e.cache.Get(key); ok {
@@ -190,13 +140,11 @@ func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, f
 	if len(queue) == 0 {
 		return results, errs
 	}
-	if failFast {
-		for _, err := range errs {
-			if err != nil {
-				// QueryBatch fails on the first error anyway; don't compute
-				// work whose results the caller will discard.
-				return results, errs
-			}
+	for _, err := range errs {
+		if err != nil {
+			// QueryBatch fails on the first error anyway; don't compute
+			// work whose results the caller will discard.
+			return results, errs
 		}
 	}
 
@@ -232,7 +180,7 @@ func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, f
 				if gi >= len(groups) || gctx.Err() != nil {
 					return
 				}
-				if e.runSharedGroup(gctx, groups[gi], &cfg, strat, perQuery) && failFast {
+				if e.runSharedGroup(gctx, groups[gi], &cfg, strat, perQuery) {
 					cancel()
 					return
 				}
@@ -244,8 +192,8 @@ func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, f
 	for _, p := range queue {
 		if p.err == nil && p.res == nil {
 			// The worker loop stopped before reaching this query: either the
-			// caller's ctx was cancelled or failFast aborted after another
-			// member's error.
+			// caller's ctx was cancelled or another member's error aborted
+			// the batch.
 			if p.err = ctx.Err(); p.err == nil {
 				p.err = context.Canceled
 			}
@@ -268,26 +216,6 @@ func (e *Engine) runShared(ctx context.Context, focals []Focal, opts []Option, f
 		}
 	}
 	return results, errs
-}
-
-// resolveFocal turns a Focal into the (point, id) pair the core layer
-// expects, applying the same validation as Query / QueryPoint.
-func (e *Engine) resolveFocal(f Focal) (vecmath.Point, int64, error) {
-	if f.Point != nil {
-		if len(f.Point) != e.ds.Dim() {
-			return nil, 0, fmt.Errorf("repro: focal has %d attributes, dataset has %d: %w", len(f.Point), e.ds.Dim(), ErrBadQuery)
-		}
-		for i, v := range f.Point {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, 0, fmt.Errorf("repro: focal attribute %d is %v; coordinates must be finite: %w", i, v, ErrBadQuery)
-			}
-		}
-		return vecmath.Point(f.Point).Clone(), -1, nil
-	}
-	if f.Index < 0 || f.Index >= len(e.ds.points) {
-		return nil, 0, fmt.Errorf("repro: focal index %d out of range [0,%d): %w", f.Index, len(e.ds.points), ErrBadQuery)
-	}
-	return e.ds.points[f.Index], int64(f.Index), nil
 }
 
 // shareGridDiv is the number of grid divisions per axis the grouping pass
@@ -326,10 +254,9 @@ func (e *Engine) sharedGroupBounds() (vecmath.Point, vecmath.Point) {
 
 // groupByProximity buckets the unique queries of a shared run by a grid
 // of shareGridDiv cells per axis over [lo, hi] (the dataset's bounding
-// box; what-if focals outside it clamp to the border cells). Group order
-// and membership order are deterministic (first-seen), so the engine's
-// work — and with it the scheduling-dependent Stats counters at
-// workers = 1 — is reproducible.
+// box, which contains every focal). Group order and membership order are
+// deterministic (first-seen), so the engine's work — and with it the
+// scheduling-dependent Stats counters at workers = 1 — is reproducible.
 func groupByProximity(queue []*pendingQuery, lo, hi vecmath.Point) [][]*pendingQuery {
 	if len(queue) == 1 {
 		return [][]*pendingQuery{queue}
@@ -345,10 +272,7 @@ func groupByProximity(queue []*pendingQuery, lo, hi vecmath.Point) [][]*pendingQ
 			cell := 0
 			if span > 0 {
 				cell = int((p.focal[k] - lo[k]) / span * shareGridDiv)
-				if cell < 0 {
-					cell = 0
-				}
-				if cell >= shareGridDiv {
+				if cell >= shareGridDiv { // the record at hi[k]
 					cell = shareGridDiv - 1
 				}
 			}

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,19 +10,15 @@ import (
 	"repro"
 )
 
-// normalizeShared strips the fields the batch-sharing contract allows to
-// differ from independent execution (see Result.Stats and WithBatchSharing):
-// everything left must be bit-identical.
+// normalizeShared strips, on top of answerOf, the two cost counters the
+// batch-sharing contract allows to differ from independent execution (see
+// Result.Stats and WithBatchSharing): everything left must be
+// bit-identical.
 func normalizeShared(res *repro.Result) *repro.Result {
-	cp := *res
-	cp.Cached = false
-	cp.Stats.CPUTime = 0
+	cp := answerOf(res)
 	cp.Stats.IO = 0
 	cp.Stats.IncomparableAccessed = 0
-	cp.Stats.LPCalls = 0
-	cp.Stats.LeavesProcessed = 0
-	cp.Stats.LeavesPruned = 0
-	return &cp
+	return cp
 }
 
 // clusteredFocals returns the m dataset indexes nearest (L2) to record
@@ -120,89 +115,6 @@ func TestBatchSharingBitIdentical(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestQueryGroupMatchesIndependent covers QueryGroup's mixed focal forms:
-// dataset indexes and what-if points in one group, each bit-identical to
-// its direct Query / QueryPoint counterpart.
-func TestQueryGroupMatchesIndependent(t *testing.T) {
-	ds, err := repro.GenerateDataset("IND", 800, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := repro.NewEngine(ds, repro.WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	focals := []repro.Focal{
-		{Index: 12},
-		{Point: []float64{0.41, 0.52, 0.63}},
-		{Index: 13},
-		{Point: []float64{0.42, 0.51, 0.64}},
-	}
-	out := eng.QueryGroup(context.Background(), focals, repro.WithTau(1), repro.WithOutrankIDs(true))
-	if len(out) != len(focals) {
-		t.Fatalf("QueryGroup returned %d results for %d focals", len(out), len(focals))
-	}
-	for i, f := range focals {
-		if out[i].Err != nil {
-			t.Fatalf("member %d: %v", i, out[i].Err)
-		}
-		var want *repro.Result
-		if f.Point != nil {
-			want, err = eng.QueryPoint(context.Background(), f.Point, repro.WithTau(1), repro.WithOutrankIDs(true))
-		} else {
-			want, err = eng.Query(context.Background(), f.Index, repro.WithTau(1), repro.WithOutrankIDs(true))
-		}
-		if err != nil {
-			t.Fatalf("independent member %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(normalizeShared(want), normalizeShared(out[i].Result)) {
-			t.Errorf("member %d: QueryGroup result differs from independent", i)
-		}
-	}
-}
-
-// TestQueryGroupPerItemErrors: a bad member fails alone; its neighbours'
-// results are intact (the isolation QueryBatch deliberately does not give).
-func TestQueryGroupPerItemErrors(t *testing.T) {
-	ds, err := repro.GenerateDataset("IND", 300, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := repro.NewEngine(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := eng.QueryGroup(context.Background(), []repro.Focal{
-		{Index: 5},
-		{Index: ds.Len() + 7},                    // out of range
-		{Point: []float64{0.5, math.NaN(), 0.5}}, // non-finite what-if
-		{Point: []float64{0.5, 0.5}},             // wrong dimensionality
-		{Index: 6},
-	})
-	for _, i := range []int{1, 2, 3} {
-		if !errors.Is(out[i].Err, repro.ErrBadQuery) {
-			t.Errorf("member %d: err = %v, want ErrBadQuery", i, out[i].Err)
-		}
-		if out[i].Result != nil {
-			t.Errorf("member %d: got a result alongside the error", i)
-		}
-	}
-	for _, i := range []int{0, 4} {
-		if out[i].Err != nil || out[i].Result == nil {
-			t.Errorf("member %d: good member damaged by bad neighbours: res=%v err=%v", i, out[i].Result, out[i].Err)
-		}
-	}
-	if out[0].Result != nil {
-		want, err := eng.Query(context.Background(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalizeShared(want), normalizeShared(out[0].Result)) {
-			t.Error("member 0: result differs from independent Query")
 		}
 	}
 }

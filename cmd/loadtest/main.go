@@ -10,15 +10,14 @@
 //     refused to do.
 //   - open loop (-mode open): requests are injected at -rate per second
 //     in bursts of -burst regardless of completions (the model under
-//     which coalescing earns its keep: concurrent arrivals inside one
-//     window share one execution). -max-inflight bounds the client; an
-//     injection that would exceed it is counted as dropped rather than
-//     silently queued, so reported latency stays an honest open-loop
-//     number.
+//     which an overloaded server's queue grows and its admission gate has
+//     to shed). -max-inflight bounds the client; an injection that would
+//     exceed it is counted as dropped rather than silently queued, so
+//     reported latency stays an honest open-loop number.
 //
 // Focal mixes: "clustered" draws what-if points near -clusters random
-// centers (±-spread per axis) — the friendly case for shared-arrangement
-// execution; "uniform" scatters them; "mixed" alternates. What-if points
+// centers (±-spread per axis), so queries cost about the same within a
+// cluster; "uniform" scatters them; "mixed" alternates. What-if points
 // (not dataset indexes) keep the server's result cache out of the
 // measurement.
 //

@@ -339,7 +339,6 @@ func main() {
 	var (
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")
 		maxBatch   = flag.Int("max-batch", 1024, "max focals per /v1/batch request")
-		coalesce   = flag.Duration("coalesce", 0, "merge concurrent /v1/query requests arriving within this window into one shared batch (0 = off)")
 		// Admission control (see docs/OPERATIONS.md, "Overload tuning"):
 		// beyond max-inflight concurrent executions per dataset, up to
 		// queue-depth requests wait; the rest are shed early with 429,
@@ -376,7 +375,6 @@ func main() {
 	srvOpts := []server.Option{
 		server.WithRequestTimeout(*reqTimeout),
 		server.WithMaxBatch(*maxBatch),
-		server.WithCoalescing(*coalesce),
 		server.WithAdmission(*maxInflight, *queueDepth),
 		server.WithAging(*aging),
 		server.WithLogger(logger),

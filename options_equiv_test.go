@@ -7,9 +7,9 @@ import (
 )
 
 // TestQueryOptsEquivalence: the struct-form entry points (QueryOpts,
-// QueryPointOpts, QueryBatchOpts, QueryGroupOpts) are thin adapters over
-// the same resolution path as the functional With* options — every pair
-// must produce identical results, whatever the option combination.
+// QueryPointOpts, QueryBatchOpts) are thin adapters over the same
+// resolution path as the functional With* options — every pair must
+// produce identical results, whatever the option combination.
 func TestQueryOptsEquivalence(t *testing.T) {
 	ds, err := GenerateDataset("IND", 300, 3, 17)
 	if err != nil {
@@ -76,21 +76,6 @@ func TestQueryOptsEquivalence(t *testing.T) {
 			for i := range wantB {
 				if !sameAnswer(wantB[i], gotB[i]) {
 					t.Errorf("QueryBatchOpts[%d] diverges from QueryBatch(With*)", i)
-				}
-			}
-
-			group := []Focal{{Index: 2}, {Point: point}, {Index: 30}}
-			wantG := eng.QueryGroup(ctx, group, tc.opts...)
-			gotG := eng.QueryGroupOpts(ctx, group, tc.s)
-			if len(wantG) != len(gotG) {
-				t.Fatalf("group lengths differ: %d vs %d", len(gotG), len(wantG))
-			}
-			for i := range wantG {
-				if (wantG[i].Err == nil) != (gotG[i].Err == nil) {
-					t.Fatalf("QueryGroupOpts[%d] error mismatch: %v vs %v", i, gotG[i].Err, wantG[i].Err)
-				}
-				if wantG[i].Err == nil && !sameAnswer(wantG[i].Result, gotG[i].Result) {
-					t.Errorf("QueryGroupOpts[%d] diverges from QueryGroup(With*)", i)
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ type queryParallelCase struct {
 // incomparable scan, skyline expansion) are deterministic and the workers
 // charge one shared per-query tracker. Only CPU time and the
 // scheduling-dependent work counters (LPCalls, LeavesProcessed,
-// LeavesPruned) may differ; those are zeroed before comparing.
+// LeavesPruned) may differ; answerOf zeroes those before comparing.
 func TestQueryParallelismMatchesSequential(t *testing.T) {
 	var cases []queryParallelCase
 	for _, dist := range []string{"IND", "COR", "ANTI"} {
@@ -81,76 +82,15 @@ func TestQueryParallelismMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parallel focal %d: %v", focal, err)
 				}
-				assertBitIdentical(t, focal, par, seq)
+				if !reflect.DeepEqual(answerOf(par), answerOf(seq)) {
+					t.Fatalf("focal %d: parallel result differs from sequential\n par: %+v\n seq: %+v", focal, par, seq)
+				}
 				if err := repro.Validate(ds, focal, par); err != nil {
 					t.Fatalf("focal %d: %v", focal, err)
 				}
 			}
 		})
 	}
-}
-
-// assertBitIdentical compares two Results field by field: everything must
-// match exactly except CPU time and the scheduling-dependent work
-// counters.
-func assertBitIdentical(t *testing.T, focal int, got, want *repro.Result) {
-	t.Helper()
-	if got.KStar != want.KStar || got.Dominators != want.Dominators || got.MinOrder != want.MinOrder {
-		t.Fatalf("focal %d: (k*=%d dom=%d min=%d) != (k*=%d dom=%d min=%d)",
-			focal, got.KStar, got.Dominators, got.MinOrder, want.KStar, want.Dominators, want.MinOrder)
-	}
-	// Exact I/O attribution: all I/O happens in the deterministic phases,
-	// and parallel workers charge one shared per-query tracker.
-	if got.Stats.IO != want.Stats.IO {
-		t.Fatalf("focal %d: parallel IO %d != sequential IO %d", focal, got.Stats.IO, want.Stats.IO)
-	}
-	if got.Stats.HalfspacesInserted != want.Stats.HalfspacesInserted ||
-		got.Stats.Iterations != want.Stats.Iterations ||
-		got.Stats.IncomparableAccessed != want.Stats.IncomparableAccessed ||
-		got.Stats.Algorithm != want.Stats.Algorithm {
-		t.Fatalf("focal %d: deterministic stats diverged: %+v != %+v", focal, got.Stats, want.Stats)
-	}
-	if len(got.Regions) != len(want.Regions) {
-		t.Fatalf("focal %d: %d regions != %d", focal, len(got.Regions), len(want.Regions))
-	}
-	for r := range got.Regions {
-		g, w := &got.Regions[r], &want.Regions[r]
-		if g.Rank != w.Rank || g.Order != w.Order {
-			t.Fatalf("focal %d region %d: rank/order (%d,%d) != (%d,%d)", focal, r, g.Rank, g.Order, w.Rank, w.Order)
-		}
-		if !equalF64s(g.Witness, w.Witness) || !equalF64s(g.QueryVector, w.QueryVector) ||
-			!equalF64s(g.BoxLo, w.BoxLo) || !equalF64s(g.BoxHi, w.BoxHi) {
-			t.Fatalf("focal %d region %d: geometry diverged", focal, r)
-		}
-		if len(g.Constraints) != len(w.Constraints) {
-			t.Fatalf("focal %d region %d: %d constraints != %d", focal, r, len(g.Constraints), len(w.Constraints))
-		}
-		for c := range g.Constraints {
-			if g.Constraints[c].B != w.Constraints[c].B || !equalF64s(g.Constraints[c].A, w.Constraints[c].A) {
-				t.Fatalf("focal %d region %d constraint %d diverged", focal, r, c)
-			}
-		}
-		if len(g.OutrankIDs) != len(w.OutrankIDs) {
-			t.Fatalf("focal %d region %d: %d outrank IDs != %d", focal, r, len(g.OutrankIDs), len(w.OutrankIDs))
-		}
-		for i := range g.OutrankIDs {
-			if g.OutrankIDs[i] != w.OutrankIDs[i] {
-				t.Fatalf("focal %d region %d: outrank IDs diverged", focal, r)
-			}
-		}
-	}
-}
-
-func equalF64s(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestQueryParallelCancellationMidExpansion cancels a parallel AA query

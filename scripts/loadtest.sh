@@ -1,13 +1,8 @@
 #!/usr/bin/env bash
 # loadtest.sh — drive maxrankd with cmd/loadtest and measure tail latency
-# and goodput under bursty clustered traffic. Three experiments:
+# and goodput under bursty clustered traffic. Two experiments:
 #
-#  1. Coalescing (PR 6): request coalescing off versus on, past the
-#     uncoalesced server's saturation point. The coalesced server merges
-#     concurrent bursts into shared QueryGroups and sustains more
-#     throughput at roughly half the p99.
-#
-#  2. Overload / admission control (PR 7): the same saturating workload
+#  1. Overload / admission control (PR 7): a saturating workload
 #     offered at 1x and then 2x, with admission control on
 #     (-max-inflight/-queue-depth: bounded accept queue, early 429,
 #     deadline-aware 503, Retry-After) and — for contrast — at 2x with it
@@ -21,7 +16,7 @@
 #     Full mode additionally requires the admission-off 2x run to show
 #     the failure being prevented: worse p99 than the admission-on run.
 #
-#  3. Priority scheduling (PR 9): a 50/50 interactive/bulk mix offered at
+#  2. Priority scheduling (PR 9): a 50/50 interactive/bulk mix offered at
 #     1x and 2x with admission on. The priority scheduler sheds bulk
 #     first, so the gates (QUICK and full):
 #       * interactive goodput at 2x >= PRIORITY_GOODPUT_MIN (default
@@ -31,25 +26,24 @@
 #       * bulk requests still complete at 2x — aging promotes queued
 #         bulk work instead of starving it behind interactive traffic.
 #
-# The scenario is the one batch sharing is built for: FCA at d = 2 over a
-# page-latency ("disk") dataset, bursts of queries clustered around a hot
-# focal, injected faster than the server can scan for each one
-# individually (~650 req/s uncoalesced on one core for the defaults).
+# The scenario: FCA at d = 2 over a page-latency ("disk") dataset, bursts
+# of queries clustered around a hot focal, injected as fast as (1x) and
+# twice as fast as (2x) the server can scan for each one (~650 req/s on
+# one core for the defaults).
 #
 # Usage:
 #   scripts/loadtest.sh [out-dir]
 #
 # Environment:
 #   QUICK=1        CI smoke mode: small dataset, short runs. Asserts
-#                  finite non-zero p99s plus the two overload gates
-#                  above. Full mode adds the coalesce-on-beats-off p99
-#                  gate and the admission-off collapse contrast.
+#                  the overload and priority gates above. Full mode adds
+#                  the admission-off collapse contrast.
 #   PORT           listen port for the scratch server (default 18491)
 #   BENCH          BENCH_PR*.json report to splice the results into as a
 #                  "loadtest" object (default BENCH_PR9.json; skipped
 #                  when the file does not exist or SPLICE=0)
-#   N, DIM, PAGE_LATENCY, RATE, BURST, DURATION, COALESCE,
-#   MAX_INFLIGHT, QUEUE_DEPTH, REQUEST_TIMEOUT, OVERLOAD_GOODPUT_MIN,
+#   N, DIM, PAGE_LATENCY, RATE, BURST, DURATION, MAX_INFLIGHT,
+#   QUEUE_DEPTH, REQUEST_TIMEOUT, OVERLOAD_GOODPUT_MIN,
 #   PRIORITY_GOODPUT_MIN
 #                  workload knobs; defaults below per mode
 #
@@ -77,8 +71,7 @@ else
     BURST=${BURST:-16}
     DURATION=${DURATION:-10s}
 fi
-COALESCE=${COALESCE:-4ms}
-# Overload knobs. The 1x rate sits at the uncoalesced server's capacity;
+# Overload knobs. The 1x rate sits at the server's capacity;
 # the 2x run doubles it. The request timeout is deliberately short so the
 # deadline shedder has something to protect, and so "p99 bounded" has a
 # hard number to be bounded BY.
@@ -102,9 +95,9 @@ go build -o "$BIN/maxrankd" ./cmd/maxrankd
 go build -o "$BIN/loadtest" ./cmd/loadtest
 mkdir -p "$OUT_DIR"
 
-# one_run <coalesce-window> <rate> <admission: "off" | "max-inflight queue-depth"> <out.json> <label> [priorities]
+# one_run <rate> <admission: "off" | "max-inflight queue-depth"> <out.json> <label> [priorities]
 one_run() {
-    local window=$1 rate=$2 admission=$3 out=$4 label=$5 priorities=${6:-}
+    local rate=$1 admission=$2 out=$3 label=$4 priorities=${5:-}
     local admit_flags=""
     if [ "$admission" != "off" ]; then
         admit_flags="-max-inflight ${admission% *} -queue-depth ${admission#* }"
@@ -116,9 +109,9 @@ one_run() {
     # shellcheck disable=SC2086
     "$BIN/maxrankd" -addr "127.0.0.1:$PORT" \
         -gen IND -n "$N" -dim "$DIM" -seed 1 \
-        -cache 0 -batch-share -page-latency "$PAGE_LATENCY" \
+        -cache 0 -page-latency "$PAGE_LATENCY" \
         -request-timeout "$REQUEST_TIMEOUT" \
-        -coalesce "$window" $admit_flags >"$OUT_DIR/$label.server.log" 2>&1 &
+        $admit_flags >"$OUT_DIR/$label.server.log" 2>&1 &
     SRV_PID=$!
     # shellcheck disable=SC2086
     "$BIN/loadtest" -url "http://127.0.0.1:$PORT" \
@@ -146,41 +139,15 @@ tier_field_of() {
     ' "$1"
 }
 
-# --- Experiment 1: coalescing off vs on at the saturating rate --------------
-
-echo "run 1/7: coalescing off (every request scans alone)..." >&2
-one_run 0 "$RATE" off "$OUT_DIR/coalesce_off.json" coalesce_off
-echo "run 2/7: coalescing $COALESCE (bursts merge into shared groups)..." >&2
-one_run "$COALESCE" "$RATE" off "$OUT_DIR/coalesce_on.json" coalesce_on
-
-P99_OFF=$(field_of "$OUT_DIR/coalesce_off.json" p99_ms)
-P99_ON=$(field_of "$OUT_DIR/coalesce_on.json" p99_ms)
-
-for v in "$P99_OFF" "$P99_ON"; do
-    if [ -z "$v" ] || ! awk 'BEGIN { exit !('"$v"' > 0) }'; then
-        echo "FAIL: p99 missing or not finite non-zero (off=$P99_OFF on=$P99_ON)" >&2
-        exit 1
-    fi
-done
-echo "p99: coalesce off = ${P99_OFF} ms, on = ${P99_ON} ms" >&2
-
-if [ "$QUICK" != "1" ]; then
-    if awk 'BEGIN { exit !('"$P99_ON"' >= '"$P99_OFF"') }'; then
-        echo "FAIL: coalescing did not improve p99 (${P99_ON} ms >= ${P99_OFF} ms)" >&2
-        exit 1
-    fi
-    echo "coalescing improves burst p99: OK" >&2
-fi
-
-# --- Experiment 2: admission control under 2x overload ----------------------
+# --- Experiment 1: admission control under 2x overload ----------------------
 
 RATE2=$(awk 'BEGIN { print 2 * '"$RATE"' }')
 ADMIT="$MAX_INFLIGHT $QUEUE_DEPTH"
 
-echo "run 3/7: admission on ($ADMIT), 1x offered load ($RATE req/s)..." >&2
-one_run 0 "$RATE" "$ADMIT" "$OUT_DIR/admit_1x.json" admit_1x
-echo "run 4/7: admission on ($ADMIT), 2x offered load ($RATE2 req/s)..." >&2
-one_run 0 "$RATE2" "$ADMIT" "$OUT_DIR/admit_2x.json" admit_2x
+echo "run 1/5: admission on ($ADMIT), 1x offered load ($RATE req/s)..." >&2
+one_run "$RATE" "$ADMIT" "$OUT_DIR/admit_1x.json" admit_1x
+echo "run 2/5: admission on ($ADMIT), 2x offered load ($RATE2 req/s)..." >&2
+one_run "$RATE2" "$ADMIT" "$OUT_DIR/admit_2x.json" admit_2x
 
 GOOD_1X=$(field_of "$OUT_DIR/admit_1x.json" goodput_rps)
 GOOD_2X=$(field_of "$OUT_DIR/admit_2x.json" goodput_rps)
@@ -209,14 +176,14 @@ if awk 'BEGIN { exit !('"$P99_2X"' > '"$TIMEOUT_MS"') }'; then
 fi
 echo "overload gates: goodput 2x/1x = ${GOOD_2X}/${GOOD_1X} req/s (>= ${OVERLOAD_GOODPUT_MIN}), p99 2x = ${P99_2X} ms <= ${TIMEOUT_MS} ms, shed = ${SHED_2X}: OK" >&2
 
-# --- Experiment 3: priority scheduling under 2x mixed overload ---------------
+# --- Experiment 2: priority scheduling under 2x mixed overload ---------------
 
 PRIO_MIX="interactive=50,bulk=50"
 
-echo "run 5/7: priority mix ($PRIO_MIX), 1x offered load ($RATE req/s)..." >&2
-one_run 0 "$RATE" "$ADMIT" "$OUT_DIR/priority_1x.json" priority_1x "$PRIO_MIX"
-echo "run 6/7: priority mix ($PRIO_MIX), 2x offered load ($RATE2 req/s)..." >&2
-one_run 0 "$RATE2" "$ADMIT" "$OUT_DIR/priority_2x.json" priority_2x "$PRIO_MIX"
+echo "run 3/5: priority mix ($PRIO_MIX), 1x offered load ($RATE req/s)..." >&2
+one_run "$RATE" "$ADMIT" "$OUT_DIR/priority_1x.json" priority_1x "$PRIO_MIX"
+echo "run 4/5: priority mix ($PRIO_MIX), 2x offered load ($RATE2 req/s)..." >&2
+one_run "$RATE2" "$ADMIT" "$OUT_DIR/priority_2x.json" priority_2x "$PRIO_MIX"
 
 INT_GOOD_1X=$(tier_field_of "$OUT_DIR/priority_1x.json" interactive goodput_rps)
 INT_GOOD_2X=$(tier_field_of "$OUT_DIR/priority_2x.json" interactive goodput_rps)
@@ -249,8 +216,8 @@ fi
 echo "priority gates: interactive goodput 2x/1x = ${INT_GOOD_2X}/${INT_GOOD_1X} req/s (>= ${PRIORITY_GOODPUT_MIN}), interactive p99 2x = ${INT_P99_2X} ms <= ${TIMEOUT_MS} ms, bulk completed = ${BULK_OK_2X}: OK" >&2
 
 if [ "$QUICK" != "1" ]; then
-    echo "run 7/7: admission OFF, 2x offered load (the collapse being prevented)..." >&2
-    one_run 0 "$RATE2" off "$OUT_DIR/noadmit_2x.json" noadmit_2x
+    echo "run 5/5: admission OFF, 2x offered load (the collapse being prevented)..." >&2
+    one_run "$RATE2" off "$OUT_DIR/noadmit_2x.json" noadmit_2x
     P99_NOADMIT=$(field_of "$OUT_DIR/noadmit_2x.json" p99_ms)
     GOOD_NOADMIT=$(field_of "$OUT_DIR/noadmit_2x.json" goodput_rps)
     echo "admission off at 2x: goodput ${GOOD_NOADMIT} req/s, p99 ${P99_NOADMIT} ms" >&2
@@ -269,11 +236,7 @@ if [ "$SPLICE" = "1" ] && [ -f "$BENCH" ]; then
     sed -i '$d' "$BENCH"
     {
         echo '  ,"loadtest": {'
-        echo '    "coalesce_off":'
-        sed 's/^/    /' "$OUT_DIR/coalesce_off.json"
-        echo '    ,"coalesce_on":'
-        sed 's/^/    /' "$OUT_DIR/coalesce_on.json"
-        echo '    ,"admit_1x":'
+        echo '    "admit_1x":'
         sed 's/^/    /' "$OUT_DIR/admit_1x.json"
         echo '    ,"admit_2x":'
         sed 's/^/    /' "$OUT_DIR/admit_2x.json"

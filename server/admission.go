@@ -62,12 +62,6 @@ const (
 // failures, and both are counted (admitted / shed_queue_full /
 // shed_deadline, with per-tier breakdowns) in /v1/stats and expvar.
 //
-// Coalesced execution (WithCoalescing) counts each sealed group as ONE
-// admission unit scheduled at the highest tier among its waiters, with
-// the summed cost of the queries it merged; its waiters stay
-// individually deadline-aware: a waiter whose deadline cannot be met
-// sheds alone with 503, leaving the rest of its group unharmed.
-//
 // maxInflight <= 0 (the default) disables admission control entirely;
 // queueDepth < 0 is treated as 0 (no queue: the limit is a hard cap).
 func WithAdmission(maxInflight, queueDepth int) Option {
@@ -92,45 +86,21 @@ func WithAging(threshold time.Duration) Option {
 // control (WithAdmission with a positive in-flight limit).
 func (s *Server) AdmissionEnabled() bool { return s.admitLimit > 0 }
 
-// admitTicket describes one admission unit to the scheduler: its tier,
-// its cost class (what the per-class latency rings estimate its service
-// time from), how many class-sized queries it represents (scale > 1 for
-// a coalesced group), and how many requests of each tier it answers for
-// (the counters bill per request even when the scheduler bills per
-// group).
+// admitTicket describes one request (a query or a whole batch) to the
+// scheduler: its declared tier and its cost class (what the per-class
+// latency rings estimate its service time from).
 type admitTicket struct {
 	tier  int
 	class costClass
-	scale int
-	count [numTiers]int64
 }
 
-// ticketFor is the common single-request ticket.
-func ticketFor(tier int, class costClass) admitTicket {
-	tk := admitTicket{tier: tier, class: class, scale: 1}
-	tk.count[tier] = 1
-	return tk
-}
-
-// requests returns the total request count the ticket answers for.
-func (tk *admitTicket) requests() int64 {
-	var n int64
-	for _, c := range tk.count {
-		n += c
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// waiter is one queued admission unit. All state transitions happen under
+// waiter is one queued request. All state transitions happen under
 // gate.mu; grant is buffered(1) and written exactly once (granted or
 // evicted), so transitions never block on the waiter's goroutine.
 type waiter struct {
 	tier    int // current scheduling tier; decreases as aging promotes
+	billed  int // declared tier, which the counters bill (aging never changes it)
 	units   int
-	count   [numTiers]int64
 	enq     time.Time
 	grant   chan waiterEvent
 	state   int
@@ -313,46 +283,28 @@ func (s *Server) admissionStats(name string) *AdmissionStats {
 }
 
 // countAdmitted / countShedQueueFull / countShedDeadline bill one
-// admission outcome to the gate and server counters, per tier and in
-// total. Counters count requests (a coalesced group bills each waiter at
-// its declared tier), while the capacity ledger counts cost units.
-func (s *Server) countAdmitted(g *gate, count [numTiers]int64) {
-	var total int64
-	for t, n := range count {
-		if n > 0 {
-			g.tierAdmitted[t].Add(n)
-			s.tierAdmitted[t].Add(n)
-			total += n
-		}
-	}
-	g.admitted.Add(total)
-	s.admitted.Add(total)
+// request's admission outcome to the gate and server counters, under its
+// declared tier and in total. Counters count requests, while the
+// capacity ledger counts cost units.
+func (s *Server) countAdmitted(g *gate, tier int) {
+	g.tierAdmitted[tier].Add(1)
+	s.tierAdmitted[tier].Add(1)
+	g.admitted.Add(1)
+	s.admitted.Add(1)
 }
 
-func (s *Server) countShedQueueFull(g *gate, count [numTiers]int64) {
-	var total int64
-	for t, n := range count {
-		if n > 0 {
-			g.tierShedQueueFull[t].Add(n)
-			s.tierShedQueueFull[t].Add(n)
-			total += n
-		}
-	}
-	g.shedQueueFull.Add(total)
-	s.shedQueueFull.Add(total)
+func (s *Server) countShedQueueFull(g *gate, tier int) {
+	g.tierShedQueueFull[tier].Add(1)
+	s.tierShedQueueFull[tier].Add(1)
+	g.shedQueueFull.Add(1)
+	s.shedQueueFull.Add(1)
 }
 
-func (s *Server) countShedDeadline(g *gate, count [numTiers]int64) {
-	var total int64
-	for t, n := range count {
-		if n > 0 {
-			g.tierShedDeadline[t].Add(n)
-			s.tierShedDeadline[t].Add(n)
-			total += n
-		}
-	}
-	g.shedDeadline.Add(total)
-	s.shedDeadline.Add(total)
+func (s *Server) countShedDeadline(g *gate, tier int) {
+	g.tierShedDeadline[tier].Add(1)
+	s.tierShedDeadline[tier].Add(1)
+	g.shedDeadline.Add(1)
+	s.shedDeadline.Add(1)
 }
 
 // unitsFor converts an estimated service time to cost units: how many
@@ -373,26 +325,16 @@ func (g *gate) unitsFor(estMs, unitMs float64) int {
 	return u
 }
 
-// estimateTicketMs is the fresh service-time estimate for a ticket: the
-// class estimate times the number of class-sized queries the ticket
-// merges.
-func (s *Server) estimateTicketMs(name string, tk admitTicket) float64 {
-	scale := tk.scale
-	if scale < 1 {
-		scale = 1
-	}
-	return s.costEstimate(name, tk.class) * float64(scale)
-}
-
 // grantLocked moves cost units to the in-flight ledger and bills the
-// admission counters. Caller holds g.mu.
-func (g *gate) grantLocked(units int, count [numTiers]int64) {
+// admission counters under the request's declared tier. Caller holds
+// g.mu.
+func (g *gate) grantLocked(units, tier int) {
 	g.inflightUnits += units
 	g.inflight++
 	if g.inflightUnits > g.hwm {
 		g.hwm = g.inflightUnits
 	}
-	g.srv.countAdmitted(g, count)
+	g.srv.countAdmitted(g, tier)
 }
 
 // dispatchLocked grants queued waiters, best tier first and FIFO within a
@@ -418,7 +360,7 @@ func (g *gate) dispatchLocked() {
 		g.queuedUnits -= w.units
 		w.state = wGranted
 		g.stopPromoteLocked(w)
-		g.grantLocked(w.units, w.count)
+		g.grantLocked(w.units, w.billed)
 		w.grant <- evGranted
 	}
 }
@@ -495,10 +437,10 @@ func (g *gate) promoteWaiter(w *waiter) {
 }
 
 // admit asks the named dataset's gate for execution capacity on behalf of
-// one admission unit (a direct query, a batch, or a whole coalesced
-// group — see admitTicket). It returns a release function that must be
-// called exactly once when the execution finishes (idempotent: extra
-// calls are no-ops), or a *shedError when the request was shed:
+// one request (a query or a batch — see admitTicket). It returns a
+// release function that must be called exactly once when the execution
+// finishes (idempotent: extra calls are no-ops), or a *shedError when the
+// request was shed:
 //
 //   - 429 shed_queue_full when the accept queue is at queueDepth and the
 //     arrival outranks nothing in it — or, symmetrically, when a queued
@@ -518,7 +460,7 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 		return func() {}, nil
 	}
 	unitMs, _ := s.latencyEstimate(name)
-	units := g.unitsFor(s.estimateTicketMs(name, tk), unitMs)
+	units := g.unitsFor(s.costEstimate(name, tk.class), unitMs)
 	mkRelease := func() func() {
 		var once sync.Once
 		return func() {
@@ -534,7 +476,7 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 
 	g.mu.Lock()
 	if g.queued == 0 && g.inflightUnits+units <= g.limit {
-		g.grantLocked(units, tk.count)
+		g.grantLocked(units, tk.tier)
 		g.mu.Unlock()
 		return mkRelease(), nil
 	}
@@ -544,7 +486,7 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 		if victim == nil {
 			queuedUnits := g.queuedUnits
 			g.mu.Unlock()
-			s.countShedQueueFull(g, tk.count)
+			s.countShedQueueFull(g, tk.tier)
 			return nil, &shedError{
 				status:     http.StatusTooManyRequests,
 				retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),
@@ -556,11 +498,11 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 		victim.grant <- evEvicted
 	}
 	w := &waiter{
-		tier:  tk.tier,
-		units: units,
-		count: tk.count,
-		enq:   time.Now(),
-		grant: make(chan waiterEvent, 1),
+		tier:   tk.tier,
+		billed: tk.tier,
+		units:  units,
+		enq:    time.Now(),
+		grant:  make(chan waiterEvent, 1),
 	}
 	g.queues[w.tier] = append(g.queues[w.tier], w)
 	g.queued++
@@ -579,7 +521,7 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 	)
 	deadline, hasDeadline := ctx.Deadline()
 	arm := func() bool {
-		est := time.Duration(s.estimateTicketMs(name, tk) * float64(time.Millisecond))
+		est := time.Duration(s.costEstimate(name, tk.class) * float64(time.Millisecond))
 		budget := time.Until(deadline) - est
 		if budget <= 0 {
 			return false
@@ -613,7 +555,7 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 			g.mu.Lock()
 			queuedUnits := g.queuedUnits
 			g.mu.Unlock()
-			s.countShedQueueFull(g, w.count)
+			s.countShedQueueFull(g, w.billed)
 			return nil, &shedError{
 				status:     http.StatusTooManyRequests,
 				retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),
@@ -663,7 +605,7 @@ func (s *Server) abandonForDeadline(g *gate, w *waiter, name string) *shedError 
 	w.state = wGone
 	queuedUnits := g.queuedUnits
 	g.mu.Unlock()
-	s.countShedDeadline(g, w.count)
+	s.countShedDeadline(g, w.billed)
 	return &shedError{
 		status:     http.StatusServiceUnavailable,
 		retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),

@@ -201,7 +201,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 
 	// Occupy the only slot, bypassing HTTP so it is held for exactly as
 	// long as this test wants.
-	release, err := srv.admit(context.Background(), DefaultDataset, ticketFor(tierNormal, costClass{}))
+	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestAdmissionBatchGated(t *testing.T) {
 	// (slow under -race).
 	srv := newAdmissionServer(t, 20*time.Microsecond,
 		WithAdmission(1, 0), WithRequestTimeout(20*time.Second))
-	release, err := srv.admit(context.Background(), DefaultDataset, ticketFor(tierNormal, costClass{}))
+	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -450,7 +450,7 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 	if srv.AdmissionEnabled() {
 		t.Fatal("admission reported enabled without WithAdmission")
 	}
-	release, err := srv.admit(context.Background(), DefaultDataset, ticketFor(tierNormal, costClass{}))
+	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
 	if err != nil {
 		t.Fatalf("admit with admission off: %v", err)
 	}

@@ -180,11 +180,6 @@ type ServerStats struct {
 	Errors int64 `json:"errors"`
 	// UptimeSeconds is the time since the server was constructed.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// CoalescedQueries and CoalescedGroups count the queries executed
-	// through a coalesced group and the groups executed (see
-	// WithCoalescing); both stay zero with coalescing disabled.
-	CoalescedQueries int64 `json:"coalesced_queries"`
-	CoalescedGroups  int64 `json:"coalesced_groups"`
 	// Admitted, ShedQueueFull and ShedDeadline are the admission-control
 	// totals (see WithAdmission), cumulative across dataset detach and
 	// version swaps; all zero with admission disabled. ShedQuota counts
@@ -205,13 +200,11 @@ type TierTotals struct {
 	ShedDeadline  int64 `json:"shed_deadline"`
 }
 
-// handleQuery serves POST /v1/query. With coalescing enabled
-// (WithCoalescing) the query joins the open group for its dataset and
-// options and waits for the shared execution; either way the reported
-// latency is measured from handler entry, so it includes any coalescing
-// wait. The request's priority tier and cost class steer admission; the
-// per-client quota (WithQuota) is checked first, so a rate-limited
-// client never occupies queue state.
+// handleQuery serves POST /v1/query. The reported latency is measured
+// from handler entry, so it includes any admission-queue wait. The
+// request's priority tier and cost class steer admission; the per-client
+// quota (WithQuota) is checked first, so a rate-limited client never
+// occupies queue state.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var req QueryRequest
@@ -235,21 +228,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	tier := req.Priority.Tier()
-	var res *repro.Result
-	if s.coal != nil {
-		// Admission happens per coalesced GROUP (one unit per shared
-		// execution, at the best tier among its waiters), inside the
-		// coalescer; waiters shed individually.
-		res, err = s.coalescedQuery(ctx, name, eng, &req, opts, tier)
-	} else {
-		var admitRelease func()
-		admitRelease, err = s.admit(ctx, name, ticketFor(tier, classOf(opts, 1)))
-		if err == nil {
-			res, err = s.directQuery(ctx, name, eng, &req, opts)
-			admitRelease()
-		}
+	admitRelease, err := s.admit(ctx, name, admitTicket{tier: req.Priority.Tier(), class: classOf(opts, 1)})
+	if err != nil {
+		s.fail(w, queryStatus(err), err)
+		return
 	}
+	res, err := s.directQuery(ctx, name, eng, &req, opts)
+	admitRelease()
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
 		return
@@ -258,9 +243,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, convertResult(res, req.MaxRegions))
 }
 
-// directQuery executes one query immediately on the resolved engine — the
-// uncoalesced path, also the coalescer's fallback when a detach races
-// group creation — and feeds the execution time back into the cost model.
+// directQuery executes one query on the resolved engine and feeds the
+// execution time back into the cost model.
 func (s *Server) directQuery(ctx context.Context, name string, eng *repro.Engine, req *QueryRequest, opts repro.QueryOptions) (*repro.Result, error) {
 	began := time.Now()
 	var res *repro.Result
@@ -308,7 +292,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// batch-size bucket, so the controller charges it what batches of
 	// this shape have actually cost.
 	class := classOf(opts, len(req.Focals))
-	admitRelease, err := s.admit(ctx, name, ticketFor(req.Priority.Tier(), class))
+	admitRelease, err := s.admit(ctx, name, admitTicket{tier: req.Priority.Tier(), class: class})
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
 		return
@@ -335,15 +319,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Datasets: make(map[string]DatasetEntry),
 		Server: ServerStats{
-			Requests:         s.requests.Load(),
-			Errors:           s.errors.Load(),
-			UptimeSeconds:    time.Since(s.start).Seconds(),
-			CoalescedQueries: s.coalescedQueries.Load(),
-			CoalescedGroups:  s.coalescedGroups.Load(),
-			Admitted:         s.admitted.Load(),
-			ShedQueueFull:    s.shedQueueFull.Load(),
-			ShedDeadline:     s.shedDeadline.Load(),
-			ShedQuota:        s.shedQuota.Load(),
+			Requests:      s.requests.Load(),
+			Errors:        s.errors.Load(),
+			UptimeSeconds: time.Since(s.start).Seconds(),
+			Admitted:      s.admitted.Load(),
+			ShedQueueFull: s.shedQueueFull.Load(),
+			ShedDeadline:  s.shedDeadline.Load(),
+			ShedQuota:     s.shedQuota.Load(),
 		},
 	}
 	if s.AdmissionEnabled() {

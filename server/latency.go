@@ -75,7 +75,7 @@ func (r *latRing) record(d time.Duration) {
 
 // LatencyStats reports a dataset's query-latency distribution: quantiles
 // over the most recent latWindow successful /v1/query requests (measured
-// from handler entry, so coalescing wait time is included), plus lifetime
+// from handler entry, so admission-queue wait is included), plus lifetime
 // count and maximum.
 type LatencyStats struct {
 	// Count is the number of successful queries recorded since the dataset
@@ -250,8 +250,8 @@ func (s *Server) recordLatency(name string, d time.Duration) {
 
 // recordCost folds one execution's duration into its class ring — the
 // cost model's learning path. Unlike recordLatency this measures the
-// engine execution alone (no queueing or coalescing wait), so the
-// estimate converges on service time rather than sojourn time.
+// engine execution alone (no queueing wait), so the estimate converges on
+// service time rather than sojourn time.
 func (s *Server) recordCost(name string, c costClass, d time.Duration) {
 	s.dsLat(name).class(c).record(d)
 }

@@ -42,7 +42,7 @@ func TestPriorityEvictionOrder(t *testing.T) {
 	srv := newAdmissionServer(t, 20*time.Microsecond,
 		WithAdmission(1, 2), WithAging(0), WithRequestTimeout(10*time.Second))
 
-	hold, err := srv.admit(context.Background(), DefaultDataset, ticketFor(tierNormal, costClass{}))
+	hold, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestPriorityEvictionOrder(t *testing.T) {
 	}
 	results := make(chan outcome, 3)
 	wait := func(tier int) {
-		release, err := srv.admit(context.Background(), DefaultDataset, ticketFor(tier, costClass{}))
+		release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tier})
 		results <- outcome{tier: tier, err: err, at: time.Now()}
 		if err == nil {
 			time.Sleep(5 * time.Millisecond) // hold briefly so grant order is observable

@@ -23,13 +23,12 @@
 // Results are served from the addressed engine's deduplicating cache when
 // it was built with repro.WithCache; a cached answer is marked
 // "cached": true and is byte-identical to any other cached answer for the
-// same query. With WithCoalescing, concurrent /v1/query requests for the
-// same dataset and options are merged into one shared batch per window —
-// answers are unchanged, only the execution is shared. With WithAdmission,
-// each dataset gets a bounded accept queue and deadline-aware load
-// shedding: overload is answered early with 429/503 + Retry-After instead
-// of being queued without bound (see docs/OPERATIONS.md, "Overload
-// tuning").
+// same query; concurrent identical queries share one computation through
+// that cache's singleflight, the only request-merging the server does.
+// With WithAdmission, each dataset gets a bounded accept queue and
+// deadline-aware load shedding: overload is answered early with 429/503 +
+// Retry-After instead of being queued without bound (see
+// docs/OPERATIONS.md, "Overload tuning").
 package server
 
 import (
@@ -65,9 +64,6 @@ type Server struct {
 	logger     *log.Logger
 	start      time.Time
 
-	coalesceWindow time.Duration
-	coal           *coalescer // nil when coalescing is disabled
-
 	admitLimit int           // WithAdmission in-flight cap in cost units (<= 0: admission off)
 	admitDepth int           // WithAdmission accept-queue depth
 	aging      time.Duration // WithAging promotion threshold (<= 0: no aging)
@@ -97,9 +93,6 @@ type Server struct {
 
 	requests atomic.Int64 // all requests routed to a handler
 	errors   atomic.Int64 // requests answered with a 4xx/5xx status
-
-	coalescedQueries atomic.Int64 // queries executed through a coalesced group
-	coalescedGroups  atomic.Int64 // coalesced groups executed
 
 	// Server-level admission totals. Unlike the per-gate counters these
 	// survive dataset detach/re-attach and version swaps, so scrapers see
@@ -250,9 +243,6 @@ func NewMulti(reg *Registry, opts ...Option) (*Server, error) {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.coalesceWindow > 0 {
-		s.coal = &coalescer{s: s, window: s.coalesceWindow, groups: make(map[string]*coalesceGroup)}
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -454,8 +444,6 @@ func publishExpvar(s *Server) {
 		m.Set("cache_misses", counter(sum(func(s repro.EngineStats) int64 { return s.CacheMisses })))
 		m.Set("cache_evictions", counter(sum(func(s repro.EngineStats) int64 { return s.CacheEvictions })))
 		m.Set("cache_size", counter(sum(func(s repro.EngineStats) int64 { return int64(s.CacheSize) })))
-		m.Set("coalesced_queries", counter(func(t *Server) int64 { return t.coalescedQueries.Load() }))
-		m.Set("coalesced_groups", counter(func(t *Server) int64 { return t.coalescedGroups.Load() }))
 		m.Set("admitted", counter(func(t *Server) int64 { return t.admitted.Load() }))
 		m.Set("shed_queue_full", counter(func(t *Server) int64 { return t.shedQueueFull.Load() }))
 		m.Set("shed_deadline", counter(func(t *Server) int64 { return t.shedDeadline.Load() }))

@@ -299,6 +299,14 @@ func TestExpvarEndpoint(t *testing.T) {
 	if vars.Maxrank["queries"] < 1 || vars.Maxrank["requests"] < 1 {
 		t.Fatalf("expvar maxrank map %+v, want queries and requests >= 1", vars.Maxrank)
 	}
+	// Request coalescing is gone, and its counters with it (a documented
+	// wire removal): neither metrics surface may still carry them.
+	if bytes.Contains(body, []byte("coalesced")) {
+		t.Errorf("/debug/vars still carries a coalesced_* key:\n%s", body)
+	}
+	if _, stats := get(t, srv, "/v1/stats"); bytes.Contains(stats, []byte("coalesced")) {
+		t.Errorf("/v1/stats still carries a coalesced_* key:\n%s", stats)
+	}
 }
 
 // TestConcurrentRequests exercises the full HTTP path under -race.
@@ -326,6 +334,45 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 	if s.CacheMisses != 20 { // 20 distinct focals
 		t.Fatalf("CacheMisses = %d, want 20", s.CacheMisses)
+	}
+}
+
+// TestConcurrentIdenticalQueriesComputeOnce pins the one request-merging
+// mechanism the server has: concurrent identical /v1/query requests meet
+// in the engine cache's singleflight, so the burst costs one computation
+// and every caller gets the same answer.
+func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
+	srv := newTestServer(t)
+	const callers = 16
+	focal := 7
+	bodies := make([][]byte, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			code, body := post(t, srv, "/v1/query", QueryRequest{Focal: &focal, Tau: 1})
+			if code != http.StatusOK {
+				t.Errorf("caller %d: status %d: %s", g, code, body)
+				return
+			}
+			bodies[g] = bytes.Replace(body, []byte(`"cached":true`), []byte(`"cached":false`), 1)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g := 1; g < callers; g++ {
+		if !bytes.Equal(bodies[g], bodies[0]) {
+			t.Fatalf("caller %d's answer differs beyond the cached flag:\n%s\n%s", g, bodies[g], bodies[0])
+		}
+	}
+	if s := srv.Engine().Stats(); s.CacheMisses != 1 || s.CacheHits != callers-1 {
+		t.Fatalf("engine stats %+v, want 1 miss and %d hits", s, callers-1)
 	}
 }
 

@@ -100,10 +100,10 @@ func TestMmapBitIdentityBattery(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%v tau=%d focal=%d (heap): %v", alg, tau, focal, err)
 							}
-							if !reflect.DeepEqual(stripTiming(a), stripTiming(m)) {
+							if !reflect.DeepEqual(answerOf(a), answerOf(m)) {
 								t.Fatalf("%v tau=%d focal=%d: mapped result differs from built", alg, tau, focal)
 							}
-							if !reflect.DeepEqual(stripTiming(m), stripTiming(h)) {
+							if !reflect.DeepEqual(answerOf(m), answerOf(h)) {
 								t.Fatalf("%v tau=%d focal=%d: mapped result differs from heap decode", alg, tau, focal)
 							}
 							if a.Stats.IO != m.Stats.IO {
@@ -228,7 +228,7 @@ func TestMutateWhileMmapServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(baseline), stripTiming(again)) {
+	if !reflect.DeepEqual(answerOf(baseline), answerOf(again)) {
 		t.Fatal("parent dataset's answers changed after Apply")
 	}
 
@@ -290,7 +290,7 @@ func TestMmapResnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(a), stripTiming(b)) {
+	if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
 		t.Fatal("results differ across mutate + re-snapshot round trip")
 	}
 }
@@ -404,7 +404,7 @@ func TestMigrateV1ToV2BitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stripTiming(a), stripTiming(b)) {
+		if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
 			t.Fatalf("focal %d: results differ across v1→v2 migration", focal)
 		}
 	}

@@ -30,15 +30,6 @@ func roundTripDataset(t testing.TB, ds *repro.Dataset, opts ...repro.DatasetOpti
 	return loaded
 }
 
-// stripTiming zeroes the only scheduling-dependent field so results can be
-// compared bit-for-bit.
-func stripTiming(res *repro.Result) *repro.Result {
-	cp := *res
-	cp.Stats.CPUTime = 0
-	cp.Cached = false
-	return &cp
-}
-
 // TestSnapshotRoundTripBitIdentical is the PR acceptance test: an engine
 // built from a snapshot must produce bit-identical Results — regions,
 // ranks, witnesses, constraints, OutrankIDs and Stats.IO — to an engine
@@ -88,9 +79,9 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%v tau=%d focal=%d (loaded): %v", alg, tau, focal, err)
 							}
-							if !reflect.DeepEqual(stripTiming(a), stripTiming(b)) {
+							if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
 								t.Fatalf("%v tau=%d focal=%d: results differ across snapshot round trip\n built: %+v\nloaded: %+v",
-									alg, tau, focal, stripTiming(a), stripTiming(b))
+									alg, tau, focal, answerOf(a), answerOf(b))
 							}
 							if a.Stats.IO != b.Stats.IO {
 								t.Fatalf("%v tau=%d focal=%d: IO %d vs %d", alg, tau, focal, a.Stats.IO, b.Stats.IO)
@@ -145,7 +136,7 @@ func TestSnapshotPreservesQuadDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(a), stripTiming(b)) {
+	if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
 		t.Fatal("results differ under persisted quad defaults")
 	}
 }
@@ -173,14 +164,14 @@ func TestQuadTreeNegativeForcesLibraryDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(def), stripTiming(forced)) {
+	if !reflect.DeepEqual(answerOf(def), answerOf(forced)) {
 		t.Fatal("WithQuadTree(-1, -1) on a tuned dataset differs from the library default")
 	}
 	viaDefaults, err := engTuned.Query(ctx, 7, repro.WithTau(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(stripTiming(def).Regions, stripTiming(viaDefaults).Regions) {
+	if reflect.DeepEqual(answerOf(def).Regions, answerOf(viaDefaults).Regions) {
 		t.Log("note: tuned defaults happened to produce identical regions; escape hatch still verified above")
 	}
 }
@@ -288,7 +279,7 @@ func TestLoadSnapshotWithoutDirectMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(a), stripTiming(b)) {
+	if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
 		t.Fatal("results differ when the loaded index decodes pages on demand")
 	}
 }
