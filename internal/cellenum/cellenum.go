@@ -119,6 +119,8 @@ type Enumerator struct {
 	anchor vecmath.Point
 	tmp    vecmath.Point
 
+	rng *rand.Rand // re-seeded per leaf: a fresh source is 4.9 KB
+
 	active   []int
 	samples  []vecmath.Point
 	patterns []Bitset
@@ -319,8 +321,11 @@ func (e *Enumerator) Enumerate(box geom.Rect, partial []geom.Halfspace, cfg Conf
 
 	// Sample interior points; each sample's bit pattern certifies one cell
 	// non-empty and feeds the pairwise-condition tables.
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x9e3779b9))
-	e.drawSamples(rng, box, nSamples)
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(0))
+	}
+	e.rng.Seed(cfg.Seed + 0x9e3779b9)
+	e.drawSamples(e.rng, box, nSamples)
 	if e.known == nil {
 		e.known = make(map[string]sampleCell)
 	} else {

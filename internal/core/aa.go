@@ -40,15 +40,12 @@ func aaRun(in Input) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	qt, err := quadtree.New(in.Tree.Dim()-1, quadtree.Options{
-		MaxPartial: in.QuadMaxPartial,
-		MaxDepth:   in.QuadMaxDepth,
-	})
+	qt, err := st.resetTree(&in)
 	if err != nil {
 		return nil, err
 	}
 
-	insert := func(recs []skyline.Record) {
+	insert := func(recs []skyline.Record) error {
 		for _, r := range recs {
 			qt.Insert(&quadtree.HalfspaceRef{
 				H:         geom.RecordHalfspace(r.Point, p),
@@ -57,12 +54,15 @@ func aaRun(in Input) (*Result, error) {
 			})
 			res.Stats.HalfspacesInserted++
 		}
+		return qt.Err()
 	}
 	first, err := sky.Skyline()
 	if err != nil {
 		return nil, err
 	}
-	insert(first)
+	if err := insert(first); err != nil {
+		return nil, err
+	}
 
 	oStar := -1 // minimum accurate cell order found so far (-1 = none)
 	var finalCells []foundCell
@@ -125,7 +125,9 @@ func aaRun(in Input) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			insert(uncovered)
+			if err := insert(uncovered); err != nil {
+				return nil, err
+			}
 		}
 	}
 

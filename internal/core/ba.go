@@ -33,10 +33,7 @@ func baRun(in Input) (*Result, error) {
 		return nil, err
 	}
 
-	qt, err := quadtree.New(in.Tree.Dim()-1, quadtree.Options{
-		MaxPartial: in.QuadMaxPartial,
-		MaxDepth:   in.QuadMaxDepth,
-	})
+	qt, err := st.resetTree(&in)
 	if err != nil {
 		return nil, err
 	}
@@ -61,6 +58,9 @@ func baRun(in Input) (*Result, error) {
 	sort.Slice(incs, func(i, j int) bool { return incs[i].id < incs[j].id })
 	for _, r := range incs {
 		qt.Insert(&quadtree.HalfspaceRef{H: geom.RecordHalfspace(r.p, p), RecordID: r.id})
+	}
+	if err := qt.Err(); err != nil {
+		return nil, err
 	}
 	res.Stats.IncomparableAccessed = int64(len(incs))
 	res.Stats.HalfspacesInserted = qt.NumHalfspaces()

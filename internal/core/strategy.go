@@ -94,16 +94,17 @@ func (bruteStrategy) Run(in Input) (*Result, error) { return bruteRun(in) }
 
 // execState carries the scratch buffers of one in-flight query. States are
 // recycled through a sync.Pool so a hot engine does not re-allocate the
-// leaf-loop buckets, cell lists, within-leaf enumerator arenas and the AA
-// leaf cache on every query. Nothing in an execState escapes into a
-// Result: makeRegion copies what it keeps, so releasing the state after
-// the query is safe.
+// quad-tree arena, leaf-loop buckets, cell lists, within-leaf enumerator
+// arenas and the AA leaf cache on every query. Nothing in an execState
+// escapes into a Result: makeRegion copies what it keeps, so releasing the
+// state after the query is safe.
 //
 // Under intra-query parallelism every worker goroutine operates on its own
 // execShard (its own enumerator, LP tableaus, partial-set buffer, cell
 // list and stats), so the only cross-worker state is the claim indexes,
 // the shared interim bound and the mutex-guarded AA leaf cache.
 type execState struct {
+	qt      quadtree.Tree // BA's and AA's arrangement; its Leaf handles point back here
 	cells   []foundCell
 	buckets [][]quadtree.Leaf
 	leaves  []quadtree.Leaf // leaf gather buffer (sequential + parallel)
@@ -148,38 +149,46 @@ var statePool = sync.Pool{
 
 func acquireState() *execState { return statePool.Get().(*execState) }
 
+// resetTree empties the state's quad-tree for the query's arrangement.
+func (st *execState) resetTree(in *Input) (*quadtree.Tree, error) {
+	err := st.qt.Reset(in.Tree.Dim()-1, quadtree.Options{
+		MaxPartial: in.QuadMaxPartial,
+		MaxDepth:   in.QuadMaxDepth,
+	})
+	return &st.qt, err
+}
+
+// releaseHook, when set by a test, sees every state after it was scrubbed
+// and before it returns to the pool.
+var releaseHook func(*execState)
+
 func releaseState(st *execState) {
 	// Leaf-cache keys are quad-tree node IDs, which are only unique within
 	// one query's quad-tree — stale entries would be wrong, not just
 	// wasteful, so the map is always cleared.
 	clear(st.cache)
+	st.qt.Release()
 	// Clear the full capacity, not just the current length: elements past
 	// len (left over from larger earlier queries) would otherwise pin that
-	// query's quad-tree and enumeration output for the pool's lifetime.
-	// The bucket slice headers are kept (their capacity is the point of
-	// pooling them); only their Leaf elements are cleared. The enumerator
-	// Resets drop the references their constraint scratch holds into the
-	// query's half-spaces while keeping the numeric arenas.
+	// query's half-spaces and enumeration output for the pool's lifetime.
+	// Leaf handles only point back into the state's own tree, so the leaf
+	// buffers and buckets stay as they are; their users truncate them. The
+	// enumerator Resets drop the references their constraint scratch holds
+	// into the query's half-spaces while keeping the numeric arenas.
 	st.cells = clearTail(st.cells)
-	st.leaves = clearTail(st.leaves)
-	st.order = clearTail(st.order)
 	st.partial = clearTail(st.partial)
 	st.enum.Reset()
-	buckets := st.buckets[:cap(st.buckets)]
-	for i := range buckets {
-		b := buckets[i][:cap(buckets[i])]
-		clear(b)
-		buckets[i] = b[:0]
-	}
-	st.buckets = buckets[:0]
 	for _, sh := range st.shards {
 		sh.cells = clearTail(sh.cells)
-		sh.leaves = clearTail(sh.leaves)
+		sh.leaves = sh.leaves[:0]
 		sh.partial = clearTail(sh.partial)
 		sh.segs = sh.segs[:0]
 		sh.stats = Stats{}
 		sh.visited = 0
 		sh.enum.Reset()
+	}
+	if releaseHook != nil {
+		releaseHook(st)
 	}
 	statePool.Put(st)
 }

@@ -1,7 +1,9 @@
 package quadtree
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -251,4 +253,104 @@ func TestSubtreesPartitionLeaves(t *testing.T) {
 			t.Fatalf("trial %d: AppendLeaves %d != %d", trial, len(got), len(want))
 		}
 	}
+}
+
+// TestClassifyMatchesGeom holds the arena's kernel to geom's definition on
+// every node of random trees, with coefficients that are zero, negative
+// zero and of mixed sign, where the per-axis corner choice matters.
+func TestClassifyMatchesGeom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), 1, -1}
+	for dr := 1; dr <= 5; dr++ {
+		qt, err := New(dr, Options{MaxPartial: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			h := randomHalfspace(rng, dr)
+			if i%3 == 0 {
+				h.A[rng.Intn(dr)] = special[rng.Intn(len(special))]
+			}
+			qt.Insert(&HalfspaceRef{H: h, RecordID: int64(i)})
+		}
+		for ni := range qt.nodes {
+			box := Leaf{t: qt, n: int32(ni)}.Box()
+			for h := 0; h < qt.NumHalfspaces(); h++ {
+				c, neg := qt.halfspace(h)
+				if got, want := classify(c, neg, qt.box(ni)), qt.Ref(h).H.Classify(box); got != want {
+					t.Fatalf("dr=%d node %d half-space %d: arena says %v, geom says %v", dr, ni, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestArenaOverflowIsAnError lowers the int32 limit until a small tree
+// reaches it: Insert must not panic or wrap, Err must report it from then
+// on, the tree must stay walkable, and a Reset must clear the error.
+func TestArenaOverflowIsAnError(t *testing.T) {
+	defer func(old int) { arenaLimit = old }(arenaLimit)
+	rng := rand.New(rand.NewSource(8))
+	for _, limit := range []int{40, 300, 2000} {
+		arenaLimit = limit
+		qt, err := New(2, Options{MaxPartial: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := -1
+		for i := 0; i < 400; i++ {
+			if got := qt.Insert(&HalfspaceRef{H: randomHalfspace(rng, 2), RecordID: int64(i)}); got != i {
+				t.Fatalf("limit %d: Insert %d returned index %d", limit, i, got)
+			}
+			if qt.Err() != nil && full < 0 {
+				full = i
+			}
+			if qt.Err() == nil && full >= 0 {
+				t.Fatalf("limit %d: Err cleared itself after insert %d", limit, i)
+			}
+		}
+		if full < 0 {
+			t.Fatalf("limit %d: 400 half-spaces never filled the arena", limit)
+		}
+		if len(qt.nodes) > limit || len(qt.children) > limit || len(qt.lists) > limit || len(qt.boxes) > limit || qt.nextNodeID > limit {
+			t.Fatalf("limit %d: arena grew past it (%d nodes, %d child slots, %d list entries, %d box floats, next ID %d)",
+				limit, len(qt.nodes), len(qt.children), len(qt.lists), len(qt.boxes), qt.nextNodeID)
+		}
+		for _, l := range qt.Leaves() { // incomplete, but still walkable
+			if len(l.Full()) != l.FullCount() || l.Box().Dim() != 2 {
+				t.Fatalf("limit %d: leaf %d is inconsistent after the overflow", limit, l.NodeID())
+			}
+			l.Partial()
+		}
+		arenaLimit = math.MaxInt32
+		if err := qt.Reset(2, Options{}); err != nil || qt.Err() != nil {
+			t.Fatalf("limit %d: Reset left the error behind: %v / %v", limit, err, qt.Err())
+		}
+	}
+}
+
+// TestConcurrentReadersShareOneArena has several claimers walk one tree
+// at once, as core's parallel leaf loop does; under -race it shows that
+// the handles only read.
+func TestConcurrentReadersShareOneArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	qt, err := New(3, Options{MaxPartial: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		qt.Insert(&HalfspaceRef{H: randomHalfspace(rng, 3), RecordID: int64(i)})
+	}
+	want := dumpShape(qt)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := dumpShape(qt); got != want {
+				t.Errorf("a concurrent reader saw a different tree\n%s", firstDiff(got, want))
+			}
+		}()
+	}
+	wg.Wait()
 }
