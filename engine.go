@@ -67,9 +67,10 @@ func WithParallelism(n int) EngineOption {
 
 // WithQueryParallelism bounds the *intra-query* parallelism: the number of
 // goroutines one query may fan its cell-processing core out to (quad-tree
-// leaf enumeration in BA and every AA iteration, the expansion scan in the
-// d = 2 specialisation). The default is runtime.GOMAXPROCS(0); 1 keeps the
-// fully sequential per-query path.
+// leaf enumeration in BA and every AA iteration; the d = 2 algorithms, FCA
+// and AA2D, enumerate no leaves and are sequential at every setting). The
+// default is runtime.GOMAXPROCS(0); 1 keeps the fully sequential per-query
+// path.
 //
 // The answer — regions, ranks, witnesses, Stats.IO — is bit-identical at
 // every setting. Only the work counters (Stats.LPCalls, LeavesProcessed,

@@ -36,7 +36,7 @@ func aaRun(in Input) (*Result, error) {
 		return nil, err
 	}
 
-	sky, err := in.newSkyline(ctx, rd)
+	sky, err := in.resetSkyline(ctx, rd, st)
 	if err != nil {
 		return nil, err
 	}

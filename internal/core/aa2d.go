@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/rbtree"
 	"repro/internal/skyline"
 	"repro/internal/vecmath"
 )
@@ -14,8 +16,8 @@ import (
 // either ⟨v, →⟩ (r outranks p when q1 > v) or ⟨v, ←⟩ (when q1 < v).
 type halfline struct {
 	v         float64
-	right     bool // true: contains q1 > v; false: contains q1 < v
 	recordID  int64
+	right     bool // true: contains q1 > v; false: contains q1 < v
 	augmented bool
 }
 
@@ -27,20 +29,129 @@ func (h *halfline) contains(lo, hi float64) bool {
 	return h.v >= hi
 }
 
-// boundary is the red-black tree payload for one distinct q1 value.
-type boundary struct {
-	rights []*halfline
-	lefts  []*halfline
+// interval is one cell of the d = 2 arrangement.
+type interval struct {
+	lo, hi float64
+	order  int
+	aug    int // containing half-lines that are still augmented
 }
 
-// aa2dParallelWork is the minimum cells × half-lines product at which
-// fanning the expansion scan out across workers beats doing it inline.
-const aa2dParallelWork = 1 << 12
+// aa2dState is AA2D's share of the pooled execState: the mixed arrangement
+// and the per-iteration buffers. It holds no pointers, so a released state
+// pins nothing and every buffer is simply truncated by the next query.
+type aa2dState struct {
+	all      []halfline // in insertion order, which is OutrankIDs' order
+	byV      []vref     // all of them, ascending v
+	pending  []vref     // inserted since the last sweep, not yet in byV
+	cells    []interval
+	accurate []interval
+	expand   []expansion
+}
+
+// vref and expansion name a half-line by its index in aa2dState.all and
+// carry what orders it: its value in the sorted list, its record ID in an
+// iteration's expansion set.
+type vref struct {
+	v   float64
+	idx int32
+}
+
+type expansion struct {
+	id  int64
+	idx int32
+}
+
+func byValue(a, b vref) int         { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.idx, b.idx)) }
+func byRecordID(a, b expansion) int { return cmp.Compare(a.id, b.id) }
+
+// insert appends the half-lines the records induce for focal p.
+func (a *aa2dState) insert(p vecmath.Point, recs []skyline.Record) error {
+	for _, r := range recs {
+		ca := (r.Point[0] - r.Point[1]) - (p[0] - p[1])
+		cb := p[1] - r.Point[1]
+		if ca == 0 {
+			// Cannot happen for records incomparable to p (it would
+			// imply dominance); guard against degenerate input.
+			return fmt.Errorf("core: record %d induces a degenerate half-line", r.ID)
+		}
+		// One half-line per record the skyline surfaced, and its slab
+		// indexes are int32: so are these.
+		hl := halfline{v: cb / ca, recordID: r.ID, right: ca > 0, augmented: true}
+		a.pending = append(a.pending, vref{v: hl.v, idx: int32(len(a.all))})
+		a.all = append(a.all, hl)
+	}
+	return nil
+}
+
+// merge moves the pending half-lines into the value-sorted order.
+func (a *aa2dState) merge() {
+	slices.SortFunc(a.pending, byValue)
+	i, j := len(a.byV)-1, len(a.pending)-1
+	a.byV = append(a.byV, a.pending...)
+	for w := len(a.byV) - 1; j >= 0; w-- {
+		if i >= 0 && byValue(a.byV[i], a.pending[j]) > 0 {
+			a.byV[w] = a.byV[i]
+			i--
+		} else {
+			a.byV[w] = a.pending[j]
+			j--
+		}
+	}
+	a.pending = a.pending[:0]
+}
+
+// sweep fills cells with the arrangement's intervals, left to right, and
+// returns the least cell order. The first cell (0, v1) is contained in
+// every ← half-line with v > 0 and every → half-line with v <= 0 (the
+// latter cannot arise from incomparable records but is handled for
+// robustness); crossing a boundary adds its → half-lines and removes its ←
+// ones. The count of containing half-lines that are augmented rides along,
+// so cell accuracy falls out of the same sweep.
+func (a *aa2dState) sweep() int {
+	a.merge()
+	cur, curAug := 0, 0
+	for i := range a.all {
+		if hl := &a.all[i]; (hl.right && hl.v <= 0) || (!hl.right && hl.v > 0) {
+			cur++
+			if hl.augmented {
+				curAug++
+			}
+		}
+	}
+	a.cells = a.cells[:0]
+	lo, minO := 0.0, math.MaxInt
+	emit := func(hi float64) {
+		a.cells = append(a.cells, interval{lo: lo, hi: hi, order: cur, aug: curAug})
+		minO = min(minO, cur)
+		lo = hi
+	}
+	for _, r := range a.byV {
+		if r.v <= 0 {
+			continue // effects already folded into the initial count
+		}
+		if r.v >= 1 {
+			break
+		}
+		if r.v > lo {
+			emit(r.v)
+		}
+		hl, step := &a.all[r.idx], 1
+		if !hl.right {
+			step = -1
+		}
+		cur += step
+		if hl.augmented {
+			curAug += step
+		}
+	}
+	emit(1)
+	return minO
+}
 
 // AA2D is the specialised advanced approach for d = 2 (paper Section 6.3):
-// the mixed arrangement is a set of half-lines kept in a sorted container (a
-// red-black tree), cells are the intervals between consecutive boundary
-// values, and cell orders follow from a single left-to-right sweep.
+// the mixed arrangement is a set of half-lines kept in one value-sorted
+// list, cells are the intervals between consecutive boundary values, and
+// cell orders follow from a single left-to-right sweep.
 func AA2D(in Input) (*Result, error) { return StrategyAA2D.Run(in) }
 
 func aa2dRun(in Input) (*Result, error) {
@@ -52,6 +163,8 @@ func aa2dRun(in Input) (*Result, error) {
 	}
 	start := timeNow()
 	ctx, rd, tr := in.begin()
+	st := acquireState()
+	defer releaseState(st)
 	res := &Result{}
 	p := in.Focal
 
@@ -60,118 +173,41 @@ func aa2dRun(in Input) (*Result, error) {
 		return nil, err
 	}
 
-	sky, err := in.newSkyline(ctx, rd)
+	sky, err := in.resetSkyline(ctx, rd, st)
 	if err != nil {
 		return nil, err
 	}
-	arr := rbtree.New()
-	byRecord := make(map[int64]*halfline)
-	var all []*halfline
-
-	insert := func(recs []skyline.Record) error {
-		for _, r := range recs {
-			a := (r.Point[0] - r.Point[1]) - (p[0] - p[1])
-			b := p[1] - r.Point[1]
-			if a == 0 {
-				// Cannot happen for records incomparable to p (it would
-				// imply dominance); guard against degenerate input.
-				return fmt.Errorf("core: record %d induces a degenerate half-line", r.ID)
-			}
-			hl := &halfline{v: b / a, right: a > 0, recordID: r.ID, augmented: true}
-			byRecord[r.ID] = hl
-			all = append(all, hl)
-			res.Stats.HalfspacesInserted++
-			node, ok := arr.Insert(hl.v, &boundary{})
-			_ = ok
-			bd := node.Value.(*boundary)
-			if hl.right {
-				bd.rights = append(bd.rights, hl)
-			} else {
-				bd.lefts = append(bd.lefts, hl)
-			}
-		}
-		return nil
-	}
+	a := &st.aa2d
+	a.all, a.byV, a.pending = a.all[:0], a.byV[:0], a.pending[:0]
 	first, err := sky.Skyline()
 	if err != nil {
 		return nil, err
 	}
-	if err := insert(first); err != nil {
+	if err := a.insert(p, first); err != nil {
 		return nil, err
 	}
 
-	type interval struct {
-		lo, hi float64
-		order  int
-		aug    int // containing half-lines that are still augmented
-	}
 	oStar := -1
-	var final []interval
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res.Stats.Iterations++
-		// Sweep: the first cell (0, v1) is contained in every ← half-line
-		// with v > 0 and every → half-line with v <= 0 (the latter cannot
-		// arise from incomparable records but is handled for robustness);
-		// crossing a boundary adds its → half-lines and removes its ← ones.
-		// curAug tracks how many of the containing half-lines are augmented,
-		// so cell accuracy falls out of the same sweep.
-		cur, curAug := 0, 0
-		for _, hl := range all {
-			in01 := (hl.right && hl.v <= 0) || (!hl.right && hl.v > 0)
-			if !in01 {
-				continue
-			}
-			cur++
-			if hl.augmented {
-				curAug++
-			}
-		}
-		var cells []interval
-		lo := 0.0
-		minO := -1
-		emit := func(hi float64) {
-			cells = append(cells, interval{lo: lo, hi: hi, order: cur, aug: curAug})
-			if minO < 0 || cur < minO {
-				minO = cur
-			}
-			lo = hi
-		}
-		arr.Ascend(func(n *rbtree.Node) bool {
-			if n.Key <= 0 {
-				return true // effects already folded into the initial count
-			}
-			if n.Key >= 1 {
-				return false
-			}
-			if n.Key > lo {
-				emit(n.Key)
-			}
-			bd := n.Value.(*boundary)
-			cur += len(bd.rights) - len(bd.lefts)
-			for _, hl := range bd.rights {
-				if hl.augmented {
-					curAug++
-				}
-			}
-			for _, hl := range bd.lefts {
-				if hl.augmented {
-					curAug--
-				}
-			}
-			return true
-		})
-		emit(1)
+		minO := a.sweep()
 
 		bound := minO
 		if oStar >= 0 && oStar < bound {
 			bound = oStar
 		}
-		expand := make(map[int64]bool)
-		var accurate, inaccurate []interval
-		for _, c := range cells {
+		// Candidate cells are accurate (no augmented half-line contains
+		// them) or not. Every augmented half-line containing an inaccurate
+		// cell is expanded, and the sweep already knows which those are: a
+		// → half-line contains a cell when v <= the cell's lo, a ← one when
+		// v >= its hi, so over all inaccurate cells it is the → half-lines
+		// up to the rightmost lo and the ← ones from the leftmost hi.
+		a.accurate = a.accurate[:0]
+		inaccurate, maxLo, minHi := false, math.Inf(-1), math.Inf(1)
+		for _, c := range a.cells {
 			if c.order > bound+in.Tau {
 				continue
 			}
@@ -179,76 +215,46 @@ func aa2dRun(in Input) (*Result, error) {
 				if oStar < 0 || c.order < oStar {
 					oStar = c.order
 				}
-				accurate = append(accurate, c)
+				a.accurate = append(a.accurate, c)
 				continue
 			}
-			inaccurate = append(inaccurate, c)
+			inaccurate, maxLo, minHi = true, max(maxLo, c.lo), min(minHi, c.hi)
 		}
-		// Gather the augmented half-lines containing each inaccurate cell;
-		// every one of them gets expanded, so the scan cost is amortised by
-		// the expansion work itself. This cells × half-lines scan is the
-		// d = 2 cell-processing core: with Workers > 1 it fans out over
-		// cell chunks (each worker collects into a private list; the merge
-		// into the expand set is order-free, so the result is identical).
-		if w := in.Workers; w > 1 && len(inaccurate)*len(all) >= aa2dParallelWork {
-			parts := make([][]int64, w)
-			parallelChunks(w, len(inaccurate), func(part, lo, hi int) {
-				var ids []int64
-				for _, c := range inaccurate[lo:hi] {
-					for _, hl := range all {
-						if hl.augmented && hl.contains(c.lo, c.hi) {
-							ids = append(ids, hl.recordID)
-						}
-					}
-				}
-				parts[part] = ids
-			})
-			for _, ids := range parts {
-				for _, id := range ids {
-					expand[id] = true
-				}
-			}
-		} else {
-			for _, c := range inaccurate {
-				for _, hl := range all {
-					if hl.augmented && hl.contains(c.lo, c.hi) {
-						expand[hl.recordID] = true
-					}
-				}
+		if !inaccurate {
+			break // a.accurate is the answer
+		}
+		a.expand = a.expand[:0]
+		for i := range a.all {
+			if hl := &a.all[i]; hl.augmented && hl.contains(maxLo, minHi) {
+				a.expand = append(a.expand, expansion{id: hl.recordID, idx: int32(i)})
 			}
 		}
-		if len(expand) == 0 {
-			final = accurate
-			if oStar < 0 {
-				oStar = minO // no cells at all below bound: degenerate
-			}
-			break
-		}
-		for _, id := range sortedIDs(expand) {
-			byRecord[id].augmented = false
-			uncovered, err := sky.Expand(id)
+		// Ascending record ID: the expansion order decides the order in
+		// which half-lines are inserted, and with it OutrankIDs' order.
+		slices.SortFunc(a.expand, byRecordID)
+		for _, e := range a.expand {
+			a.all[e.idx].augmented = false
+			uncovered, err := sky.Expand(e.id)
 			if err != nil {
 				return nil, err
 			}
-			if err := insert(uncovered); err != nil {
+			if err := a.insert(p, uncovered); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if oStar < 0 {
-		oStar = 0
-	}
+	res.Stats.HalfspacesInserted = len(a.all)
 
-	regions := make([]Region, 0, len(final))
-	for _, c := range final {
+	regions := make([]Region, 0, len(a.accurate))
+	for _, c := range a.accurate {
 		reg := Region{
 			Box:     geom.MustRect(vecmath.Point{c.lo}, vecmath.Point{c.hi}),
 			Witness: vecmath.Point{(c.lo + c.hi) / 2},
 			Order:   c.order,
 		}
 		if in.CollectRecordIDs {
-			for _, hl := range all {
-				if hl.contains(c.lo, c.hi) {
+			for i := range a.all {
+				if hl := &a.all[i]; hl.contains(c.lo, c.hi) {
 					reg.OutrankIDs = append(reg.OutrankIDs, hl.recordID)
 				}
 			}

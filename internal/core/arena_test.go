@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/quadtree"
+	"repro/internal/skyline"
 )
 
 // printed renders a Result's answer by value, so that two renderings
@@ -15,18 +16,42 @@ import (
 // alias the same memory.
 func printed(res *Result) string { return fmt.Sprintf("%+v", *stripVolatileStats(res)) }
 
-// TestResultSurvivesPoisonedRelease is the arena's hygiene contract: a
-// Result aliases nothing pooled. A query's state is poisoned (NaN boxes
-// and coefficients, -1 indexes) as it is released — which is before the
-// caller sees the Result — and the Result must still read as an
-// unpoisoned run's did, and score to its claimed orders. The next query
-// then runs on the poisoned arena, so it also shows that Reset rebuilds
-// everything the tree reads.
+// poison overwrites AA2D's buffers through their capacity (see
+// skyline.Maintainer.Poison).
+func (a *aa2dState) poison() {
+	nan := math.NaN()
+	fillCap(a.all, halfline{v: nan, recordID: -1})
+	fillCap(a.byV, vref{nan, -1})
+	fillCap(a.pending, vref{nan, -1})
+	fillCap(a.cells, interval{nan, nan, -1, -1})
+	fillCap(a.accurate, interval{nan, nan, -1, -1})
+	fillCap(a.expand, expansion{-1, -1})
+}
+
+func fillCap[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// TestResultSurvivesPoisonedRelease is the pooled state's hygiene
+// contract: a Result aliases nothing pooled. A query's state — quad-tree
+// arena, skyline slabs, AA2D's buffers — is poisoned (NaN boxes,
+// coefficients and points, -1 indexes) as it is released, which is before
+// the caller sees the Result, and the Result (region boxes and OutrankIDs
+// included) must still read as an unpoisoned run's did, and score to its
+// claimed orders. The next query then runs on the poisoned state, so it
+// also shows that the resets rebuild everything a query reads.
 func TestResultSurvivesPoisonedRelease(t *testing.T) {
-	for _, d := range []int{3, 4} {
+	for _, d := range []int{2, 3, 4} {
 		points := dataset.Generate(dataset.IND, 600/(d-1), d, int64(40+d))
 		tree := buildTree(t, points)
-		for _, alg := range []Algorithm{StrategyBA, StrategyAA} {
+		algs := []Algorithm{StrategyBA, StrategyAA}
+		if d == 2 {
+			algs = []Algorithm{StrategyAA2D}
+		}
+		for _, alg := range algs {
 			for _, workers := range []int{1, 4} {
 				for focal := 0; focal < 4; focal++ {
 					in := Input{
@@ -38,7 +63,7 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := printed(res)
-					releaseHook = func(st *execState) { st.qt.Poison() }
+					releaseHook = func(st *execState) { st.qt.Poison(); st.sky.Poison(); st.aa2d.poison() }
 					got, err := alg.Run(in)
 					releaseHook = nil
 					if err != nil {
@@ -70,9 +95,10 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 const medianHeavyFocal = 765
 
 // aaAllocBudget bounds a warm AA query at medianHeavyFocal. It measures
-// 3 746: region and result assembly, the skyline, and within-leaf
-// enumeration output — nothing per quad-tree node.
-const aaAllocBudget = 4200
+// 1 619: region and result assembly, one half-space per record surfaced,
+// and within-leaf enumeration output — nothing per quad-tree node or per
+// skyline entry.
+const aaAllocBudget = 1800
 
 // TestWarmArenaAllocations keeps the quad-tree out of the allocator: on a
 // warm state, threading a heavy_d4 focal's first skyline through the tree
@@ -85,7 +111,7 @@ func TestWarmArenaAllocations(t *testing.T) {
 	in := Input{Tree: tree, Focal: points[medianHeavyFocal], FocalID: medianHeavyFocal}
 
 	ctx, rd, _ := in.begin()
-	sky, err := in.newSkyline(ctx, rd)
+	sky, err := skyline.NewForQuery(ctx, rd, in.Focal, in.FocalID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +161,43 @@ func TestWarmArenaAllocations(t *testing.T) {
 	t.Logf("warm AA query: %.0f allocations (budget %d)", n, aaAllocBudget)
 	if n > aaAllocBudget {
 		t.Errorf("warm AA query: %.0f allocations, budget %d", n, aaAllocBudget)
+	}
+}
+
+// meanWideFocal is a wide_d2 pool focal (bench/testdata/pool_wide_d2.json)
+// of mean cost, over the same dataset: 29 iterations, 427 expansions,
+// 1 250 records surfaced.
+const meanWideFocal = 2627
+
+// aa2dAllocBudget bounds a warm AA2D query at meanWideFocal on a heap
+// tree: the Result and its one region, the query's tracker, the range
+// counts' windows — nothing per iteration, half-line or skyline entry.
+const aa2dAllocBudget = 12
+
+// TestWarmAA2DAllocations keeps AA2D's loop and the skyline maintainer out
+// of the allocator on a warm state, so the next stray append fails here and
+// not only in the benchmark.
+func TestWarmAA2DAllocations(t *testing.T) {
+	points := dataset.Generate(dataset.IND, 5000, 2, 20150832)
+	in := Input{Tree: buildTree(t, points), Focal: points[meanWideFocal], FocalID: meanWideFocal}
+	res, err := aa2dRun(in) // warms every pooled buffer the query uses
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Iterations < 20 || res.Stats.IncomparableAccessed < 1000 {
+		t.Errorf("%d iterations, %d records surfaced: not the wide_d2 query this guard is about",
+			res.Stats.Iterations, res.Stats.IncomparableAccessed)
+	}
+	n := math.Inf(1) // the fewest of several runs, as above
+	for i := 0; i < 8; i++ {
+		n = min(n, testing.AllocsPerRun(1, func() {
+			if _, err := aa2dRun(in); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("warm AA2D query: %.0f allocations (budget %d)", n, aa2dAllocBudget)
+	if n > aa2dAllocBudget {
+		t.Errorf("warm AA2D query: %.0f allocations, budget %d", n, aa2dAllocBudget)
 	}
 }

@@ -45,10 +45,11 @@ type Input struct {
 	// incomparable records that outrank p there (the paper's R_c set).
 	CollectRecordIDs bool
 	// Workers bounds the intra-query parallelism of the cell-processing
-	// core: BA's leaf loop, each AA iteration and AA2D's expansion scan
-	// fan out across up to Workers goroutines claiming leaves (in the
-	// same ascending-|Fl| priority order as the sequential code) from a
-	// shared queue. Values <= 1 keep the fully sequential path. The
+	// core: BA's leaf loop and each AA iteration fan out across up to
+	// Workers goroutines claiming leaves (in the same ascending-|Fl|
+	// priority order as the sequential code) from a shared queue. Values
+	// <= 1 keep the fully sequential path; FCA and AA2D, which enumerate
+	// no leaves, are sequential at every setting. The
 	// answer — regions, ranks, witnesses, Stats.IO — is bit-identical at
 	// every setting; only the work counters (LPCalls, LeavesProcessed,
 	// LeavesPruned) become scheduling-dependent, because parallel workers

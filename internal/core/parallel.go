@@ -214,27 +214,3 @@ func storeMin(a *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// parallelChunks invokes fn(part, lo, hi) over ~equal slices of n items,
-// one per worker, and waits. It is the small fan-out helper AA2D uses for
-// its expansion scan.
-func parallelChunks(workers, n int, fn func(part, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(part, lo, hi int) {
-			defer wg.Done()
-			fn(part, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}

@@ -317,16 +317,17 @@ func (in *Input) eachIncomparable(ctx context.Context, rd rstar.Reader, fn func(
 	return scanIncomparable(ctx, rd, in.Focal, in.FocalID, fn)
 }
 
-// newSkyline builds the query's BBS skyline maintainer: seeded from the
-// shared prefix's materialised set when present, tree-backed otherwise
-// (always for a light prefix, whose lazy tree-backed expansion is the
-// point of that mode). The surfacing order — and hence everything
-// downstream — is identical (see skyline.NewFromRecords).
-func (in *Input) newSkyline(ctx context.Context, rd rstar.Reader) (*skyline.Maintainer, error) {
+// resetSkyline aims the state's BBS skyline maintainer at the query:
+// seeded from the shared prefix's materialised set when present,
+// tree-backed otherwise (always for a light prefix, whose lazy tree-backed
+// expansion is the point of that mode). The surfacing order — and hence
+// everything downstream — is identical (see skyline.NewFromRecords).
+func (in *Input) resetSkyline(ctx context.Context, rd rstar.Reader, st *execState) (*skyline.Maintainer, error) {
 	if in.Shared != nil && in.Shared.g.materialized {
-		return skyline.NewFromRecords(ctx, in.Shared.Records()), nil
+		st.sky.ResetFromRecords(ctx, in.Shared.Records())
+		return &st.sky, nil
 	}
-	return skyline.NewForQuery(ctx, rd, in.Focal, in.FocalID)
+	return &st.sky, st.sky.Reset(ctx, rd, in.Focal, in.FocalID)
 }
 
 // sharedIO is the I/O the shared prefix performed on this query's behalf;

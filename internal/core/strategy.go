@@ -8,6 +8,7 @@ import (
 	"repro/internal/cellenum"
 	"repro/internal/geom"
 	"repro/internal/quadtree"
+	"repro/internal/skyline"
 )
 
 // Algorithm is a MaxRank processing strategy. Implementations are stateless
@@ -94,17 +95,20 @@ func (bruteStrategy) Run(in Input) (*Result, error) { return bruteRun(in) }
 
 // execState carries the scratch buffers of one in-flight query. States are
 // recycled through a sync.Pool so a hot engine does not re-allocate the
-// quad-tree arena, leaf-loop buckets, cell lists, within-leaf enumerator
-// arenas and the AA leaf cache on every query. Nothing in an execState
-// escapes into a Result: makeRegion copies what it keeps, so releasing the
-// state after the query is safe.
+// skyline maintainer's slabs, AA2D's arrangement, the quad-tree arena,
+// leaf-loop buckets, cell lists, within-leaf enumerator arenas and the AA
+// leaf cache on every query. Nothing in an execState escapes into a
+// Result: makeRegion and AA2D's region assembly copy what they keep, so
+// releasing the state after the query is safe.
 //
 // Under intra-query parallelism every worker goroutine operates on its own
 // execShard (its own enumerator, LP tableaus, partial-set buffer, cell
 // list and stats), so the only cross-worker state is the claim indexes,
 // the shared interim bound and the mutex-guarded AA leaf cache.
 type execState struct {
-	qt      quadtree.Tree // BA's and AA's arrangement; its Leaf handles point back here
+	sky     skyline.Maintainer // AA's and AA2D's skyline of unexpanded records
+	aa2d    aa2dState          // AA2D's arrangement and iteration buffers
+	qt      quadtree.Tree      // BA's and AA's arrangement; its Leaf handles point back here
 	cells   []foundCell
 	buckets [][]quadtree.Leaf
 	leaves  []quadtree.Leaf // leaf gather buffer (sequential + parallel)
@@ -143,9 +147,9 @@ func (st *execState) ensureShards(n int) []*execShard {
 	return st.shards[:n]
 }
 
-var statePool = sync.Pool{
-	New: func() any { return &execState{cache: make(leafCache)} },
-}
+func newExecState() *execState { return &execState{cache: make(leafCache)} }
+
+var statePool = sync.Pool{New: func() any { return newExecState() }}
 
 func acquireState() *execState { return statePool.Get().(*execState) }
 
@@ -168,6 +172,7 @@ func releaseState(st *execState) {
 	// wasteful, so the map is always cleared.
 	clear(st.cache)
 	st.qt.Release()
+	st.sky.Release()
 	// Clear the full capacity, not just the current length: elements past
 	// len (left over from larger earlier queries) would otherwise pin that
 	// query's half-spaces and enumeration output for the pool's lifetime.

@@ -225,7 +225,10 @@ func Fig11(cfg Config) error {
 	}
 
 	header(out, fmt.Sprintf("Figure 11: FCA vs AA at d=2 (n=%d)", n))
-	t := newTable(out, "dist", "AA CPU", "AA I/O", "FCA CPU", "FCA I/O")
+	// Milliseconds: at d = 2 both answer in a few, below the tables'
+	// seconds format.
+	ms := func(m Metrics) float64 { return float64(m.CPU.Microseconds()) / 1000 }
+	t := newTable(out, "dist", "AA ms", "AA I/O", "AA n_a", "FCA ms", "FCA I/O", "FCA n_a")
 	for _, dist := range []string{"IND", "COR", "ANTI"} {
 		ds, err := repro.GenerateDataset(dist, n, 2, cfg.Seed)
 		if err != nil {
@@ -239,7 +242,7 @@ func Fig11(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		t.row(dist, aa.CPU, aa.IO, fca.CPU, fca.IO)
+		t.row(dist, ms(aa), aa.IO, aa.NA, ms(fca), fca.IO, fca.NA)
 	}
 	t.flush()
 	return nil

@@ -1,0 +1,348 @@
+package skyline
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/pager"
+	"repro/internal/rstar"
+	"repro/internal/vecmath"
+)
+
+// diffInput is one dataset + focal the differential test drives both
+// maintainers over.
+type diffInput struct {
+	name    string
+	pts     []vecmath.Point
+	focal   vecmath.Point
+	focalID int64
+	// noBrute marks inputs on which the maintained set is by design not the
+	// mathematical skyline (a dominator whose float coordinate sum ties
+	// with its dominee's and whose ID is larger surfaces second), so only
+	// the two maintainers are compared.
+	noBrute bool
+}
+
+// smallPageTree indexes pts with few entries a page, so that a few hundred
+// records already make a tree three or four levels deep.
+func smallPageTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
+	t.Helper()
+	store := pager.NewStore(512)
+	tree, err := rstar.New(store, len(pts[0]), rstar.Options{DirectMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// lattice draws n points whose coordinates are multiples of 1/steps: many
+// exact duplicates, shared coordinates, tied coordinate sums, and records
+// that are the top corner of their page's MBR.
+func lattice(rng *rand.Rand, n, d, steps int) []vecmath.Point {
+	pts := make([]vecmath.Point, n)
+	for i := range pts {
+		p := make(vecmath.Point, d)
+		for j := range p {
+			p[j] = float64(1+rng.Intn(steps)) / float64(steps+1)
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// degenerateInputs are the shapes the d = 2 staircase (and the slab
+// bookkeeping at every d) must survive.
+func degenerateInputs(d int, seed int64) []diffInput {
+	rng := rand.New(rand.NewSource(seed))
+	var out []diffInput
+
+	// Duplicates: every point of a random set appears two to four times.
+	base := randomPoints(rng, 90, d)
+	var dup []vecmath.Point
+	for _, p := range base {
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			dup = append(dup, p.Clone())
+		}
+	}
+	rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+	out = append(out, diffInput{name: "duplicates", pts: dup, focal: dup[7], focalID: 7})
+
+	// One axis quantised to a handful of values, the others continuous.
+	for axis := 0; axis < 2; axis++ {
+		pts := randomPoints(rng, 300, d)
+		for _, p := range pts {
+			p[axis] = float64(1+rng.Intn(6)) / 8
+		}
+		out = append(out, diffInput{name: fmt.Sprintf("shared_axis%d", axis), pts: pts, focal: pts[3], focalID: 3})
+	}
+
+	// Lattices, coarse and fine, with the focal a record, a lattice point
+	// that is not a record's ID (a what-if equal to some records), and a
+	// point off the lattice.
+	for _, steps := range []int{4, 9} {
+		pts := lattice(rng, 350, d, steps)
+		out = append(out, diffInput{name: fmt.Sprintf("lattice%d_in", steps), pts: pts, focal: pts[11], focalID: 11})
+		out = append(out, diffInput{name: fmt.Sprintf("lattice%d_whatif_on", steps), pts: pts, focal: pts[12].Clone(), focalID: -1})
+		off := make(vecmath.Point, d)
+		for j := range off {
+			off[j] = 0.5 + 0.013*float64(j)
+		}
+		out = append(out, diffInput{name: fmt.Sprintf("lattice%d_whatif_off", steps), pts: pts, focal: off, focalID: -1})
+	}
+
+	// A page of records under one that equals the page's MBR top corner:
+	// tight clusters, each with its own maximum appended.
+	var clustered []vecmath.Point
+	for c := 0; c < 40; c++ {
+		centre := randomPoints(rng, 1, d)[0]
+		top := make(vecmath.Point, d)
+		for k := 0; k < 8; k++ {
+			p := make(vecmath.Point, d)
+			for j := range p {
+				p[j] = centre[j]*0.9 + 0.01*rng.Float64()
+				top[j] = math.Max(top[j], p[j])
+			}
+			clustered = append(clustered, p)
+		}
+		clustered = append(clustered, top)
+	}
+	out = append(out, diffInput{name: "corner_records", pts: clustered, focal: clustered[5], focalID: 5})
+
+	// Everything incomparable to the focal on one side only.
+	pts := randomPoints(rng, 200, d)
+	edge := make(vecmath.Point, d)
+	edge[0] = 2 // beyond the data on axis 0, below it elsewhere
+	out = append(out, diffInput{name: "focal_outside", pts: pts, focal: edge, focalID: -1})
+	return out
+}
+
+// sumTieInput is d = 2 only: record 1 dominates record 0 on both axes, yet
+// their float coordinate sums are equal, so the heap surfaces record 0
+// first (lower ID) and both become live members — a live set that is not a
+// staircase. Records 2.. are then tested against it.
+func sumTieInput() diffInput {
+	lo := vecmath.Point{math.Nextafter(0.75, 0), 0.5}
+	hi := vecmath.Point{0.75, math.Nextafter(0.5, 1)}
+	if lo.Sum() != hi.Sum() {
+		panic("sumTieInput: sums do not tie on this platform")
+	}
+	pts := []vecmath.Point{lo, hi,
+		{0.7, math.Nextafter(0.5, 1)}, // dominated by record 1 only
+		{0.7, 0.5},                    // dominated by both
+		{0.74, 0.5},
+		{0.2, 0.9}, {0.21, 0.9}, {0.9, 0.2}, {0.9, 0.19},
+		{0.95, 0.05}, // the focal: everything else is incomparable to it
+	}
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 60; i++ {
+		pts = append(pts, vecmath.Point{0.6 + 0.14*rng.Float64(), 0.4 + 0.09*rng.Float64()})
+	}
+	return diffInput{name: "sum_tie_dominance", pts: pts, focal: pts[9], focalID: 9, noBrute: true}
+}
+
+func recordIDs(recs []Record) []int64 {
+	out := make([]int64, len(recs))
+	for i, r := range recs {
+		out[i] = r.ID
+	}
+	return out
+}
+
+// incomparable lists the records incomparable to the focal in ascending
+// ID order, the seed NewFromRecords takes.
+func incomparable(in diffInput) []Record {
+	var recs []Record
+	for i, p := range in.pts {
+		if int64(i) != in.focalID && vecmath.Compare(p, in.focal) == vecmath.Incomparable {
+			recs = append(recs, Record{Point: p, ID: int64(i)})
+		}
+	}
+	return recs
+}
+
+// driveBoth runs one seeded Skyline/Expand sequence through the oracle and
+// the Maintainer — both over tree, or both seeded from the incomparable
+// records when tree is nil — and compares, after every call: the records
+// returned (IDs, in order, and their points), Accessed, the pages each
+// read, and the live set — and holds the live set against the brute-force
+// skyline.
+func driveBoth(t *testing.T, in diffInput, tree *rstar.Tree, seed int64) {
+	t.Helper()
+	var refIO, gotIO pager.Tracker
+	var ref *refMaintainer
+	// Odd seeds run on a new Maintainer, even ones on the one every earlier
+	// even seed used — other inputs, other dimensions — poisoned in between.
+	got := new(Maintainer)
+	if seed%2 == 0 {
+		got = &usedMaintainer
+		got.Release()
+		got.Poison()
+	}
+	if tree == nil {
+		recs := incomparable(in)
+		ref = refNewFromRecords(context.Background(), recs)
+		got.ResetFromRecords(context.Background(), recs)
+	} else {
+		var err error
+		if ref, err = refNewForQuery(context.Background(), tree.Reader(&refIO), in.focal, in.focalID); err != nil {
+			t.Fatal(err)
+		}
+		if err = got.Reset(context.Background(), tree.Reader(&gotIO), in.focal, in.focalID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expanded := map[int64]bool{}
+	step := 0
+	check := func(what string, refAdded, gotAdded []Record) {
+		t.Helper()
+		if !slices.Equal(recordIDs(refAdded), recordIDs(gotAdded)) {
+			t.Fatalf("step %d %s: added %v, oracle %v", step, what, recordIDs(gotAdded), recordIDs(refAdded))
+		}
+		for _, r := range gotAdded {
+			if !r.Point.Equal(in.pts[r.ID]) {
+				t.Fatalf("step %d %s: record %d surfaced with point %v, dataset has %v", step, what, r.ID, r.Point, in.pts[r.ID])
+			}
+		}
+		if ref.Accessed() != got.Accessed() {
+			t.Fatalf("step %d %s: accessed %d, oracle %d", step, what, got.Accessed(), ref.Accessed())
+		}
+		if refIO.Reads() != gotIO.Reads() {
+			t.Fatalf("step %d %s: %d page reads, oracle %d", step, what, gotIO.Reads(), refIO.Reads())
+		}
+		refLive, gotLive := ids(ref.Active()), ids(got.Active())
+		if !slices.Equal(refLive, gotLive) {
+			t.Fatalf("step %d %s: live set %v, oracle %v", step, what, gotLive, refLive)
+		}
+		if !in.noBrute && (step < 4 || step%5 == 0) {
+			if want := bruteSkyline(in.pts, in.focal, in.focalID, expanded); !equalSets(gotLive, want) {
+				t.Fatalf("step %d %s: live set %v is not the brute-force skyline (%d members)", step, what, gotLive, len(want))
+			}
+		}
+	}
+	refFirst, err := ref.Skyline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFirst, err := got.Skyline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Skyline", refFirst, gotFirst)
+
+	rng := rand.New(rand.NewSource(seed))
+	// Three expansion policies, drawn per run: a random live member, the
+	// live member with the smallest ID (AA's order within a round), and
+	// whole rounds (every member live at the round's start).
+	policy := rng.Intn(3)
+	budget := 40 + rng.Intn(400)
+	var round []int64
+	for step = 1; step <= budget; step++ {
+		live := ids(ref.Active())
+		if len(live) == 0 {
+			break
+		}
+		var victim int64
+		switch policy {
+		case 0:
+			victim = live[rng.Intn(len(live))]
+		case 1:
+			victim = live[0]
+		default:
+			if len(round) == 0 {
+				round = live
+			}
+			victim, round = round[0], round[1:]
+		}
+		refAdded, err := ref.Expand(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAdded, err := got.Expand(victim)
+		if err != nil {
+			t.Fatalf("step %d: Expand(%d): %v", step, victim, err)
+		}
+		expanded[victim] = true
+		check(fmt.Sprintf("Expand(%d)", victim), refAdded, gotAdded)
+		if step%17 == 0 { // an idle drain surfaces nothing and moves nothing
+			again, err := got.Skyline()
+			if err != nil || len(again) != 0 {
+				t.Fatalf("step %d: idle Skyline returned %v, %v", step, recordIDs(again), err)
+			}
+			if _, err := got.Expand(victim); err == nil {
+				t.Fatalf("step %d: second Expand(%d) accepted", step, victim)
+			}
+			check("idle", nil, nil)
+		}
+	}
+}
+
+// usedMaintainer is the Maintainer driveBoth resets again and again.
+var usedMaintainer Maintainer
+
+func TestDifferentialAgainstReference(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		var inputs []diffInput
+		for _, dist := range []dataset.Distribution{dataset.IND, dataset.COR, dataset.ANTI} {
+			n := 900 / (d - 1)
+			pts := dataset.Generate(dist, n, d, int64(100*d)+int64(dist))
+			inputs = append(inputs, diffInput{name: dist.String(), pts: pts, focal: pts[n/3], focalID: int64(n / 3)})
+			mid := make(vecmath.Point, d)
+			for j := range mid {
+				mid[j] = 0.45 + 0.05*float64(j)
+			}
+			inputs = append(inputs, diffInput{name: dist.String() + "_whatif", pts: pts, focal: mid, focalID: -1})
+		}
+		inputs = append(inputs, degenerateInputs(d, int64(7*d))...)
+		if d == 2 {
+			inputs = append(inputs, sumTieInput())
+		}
+		for _, in := range inputs {
+			for _, fromRecords := range []bool{false, true} {
+				name := fmt.Sprintf("d%d/%s/tree", d, in.name)
+				if fromRecords {
+					name = fmt.Sprintf("d%d/%s/records", d, in.name)
+				}
+				t.Run(name, func(t *testing.T) {
+					var tree *rstar.Tree // nil: seeded from records
+					if !fromRecords {
+						tree = smallPageTree(t, in.pts)
+					}
+					for seed := int64(1); seed <= 4; seed++ {
+						driveBoth(t, in, tree, seed)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSumTieBreaksStaircase pins what sumTieInput is for: both records of
+// the tied pair are live at once although one dominates the other.
+func TestSumTieBreaksStaircase(t *testing.T) {
+	in := sumTieInput()
+	m, err := New(smallPageTree(t, in.pts), in.focal, in.focalID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.Skyline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := recordIDs(first)
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	if len(live) < 2 || live[0] != 0 || live[1] != 1 {
+		t.Fatalf("first skyline %v: want records 0 and 1 both live", live)
+	}
+}

@@ -9,14 +9,45 @@
 //     implicit subsumption: the parked records are exactly those records
 //     whose half-spaces are subsumed under the dominating record's
 //     half-space;
-//   - Expand(r) removes r from the skyline and releases its parked entries
-//     back into the (reused) search heap, so no R*-tree node is ever read
-//     twice, matching the paper's I/O claim.
+//   - Expand(r) removes r from the skyline and re-examines the entries
+//     parked under it, so no R*-tree node is ever read twice, matching the
+//     paper's I/O claim.
+//
+// What is observable. An entry becomes effective — its node is read, or
+// its record joins the skyline — in the first drain in which it is popped
+// with no live member dominating it. The heap order is total (key
+// descending, nodes before records, then page or record ID ascending), so
+// the sequence of effective entries, and with it Accessed, the pages read
+// and every record list returned, is a function of the record set and the
+// Expand calls alone. Which live dominator an entry is parked under is not
+// observable: the entry is re-examined whenever its holder is expanded, and
+// its holder is always a live dominator, so the last of its dominators to
+// be expanded is necessarily its holder at that moment. The maintainer
+// uses that freedom twice: it parks under whichever dominator its search
+// finds first, and it parks an entry the moment it is seen to be dominated
+// — released by an Expand, or arriving from a node read — without a trip
+// through the heap, because the live set only grows during a drain and the
+// pop would have found it dominated still. (Equal-key nodes could be read
+// in either order for the same reason — a node read adds no member, and
+// nodes precede records at equal key — but the page-ID tie-break makes the
+// pop sequence itself reproducible.)
+//
+// Layout. Every entry lives once in an index-addressed slab (key, ID,
+// chain links) with its point, or its node's MBR top corner, in a parallel
+// coordinate slab. The heap holds small handles, parked entries form
+// intrusive chains headed in their holder's slot, and live members are a
+// compact list of slab indexes. At d = 2 the live skyline is a staircase —
+// ascending x is descending y — so the list is kept sorted by x and "does a
+// live member dominate this corner" is one binary search and one
+// comparison; at d ≥ 3 it is a scan of the live members.
 package skyline
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/pager"
 	"repro/internal/rstar"
@@ -29,35 +60,55 @@ type Record struct {
 	ID    int64
 }
 
-// entry is a heap element: either an R*-tree node reference or a record.
-type entry struct {
-	key    float64 // upper bound of coordinate sum within the entry
+// slot is one entry of the slab: an R*-tree node reference or a record.
+// Its coordinates — the record's point, or the node's MBR top corner, the
+// upper bound dominance is tested on — are in Maintainer.coords.
+type slot struct {
+	key    float64 // coordinate sum of those coordinates: the heap key
+	id     int64   // record ID, or the child's page ID when isNode
+	next   int32   // next entry parked under the same member, -1 at the end
+	parked int32   // head of the chain parked under this entry (members only), -1 when empty
 	isNode bool
-	child  pager.PageID  // when isNode
-	hi     vecmath.Point // MBR top corner (node) — dominance upper bound
-	lo     vecmath.Point // MBR bottom corner (node)
-	rec    Record        // when !isNode
+}
+
+// handle is a heap element: what the order needs, and the entry's index.
+type handle struct {
+	key    float64
+	id     int64
+	ref    int32
+	isNode bool
 }
 
 // Maintainer is an incremental skyline of the records incomparable to the
-// focal record. A Maintainer belongs to a single query: it reads the tree
-// through a per-query rstar.Reader (attributing I/O to that query) and
+// focal record. A Maintainer serves a single query at a time: it reads the
+// tree through a per-query rstar.Reader (attributing I/O to that query) and
 // honours the query's context between node accesses. It is not safe for
-// concurrent use; concurrent queries each build their own Maintainer.
+// concurrent use; concurrent queries each use their own Maintainer. Reset
+// re-aims a used Maintainer at the next query and keeps its slabs.
 type Maintainer struct {
 	ctx     context.Context
 	rd      rstar.Reader
 	focal   vecmath.Point
 	focalID int64
+	dim     int
 
-	heap     []entry
-	active   []Record          // skyline members in discovery order (incl. expanded)
-	live     []bool            // live[i]: active[i] not yet expanded
-	activeID map[int64]int     // record ID -> index in active
-	expanded map[int64]bool    // records expanded (removed) so far
-	parked   map[int64][]entry // entries parked under an active record
-	accessed int64             // records touched (for the n_a statistic)
+	slots  []slot
+	coords []float64 // slot i's coordinates at [i*dim, (i+1)*dim)
+	heap   []handle
+	// live lists the current skyline members. While stairs holds (d = 2) it
+	// is ascending in x and descending in y, duplicates adjacent.
+	live   []int32
+	stairs bool
+	out    []Record // the last drain's discoveries
+
+	accessed int64 // records touched (for the n_a statistic)
+	pops     int64 // heap pops, for the layer benchmark
+	err      error // sticky: the slab outgrew slabLimit
 }
+
+// slabLimit bounds the entry slab, whose indexes are int32. A variable so
+// that a test can reach it.
+var slabLimit = math.MaxInt32
 
 // New creates a maintainer for the records of tree that are incomparable to
 // focal. focalID identifies the focal record itself inside the tree (pass a
@@ -69,26 +120,10 @@ func New(tree *rstar.Tree, focal vecmath.Point, focalID int64) (*Maintainer, err
 // NewForQuery is New for one query: node accesses go through rd (charging
 // its tracker) and ctx cancels the BBS search between accesses.
 func NewForQuery(ctx context.Context, rd rstar.Reader, focal vecmath.Point, focalID int64) (*Maintainer, error) {
-	if len(focal) != rd.Dim() {
-		return nil, fmt.Errorf("skyline: focal dim %d != tree dim %d", len(focal), rd.Dim())
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m := &Maintainer{
-		ctx:      ctx,
-		rd:       rd,
-		focal:    focal.Clone(),
-		focalID:  focalID,
-		activeID: make(map[int64]int),
-		expanded: make(map[int64]bool),
-		parked:   make(map[int64][]entry),
-	}
-	root, err := rd.ReadNode(rd.Root())
-	if err != nil {
+	m := new(Maintainer)
+	if err := m.Reset(ctx, rd, focal, focalID); err != nil {
 		return nil, err
 	}
-	m.pushNodeEntries(root)
 	return m, nil
 }
 
@@ -104,38 +139,90 @@ func NewForQuery(ctx context.Context, rd rstar.Reader, focal vecmath.Point, foca
 // len(recs): the seed is already materialised, so the tree path's n_a
 // economy (records hidden inside parked nodes are never touched) does not
 // apply.
-//
-// The maintainer keeps the record points by reference; callers must not
-// mutate them for the maintainer's lifetime.
 func NewFromRecords(ctx context.Context, recs []Record) *Maintainer {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m := &Maintainer{
-		ctx:      ctx,
-		focalID:  -1,
-		activeID: make(map[int64]int),
-		expanded: make(map[int64]bool),
-		parked:   make(map[int64][]entry),
-	}
-	for _, r := range recs {
-		m.accessed++
-		m.push(entry{key: r.Point.Sum(), rec: r})
-	}
+	m := new(Maintainer)
+	m.ResetFromRecords(ctx, recs)
 	return m
 }
 
+// Reset empties the maintainer, keeping its slabs, and aims it at a new
+// tree-backed query as NewForQuery does.
+func (m *Maintainer) Reset(ctx context.Context, rd rstar.Reader, focal vecmath.Point, focalID int64) error {
+	if len(focal) != rd.Dim() {
+		return fmt.Errorf("skyline: focal dim %d != tree dim %d", len(focal), rd.Dim())
+	}
+	m.reset(ctx, len(focal))
+	m.rd = rd
+	m.focal = append(m.focal, focal...)
+	m.focalID = focalID
+	root, err := rd.ReadNode(rd.Root())
+	if err != nil {
+		return err
+	}
+	m.pushNodeEntries(root)
+	return nil
+}
+
+// ResetFromRecords empties the maintainer, keeping its slabs, and seeds it
+// as NewFromRecords does. The record points are copied.
+func (m *Maintainer) ResetFromRecords(ctx context.Context, recs []Record) {
+	dim := 0
+	if len(recs) > 0 {
+		dim = len(recs[0].Point)
+	}
+	m.reset(ctx, dim)
+	m.focalID = -1
+	for _, r := range recs {
+		m.accessed++
+		m.add(r.ID, false, r.Point)
+	}
+}
+
+func (m *Maintainer) reset(ctx context.Context, dim int) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	m.ctx, m.rd, m.dim = ctx, rstar.Reader{}, dim
+	m.focal = m.focal[:0]
+	m.slots, m.coords, m.heap = m.slots[:0], m.coords[:0], m.heap[:0]
+	m.live, m.out = m.live[:0], m.out[:0]
+	m.stairs = dim == 2
+	m.accessed, m.pops, m.err = 0, 0, nil
+}
+
+// Release drops the query's context and reader, so that a pooled
+// Maintainer pins neither. It is unusable until the next Reset.
+func (m *Maintainer) Release() { m.ctx, m.rd = nil, rstar.Reader{} }
+
+// Poison overwrites every slab through its capacity with values no query
+// could have put there: a test's proof that nothing a caller still holds
+// reads from a released Maintainer, and that Reset rebuilds all it reads.
+func (m *Maintainer) Poison() {
+	fill(m.slots, slot{math.NaN(), -1, -2, -2, true})
+	fill(m.coords, math.NaN())
+	fill(m.heap, handle{math.NaN(), -1, -1, true})
+	fill(m.live, -1)
+	fill(m.focal, math.NaN())
+}
+
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // Skyline drains the search heap and returns the skyline records discovered
-// by this call (the full current skyline is available via Active).
+// by this call (the full current skyline is available via Active). The
+// slice and the points in it are the maintainer's: they are valid until its
+// next Skyline, Expand or Reset.
 func (m *Maintainer) Skyline() ([]Record, error) { return m.drain() }
 
 // Active returns the current (non-expanded) skyline members.
 func (m *Maintainer) Active() []Record {
-	out := make([]Record, 0, len(m.active))
-	for i, r := range m.active {
-		if m.live[i] {
-			out = append(out, r)
-		}
+	out := make([]Record, 0, len(m.live))
+	for _, ref := range m.live {
+		out = append(out, Record{Point: m.point(ref), ID: m.slots[ref].id})
 	}
 	return out
 }
@@ -144,58 +231,58 @@ func (m *Maintainer) Active() []Record {
 // paper's n_a).
 func (m *Maintainer) Accessed() int64 { return m.accessed }
 
-// Expand removes an active skyline record and releases the entries parked
+// Expand removes an active skyline record, re-examines the entries parked
 // under it, then drains the heap. It returns the skyline records that the
-// expansion uncovered.
+// expansion uncovered, on the terms Skyline states.
 func (m *Maintainer) Expand(id int64) ([]Record, error) {
-	idx, ok := m.activeID[id]
-	if !ok || !m.live[idx] {
+	pos := slices.IndexFunc(m.live, func(ref int32) bool { return m.slots[ref].id == id })
+	if pos < 0 {
 		return nil, fmt.Errorf("skyline: expand of non-active record %d", id)
 	}
-	m.live[idx] = false
-	m.expanded[id] = true
-	for _, e := range m.parked[id] {
-		m.push(e)
+	member := m.live[pos]
+	m.live = slices.Delete(m.live, pos, pos+1) // in order: the staircase stays one
+	e := m.slots[member].parked
+	m.slots[member].parked = -1
+	for e >= 0 {
+		next := m.slots[e].next
+		m.admit(e)
+		e = next
 	}
-	delete(m.parked, id)
 	return m.drain()
 }
 
 // drain processes heap entries in best-first order until the heap is empty
 // or the query's context is cancelled.
 func (m *Maintainer) drain() ([]Record, error) {
-	var added []Record
-	for len(m.heap) > 0 {
+	m.out = m.out[:0]
+	for len(m.heap) > 0 && m.err == nil {
 		if err := m.ctx.Err(); err != nil {
 			return nil, err
 		}
-		e := m.pop()
-		if e.isNode {
-			if dom := m.dominatingActive(e.hi); dom >= 0 {
-				m.park(dom, e)
-				continue
-			}
-			node, err := m.rd.ReadNode(e.child)
+		h := m.pop()
+		if dom := m.dominator(m.point(h.ref)); dom >= 0 {
+			m.park(dom, h.ref)
+			continue
+		}
+		if h.isNode {
+			node, err := m.rd.ReadNode(pager.PageID(h.id))
 			if err != nil {
 				return nil, err
 			}
 			m.pushNodeEntries(node)
 			continue
 		}
-		if dom := m.dominatingActive(e.rec.Point); dom >= 0 {
-			m.park(dom, e)
-			continue
-		}
-		m.active = append(m.active, e.rec)
-		m.live = append(m.live, true)
-		m.activeID[e.rec.ID] = len(m.active) - 1
-		added = append(added, e.rec)
+		m.join(h.ref)
+		m.out = append(m.out, Record{Point: m.point(h.ref), ID: h.id})
 	}
-	return added, nil
+	if m.err != nil {
+		return nil, m.err
+	}
+	return m.out, nil
 }
 
 // pushNodeEntries filters a node's entries against the incomparability
-// window and pushes survivors onto the heap.
+// window and admits the survivors.
 func (m *Maintainer) pushNodeEntries(n *rstar.Node) {
 	for i := range n.Entries {
 		ne := &n.Entries[i]
@@ -203,14 +290,11 @@ func (m *Maintainer) pushNodeEntries(n *rstar.Node) {
 			if ne.RecordID == m.focalID {
 				continue
 			}
-			switch vecmath.Compare(ne.Point(), m.focal) {
-			case vecmath.Incomparable:
+			// Dominators are counted separately via RangeCount; dominees
+			// and duplicates of the focal record are irrelevant.
+			if p := ne.Point(); vecmath.Compare(p, m.focal) == vecmath.Incomparable {
 				m.accessed++
-				p := ne.Point().Clone()
-				m.push(entry{key: p.Sum(), rec: Record{Point: p, ID: ne.RecordID}})
-			default:
-				// Dominators are counted separately via RangeCount; dominees
-				// and duplicates of the focal record are irrelevant.
+				m.add(ne.RecordID, false, p)
 			}
 			continue
 		}
@@ -221,33 +305,129 @@ func (m *Maintainer) pushNodeEntries(n *rstar.Node) {
 		if dominatesOrEqual(ne.Rect.Lo, m.focal) {
 			continue // every record inside dominates (or equals) focal
 		}
-		m.push(entry{
-			key:    ne.Rect.Hi.Sum(),
-			isNode: true,
-			child:  ne.Child,
-			hi:     ne.Rect.Hi.Clone(),
-			lo:     ne.Rect.Lo.Clone(),
-		})
+		m.add(int64(ne.Child), true, ne.Rect.Hi)
 	}
 }
 
-// dominatingActive returns the index of an active skyline record that
-// dominates the given upper-bound point, or -1.
-func (m *Maintainer) dominatingActive(hi vecmath.Point) int {
-	for i, r := range m.active {
-		if !m.live[i] {
-			continue
+// add appends an entry to the slab and admits it.
+func (m *Maintainer) add(id int64, isNode bool, pt vecmath.Point) {
+	ref := len(m.slots)
+	if ref >= slabLimit {
+		m.err = errors.New("skyline: entry slab is full")
+	}
+	if m.err != nil {
+		return
+	}
+	m.slots = append(grow(m.slots, 1), slot{key: pt.Sum(), id: id, next: -1, parked: -1, isNode: isNode})
+	m.coords = append(grow(m.coords, m.dim), pt...)
+	m.admit(int32(ref))
+}
+
+// grow makes room for n more elements, doubling: append grows a large
+// slice by a quarter, and a cold slab would spend its query recopying.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), max(2*cap(s), len(s)+n, 64))
+	copy(out, s)
+	return out
+}
+
+// admit parks an entry under a live member that dominates it, or, when
+// there is none, queues it for the drain.
+func (m *Maintainer) admit(ref int32) {
+	if dom := m.dominator(m.point(ref)); dom >= 0 {
+		m.park(dom, ref)
+		return
+	}
+	s := &m.slots[ref]
+	m.push(handle{key: s.key, id: s.id, ref: ref, isNode: s.isNode})
+}
+
+func (m *Maintainer) park(member, ref int32) {
+	m.slots[ref].next = m.slots[member].parked
+	m.slots[member].parked = ref
+}
+
+// point returns the coordinates of entry ref as a view of the slab.
+func (m *Maintainer) point(ref int32) vecmath.Point {
+	off := int(ref) * m.dim
+	return m.coords[off : off+m.dim : off+m.dim]
+}
+
+// dominator returns a live member that dominates the corner c, or -1.
+func (m *Maintainer) dominator(c vecmath.Point) int32 {
+	if !m.stairs {
+		for _, ref := range m.live {
+			if dominates(m.point(ref), c) {
+				return ref
+			}
 		}
-		if vecmath.DominatesStrict(r.Point, hi) {
-			return i
+		return -1
+	}
+	// Of the members with x >= c's the first has the largest y, so it
+	// dominates c if any does — unless it *is* c, a duplicate, which
+	// dominates nothing at its own position; whatever follows the
+	// duplicates decides then.
+	for i := m.firstFrom(c[0]); i < len(m.live); i++ {
+		if p := m.point(m.live[i]); p[0] != c[0] || p[1] != c[1] {
+			if p[1] >= c[1] {
+				return m.live[i]
+			}
+			break
 		}
 	}
 	return -1
 }
 
-func (m *Maintainer) park(activeIdx int, e entry) {
-	id := m.active[activeIdx].ID
-	m.parked[id] = append(m.parked[id], e)
+// firstFrom returns the position of the first live member with x >= x0 in
+// the staircase.
+func (m *Maintainer) firstFrom(x0 float64) int {
+	lo, hi := 0, len(m.live)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.coords[int(m.live[mid])*2] < x0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// join makes a record nobody dominates a live member.
+func (m *Maintainer) join(ref int32) {
+	i := len(m.live)
+	if m.stairs {
+		// The member at the insertion point, not dominating p, lies at or
+		// below it. The one before lies strictly to the left, and above —
+		// unless p dominates it, which only a pair whose float coordinate
+		// sums tie and whose IDs ascend against dominance can bring about.
+		// The live set is then no staircase, and stays a plain list for
+		// the rest of the query.
+		p := m.point(ref)
+		if i = m.firstFrom(p[0]); i > 0 && m.point(m.live[i-1])[1] < p[1] {
+			m.stairs, i = false, len(m.live)
+		}
+	}
+	m.live = slices.Insert(m.live, i, ref)
+}
+
+// dominates reports p >= c on every axis and p != c. It is
+// vecmath.DominatesStrict leaving at the first axis that decides, which at
+// d = 4 makes the live-member scan over twice as fast.
+func dominates(p, c vecmath.Point) bool {
+	strict := false
+	for i, v := range p {
+		if v < c[i] {
+			return false
+		}
+		if v > c[i] {
+			strict = true
+		}
+	}
+	return strict
 }
 
 // dominatesOrEqual reports a >= b on every axis.
@@ -260,61 +440,63 @@ func dominatesOrEqual(a, b vecmath.Point) bool {
 	return true
 }
 
-// --- binary max-heap keyed by (key desc, nodes before records) ---
+// --- binary max-heap: key descending, nodes before records, then ID ---
 
-func entryLess(a, b entry) bool { // true when a has higher priority
+// less reports whether a pops before b. The order is total. Key-tied
+// records (duplicate points, or distinct points with equal coordinate
+// sums) pop in record-ID order, which makes the surfacing order a pure
+// function of the record set: two trees holding the same records — a
+// bulk-loaded index and its incrementally mutated equivalent — discover
+// their skylines in the same order, which keeps downstream arrangement
+// geometry (and hence regions and witnesses) bit-identical across tree
+// shapes. Key-tied nodes pop in page-ID order.
+func less(a, b handle) bool {
 	if a.key != b.key {
 		return a.key > b.key
 	}
 	if a.isNode != b.isNode {
 		return a.isNode
 	}
-	// Key-tied records (duplicate points, or distinct points with equal
-	// coordinate sums) pop in record-ID order. This makes the surfacing
-	// order a pure function of the record set: two trees holding the same
-	// records — a bulk-loaded index and its incrementally mutated
-	// equivalent — discover their skylines in the same order, which keeps
-	// downstream arrangement geometry (and hence regions and witnesses)
-	// bit-identical across tree shapes.
-	if !a.isNode {
-		return a.rec.ID < b.rec.ID
-	}
-	return false
+	return a.id < b.id
 }
 
-func (m *Maintainer) push(e entry) {
-	m.heap = append(m.heap, e)
+func (m *Maintainer) push(h handle) {
+	m.heap = append(grow(m.heap, 1), h)
 	i := len(m.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(m.heap[i], m.heap[parent]) {
+		if !less(h, m.heap[parent]) {
 			break
 		}
-		m.heap[i], m.heap[parent] = m.heap[parent], m.heap[i]
+		m.heap[i] = m.heap[parent]
 		i = parent
 	}
+	m.heap[i] = h
 }
 
-func (m *Maintainer) pop() entry {
+func (m *Maintainer) pop() handle {
+	m.pops++
 	top := m.heap[0]
 	last := len(m.heap) - 1
-	m.heap[0] = m.heap[last]
+	h := m.heap[last]
 	m.heap = m.heap[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(m.heap) && entryLess(m.heap[l], m.heap[best]) {
-			best = l
-		}
-		if r < len(m.heap) && entryLess(m.heap[r], m.heap[best]) {
-			best = r
-		}
-		if best == i {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		m.heap[i], m.heap[best] = m.heap[best], m.heap[i]
-		i = best
+		if r := c + 1; r < last && less(m.heap[r], m.heap[c]) {
+			c = r
+		}
+		if !less(m.heap[c], h) {
+			break
+		}
+		m.heap[i] = m.heap[c]
+		i = c
+	}
+	if last > 0 {
+		m.heap[i] = h
 	}
 	return top
 }

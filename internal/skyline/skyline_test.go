@@ -1,7 +1,9 @@
 package skyline
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-func buildTree(t *testing.T, pts []vecmath.Point) *rstar.Tree {
+func buildTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 	t.Helper()
 	store := pager.NewStore(0)
 	tree, err := rstar.New(store, len(pts[0]), rstar.Options{DirectMemory: true})
@@ -265,5 +267,52 @@ func TestDimMismatch(t *testing.T) {
 	tree := buildTree(t, pts)
 	if _, err := New(tree, vecmath.Point{0.1}, -1); err == nil {
 		t.Fatal("dim mismatch accepted")
+	}
+}
+
+// TestSlabOverflowIsSticky lowers the slab limit under a query's needs: the
+// query must fail, keep failing, and never index past the limit; the same
+// Maintainer serves the next query once Reset.
+func TestSlabOverflowIsSticky(t *testing.T) {
+	defer func(old int) { slabLimit = old }(slabLimit)
+	rng := rand.New(rand.NewSource(6))
+	pts := randomPoints(rng, 1500, 3)
+	tree := buildTree(t, pts)
+	want, err := New(tree, pts[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := want.Skyline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := len(want.slots)
+
+	for _, limit := range []int{0, 1, full / 2, full - 1} {
+		slabLimit = limit
+		m, err := New(tree, pts[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Skyline(); err == nil {
+			t.Fatalf("limit %d of %d entries: Skyline succeeded", limit, full)
+		}
+		if _, err := m.Skyline(); err == nil {
+			t.Fatalf("limit %d: the error did not stick", limit)
+		}
+		if len(m.slots) > limit {
+			t.Fatalf("limit %d: slab holds %d entries", limit, len(m.slots))
+		}
+		slabLimit = full
+		if err := m.Reset(context.Background(), tree.Reader(nil), pts[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Skyline()
+		if err != nil {
+			t.Fatalf("limit %d: after Reset at the exact limit: %v", limit, err)
+		}
+		if !slices.Equal(recordIDs(got), recordIDs(first)) {
+			t.Fatalf("limit %d: after Reset got %v, want %v", limit, recordIDs(got), recordIDs(first))
+		}
 	}
 }
