@@ -14,19 +14,19 @@ import (
 	"repro/internal/vecmath"
 )
 
-// WithBatchSharing turns on shared-arrangement batch execution: QueryBatch
+// WithBatchSharing turns on shared-arrangement batch execution for the
+// algorithms that scan the whole incomparable set, BA and FCA: QueryBatch
 // groups its focals by proximity and each group pays the dominance
-// classification once instead of once per query (the per-focal refinement
-// still runs per query: half-space geometry depends on exact focal
-// coordinates). How much is shared tracks the algorithm: BA and FCA get
-// the full incomparable-set partition that seeds their arrangement
-// construction, while the lazily-expanding AA/AA2D share only the
-// dominator count so their BBS skyline keeps reading just n_a records
-// (see core.BuildGroupPrefix). Results are bit-identical to independent
-// execution at any group size; the Stats fields that legitimately differ
-// (IO charges the shared scan once per member, IncomparableAccessed under
-// a materialised prefix, the scheduling-dependent work counters) are
-// documented on Result. The default is off.
+// classification — dominator count and incomparable-set partition — once
+// instead of once per query (the per-focal refinement still runs per
+// query: half-space geometry depends on exact focal coordinates). See
+// core.BuildGroupPrefix. The lazily-expanding AA (and Auto, which resolves
+// to it) reads only n_a records from the tree and has nothing to share; a
+// batch of those runs exactly as without the option. Results are
+// bit-identical to independent execution at any group size; the Stats
+// fields that legitimately differ (IO charges the shared scan once per
+// member, the scheduling-dependent work counters) are documented on
+// Result. The default is off.
 func WithBatchSharing(on bool) EngineOption {
 	return func(c *engineConfig) { c.batchShare = on }
 }
@@ -38,8 +38,8 @@ func (e *Engine) BatchSharing() bool { return e.batchShare }
 // queryBatchShared is QueryBatch's execution path under WithBatchSharing:
 // same contract (input-order results, first error wins and aborts the
 // rest), shared-prefix execution underneath.
-func (e *Engine) queryBatchShared(ctx context.Context, focalIndexes []int, opts []Option) ([]*Result, error) {
-	results, errs := e.runShared(ctx, focalIndexes, opts)
+func (e *Engine) queryBatchShared(ctx context.Context, focalIndexes []int, cfg *queryConfig) ([]*Result, error) {
+	results, errs := e.runShared(ctx, focalIndexes, cfg)
 	// Prefer the member error that caused the abort over the cancellations
 	// it induced in the rest of the batch (matching the independent path,
 	// which reports the first real failure).
@@ -80,23 +80,10 @@ type pendingQuery struct {
 // group prefixes. Per-slot results and errors are parallel to
 // focalIndexes; the first error cancels the outstanding groups (QueryBatch
 // semantics).
-func (e *Engine) runShared(ctx context.Context, focalIndexes []int, opts []Option) ([]*Result, []error) {
+func (e *Engine) runShared(ctx context.Context, focalIndexes []int, cfg *queryConfig) ([]*Result, []error) {
 	n := len(focalIndexes)
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	cfg := queryConfig{}
-	for _, o := range e.defaults {
-		o(&cfg)
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.QuadMaxPartial == 0 {
-		cfg.QuadMaxPartial = e.ds.quadMaxPartial
-	}
-	if cfg.QuadMaxDepth == 0 {
-		cfg.QuadMaxDepth = e.ds.quadMaxDepth
-	}
 	strat, serr := cfg.Algorithm.strategy()
 	if serr == nil {
 		if d := e.ds.Dim(); !strat.SupportsDim(d) {
@@ -120,7 +107,7 @@ func (e *Engine) runShared(ctx context.Context, focalIndexes []int, opts []Optio
 			continue
 		}
 		focal, focalID := e.ds.points[idx], int64(idx)
-		key := e.cacheKey(focal, focalID, &cfg)
+		key := e.cacheKey(focal, focalID, cfg)
 		if e.cache != nil {
 			if res, ok := e.cache.Get(key); ok {
 				cp := *res
@@ -180,7 +167,7 @@ func (e *Engine) runShared(ctx context.Context, focalIndexes []int, opts []Optio
 				if gi >= len(groups) || gctx.Err() != nil {
 					return
 				}
-				if e.runSharedGroup(gctx, groups[gi], &cfg, strat, perQuery) {
+				if e.runSharedGroup(gctx, groups[gi], cfg, strat, perQuery) {
 					cancel()
 					return
 				}
@@ -305,12 +292,7 @@ func (e *Engine) runSharedGroup(ctx context.Context, group []*pendingQuery, cfg 
 	for i, p := range group {
 		focals[i] = p.focal
 	}
-	// BA and FCA scan the full incomparable set per query, so the prefix
-	// materialises it (full mode). AA and its d = 2 specialisation expand
-	// the skyline lazily from the tree — for them only the dominator count
-	// is shared (light mode), which keeps the lazy expansion intact.
-	materialize := cfg.Algorithm.resolved() != AA
-	prefix, err := core.BuildGroupPrefix(ctx, e.ds.tree, focals, materialize)
+	prefix, err := core.BuildGroupPrefix(ctx, e.ds.tree, focals)
 	if err != nil {
 		for _, p := range group {
 			p.err = err

@@ -34,8 +34,8 @@ func benchQueries(b *testing.B, ds *repro.Dataset, opts ...repro.Option) {
 // with intra-query workers (IND, n = 2000, d = 4 — the heavy Fig8 shape):
 // identical focal sequence and bit-identical answers at every setting, so
 // ns/op ratios are pure parallel speedup. workers=1 is the sequential
-// baseline; the speedup reported in BENCH_PR3.json is workers=1 divided
-// by the largest worker count.
+// baseline; the benchmark under bench/ reports the same ratio end to end as
+// core.parallel_speedup.
 func BenchmarkQueryParallelism(b *testing.B) {
 	ds, err := repro.GenerateDataset("IND", 2000, 4, 1)
 	if err != nil {
@@ -219,19 +219,19 @@ func BenchmarkSubstrates(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchSharing measures shared-arrangement batch execution (the
-// PR 6 tentpole): a QueryBatch of clustered focals with WithBatchSharing
-// off versus on. The headline pair is FCA at d = 2 with simulated page
-// latency (fca_d2_disk) — FCA scans the full incomparable set per query,
-// so the shared full-mode prefix replaces one complete index pass per
-// focal and the batch collapses to roughly one scan plus m sweeps. The
-// aa_d3 pairs cover the lazy strategy with its light (dominators-only)
-// prefix: a modest win, present in-memory and with page latency, because
-// only the dominator count amortises while BBS expansion stays lazy.
-// Result caches are disabled so every op pays full computation; answers
-// are bit-identical either way, so ns/op ratios are pure sharing
-// speedup. BENCH_PR6.json derives batch_sharing_speedup from the
-// fca_d2_disk pair.
+// BenchmarkBatchSharing measures shared-arrangement batch execution: a
+// QueryBatch of clustered focals with WithBatchSharing off versus on. The
+// headline pair is FCA at d = 2 with simulated page latency (fca_d2_disk)
+// — FCA scans the full incomparable set per query, so the shared prefix
+// replaces one complete index pass per focal and the batch collapses to
+// roughly one scan plus m sweeps. The aa_d3 pairs are the control: AA has
+// nothing to share and takes the independent path either way, so their
+// two halves must read the same — they lost 20-60% under the
+// dominators-only "light" prefix PR 24 deleted, and stay here so that a
+// regression of that kind is visible. Result caches are disabled so every
+// op pays full computation; answers are bit-identical either way, so
+// ns/op ratios are pure sharing speedup. Measured numbers are in
+// docs/PERFORMANCE.md, "Batch sharing".
 func BenchmarkBatchSharing(b *testing.B) {
 	ctx := context.Background()
 	lat := repro.WithPageLatency(50 * time.Microsecond)

@@ -216,10 +216,7 @@ type tierStats struct {
 	shed503 atomic.Int64
 }
 
-// runResult is one traffic run's slice of the JSON report. Field names
-// deliberately avoid "name"/"gomaxprocs": scripts/bench_compare.sh greps
-// the merged BENCH json for those keys and must keep seeing only the
-// micro-benchmark entries.
+// runResult is one traffic run's slice of the JSON report.
 type runResult struct {
 	Label       string  `json:"label,omitempty"`
 	Mode        string  `json:"mode"`

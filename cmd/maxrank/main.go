@@ -14,8 +14,7 @@
 //
 //	maxrank build-snapshot -data hotels.csv -out hotels.snap
 //	maxrank build-snapshot -gen ANTI -n 100000 -dim 4 -out anti.snap
-//	maxrank build-snapshot -gen IND -n 100000 -f32 -out ind.snap    # float32 points
-//	maxrank migrate-snapshot -in legacy.snap -out hotels.snap       # v1 -> v2 (mmap-able)
+//	maxrank migrate-snapshot -in legacy.snap -out hotels.snap       # v1 or float32 -> float64 v2
 //	maxrank inspect-snapshot hotels.snap
 package main
 

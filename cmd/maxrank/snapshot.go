@@ -25,8 +25,6 @@ func buildSnapshotCmd(args []string) {
 		pageSize    = fs.Int("page-size", 0, "simulated page size in bytes (0 = 4096)")
 		quadPartial = fs.Int("quad-partial", 0, "default quad-tree leaf split threshold (0 = library default)")
 		quadDepth   = fs.Int("quad-depth", 0, "default quad-tree depth cap (0 = dimension default)")
-		format      = fs.Int("format", snapshot.Version2, "snapshot format version: 2 (flat, mmap-able) or 1 (legacy stream)")
-		f32         = fs.Bool("f32", false, "store points as float32 (format 2 only; halves the file, quantizes to ~2^-24 relative)")
 		out         = fs.String("out", "", "output snapshot path (required)")
 	)
 	fs.Parse(args)
@@ -60,77 +58,54 @@ func buildSnapshotCmd(args []string) {
 		fatal(err)
 	}
 
-	// WriteSnapshotFileVersion is atomic (temp file + rename, 0644), so a
-	// crash mid-write never leaves a half-snapshot under the target name.
-	if err := ds.WriteSnapshotFileVersion(*out, *format, *f32); err != nil {
+	// WriteSnapshotFile is atomic (temp file + rename, 0644), so a crash
+	// mid-write never leaves a half-snapshot under the target name.
+	if err := ds.WriteSnapshotFile(*out); err != nil {
 		fatal(err)
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (format v%d%s): %d records, %d attributes, fingerprint %s, %d bytes\n",
-		*out, *format, encodingSuffix(*f32), ds.Len(), ds.Dim(), ds.Fingerprint(), info.Size())
+	fmt.Printf("wrote %s (format v%d): %d records, %d attributes, fingerprint %s, %d bytes\n",
+		*out, snapshot.Version2, ds.Len(), ds.Dim(), ds.Fingerprint(), info.Size())
 }
 
-func encodingSuffix(f32 bool) string {
-	if f32 {
-		return ", float32 points"
-	}
-	return ""
-}
-
-// migrateSnapshotCmd implements `maxrank migrate-snapshot`: convert a
-// snapshot between format versions — typically v1 (legacy stream) to v2
-// (flat, mmap-able) so maxrankd can serve it zero-copy. Exact (float64)
-// migrations preserve the dataset fingerprint and query answers
-// bit-for-bit; -f32 quantizes the points and records the new fingerprint.
+// migrateSnapshotCmd implements `maxrank migrate-snapshot`: load a
+// snapshot of any readable kind — a legacy v1 stream, a float32 v2 file —
+// and write it back as what every snapshot now is, float64 v2, so maxrankd
+// can serve it zero-copy. It is "load, then write": the dataset
+// fingerprint and query answers are preserved bit-for-bit.
 func migrateSnapshotCmd(args []string) {
 	fs := flag.NewFlagSet("migrate-snapshot", flag.ExitOnError)
 	var (
-		in     = fs.String("in", "", "input snapshot path (required)")
-		out    = fs.String("out", "", "output snapshot path (required)")
-		format = fs.Int("format", snapshot.Version2, "target format version: 2 (flat, mmap-able) or 1 (legacy stream)")
-		f32    = fs.Bool("f32", false, "store points as float32 (format 2 only; changes the fingerprint)")
+		in  = fs.String("in", "", "input snapshot path (required)")
+		out = fs.String("out", "", "output snapshot path (required)")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		fatal(fmt.Errorf("migrate-snapshot: -in and -out are required"))
 	}
-	// Heap decode: the input may be either version, and a full decode also
-	// verifies every checksum before anything is re-encoded.
+	// Heap load: every checksum and the fingerprint are verified before
+	// anything is re-encoded.
 	ds, err := repro.LoadSnapshotFile(*in, repro.WithMmap(false))
 	if err != nil {
 		fatal(fmt.Errorf("migrate-snapshot: %s: %w", *in, err))
 	}
-	before := ds.Fingerprint()
 	inInfo, err := os.Stat(*in)
 	if err != nil {
 		fatal(err)
 	}
-	if err := ds.WriteSnapshotFileVersion(*out, *format, *f32); err != nil {
+	if err := ds.WriteSnapshotFile(*out); err != nil {
 		fatal(fmt.Errorf("migrate-snapshot: %s: %w", *out, err))
 	}
 	outInfo, err := os.Stat(*out)
 	if err != nil {
 		fatal(err)
 	}
-	after := before
-	if *f32 {
-		// Report the fingerprint the migrated file actually records.
-		migrated, err := repro.LoadSnapshotFile(*out, repro.WithMmap(false))
-		if err != nil {
-			fatal(fmt.Errorf("migrate-snapshot: verifying %s: %w", *out, err))
-		}
-		after = migrated.Fingerprint()
-	}
-	fmt.Printf("migrated %s (v%d, %d bytes) -> %s (v%d%s, %d bytes)\n",
-		*in, ds.Storage().SnapshotVersion, inInfo.Size(), *out, *format, encodingSuffix(*f32), outInfo.Size())
-	if after == before {
-		fmt.Printf("fingerprint:     %s (preserved)\n", before)
-	} else {
-		fmt.Printf("fingerprint:     %s -> %s (float32 quantization)\n", before, after)
-	}
+	fmt.Printf("migrated %s (v%d, %d bytes) -> %s (v%d, %d bytes)\n",
+		*in, ds.Storage().SnapshotVersion, inInfo.Size(), *out, snapshot.Version2, outInfo.Size())
+	fmt.Printf("fingerprint:     %s (preserved)\n", ds.Fingerprint())
 }
 
 // inspectSnapshotCmd implements `maxrank inspect-snapshot`: decode and
@@ -160,9 +135,9 @@ func inspectSnapshotCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	encoding, serving := "float64", "heap decode (legacy stream; migrate-snapshot converts to v2)"
+	encoding, serving := "float64", "heap load (legacy stream, converted on the way in; migrate-snapshot rewrites it as v2)"
 	if snap.Float32 {
-		encoding = "float32 (quantized)"
+		encoding = "float32"
 	}
 	if snap.FormatVersion == snapshot.Version2 {
 		serving = "zero-copy mmap (flat layout)"

@@ -6,58 +6,41 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/snapshot"
 )
 
 // BenchmarkColdStart measures time-to-serving from a snapshot file: the
-// full LoadSnapshotFile call, dataset ready to answer queries. v1 is the
-// legacy stream decode (allocate + copy everything onto the heap); v2_mmap
-// is the flat format served zero-copy straight from the mapping — the
-// tentpole claim is v2_mmap ≥ 10x faster than v1 at equal content.
-// v2_heap isolates the format's decode cost from the mapping's zero-copy
-// win. bench.sh records the v1/v2_mmap ratio as cold_start in the report.
+// full LoadSnapshotFile call, dataset ready to answer queries, through the
+// two modes of the one loader. heap verifies everything (file CRC,
+// fingerprint re-hash) and copies points and pages once; mmap serves the
+// file zero-copy after header/directory/points validation. At PR 24's
+// parent, 2 cores, n = 100 000 d = 4: heap 54 ms and 78 MB allocated (two
+// copies through DecodeV2), mmap 2.3 ms; a v1 file of the same content
+// took 42 ms.
 func BenchmarkColdStart(b *testing.B) {
 	for _, size := range []struct{ n, dim int }{{20000, 3}, {100000, 4}} {
 		ds, err := repro.GenerateDataset("IND", size.n, size.dim, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dir := b.TempDir()
-		v1 := filepath.Join(dir, "v1.snap")
-		v2 := filepath.Join(dir, "v2.snap")
-		if err := ds.WriteSnapshotFileVersion(v1, snapshot.Version1, false); err != nil {
-			b.Fatal(err)
-		}
-		if err := ds.WriteSnapshotFileVersion(v2, snapshot.Version2, false); err != nil {
+		path := filepath.Join(b.TempDir(), "ds.snap")
+		if err := ds.WriteSnapshotFile(path); err != nil {
 			b.Fatal(err)
 		}
 		tag := fmt.Sprintf("n%d_d%d", size.n, size.dim)
-		b.Run("v1_decode/"+tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				loaded, err := repro.LoadSnapshotFile(v1)
-				if err != nil {
-					b.Fatal(err)
+		for _, mode := range []struct {
+			name string
+			mmap bool
+		}{{"heap", false}, {"mmap", true}} {
+			b.Run(mode.name+"/"+tag, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					loaded, err := repro.LoadSnapshotFile(path, repro.WithMmap(mode.mmap))
+					if err != nil {
+						b.Fatal(err)
+					}
+					loaded.Close()
 				}
-				loaded.Close()
-			}
-		})
-		b.Run("v2_heap/"+tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				loaded, err := repro.LoadSnapshotFile(v2, repro.WithMmap(false))
-				if err != nil {
-					b.Fatal(err)
-				}
-				loaded.Close()
-			}
-		})
-		b.Run("v2_mmap/"+tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				loaded, err := repro.LoadSnapshotFile(v2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				loaded.Close()
-			}
-		})
+			})
+		}
 	}
 }

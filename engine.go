@@ -252,7 +252,11 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 		return nil, nil
 	}
 	if e.batchShare {
-		return e.queryBatchShared(ctx, focalIndexes, opts)
+		// BA and FCA share their group's classification pass; AA reads only
+		// n_a records lazily and has nothing to share.
+		if cfg := e.queryConfig(opts); cfg.Algorithm.resolved() != AA {
+			return e.queryBatchShared(ctx, focalIndexes, &cfg)
+		}
 	}
 	workers := e.parallel
 	if workers > len(focalIndexes) {
@@ -319,24 +323,7 @@ func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, op
 		ctx = context.Background()
 	}
 	e.queries.Add(1)
-	cfg := queryConfig{}
-	for _, o := range e.defaults {
-		o(&cfg)
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	// Resolve the dataset-level quad-tree defaults before the cache key is
-	// built, so the key reflects the partitioning actually used. Only zero
-	// resolves; negative values flow through to the quadtree package,
-	// which treats them as "library default" — the per-query escape hatch
-	// from a dataset's tuned defaults (see WithQuadTree).
-	if cfg.QuadMaxPartial == 0 {
-		cfg.QuadMaxPartial = e.ds.quadMaxPartial
-	}
-	if cfg.QuadMaxDepth == 0 {
-		cfg.QuadMaxDepth = e.ds.quadMaxDepth
-	}
+	cfg := e.queryConfig(opts)
 	if e.cache == nil {
 		return e.compute(ctx, focal, focalID, &cfg, workers)
 	}
@@ -352,6 +339,29 @@ func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, op
 	cp := *res
 	cp.Cached = hit
 	return &cp, nil
+}
+
+// queryConfig resolves per-query options against the engine defaults, and
+// the dataset-level quad-tree defaults before any cache key is built, so
+// the key reflects the partitioning actually used. Only zero resolves;
+// negative values flow through to the quadtree package, which treats them
+// as "library default" — the per-query escape hatch from a dataset's tuned
+// defaults (see WithQuadTree).
+func (e *Engine) queryConfig(opts []Option) queryConfig {
+	cfg := queryConfig{}
+	for _, o := range e.defaults {
+		o(&cfg)
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.QuadMaxPartial == 0 {
+		cfg.QuadMaxPartial = e.ds.quadMaxPartial
+	}
+	if cfg.QuadMaxDepth == 0 {
+		cfg.QuadMaxDepth = e.ds.quadMaxDepth
+	}
+	return cfg
 }
 
 // cacheKey identifies a query result: dataset content, focal record and

@@ -1,12 +1,6 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/rstar"
-	"repro/internal/vecmath"
-)
+import "repro/internal/vecmath"
 
 // TopK returns the indices of the k records with the highest scores under
 // the full d-dimensional query vector q, best first — the query model the
@@ -22,62 +16,4 @@ func (ds *Dataset) TopK(q []float64, k int) ([]int64, error) {
 		out[i] = it.RecordID
 	}
 	return out, nil
-}
-
-// topKItems is a test hook returning scores too.
-func (ds *Dataset) topKItems(q []float64, k int) ([]rstar.Item, error) {
-	return ds.tree.TopK(vecmath.Point(q), k)
-}
-
-// ReverseTopK answers the monochromatic reverse top-k query for 2-d
-// datasets (the paper's Section 2 relative of MaxRank): the regions of the
-// preference space where record focalIndex belongs to the top-k result.
-// Each region's Rank reports the worst rank the record takes inside it.
-// The result is empty when k < k*.
-func ReverseTopK(ds *Dataset, focalIndex, k int, opts ...Option) ([]Region, error) {
-	if ds.Dim() != 2 {
-		return nil, fmt.Errorf("repro: ReverseTopK supports d = 2 (got %d); use Compute with WithTau for higher dimensions", ds.Dim())
-	}
-	if focalIndex < 0 || focalIndex >= ds.Len() {
-		return nil, fmt.Errorf("repro: focal index %d out of range", focalIndex)
-	}
-	cfg := queryConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	in := ds.internalInput(ds.points[focalIndex], int64(focalIndex), &cfg)
-	dom, regions, err := reverseTopK2D(in, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Region, 0, len(regions))
-	for i := range regions {
-		reg := &regions[i]
-		out = append(out, Region{
-			Rank:        int(dom) + reg.Order + 1,
-			Order:       reg.Order,
-			Witness:     reg.Witness.Clone(),
-			QueryVector: reg.QueryVector(),
-			BoxLo:       reg.Box.Lo.Clone(),
-			BoxHi:       reg.Box.Hi.Clone(),
-		})
-	}
-	return out, nil
-}
-
-// reverseTopK2D adapts core.ReverseTopK2D, re-deriving the dominator count
-// the regions' ranks are relative to.
-func reverseTopK2D(in core.Input, k int) (int64, []core.Region, error) {
-	regions, err := core.ReverseTopK2D(in, k)
-	if err != nil {
-		return 0, nil, err
-	}
-	// Rank = dominators + order + 1; recover dominators from any MaxRank
-	// run-independent source: a direct computation via the public core
-	// helper would re-scan, so compute it from the cheapest query.
-	dom, err := core.CountDominators(in.Tree.Reader(in.IO), in.Focal)
-	if err != nil {
-		return 0, nil, err
-	}
-	return dom, regions, nil
 }

@@ -78,111 +78,3 @@ func TestTopKConsistentWithMaxRank(t *testing.T) {
 		}
 	}
 }
-
-func TestReverseTopK(t *testing.T) {
-	ds := genDS(t, "IND", 400, 2)
-	focal := 13
-	res, err := repro.Compute(ds, focal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Below k*: empty.
-	below, err := repro.ReverseTopK(ds, focal, res.KStar-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(below) != 0 {
-		t.Fatalf("reverse top-(k*-1) returned %d regions", len(below))
-	}
-	// At k*: non-empty, and every region witness has the focal in top-k*.
-	at, err := repro.ReverseTopK(ds, focal, res.KStar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(at) == 0 {
-		t.Fatal("reverse top-k* empty")
-	}
-	for _, reg := range at {
-		if got := mustRank(t, ds, mustPoint(t, ds, focal), reg.QueryVector); got > res.KStar {
-			t.Fatalf("witness rank %d > k %d", got, res.KStar)
-		}
-		if reg.Rank > res.KStar {
-			t.Fatalf("region reports worst rank %d > k", reg.Rank)
-		}
-	}
-	// Wider k: at least as much coverage (total interval length grows).
-	wide, err := repro.ReverseTopK(ds, focal, res.KStar+10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coverage(wide) < coverage(at)-1e-12 {
-		t.Fatalf("coverage shrank when k grew: %g vs %g", coverage(wide), coverage(at))
-	}
-	// Errors.
-	if _, err := repro.ReverseTopK(ds, focal, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := repro.ReverseTopK(ds, -1, 5); err == nil {
-		t.Fatal("bad focal accepted")
-	}
-	ds3 := genDS(t, "IND", 50, 3)
-	if _, err := repro.ReverseTopK(ds3, 0, 5); err == nil {
-		t.Fatal("d=3 accepted")
-	}
-}
-
-func coverage(regions []repro.Region) float64 {
-	var total float64
-	for _, r := range regions {
-		total += r.BoxHi[0] - r.BoxLo[0]
-	}
-	return total
-}
-
-// TestReverseTopKMatchesSweep cross-checks region membership by sampling.
-func TestReverseTopKMatchesSweep(t *testing.T) {
-	ds := genDS(t, "ANTI", 300, 2)
-	focal := 42
-	res, err := repro.Compute(ds, focal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := res.KStar + 5
-	regions, err := repro.ReverseTopK(ds, focal, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := mustPoint(t, ds, focal)
-	for i := 1; i < 200; i++ {
-		q1 := float64(i) / 200
-		q := []float64{q1, 1 - q1}
-		inTopK := mustRank(t, ds, rec, q) <= k
-		covered := false
-		for _, reg := range regions {
-			if q1 > reg.BoxLo[0]+1e-12 && q1 < reg.BoxHi[0]-1e-12 {
-				covered = true
-				break
-			}
-		}
-		// Skip points on region boundaries (ambiguous by construction).
-		onBoundary := false
-		for _, reg := range regions {
-			if abs(q1-reg.BoxLo[0]) < 1e-9 || abs(q1-reg.BoxHi[0]) < 1e-9 {
-				onBoundary = true
-			}
-		}
-		if onBoundary {
-			continue
-		}
-		if inTopK != covered {
-			t.Fatalf("q1=%g: inTopK=%v covered=%v", q1, inTopK, covered)
-		}
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -93,16 +92,18 @@ func aa2dGoldenInputs(t testing.TB) map[string]aa2dGoldenInput {
 	return out
 }
 
-// pinState makes every acquireState of the test hand out st (nil: a state
-// never used before), and returns the function that restores the pool.
+// pinState makes the free list hold st alone, so the test's next
+// acquireState hands it out and gets it back on release (nil: an empty
+// list, so the next query runs on a state never used before). It returns
+// the function that empties the list again.
 func pinState(st *execState) func() {
-	statePool = sync.Pool{New: func() any {
-		if st != nil {
-			return st
-		}
-		return newExecState()
-	}}
-	return func() { statePool = sync.Pool{New: func() any { return newExecState() }} }
+	freeStates.Lock()
+	defer freeStates.Unlock()
+	freeStates.list = nil
+	if st != nil {
+		freeStates.list = []*execState{st}
+	}
+	return func() { pinState(nil) }
 }
 
 // TestAA2DGolden holds AA2D to answers dumped before its loop and the
@@ -178,7 +179,7 @@ func TestAA2DGolden(t *testing.T) {
 				for _, want := range golden {
 					in := inputs[want.Dist]
 					if st == nil {
-						pinState(nil) // empty the pool: every cold query gets a new state
+						pinState(nil) // empty the list: every cold query gets a new state
 					}
 					if st != nil && want.Focal == in.focals[0] {
 						if _, err := aaRun(bigIn); err != nil {

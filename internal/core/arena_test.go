@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -199,5 +201,74 @@ func TestWarmAA2DAllocations(t *testing.T) {
 	t.Logf("warm AA2D query: %.0f allocations (budget %d)", n, aa2dAllocBudget)
 	if n > aa2dAllocBudget {
 		t.Errorf("warm AA2D query: %.0f allocations, budget %d", n, aa2dAllocBudget)
+	}
+}
+
+// TestStateReuseIsDeterministic: how often a query state is constructed is
+// a property of the code, not of the scheduler or the collector. Fifty
+// sequential AA queries — two GCs between each, which would have emptied a
+// sync.Pool, and a Gosched storm on the other Ps, which would have moved
+// the query off the P holding its private slot — all run on one state; and
+// more concurrent queries than GOMAXPROCS leave at most GOMAXPROCS warm
+// states behind.
+func TestStateReuseIsDeterministic(t *testing.T) {
+	points := dataset.Generate(dataset.IND, 300, 3, 77)
+	in := Input{Tree: buildTree(t, points), Focal: points[5], FocalID: 5}
+	defer pinState(nil)()
+
+	stop := make(chan struct{})
+	var storm sync.WaitGroup
+	for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ {
+		storm.Add(1)
+		go func() {
+			defer storm.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	seen := make(map[*execState]bool)
+	releaseHook = func(st *execState) { seen[st] = true }
+	for i := 0; i < 50; i++ {
+		if _, err := aaRun(in); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+	releaseHook = nil
+	close(stop)
+	storm.Wait()
+	if len(seen) != 1 {
+		t.Fatalf("50 sequential queries ran on %d distinct states, want 1", len(seen))
+	}
+
+	limit := runtime.GOMAXPROCS(0)
+	var held, wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < limit+2; i++ {
+		held.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := acquireState()
+			held.Done()
+			<-start // limit+2 states are in flight at once
+			releaseState(st)
+		}()
+	}
+	held.Wait()
+	close(start)
+	wg.Wait()
+	freeStates.Lock()
+	kept := len(freeStates.list)
+	freeStates.Unlock()
+	if kept != limit {
+		t.Fatalf("%d concurrent releases left %d states on the free list, want GOMAXPROCS = %d", limit+2, kept, limit)
 	}
 }

@@ -40,13 +40,19 @@ import (
 // CountDominators and scanIncomparable would produce (the focal record
 // itself, when part of the dataset, classifies as Same and drops out), so
 // downstream arrangement construction — and therefore regions, ranks and
-// witnesses — is bit-identical to independent execution. Three Stats
-// fields legitimately differ and are documented on Result: IO (members
-// report the shared scan's pages, each member charging the full scan
-// once), IncomparableAccessed for AA/AA2D (the materialised set makes it
-// n rather than the tree-backed n_a), and the scheduling-dependent work
-// counters (LPCalls, LeavesProcessed, LeavesPruned) whenever bounds
-// tighten in a different order.
+// witnesses — is bit-identical to independent execution. Two kinds of
+// Stats fields legitimately differ and are documented on Result: IO
+// (members report the shared scan's pages, each member charging the full
+// scan once) and the scheduling-dependent work counters (LPCalls,
+// LeavesProcessed, LeavesPruned) whenever bounds tighten in a different
+// order.
+//
+// The prefix always materialises every member's incomparable set — what BA
+// and FCA scan per query anyway, so the group pays one pass instead of one
+// per member. The lazily-expanding AA and AA2D read only n_a records from
+// the tree; a shared pass has nothing to offer them (a dominators-only
+// "light" prefix was measured and lost, see docs/PERFORMANCE.md), so the
+// engine never hands them one.
 type GroupPrefix struct {
 	focals []vecmath.Point
 	glo    vecmath.Point
@@ -60,25 +66,13 @@ type GroupPrefix struct {
 	domExtra  []int64            // per member: residual records dominating it
 	incExtra  [][]skyline.Record // per member: residual incomparables, ascending ID
 
-	materialized bool  // incomparable sets were collected (full mode)
-	io           int64 // pages the shared scan read
+	io int64 // pages the shared scan read
 }
 
 // BuildGroupPrefix runs the shared classification pass for a group of
 // focals over tree. All focals must have the tree's dimensionality. The
 // scan's page accesses are retrievable per member via FocalPrefix.IO.
-//
-// materialize selects how much the pass collects. Full mode (true) also
-// materialises every member's incomparable set — what BA and FCA scan per
-// query anyway, so for them the group pays one pass instead of one per
-// member. Light mode (false) collects dominator counts only: the scan
-// additionally skips every subtree that cannot contain a dominator of any
-// member, making it no more expensive than a single member's dominator
-// count. Light mode is for the lazily-expanding strategies (AA and its
-// d = 2 specialisation), whose BBS skyline reads only n_a records —
-// handing them a materialised set of all n incomparables costs more than
-// it saves, while the shared dominator count is pure amortisation.
-func BuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Point, materialize bool) (*GroupPrefix, error) {
+func BuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Point) (*GroupPrefix, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("core: nil tree")
 	}
@@ -95,13 +89,12 @@ func BuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Po
 		ctx = context.Background()
 	}
 	g := &GroupPrefix{
-		focals:       focals,
-		glo:          focals[0].Clone(),
-		ghi:          focals[0].Clone(),
-		focalEqGhi:   make([]bool, len(focals)),
-		domExtra:     make([]int64, len(focals)),
-		incExtra:     make([][]skyline.Record, len(focals)),
-		materialized: materialize,
+		focals:     focals,
+		glo:        focals[0].Clone(),
+		ghi:        focals[0].Clone(),
+		focalEqGhi: make([]bool, len(focals)),
+		domExtra:   make([]int64, len(focals)),
+		incExtra:   make([][]skyline.Record, len(focals)),
 	}
 	for _, p := range focals[1:] {
 		for i, v := range p {
@@ -169,12 +162,6 @@ func (g *GroupPrefix) scan(ctx context.Context, rd rstar.Reader, id pager.PageID
 			g.sharedDom += e.Count // every record inside dominates-or-equals every member
 			continue
 		}
-		if !g.materialized && !allGeq(e.Rect.Hi, g.glo) {
-			// Light mode collects dominators only, and a dominator of any
-			// member must be >= glo on every axis; a subtree whose upper
-			// corner fails that on some axis holds none.
-			continue
-		}
 		if err := g.scan(ctx, rd, e.Child); err != nil {
 			return err
 		}
@@ -188,19 +175,6 @@ func (g *GroupPrefix) classify(r vecmath.Point, id int64) {
 	}
 	if allGeq(r, g.ghi) {
 		g.sharedDom++
-		return
-	}
-	if !g.materialized {
-		// Light mode: only dominators matter, and a dominator of member i
-		// satisfies r >= focal_i >= glo.
-		if !allGeq(r, g.glo) {
-			return
-		}
-		for i, p := range g.focals {
-			if vecmath.Compare(r, p) == vecmath.Dominates {
-				g.domExtra[i]++
-			}
-		}
 		return
 	}
 	// Strictly below glo on one axis and strictly above ghi on another:
@@ -267,9 +241,6 @@ func (f *FocalPrefix) IO() int64 { return f.g.io }
 // member's residual list (their ID sets are disjoint). Points are shared
 // read-only; callers must not mutate or retain-and-modify them.
 func (f *FocalPrefix) ForEachIncomparable(fn func(pt vecmath.Point, id int64) error) error {
-	if !f.g.materialized {
-		panic("core: incomparable set not collected (light group prefix)")
-	}
 	a, b := f.g.sharedInc, f.g.incExtra[f.i]
 	for len(a) > 0 || len(b) > 0 {
 		var r skyline.Record
@@ -306,24 +277,23 @@ func (in *Input) dominators(rd rstar.Reader) (int64, error) {
 }
 
 // eachIncomparable visits the query's incomparable records: from the
-// shared prefix when it materialised them (ascending ID), otherwise by a
-// tree scan (leaf order). Both orders feed order-insensitive consumers —
+// shared prefix when there is one (ascending ID), otherwise by a tree scan
+// (leaf order). Both orders feed order-insensitive consumers —
 // BA sorts by ID before inserting, FCA accumulates commutative crossings
 // — so the answer does not depend on which path ran.
 func (in *Input) eachIncomparable(ctx context.Context, rd rstar.Reader, fn func(pt vecmath.Point, id int64) error) error {
-	if in.Shared != nil && in.Shared.g.materialized {
+	if in.Shared != nil {
 		return in.Shared.ForEachIncomparable(fn)
 	}
 	return scanIncomparable(ctx, rd, in.Focal, in.FocalID, fn)
 }
 
 // resetSkyline aims the state's BBS skyline maintainer at the query:
-// seeded from the shared prefix's materialised set when present,
-// tree-backed otherwise (always for a light prefix, whose lazy tree-backed
-// expansion is the point of that mode). The surfacing order — and hence
-// everything downstream — is identical (see skyline.NewFromRecords).
+// seeded from the shared prefix's incomparable set when there is one,
+// tree-backed otherwise. The surfacing order — and hence everything
+// downstream — is identical (see skyline.NewFromRecords).
 func (in *Input) resetSkyline(ctx context.Context, rd rstar.Reader, st *execState) (*skyline.Maintainer, error) {
-	if in.Shared != nil && in.Shared.g.materialized {
+	if in.Shared != nil {
 		st.sky.ResetFromRecords(ctx, in.Shared.Records())
 		return &st.sky, nil
 	}

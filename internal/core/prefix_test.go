@@ -89,7 +89,7 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 					for k, idx := range group {
 						focals[k] = points[idx]
 					}
-					prefix, err := BuildGroupPrefix(context.Background(), tree, focals, true)
+					prefix, err := BuildGroupPrefix(context.Background(), tree, focals)
 					if err != nil {
 						t.Fatalf("BuildGroupPrefix: %v", err)
 					}
@@ -151,7 +151,7 @@ func TestGroupPrefixCountsMatch(t *testing.T) {
 		for k, idx := range group {
 			focals[k] = points[idx]
 		}
-		prefix, err := BuildGroupPrefix(context.Background(), tree, focals, true)
+		prefix, err := BuildGroupPrefix(context.Background(), tree, focals)
 		if err != nil {
 			t.Fatalf("BuildGroupPrefix: %v", err)
 		}
@@ -194,13 +194,12 @@ func TestGroupPrefixCountsMatch(t *testing.T) {
 	}
 }
 
-// TestGroupPrefixLightMode pins down the light (dominators-only) prefix:
-// Dominators() still matches CountDominators exactly — including members
-// equal to the group's upper corner — every algorithm remains
-// bit-identical to independent execution through the Input helpers'
-// fallback scans, and asking a light prefix for its incomparable set
-// panics rather than silently returning nothing.
-func TestGroupPrefixLightMode(t *testing.T) {
+// TestGroupPrefixDominatorsWithTies pins down the prefix's dominator
+// count where it is delicate: with exact coordinate ties in the data and a
+// duplicated member sitting on the group's upper corner, Dominators()
+// still matches CountDominators exactly, and every algorithm remains
+// bit-identical to independent execution.
+func TestGroupPrefixDominatorsWithTies(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		points := dataset.Generate(dataset.ANTI, 60, dim, int64(11*dim))
 		points = append(points, points[5].Clone()) // exact ties exist
@@ -211,19 +210,19 @@ func TestGroupPrefixLightMode(t *testing.T) {
 		for k, idx := range group {
 			focals[k] = points[idx]
 		}
-		light, err := BuildGroupPrefix(context.Background(), tree, focals, false)
+		prefix, err := BuildGroupPrefix(context.Background(), tree, focals)
 		if err != nil {
-			t.Fatalf("BuildGroupPrefix(light): %v", err)
+			t.Fatalf("BuildGroupPrefix: %v", err)
 		}
 		rd := tree.Reader(nil)
 		for k, idx := range group {
-			fp := light.Focal(k)
+			fp := prefix.Focal(k)
 			wantDom, err := CountDominators(rd, points[idx])
 			if err != nil {
 				t.Fatalf("CountDominators: %v", err)
 			}
 			if got := fp.Dominators(); got != wantDom {
-				t.Errorf("d%d focal %d: light Dominators() = %d, CountDominators = %d", dim, idx, got, wantDom)
+				t.Errorf("d%d focal %d: Dominators() = %d, CountDominators = %d", dim, idx, got, wantDom)
 			}
 			algs := []struct {
 				name string
@@ -245,29 +244,19 @@ func TestGroupPrefixLightMode(t *testing.T) {
 				shared.Shared = fp
 				got, err := a.run(shared)
 				if err != nil {
-					t.Fatalf("%s light shared: %v", a.name, err)
+					t.Fatalf("%s shared: %v", a.name, err)
 				}
 				if !reflect.DeepEqual(stripVolatileStats(indep), stripVolatileStats(got)) {
-					t.Errorf("d%d focal %d %s: light shared result differs from independent", dim, idx, a.name)
+					t.Errorf("d%d focal %d %s: shared result differs from independent", dim, idx, a.name)
 				}
 			}
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("ForEachIncomparable on a light prefix did not panic")
-				}
-			}()
-			_ = light.Focal(0).ForEachIncomparable(func(vecmath.Point, int64) error { return nil })
-		}()
 	}
 }
 
 // TestGroupPrefixWhatIfFocals covers group members that are not dataset
 // records (focalID < 0): a prefix built from arbitrary interior points
-// must still reproduce independent execution exactly. The prefix is
-// light — the mode the engine pairs with AA — so this also checks that
-// AA's lazy skyline composes with a dominators-only prefix.
+// must still reproduce independent execution exactly.
 func TestGroupPrefixWhatIfFocals(t *testing.T) {
 	points := dataset.Generate(dataset.IND, 50, 3, 17)
 	tree := buildTree(t, points)
@@ -276,7 +265,7 @@ func TestGroupPrefixWhatIfFocals(t *testing.T) {
 		{0.42, 0.48, 0.61},
 		{0.38, 0.52, 0.59},
 	}
-	prefix, err := BuildGroupPrefix(context.Background(), tree, focals, false)
+	prefix, err := BuildGroupPrefix(context.Background(), tree, focals)
 	if err != nil {
 		t.Fatalf("BuildGroupPrefix: %v", err)
 	}
@@ -302,22 +291,22 @@ func TestGroupPrefixWhatIfFocals(t *testing.T) {
 func TestBuildGroupPrefixErrors(t *testing.T) {
 	points := dataset.Generate(dataset.IND, 20, 3, 3)
 	tree := buildTree(t, points)
-	if _, err := BuildGroupPrefix(context.Background(), nil, []vecmath.Point{points[0]}, true); err == nil {
+	if _, err := BuildGroupPrefix(context.Background(), nil, []vecmath.Point{points[0]}); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, err := BuildGroupPrefix(context.Background(), tree, nil, true); err == nil {
+	if _, err := BuildGroupPrefix(context.Background(), tree, nil); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, err := BuildGroupPrefix(context.Background(), tree, []vecmath.Point{{0.1, 0.2}}, true); err == nil {
+	if _, err := BuildGroupPrefix(context.Background(), tree, []vecmath.Point{{0.1, 0.2}}); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildGroupPrefix(ctx, tree, []vecmath.Point{points[0]}, true); err == nil {
+	if _, err := BuildGroupPrefix(ctx, tree, []vecmath.Point{points[0]}); err == nil {
 		t.Error("cancelled context not honoured")
 	}
 	// A prefix view fed to a query with a different focal must be rejected.
-	prefix, err := BuildGroupPrefix(context.Background(), tree, []vecmath.Point{points[0], points[1]}, true)
+	prefix, err := BuildGroupPrefix(context.Background(), tree, []vecmath.Point{points[0], points[1]})
 	if err != nil {
 		t.Fatalf("BuildGroupPrefix: %v", err)
 	}

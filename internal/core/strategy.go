@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -94,12 +95,16 @@ func (bruteStrategy) SupportsDim(d int) bool        { return d >= 2 }
 func (bruteStrategy) Run(in Input) (*Result, error) { return bruteRun(in) }
 
 // execState carries the scratch buffers of one in-flight query. States are
-// recycled through a sync.Pool so a hot engine does not re-allocate the
-// skyline maintainer's slabs, AA2D's arrangement, the quad-tree arena,
-// leaf-loop buckets, cell lists, within-leaf enumerator arenas and the AA
-// leaf cache on every query. Nothing in an execState escapes into a
-// Result: makeRegion and AA2D's region assembly copy what they keep, so
-// releasing the state after the query is safe.
+// recycled through a free list (see acquireState) so a hot engine does not
+// re-allocate the skyline maintainer's slabs, AA2D's arrangement, the
+// quad-tree arena, leaf-loop buckets, cell lists, within-leaf enumerator
+// arenas and the AA leaf cache on every query. Nothing in an execState
+// escapes into a Result: makeRegion and AA2D's region assembly copy what
+// they keep, so releasing the state after the query is safe.
+//
+// What the list pins: at most GOMAXPROCS warm states, each as large as the
+// largest query it ever ran (≈20 MB of slabs after a heavy d = 4 focal),
+// for the lifetime of the process.
 //
 // Under intra-query parallelism every worker goroutine operates on its own
 // execShard (its own enumerator, LP tableaus, partial-set buffer, cell
@@ -149,9 +154,32 @@ func (st *execState) ensureShards(n int) []*execShard {
 
 func newExecState() *execState { return &execState{cache: make(leafCache)} }
 
-var statePool = sync.Pool{New: func() any { return newExecState() }}
+// freeStates is the LIFO free list of warm states, capped at GOMAXPROCS
+// entries. It is a plain mutex-guarded stack and not a sync.Pool on
+// purpose: a Pool parks an object in a per-P slot no other P can take and
+// drops everything every second GC, so whenever the scheduler moved a lone
+// query goroutine its 20 MB arena was rebuilt — which made allocation per
+// query a property of the run, not of the code. One lock per query is
+// nothing beside the query.
+var freeStates struct {
+	sync.Mutex
+	list []*execState
+}
 
-func acquireState() *execState { return statePool.Get().(*execState) }
+// acquireState pops the most recently released state, or constructs one
+// when none is free.
+func acquireState() *execState {
+	freeStates.Lock()
+	defer freeStates.Unlock()
+	n := len(freeStates.list)
+	if n == 0 {
+		return newExecState()
+	}
+	st := freeStates.list[n-1]
+	freeStates.list[n-1] = nil
+	freeStates.list = freeStates.list[:n-1]
+	return st
+}
 
 // resetTree empties the state's quad-tree for the query's arrangement.
 func (st *execState) resetTree(in *Input) (*quadtree.Tree, error) {
@@ -163,7 +191,7 @@ func (st *execState) resetTree(in *Input) (*quadtree.Tree, error) {
 }
 
 // releaseHook, when set by a test, sees every state after it was scrubbed
-// and before it returns to the pool.
+// and before it returns to the free list.
 var releaseHook func(*execState)
 
 func releaseState(st *execState) {
@@ -175,7 +203,7 @@ func releaseState(st *execState) {
 	st.sky.Release()
 	// Clear the full capacity, not just the current length: elements past
 	// len (left over from larger earlier queries) would otherwise pin that
-	// query's half-spaces and enumeration output for the pool's lifetime.
+	// query's half-spaces and enumeration output for the list's lifetime.
 	// Leaf handles only point back into the state's own tree, so the leaf
 	// buffers and buckets stay as they are; their users truncate them. The
 	// enumerator Resets drop the references their constraint scratch holds
@@ -195,7 +223,11 @@ func releaseState(st *execState) {
 	if releaseHook != nil {
 		releaseHook(st)
 	}
-	statePool.Put(st)
+	freeStates.Lock()
+	defer freeStates.Unlock()
+	if len(freeStates.list) < runtime.GOMAXPROCS(0) {
+		freeStates.list = append(freeStates.list, st)
+	}
 }
 
 // clearTail zeroes a slice through its full capacity (so nothing from the

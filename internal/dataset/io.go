@@ -128,20 +128,3 @@ func Flatten(pts []vecmath.Point) []float64 {
 	}
 	return out
 }
-
-// Unflatten is the inverse of Flatten: it slices a row-major buffer into
-// len(flat)/dim records. Each record gets its own backing array, so the
-// result does not alias flat.
-func Unflatten(flat []float64, dim int) ([]vecmath.Point, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("dataset: unflatten with dim %d < 1", dim)
-	}
-	if len(flat)%dim != 0 {
-		return nil, fmt.Errorf("dataset: %d values do not divide into %d-dim records", len(flat), dim)
-	}
-	pts := make([]vecmath.Point, len(flat)/dim)
-	for i := range pts {
-		pts[i] = vecmath.Point(flat[i*dim : (i+1)*dim : (i+1)*dim]).Clone()
-	}
-	return pts, nil
-}

@@ -37,20 +37,19 @@ func fuzzBaseSnapshot() *Snapshot {
 // never panic, and never trust a header length into a huge allocation
 // (the decode limits cap every size field before it is believed).
 //
-// When Read succeeds, the decode must be canonical: re-encoding the
-// decoded snapshot reproduces the consumed input bytes exactly, and a
-// second decode round-trips to an identical value. The committed corpus
-// under testdata/fuzz/FuzzRead (valid, truncated and bit-flipped images;
-// see TestGenerateFuzzCorpus) is replayed by every plain `go test` run.
+// When Read succeeds on a v2 image, the decode must be canonical:
+// re-encoding the decoded snapshot reproduces the input bytes exactly.
+// Whatever version arrived, the decoded value must encode as v2 — the
+// conversion every legacy v1 load goes through — and decode back to an
+// identical value. The committed corpus under testdata/fuzz/FuzzRead
+// (valid, truncated and bit-flipped images; see TestGenerateFuzzCorpus) is
+// replayed by every plain `go test` run.
 func FuzzRead(f *testing.F) {
-	var valid bytes.Buffer
-	if err := Write(&valid, fuzzBaseSnapshot()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())/2]) // truncated mid-points
-	f.Add(valid.Bytes()[:11])                   // truncated mid-header
-	flipped := bytes.Clone(valid.Bytes())
+	validV1 := fixtureV1(f)
+	f.Add(validV1)
+	f.Add(validV1[:len(validV1)/4]) // truncated mid-points
+	f.Add(validV1[:11])             // truncated mid-header
+	flipped := bytes.Clone(validV1)
 	flipped[20] ^= 0x40 // corrupt a header field under the checksum
 	f.Add(flipped)
 	f.Add([]byte{})
@@ -66,7 +65,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(validV2[:len(validV2)/2])
 	f32snap := fuzzBaseSnapshot()
 	f32snap.Float32 = true
-	Quantize32(f32snap.Points)
+	toFloat32(f32snap.Points)
 	validF32, err := EncodeV2(f32snap)
 	if err != nil {
 		f.Fatal(err)
@@ -91,26 +90,18 @@ func FuzzRead(f *testing.F) {
 		if err := s.validate(); err != nil {
 			t.Fatalf("Read accepted a snapshot its own validate rejects: %v", err)
 		}
-		// ... re-encode byte-identically in the version it arrived in (both
-		// formats are canonical; v1's CRC pins every preceding byte and v2
-		// admits exactly one layout per value) ...
+		// ... encode as v2 — for an input that was v2 already, to exactly
+		// the input bytes (v2 admits one layout per value and no trailing
+		// bytes) ...
 		var out bytes.Buffer
-		reenc := Write
-		if s.FormatVersion == Version2 {
-			reenc = WriteV2
+		if err := WriteV2(&out, s); err != nil {
+			t.Fatalf("EncodeV2 rejected a snapshot Read produced: %v", err)
 		}
-		if err := reenc(&out, s); err != nil {
-			t.Fatalf("re-encode rejected a snapshot Read produced: %v", err)
-		}
-		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatalf("re-encode diverges from accepted input (%d bytes in, %d re-encoded)", len(data), out.Len())
-		}
-		// v2 rejects trailing bytes, so the re-encode must be exact, not
-		// just a prefix.
-		if s.FormatVersion == Version2 && out.Len() != len(data) {
-			t.Fatalf("v2 re-encode length %d != input length %d", out.Len(), len(data))
+		if s.FormatVersion == Version2 && !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("v2 re-encode diverges from accepted input (%d bytes in, %d re-encoded)", len(data), out.Len())
 		}
 		// ... and decode back to an identical value.
+		s.FormatVersion = Version2
 		s2, err := Read(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)

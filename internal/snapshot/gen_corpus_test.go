@@ -15,8 +15,9 @@ import (
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/snapshot -run TestGenerateFuzzCorpus
 //
-// The corpus holds a valid snapshot image plus systematic truncations and
-// bit flips of it — the interesting entry points into the decoder (every
+// The corpus holds valid snapshot images (the committed legacy v1 fixture
+// — nothing writes v1 any more — and a freshly encoded v2 image) plus
+// systematic truncations and bit flips of them — the interesting entry points into the decoder (every
 // header field boundary, the checksum trailer) that random fuzzing would
 // otherwise have to rediscover. Plain `go test` replays every committed
 // entry through FuzzRead on every run.
@@ -24,37 +25,29 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
 		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz/FuzzRead")
 	}
-	var valid bytes.Buffer
-	if err := Write(&valid, fuzzBaseSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	img := valid.Bytes()
-
+	// Legacy v1 entries come from the committed fixture. (The un-prefixed
+	// seed-valid, seed-trunc-* and seed-flip-* files are tiny v1 images from
+	// the days of a v1 writer; they stay committed as they are and cannot be
+	// regenerated.)
+	img := fixtureV1(t)
 	corpus := map[string][]byte{
-		"valid": img,
-		// Truncations at structurally meaningful offsets: mid-magic, after
-		// the magic, after the fixed header, mid-points, before the trailer.
-		"trunc-magic":   img[:4],
-		"trunc-header":  img[:8],
-		"trunc-fields":  img[:52],
-		"trunc-points":  img[:len(img)/2],
-		"trunc-trailer": img[:len(img)-2],
+		"v1-valid":         img,
+		"v1-trunc-points":  img[:len(img)/4],
+		"v1-trunc-trailer": img[:len(img)-2],
 	}
-	// One bit flip per region: version, a header length field, the points
-	// payload, the page section, the CRC trailer.
+	// One bit flip per region: a header length field, the page section, the
+	// CRC trailer.
 	for name, off := range map[string]int{
-		"flip-version": 8,
-		"flip-count":   22,
-		"flip-points":  60,
-		"flip-pages":   len(img) - 40,
-		"flip-crc":     len(img) - 1,
+		"v1-flip-count": 22,
+		"v1-flip-pages": len(img) - 40,
+		"v1-flip-crc":   len(img) - 1,
 	} {
 		b := bytes.Clone(img)
 		b[off] ^= 0x01
 		corpus[name] = b
 	}
 
-	// v2 seeds: the same snapshot in the flat mmap-able layout, its float32
+	// v2 seeds: a small snapshot in the flat mmap-able layout, its float32
 	// sibling, and corruptions aimed at the v2-specific validators (header
 	// CRC, directory CRC, canonical offsets, trailing file CRC).
 	imgV2, err := EncodeV2(fuzzBaseSnapshot())
@@ -63,7 +56,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 	f32snap := fuzzBaseSnapshot()
 	f32snap.Float32 = true
-	Quantize32(f32snap.Points)
+	toFloat32(f32snap.Points)
 	imgF32, err := EncodeV2(f32snap)
 	if err != nil {
 		t.Fatal(err)

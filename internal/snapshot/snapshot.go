@@ -6,9 +6,12 @@
 // assumes the indexes already exist on secondary storage; this package is
 // that storage format.
 //
-// Two format versions exist: v1, the sequential stream documented below,
-// and v2 (see v2.go), a flat offset-addressed layout that doubles as the
-// runtime format — it can be memory-mapped and served zero-copy.
+// One format is written and served: v2 (see v2.go), a flat
+// offset-addressed layout that doubles as the runtime format — it can be
+// memory-mapped and served zero-copy. Its predecessor v1, the sequential
+// stream documented below, is a legacy input: Read still decodes it so old
+// files keep loading (callers re-encode the result with EncodeV2), but
+// nothing writes it any more.
 //
 // Version 1 layout (all integers little-endian):
 //
@@ -35,7 +38,7 @@
 //
 // Versioning policy: the magic never changes; version increments on any
 // incompatible layout change. Readers reject versions from the future
-// (ErrVersion) and must keep decoding every past version they ever shipped.
+// (ErrVersion) and keep decoding every past version ever shipped.
 // Additive evolution uses the flags word and trailing sections guarded by
 // a version bump.
 package snapshot
@@ -55,15 +58,26 @@ import (
 const Magic = "MXRQSNAP"
 
 // Format versions. Version1 is the original sequential stream documented
-// above; Version2 (v2.go) is the flat, offset-addressed layout that can be
-// memory-mapped and served without decoding. Write emits Version1 and
-// WriteV2 emits Version2; Read decodes both.
+// above, read-only since v2 became the only written format; Version2
+// (v2.go) is the flat, offset-addressed layout that can be memory-mapped
+// and served without decoding. Read decodes both.
 const (
 	Version1 = 1
 	Version2 = 2
 	// Version is the newest format version this build reads.
 	Version = Version2
 )
+
+// VersionOf returns the format version word of a snapshot image, or 0 when
+// data is too short to hold one or does not start with the magic. Nothing
+// else is validated: loaders use it only to send a legacy v1 stream through
+// Read before handing the image to Open.
+func VersionOf(data []byte) int {
+	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(data[len(Magic):]))
+}
 
 // Typed failure modes of Read. Every decode failure wraps exactly one of
 // these (and all of them wrap ErrInvalid), so callers can branch with
@@ -98,7 +112,7 @@ const (
 // MaxQuadParam bounds the persistable quad-tree partitioning parameters.
 // Exported so option validation upstream (repro.WithQuadDefaults) can
 // reject out-of-range values at dataset construction, before an index is
-// built that would only fail here at Write time.
+// built that would only fail here at encode time.
 const MaxQuadParam = 1 << 20
 
 // Page is one persisted pager page.
@@ -109,12 +123,13 @@ type Page struct {
 
 // Snapshot is the in-memory form of one persisted index.
 type Snapshot struct {
-	// FormatVersion is the version read from the stream (Write always
-	// emits Version1, WriteV2 always Version2).
+	// FormatVersion is the version read from the stream (0 on a value that
+	// was not read; EncodeV2 ignores it and always emits Version2).
 	FormatVersion uint32
 	// Float32 marks a v2 snapshot whose points are stored as float32
-	// (FlagFloat32). Read sets it; WriteV2 honours it. The materialized
-	// Points are always float64 — every float32 converts exactly.
+	// (FlagFloat32). Read sets it; EncodeV2 honours it, so an existing
+	// float32 file re-encodes canonically. The materialized Points are
+	// always float64 — every float32 converts exactly.
 	Float32 bool
 	// Fingerprint is the dataset content digest (repro.Dataset.Fingerprint)
 	// recorded at write time; loaders verify it against the points.
@@ -137,7 +152,7 @@ type Snapshot struct {
 	Pages []Page
 }
 
-// validate checks the structural invariants shared by Write and Read.
+// validate checks the structural invariants shared by EncodeV2 and Read.
 func (s *Snapshot) validate() error {
 	switch {
 	case s.Dim < 2 || s.Dim > maxDim:
@@ -148,7 +163,7 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("%w: %d point values for %d×%d records", ErrCorrupt, len(s.Points), s.Count, s.Dim)
 	case s.PageSize < 64 || s.PageSize > maxPageSize:
 		return fmt.Errorf("%w: page size %d", ErrCorrupt, s.PageSize)
-	// Same bounds Write and Read enforce: a snapshot that writes must read
+	// Same bounds on both sides: a snapshot that encodes must read
 	// back, and a 4-byte field must never silently truncate a larger value.
 	case s.QuadMaxPartial < 0 || s.QuadMaxPartial > MaxQuadParam,
 		s.QuadMaxDepth < 0 || s.QuadMaxDepth > MaxQuadParam:
@@ -179,93 +194,7 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// crcWriter tees writes through a running CRC-32C.
-type crcWriter struct {
-	w   io.Writer
-	sum hash.Hash32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.sum.Write(p[:n])
-	return n, err
-}
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Write serialises the snapshot. The stream is deterministic for a given
-// Snapshot value, so identical indexes produce byte-identical files.
-func Write(w io.Writer, s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("snapshot: nil snapshot")
-	}
-	if err := s.validate(); err != nil {
-		return err
-	}
-	if s.Float32 {
-		return fmt.Errorf("snapshot: float32 points require format v2 (WriteV2)")
-	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw, sum: crc32.New(castagnoli)}
-	if _, err := cw.Write([]byte(Magic)); err != nil {
-		return err
-	}
-	if err := writeInts(cw,
-		uint64(Version1), 4,
-		0, 4, // flags
-		uint64(s.Dim), 4,
-		uint64(s.Count), 8,
-		uint64(s.PageSize), 4,
-		uint64(s.QuadMaxPartial), 4,
-		uint64(s.QuadMaxDepth), 4,
-		uint64(s.Root), 8,
-		uint64(s.Height), 4,
-		uint64(len(s.Fingerprint)), 4,
-	); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte(s.Fingerprint)); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range s.Points {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := cw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := writeInts(cw, uint64(len(s.Pages)), 8); err != nil {
-		return err
-	}
-	for i := range s.Pages {
-		p := &s.Pages[i]
-		if err := writeInts(cw, uint64(p.ID), 8, uint64(len(p.Data)), 4); err != nil {
-			return err
-		}
-		if _, err := cw.Write(p.Data); err != nil {
-			return err
-		}
-	}
-	// Trailer: the CRC of everything before it, written outside the CRC.
-	binary.LittleEndian.PutUint32(buf[:4], cw.sum.Sum32())
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeInts emits (value, byteWidth) pairs little-endian.
-func writeInts(w io.Writer, pairs ...uint64) error {
-	var buf [8]byte
-	for i := 0; i+1 < len(pairs); i += 2 {
-		v, width := pairs[i], pairs[i+1]
-		binary.LittleEndian.PutUint64(buf[:], v)
-		if _, err := w.Write(buf[:width]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // reader decodes the stream while maintaining the running CRC.
 type reader struct {

@@ -2,9 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -34,38 +37,71 @@ func sample() *Snapshot {
 	}
 }
 
-func encode(t *testing.T, s *Snapshot) []byte {
+// The committed legacy fixture: repro.GenerateDataset("IND", 200, 3, 1) as
+// written by the v1 writer in the last commit that had one. Nothing writes
+// v1 any more, so these bytes are what the v1 arm of Read is tested on.
+const (
+	v1FixturePath   = "testdata/v1_ind_n200_d3.snap"
+	v1FixtureSHA256 = "d133d2dd47a10a7306aa4fb3129ee148da790cb3b7ce63ed98e9cc406a31020c"
+)
+
+// fixtureV1 returns a private copy of the v1 fixture's bytes.
+func fixtureV1(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatalf("Write: %v", err)
+	raw, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != v1FixtureSHA256 {
+		t.Fatalf("%s changed: sha256 %x", v1FixturePath, sum)
+	}
+	return raw
 }
 
+// TestRoundTrip: the v1 fixture decodes, and its conversion — the v1 value
+// re-encoded as v2 — decodes back to the same value.
 func TestRoundTrip(t *testing.T) {
-	want := sample()
-	raw := encode(t, want)
-	got, err := Read(bytes.NewReader(raw))
+	got, err := Read(bytes.NewReader(fixtureV1(t)))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	want.FormatVersion = Version1
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	if got.FormatVersion != Version1 || got.Dim != 3 || got.Count != 200 || got.Float32 || len(got.Pages) == 0 {
+		t.Fatalf("fixture decoded as v%d, %d×%d, float32 %t, %d pages", got.FormatVersion, got.Count, got.Dim, got.Float32, len(got.Pages))
+	}
+	img, err := EncodeV2(got)
+	if err != nil {
+		t.Fatalf("EncodeV2: %v", err)
+	}
+	again, err := DecodeV2(img)
+	if err != nil {
+		t.Fatalf("DecodeV2: %v", err)
+	}
+	got.FormatVersion = Version2
+	if !reflect.DeepEqual(again, got) {
+		t.Fatal("v1 → v2 conversion changed the snapshot value")
 	}
 }
 
+// TestWriteIsDeterministic: the writer emits exactly the canonical image,
+// every time.
 func TestWriteIsDeterministic(t *testing.T) {
-	a := encode(t, sample())
-	b := encode(t, sample())
-	if !bytes.Equal(a, b) {
-		t.Fatal("two writes of the same snapshot differ")
+	want, err := EncodeV2(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		if err := WriteV2(&buf, sample()); err != nil {
+			t.Fatalf("WriteV2: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatal("WriteV2 output differs from the canonical image")
+		}
 	}
 }
 
 func TestTruncatedAtEveryOffset(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	for cut := 0; cut < len(raw); cut++ {
 		_, err := Read(bytes.NewReader(raw[:cut]))
 		if err == nil {
@@ -83,7 +119,7 @@ func TestTruncatedAtEveryOffset(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	raw[0] ^= 0xFF
 	_, err := Read(bytes.NewReader(raw))
 	if !errors.Is(err, ErrBadMagic) {
@@ -95,7 +131,7 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestVersionFromTheFuture(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	binary.LittleEndian.PutUint32(raw[len(Magic):], Version+1)
 	_, err := Read(bytes.NewReader(raw))
 	if !errors.Is(err, ErrVersion) {
@@ -107,7 +143,7 @@ func TestVersionFromTheFuture(t *testing.T) {
 }
 
 func TestChecksumMismatch(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	// Flip one bit in the middle of the points payload: structure stays
 	// plausible, so only the CRC trailer can catch it.
 	raw[len(raw)/2] ^= 0x01
@@ -125,7 +161,7 @@ func TestChecksumMismatch(t *testing.T) {
 // keep structure and CRC consistent — impossible for a CRC, but kept
 // general) a clean read; it must never panic.
 func TestEveryBitFlipIsCaught(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	for i := range raw {
 		mut := bytes.Clone(raw)
 		mut[i] ^= 0x5A
@@ -140,7 +176,7 @@ func TestEveryBitFlipIsCaught(t *testing.T) {
 }
 
 func TestChecksumTrailerMismatch(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	raw[len(raw)-1] ^= 0xFF // corrupt the stored CRC itself
 	_, err := Read(bytes.NewReader(raw))
 	if !errors.Is(err, ErrChecksum) {
@@ -151,8 +187,8 @@ func TestChecksumTrailerMismatch(t *testing.T) {
 func TestOversizedPageRejected(t *testing.T) {
 	s := sample()
 	s.Pages[0].Data = bytes.Repeat([]byte{1}, s.PageSize+1)
-	if err := Write(&bytes.Buffer{}, s); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Write accepted an oversized page: %v", err)
+	if _, err := EncodeV2(s); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("EncodeV2 accepted an oversized page: %v", err)
 	}
 }
 
@@ -176,8 +212,8 @@ func TestWriteValidation(t *testing.T) {
 	for name, mutate := range cases {
 		s := sample()
 		mutate(s)
-		if err := Write(&bytes.Buffer{}, s); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Write error = %v, want ErrCorrupt", name, err)
+		if _, err := EncodeV2(s); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: EncodeV2 error = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -186,7 +222,7 @@ func TestWriteValidation(t *testing.T) {
 // passes the sanity cap must fail with ErrTruncated when the stream runs
 // dry — not abort the process by preallocating count×dim float64s.
 func TestHugeDeclaredCountDoesNotAllocate(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	// count is the u64 after magic(8) + version(4) + flags(4) + dim(4).
 	binary.LittleEndian.PutUint64(raw[20:], 1<<34-1)
 	_, err := Read(bytes.NewReader(raw[:len(raw)-4]))

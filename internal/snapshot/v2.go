@@ -59,17 +59,19 @@ import (
 // given Snapshot value has exactly one valid v2 byte representation — the
 // determinism guarantee v1 provides, preserved under random access.
 //
-// Validation contract: Open (the mmap path) verifies bounds plus the
-// header, directory and points CRCs — O(header+directory+points), never
-// O(pages) — which is what makes cold start cheap; the page payloads are
-// covered only by fileCRC, which Decode (and hence Read) verifies in full.
+// Validation contract: Open verifies bounds plus the header, directory and
+// points CRCs — O(header+directory+points), never O(pages) — which is what
+// makes a mapped cold start cheap; the page payloads are covered only by
+// fileCRC, which View.VerifyFile checks (every heap load, and DecodeV2 and
+// hence Read, call it).
 // All failures are the typed ErrInvalid family; crafted input never panics
 // and out-of-range offsets are rejected before any access.
 
 // FlagFloat32 marks a v2 snapshot whose points are stored as float32. The
 // values materialize to float64 exactly (every float32 is representable),
-// so serving is still bit-exact with respect to the stored — quantized —
-// coordinates; quantization itself happens at write time (Quantize32).
+// so serving is bit-exact with respect to the stored coordinates. Nothing
+// in this repository produces such a file any more (the lossy write-time
+// quantisation is gone); the flag is input handling for files that exist.
 const FlagFloat32 = 1 << 0
 
 const (
@@ -105,8 +107,8 @@ func v2LayoutFor(fpLen, nvals, valSize, numPages, pagesLen int64) v2Layout {
 }
 
 // EncodeV2 serialises the snapshot in format v2 and returns the complete
-// image. Like Write, the result is deterministic: identical snapshots
-// produce byte-identical images.
+// image. The result is deterministic: identical snapshots produce
+// byte-identical images.
 func EncodeV2(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("snapshot: nil snapshot")
@@ -122,7 +124,7 @@ func EncodeV2(s *Snapshot) ([]byte, error) {
 				return nil, fmt.Errorf("snapshot: point value %d is NaN; float32 snapshots require NaN-free points", i)
 			}
 			if float64(float32(v)) != v {
-				return nil, fmt.Errorf("snapshot: point value %d (%v) is not exactly representable as float32; quantize first (Quantize32)", i, v)
+				return nil, fmt.Errorf("snapshot: point value %d (%v) is not exactly representable as float32", i, v)
 			}
 		}
 	}
@@ -194,23 +196,6 @@ func WriteV2(w io.Writer, s *Snapshot) error {
 	return err
 }
 
-// Quantize32 rounds every value to the nearest float32 in place and
-// returns how many values changed. It is the explicit lossy step of the
-// -f32 snapshot mode: callers quantize, recompute the dataset fingerprint
-// over the quantized values, and only then encode — so the written file is
-// self-consistent and loads bit-exactly.
-func Quantize32(vals []float64) int {
-	changed := 0
-	for i, v := range vals {
-		q := float64(float32(v))
-		if q != v {
-			vals[i] = q
-			changed++
-		}
-	}
-	return changed
-}
-
 // View is a validated, zero-copy window over a v2 image (typically a
 // read-only memory mapping). Page and Points return slices aliasing the
 // underlying bytes; callers must treat them as immutable and must not use
@@ -239,7 +224,7 @@ type View struct {
 // image), the header and directory CRCs, the directory invariants
 // (ascending positive IDs, cumulative offsets, page lengths within the
 // page size, root present) and the points CRC. Page payloads are NOT
-// checksummed here — that is Decode's job — so Open is O(header +
+// checksummed here — that is VerifyFile's job — so Open is O(header +
 // directory + points), which is what makes mmap cold start cheap.
 //
 // All failures are typed (ErrBadMagic, ErrVersion, ErrTruncated,
@@ -454,16 +439,26 @@ func (v *View) Size() int64 { return int64(len(v.data)) }
 // PagesBytes returns the page payload section size in bytes.
 func (v *View) PagesBytes() int64 { return v.l.pagesLen }
 
-// DecodeV2 fully decodes a v2 image into an owned Snapshot, additionally
-// verifying the trailing whole-file CRC that Open skips. It is the v2 arm
-// of Read and the integrity check behind inspect/migrate tooling.
+// VerifyFile checks the trailing whole-file CRC — the one check Open
+// skips, and the only one covering the page payloads.
+func (v *View) VerifyFile() error {
+	body := v.data[:v.l.total-4]
+	if got, want := binary.LittleEndian.Uint32(v.data[v.l.total-4:]), crc32.Checksum(body, castagnoli); got != want {
+		return fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+	}
+	return nil
+}
+
+// DecodeV2 fully decodes a v2 image into an owned Snapshot, verifying the
+// whole-file CRC as well. It is the v2 arm of Read and the integrity check
+// behind inspect-snapshot.
 func DecodeV2(data []byte) (*Snapshot, error) {
 	v, err := Open(data)
 	if err != nil {
 		return nil, err
 	}
-	if got, want := binary.LittleEndian.Uint32(data[v.l.total-4:]), crc32.Checksum(data[:v.l.total-4], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+	if err := v.VerifyFile(); err != nil {
+		return nil, err
 	}
 	s := &Snapshot{
 		FormatVersion:  Version2,

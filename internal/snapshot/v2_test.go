@@ -19,6 +19,19 @@ func encodeV2(t *testing.T, s *Snapshot) []byte {
 	return raw
 }
 
+// toFloat32 rounds vals to the nearest float32 in place and reports how
+// many moved. Float32 files are input-only now — nothing in the repository
+// quantises — so the tests that need one prepare its points themselves.
+func toFloat32(vals []float64) (changed int) {
+	for i, v := range vals {
+		if q := float64(float32(v)); q != v {
+			vals[i] = q
+			changed++
+		}
+	}
+	return changed
+}
+
 func TestV2RoundTrip(t *testing.T) {
 	want := sample()
 	raw := encodeV2(t, want)
@@ -43,7 +56,7 @@ func TestV2RoundTrip(t *testing.T) {
 func TestV2Float32RoundTrip(t *testing.T) {
 	want := sample()
 	want.Float32 = true
-	if changed := Quantize32(want.Points); changed == 0 {
+	if changed := toFloat32(want.Points); changed == 0 {
 		t.Fatal("sample points were already float32-exact; test is vacuous")
 	}
 	raw := encodeV2(t, want)
@@ -76,31 +89,6 @@ func TestV2EncodeRejectsUnquantizedFloat32(t *testing.T) {
 	s.Float32 = true // points still hold full-precision values
 	if _, err := EncodeV2(s); err == nil {
 		t.Fatal("EncodeV2 accepted unquantized float32 points")
-	}
-}
-
-func TestV1WriteRejectsFloat32(t *testing.T) {
-	s := sample()
-	s.Float32 = true
-	Quantize32(s.Points)
-	if err := Write(&bytes.Buffer{}, s); err == nil {
-		t.Fatal("v1 Write accepted a float32 snapshot")
-	}
-}
-
-func TestQuantize32(t *testing.T) {
-	vals := []float64{0.5, math.Pi, 1.0}
-	if changed := Quantize32(vals); changed != 1 {
-		t.Fatalf("changed = %d, want 1 (only Pi)", changed)
-	}
-	if vals[0] != 0.5 || vals[2] != 1.0 {
-		t.Fatal("exact values were altered")
-	}
-	if vals[1] != float64(float32(math.Pi)) {
-		t.Fatal("Pi not quantized to nearest float32")
-	}
-	if changed := Quantize32(vals); changed != 0 {
-		t.Fatal("quantization is not idempotent")
 	}
 }
 
@@ -144,7 +132,7 @@ func TestV2OpenView(t *testing.T) {
 func TestV2OpenFloat32View(t *testing.T) {
 	s := sample()
 	s.Float32 = true
-	Quantize32(s.Points)
+	toFloat32(s.Points)
 	v, err := Open(encodeV2(t, s))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -278,7 +266,7 @@ func TestV2NonCanonicalOffsetRejected(t *testing.T) {
 func TestV2NaNFloat32Rejected(t *testing.T) {
 	s := sample()
 	s.Float32 = true
-	Quantize32(s.Points)
+	toFloat32(s.Points)
 	raw := encodeV2(t, s)
 	le := binary.LittleEndian
 	pointsOff := int(le.Uint64(raw[56:]))
@@ -292,7 +280,7 @@ func TestV2NaNFloat32Rejected(t *testing.T) {
 }
 
 func TestV2OpenRejectsV1(t *testing.T) {
-	raw := encode(t, sample())
+	raw := fixtureV1(t)
 	if _, err := Open(raw); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}

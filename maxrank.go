@@ -48,8 +48,8 @@ type Dataset struct {
 	points []vecmath.Point
 	tree   *rstar.Tree
 	// src is the page source serving the index: a heap *pager.Store for
-	// built or stream-loaded datasets, a read-only pager.Mapped view for
-	// datasets served straight from a memory-mapped v2 snapshot.
+	// built or heap-loaded datasets, a read-only pager.Mapped view for
+	// datasets served straight from a memory-mapped snapshot.
 	src pager.Source
 
 	// quadMaxPartial and quadMaxDepth are the dataset's default quad-tree
@@ -65,14 +65,12 @@ type Dataset struct {
 	directMemory bool
 	pageLatency  time.Duration
 
-	// snapVersion and snapF32 record the snapshot format the dataset was
-	// loaded from (0 = built in process), so write-back — WriteSnapshotFile,
-	// maxrankd -resnapshot — preserves the operator's format choice.
-	// Mutation successors inherit snapVersion but drop the float32 flag:
-	// re-quantizing freshly inserted full-precision points on every
-	// re-snapshot would silently drift the serving fingerprint.
-	snapVersion int
-	snapF32     bool
+	// loadedVersion and loadedFloat32 say what file this dataset was loaded
+	// from (0 = built in process or derived by Apply). They are reported by
+	// Storage and consulted by nothing: every snapshot is written as
+	// float64 v2.
+	loadedVersion int
+	loadedFloat32 bool
 
 	// mapping owns the mmap backing when the dataset serves zero-copy from
 	// a v2 snapshot (nil otherwise); points and pages alias it, so it must
@@ -125,10 +123,10 @@ func WithPageLatency(d time.Duration) DatasetOption {
 	return func(c *datasetConfig) { c.pageLatency = d }
 }
 
-// WithMmap controls whether LoadSnapshotFile serves a v2 snapshot directly
-// from a read-only memory mapping (the default) or decodes it onto the
-// heap like a v1 snapshot. It has no effect on v1 snapshots, which are not
-// mappable, or on LoadSnapshot, which reads a stream.
+// WithMmap controls whether LoadSnapshotFile serves a snapshot directly
+// from a read-only memory mapping (the default) or verifies it in full and
+// copies it onto the heap. It has no effect on legacy v1 files, which are
+// not mappable, or on LoadSnapshot, which reads a stream.
 func WithMmap(on bool) DatasetOption {
 	return func(c *datasetConfig) { c.noMmap = !on }
 }
@@ -146,16 +144,21 @@ func WithQuadDefaults(maxPartial, maxDepth int) DatasetOption {
 	}
 }
 
+// newDatasetConfig applies opts over the defaults.
+func newDatasetConfig(opts []DatasetOption) datasetConfig {
+	cfg := datasetConfig{directMemory: true}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // NewDataset indexes the given records (one row per record; all rows must
 // share the same dimensionality d >= 2, attribute domain conventionally
 // [0,1]).
 func NewDataset(points [][]float64, opts ...DatasetOption) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("repro: empty dataset")
-	}
-	cfg := datasetConfig{directMemory: true}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	dim := len(points[0])
 	if dim < 2 {
@@ -168,7 +171,7 @@ func NewDataset(points [][]float64, opts ...DatasetOption) (*Dataset, error) {
 		}
 		pts[i] = vecmath.Point(row).Clone()
 	}
-	return buildDataset(pts, cfg)
+	return buildDataset(pts, newDatasetConfig(opts))
 }
 
 // checkFinite rejects NaN and ±Inf coordinates. A single NaN silently
@@ -238,11 +241,7 @@ func GenerateDataset(dist string, n, dim int, seed int64, opts ...DatasetOption)
 	if n <= 0 || dim < 2 {
 		return nil, fmt.Errorf("repro: invalid size n=%d dim=%d", n, dim)
 	}
-	cfg := datasetConfig{directMemory: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return buildDataset(dataset.Generate(d, n, dim, seed), cfg)
+	return buildDataset(dataset.Generate(d, n, dim, seed), newDatasetConfig(opts))
 }
 
 // Len returns the number of records.
@@ -294,7 +293,8 @@ type StorageStats struct {
 	// Mode is StorageHeap or StorageMmap.
 	Mode string `json:"mode"`
 	// SnapshotVersion is the snapshot format the dataset was loaded from
-	// (0 = built in process; write-back preserves a non-zero version).
+	// (0 = built in process or produced by Apply). Informational: every
+	// snapshot is written as v2 whatever this says.
 	SnapshotVersion int `json:"snapshot_version,omitempty"`
 	// Float32 marks a dataset loaded from a float32-point snapshot.
 	Float32 bool `json:"float32,omitempty"`
@@ -313,8 +313,8 @@ type StorageStats struct {
 func (ds *Dataset) Storage() StorageStats {
 	st := StorageStats{
 		Mode:            StorageHeap,
-		SnapshotVersion: ds.snapVersion,
-		Float32:         ds.snapF32,
+		SnapshotVersion: ds.loadedVersion,
+		Float32:         ds.loadedFloat32,
 	}
 	pointBytes := int64(len(ds.points)) * int64(ds.Dim()) * 8
 	if ds.mapping != nil {

@@ -204,11 +204,6 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	}
 	store.ResetStats()
 	store.SetLatency(ds.pageLatency)
-	// The successor is always heap-backed (see the copy above) but keeps
-	// the parent's snapshot format so write-behind re-snapshots don't
-	// silently change version. It drops float32 mode: the freshly inserted
-	// points are exact float64, and re-quantizing them on the next write
-	// would drift the fingerprint from the in-memory dataset.
 	return &Dataset{
 		points:         pts,
 		tree:           tree,
@@ -217,7 +212,6 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 		quadMaxDepth:   ds.quadMaxDepth,
 		directMemory:   ds.directMemory,
 		pageLatency:    ds.pageLatency,
-		snapVersion:    ds.snapVersion,
 	}, nil
 }
 

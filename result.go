@@ -96,10 +96,7 @@ type Stats struct {
 	// IO multiply-counts the shared pages.
 	IO int64
 	// IncomparableAccessed is n (BA/FCA) or n_a (AA): the incomparable
-	// records the algorithm actually examined. Under shared-arrangement
-	// execution the group prefix materialises the full incomparable set,
-	// so AA reports n here rather than the tree-backed n_a; the answer is
-	// unaffected.
+	// records the algorithm actually examined.
 	IncomparableAccessed int64
 	// HalfspacesInserted counts half-spaces inserted into the quad-tree.
 	HalfspacesInserted int

@@ -39,9 +39,6 @@
 #                  the overload and priority gates above. Full mode adds
 #                  the admission-off collapse contrast.
 #   PORT           listen port for the scratch server (default 18491)
-#   BENCH          BENCH_PR*.json report to splice the results into as a
-#                  "loadtest" object (default BENCH_PR9.json; skipped
-#                  when the file does not exist or SPLICE=0)
 #   N, DIM, PAGE_LATENCY, RATE, BURST, DURATION, MAX_INFLIGHT,
 #   QUEUE_DEPTH, REQUEST_TIMEOUT, OVERLOAD_GOODPUT_MIN,
 #   PRIORITY_GOODPUT_MIN
@@ -54,8 +51,6 @@ cd "$(dirname "$0")/.."
 QUICK=${QUICK:-0}
 PORT=${PORT:-18491}
 OUT_DIR=${1:-loadtest-out}
-BENCH=${BENCH:-BENCH_PR9.json}
-SPLICE=${SPLICE:-1}
 
 DIM=${DIM:-2}
 if [ "$QUICK" = "1" ]; then
@@ -228,28 +223,4 @@ if [ "$QUICK" != "1" ]; then
         exit 1
     fi
     echo "admission control bounds the overload tail: OK" >&2
-fi
-
-if [ "$SPLICE" = "1" ] && [ -f "$BENCH" ]; then
-    # The bench report ends "  ]\n}"; drop the closing brace, append the
-    # loadtest object as one more top-level member, close again.
-    sed -i '$d' "$BENCH"
-    {
-        echo '  ,"loadtest": {'
-        echo '    "admit_1x":'
-        sed 's/^/    /' "$OUT_DIR/admit_1x.json"
-        echo '    ,"admit_2x":'
-        sed 's/^/    /' "$OUT_DIR/admit_2x.json"
-        echo '    ,"priority_1x":'
-        sed 's/^/    /' "$OUT_DIR/priority_1x.json"
-        echo '    ,"priority_2x":'
-        sed 's/^/    /' "$OUT_DIR/priority_2x.json"
-        if [ -f "$OUT_DIR/noadmit_2x.json" ]; then
-            echo '    ,"noadmit_2x":'
-            sed 's/^/    /' "$OUT_DIR/noadmit_2x.json"
-        fi
-        echo '  }'
-        echo '}'
-    } >>"$BENCH"
-    echo "spliced loadtest results into $BENCH" >&2
 fi

@@ -22,7 +22,7 @@ func TestStatsStorageBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ds.snap")
-	if err := built.WriteSnapshotFileVersion(path, snapshot.Version2, false); err != nil {
+	if err := built.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := repro.LoadSnapshotFile(path)

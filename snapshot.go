@@ -2,14 +2,11 @@ package repro
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/mmap"
@@ -21,73 +18,20 @@ import (
 )
 
 // WriteSnapshot persists the dataset and its R*-tree index in the
-// versioned, checksummed binary format of internal/snapshot: the raw
-// records, every index page exactly as the pager stores it, and the
-// dataset's quad-tree partitioning defaults. LoadSnapshot restores the
-// dataset without rebuilding anything, and the restored dataset produces
-// bit-identical query results — regions, ranks, witnesses and Stats.IO —
-// to this one.
-//
-// The format written preserves provenance: a dataset loaded from a v2
-// (mmap-able) snapshot writes v2 again, so maxrankd's -resnapshot
-// write-behind keeps the operator's format choice; datasets built in
-// process write v1, the default interchange format. Use
-// WriteSnapshotVersion to choose explicitly.
+// versioned, checksummed binary format of internal/snapshot (format v2,
+// the only one written): the raw records, every index page exactly as the
+// pager stores it, and the dataset's quad-tree partitioning defaults.
+// LoadSnapshot and LoadSnapshotFile restore the dataset without rebuilding
+// anything, and the restored dataset produces bit-identical query results —
+// regions, ranks, witnesses and Stats.IO — to this one.
 //
 // The stream is deterministic: the same dataset writes byte-identical
-// snapshots. The dataset must not be mutated concurrently.
+// snapshots, whatever it was built or loaded from (a dataset loaded from a
+// legacy v1 or a float32 file re-snapshots as float64 v2 with its
+// fingerprint preserved). The dataset must not be mutated concurrently.
 func (ds *Dataset) WriteSnapshot(w io.Writer) error {
-	v := ds.snapVersion
-	if v == 0 {
-		v = snapshot.Version1
-	}
-	return ds.WriteSnapshotVersion(w, v, ds.snapF32)
-}
-
-// WriteSnapshotVersion persists the dataset in an explicit snapshot format
-// version (snapshot.Version1 or snapshot.Version2). float32Points — valid
-// only with version 2 — stores the points as float32, halving the file and
-// the serving working set; the points are quantized to the nearest float32
-// and the recorded fingerprint is recomputed over the quantized values, so
-// the file is self-consistent and loads bit-exactly against itself. The
-// quantization is the lossy step: a dataset reloaded from a float32
-// snapshot answers queries over coordinates within 1 ULP of float32
-// (relative error ≤ 2⁻²⁴) of the originals, and its fingerprint differs
-// from the exact dataset's unless the points were float32-exact already.
-func (ds *Dataset) WriteSnapshotVersion(w io.Writer, version int, float32Points bool) error {
-	switch version {
-	case snapshot.Version1:
-		if float32Points {
-			return fmt.Errorf("repro: float32 points require snapshot format %d", snapshot.Version2)
-		}
-		snap, err := ds.buildSnapshotValue(false)
-		if err != nil {
-			return err
-		}
-		return snapshot.Write(w, snap)
-	case snapshot.Version2:
-		snap, err := ds.buildSnapshotValue(float32Points)
-		if err != nil {
-			return err
-		}
-		return snapshot.WriteV2(w, snap)
-	default:
-		return fmt.Errorf("repro: unknown snapshot format version %d", version)
-	}
-}
-
-// buildSnapshotValue assembles the snapshot value for this dataset. With
-// float32Points the point array is quantized and the fingerprint is
-// recomputed over the quantized values (see WriteSnapshotVersion).
-func (ds *Dataset) buildSnapshotValue(float32Points bool) (*snapshot.Snapshot, error) {
-	flat := dataset.Flatten(ds.points)
-	fp := ds.Fingerprint()
-	if float32Points && snapshot.Quantize32(flat) > 0 {
-		fp = fingerprintFlat(ds.Dim(), flat)
-	}
 	snap := &snapshot.Snapshot{
-		Float32:        float32Points,
-		Fingerprint:    fp,
+		Fingerprint:    ds.Fingerprint(),
 		Dim:            ds.Dim(),
 		Count:          ds.Len(),
 		PageSize:       ds.src.PageSize(),
@@ -95,7 +39,7 @@ func (ds *Dataset) buildSnapshotValue(float32Points bool) (*snapshot.Snapshot, e
 		QuadMaxDepth:   ds.quadMaxDepth,
 		Root:           int64(ds.tree.Root()),
 		Height:         ds.tree.Height(),
-		Points:         flat,
+		Points:         dataset.Flatten(ds.points),
 	}
 	err := ds.src.ForEachPage(func(id pager.PageID, data []byte) error {
 		if data == nil {
@@ -105,24 +49,29 @@ func (ds *Dataset) buildSnapshotValue(float32Points bool) (*snapshot.Snapshot, e
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return snap, nil
+	return snapshot.WriteV2(w, snap)
 }
 
-// fingerprintFlat is fingerprintPoints over an already-flattened
-// row-major point array (the snapshot write path, which quantizes the
-// flat copy in place for float32 output).
-func fingerprintFlat(dim int, flat []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(dim))
-	h.Write(buf[:])
-	for _, v := range flat {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+// WriteSnapshotVersion is WriteSnapshot. The arguments survive only because
+// the benchmark harness under bench/ passes (snapshot.Version2, false);
+// anything else is an error — there is no other format to write and no
+// lossy float32 mode. Scheduled for removal with the next benchmark PR
+// (ROADMAP).
+func (ds *Dataset) WriteSnapshotVersion(w io.Writer, version int, float32Points bool) error {
+	if err := onlyV2(version, float32Points); err != nil {
+		return err
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return ds.WriteSnapshot(w)
+}
+
+func onlyV2(version int, float32Points bool) error {
+	if version != snapshot.Version2 || float32Points {
+		return fmt.Errorf("repro: snapshots are written as float64 format %d only (asked for format %d, float32 %t)",
+			snapshot.Version2, version, float32Points)
+	}
+	return nil
 }
 
 // Snapshot persists the engine's dataset and index; see
@@ -130,14 +79,14 @@ func fingerprintFlat(dim int, flat []float64) string {
 // queries: the index is immutable once built.
 func (e *Engine) Snapshot(w io.Writer) error { return e.ds.WriteSnapshot(w) }
 
-// LoadSnapshot restores a dataset from a snapshot written by
-// WriteSnapshot, skipping index construction entirely: the R*-tree pages
-// are installed verbatim and the tree metadata is taken from the snapshot,
-// so cold start costs one sequential read instead of a bulk load. The
-// restored dataset is query-equivalent to the one that was persisted —
-// results, including Stats.IO, are bit-identical. Both format versions
-// decode; the reader-based path always materializes onto the heap (use
-// LoadSnapshotFile for zero-copy mmap serving of v2 files).
+// LoadSnapshot restores a dataset from a snapshot stream, skipping index
+// construction entirely: the R*-tree pages are installed verbatim and the
+// tree metadata is taken from the snapshot, so cold start costs one
+// sequential read instead of a bulk load. The restored dataset is
+// query-equivalent to the one that was persisted — results, including
+// Stats.IO, are bit-identical. A stream always loads onto the heap, fully
+// verified (see loadImage); use LoadSnapshotFile for zero-copy mmap
+// serving. Legacy v1 streams still load.
 //
 // Options apply as in NewDataset with two exceptions: the page size and
 // the quad-tree defaults come from the snapshot, so WithPageSize and
@@ -150,201 +99,165 @@ func (e *Engine) Snapshot(w io.Writer) error { return e.ds.WriteSnapshot(w) }
 // truncation, future version, checksum mismatch); a snapshot whose points
 // do not hash to its recorded fingerprint fails with ErrSnapshotMismatch.
 func LoadSnapshot(r io.Reader, opts ...DatasetOption) (*Dataset, error) {
-	cfg := datasetConfig{directMemory: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return loadSnapshotReader(r, cfg)
-}
-
-func loadSnapshotReader(r io.Reader, cfg datasetConfig) (*Dataset, error) {
-	snap, err := snapshot.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := dataset.Unflatten(snap.Points, snap.Dim)
-	if err != nil {
-		return nil, err
-	}
-	// The fingerprint ties the points to the index pages: verify before
-	// building anything, so a snapshot assembled from mismatched halves
-	// (or silently altered points that still pass the CRC of a re-written
-	// file) fails fast instead of having its untrustworthy pages restored
-	// and decoded first.
-	fp := fingerprintPoints(snap.Dim, pts)
-	if fp != snap.Fingerprint {
-		return nil, fmt.Errorf("%w: points hash to %s, snapshot records %s",
-			ErrSnapshotMismatch, fp, snap.Fingerprint)
-	}
-	// Non-finite coordinates are rejected here exactly as NewDataset
-	// rejects them: a hand-crafted (or pre-validation-era) snapshot must
-	// not smuggle NaN/Inf past the construction-time check and poison
-	// query answers silently.
-	if err := checkFinite(pts); err != nil {
-		return nil, err
-	}
-	store := pager.NewStore(snap.PageSize)
-	for _, p := range snap.Pages {
-		if err := store.Restore(pager.PageID(p.ID), p.Data); err != nil {
-			return nil, err
-		}
-	}
-	// Snapshots written from mutated datasets can carry page-ID gaps;
-	// reclaim them so later mutations of the loaded dataset reuse the
-	// slots instead of growing the ID space.
-	store.ReclaimGaps()
-	tree, err := rstar.Restore(store, snap.Dim, pager.PageID(snap.Root), snap.Height, int64(snap.Count),
-		rstar.Options{DirectMemory: cfg.directMemory})
-	if err != nil {
-		return nil, err
-	}
-	store.ResetStats()
-	store.SetLatency(cfg.pageLatency)
-	return &Dataset{
-		points:         pts,
-		tree:           tree,
-		src:            store,
-		quadMaxPartial: snap.QuadMaxPartial,
-		quadMaxDepth:   snap.QuadMaxDepth,
-		directMemory:   cfg.directMemory,
-		pageLatency:    cfg.pageLatency,
-		snapVersion:    int(snap.FormatVersion),
-		snapF32:        snap.Float32,
-	}, nil
-}
-
-// LoadSnapshotFile restores a dataset from a snapshot file. Format v2
-// files are memory-mapped read-only and served zero-copy by default: the
-// points array and the index pages alias the mapping, so cold start costs
-// header/directory/points validation instead of a full decode, the OS page
-// cache is the buffer pool (datasets larger than RAM serve fine), and N
-// processes serving the same file share one physical copy. Query answers —
-// regions, ranks, witnesses and Stats.IO — are bit-identical to a
-// heap-decoded load of the same file.
-//
-// WithMmap(false) forces the heap decode path; v1 files always decode onto
-// the heap (their layout is sequential, not mappable). In mmap mode the
-// index always decodes nodes on demand from the mapping — WithDirectMemory
-// is ignored — and mutation (Dataset.Apply) promotes the image into heap
-// pages, never writing through the mapping.
-//
-// The mapping is released by Dataset.Close or at process exit.
-func LoadSnapshotFile(path string, opts ...DatasetOption) (*Dataset, error) {
-	cfg := datasetConfig{directMemory: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if !cfg.noMmap {
-		if ver, err := sniffSnapshotVersion(path); err == nil && ver == snapshot.Version2 {
-			m, err := mmap.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			ds, err := datasetFromV2(m.Data(), m, cfg)
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-			return ds, nil
-		}
-		// On a sniff failure fall through to the stream decoder, whose
-		// errors are the typed ErrInvalid family.
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return loadSnapshotReader(f, cfg)
-}
-
-// loadSnapshotFileVFS is LoadSnapshotFile over an injectable filesystem,
-// for fault testing: the file is read through fsys (every read a scripted
-// failure point) and a v2 image is served through the same zero-copy
-// validation and page-directory path as a real mapping, just over heap
-// bytes.
-func loadSnapshotFileVFS(fsys vfs.FS, path string, opts ...DatasetOption) (*Dataset, error) {
-	cfg := datasetConfig{directMemory: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", snapshot.ErrInvalid, err)
 	}
-	if !cfg.noMmap && len(data) >= 12 && string(data[:8]) == snapshot.Magic &&
-		binary.LittleEndian.Uint32(data[8:]) == snapshot.Version2 {
-		return datasetFromV2(data, nil, cfg)
-	}
-	return loadSnapshotReader(bytes.NewReader(data), cfg)
+	return loadHeapImage(data, newDatasetConfig(opts))
 }
 
-// sniffSnapshotVersion reads just the magic and version word of a
-// snapshot file.
-func sniffSnapshotVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [12]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, err
-	}
-	if string(hdr[:8]) != snapshot.Magic {
-		return 0, snapshot.ErrBadMagic
-	}
-	return int(binary.LittleEndian.Uint32(hdr[8:])), nil
-}
-
-// datasetFromV2 builds a dataset serving directly from a validated v2
-// image. m owns the backing mapping (nil when the image is heap bytes —
-// the vfs fault path and non-unix fallbacks). The points become row
-// sub-slices of the image's flat array (zero-copy for float64 images;
-// float32 images materialize exactly), and the index pages are served
-// through a read-only pager.Mapped source, so nothing is decoded up front
-// and nothing can write back into the image.
+// LoadSnapshotFile restores a dataset from a snapshot file. The file is
+// memory-mapped read-only and served zero-copy by default: the points
+// array and the index pages alias the mapping, so cold start costs
+// header/directory/points validation instead of a full decode, the OS page
+// cache is the buffer pool (datasets larger than RAM serve fine), and N
+// processes serving the same file share one physical copy. Query answers —
+// regions, ranks, witnesses and Stats.IO — are bit-identical to a heap
+// load of the same file.
 //
-// Unlike the stream loader, this fast path does not re-derive the dataset
-// fingerprint: the recorded value is covered by the header CRC and the
-// points by their own CRC, so against *corruption* the recorded
-// fingerprint is exactly as trustworthy as a recomputation — and skipping
-// the content hash keeps cold start proportional to validation, not to
-// hashing the whole point array. (It is seeded into the dataset's lazy
-// fingerprint cache, so Fingerprint() is O(1) on mapped datasets.) A
-// deliberately forged file pairing valid CRCs with a mismatched
-// fingerprint is caught by the full decode — LoadSnapshotFile(...,
-// WithMmap(false)) — which is what migrate-snapshot runs.
-func datasetFromV2(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error) {
+// WithMmap(false) loads onto the heap instead, as do platforms without
+// mmap and legacy v1 files (their layout is sequential, not mappable; they
+// are converted on the way in). In mmap mode the index always decodes nodes
+// on demand from the mapping — WithDirectMemory is ignored — and mutation
+// (Dataset.Apply) promotes the image into heap pages, never writing
+// through the mapping.
+//
+// The mapping is released by Dataset.Close or at process exit.
+func LoadSnapshotFile(path string, opts ...DatasetOption) (*Dataset, error) {
+	cfg := newDatasetConfig(opts)
+	if !cfg.noMmap {
+		// Map first and read the version word from the mapping. A file that
+		// cannot be mapped (empty, or missing) falls through to the read
+		// below, whose errors are the os and typed ErrInvalid ones.
+		if m, err := mmap.Open(path); err == nil {
+			if m.Mapped() && snapshot.VersionOf(m.Data()) != snapshot.Version1 {
+				ds, err := loadImage(m.Data(), m, cfg)
+				if err != nil {
+					m.Close()
+				}
+				return ds, err
+			}
+			// A v1 stream, or a platform whose "mapping" is a heap read: a
+			// heap load copies everything it keeps out of the bytes.
+			defer m.Close()
+			return loadHeapImage(m.Data(), cfg)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return loadHeapImage(data, cfg)
+}
+
+// loadHeapImage loads a snapshot held in ordinary memory. A legacy v1
+// stream is no second load path, only a conversion at the door: it is
+// decoded (its CRC verified), re-encoded as the canonical v2 image of the
+// same snapshot value, and that image goes through the one loader.
+func loadHeapImage(data []byte, cfg datasetConfig) (*Dataset, error) {
+	if snapshot.VersionOf(data) != snapshot.Version1 {
+		return loadImage(data, nil, cfg)
+	}
+	snap, err := snapshot.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if data, err = snapshot.EncodeV2(snap); err != nil {
+		return nil, err
+	}
+	ds, err := loadImage(data, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ds.loadedVersion = snapshot.Version1
+	return ds, nil
+}
+
+// loadImage is the one snapshot loader: it builds a dataset from a v2
+// image. What differs between its two modes is where the bytes live and
+// how far they are trusted.
+//
+// With a mapping (m owns data) the dataset serves zero-copy: the points
+// become row sub-slices of the image's flat array (float32 images
+// materialize exactly) and the index pages are served through a read-only
+// pager.Mapped source, so nothing is decoded up front and nothing can write
+// back into the image. Validation is the View's own — header, directory
+// and points CRCs, every bound — plus the finiteness gate; the page
+// payloads are not checksummed and the fingerprint is not re-derived (the
+// recorded value is covered by the header CRC and the points by their own
+// CRC, so against corruption it is as trustworthy as a recomputation, and
+// cold start stays proportional to validation, not to hashing the points).
+//
+// Without one (m == nil: WithMmap(false), LoadSnapshot, platforms without
+// mmap, converted v1 streams) the image is additionally verified in full —
+// the whole-file CRC, which covers the page payloads, and the fingerprint
+// re-derived from the points, which catches a deliberately forged file
+// pairing valid CRCs with someone else's fingerprint — and then copied
+// once: points into an owned array, pages straight into a heap pager.Store.
+// Nothing aliases data afterwards.
+//
+// Either way the recorded fingerprint seeds the dataset's lazy fingerprint
+// cache, so Fingerprint() is O(1) on loaded datasets.
+func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error) {
 	v, err := snapshot.Open(data)
 	if err != nil {
 		return nil, err
 	}
+	heap := m == nil
+	if heap {
+		if err := v.VerifyFile(); err != nil {
+			return nil, err
+		}
+	}
 	flat := v.Points()
+	if heap && v.PointsZeroCopy() {
+		flat = slices.Clone(flat)
+	}
 	pts := make([]vecmath.Point, v.Count)
 	for i := range pts {
 		pts[i] = vecmath.Point(flat[i*v.Dim : (i+1)*v.Dim : (i+1)*v.Dim])
 	}
-	// Finiteness gate, exactly as the stream loader: the v2 format allows
-	// any float64 bit pattern, but query answers must never see NaN/Inf.
+	if heap {
+		// The fingerprint ties the points to the index pages: verify before
+		// building anything from pages that may describe other records.
+		if fp := fingerprintPoints(v.Dim, pts); fp != v.Fingerprint {
+			return nil, fmt.Errorf("%w: points hash to %s, snapshot records %s",
+				ErrSnapshotMismatch, fp, v.Fingerprint)
+		}
+	}
+	// Finiteness gate, exactly as NewDataset: the format allows any float64
+	// bit pattern, but query answers must never see NaN/Inf.
 	if err := checkFinite(pts); err != nil {
 		return nil, err
 	}
-	pages := make([]pager.MappedPage, v.NumPages())
-	for i := range pages {
-		id, pd := v.Page(i)
-		pages[i] = pager.MappedPage{ID: pager.PageID(id), Data: pd}
+	var (
+		src      pager.Source
+		treeOpts rstar.Options
+	)
+	if heap {
+		store := pager.NewStore(v.PageSize)
+		for i := 0; i < v.NumPages(); i++ {
+			id, pd := v.Page(i)
+			if err := store.Restore(pager.PageID(id), pd); err != nil {
+				return nil, err
+			}
+		}
+		// Snapshots written from mutated datasets can carry page-ID gaps;
+		// reclaim them so later mutations of the loaded dataset reuse the
+		// slots instead of growing the ID space.
+		store.ReclaimGaps()
+		src, treeOpts.DirectMemory = store, cfg.directMemory
+	} else {
+		pages := make([]pager.MappedPage, v.NumPages())
+		for i := range pages {
+			id, pd := v.Page(i)
+			pages[i] = pager.MappedPage{ID: pager.PageID(id), Data: pd}
+		}
+		if src, err = pager.NewMapped(v.PageSize, pages); err != nil {
+			return nil, err
+		}
 	}
-	src, err := pager.NewMapped(v.PageSize, pages)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := rstar.RestoreFrom(src, v.Dim, pager.PageID(v.Root), v.Height, int64(v.Count), rstar.Options{})
+	tree, err := rstar.RestoreFrom(src, v.Dim, pager.PageID(v.Root), v.Height, int64(v.Count), treeOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -357,12 +270,12 @@ func datasetFromV2(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, e
 		fp:             v.Fingerprint,
 		quadMaxPartial: v.QuadMaxPartial,
 		quadMaxDepth:   v.QuadMaxDepth,
-		directMemory:   false,
+		directMemory:   treeOpts.DirectMemory,
 		pageLatency:    cfg.pageLatency,
-		snapVersion:    snapshot.Version2,
-		snapF32:        v.Float32,
+		loadedVersion:  snapshot.Version2,
+		loadedFloat32:  v.Float32,
 		mapping:        m,
-		pointsAliased:  v.PointsZeroCopy(),
+		pointsAliased:  !heap && v.PointsZeroCopy(),
 	}, nil
 }
 
@@ -373,34 +286,33 @@ func datasetFromV2(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, e
 // fsynced too — so a crash mid-write never leaves a half-snapshot under
 // the target name, and a completed write survives power loss, not just
 // process death. It is the write path of maxrank build-snapshot and of
-// maxrankd's -resnapshot write-behind. The format version is preserved as
-// in WriteSnapshot; WriteSnapshotFileVersion chooses explicitly.
+// maxrankd's -resnapshot write-behind.
 func (ds *Dataset) WriteSnapshotFile(path string) error {
-	v := ds.snapVersion
-	if v == 0 {
-		v = snapshot.Version1
-	}
-	return ds.writeSnapshotFile(vfs.OS(), path, v, ds.snapF32)
+	return ds.writeSnapshotFile(vfs.OS(), path)
 }
 
-// WriteSnapshotFileVersion is WriteSnapshotFile with an explicit format
-// version and float32 mode (see WriteSnapshotVersion).
+// WriteSnapshotFileVersion is WriteSnapshotFile, with the arguments
+// WriteSnapshotVersion keeps for bench/ and the same refusal of anything
+// but (snapshot.Version2, false).
 func (ds *Dataset) WriteSnapshotFileVersion(path string, version int, float32Points bool) error {
-	return ds.writeSnapshotFile(vfs.OS(), path, version, float32Points)
+	if err := onlyV2(version, float32Points); err != nil {
+		return err
+	}
+	return ds.WriteSnapshotFile(path)
 }
 
 // writeSnapshotFile is the atomic-write core over an injectable
 // filesystem, so every failure point (temp creation, short write, fsync,
 // rename) is provable via vfs.FaultFS. Any failure leaves whatever
 // previously existed at path untouched.
-func (ds *Dataset) writeSnapshotFile(fsys vfs.FS, path string, version int, float32Points bool) error {
+func (ds *Dataset) writeSnapshotFile(fsys vfs.FS, path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := vfs.CreateTemp(fsys, dir, ".snap-*")
 	if err != nil {
 		return err
 	}
 	defer fsys.Remove(tmp.Name())
-	if err := ds.WriteSnapshotVersion(tmp, version, float32Points); err != nil {
+	if err := ds.WriteSnapshot(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"syscall"
 	"testing"
 
-	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
 
@@ -55,7 +54,7 @@ func TestWriteSnapshotFileSyncsDataAndDir(t *testing.T) {
 	// File-data fsync missing => failing it must fail the write.
 	ffs := vfs.NewFaultFS(vfs.OS())
 	ffs.Inject(vfs.Fault{Op: "sync", Path: ".snap-", Err: syscall.EIO})
-	if err := ds.writeSnapshotFile(ffs, path, snapshot.Version1, false); !errors.Is(err, syscall.EIO) {
+	if err := ds.writeSnapshotFile(ffs, path); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("temp-file fsync failure not propagated: %v", err)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -66,7 +65,7 @@ func TestWriteSnapshotFileSyncsDataAndDir(t *testing.T) {
 	// sync whose path is the directory itself).
 	ffs = vfs.NewFaultFS(vfs.OS())
 	ffs.Inject(vfs.Fault{Op: "sync", Path: dir, After: 1, Err: syscall.EIO})
-	if err := ds.writeSnapshotFile(ffs, path, snapshot.Version1, false); !errors.Is(err, syscall.EIO) {
+	if err := ds.writeSnapshotFile(ffs, path); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("directory fsync failure not propagated: %v", err)
 	}
 	// The rename already happened — the file exists and is valid even
@@ -74,7 +73,7 @@ func TestWriteSnapshotFileSyncsDataAndDir(t *testing.T) {
 	mustLoadSnapshotFile(t, path, ds.Fingerprint())
 
 	// And the clean path works end to end.
-	if err := ds.writeSnapshotFile(vfs.NewFaultFS(vfs.OS()), path, snapshot.Version1, false); err != nil {
+	if err := ds.writeSnapshotFile(vfs.NewFaultFS(vfs.OS()), path); err != nil {
 		t.Fatal(err)
 	}
 	mustLoadSnapshotFile(t, path, ds.Fingerprint())
@@ -110,7 +109,7 @@ func TestWriteSnapshotFileFaultsPreserveOldSnapshot(t *testing.T) {
 			}
 			ffs := vfs.NewFaultFS(vfs.OS())
 			ffs.Inject(tc.fault)
-			if err := mutated.writeSnapshotFile(ffs, path, snapshot.Version1, false); !errors.Is(err, tc.fault.Err) {
+			if err := mutated.writeSnapshotFile(ffs, path); !errors.Is(err, tc.fault.Err) {
 				t.Fatalf("fault not propagated: %v, want %v", err, tc.fault.Err)
 			}
 			// The previous snapshot is intact and loadable.
@@ -148,7 +147,7 @@ func TestWriteSnapshotFileCrashLeavesOldSnapshot(t *testing.T) {
 		}
 		ffs := vfs.NewFaultFS(vfs.OS())
 		ffs.CrashAfterBytes(crashAt)
-		err := mutated.writeSnapshotFile(ffs, path, snapshot.Version1, false)
+		err := mutated.writeSnapshotFile(ffs, path)
 		switch {
 		case err == nil:
 			// The whole snapshot fit below the crash offset: the new one

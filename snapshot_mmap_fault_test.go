@@ -1,15 +1,21 @@
-package repro
+package repro_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 
+	"repro"
 	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
@@ -18,12 +24,12 @@ import (
 // returning the path and the file bytes.
 func writeV2Fixture(t *testing.T) (string, []byte) {
 	t.Helper()
-	ds, err := GenerateDataset("IND", 200, 3, 13)
+	ds, err := repro.GenerateDataset("IND", 200, 3, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ds.snap")
-	if err := ds.WriteSnapshotFileVersion(path, snapshot.Version2, false); err != nil {
+	if err := ds.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -31,6 +37,18 @@ func writeV2Fixture(t *testing.T) (string, []byte) {
 		t.Fatal(err)
 	}
 	return path, data
+}
+
+// loadSnapshotFileVFS is LoadSnapshotFile over an injectable filesystem:
+// the file is read through fsys (every read a scripted failure point) and
+// the bytes go through the same loadImage as every other heap load.
+func loadSnapshotFileVFS(fsys vfs.FS, path string, opts ...repro.DatasetOption) (*repro.Dataset, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return repro.LoadSnapshot(f, opts...)
 }
 
 // TestLoadSnapshotFileReadFaults: I/O errors and short reads while loading
@@ -100,7 +118,7 @@ func TestLoadSnapshotFileTruncationBattery(t *testing.T) {
 			if err := os.WriteFile(tp, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ds, err := LoadSnapshotFile(tp)
+			ds, err := repro.LoadSnapshotFile(tp)
 			if err == nil {
 				ds.Close()
 				t.Fatal("truncated snapshot loaded via mmap path")
@@ -146,23 +164,138 @@ func TestLoadSnapshotFileBitFlipBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if off < pagesOff {
-			ds, err := LoadSnapshotFile(tp)
+			ds, err := repro.LoadSnapshotFile(tp)
 			if err == nil {
 				ds.Close()
 				t.Fatalf("byte %d flipped and the snapshot still mmap-loaded", off)
 			}
-			if !errors.Is(err, snapshot.ErrInvalid) && !errors.Is(err, ErrSnapshotMismatch) {
+			if !errors.Is(err, snapshot.ErrInvalid) && !errors.Is(err, repro.ErrSnapshotMismatch) {
 				t.Fatalf("byte %d: mmap path got untyped error %v", off, err)
 			}
 		}
 		// The full decode must catch every flip, page payloads included.
-		_, err := LoadSnapshotFile(tp, WithMmap(false))
+		_, err := repro.LoadSnapshotFile(tp, repro.WithMmap(false))
 		if err == nil {
 			t.Fatalf("byte %d flipped and the snapshot still heap-loaded", off)
 		}
-		if !errors.Is(err, snapshot.ErrInvalid) && !errors.Is(err, ErrSnapshotMismatch) {
+		if !errors.Is(err, snapshot.ErrInvalid) && !errors.Is(err, repro.ErrSnapshotMismatch) {
 			t.Fatalf("byte %d: heap path got untyped error %v", off, err)
 		}
 		os.Remove(tp)
+	}
+}
+
+// snapshotDoors are the four ways bytes reach loadImage: the mapping, and
+// three heap doors (WithMmap(false), a stream, the fault-injectable vfs).
+var snapshotDoors = []struct {
+	name   string
+	mapped bool
+	load   func(path string) (*repro.Dataset, error)
+}{
+	{"mmap", true, func(path string) (*repro.Dataset, error) { return repro.LoadSnapshotFile(path) }},
+	{"mmap-off", false, func(path string) (*repro.Dataset, error) {
+		return repro.LoadSnapshotFile(path, repro.WithMmap(false))
+	}},
+	{"reader", false, func(path string) (*repro.Dataset, error) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return repro.LoadSnapshot(bytes.NewReader(raw))
+	}},
+	{"vfs", false, func(path string) (*repro.Dataset, error) {
+		return loadSnapshotFileVFS(vfs.NewFaultFS(vfs.OS()), path)
+	}},
+}
+
+// reseal recomputes the CRCs of a v2 image after a test edited it, so the
+// edit is the only thing wrong with the file: the points CRC (header
+// offset 104), the header CRC after the fingerprint, and the file trailer.
+func reseal(img []byte) {
+	le := binary.LittleEndian
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	pointsOff, pointsLen := le.Uint64(img[56:]), le.Uint64(img[64:])
+	le.PutUint32(img[104:], crc32.Checksum(img[pointsOff:pointsOff+pointsLen], tab))
+	hdrEnd := 112 + le.Uint32(img[108:])
+	le.PutUint32(img[hdrEnd:], crc32.Checksum(img[:hdrEnd], tab))
+	le.PutUint32(img[len(img)-4:], crc32.Checksum(img[:len(img)-4], tab))
+}
+
+// TestOneLoaderFourDoors pins loadImage's contract across every way in: a
+// sound image answers identically through all four doors; what the mapped
+// load defers by design — the page-payload checksum and the fingerprint
+// re-hash — every heap door catches, typed; and what no door may let
+// through, none does.
+func TestOneLoaderFourDoors(t *testing.T) {
+	path, data := writeV2Fixture(t)
+	le := binary.LittleEndian
+	pointsOff, pagesOff := int(le.Uint64(data[56:])), int(le.Uint64(data[88:]))
+
+	flipped := bytes.Clone(data)
+	flipped[pagesOff+len(flipped[pagesOff:])/2] ^= 0x01 // inside a page payload
+
+	forged := bytes.Clone(data)
+	forged[112] ^= 0x01 // first fingerprint byte, under a fresh header CRC
+	reseal(forged)
+
+	nan := bytes.Clone(data)
+	le.PutUint64(nan[pointsOff+8*7:], math.Float64bits(math.NaN()))
+	reseal(nan)
+
+	dir := t.TempDir()
+	write := func(name string, img []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	flippedPath, forgedPath, nanPath := write("flipped.snap", flipped), write("forged.snap", forged), write("nan.snap", nan)
+
+	var want *repro.Result
+	for _, door := range snapshotDoors {
+		t.Run(door.name, func(t *testing.T) {
+			ds, err := door.load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if got := ds.Storage().Mode == repro.StorageMmap; got != door.mapped {
+				t.Fatalf("storage mode %q", ds.Storage().Mode)
+			}
+			eng, err := repro.NewEngine(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Query(context.Background(), 42, repro.WithTau(1), repro.WithOutrankIDs(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+			} else if !reflect.DeepEqual(answerOf(res), answerOf(want)) {
+				t.Fatal("answer differs from the first door's")
+			}
+
+			// A flipped payload byte and a forged fingerprint pass the mapped
+			// load (deferred by contract) and fail every heap load, typed.
+			for _, tc := range []struct {
+				path string
+				want error
+			}{{flippedPath, snapshot.ErrChecksum}, {forgedPath, repro.ErrSnapshotMismatch}} {
+				bad, err := door.load(tc.path)
+				switch {
+				case door.mapped && err != nil:
+					t.Fatalf("%s: mapped load refused what it defers: %v", filepath.Base(tc.path), err)
+				case door.mapped:
+					bad.Close()
+				case !errors.Is(err, tc.want):
+					t.Fatalf("%s: got %v, want %v", filepath.Base(tc.path), err, tc.want)
+				}
+			}
+			if _, err := door.load(nanPath); err == nil {
+				t.Fatal("a snapshot with a NaN coordinate loaded")
+			}
+		})
 	}
 }

@@ -17,11 +17,11 @@ import (
 
 // writeV2File persists ds to a v2 snapshot file under a test temp dir and
 // returns the path.
-func writeV2File(t testing.TB, ds *repro.Dataset, f32 bool) string {
+func writeV2File(t testing.TB, ds *repro.Dataset) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ds.snap")
-	if err := ds.WriteSnapshotFileVersion(path, snapshot.Version2, f32); err != nil {
-		t.Fatalf("WriteSnapshotFileVersion: %v", err)
+	if err := ds.WriteSnapshotFile(path); err != nil {
+		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	return path
 }
@@ -50,7 +50,7 @@ func TestMmapBitIdentityBattery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := writeV2File(t, built, false)
+				path := writeV2File(t, built)
 				mapped, err := repro.LoadSnapshotFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -126,7 +126,7 @@ func TestMmapBitIdentityBattery(t *testing.T) {
 // non-trivial mapped size, and the provenance fields round-tripped.
 func TestMmapStorageStats(t *testing.T) {
 	built := genDS(t, "IND", 300, 3)
-	path := writeV2File(t, built, false)
+	path := writeV2File(t, built)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestMmapStorageStats(t *testing.T) {
 // being closed.
 func TestMutateWhileMmapServing(t *testing.T) {
 	built := genDS(t, "ANTI", 400, 3)
-	path := writeV2File(t, built, false)
+	path := writeV2File(t, built)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +212,8 @@ func TestMutateWhileMmapServing(t *testing.T) {
 	if got := next.Storage().Mode; got != repro.StorageHeap {
 		t.Fatalf("mutation successor storage mode %q, want %q", got, repro.StorageHeap)
 	}
-	if next.Storage().SnapshotVersion != snapshot.Version2 {
-		t.Fatal("successor lost the parent's snapshot format version")
+	if v := next.Storage().SnapshotVersion; v != 0 {
+		t.Fatalf("successor reports snapshot version %d; it was loaded from no file", v)
 	}
 
 	// The mapping (and the file under it) must be untouched.
@@ -254,7 +254,7 @@ func TestMutateWhileMmapServing(t *testing.T) {
 // maxrankd mutate → -resnapshot → restart cycle in library form.
 func TestMmapResnapshotRoundTrip(t *testing.T) {
 	built := genDS(t, "IND", 300, 2)
-	path := writeV2File(t, built, false)
+	path := writeV2File(t, built)
 	mapped, err := repro.LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestMmapResnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path2 := filepath.Join(t.TempDir(), "next.snap")
-	// Format preservation: the successor writes v2 again without being told.
+	// There is one format: the successor writes v2 like everything else.
 	if err := next.WriteSnapshotFile(path2); err != nil {
 		t.Fatal(err)
 	}
@@ -297,115 +297,237 @@ func TestMmapResnapshotRoundTrip(t *testing.T) {
 
 func sniffVersion(t *testing.T, path string) int {
 	t.Helper()
-	hdr, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hdr) < 12 {
-		t.Fatalf("snapshot file %s too short", path)
-	}
-	return int(uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24)
+	return snapshot.VersionOf(data)
 }
 
-// TestFloat32SnapshotTolerance: a float32 snapshot quantizes each
-// coordinate to the nearest float32 (relative error ≤ 2⁻²⁴) and is
-// self-consistent — reloading it yields the fingerprint it records, and a
-// second write round-trips bit-identically.
-func TestFloat32SnapshotTolerance(t *testing.T) {
-	built := genDS(t, "COR", 250, 3)
-	path := writeV2File(t, built, true)
-	loaded, err := repro.LoadSnapshotFile(path)
+// float32File writes ds — whose coordinates must be float32-exact — as a
+// float32-point v2 file, the way the removed -f32 mode used to: nothing in
+// the repository produces such files any more, so the test re-flags a
+// decoded image and lets EncodeV2 lay it out.
+func float32File(t *testing.T, ds *repro.Dataset) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.DecodeV2(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
-	st := loaded.Storage()
-	if !st.Float32 {
-		t.Fatal("storage stats do not mark the dataset float32")
+	snap.Float32 = true
+	img, err := snapshot.EncodeV2(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if loaded.Len() != built.Len() || loaded.Dim() != built.Dim() {
-		t.Fatal("shape changed across float32 round trip")
+	path := filepath.Join(t.TempDir(), "f32.snap")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < built.Len(); i++ {
-		orig, err := built.Point(i)
+	return path
+}
+
+// TestFloat32SnapshotTolerance: float32 files are no longer written, but
+// the ones that exist keep loading bit-exactly. A dataset quantized to the
+// nearest float32 (relative error ≤ 2⁻²⁴ against the original) and stored
+// as float32 loads — mapped and on the heap — to exactly the quantized
+// coordinates, answers like the same dataset built in process, and
+// re-snapshots as float64 v2 with its fingerprint preserved.
+func TestFloat32SnapshotTolerance(t *testing.T) {
+	orig := genDS(t, "COR", 250, 3)
+	rows := make([][]float64, orig.Len())
+	for i := range rows {
+		p, err := orig.Point(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Point(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range orig {
-			if got[j] != float64(float32(orig[j])) {
-				t.Fatalf("point %d attr %d: %v is not the float32 quantization of %v", i, j, got[j], orig[j])
-			}
-			if math.Abs(got[j]-orig[j]) > math.Abs(orig[j])*math.Pow(2, -24)+1e-300 {
+		for j, v := range p {
+			q := float64(float32(v))
+			if math.Abs(q-v) > math.Abs(v)*math.Pow(2, -24)+1e-300 {
 				t.Fatalf("point %d attr %d: quantization error beyond 2^-24 relative", i, j)
 			}
+			p[j] = q
 		}
+		rows[i] = p
 	}
-	// Self-consistency: the loaded dataset re-snapshots (still float32,
-	// format preserved) to byte-identical content.
-	var a bytes.Buffer
-	if err := loaded.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
+	built, err := repro.NewDataset(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), onDisk) {
-		t.Fatal("float32 snapshot does not round-trip to identical bytes")
+	path := float32File(t, built)
+	engBuilt, err := repro.NewEngine(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engBuilt.Query(context.Background(), 11, repro.WithTau(1), repro.WithOutrankIDs(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canonical bytes.Buffer
+	if err := built.WriteSnapshot(&canonical); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{true, false} {
+		loaded, err := repro.LoadSnapshotFile(path, repro.WithMmap(mmap))
+		if err != nil {
+			t.Fatalf("mmap=%t: %v", mmap, err)
+		}
+		defer loaded.Close()
+		if st := loaded.Storage(); !st.Float32 || (st.Mode == repro.StorageMmap) != mmap {
+			t.Fatalf("mmap=%t: storage stats %+v", mmap, st)
+		}
+		if loaded.Fingerprint() != built.Fingerprint() {
+			t.Fatalf("mmap=%t: fingerprint changed across the float32 file", mmap)
+		}
+		for i, row := range rows {
+			got, err := loaded.Point(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, row) {
+				t.Fatalf("mmap=%t: point %d loaded as %v, stored %v", mmap, i, got, row)
+			}
+		}
+		eng, err := repro.NewEngine(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Query(context.Background(), 11, repro.WithTau(1), repro.WithOutrankIDs(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(answerOf(got), answerOf(want)) {
+			t.Fatalf("mmap=%t: float32-loaded dataset answers differently from the built one", mmap)
+		}
+		// Re-snapshot: float64 v2, byte-identical to the built dataset's own.
+		var again bytes.Buffer
+		if err := loaded.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), canonical.Bytes()) {
+			t.Fatalf("mmap=%t: re-snapshot of a float32-loaded dataset is not the canonical float64 v2 image", mmap)
+		}
 	}
 }
 
-// TestMigrateV1ToV2BitIdentical: the library-level migration path — load a
-// v1 snapshot, write it back as v2, serve the v2 file via mmap — must
-// preserve answers and fingerprints exactly. This is what the maxrank
-// migrate-snapshot command does.
-func TestMigrateV1ToV2BitIdentical(t *testing.T) {
-	built := genDS(t, "ANTI", 350, 3)
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "v1.snap")
-	if err := built.WriteSnapshotFileVersion(v1path, snapshot.Version1, false); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := repro.LoadSnapshotFile(v1path)
+// The committed legacy fixture: IND n = 200, d = 3, seed 1, written by the
+// v1 writer in the last commit that had one.
+const (
+	v1FixturePath   = "internal/snapshot/testdata/v1_ind_n200_d3.snap"
+	v1FixtureSHA256 = "d133d2dd47a10a7306aa4fb3129ee148da790cb3b7ce63ed98e9cc406a31020c"
+)
+
+// TestLegacyV1ThroughTheOneLoader: a v1 file is a conversion in front of
+// the one loader, not a second path. The committed fixture loads through
+// LoadSnapshotFile and LoadSnapshot (heap, as v1 always did), answers
+// bit-identically — Stats.IO included — to the same dataset built in
+// process, and re-snapshots as a v2 file that maps and answers the same.
+// This is also what maxrank migrate-snapshot does.
+func TestLegacyV1ThroughTheOneLoader(t *testing.T) {
+	raw, err := os.ReadFile(v1FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fromV1.Storage().Mode; got != repro.StorageHeap {
-		t.Fatalf("v1 load reports storage mode %q (v1 is never mmapped)", got)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(raw)); sum != v1FixtureSHA256 {
+		t.Fatalf("fixture bytes changed: sha256 %s", sum)
 	}
-	v2path := filepath.Join(dir, "v2.snap")
-	if err := fromV1.WriteSnapshotFileVersion(v2path, snapshot.Version2, false); err != nil {
-		t.Fatal(err)
+	if ver := sniffVersion(t, v1FixturePath); ver != snapshot.Version1 {
+		t.Fatalf("fixture is format v%d", ver)
 	}
-	fromV2, err := repro.LoadSnapshotFile(v2path)
+	built, err := repro.GenerateDataset("IND", 200, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fromV2.Close()
-	if fromV2.Storage().Mode != repro.StorageMmap {
-		t.Fatal("migrated v2 file did not mmap")
+	fromFile, err := repro.LoadSnapshotFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if built.Fingerprint() != fromV2.Fingerprint() {
-		t.Fatal("fingerprint changed across v1→v2 migration")
+	fromReader, err := repro.LoadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	eng1, _ := repro.NewEngine(fromV1)
-	eng2, _ := repro.NewEngine(fromV2)
+	v2path := filepath.Join(t.TempDir(), "v2.snap")
+	if err := fromFile.WriteSnapshotFile(v2path); err != nil {
+		t.Fatal(err)
+	}
+	if ver := sniffVersion(t, v2path); ver != snapshot.Version2 {
+		t.Fatalf("re-snapshot wrote format v%d", ver)
+	}
+	remapped, err := repro.LoadSnapshotFile(v2path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remapped.Close()
+	if got := remapped.Storage().Mode; got != repro.StorageMmap {
+		t.Fatalf("migrated v2 file loaded in mode %q", got)
+	}
+
+	engBuilt, err := repro.NewEngine(built)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	for _, focal := range []int{2, 77} {
-		a, err := eng1.Query(ctx, focal, repro.WithTau(1), repro.WithOutrankIDs(true))
+	for name, ds := range map[string]*repro.Dataset{"file": fromFile, "reader": fromReader} {
+		if st := ds.Storage(); st.Mode != repro.StorageHeap || st.SnapshotVersion != snapshot.Version1 {
+			t.Fatalf("%s: v1 load reports storage %+v", name, st)
+		}
+	}
+	for name, ds := range map[string]*repro.Dataset{"file": fromFile, "reader": fromReader, "re-snapshot": remapped} {
+		if ds.Fingerprint() != built.Fingerprint() {
+			t.Fatalf("%s: fingerprint %s, built %s", name, ds.Fingerprint(), built.Fingerprint())
+		}
+		eng, err := repro.NewEngine(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eng2.Query(ctx, focal, repro.WithTau(1), repro.WithOutrankIDs(true))
-		if err != nil {
-			t.Fatal(err)
+		for _, alg := range []repro.Algorithm{repro.BA, repro.AA} {
+			for _, focal := range []int{2, 77, 199} {
+				opts := []repro.Option{repro.WithAlgorithm(alg), repro.WithTau(1), repro.WithOutrankIDs(true)}
+				want, err := engBuilt.Query(ctx, focal, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.Query(ctx, focal, opts...)
+				if err != nil {
+					t.Fatalf("%s %v focal %d: %v", name, alg, focal, err)
+				}
+				if !reflect.DeepEqual(answerOf(got), answerOf(want)) {
+					t.Fatalf("%s %v focal %d: answer differs from the dataset built in process", name, alg, focal)
+				}
+			}
 		}
-		if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-			t.Fatalf("focal %d: results differ across v1→v2 migration", focal)
-		}
+	}
+}
+
+// TestMigrateV1ToV2BitIdentical: what maxrank migrate-snapshot does — heap
+// load, then write — turns the legacy fixture into exactly the file an
+// in-process build of the same dataset writes. Migration has no output of
+// its own: there is one canonical image per dataset.
+func TestMigrateV1ToV2BitIdentical(t *testing.T) {
+	fromV1, err := repro.LoadSnapshotFile(v1FixturePath, repro.WithMmap(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrated := filepath.Join(t.TempDir(), "migrated.snap")
+	if err := fromV1.WriteSnapshotFile(migrated); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(migrated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := repro.GenerateDataset("IND", 200, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := built.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("migrated v1 file is not the canonical v2 image of its dataset")
 	}
 }

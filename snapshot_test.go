@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -210,7 +212,7 @@ func TestLoadSnapshotFingerprintMismatch(t *testing.T) {
 	}
 	snap.Points[0] += 0.25 // tamper, then re-encode with a fresh (valid) CRC
 	var tampered bytes.Buffer
-	if err := snapshot.Write(&tampered, snap); err != nil {
+	if err := snapshot.WriteV2(&tampered, snap); err != nil {
 		t.Fatal(err)
 	}
 	_, err = repro.LoadSnapshot(bytes.NewReader(tampered.Bytes()))
@@ -314,11 +316,42 @@ func TestLoadSnapshotRejectsNonFinite(t *testing.T) {
 		}
 		snap.Fingerprint = hex.EncodeToString(h.Sum(nil)[:16])
 		var poisoned bytes.Buffer
-		if err := snapshot.Write(&poisoned, snap); err != nil {
+		if err := snapshot.WriteV2(&poisoned, snap); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := repro.LoadSnapshot(bytes.NewReader(poisoned.Bytes())); err == nil {
 			t.Fatalf("snapshot with %v coordinate loaded", poison)
+		}
+	}
+}
+
+// TestWriteSnapshotVersionOnlyV2: the version-taking writers survive for
+// bench/ alone and accept exactly what it passes.
+func TestWriteSnapshotVersionOnlyV2(t *testing.T) {
+	ds := genDS(t, "IND", 50, 2)
+	var want, got bytes.Buffer
+	if err := ds.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteSnapshotVersion(&got, snapshot.Version2, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteSnapshotVersion(2, false) differs from WriteSnapshot")
+	}
+	path := filepath.Join(t.TempDir(), "ds.snap")
+	for _, bad := range []struct {
+		version int
+		f32     bool
+	}{{snapshot.Version1, false}, {snapshot.Version2, true}, {3, false}} {
+		if err := ds.WriteSnapshotVersion(&got, bad.version, bad.f32); err == nil {
+			t.Fatalf("WriteSnapshotVersion(%d, %t) succeeded", bad.version, bad.f32)
+		}
+		if err := ds.WriteSnapshotFileVersion(path, bad.version, bad.f32); err == nil {
+			t.Fatalf("WriteSnapshotFileVersion(%d, %t) succeeded", bad.version, bad.f32)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Fatal("a refused write left a file behind")
 		}
 	}
 }
