@@ -46,6 +46,10 @@ type aa2dState struct {
 	cells    []interval
 	accurate []interval
 	expand   []expansion
+	// cur0 and aug0 count the half-lines containing the first cell, and
+	// those of them still augmented: insert and unaugment keep them
+	// current, so the sweep starts from them instead of a pass over all.
+	cur0, aug0 int
 }
 
 // vref and expansion name a half-line by its index in aa2dState.all and
@@ -61,8 +65,28 @@ type expansion struct {
 	idx int32
 }
 
-func byValue(a, b vref) int         { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.idx, b.idx)) }
+// vless and byValue order half-lines by value, then index. Plain
+// comparisons suffice: v = cb/ca with ca ≠ 0 over validated finite
+// coordinates is never NaN, so cmp.Compare's NaN ordering would be dead
+// weight in the hottest sort and merge.
+func vless(a, b vref) bool { return a.v < b.v || (a.v == b.v && a.idx < b.idx) }
+
+func byValue(a, b vref) int {
+	if a.v != b.v {
+		if a.v < b.v {
+			return -1
+		}
+		return 1
+	}
+	return int(a.idx) - int(b.idx)
+}
+
 func byRecordID(a, b expansion) int { return cmp.Compare(a.id, b.id) }
+
+// inFirstCell reports whether the half-line contains the first cell (0, v1):
+// a ← half-line with v > 0, or a → one with v <= 0 (which cannot arise
+// from incomparable records but is handled for robustness).
+func (h *halfline) inFirstCell() bool { return (h.right && h.v <= 0) || (!h.right && h.v > 0) }
 
 // insert appends the half-lines the records induce for focal p.
 func (a *aa2dState) insert(p vecmath.Point, recs []skyline.Record) error {
@@ -77,10 +101,23 @@ func (a *aa2dState) insert(p vecmath.Point, recs []skyline.Record) error {
 		// One half-line per record the skyline surfaced, and its slab
 		// indexes are int32: so are these.
 		hl := halfline{v: cb / ca, recordID: r.ID, right: ca > 0, augmented: true}
+		if hl.inFirstCell() {
+			a.cur0++
+			a.aug0++
+		}
 		a.pending = append(a.pending, vref{v: hl.v, idx: int32(len(a.all))})
 		a.all = append(a.all, hl)
 	}
 	return nil
+}
+
+// unaugment marks half-line i as no longer augmented.
+func (a *aa2dState) unaugment(i int32) {
+	hl := &a.all[i]
+	if hl.augmented && hl.inFirstCell() {
+		a.aug0--
+	}
+	hl.augmented = false
 }
 
 // merge moves the pending half-lines into the value-sorted order.
@@ -89,7 +126,7 @@ func (a *aa2dState) merge() {
 	i, j := len(a.byV)-1, len(a.pending)-1
 	a.byV = append(a.byV, a.pending...)
 	for w := len(a.byV) - 1; j >= 0; w-- {
-		if i >= 0 && byValue(a.byV[i], a.pending[j]) > 0 {
+		if i >= 0 && vless(a.pending[j], a.byV[i]) {
 			a.byV[w] = a.byV[i]
 			i--
 		} else {
@@ -101,23 +138,13 @@ func (a *aa2dState) merge() {
 }
 
 // sweep fills cells with the arrangement's intervals, left to right, and
-// returns the least cell order. The first cell (0, v1) is contained in
-// every ← half-line with v > 0 and every → half-line with v <= 0 (the
-// latter cannot arise from incomparable records but is handled for
-// robustness); crossing a boundary adds its → half-lines and removes its ←
+// returns the least cell order. The first cell's counts are kept current
+// (cur0, aug0); crossing a boundary adds its → half-lines and removes its ←
 // ones. The count of containing half-lines that are augmented rides along,
 // so cell accuracy falls out of the same sweep.
 func (a *aa2dState) sweep() int {
 	a.merge()
-	cur, curAug := 0, 0
-	for i := range a.all {
-		if hl := &a.all[i]; (hl.right && hl.v <= 0) || (!hl.right && hl.v > 0) {
-			cur++
-			if hl.augmented {
-				curAug++
-			}
-		}
-	}
+	cur, curAug := a.cur0, a.aug0
 	a.cells = a.cells[:0]
 	lo, minO := 0.0, math.MaxInt
 	emit := func(hi float64) {
@@ -179,6 +206,7 @@ func aa2dRun(in Input) (*Result, error) {
 	}
 	a := &st.aa2d
 	a.all, a.byV, a.pending = a.all[:0], a.byV[:0], a.pending[:0]
+	a.cur0, a.aug0 = 0, 0
 	first, err := sky.Skyline()
 	if err != nil {
 		return nil, err
@@ -233,7 +261,7 @@ func aa2dRun(in Input) (*Result, error) {
 		// which half-lines are inserted, and with it OutrankIDs' order.
 		slices.SortFunc(a.expand, byRecordID)
 		for _, e := range a.expand {
-			a.all[e.idx].augmented = false
+			a.unaugment(e.idx)
 			uncovered, err := sky.Expand(e.id)
 			if err != nil {
 				return nil, err

@@ -28,6 +28,7 @@ func (a *aa2dState) poison() {
 	fillCap(a.cells, interval{nan, nan, -1, -1})
 	fillCap(a.accurate, interval{nan, nan, -1, -1})
 	fillCap(a.expand, expansion{-1, -1})
+	a.cur0, a.aug0 = -1, -1
 }
 
 func fillCap[T any](s []T, v T) {
@@ -174,14 +175,21 @@ const meanWideFocal = 2627
 // aa2dAllocBudget bounds a warm AA2D query at meanWideFocal on a heap
 // tree: the Result and its one region, the query's tracker, the range
 // counts' windows — nothing per iteration, half-line or skyline entry.
-const aa2dAllocBudget = 12
+// aa2dDiskAllocBudget bounds it on a tree that decodes every page it reads,
+// as a mapped snapshot does: the range counts' pages on top, three
+// allocations each, while the skyline decodes into its scratch node.
+const (
+	aa2dAllocBudget     = 12
+	aa2dDiskAllocBudget = 40
+)
 
-// TestWarmAA2DAllocations keeps AA2D's loop and the skyline maintainer out
-// of the allocator on a warm state, so the next stray append fails here and
-// not only in the benchmark.
+// TestWarmAA2DAllocations keeps AA2D's loop, the skyline maintainer and
+// its page decodes out of the allocator on a warm state, so the next stray
+// append fails here and not only in the benchmark.
 func TestWarmAA2DAllocations(t *testing.T) {
 	points := dataset.Generate(dataset.IND, 5000, 2, 20150832)
-	in := Input{Tree: buildTree(t, points), Focal: points[meanWideFocal], FocalID: meanWideFocal}
+	tree := buildTree(t, points)
+	in := Input{Tree: tree, Focal: points[meanWideFocal], FocalID: meanWideFocal}
 	res, err := aa2dRun(in) // warms every pooled buffer the query uses
 	if err != nil {
 		t.Fatal(err)
@@ -190,17 +198,35 @@ func TestWarmAA2DAllocations(t *testing.T) {
 		t.Errorf("%d iterations, %d records surfaced: not the wide_d2 query this guard is about",
 			res.Stats.Iterations, res.Stats.IncomparableAccessed)
 	}
-	n := math.Inf(1) // the fewest of several runs, as above
-	for i := 0; i < 8; i++ {
-		n = min(n, testing.AllocsPerRun(1, func() {
-			if _, err := aa2dRun(in); err != nil {
-				t.Fatal(err)
-			}
-		}))
+	warmAllocs := func() float64 {
+		n := math.Inf(1) // the fewest of several runs, as above
+		for i := 0; i < 8; i++ {
+			n = min(n, testing.AllocsPerRun(1, func() {
+				if _, err := aa2dRun(in); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return n
 	}
+	n := warmAllocs()
 	t.Logf("warm AA2D query: %.0f allocations (budget %d)", n, aa2dAllocBudget)
 	if n > aa2dAllocBudget {
 		t.Errorf("warm AA2D query: %.0f allocations, budget %d", n, aa2dAllocBudget)
+	}
+
+	tree.SetDirectMemory(false)
+	disk, err := aa2dRun(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if printed(disk) != printed(res) {
+		t.Fatalf("disk-resident answer differs\n got  %s\n want %s", printed(disk), printed(res))
+	}
+	n = warmAllocs()
+	t.Logf("warm disk-resident AA2D query: %.0f allocations (budget %d)", n, aa2dDiskAllocBudget)
+	if n > aa2dDiskAllocBudget {
+		t.Errorf("warm disk-resident AA2D query: %.0f allocations, budget %d", n, aa2dDiskAllocBudget)
 	}
 }
 

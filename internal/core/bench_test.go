@@ -1,0 +1,29 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/dataset"
+)
+
+// BenchmarkAA2DDisk answers wide_d2's mean focal (meanWideFocal) on a tree
+// that decodes every page it reads, as a mapped snapshot does, on a warm
+// query state. iterations/op is the query's expansion rounds.
+func BenchmarkAA2DDisk(b *testing.B) {
+	points := dataset.Generate(dataset.IND, 5000, 2, 20150832)
+	tree := buildTree(b, points)
+	tree.SetDirectMemory(false)
+	in := Input{Tree: tree, Focal: points[meanWideFocal], FocalID: meanWideFocal}
+	res, err := aa2dRun(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = aa2dRun(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Stats.Iterations), "iterations/op")
+}

@@ -37,6 +37,7 @@ type Node struct {
 	ID      pager.PageID
 	Level   int // 0 = leaf
 	Entries []Entry
+	coords  []float64 // a decoded node's coordinates, which its entries' rects view
 }
 
 // Leaf reports whether the node is at leaf level.
@@ -125,57 +126,55 @@ func (n *Node) encode(dim int) []byte {
 	return buf
 }
 
-// decodeNode reconstructs a node from its page image.
-func decodeNode(id pager.PageID, buf []byte) (*Node, error) {
-	if len(buf) < nodeHeaderSize {
-		return nil, fmt.Errorf("rstar: page %d truncated (%d bytes)", id, len(buf))
+// decode reconstructs the node from its page image, reusing its Entries
+// and coordinate slab when their capacity suffices. All of the page's
+// coordinates go to the one slab; each rect bound is a capacity-capped
+// window of it, so an append to one reallocates instead of overwriting the
+// next.
+func (n *Node) decode(id pager.PageID, page []byte) error {
+	if len(page) < nodeHeaderSize {
+		return fmt.Errorf("rstar: page %d truncated (%d bytes)", id, len(page))
 	}
-	level := int(binary.LittleEndian.Uint16(buf[0:]))
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	dim := int(binary.LittleEndian.Uint16(buf[4:]))
-	n := &Node{ID: id, Level: level, Entries: make([]Entry, 0, count)}
-	entSize := branchEntrySize(dim)
-	if n.Leaf() {
-		entSize = leafEntrySize(dim)
+	level := int(binary.LittleEndian.Uint16(page[0:]))
+	count := int(binary.LittleEndian.Uint16(page[2:]))
+	dim := int(binary.LittleEndian.Uint16(page[4:]))
+	entSize, width := branchEntrySize(dim), 2*dim
+	if level == 0 {
+		entSize, width = leafEntrySize(dim), dim
 	}
-	if want := nodeHeaderSize + count*entSize; len(buf) < want {
-		return nil, fmt.Errorf("rstar: page %d has %d bytes, want %d", id, len(buf), want)
+	if want := nodeHeaderSize + count*entSize; len(page) < want {
+		return fmt.Errorf("rstar: page %d has %d bytes, want %d", id, len(page), want)
 	}
+	n.ID, n.Level = id, level
+	n.Entries = resize(n.Entries, count)
+	n.coords = resize(n.coords, count*width)
 	off := nodeHeaderSize
-	getF := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		return v
-	}
 	getI := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(buf[off:]))
+		v := int64(binary.LittleEndian.Uint64(page[off:]))
 		off += 8
 		return v
 	}
-	for i := 0; i < count; i++ {
-		var e Entry
-		if n.Leaf() {
-			p := make(vecmath.Point, dim)
-			for j := 0; j < dim; j++ {
-				p[j] = getF()
-			}
-			e.Rect = geom.Rect{Lo: p, Hi: p}
-			e.RecordID = getI()
-			e.Count = 1
-		} else {
-			lo := make(vecmath.Point, dim)
-			hi := make(vecmath.Point, dim)
-			for j := 0; j < dim; j++ {
-				lo[j] = getF()
-			}
-			for j := 0; j < dim; j++ {
-				hi[j] = getF()
-			}
-			e.Rect = geom.Rect{Lo: lo, Hi: hi}
-			e.Child = pager.PageID(getI())
-			e.Count = getI()
+	for i := range n.Entries {
+		c := n.coords[i*width : (i+1)*width : (i+1)*width]
+		for j := range c {
+			c[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[off:]))
+			off += 8
 		}
-		n.Entries = append(n.Entries, e)
+		if level == 0 {
+			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c, Hi: c}, RecordID: getI(), Count: 1}
+		} else {
+			child := pager.PageID(getI())
+			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}, Child: child, Count: getI()}
+		}
 	}
-	return n, nil
+	return nil
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

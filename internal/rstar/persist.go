@@ -69,8 +69,8 @@ func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size 
 	defer src.SetCounting(true)
 	if opts.DirectMemory {
 		err := src.ForEachPage(func(id pager.PageID, data []byte) error {
-			n, err := decodeNode(id, data)
-			if err != nil {
+			n := new(Node)
+			if err := n.decode(id, data); err != nil {
 				return fmt.Errorf("rstar: restore page %d: %w", id, err)
 			}
 			t.cache[id] = n

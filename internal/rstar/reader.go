@@ -35,5 +35,14 @@ func (r Reader) Root() pager.PageID { return r.t.root }
 // ReadNode fetches a node for query processing, charging one page access to
 // the store and to the reader's tracker.
 func (r Reader) ReadNode(id pager.PageID) (*Node, error) {
-	return r.t.readNode(id, r.tr)
+	return r.t.readNode(id, r.tr, nil)
+}
+
+// ReadNodeInto is ReadNode without the allocations: it returns the cached
+// node when the tree serves id from its node cache, and otherwise decodes
+// the page into buf, reusing buf's Entries and coordinate storage, and
+// returns buf. Either way the node is read-only, and it is valid only until
+// the next read into buf: a caller that keeps anything of it copies it.
+func (r Reader) ReadNodeInto(id pager.PageID, buf *Node) (*Node, error) {
+	return r.t.readNode(id, r.tr, buf)
 }

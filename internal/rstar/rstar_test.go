@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -423,5 +424,150 @@ func TestSetDirectMemoryAfterRestore(t *testing.T) {
 	}
 	if decoded == direct {
 		t.Fatal("read after SetDirectMemory(false) still served from cache")
+	}
+}
+
+// finalizedTree bulk-loads n random d-dim points onto small pages, so the
+// tree has branch and leaf levels, and finalizes it.
+func finalizedTree(t *testing.T, n, d int, opts Options) (*Tree, *pager.Store) {
+	t.Helper()
+	store := pager.NewStore(512)
+	tree, err := New(store, d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(randomPoints(rand.New(rand.NewSource(int64(n+d))), n, d), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return tree, store
+}
+
+// TestDecodedBoundsAreCapped: every coordinate of a decoded page shares one
+// slab, so an append to one entry's bound must reallocate rather than
+// overwrite the next entry's.
+func TestDecodedBoundsAreCapped(t *testing.T) {
+	tree, _ := finalizedTree(t, 300, 3, Options{})
+	if tree.Height() < 2 {
+		t.Fatalf("height %d: no branch level to check", tree.Height())
+	}
+	branch, err := tree.ReadNode(tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := tree.ReadNode(branch.Entries[0].Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Node{branch, leaf} {
+		for i := 0; i+1 < len(n.Entries); i++ {
+			next := n.Entries[i+1].Rect.Clone()
+			hi := n.Entries[i].Rect.Hi.Clone()
+			_ = append(n.Entries[i].Rect.Lo, -1)
+			_ = append(n.Entries[i].Rect.Hi, -1)
+			if !n.Entries[i+1].Rect.Lo.Equal(next.Lo) || !n.Entries[i+1].Rect.Hi.Equal(next.Hi) {
+				t.Fatalf("level %d: append to entry %d's bounds changed entry %d to %v, was %v",
+					n.Level, i, i+1, n.Entries[i+1].Rect, next)
+			}
+			if !n.Entries[i].Rect.Hi.Equal(hi) {
+				t.Fatalf("level %d: append to entry %d's Lo changed its Hi to %v, was %v", n.Level, i, n.Entries[i].Rect.Hi, hi)
+			}
+		}
+	}
+}
+
+// TestReadNodeInto: on a tree serving from its node cache ReadNodeInto
+// returns the cached node and leaves the buffer alone; on one that decodes
+// it returns the buffer, reused page after page, holding what ReadNode
+// decodes.
+func TestReadNodeInto(t *testing.T) {
+	tree, store := finalizedTree(t, 400, 2, Options{DirectMemory: true})
+	var buf Node
+	rd := tree.Reader(nil)
+	cached, err := tree.ReadNode(tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rd.ReadNodeInto(tree.Root(), &buf); err != nil || got != cached {
+		t.Fatalf("direct tree: ReadNodeInto returned %p (%v), want the cached node %p", got, err, cached)
+	}
+	if buf.Entries != nil {
+		t.Fatal("direct tree: ReadNodeInto decoded into the buffer")
+	}
+
+	tree.SetDirectMemory(false)
+	var tr pager.Tracker
+	rd = tree.Reader(&tr)
+	reads := 0
+	err = store.ForEachPage(func(id pager.PageID, _ []byte) error {
+		want, err := tree.ReadNode(id)
+		if err != nil {
+			return err
+		}
+		got, err := rd.ReadNodeInto(id, &buf)
+		if err != nil {
+			return err
+		}
+		reads++
+		if got != &buf {
+			t.Fatalf("page %d: ReadNodeInto did not decode into the buffer", id)
+		}
+		if got.ID != want.ID || got.Level != want.Level || !reflect.DeepEqual(got.Entries, want.Entries) {
+			t.Fatalf("page %d: ReadNodeInto %+v, ReadNode %+v", id, *got, *want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Reads() != int64(reads) {
+		t.Fatalf("%d ReadNodeInto calls charged %d page reads", reads, tr.Reads())
+	}
+}
+
+// TestRestoreThenMutate: a restored tree's construction cache is decoded
+// into per-page slabs, and inserts and deletes — splits, reinserts and
+// condensing moving entries between nodes — keep it a valid tree.
+func TestRestoreThenMutate(t *testing.T) {
+	built, src := finalizedTree(t, 600, 3, Options{})
+	store := pager.NewStore(src.PageSize())
+	err := src.ForEachPage(func(id pager.PageID, data []byte) error { return store.Restore(id, data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Restore(store, 3, built.Root(), built.Height(), built.Size(), Options{DirectMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []Item
+	err = built.Walk(func(it Item) bool {
+		items = append(items, Item{Point: it.Point.Clone(), RecordID: it.RecordID})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i, p := range randomPoints(rng, 400, 3) {
+		if err := tree.Insert(p, int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, it := range items[:300] {
+		ok, err := tree.Delete(it.Point, it.RecordID)
+		if err != nil || !ok {
+			t.Fatalf("delete of record %d: %v, %v", it.RecordID, ok, err)
+		}
+	}
+	if err := tree.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(600 + 400 - 300); tree.Size() != want {
+		t.Fatalf("size %d, want %d", tree.Size(), want)
 	}
 }

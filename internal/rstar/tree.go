@@ -138,10 +138,12 @@ func (t *Tree) node(id pager.PageID) *Node {
 // Use Tree.Reader to additionally attribute the access to a per-query
 // tracker.
 func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
-	return t.readNode(id, nil)
+	return t.readNode(id, nil, nil)
 }
 
-func (t *Tree) readNode(id pager.PageID, tr *pager.Tracker) (*Node, error) {
+// readNode serves a read from the node cache or decodes the page into buf
+// (a new node when nil).
+func (t *Tree) readNode(id pager.PageID, tr *pager.Tracker, buf *Node) (*Node, error) {
 	data, err := t.src.ReadTracked(id, tr)
 	if err != nil {
 		return nil, err
@@ -151,7 +153,13 @@ func (t *Tree) readNode(id pager.PageID, tr *pager.Tracker) (*Node, error) {
 			return n, nil
 		}
 	}
-	return decodeNode(id, data)
+	if buf == nil {
+		buf = new(Node)
+	}
+	if err := buf.decode(id, data); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Insert adds a point with the given record ID.

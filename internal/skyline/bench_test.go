@@ -68,7 +68,8 @@ func replay(b *testing.B, m interface {
 }
 
 // BenchmarkExpand replays the recorded queries on a warm Maintainer, as the
-// engine's pooled state does. pops/op is the heap pops of one replay.
+// engine's pooled state does. pops/op is the heap pops of one replay and
+// searches/op its staircase binary searches (none at d = 4).
 func BenchmarkExpand(b *testing.B) {
 	for _, r := range expandReplays {
 		b.Run(r.name, func(b *testing.B) {
@@ -83,6 +84,7 @@ func BenchmarkExpand(b *testing.B) {
 				replay(b, m, seq)
 			}
 			b.ReportMetric(float64(m.pops), "pops/op")
+			b.ReportMetric(float64(m.searches), "searches/op")
 			b.ReportMetric(float64(m.Accessed()), "records/op")
 		})
 	}

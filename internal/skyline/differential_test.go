@@ -152,6 +152,43 @@ func sumTieInput() diffInput {
 	return diffInput{name: "sum_tie_dominance", pts: pts, focal: pts[9], focalID: 9, noBrute: true}
 }
 
+// neighbourInput is d = 2 only, built against Expand's neighbour rule: a
+// band five levels deep of a 1/16 lattice, so that points share
+// coordinates exactly, with every point of the top level three times over
+// and others twice at random. Released entries then meet duplicates of the
+// expanded member on either side, neighbours at their own x or y, and the
+// ends of the staircase. With tie the band also holds sumTieInput's pair,
+// which breaks the staircase, so the same shapes run through the fallback.
+// Every record is incomparable to the focal.
+func neighbourInput(tie bool) diffInput {
+	name := "neighbour_rule"
+	var pts []vecmath.Point
+	if tie {
+		name += "_sum_tie"
+		pts = append(pts, sumTieInput().pts[:2]...)
+	}
+	rng := rand.New(rand.NewSource(16))
+	var band []vecmath.Point
+	for i := 1; i <= 15; i++ {
+		for j := 1; j <= 15; j++ {
+			if i+j < 12 || i+j > 16 {
+				continue
+			}
+			copies := 1 + rng.Intn(2)
+			if i+j == 16 {
+				copies = 3
+			}
+			for ; copies > 0; copies-- {
+				band = append(band, vecmath.Point{float64(i) / 16, float64(j) / 16})
+			}
+		}
+	}
+	rng.Shuffle(len(band), func(i, j int) { band[i], band[j] = band[j], band[i] })
+	pts = append(append(pts, band...), vecmath.Point{0.99, 0.01})
+	focal := len(pts) - 1
+	return diffInput{name: name, pts: pts, focal: pts[focal], focalID: int64(focal), noBrute: tie}
+}
+
 func recordIDs(recs []Record) []int64 {
 	out := make([]int64, len(recs))
 	for i, r := range recs {
@@ -225,6 +262,9 @@ func driveBoth(t *testing.T, in diffInput, tree *rstar.Tree, seed int64) {
 		if !slices.Equal(refLive, gotLive) {
 			t.Fatalf("step %d %s: live set %v, oracle %v", step, what, gotLive, refLive)
 		}
+		if err := got.checkHolders(); err != nil {
+			t.Fatalf("step %d %s: %v", step, what, err)
+		}
 		if !in.noBrute && (step < 4 || step%5 == 0) {
 			if want := bruteSkyline(in.pts, in.focal, in.focalID, expanded); !equalSets(gotLive, want) {
 				t.Fatalf("step %d %s: live set %v is not the brute-force skyline (%d members)", step, what, gotLive, len(want))
@@ -291,6 +331,21 @@ func driveBoth(t *testing.T, in diffInput, tree *rstar.Tree, seed int64) {
 // usedMaintainer is the Maintainer driveBoth resets again and again.
 var usedMaintainer Maintainer
 
+// checkHolders walks every live member's parked chain: the holder must
+// dominate each entry on it. Expand's neighbour rule is sound only while
+// this holds, since it assumes c ≤ r for every c parked under r.
+func (m *Maintainer) checkHolders() error {
+	for _, member := range m.live {
+		for e := m.slots[member].parked; e >= 0; e = m.slots[e].next {
+			if !dominates(m.point(member), m.point(e)) {
+				return fmt.Errorf("entry %d %v parked under member %d %v, which does not dominate it",
+					m.slots[e].id, m.point(e), m.slots[member].id, m.point(member))
+			}
+		}
+	}
+	return nil
+}
+
 func TestDifferentialAgainstReference(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		var inputs []diffInput
@@ -306,7 +361,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		}
 		inputs = append(inputs, degenerateInputs(d, int64(7*d))...)
 		if d == 2 {
-			inputs = append(inputs, sumTieInput())
+			inputs = append(inputs, sumTieInput(), neighbourInput(false), neighbourInput(true))
 		}
 		for _, in := range inputs {
 			for _, fromRecords := range []bool{false, true} {
@@ -320,6 +375,12 @@ func TestDifferentialAgainstReference(t *testing.T) {
 						tree = smallPageTree(t, in.pts)
 					}
 					for seed := int64(1); seed <= 4; seed++ {
+						if seed == 3 && tree != nil {
+							// The rest decode every page into the
+							// maintainer's scratch node; seed 4's
+							// maintainer arrives with that node poisoned.
+							tree.SetDirectMemory(false)
+						}
 						driveBoth(t, in, tree, seed)
 					}
 				})
@@ -344,5 +405,113 @@ func TestSumTieBreaksStaircase(t *testing.T) {
 	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 	if len(live) < 2 || live[0] != 0 || live[1] != 1 {
 		t.Fatalf("first skyline %v: want records 0 and 1 both live", live)
+	}
+}
+
+// TestNeighbourInputReachesEveryCase pins what neighbourInput is for: over
+// expansions of the first, the last and a random staircase member, the
+// entries released meet every case the neighbour rule tells apart.
+func TestNeighbourInputReachesEveryCase(t *testing.T) {
+	in := neighbourInput(false)
+	tree := smallPageTree(t, in.pts)
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 4; seed++ {
+		m, err := New(tree, in.focal, in.focalID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Skyline(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; len(m.live) > 0 && step < 300; step++ {
+			pos := rng.Intn(len(m.live))
+			switch step % 3 {
+			case 0:
+				pos = 0
+			case 1:
+				pos = len(m.live) - 1
+			}
+			if !m.stairs {
+				t.Fatal("the neighbour input broke the staircase")
+			}
+			m.tallyNeighbours(pos, seen)
+			if _, err := m.Expand(m.slots[m.live[pos]].id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("released entries by case: %v", seen)
+	for _, c := range []string{"no L", "no R", "L duplicates r", "R duplicates r", "L.x == c.x", "R.y == c.y"} {
+		if seen[c] == 0 {
+			t.Errorf("no entry released with %s", c)
+		}
+	}
+}
+
+// TestNeighbourRuleQueuesNoDominatedEntry holds the neighbour rule to the
+// searches it replaces in the other direction from checkHolders: an entry
+// it queues that some live member dominates would cost a heap pop. A
+// maintainer whose staircase is switched off, and so re-examines released
+// entries against every live member, must pop exactly as often, call by
+// call, and surface the same records.
+func TestNeighbourRuleQueuesNoDominatedEntry(t *testing.T) {
+	pts := dataset.Generate(dataset.ANTI, 900, 2, 11)
+	inputs := append(degenerateInputs(2, 14), neighbourInput(false),
+		diffInput{name: "ANTI", pts: pts, focal: pts[300], focalID: 300})
+	for _, in := range inputs {
+		tree := smallPageTree(t, in.pts)
+		for seed := int64(1); seed <= 3; seed++ {
+			var stairs, flat Maintainer
+			for _, m := range []*Maintainer{&stairs, &flat} {
+				if err := m.Reset(context.Background(), tree.Reader(nil), in.focal, in.focalID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flat.stairs = false
+			same := func(what string, a, b []Record, errA, errB error) {
+				t.Helper()
+				if errA != nil || errB != nil {
+					t.Fatalf("%s %s: %v, %v", in.name, what, errA, errB)
+				}
+				if !slices.Equal(recordIDs(a), recordIDs(b)) || stairs.pops != flat.pops {
+					t.Fatalf("%s seed %d %s: staircase surfaced %v in %d pops, scan %v in %d",
+						in.name, seed, what, recordIDs(a), stairs.pops, recordIDs(b), flat.pops)
+				}
+			}
+			a, errA := stairs.Skyline()
+			b, errB := flat.Skyline()
+			same("Skyline", a, b, errA, errB)
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 200 && len(stairs.live) > 0; step++ {
+				id := stairs.slots[stairs.live[rng.Intn(len(stairs.live))]].id
+				a, errA := stairs.Expand(id)
+				b, errB := flat.Expand(id)
+				same(fmt.Sprintf("Expand(%d)", id), a, b, errA, errB)
+			}
+		}
+	}
+}
+
+// tallyNeighbours counts, for each entry parked under the member at pos,
+// the neighbour cases Expand's re-examination will meet.
+func (m *Maintainer) tallyNeighbours(pos int, seen map[string]int) {
+	r := m.point(m.live[pos])
+	for e := m.slots[m.live[pos]].parked; e >= 0; e = m.slots[e].next {
+		c := m.point(e)
+		if pos == 0 {
+			seen["no L"]++
+		} else if l := m.point(m.live[pos-1]); l.Equal(r) {
+			seen["L duplicates r"]++
+		} else if l[0] == c[0] {
+			seen["L.x == c.x"]++
+		}
+		if pos == len(m.live)-1 {
+			seen["no R"]++
+		} else if rr := m.point(m.live[pos+1]); rr.Equal(r) {
+			seen["R duplicates r"]++
+		} else if rr[1] == c[1] {
+			seen["R.y == c.y"]++
+		}
 	}
 }

@@ -23,9 +23,11 @@
 // observable: the entry is re-examined whenever its holder is expanded, and
 // its holder is always a live dominator, so the last of its dominators to
 // be expanded is necessarily its holder at that moment. The maintainer
-// uses that freedom twice: it parks under whichever dominator its search
-// finds first, and it parks an entry the moment it is seen to be dominated
-// — released by an Expand, or arriving from a node read — without a trip
+// uses that freedom twice. It parks under whichever dominator is cheapest
+// to find: the first its search meets, or, for an entry released by the
+// expansion of a staircase member, one of that member's two neighbours (see
+// Expand). And it parks an entry the moment it is seen to be dominated —
+// released by an Expand, or arriving from a node read — without a trip
 // through the heap, because the live set only grows during a drain and the
 // pop would have found it dominated still. (Equal-key nodes could be read
 // in either order for the same reason — a node read adds no member, and
@@ -39,7 +41,9 @@
 // compact list of slab indexes. At d = 2 the live skyline is a staircase —
 // ascending x is descending y — so the list is kept sorted by x and "does a
 // live member dominate this corner" is one binary search and one
-// comparison; at d ≥ 3 it is a scan of the live members.
+// comparison, or, for a released entry, no search at all; at d ≥ 3 it is a
+// scan of the live members. Node pages are decoded into one scratch node
+// the maintainer owns, since every point it keeps is copied into its slab.
 package skyline
 
 import (
@@ -103,7 +107,10 @@ type Maintainer struct {
 
 	accessed int64 // records touched (for the n_a statistic)
 	pops     int64 // heap pops, for the layer benchmark
+	searches int64 // staircase binary searches, for the layer benchmark
 	err      error // sticky: the slab outgrew slabLimit
+
+	node rstar.Node // decode scratch for the pages the maintainer reads
 }
 
 // slabLimit bounds the entry slab, whose indexes are int32. A variable so
@@ -155,7 +162,7 @@ func (m *Maintainer) Reset(ctx context.Context, rd rstar.Reader, focal vecmath.P
 	m.rd = rd
 	m.focal = append(m.focal, focal...)
 	m.focalID = focalID
-	root, err := rd.ReadNode(rd.Root())
+	root, err := rd.ReadNodeInto(rd.Root(), &m.node)
 	if err != nil {
 		return err
 	}
@@ -187,7 +194,7 @@ func (m *Maintainer) reset(ctx context.Context, dim int) {
 	m.slots, m.coords, m.heap = m.slots[:0], m.coords[:0], m.heap[:0]
 	m.live, m.out = m.live[:0], m.out[:0]
 	m.stairs = dim == 2
-	m.accessed, m.pops, m.err = 0, 0, nil
+	m.accessed, m.pops, m.searches, m.err = 0, 0, 0, nil
 }
 
 // Release drops the query's context and reader, so that a pooled
@@ -203,6 +210,13 @@ func (m *Maintainer) Poison() {
 	fill(m.heap, handle{math.NaN(), -1, -1, true})
 	fill(m.live, -1)
 	fill(m.focal, math.NaN())
+	m.node.ID, m.node.Level = -1, -1
+	ents := m.node.Entries[:cap(m.node.Entries)]
+	for i := range ents {
+		fill(ents[i].Rect.Lo, math.NaN())
+		fill(ents[i].Rect.Hi, math.NaN())
+		ents[i].Child, ents[i].RecordID, ents[i].Count = -1, -1, -1
+	}
 }
 
 func fill[T any](s []T, v T) {
@@ -234,6 +248,14 @@ func (m *Maintainer) Accessed() int64 { return m.accessed }
 // Expand removes an active skyline record, re-examines the entries parked
 // under it, then drains the heap. It returns the skyline records that the
 // expansion uncovered, on the terms Skyline states.
+//
+// On a staircase the re-examination needs no search. Every entry c parked
+// under the removed member r satisfies c ≤ r, so only r's neighbours can
+// hold it. L, the member now left of r's position pos, has L.y ≥ r.y ≥ c.y:
+// it dominates c exactly when L.x ≥ c.x, and every member before it lies
+// further left. The members R from pos on have R.x ≥ r.x ≥ c.x: one
+// dominates c exactly when R.y ≥ c.y, and the first has the largest y.
+// Neither L nor R can equal c, which would make c a duplicate of r.
 func (m *Maintainer) Expand(id int64) ([]Record, error) {
 	pos := slices.IndexFunc(m.live, func(ref int32) bool { return m.slots[ref].id == id })
 	if pos < 0 {
@@ -243,9 +265,21 @@ func (m *Maintainer) Expand(id int64) ([]Record, error) {
 	m.live = slices.Delete(m.live, pos, pos+1) // in order: the staircase stays one
 	e := m.slots[member].parked
 	m.slots[member].parked = -1
+	if !m.stairs { // two loops: a test inside one slows d ≥ 3 by a twentieth
+		for e >= 0 {
+			next := m.slots[e].next
+			m.admit(e)
+			e = next
+		}
+		return m.drain()
+	}
 	for e >= 0 {
 		next := m.slots[e].next
-		m.admit(e)
+		c, from := m.point(e), pos
+		if pos > 0 && m.coords[int(m.live[pos-1])*2] >= c[0] {
+			from = pos - 1
+		}
+		m.place(e, m.stairDominator(c, from))
 		e = next
 	}
 	return m.drain()
@@ -265,7 +299,7 @@ func (m *Maintainer) drain() ([]Record, error) {
 			continue
 		}
 		if h.isNode {
-			node, err := m.rd.ReadNode(pager.PageID(h.id))
+			node, err := m.rd.ReadNodeInto(pager.PageID(h.id), &m.node)
 			if err != nil {
 				return nil, err
 			}
@@ -336,8 +370,11 @@ func grow[T any](s []T, n int) []T {
 
 // admit parks an entry under a live member that dominates it, or, when
 // there is none, queues it for the drain.
-func (m *Maintainer) admit(ref int32) {
-	if dom := m.dominator(m.point(ref)); dom >= 0 {
+func (m *Maintainer) admit(ref int32) { m.place(ref, m.dominator(m.point(ref))) }
+
+// place parks an entry under dom, or queues it when dom is -1.
+func (m *Maintainer) place(ref, dom int32) {
+	if dom >= 0 {
 		m.park(dom, ref)
 		return
 	}
@@ -367,10 +404,16 @@ func (m *Maintainer) dominator(c vecmath.Point) int32 {
 		return -1
 	}
 	// Of the members with x >= c's the first has the largest y, so it
-	// dominates c if any does — unless it *is* c, a duplicate, which
-	// dominates nothing at its own position; whatever follows the
-	// duplicates decides then.
-	for i := m.firstFrom(c[0]); i < len(m.live); i++ {
+	// dominates c if any does.
+	return m.stairDominator(c, m.firstFrom(c[0]))
+}
+
+// stairDominator returns the staircase member at position i if it
+// dominates c, or -1, given that no member from i on lies at x < c's. A
+// member that *is* c, a duplicate, dominates nothing at its own position;
+// whatever follows the duplicates decides then.
+func (m *Maintainer) stairDominator(c vecmath.Point, i int) int32 {
+	for ; i < len(m.live); i++ {
 		if p := m.point(m.live[i]); p[0] != c[0] || p[1] != c[1] {
 			if p[1] >= c[1] {
 				return m.live[i]
@@ -384,6 +427,7 @@ func (m *Maintainer) dominator(c vecmath.Point) int32 {
 // firstFrom returns the position of the first live member with x >= x0 in
 // the staircase.
 func (m *Maintainer) firstFrom(x0 float64) int {
+	m.searches++
 	lo, hi := 0, len(m.live)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
