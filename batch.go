@@ -25,8 +25,7 @@ import (
 // batch of those runs exactly as without the option. Results are
 // bit-identical to independent execution at any group size; the Stats
 // fields that legitimately differ (IO charges the shared scan once per
-// member, the scheduling-dependent work counters) are documented on
-// Result. The default is off.
+// member) are documented on Result. The default is off.
 func WithBatchSharing(on bool) EngineOption {
 	return func(c *engineConfig) { c.batchShare = on }
 }
@@ -144,14 +143,6 @@ func (e *Engine) runShared(ctx context.Context, focalIndexes []int, cfg *queryCo
 	if workers < 1 {
 		workers = 1
 	}
-	// Shared-prefix groups claim the batch's worker budget: the intra-query
-	// budget is divided by the group workers actually running, exactly as
-	// the independent QueryBatch path divides it, so sharing composes with
-	// intra-query parallelism instead of multiplying it.
-	perQuery := e.queryParallel / workers
-	if perQuery < 1 {
-		perQuery = 1
-	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -167,7 +158,7 @@ func (e *Engine) runShared(ctx context.Context, focalIndexes []int, cfg *queryCo
 				if gi >= len(groups) || gctx.Err() != nil {
 					return
 				}
-				if e.runSharedGroup(gctx, groups[gi], cfg, strat, perQuery) {
+				if e.runSharedGroup(gctx, groups[gi], cfg, strat) {
 					cancel()
 					return
 				}
@@ -242,8 +233,7 @@ func (e *Engine) sharedGroupBounds() (vecmath.Point, vecmath.Point) {
 // groupByProximity buckets the unique queries of a shared run by a grid
 // of shareGridDiv cells per axis over [lo, hi] (the dataset's bounding
 // box, which contains every focal). Group order and membership order are
-// deterministic (first-seen), so the engine's work — and with it the
-// scheduling-dependent Stats counters at workers = 1 — is reproducible.
+// deterministic (first-seen), so the engine's work is reproducible.
 func groupByProximity(queue []*pendingQuery, lo, hi vecmath.Point) [][]*pendingQuery {
 	if len(queue) == 1 {
 		return [][]*pendingQuery{queue}
@@ -282,10 +272,10 @@ func groupByProximity(queue []*pendingQuery, lo, hi vecmath.Point) [][]*pendingQ
 // independent path (nothing to share); larger groups build the shared
 // prefix once and refine each member against its view. It reports whether
 // any member failed.
-func (e *Engine) runSharedGroup(ctx context.Context, group []*pendingQuery, cfg *queryConfig, strat core.Algorithm, workers int) bool {
+func (e *Engine) runSharedGroup(ctx context.Context, group []*pendingQuery, cfg *queryConfig, strat core.Algorithm) bool {
 	if len(group) == 1 {
 		p := group[0]
-		p.res, p.err = e.compute(ctx, p.focal, p.focalID, cfg, workers)
+		p.res, p.err = e.compute(ctx, p.focal, p.focalID, cfg)
 		return p.err != nil
 	}
 	focals := make([]vecmath.Point, len(group))
@@ -305,7 +295,6 @@ func (e *Engine) runSharedGroup(ctx context.Context, group []*pendingQuery, cfg 
 		in := e.ds.internalInput(p.focal, p.focalID, cfg)
 		in.Ctx = ctx
 		in.IO = tracker
-		in.Workers = workers
 		in.Shared = prefix.Focal(i)
 		res, err := strat.Run(in)
 		if err != nil {

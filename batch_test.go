@@ -78,11 +78,11 @@ func TestBatchSharingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := repro.NewEngine(ds, repro.WithParallelism(3), repro.WithQueryParallelism(2))
+		plain, err := repro.NewEngine(ds, repro.WithParallelism(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := repro.NewEngine(ds, repro.WithParallelism(3), repro.WithQueryParallelism(2), repro.WithBatchSharing(true))
+		shared, err := repro.NewEngine(ds, repro.WithParallelism(3), repro.WithBatchSharing(true))
 		if err != nil {
 			t.Fatal(err)
 		}

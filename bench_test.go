@@ -15,9 +15,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// benchQueries runs MaxRank for a fixed set of focal records. Compute
-// uses the engine defaults, so queries fan out over GOMAXPROCS intra-query
-// workers; BenchmarkQueryParallelism isolates that knob.
+// benchQueries runs MaxRank for a fixed set of focal records, one query
+// at a time on the benchmark goroutine.
 func benchQueries(b *testing.B, ds *repro.Dataset, opts ...repro.Option) {
 	b.Helper()
 	b.ReportAllocs()
@@ -27,36 +26,6 @@ func benchQueries(b *testing.B, ds *repro.Dataset, opts ...repro.Option) {
 		if _, err := repro.Compute(ds, focal, opts...); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkQueryParallelism measures how a single MaxRank query scales
-// with intra-query workers (IND, n = 2000, d = 4 — the heavy Fig8 shape):
-// identical focal sequence and bit-identical answers at every setting, so
-// ns/op ratios are pure parallel speedup. workers=1 is the sequential
-// baseline; the benchmark under bench/ reports the same ratio end to end as
-// core.parallel_speedup.
-func BenchmarkQueryParallelism(b *testing.B) {
-	ds, err := repro.GenerateDataset("IND", 2000, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := repro.NewEngine(ds, repro.WithQueryParallelism(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				focal := (i * 7919) % ds.Len()
-				if _, err := eng.Query(ctx, focal, repro.WithAlgorithm(repro.AA)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

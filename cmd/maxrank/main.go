@@ -8,7 +8,9 @@
 //	maxrank -data hotels.csv -focal 17 -tau 2 -alg aa -ids
 //	maxrank -data hotels.csv -batch 3,17,42 -parallel 4 # batch on a pool
 //	maxrank -data hotels.csv -focal 17 -timeout 5s      # bounded latency
-//	maxrank -data hotels.csv -focal 17 -query-parallel 8 # one query, 8 workers
+//
+// Each query runs on one goroutine; -parallel spreads a batch's queries
+// across cores.
 //
 // Snapshot subcommands (see docs/SNAPSHOTS.md):
 //
@@ -61,7 +63,6 @@ func main() {
 		showIDs   = flag.Bool("ids", false, "report the records outranking the focal per region")
 		maxShow   = flag.Int("regions", 10, "max regions to print")
 		parallel  = flag.Int("parallel", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		queryPar  = flag.Int("query-parallel", 0, "intra-query workers per query (0 = GOMAXPROCS, 1 = sequential)")
 		timeout   = flag.Duration("timeout", 0, "per-invocation deadline (0 = none)")
 	)
 	flag.Parse()
@@ -93,10 +94,7 @@ func main() {
 	}
 	opts := []repro.Option{repro.WithAlgorithm(alg), repro.WithTau(*tau), repro.WithOutrankIDs(*showIDs)}
 
-	eng, err := repro.NewEngine(ds,
-		repro.WithParallelism(*parallel),
-		repro.WithQueryParallelism(*queryPar),
-	)
+	eng, err := repro.NewEngine(ds, repro.WithParallelism(*parallel))
 	if err != nil {
 		fatal(err)
 	}

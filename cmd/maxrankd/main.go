@@ -55,7 +55,6 @@ type config struct {
 	normalize   bool
 	cacheCap    int
 	parallel    int
-	queryPar    int
 	resnapshot  bool
 	batchShare  bool
 	pageLatency time.Duration
@@ -112,7 +111,6 @@ func (c *config) walPolicy() wal.SyncPolicy {
 func (c *config) engineOptions() []repro.EngineOption {
 	return []repro.EngineOption{
 		repro.WithParallelism(c.parallel),
-		repro.WithQueryParallelism(c.queryPar),
 		repro.WithCache(c.cacheCap),
 		repro.WithBatchSharing(c.batchShare),
 	}
@@ -322,13 +320,6 @@ func main() {
 	flag.BoolVar(&cfg.normalize, "normalize", false, "min-max normalise attributes to [0,1] (with -data)")
 	flag.IntVar(&cfg.cacheCap, "cache", 4096, "per-dataset result cache capacity in entries (0 disables)")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	// The daemon serves many requests concurrently, so its default
-	// parallelism axis is ACROSS queries; each in-flight request staying
-	// sequential keeps N concurrent requests at ~N busy goroutines
-	// instead of N x GOMAXPROCS. Deployments dominated by single heavy
-	// queries opt in with -query-parallel 0 (= GOMAXPROCS) or an
-	// explicit worker count; see docs/PERFORMANCE.md.
-	flag.IntVar(&cfg.queryPar, "query-parallel", 1, "intra-query workers per query (0 = GOMAXPROCS, 1 = sequential)")
 	flag.BoolVar(&cfg.resnapshot, "resnapshot", false, "write each mutated dataset back to <data-dir>/<name>.snap (with -data-dir)")
 	mmapOn := flag.Bool("mmap", true, "serve format-v2 snapshots zero-copy via a read-only memory mapping (false = decode onto the heap)")
 	flag.BoolVar(&cfg.wal, "wal", false, "write-ahead log mutations to <data-dir>/<name>.wal and replay them over snapshots at startup (with -data-dir)")

@@ -71,7 +71,7 @@ func TestBuildRegistryFromSnapshotDir(t *testing.T) {
 		}
 		f.Close()
 	}
-	cfg := config{dataDir: dir, cacheCap: 16, queryPar: 1}
+	cfg := config{dataDir: dir, cacheCap: 16}
 	reg, err := cfg.buildRegistry(log.New(io.Discard, "", 0), nil)
 	if err != nil {
 		t.Fatal(err)

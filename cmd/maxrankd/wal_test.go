@@ -135,7 +135,7 @@ func TestBuildRegistryReplaysWAL(t *testing.T) {
 	base := walTestDataset(t, dir, "hotels")
 	want := appendChain(t, dir, "hotels", base, 1, 3)
 
-	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16, queryPar: 1}
+	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16}
 	for restart := 0; restart < 2; restart++ {
 		walMgr := newWALManager(dir, wal.SyncAlways, 0, log.New(io.Discard, "", 0))
 		reg, err := cfg.buildRegistry(log.New(io.Discard, "", 0), walMgr)
@@ -170,7 +170,7 @@ func TestBuildRegistryRefusesMismatchedWAL(t *testing.T) {
 	}
 	appendChain(t, dir, "hotels", other, 1, 2)
 
-	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16, queryPar: 1}
+	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16}
 	walMgr := newWALManager(dir, wal.SyncAlways, 0, log.New(io.Discard, "", 0))
 	defer walMgr.Close()
 	_, err = cfg.buildRegistry(log.New(io.Discard, "", 0), walMgr)
@@ -193,7 +193,7 @@ func TestBuildRegistryCompactsSnapshottedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16, queryPar: 1}
+	cfg := config{dataDir: dir, wal: true, walSync: "always", cacheCap: 16}
 	walMgr := newWALManager(dir, wal.SyncAlways, 0, log.New(io.Discard, "", 0))
 	reg, err := cfg.buildRegistry(log.New(io.Discard, "", 0), walMgr)
 	if err != nil {

@@ -40,7 +40,6 @@ func main() {
 		queries  = flag.Int("q", 0, "focal records per measurement (0 = scale default)")
 		seed     = flag.Int64("seed", 0, "base seed (0 = fixed default)")
 		parallel = flag.Int("parallel", 1, "engine worker pool per measurement (>1 trades CPU-time fidelity for wall-clock speed)")
-		queryPar = flag.Int("query-parallel", 1, "intra-query workers per query (1 = sequential, paper-faithful counters)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -65,12 +64,11 @@ func main() {
 		want[strings.TrimSpace(name)] = true
 	}
 	cfg := exp.Config{
-		Scale:         exp.Scale(*scale),
-		Queries:       *queries,
-		Seed:          *seed,
-		Out:           os.Stdout,
-		Parallel:      *parallel,
-		QueryParallel: *queryPar,
+		Scale:    exp.Scale(*scale),
+		Queries:  *queries,
+		Seed:     *seed,
+		Out:      os.Stdout,
+		Parallel: *parallel,
 	}
 	start := time.Now()
 	ran := 0

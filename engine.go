@@ -32,14 +32,13 @@ import (
 // in pooled execution states inside the core package — so one Engine (and
 // one Dataset) serves an arbitrary number of goroutines.
 type Engine struct {
-	ds            *Dataset
-	parallel      int
-	queryParallel int
-	batchShare    bool
-	defaults      []Option
-	cacheCap      int // as configured, so Apply can equip successors alike
-	cache         *cache.Cache[*Result]
-	queries       atomic.Int64
+	ds         *Dataset
+	parallel   int
+	batchShare bool
+	defaults   []Option
+	cacheCap   int // as configured, so Apply can equip successors alike
+	cache      *cache.Cache[*Result]
+	queries    atomic.Int64
 
 	// boundsOnce/dsLo/dsHi lazily cache the dataset bounding box that
 	// anchors the batch-sharing proximity grid (see sharedGroupBounds).
@@ -52,7 +51,6 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	parallel      int
-	queryParallel int
 	batchShare    bool
 	defaults      []Option
 	cacheCapacity int
@@ -61,33 +59,20 @@ type engineConfig struct {
 // WithParallelism bounds the worker pool used by QueryBatch (and any other
 // engine-initiated fan-out). The default is runtime.GOMAXPROCS(0). It does
 // not limit direct Query calls, which run on the caller's goroutine.
+//
+// Parallelism is across queries only: every query, in a batch or not, runs
+// on one goroutine.
 func WithParallelism(n int) EngineOption {
 	return func(c *engineConfig) { c.parallel = n }
 }
 
-// WithQueryParallelism bounds the *intra-query* parallelism: the number of
-// goroutines one query may fan its cell-processing core out to (quad-tree
-// leaf enumeration in BA and every AA iteration; the d = 2 algorithms, FCA
-// and AA2D, enumerate no leaves and are sequential at every setting). The
-// default is runtime.GOMAXPROCS(0); 1 keeps the fully sequential per-query
-// path.
+// WithQueryParallelism does nothing: every query runs on one goroutine.
 //
-// The answer — regions, ranks, witnesses, Stats.IO — is bit-identical at
-// every setting. Only the work counters (Stats.LPCalls, LeavesProcessed,
-// LeavesPruned) become scheduling-dependent above 1, because a worker may
-// enumerate a leaf before a better interim bound would have pruned it;
-// runs that need exactly reproducible counters (paper experiments) should
-// set 1.
-//
-// Direct Query / QueryPoint calls use the full budget. QueryBatch divides
-// it by the number of batch workers actually running (never below 1), so
-// the two defaults compose to roughly GOMAXPROCS busy goroutines instead
-// of multiplying to GOMAXPROCS². Deployments that want a different split
-// set the knobs explicitly: batch-heavy workloads get their parallelism
-// across queries (query parallelism 1), latency-sensitive single queries
-// get it within the query.
-func WithQueryParallelism(n int) EngineOption {
-	return func(c *engineConfig) { c.queryParallel = n }
+// Deprecated: parallelism is across queries only (WithParallelism,
+// concurrent Query calls). The option remains only so existing callers
+// compile.
+func WithQueryParallelism(int) EngineOption {
+	return func(*engineConfig) {}
 }
 
 // WithQueryDefaults sets query options applied to every query before the
@@ -131,10 +116,7 @@ func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if cfg.parallel <= 0 {
 		cfg.parallel = runtime.GOMAXPROCS(0)
 	}
-	if cfg.queryParallel <= 0 {
-		cfg.queryParallel = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{ds: ds, parallel: cfg.parallel, queryParallel: cfg.queryParallel, batchShare: cfg.batchShare, defaults: cfg.defaults, cacheCap: cfg.cacheCapacity}
+	e := &Engine{ds: ds, parallel: cfg.parallel, batchShare: cfg.batchShare, defaults: cfg.defaults, cacheCap: cfg.cacheCapacity}
 	if cfg.cacheCapacity > 0 {
 		e.cache = cache.New[*Result](cfg.cacheCapacity)
 	}
@@ -146,9 +128,6 @@ func (e *Engine) Dataset() *Dataset { return e.ds }
 
 // Parallelism returns the batch worker-pool bound.
 func (e *Engine) Parallelism() int { return e.parallel }
-
-// QueryParallelism returns the intra-query worker bound.
-func (e *Engine) QueryParallelism() int { return e.queryParallel }
 
 // EngineStats is a point-in-time snapshot of an engine's serving
 // counters. The json tags fix the wire schema served by the repro/server
@@ -190,16 +169,13 @@ func (e *Engine) Stats() EngineStats {
 
 // Query runs MaxRank for the dataset record with the given index. The
 // context's cancellation and deadline are honoured inside the algorithm
-// loops; a cancelled query returns ctx.Err() promptly.
+// loops; a cancelled query returns ctx.Err() promptly. The query runs on
+// the caller's goroutine.
 func (e *Engine) Query(ctx context.Context, focalIndex int, opts ...Option) (*Result, error) {
-	return e.query(ctx, focalIndex, opts, e.queryParallel)
-}
-
-func (e *Engine) query(ctx context.Context, focalIndex int, opts []Option, workers int) (*Result, error) {
 	if focalIndex < 0 || focalIndex >= len(e.ds.points) {
 		return nil, fmt.Errorf("repro: focal index %d out of range [0,%d): %w", focalIndex, len(e.ds.points), ErrBadQuery)
 	}
-	return e.run(ctx, e.ds.points[focalIndex], int64(focalIndex), opts, workers)
+	return e.run(ctx, e.ds.points[focalIndex], int64(focalIndex), opts)
 }
 
 // QueryOpts is Query in struct form: the options arrive as one
@@ -207,7 +183,7 @@ func (e *Engine) query(ctx context.Context, focalIndex int, opts []Option, worke
 // build their configuration from data (API handlers, config files) use
 // this; both forms share every code path and return identical results.
 func (e *Engine) QueryOpts(ctx context.Context, focalIndex int, o QueryOptions) (*Result, error) {
-	return e.query(ctx, focalIndex, []Option{o.option()}, e.queryParallel)
+	return e.Query(ctx, focalIndex, o.option())
 }
 
 // QueryPointOpts is QueryPoint in struct form; see QueryOpts.
@@ -229,7 +205,7 @@ func (e *Engine) QueryPoint(ctx context.Context, record []float64, opts ...Optio
 			return nil, fmt.Errorf("repro: focal attribute %d is %v; coordinates must be finite: %w", i, v, ErrBadQuery)
 		}
 	}
-	return e.run(ctx, vecmath.Point(record).Clone(), -1, opts, e.queryParallel)
+	return e.run(ctx, vecmath.Point(record).Clone(), -1, opts)
 }
 
 // QueryBatchOpts is QueryBatch in struct form; see QueryOpts.
@@ -241,9 +217,7 @@ func (e *Engine) QueryBatchOpts(ctx context.Context, focalIndexes []int, o Query
 // bounded by the engine's parallelism, returning results in input order.
 // The first query error cancels the remaining work and is returned (wrapped
 // with the offending focal index); likewise ctx cancellation aborts the
-// whole batch. The engine's intra-query parallelism is divided across the
-// batch workers (see WithQueryParallelism), so a batch does not
-// oversubscribe the machine.
+// whole batch. Each query runs on one batch worker.
 func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Option) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,14 +235,6 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 	workers := e.parallel
 	if workers > len(focalIndexes) {
 		workers = len(focalIndexes)
-	}
-	// Divide the intra-query budget across the batch workers (never below
-	// 1): with both knobs at their GOMAXPROCS defaults a batch keeps about
-	// GOMAXPROCS goroutines busy rather than GOMAXPROCS². Results do not
-	// depend on the worker count, so the division is invisible in answers.
-	perQuery := e.queryParallel / workers
-	if perQuery < 1 {
-		perQuery = 1
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -295,7 +261,7 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 				if i >= len(focalIndexes) || ctx.Err() != nil {
 					return
 				}
-				res, err := e.query(ctx, focalIndexes[i], opts, perQuery)
+				res, err := e.Query(ctx, focalIndexes[i], opts...)
 				if err != nil {
 					fail(fmt.Errorf("repro: batch query for focal %d: %w", focalIndexes[i], err))
 					return
@@ -315,20 +281,18 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 }
 
 // run executes one query: it resolves options against the engine defaults,
-// consults the result cache (when enabled), and otherwise computes with
-// the given intra-query worker budget. The budget never shapes the
-// answer, so it is not part of the cache key.
-func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, opts []Option, workers int) (*Result, error) {
+// consults the result cache (when enabled), and otherwise computes.
+func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, opts []Option) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.queries.Add(1)
 	cfg := e.queryConfig(opts)
 	if e.cache == nil {
-		return e.compute(ctx, focal, focalID, &cfg, workers)
+		return e.compute(ctx, focal, focalID, &cfg)
 	}
 	res, hit, err := e.cache.Do(ctx, e.cacheKey(focal, focalID, &cfg), func() (*Result, error) {
-		return e.compute(ctx, focal, focalID, &cfg, workers)
+		return e.compute(ctx, focal, focalID, &cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -394,7 +358,7 @@ func (e *Engine) cacheKey(focal vecmath.Point, focalID int64, cfg *queryConfig) 
 
 // compute executes one query for real: it picks the strategy and
 // attributes I/O to a per-query tracker.
-func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64, cfg *queryConfig, workers int) (*Result, error) {
+func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64, cfg *queryConfig) (*Result, error) {
 	strat, err := cfg.Algorithm.strategy()
 	if err != nil {
 		return nil, err
@@ -406,7 +370,6 @@ func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64
 	in := e.ds.internalInput(focal, focalID, cfg)
 	in.Ctx = ctx
 	in.IO = tracker
-	in.Workers = workers
 	res, err := strat.Run(in)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -184,9 +185,69 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestQueryParallelismMatchesSequential pins the deprecated
+// WithQueryParallelism shim as a no-op: for every algorithm on every
+// benchmark distribution, an engine built with WithQueryParallelism(8)
+// returns exactly what an engine built without it returns — regions,
+// ranks, witnesses and every Stats field but CPUTime. It goes when the
+// shim does.
+func TestQueryParallelismMatchesSequential(t *testing.T) {
+	type tcase struct {
+		dist string
+		n, d int
+		alg  repro.Algorithm
+		tau  int
+	}
+	var cases []tcase
+	for _, dist := range []string{"IND", "COR", "ANTI"} {
+		for _, tau := range []int{0, 2} {
+			cases = append(cases,
+				tcase{dist, 1000, 2, repro.FCA, tau},
+				tcase{dist, 1000, 2, repro.AA, tau}, // d=2: the AA2D specialisation
+				tcase{dist, 400, 3, repro.BA, tau},
+				tcase{dist, 400, 3, repro.AA, tau},
+			)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/d=%d/%v/tau=%d", tc.dist, tc.d, tc.alg, tc.tau), func(t *testing.T) {
+			t.Parallel()
+			ds, err := repro.GenerateDataset(tc.dist, tc.n, tc.d, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := repro.NewEngine(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shim, err := repro.NewEngine(ds, repro.WithQueryParallelism(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			opts := []repro.Option{repro.WithAlgorithm(tc.alg), repro.WithTau(tc.tau), repro.WithOutrankIDs(true)}
+			for q := 0; q < 4; q++ {
+				focal := (q*797 + 13) % ds.Len()
+				want, err := plain.Query(ctx, focal, opts...)
+				if err != nil {
+					t.Fatalf("focal %d: %v", focal, err)
+				}
+				got, err := shim.Query(ctx, focal, opts...)
+				if err != nil {
+					t.Fatalf("focal %d with the shim: %v", focal, err)
+				}
+				if !reflect.DeepEqual(answerOf(got), answerOf(want)) {
+					t.Fatalf("focal %d: WithQueryParallelism(8) changed the result\n got: %+v\nwant: %+v", focal, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestQueryCancellation checks both flavours of promptness: a
 // pre-cancelled context fails immediately, and cancelling an expensive
-// in-flight query makes it return long before it would have finished.
+// in-flight d = 3 AA query mid-expansion makes it return long before it
+// would have finished.
 func TestQueryCancellation(t *testing.T) {
 	ds, _ := get10k(t)
 	eng, err := repro.NewEngine(ds)
@@ -227,6 +288,65 @@ func TestQueryCancellation(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancelled query took %v to return", elapsed)
+	}
+
+	// The 50ms deadline lands in the dominator count, which reads the first
+	// 6 of the query's 23 pages. Cancelling at 120ms lands after it, in AA's
+	// skyline build and expansion; the query cannot finish before 230ms of
+	// page waits.
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(120*time.Millisecond, cancel)
+	start = time.Now()
+	_, err = slowEng.Query(ctx, 17)
+	elapsed = time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("query cancelled mid-expansion returned %v, want context.Canceled", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("query cancelled mid-expansion took %v to return", elapsed)
+	}
+}
+
+// TestQueryParallelCancellationMidExpansion cancels several d = 3 AA
+// queries running in parallel on one engine, each on its own goroutine,
+// while their expansions are in flight: one shared cancel must stop all of
+// them, each returning context.Canceled long before its uncancelled
+// runtime. Page latency makes every query deterministically slow, as in
+// TestQueryCancellation.
+func TestQueryParallelCancellationMidExpansion(t *testing.T) {
+	slow, err := repro.GenerateDataset("IND", 2000, 3, 42, repro.WithPageLatency(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := repro.NewEngine(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	focals := []int{17, 101, 503, 997}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, len(focals))
+	start := time.Now()
+	for _, focal := range focals {
+		go func(focal int) {
+			_, err := eng.Query(ctx, focal, repro.WithAlgorithm(repro.AA))
+			done <- err
+		}(focal)
+	}
+	time.AfterFunc(120*time.Millisecond, cancel)
+	timeout := time.After(10 * time.Second)
+	for range focals {
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled parallel query returned %v, want context.Canceled", err)
+			}
+		case <-timeout:
+			t.Fatal("a cancelled parallel query never returned")
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
 }
 
@@ -322,8 +442,10 @@ func TestEngineValidation(t *testing.T) {
 }
 
 // BenchmarkQueryBatch measures batch throughput at different worker-pool
-// sizes over the same 64 focal records used by the acceptance test. The
-// in-memory series scales with physical cores; the simulated-disk series
+// sizes over the same 64 focal records used by the acceptance test. Each
+// query runs on one goroutine, so parallel=1 is the fully sequential
+// baseline and the in-memory series scales with physical cores; the
+// simulated-disk series
 // (5 ms per page access, the paper's disk-resident scenario) shows the
 // engine overlapping I/O waits — parallel=4 must beat parallel=1 by well
 // over 1.5x wall-clock even on a single core.

@@ -68,36 +68,6 @@ func ExampleWithCache() {
 	// hits = 1, misses = 1
 }
 
-// ExampleWithQueryParallelism fans one query out across intra-query
-// workers. The answer is bit-identical to the sequential run — only wall
-// time (and the scheduling-dependent work counters) change — so the two
-// engines below agree exactly.
-func ExampleWithQueryParallelism() {
-	ds := figure1()
-	sequential, err := repro.NewEngine(ds, repro.WithQueryParallelism(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	parallel, err := repro.NewEngine(ds, repro.WithQueryParallelism(8))
-	if err != nil {
-		log.Fatal(err)
-	}
-	seq, err := sequential.Query(context.Background(), 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	par, err := parallel.Query(context.Background(), 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sequential: k* = %d in %d regions\n", seq.KStar, len(seq.Regions))
-	fmt.Printf("parallel:   k* = %d in %d regions, same witnesses: %v\n",
-		par.KStar, len(par.Regions), par.Regions[0].Witness[0] == seq.Regions[0].Witness[0])
-	// Output:
-	// sequential: k* = 3 in 2 regions
-	// parallel:   k* = 3 in 2 regions, same witnesses: true
-}
-
 // ExampleEngine_Apply mutates the Figure 1 market: the top competitor r1
 // retires and a weak new product launches, so the focal record's best
 // rank improves from 3rd to 2nd in the successor version while the

@@ -72,14 +72,9 @@ func main() {
 
 	// Serving many queries? Hold an Engine: queries run concurrently
 	// against the shared index, batches fan out over a worker pool, and a
-	// context bounds the latency of the whole batch. Batch throughput
-	// wants parallelism ACROSS queries, so WITHIN each query stays
-	// sequential here; a lone heavy query on idle cores would instead use
-	// repro.WithQueryParallelism (see docs/PERFORMANCE.md).
-	eng, err := repro.NewEngine(big,
-		repro.WithParallelism(4),
-		repro.WithQueryParallelism(1),
-	)
+	// context bounds the latency of the whole batch. Each query runs on one
+	// goroutine; parallelism is across queries (see docs/PERFORMANCE.md).
+	eng, err := repro.NewEngine(big, repro.WithParallelism(4))
 	if err != nil {
 		log.Fatal(err)
 	}

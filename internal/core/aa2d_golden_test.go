@@ -109,8 +109,10 @@ func pinState(st *execState) func() {
 // TestAA2DGolden holds AA2D to answers dumped before its loop and the
 // skyline maintainer under it were rewritten: k*, every region's interval
 // to the bit and in order, OutrankIDs, and the iteration, half-line,
-// record and page counts — at one worker and eight, on a state never used
-// before and on one a larger d = 4 query has just left behind.
+// record and page counts — on a state never used before and on one a
+// larger d = 4 query has just left behind. Each mode runs with the
+// deprecated Input.Workers at 1 and at 8, pinning that the field is
+// ignored; the workers8 runs go when the field does.
 func TestAA2DGolden(t *testing.T) {
 	inputs := aa2dGoldenInputs(t)
 	if *updateAA2D {

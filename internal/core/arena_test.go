@@ -55,36 +55,34 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 			algs = []Algorithm{StrategyAA2D}
 		}
 		for _, alg := range algs {
-			for _, workers := range []int{1, 4} {
-				for focal := 0; focal < 4; focal++ {
-					in := Input{
-						Tree: tree, Focal: points[focal], FocalID: int64(focal),
-						Tau: 1, CollectRecordIDs: true, Workers: workers,
+			for focal := 0; focal < 4; focal++ {
+				in := Input{
+					Tree: tree, Focal: points[focal], FocalID: int64(focal),
+					Tau: 1, CollectRecordIDs: true,
+				}
+				res, err := alg.Run(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := printed(res)
+				releaseHook = func(st *execState) { st.qt.Poison(); st.sky.Poison(); st.aa2d.poison() }
+				got, err := alg.Run(in)
+				releaseHook = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				if printed(got) != want {
+					t.Fatalf("%s d=%d focal %d: result changed when its state was poisoned on release\n got  %s\n want %s",
+						alg.Name(), d, focal, printed(got), want)
+				}
+				for i, reg := range got.Regions {
+					if o := directOrderAt(points, focal, reg.Witness); o != reg.Order {
+						t.Errorf("%s d=%d focal %d region %d: witness scores order %d, region claims %d",
+							alg.Name(), d, focal, i, o, reg.Order)
 					}
-					res, err := alg.Run(in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := printed(res)
-					releaseHook = func(st *execState) { st.qt.Poison(); st.sky.Poison(); st.aa2d.poison() }
-					got, err := alg.Run(in)
-					releaseHook = nil
-					if err != nil {
-						t.Fatal(err)
-					}
-					if printed(got) != want {
-						t.Fatalf("%s d=%d workers=%d focal %d: result changed when its state was poisoned on release\n got  %s\n want %s",
-							alg.Name(), d, workers, focal, printed(got), want)
-					}
-					for i, reg := range got.Regions {
-						if o := directOrderAt(points, focal, reg.Witness); o != reg.Order {
-							t.Errorf("%s d=%d focal %d region %d: witness scores order %d, region claims %d",
-								alg.Name(), d, focal, i, o, reg.Order)
-						}
-						for _, h := range reg.Constraints {
-							if !h.Contains(reg.Witness) {
-								t.Errorf("%s d=%d focal %d region %d: witness outside constraint %v", alg.Name(), d, focal, i, h)
-							}
+					for _, h := range reg.Constraints {
+						if !h.Contains(reg.Witness) {
+							t.Errorf("%s d=%d focal %d region %d: witness outside constraint %v", alg.Name(), d, focal, i, h)
 						}
 					}
 				}

@@ -82,17 +82,11 @@ func baRun(in Input) (*Result, error) {
 }
 
 // foundCell is a non-empty arrangement cell discovered during the leaf
-// loop, annotated with its leaf and total order. pos and seq form the
-// cell's deterministic key — the leaf's index in the ascending-|Fl| claim
-// order and the cell's sequence within the leaf's enumeration — which the
-// parallel path sorts by so that merged worker output is bit-identical to
-// the sequential scan.
+// loop, annotated with its leaf and total order.
 type foundCell struct {
 	leaf  quadtree.Leaf
 	cell  cellenum.Cell
 	order int // |Fl| + p-order
-	pos   int // leaf index in the ascending-|Fl| order
-	seq   int // cell index within the leaf's enumeration
 }
 
 // containingRefs returns the indices (into the quad-tree's half-space
@@ -144,9 +138,7 @@ func (e *leafCacheEntry) validFor(maxW, tau int) bool {
 // by the best order found so far plus τ. A non-negative orderCap
 // additionally bounds collection (AA passes its current accurate optimum
 // o*), and AA sets useCache so unchanged leaves are not re-enumerated
-// across its iterations. When Input.Workers > 1 the loop fans out across
-// a worker set claiming leaves in the same priority order (see
-// collectCellsParallel); the answer is bit-identical either way.
+// across its iterations.
 //
 // The returned cell list aliases st.cells; callers must finish with it
 // before the state is released. The context is polled once per leaf.
@@ -155,9 +147,6 @@ func (e *leafCacheEntry) validFor(maxW, tau int) bool {
 // which only happens when the whole arrangement lies outside the domain)
 // and all cells with order <= min(best, orderCap) + τ.
 func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stats, orderCap int, st *execState, useCache bool) (int, []foundCell, error) {
-	if in.Workers > 1 {
-		return collectCellsParallel(ctx, qt, in, stats, orderCap, st, useCache, in.Workers)
-	}
 	st.leaves = qt.AppendLeaves(st.leaves[:0])
 	order := st.sortLeavesByFullCount(st.leaves)
 	total := len(order)
@@ -185,12 +174,12 @@ func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stat
 		if b := bound(); b >= 0 {
 			maxW = b + in.Tau - leaf.FullCount()
 		}
-		out, hit := st.cacheLookup(leaf, maxW, in.Tau, useCache, false)
+		out, hit := st.cacheLookup(leaf, maxW, in.Tau, useCache)
 		if !hit {
-			out = enumerateLeaf(qt, in, leaf, maxW, &st.enum, &st.partial)
+			out = st.enumerateLeaf(qt, in, leaf, maxW)
 			stats.LeavesProcessed++
 			stats.LPCalls += int64(out.LPCalls)
-			st.cacheStore(leaf, out, useCache, false)
+			st.cacheStore(leaf, out, useCache)
 		}
 		for _, cell := range out.Cells {
 			order := leaf.FullCount() + cell.POrder()
@@ -208,12 +197,10 @@ func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stat
 	return best, st.cells, nil
 }
 
-// sortLeavesByFullCount stable-sorts the leaves into ascending-|Fl| claim
+// sortLeavesByFullCount stable-sorts the leaves into ascending-|Fl| scan
 // order via a counting sort over the pooled bucket headers (overwriting
 // them with append would discard the inner slices' capacity — the point
-// of pooling them). Both the sequential scan and the parallel claim queue
-// use exactly this order; keeping it in one place is what keeps them
-// bit-identical.
+// of pooling them).
 func (st *execState) sortLeavesByFullCount(leaves []quadtree.Leaf) []quadtree.Leaf {
 	maxFC := 0
 	for _, l := range leaves {
@@ -242,17 +229,16 @@ func (st *execState) sortLeavesByFullCount(leaves []quadtree.Leaf) []quadtree.Le
 }
 
 // enumerateLeaf runs the within-leaf module on one leaf: it assembles the
-// partial half-space set into the caller's recycled buffer and enumerates
+// partial half-space set into the state's recycled buffer and enumerates
 // with the canonical configuration — including the (node ID, version)
-// seed that makes every leaf's output deterministic regardless of which
-// worker processes it.
-func enumerateLeaf(qt *quadtree.Tree, in *Input, leaf quadtree.Leaf, maxW int, enum *cellenum.Enumerator, partial *[]geom.Halfspace) cellenum.Result {
-	p := (*partial)[:0]
+// seed that makes every leaf's output deterministic.
+func (st *execState) enumerateLeaf(qt *quadtree.Tree, in *Input, leaf quadtree.Leaf, maxW int) cellenum.Result {
+	p := st.partial[:0]
 	for _, hsIdx := range leaf.Partial() {
 		p = append(p, qt.Ref(hsIdx).H)
 	}
-	*partial = p
-	return enum.Enumerate(leaf.Box(), p, cellenum.Config{
+	st.partial = p
+	return st.enum.Enumerate(leaf.Box(), p, cellenum.Config{
 		MaxWeight: maxW,
 		Extra:     in.Tau,
 		Seed:      int64(leaf.NodeID())<<16 + int64(leaf.Version()),
@@ -260,14 +246,10 @@ func enumerateLeaf(qt *quadtree.Tree, in *Input, leaf quadtree.Leaf, maxW int, e
 }
 
 // cacheLookup probes the AA leaf cache for an enumeration that answers
-// (maxW, tau); locked guards the map for concurrent workers.
-func (st *execState) cacheLookup(leaf quadtree.Leaf, maxW, tau int, useCache, locked bool) (cellenum.Result, bool) {
+// (maxW, tau).
+func (st *execState) cacheLookup(leaf quadtree.Leaf, maxW, tau int, useCache bool) (cellenum.Result, bool) {
 	if !useCache {
 		return cellenum.Result{}, false
-	}
-	if locked {
-		st.cacheMu.Lock()
-		defer st.cacheMu.Unlock()
 	}
 	if ent, ok := st.cache[leaf.NodeID()]; ok && ent.version == leaf.Version() && ent.validFor(maxW, tau) {
 		return ent.out, true
@@ -276,13 +258,9 @@ func (st *execState) cacheLookup(leaf quadtree.Leaf, maxW, tau int, useCache, lo
 }
 
 // cacheStore records a completed (non-truncated) enumeration.
-func (st *execState) cacheStore(leaf quadtree.Leaf, out cellenum.Result, useCache, locked bool) {
+func (st *execState) cacheStore(leaf quadtree.Leaf, out cellenum.Result, useCache bool) {
 	if !useCache || out.Truncated {
 		return
-	}
-	if locked {
-		st.cacheMu.Lock()
-		defer st.cacheMu.Unlock()
 	}
 	st.cache[leaf.NodeID()] = leafCacheEntry{version: leaf.Version(), out: out}
 }

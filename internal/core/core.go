@@ -44,17 +44,10 @@ type Input struct {
 	// CollectRecordIDs materialises, for each result region, the IDs of the
 	// incomparable records that outrank p there (the paper's R_c set).
 	CollectRecordIDs bool
-	// Workers bounds the intra-query parallelism of the cell-processing
-	// core: BA's leaf loop and each AA iteration fan out across up to
-	// Workers goroutines claiming leaves (in the same ascending-|Fl|
-	// priority order as the sequential code) from a shared queue. Values
-	// <= 1 keep the fully sequential path; FCA and AA2D, which enumerate
-	// no leaves, are sequential at every setting. The
-	// answer — regions, ranks, witnesses, Stats.IO — is bit-identical at
-	// every setting; only the work counters (LPCalls, LeavesProcessed,
-	// LeavesPruned) become scheduling-dependent, because parallel workers
-	// may enumerate a leaf before a better interim bound would have
-	// pruned or capped it.
+	// Workers is ignored: every query runs on its caller's goroutine.
+	//
+	// Deprecated: queries are sequential; run several queries at once for
+	// parallelism. The field remains only so existing callers compile.
 	Workers int
 	// Shared, when non-nil, is this focal's view of a group prefix built by
 	// BuildGroupPrefix: the dominator count and the incomparable set come
@@ -145,12 +138,7 @@ type Stats struct {
 	IncomparableAccessed int64
 	// HalfspacesInserted counts half-spaces threaded into the arrangement.
 	HalfspacesInserted int
-	// LPCalls counts half-space-intersection feasibility tests. Under
-	// intra-query parallelism (Input.Workers > 1) this and the leaf
-	// counters below depend on goroutine scheduling: a worker may
-	// enumerate a leaf under a stale (wider) interim bound that the
-	// sequential code would already have tightened. The answer itself
-	// stays bit-identical.
+	// LPCalls counts half-space-intersection feasibility tests.
 	LPCalls int64
 	// LeavesProcessed / LeavesPruned count within-leaf invocations vs leaves
 	// skipped by the |Fl| bound.

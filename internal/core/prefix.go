@@ -30,8 +30,8 @@ import (
 //   - everything else (the residual fringe between the two corners) is
 //     classified per focal with an exact vecmath.Compare.
 //
-// Subtrees prune exactly as in the per-query scan: an MBR with Hi <= glo
-// is skipped outright, and an MBR with Lo >= ghi contributes its
+// Index subtrees prune exactly as in the per-query scan: an MBR with
+// Hi <= glo is skipped outright, and an MBR with Lo >= ghi contributes its
 // aggregate record count to the shared dominator counter without being
 // read. The tighter the group clusters, the closer the pass is to a
 // single query's scan.
@@ -40,12 +40,9 @@ import (
 // CountDominators and scanIncomparable would produce (the focal record
 // itself, when part of the dataset, classifies as Same and drops out), so
 // downstream arrangement construction — and therefore regions, ranks and
-// witnesses — is bit-identical to independent execution. Two kinds of
-// Stats fields legitimately differ and are documented on Result: IO
-// (members report the shared scan's pages, each member charging the full
-// scan once) and the scheduling-dependent work counters (LPCalls,
-// LeavesProcessed, LeavesPruned) whenever bounds tighten in a different
-// order.
+// witnesses — is bit-identical to independent execution. Stats.IO
+// legitimately differs, as documented on Result: members report the
+// shared scan's pages, each member charging the full scan once.
 //
 // The prefix always materialises every member's incomparable set — what BA
 // and FCA scan per query anyway, so the group pays one pass instead of one

@@ -14,17 +14,13 @@ import (
 // stripVolatileStats zeroes the Stats fields that the shared-prefix
 // contract allows to differ from independent execution (documented on
 // GroupPrefix): IO and IncomparableAccessed reflect how the incomparable
-// set was obtained, CPUTime is wall time, and the work counters are
-// scheduling/bound-order dependent. Everything else — the answer — must
-// be bit-identical.
+// set was obtained, and CPUTime is wall time. Everything else — the answer
+// and the work counters — must be bit-identical.
 func stripVolatileStats(res *Result) *Result {
 	cp := *res
 	cp.Stats.CPUTime = 0
 	cp.Stats.IO = 0
 	cp.Stats.IncomparableAccessed = 0
-	cp.Stats.LPCalls = 0
-	cp.Stats.LeavesProcessed = 0
-	cp.Stats.LeavesPruned = 0
 	return &cp
 }
 

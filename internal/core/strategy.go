@@ -106,50 +106,19 @@ func (bruteStrategy) Run(in Input) (*Result, error) { return bruteRun(in) }
 // largest query it ever ran (≈20 MB of slabs after a heavy d = 4 focal),
 // for the lifetime of the process.
 //
-// Under intra-query parallelism every worker goroutine operates on its own
-// execShard (its own enumerator, LP tableaus, partial-set buffer, cell
-// list and stats), so the only cross-worker state is the claim indexes,
-// the shared interim bound and the mutex-guarded AA leaf cache.
+// A state belongs to exactly one query, and a query runs on its caller's
+// goroutine, so nothing in it is shared or locked.
 type execState struct {
 	sky     skyline.Maintainer // AA's and AA2D's skyline of unexpanded records
 	aa2d    aa2dState          // AA2D's arrangement and iteration buffers
 	qt      quadtree.Tree      // BA's and AA's arrangement; its Leaf handles point back here
 	cells   []foundCell
 	buckets [][]quadtree.Leaf
-	leaves  []quadtree.Leaf // leaf gather buffer (sequential + parallel)
-	order   []quadtree.Leaf // ascending-|Fl| claim order (parallel)
+	leaves  []quadtree.Leaf // leaf gather buffer, in DFS order
+	order   []quadtree.Leaf // the same leaves in ascending-|Fl| order
 	cache   leafCache
-	cacheMu sync.Mutex // guards cache when workers share it
 	enum    cellenum.Enumerator
 	partial []geom.Halfspace
-	shards  []*execShard
-}
-
-// execShard is the per-worker slice of an execState.
-type execShard struct {
-	enum    cellenum.Enumerator
-	partial []geom.Halfspace
-	cells   []foundCell
-	leaves  []quadtree.Leaf
-	segs    []leafSeg
-	stats   Stats
-	visited int
-}
-
-// leafSeg records which slice of a shard's gathered leaves came from which
-// claimed subtree, so the deterministic merge can reassemble global DFS
-// order.
-type leafSeg struct {
-	sub        int
-	start, end int
-}
-
-// ensureShards sizes the state's shard set for n workers.
-func (st *execState) ensureShards(n int) []*execShard {
-	for len(st.shards) < n {
-		st.shards = append(st.shards, &execShard{})
-	}
-	return st.shards[:n]
 }
 
 func newExecState() *execState { return &execState{cache: make(leafCache)} }
@@ -206,20 +175,11 @@ func releaseState(st *execState) {
 	// query's half-spaces and enumeration output for the list's lifetime.
 	// Leaf handles only point back into the state's own tree, so the leaf
 	// buffers and buckets stay as they are; their users truncate them. The
-	// enumerator Resets drop the references their constraint scratch holds
+	// enumerator's Reset drops the references its constraint scratch holds
 	// into the query's half-spaces while keeping the numeric arenas.
 	st.cells = clearTail(st.cells)
 	st.partial = clearTail(st.partial)
 	st.enum.Reset()
-	for _, sh := range st.shards {
-		sh.cells = clearTail(sh.cells)
-		sh.leaves = sh.leaves[:0]
-		sh.partial = clearTail(sh.partial)
-		sh.segs = sh.segs[:0]
-		sh.stats = Stats{}
-		sh.visited = 0
-		sh.enum.Reset()
-	}
 	if releaseHook != nil {
 		releaseHook(st)
 	}

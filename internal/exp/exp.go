@@ -38,11 +38,6 @@ type Config struct {
 	// this size (<= 1 keeps the sequential, paper-faithful timing; larger
 	// values trade per-query CPU fidelity for wall-clock speed).
 	Parallel int
-	// QueryParallel sets the intra-query worker count (<= 1 keeps the
-	// sequential per-query path, whose cost counters exactly reproduce the
-	// paper's algorithms; larger values show how a single query scales
-	// with cores, at the price of scheduling-dependent LP/leaf counters).
-	QueryParallel int
 }
 
 func (c *Config) defaults() {
@@ -86,13 +81,8 @@ func runQueries(ds *repro.Dataset, cfg *Config, opts ...repro.Option) (Metrics, 
 	if parallel <= 0 {
 		parallel = 1
 	}
-	queryParallel := cfg.QueryParallel
-	if queryParallel <= 0 {
-		queryParallel = 1 // paper-faithful: exact, reproducible cost counters
-	}
 	eng, err := repro.NewEngine(ds,
 		repro.WithParallelism(parallel),
-		repro.WithQueryParallelism(queryParallel),
 		repro.WithQueryDefaults(opts...))
 	if err != nil {
 		return Metrics{}, err

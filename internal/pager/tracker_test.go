@@ -87,10 +87,9 @@ func TestConcurrentTrackedReads(t *testing.T) {
 	}
 }
 
-// TestSharedTrackerConcurrentWorkers models intra-query parallelism: the
-// workers of ONE query all charge the query's single tracker. The total
-// must be exact — per-query I/O attribution may not drift under
-// concurrency — and concurrent Reads snapshots must never exceed the
+// TestSharedTrackerConcurrentWorkers holds Tracker to its "safe for
+// concurrent use" promise: several goroutines charge ONE tracker. The
+// total must be exact and concurrent Reads snapshots must never exceed the
 // final sum.
 func TestSharedTrackerConcurrentWorkers(t *testing.T) {
 	s := NewStore(64)

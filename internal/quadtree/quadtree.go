@@ -482,65 +482,23 @@ func (t *Tree) Leaves() []Leaf { return t.AppendLeaves(nil) }
 // extended slice. Passing a recycled buffer keeps repeated leaf scans —
 // one per AA iteration — allocation-free.
 func (t *Tree) AppendLeaves(dst []Leaf) []Leaf {
-	return Subtree{t: t}.AppendLeaves(dst)
+	return t.appendSubtree(dst, 0, 0)
 }
 
-// Subtree is a handle to one quad-tree subtree together with the
-// full-containment count inherited from its ancestors. The subtrees
-// returned by Tree.Subtrees partition the tree's leaves, so parallel leaf
-// processors can claim whole subtrees as units of work.
-type Subtree struct {
-	t         *Tree
-	n         int32
-	inherited int32
-}
-
-// AppendLeaves appends the subtree's leaves (with exact |F_l| counts) to
-// dst in deterministic depth-first order and returns the extended slice.
-func (s Subtree) AppendLeaves(dst []Leaf) []Leaf {
-	n := &s.t.nodes[s.n]
-	count := s.inherited + n.full.n
+// appendSubtree appends the leaves under node ni, whose ancestors fully
+// contain inherited half-spaces, in depth-first order.
+func (t *Tree) appendSubtree(dst []Leaf, ni, inherited int32) []Leaf {
+	n := &t.nodes[ni]
+	count := inherited + n.full.n
 	if n.child < 0 {
-		return append(dst, Leaf{t: s.t, n: s.n, fullCount: count})
+		return append(dst, Leaf{t: t, n: ni, fullCount: count})
 	}
-	for _, c := range s.t.children[n.child : int(n.child)+1<<uint(s.t.dr)] {
+	for _, c := range t.children[n.child : int(n.child)+1<<uint(t.dr)] {
 		if c >= 0 {
-			dst = Subtree{s.t, c, count}.AppendLeaves(dst)
+			dst = t.appendSubtree(dst, c, count)
 		}
 	}
 	return dst
-}
-
-// Subtrees splits the tree into at least min disjoint subtrees, as far as
-// the tree's shape allows, by breadth-first expansion of internal nodes.
-// The result is deterministic for a given tree and covers every leaf
-// exactly once; concatenating AppendLeaves over the returned subtrees in
-// order reproduces Leaves() exactly, so claimers that preserve subtree
-// order preserve the tree's canonical leaf order.
-func (t *Tree) Subtrees(min int) []Subtree {
-	cur := []Subtree{{t: t}}
-	for len(cur) < min {
-		next := make([]Subtree, 0, 2*len(cur))
-		split := false
-		for _, s := range cur {
-			n := &t.nodes[s.n]
-			if n.child < 0 {
-				next = append(next, s)
-				continue
-			}
-			for _, c := range t.children[n.child : int(n.child)+1<<uint(t.dr)] {
-				if c >= 0 {
-					next = append(next, Subtree{t, c, s.inherited + n.full.n})
-				}
-			}
-			split = true
-		}
-		cur = next
-		if !split {
-			break // all leaves: cannot split further
-		}
-	}
-	return cur
 }
 
 // Stats summarises the tree shape (used by experiments and tests).

@@ -212,49 +212,6 @@ func TestInvalidDimensions(t *testing.T) {
 	}
 }
 
-// TestSubtreesPartitionLeaves checks the work-claiming contract: Subtrees
-// partitions the leaves, and concatenating AppendLeaves over the subtrees
-// in order reproduces Leaves() exactly (same handles, same |Fl| counts).
-func TestSubtreesPartitionLeaves(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		dr := 1 + rng.Intn(3)
-		tree, err := New(dr, Options{MaxPartial: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 60; i++ {
-			a := make(vecmath.Point, dr)
-			for j := range a {
-				a[j] = rng.NormFloat64()
-			}
-			tree.Insert(&HalfspaceRef{H: geom.Halfspace{A: a, B: rng.NormFloat64() * 0.2}, RecordID: int64(i)})
-		}
-		want := tree.Leaves()
-		for _, min := range []int{1, 2, 7, 64, 1 << 20} {
-			subs := tree.Subtrees(min)
-			var got []Leaf
-			for _, s := range subs {
-				got = append(got, s.AppendLeaves(nil)...)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d min=%d: %d leaves via subtrees, want %d", trial, min, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].NodeID() != want[i].NodeID() || got[i].FullCount() != want[i].FullCount() {
-					t.Fatalf("trial %d min=%d leaf %d: (%d,%d) != (%d,%d)", trial, min, i,
-						got[i].NodeID(), got[i].FullCount(), want[i].NodeID(), want[i].FullCount())
-				}
-			}
-		}
-		// AppendLeaves into a recycled buffer matches too.
-		buf := make([]Leaf, 0, len(want))
-		if got := tree.AppendLeaves(buf[:0]); len(got) != len(want) {
-			t.Fatalf("trial %d: AppendLeaves %d != %d", trial, len(got), len(want))
-		}
-	}
-}
-
 // TestClassifyMatchesGeom holds the arena's kernel to geom's definition on
 // every node of random trees, with coefficients that are zero, negative
 // zero and of mixed sign, where the per-axis corner choice matters.
@@ -329,9 +286,8 @@ func TestArenaOverflowIsAnError(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersShareOneArena has several claimers walk one tree
-// at once, as core's parallel leaf loop does; under -race it shows that
-// the handles only read.
+// TestConcurrentReadersShareOneArena has several readers walk one tree at
+// once; under -race it shows that the handles only read.
 func TestConcurrentReadersShareOneArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	qt, err := New(3, Options{MaxPartial: 3})

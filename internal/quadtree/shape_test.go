@@ -50,7 +50,7 @@ func (c shapeCase) fill(t *Tree) {
 	}
 }
 
-// dumpShape renders every leaf in DFS order and the Subtrees(8) boundaries.
+// dumpShape renders every leaf in DFS order.
 func dumpShape(t *Tree) string {
 	var b strings.Builder
 	floats := func(vs []float64) string {
@@ -63,10 +63,6 @@ func dumpShape(t *Tree) string {
 	for _, l := range t.Leaves() {
 		fmt.Fprintf(&b, "leaf id=%d ver=%d fc=%d full=%v partial=%v lo=%s hi=%s\n",
 			l.NodeID(), l.Version(), l.FullCount(), l.Full(), l.Partial(), floats(l.Box().Lo), floats(l.Box().Hi))
-	}
-	for _, s := range t.Subtrees(8) {
-		ls := s.AppendLeaves(nil)
-		fmt.Fprintf(&b, "subtree first=%d leaves=%d\n", ls[0].NodeID(), len(ls))
 	}
 	return b.String()
 }

@@ -236,7 +236,6 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (*Engine, error) {
 	}
 	opts := []EngineOption{
 		WithParallelism(e.parallel),
-		WithQueryParallelism(e.queryParallel),
 		WithBatchSharing(e.batchShare),
 		WithCache(e.cacheCap),
 	}

@@ -280,13 +280,12 @@ func TestApplyLeavesReceiverServing(t *testing.T) {
 }
 
 // TestEngineApplyInheritsConfig: the successor engine carries the
-// parallelism knobs, query defaults and cache capacity of its parent, with
-// a cold cache.
+// parallelism, query defaults and cache capacity of its parent, with a cold
+// cache.
 func TestEngineApplyInheritsConfig(t *testing.T) {
 	ds := genDS(t, "IND", 80, 3)
 	eng, err := repro.NewEngine(ds,
 		repro.WithParallelism(3),
-		repro.WithQueryParallelism(2),
 		repro.WithCache(64),
 		repro.WithQueryDefaults(repro.WithTau(1)),
 	)
@@ -301,8 +300,8 @@ func TestEngineApplyInheritsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Parallelism() != 3 || next.QueryParallelism() != 2 {
-		t.Fatalf("parallelism (%d,%d), want (3,2)", next.Parallelism(), next.QueryParallelism())
+	if next.Parallelism() != 3 {
+		t.Fatalf("parallelism %d, want 3", next.Parallelism())
 	}
 	st := next.Stats()
 	if !st.CacheEnabled || st.CacheCapacity != 64 {
