@@ -52,24 +52,23 @@ func BenchmarkAblation_AAvsBA(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_DirectMemory compares the paper's two storage scenarios
-// on the same queries: decode-from-page (disk-resident) versus direct
-// in-memory node access; I/O counts are identical by construction.
-func BenchmarkAblation_DirectMemory(b *testing.B) {
-	base, err := repro.GenerateDataset("IND", 2000, 3, 1)
+// BenchmarkAblation_Storage compares the paper's two deployment scenarios
+// on the same queries. They are chosen by storage: a heap dataset serves
+// the index from its decoded node cache (main memory), and the same
+// dataset loaded from an mmap'd snapshot decodes every page it reads
+// (disk-resident). I/O counts are identical by construction.
+func BenchmarkAblation_Storage(b *testing.B) {
+	heap, err := repro.GenerateDataset("IND", 2000, 3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := make([][]float64, base.Len())
-	for i := range rows {
-		rows[i] = mustPoint(b, base, i)
+	mapped, err := repro.LoadSnapshotFile(writeV2File(b, heap))
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, direct := range []bool{true, false} {
-		ds, err := repro.NewDataset(rows, repro.WithDirectMemory(direct))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
+	defer mapped.Close()
+	for _, ds := range []*repro.Dataset{heap, mapped} {
+		b.Run(ds.Storage().Mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := repro.Compute(ds, (i*53)%ds.Len()); err != nil {

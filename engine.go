@@ -104,6 +104,12 @@ func WithCache(capacity int) EngineOption {
 // errors.Is(err, ErrBadQuery); serving layers map it to a client error.
 var ErrBadQuery = errors.New("invalid query")
 
+// ErrLeafTruncated marks a BA or AA query that failed rather than risk a k*
+// that is too high: a quad-tree leaf held more candidate cells than the
+// within-leaf enumeration examines, and one it left out could beat the
+// answer. Test with errors.Is(err, ErrLeafTruncated).
+var ErrLeafTruncated = core.ErrLeafTruncated
+
 // NewEngine creates a query engine over the dataset.
 func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if ds == nil {

@@ -7,7 +7,7 @@ import "repro/internal/vecmath"
 // MaxRank paper is defined against, answered by branch-and-bound over the
 // R*-tree without scanning the dataset.
 func (ds *Dataset) TopK(q []float64, k int) ([]int64, error) {
-	items, err := ds.tree.TopK(vecmath.Point(q), k)
+	items, err := ds.tree.Reader(nil).TopK(vecmath.Point(q), k)
 	if err != nil {
 		return nil, err
 	}

@@ -76,6 +76,9 @@ func aaRun(in Input) (*Result, error) {
 			return nil, err
 		}
 		if minO < 0 {
+			if len(st.truncated) > 0 { // its leaves hold cells it did not reach
+				return nil, fmt.Errorf("%w: no cell found", ErrLeafTruncated)
+			}
 			// Empty arrangement: no incomparable records; p is top everywhere.
 			finalCells = nil
 			oStar = 0
@@ -102,6 +105,13 @@ func aaRun(in Input) (*Result, error) {
 			}
 			for _, id := range pending {
 				expand[id] = true
+			}
+		}
+		if len(expand) == 0 {
+			// Only the last iteration's cells are the answer, and every leaf
+			// that truncated before was enumerated afresh in it.
+			if err := st.expandLeftOut(qt, oStar, expand); err != nil {
+				return nil, err
 			}
 		}
 		if len(expand) == 0 {

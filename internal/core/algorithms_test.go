@@ -18,7 +18,7 @@ func buildTree(t testing.TB, points []vecmath.Point) *rstar.Tree {
 		t.Fatal("buildTree: no points")
 	}
 	store := pager.NewStore(0)
-	tree, err := rstar.New(store, len(points[0]), rstar.Options{DirectMemory: true})
+	tree, err := rstar.New(store, len(points[0]), rstar.Options{})
 	if err != nil {
 		t.Fatalf("rstar.New: %v", err)
 	}
@@ -30,6 +30,27 @@ func buildTree(t testing.TB, points []vecmath.Point) *rstar.Tree {
 	}
 	store.ResetStats()
 	return tree
+}
+
+// mappedCopy serves the pages of a finalized heap tree through a read-only
+// pager.Mapped source, as a snapshot loaded from a file is served: the same
+// tree, decoding every page it reads.
+func mappedCopy(t testing.TB, tree *rstar.Tree) *rstar.Tree {
+	t.Helper()
+	var pages []pager.MappedPage
+	tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
+		pages = append(pages, pager.MappedPage{ID: id, Data: data})
+		return nil
+	})
+	src, err := pager.NewMapped(tree.Source().PageSize(), pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := rstar.RestoreFrom(src, tree.Dim(), tree.Root(), tree.Height(), tree.Size(), rstar.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ro
 }
 
 // directOrderAt computes the focal record's cell order (incomparable records

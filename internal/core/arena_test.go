@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/quadtree"
+	"repro/internal/rstar"
 	"repro/internal/skyline"
 )
 
@@ -170,33 +171,37 @@ func TestWarmArenaAllocations(t *testing.T) {
 // 1 250 records surfaced.
 const meanWideFocal = 2627
 
-// aa2dAllocBudget bounds a warm AA2D query at meanWideFocal on a heap
-// tree: the Result and its one region, the query's tracker, the range
-// counts' windows — nothing per iteration, half-line or skyline entry.
-// aa2dDiskAllocBudget bounds it on a tree that decodes every page it reads,
-// as a mapped snapshot does: the range counts' pages on top, three
-// allocations each, while the skyline decodes into its scratch node.
-const (
-	aa2dAllocBudget     = 12
-	aa2dDiskAllocBudget = 40
-)
+// aa2dAllocBudget bounds a warm AA2D query at meanWideFocal: the Result
+// and its one region, the query's tracker — nothing per iteration,
+// half-line, skyline entry or page. It holds on both storages: a heap tree
+// serves its cached nodes, and a mapped one decodes each page into the
+// skyline's or the walk's scratch.
+const aa2dAllocBudget = 12
 
 // TestWarmAA2DAllocations keeps AA2D's loop, the skyline maintainer and
-// its page decodes out of the allocator on a warm state, so the next stray
-// append fails here and not only in the benchmark.
+// its page decodes out of the allocator on a warm state, on a heap tree
+// and on a mapped copy of it, so the next stray append fails here and not
+// only in the benchmark.
 func TestWarmAA2DAllocations(t *testing.T) {
 	points := dataset.Generate(dataset.IND, 5000, 2, 20150832)
-	tree := buildTree(t, points)
-	in := Input{Tree: tree, Focal: points[meanWideFocal], FocalID: meanWideFocal}
-	res, err := aa2dRun(in) // warms every pooled buffer the query uses
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iterations < 20 || res.Stats.IncomparableAccessed < 1000 {
-		t.Errorf("%d iterations, %d records surfaced: not the wide_d2 query this guard is about",
-			res.Stats.Iterations, res.Stats.IncomparableAccessed)
-	}
-	warmAllocs := func() float64 {
+	heap := buildTree(t, points)
+	var want string
+	for _, tree := range []*rstar.Tree{heap, mappedCopy(t, heap)} {
+		storage := fmt.Sprintf("%T", tree.Source())
+		in := Input{Tree: tree, Focal: points[meanWideFocal], FocalID: meanWideFocal}
+		res, err := aa2dRun(in) // warms every pooled buffer the query uses
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Iterations < 20 || res.Stats.IncomparableAccessed < 1000 {
+			t.Errorf("%d iterations, %d records surfaced: not the wide_d2 query this guard is about",
+				res.Stats.Iterations, res.Stats.IncomparableAccessed)
+		}
+		if want == "" {
+			want = printed(res)
+		} else if printed(res) != want {
+			t.Fatalf("%s: answer differs from the heap tree's\n got  %s\n want %s", storage, printed(res), want)
+		}
 		n := math.Inf(1) // the fewest of several runs, as above
 		for i := 0; i < 8; i++ {
 			n = min(n, testing.AllocsPerRun(1, func() {
@@ -205,26 +210,10 @@ func TestWarmAA2DAllocations(t *testing.T) {
 				}
 			}))
 		}
-		return n
-	}
-	n := warmAllocs()
-	t.Logf("warm AA2D query: %.0f allocations (budget %d)", n, aa2dAllocBudget)
-	if n > aa2dAllocBudget {
-		t.Errorf("warm AA2D query: %.0f allocations, budget %d", n, aa2dAllocBudget)
-	}
-
-	tree.SetDirectMemory(false)
-	disk, err := aa2dRun(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if printed(disk) != printed(res) {
-		t.Fatalf("disk-resident answer differs\n got  %s\n want %s", printed(disk), printed(res))
-	}
-	n = warmAllocs()
-	t.Logf("warm disk-resident AA2D query: %.0f allocations (budget %d)", n, aa2dDiskAllocBudget)
-	if n > aa2dDiskAllocBudget {
-		t.Errorf("warm disk-resident AA2D query: %.0f allocations, budget %d", n, aa2dDiskAllocBudget)
+		t.Logf("%s: warm AA2D query: %.0f allocations (budget %d)", storage, n, aa2dAllocBudget)
+		if n > aa2dAllocBudget {
+			t.Errorf("%s: warm AA2D query: %.0f allocations, budget %d", storage, n, aa2dAllocBudget)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/cellenum"
@@ -49,7 +51,7 @@ func baRun(in Input) (*Result, error) {
 	}
 	var incs []incRec
 	err = in.eachIncomparable(ctx, rd, func(r vecmath.Point, id int64) error {
-		incs = append(incs, incRec{p: r, id: id})
+		incs = append(incs, incRec{p: r.Clone(), id: id})
 		return nil
 	})
 	if err != nil {
@@ -67,6 +69,9 @@ func baRun(in Input) (*Result, error) {
 
 	minOrder, cells, err := collectCells(ctx, qt, &in, &res.Stats, -1, st, false)
 	if err != nil {
+		return nil, err
+	}
+	if err := st.expandLeftOut(qt, minOrder, nil); err != nil { // BA's half-spaces are all singular
 		return nil, err
 	}
 	regions := make([]Region, 0, len(cells))
@@ -145,13 +150,16 @@ func (e *leafCacheEntry) validFor(maxW, tau int) bool {
 //
 // It returns the minimum cell order discovered (-1 when no cell exists,
 // which only happens when the whole arrangement lies outside the domain)
-// and all cells with order <= min(best, orderCap) + τ.
+// and all cells with order <= min(best, orderCap) + τ. Leaves whose
+// enumeration hit the candidate limit are listed in st.truncated for
+// expandLeftOut.
 func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stats, orderCap int, st *execState, useCache bool) (int, []foundCell, error) {
 	st.leaves = qt.AppendLeaves(st.leaves[:0])
 	order := st.sortLeavesByFullCount(st.leaves)
 	total := len(order)
 
 	best := -1 // min cell order found; -1 = nothing yet
+	st.truncated = st.truncated[:0]
 	bound := func() int {
 		b := orderCap
 		if best >= 0 && (b < 0 || best < b) {
@@ -179,6 +187,9 @@ func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stat
 			out = st.enumerateLeaf(qt, in, leaf, maxW)
 			stats.LeavesProcessed++
 			stats.LPCalls += int64(out.LPCalls)
+			if out.Truncated {
+				st.truncated = append(st.truncated, truncatedLeaf{leaf, leaf.FullCount() + out.CompleteUpTo + 1})
+			}
 			st.cacheStore(leaf, out, useCache)
 		}
 		for _, cell := range out.Cells {
@@ -228,22 +239,106 @@ func (st *execState) sortLeavesByFullCount(leaves []quadtree.Leaf) []quadtree.Le
 	return order
 }
 
-// enumerateLeaf runs the within-leaf module on one leaf: it assembles the
-// partial half-space set into the state's recycled buffer and enumerates
-// with the canonical configuration — including the (node ID, version)
-// seed that makes every leaf's output deterministic.
-func (st *execState) enumerateLeaf(qt *quadtree.Tree, in *Input, leaf quadtree.Leaf, maxW int) cellenum.Result {
+// truncatedLeaf is a leaf whose enumeration hit the candidate limit; lost
+// is the least order of a cell it may have left out.
+type truncatedLeaf struct {
+	leaf quadtree.Leaf
+	lost int
+}
+
+// expandLeftOut looks for a cell that a truncated leaf of the last
+// collectCells left out below minOrder, the answer's order (-1: none was
+// found, so any): one would mean k* could be too high. The cell's augmented
+// coverers go into expand, to be expanded like any inaccurate candidate's;
+// a cell with none, or a leaf that cannot be settled, fails with
+// ErrLeafTruncated. Left-out cells of minOrder and above are not looked
+// for; they could only add regions.
+func (st *execState) expandLeftOut(qt *quadtree.Tree, minOrder int, expand map[int64]bool) error {
+	for _, tl := range st.truncated {
+		if minOrder >= 0 && tl.lost >= minOrder {
+			continue
+		}
+		cell, found, settled := st.findCell(tl.leaf.Box(), st.leafPartial(qt, tl.leaf), minOrder-1-tl.leaf.FullCount(), 4)
+		if !found && settled {
+			continue
+		}
+		n := len(expand)
+		if found {
+			for _, refIdx := range (&foundCell{leaf: tl.leaf, cell: cell}).containingRefs() {
+				if ref := qt.Ref(refIdx); ref.Augmented {
+					expand[ref.RecordID] = true
+				}
+			}
+		}
+		if len(expand) == n {
+			return fmt.Errorf("%w: leaf %d may hold a cell below order %d", ErrLeafTruncated, tl.leaf.NodeID(), minOrder)
+		}
+		return nil
+	}
+	return nil
+}
+
+// findCell looks in box for a cell of weight at most maxW (negative: any)
+// in the arrangement of partial; a cell's sign vector over partial is the
+// same whichever part of it is found. Where the enumeration truncates it
+// looks in the 2^d halves of the box, which cut fewer half-spaces, down to
+// depth halvings; a box still truncated there leaves the search unsettled.
+func (st *execState) findCell(box geom.Rect, partial []geom.Halfspace, maxW, depth int) (cell cellenum.Cell, found, settled bool) {
+	out := st.enum.Enumerate(box, partial, cellenum.Config{MaxWeight: maxW, CandidateLimit: candidateLimit})
+	switch {
+	case len(out.Cells) > 0:
+		return out.Cells[0], true, true
+	case !out.Truncated || depth == 0:
+		return cell, false, !out.Truncated
+	}
+	mid := box.Center()
+	for mask := 0; mask < 1<<len(mid); mask++ {
+		half := box.Clone()
+		for i, m := range mid {
+			if mask&(1<<i) == 0 {
+				half.Hi[i] = m
+			} else {
+				half.Lo[i] = m
+			}
+		}
+		if cell, found, settled = st.findCell(half, partial, maxW, depth-1); found || !settled {
+			return cell, found, settled
+		}
+	}
+	return cell, false, true
+}
+
+// leafPartial assembles the leaf's partial half-spaces into the state's
+// recycled buffer.
+func (st *execState) leafPartial(qt *quadtree.Tree, leaf quadtree.Leaf) []geom.Halfspace {
 	p := st.partial[:0]
 	for _, hsIdx := range leaf.Partial() {
 		p = append(p, qt.Ref(hsIdx).H)
 	}
 	st.partial = p
-	return st.enum.Enumerate(leaf.Box(), p, cellenum.Config{
-		MaxWeight: maxW,
-		Extra:     in.Tau,
-		Seed:      int64(leaf.NodeID())<<16 + int64(leaf.Version()),
+	return p
+}
+
+// enumerateLeaf runs the within-leaf module on one leaf with the canonical
+// configuration — including the (node ID, version) seed that makes every
+// leaf's output deterministic.
+func (st *execState) enumerateLeaf(qt *quadtree.Tree, in *Input, leaf quadtree.Leaf, maxW int) cellenum.Result {
+	return st.enum.Enumerate(leaf.Box(), st.leafPartial(qt, leaf), cellenum.Config{
+		MaxWeight:      maxW,
+		Extra:          in.Tau,
+		CandidateLimit: candidateLimit,
+		Seed:           int64(leaf.NodeID())<<16 + int64(leaf.Version()),
 	})
 }
+
+// candidateLimit is handed to every enumeration (0: cellenum's default). A
+// variable so that a test can reach it.
+var candidateLimit = 0
+
+// ErrLeafTruncated reports a query whose k* could be too high: a quad-tree
+// leaf's enumeration hit its candidate limit and may have left out a cell
+// beating the answer (see expandLeftOut).
+var ErrLeafTruncated = errors.New("core: a leaf exceeded the within-leaf candidate limit")
 
 // cacheLookup probes the AA leaf cache for an enumeration that answers
 // (maxW, tau).

@@ -6,13 +6,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// BenchmarkAA2DDisk answers wide_d2's mean focal (meanWideFocal) on a tree
-// that decodes every page it reads, as a mapped snapshot does, on a warm
-// query state. iterations/op is the query's expansion rounds.
+// BenchmarkAA2DDisk answers wide_d2's mean focal (meanWideFocal) on a
+// mapped tree, which decodes every page it reads, on a warm query state.
+// iterations/op is the query's expansion rounds.
 func BenchmarkAA2DDisk(b *testing.B) {
 	points := dataset.Generate(dataset.IND, 5000, 2, 20150832)
-	tree := buildTree(b, points)
-	tree.SetDirectMemory(false)
+	tree := mappedCopy(b, buildTree(b, points))
 	in := Input{Tree: tree, Focal: points[meanWideFocal], FocalID: meanWideFocal}
 	res, err := aa2dRun(in)
 	if err != nil {

@@ -28,25 +28,18 @@ func bruteRun(in Input) (*Result, error) {
 	}
 	start := timeNow()
 	ctx, rd, tr := in.begin()
-	lo := make(vecmath.Point, rd.Dim())
-	hi := make(vecmath.Point, rd.Dim())
-	for i := range lo {
-		lo[i] = -1e308
-		hi[i] = 1e308
-	}
 	var records []vecmath.Point
 	focalIdx := -1
-	err := rd.RangeSearch(geom.Rect{Lo: lo, Hi: hi}, func(it rstar.Item) bool {
-		if it.RecordID == in.FocalID {
-			focalIdx = len(records)
+	err := rd.Descend(ctx, func(e *rstar.Entry, leaf bool) (bool, error) {
+		if leaf {
+			if e.RecordID == in.FocalID {
+				focalIdx = len(records)
+			}
+			records = append(records, e.Point().Clone())
 		}
-		records = append(records, it.Point.Clone())
-		return ctx.Err() == nil
+		return true, nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	br, err := bruteForce(ctx, records, in.Focal, focalIdx, in.FocalID+20150831, 4000)

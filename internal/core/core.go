@@ -162,20 +162,26 @@ type Result struct {
 	Stats   Stats
 }
 
-// CountDominators computes |D+| with two aggregate range counts: records
+// CountDominators computes |D+| with two aggregate counts: records
 // coordinate-wise >= p, minus records exactly equal to p (score ties are
-// ignored throughout, following the paper).
+// ignored throughout, following the paper). A subtree wholly inside either
+// set contributes its count without being read.
 func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
-	hi := make(vecmath.Point, len(p))
-	for i := range hi {
-		hi[i] = 1e308
-	}
-	window := geom.Rect{Lo: p.Clone(), Hi: hi}
-	geq, err := rd.RangeCount(window)
+	var geq int64
+	err := rd.Descend(nil, func(e *rstar.Entry, leaf bool) (bool, error) {
+		switch {
+		case !allGeq(e.Rect.Hi, p): // nothing inside is >= p
+		case leaf || allGeq(e.Rect.Lo, p):
+			geq += e.Count
+		default:
+			return true, nil
+		}
+		return false, nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	eq, err := rd.RangeCount(geom.PointRect(p))
+	eq, err := rd.RangeCount(geom.Rect{Lo: p, Hi: p})
 	if err != nil {
 		return 0, err
 	}
@@ -185,40 +191,18 @@ func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
 // scanIncomparable visits every record incomparable to p, skipping whole
 // subtrees that contain only dominators or only dominees (the 2^d − 2
 // incomparable-region focusing of Section 5). The context is polled before
-// every node access.
+// every node access. The point handed to fn is valid only during the call.
 func scanIncomparable(ctx context.Context, rd rstar.Reader, p vecmath.Point, focalID int64, fn func(pt vecmath.Point, id int64) error) error {
-	return scanIncompNode(ctx, rd, rd.Root(), p, focalID, fn)
-}
-
-func scanIncompNode(ctx context.Context, rd rstar.Reader, id pager.PageID, p vecmath.Point, focalID int64, fn func(pt vecmath.Point, id int64) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n, err := rd.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if n.Leaf() {
-			if e.RecordID == focalID {
-				continue
-			}
-			if vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
-				if err := fn(e.Point().Clone(), e.RecordID); err != nil {
-					return err
-				}
-			}
-			continue
+	return rd.Descend(ctx, func(e *rstar.Entry, leaf bool) (bool, error) {
+		if !leaf {
+			// Skip a pure dominee or pure dominator subtree.
+			return !allGeq(p, e.Rect.Hi) && !allGeq(e.Rect.Lo, p), nil
 		}
-		if allGeq(p, e.Rect.Hi) || allGeq(e.Rect.Lo, p) {
-			continue // pure dominee or pure dominator subtree
+		if e.RecordID != focalID && vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
+			return false, fn(e.Point(), e.RecordID)
 		}
-		if err := scanIncompNode(ctx, rd, e.Child, p, focalID, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+		return false, nil
+	})
 }
 
 // sortedIDs returns the set's members in ascending order. AA expands its

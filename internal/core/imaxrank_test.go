@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -91,6 +92,47 @@ func TestInputValidation(t *testing.T) {
 	}
 	if _, err := AA2D(Input{Tree: tree, Focal: points[0]}); err == nil {
 		t.Error("AA2D accepted d=3")
+	}
+}
+
+// TestTruncatedLeafFailsQuery: a leaf whose enumeration hits the candidate
+// limit may have left out a cell of lower order than the best found, so BA
+// and AA fail with ErrLeafTruncated rather than answer a k* that could be
+// too high — and answer at the default limit.
+func TestTruncatedLeafFailsQuery(t *testing.T) {
+	points := dataset.Generate(dataset.IND, 100, 3, 5)
+	tree := buildTree(t, points)
+	in := Input{Tree: tree, Focal: points[2], FocalID: 2}
+	for _, alg := range []Algorithm{StrategyBA, StrategyAA} {
+		candidateLimit = 1
+		_, err := alg.Run(in)
+		candidateLimit = 0
+		if !errors.Is(err, ErrLeafTruncated) {
+			t.Fatalf("%s with a candidate limit of 1: error %v, want ErrLeafTruncated", alg.Name(), err)
+		}
+		if _, err := alg.Run(in); err != nil {
+			t.Fatalf("%s at the default limit: %v", alg.Name(), err)
+		}
+	}
+}
+
+// TestLeftOutCellIsExpanded: at IND n = 2000, d = 3, focal 14, AA's last
+// iteration has a leaf truncated at the default limit that holds a cell
+// below the answer's order, covered by augmented half-spaces. AA expands
+// them like any inaccurate candidate's and answers BA's k*.
+func TestLeftOutCellIsExpanded(t *testing.T) {
+	points := dataset.Generate(dataset.IND, 2000, 3, 1)
+	in := Input{Tree: buildTree(t, points), Focal: points[14], FocalID: 14}
+	aa, err := AA(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := BA(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aa.KStar != ba.KStar {
+		t.Fatalf("AA k* = %d, BA k* = %d", aa.KStar, ba.KStar)
 	}
 }
 

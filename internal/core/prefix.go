@@ -112,7 +112,20 @@ func BuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Po
 	}
 	tr := new(pager.Tracker)
 	rd := tree.Reader(tr)
-	if err := g.scan(ctx, rd, rd.Root()); err != nil {
+	err := rd.Descend(ctx, func(e *rstar.Entry, leaf bool) (bool, error) {
+		switch {
+		case leaf:
+			g.classify(e.Point(), e.RecordID)
+		case allGeq(g.glo, e.Rect.Hi):
+			// every record inside is a dominee (or tie) of every member
+		case allGeq(e.Rect.Lo, g.ghi):
+			g.sharedDom += e.Count // every record inside dominates-or-equals every member
+		default:
+			return true, nil
+		}
+		return false, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if anyEqGhi {
@@ -136,34 +149,6 @@ func BuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Po
 	}
 	g.io = tr.Reads()
 	return g, nil
-}
-
-func (g *GroupPrefix) scan(ctx context.Context, rd rstar.Reader, id pager.PageID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n, err := rd.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if n.Leaf() {
-			g.classify(e.Point(), e.RecordID)
-			continue
-		}
-		if allGeq(g.glo, e.Rect.Hi) {
-			continue // every record inside is a dominee (or tie) of every member
-		}
-		if allGeq(e.Rect.Lo, g.ghi) {
-			g.sharedDom += e.Count // every record inside dominates-or-equals every member
-			continue
-		}
-		if err := g.scan(ctx, rd, e.Child); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (g *GroupPrefix) classify(r vecmath.Point, id int64) {
@@ -277,7 +262,8 @@ func (in *Input) dominators(rd rstar.Reader) (int64, error) {
 // shared prefix when there is one (ascending ID), otherwise by a tree scan
 // (leaf order). Both orders feed order-insensitive consumers —
 // BA sorts by ID before inserting, FCA accumulates commutative crossings
-// — so the answer does not depend on which path ran.
+// — so the answer does not depend on which path ran. A point is valid only
+// during the call; fn clones what it keeps.
 func (in *Input) eachIncomparable(ctx context.Context, rd rstar.Reader, fn func(pt vecmath.Point, id int64) error) error {
 	if in.Shared != nil {
 		return in.Shared.ForEachIncomparable(fn)

@@ -119,6 +119,9 @@ type execState struct {
 	cache   leafCache
 	enum    cellenum.Enumerator
 	partial []geom.Halfspace
+	// truncated lists the leaves of the last collectCells whose enumeration
+	// hit the candidate limit.
+	truncated []truncatedLeaf
 }
 
 func newExecState() *execState { return &execState{cache: make(leafCache)} }

@@ -171,11 +171,6 @@ func (r Rect) Corner(mask int) vecmath.Point {
 	return c
 }
 
-// EnlargementArea returns how much r's volume grows if extended to cover s.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%v..%v]", []float64(r.Lo), []float64(r.Hi))
 }

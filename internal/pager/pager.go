@@ -124,12 +124,9 @@ func (s *Store) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// Read returns the contents of the page. The returned slice must not be
-// modified by the caller.
-func (s *Store) Read(id PageID) ([]byte, error) { return s.ReadTracked(id, nil) }
-
-// ReadTracked is Read with per-query attribution: the access is charged to
-// both the store-wide counter and the tracker (when non-nil).
+// ReadTracked returns the contents of the page, which the caller must not
+// modify, and charges the access to both the store-wide counter and the
+// tracker (when non-nil).
 func (s *Store) ReadTracked(id PageID, tr *Tracker) ([]byte, error) {
 	s.mu.RLock()
 	data, ok := s.pages[id]

@@ -15,7 +15,7 @@ func TestAllocWriteRead(t *testing.T) {
 	if err := s.Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(id)
+	got, err := s.ReadTracked(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestWriteIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // caller mutation must not leak into the store
-	got, _ := s.Read(id)
+	got, _ := s.ReadTracked(id, nil)
 	if got[0] != 1 {
 		t.Fatal("store aliases caller buffer")
 	}
@@ -52,7 +52,7 @@ func TestPageSizeEnforced(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	s := NewStore(0)
-	if _, err := s.Read(42); err == nil {
+	if _, err := s.ReadTracked(42, nil); err == nil {
 		t.Fatal("read of unallocated page succeeded")
 	}
 	if err := s.Write(42, nil); err == nil {
@@ -64,7 +64,7 @@ func TestFree(t *testing.T) {
 	s := NewStore(0)
 	id := s.Alloc()
 	s.Free(id)
-	if _, err := s.Read(id); err == nil {
+	if _, err := s.ReadTracked(id, nil); err == nil {
 		t.Fatal("read of freed page succeeded")
 	}
 	if s.NumPages() != 0 {
@@ -136,7 +136,7 @@ func TestFreeDoubleAndRestoreInterplay(t *testing.T) {
 	if b == a {
 		t.Fatalf("alloc handed out restored page %d", a)
 	}
-	if _, err := s.Read(a); err != nil {
+	if _, err := s.ReadTracked(a, nil); err != nil {
 		t.Fatalf("restored page unreadable: %v", err)
 	}
 }
@@ -146,12 +146,12 @@ func TestCountingToggleAndReset(t *testing.T) {
 	id := s.Alloc()
 	_ = s.Write(id, []byte{1})
 	s.SetCounting(false)
-	_, _ = s.Read(id)
+	_, _ = s.ReadTracked(id, nil)
 	if s.Stats().Reads != 0 {
 		t.Fatal("read counted while counting disabled")
 	}
 	s.SetCounting(true)
-	_, _ = s.Read(id)
+	_, _ = s.ReadTracked(id, nil)
 	if s.Stats().Reads != 1 {
 		t.Fatal("read not counted")
 	}
@@ -177,7 +177,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				id := ids[(g*31+i)%len(ids)]
-				if _, err := s.Read(id); err != nil {
+				if _, err := s.ReadTracked(id, nil); err != nil {
 					t.Error(err)
 					return
 				}

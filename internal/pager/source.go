@@ -22,9 +22,8 @@ import (
 type Source interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
-	// Read returns the contents of the page; the slice must not be modified.
-	Read(id PageID) ([]byte, error)
-	// ReadTracked is Read with per-query attribution (tr may be nil).
+	// ReadTracked returns the contents of the page, which must not be
+	// modified, charging the access to the tracker too (tr may be nil).
 	ReadTracked(id PageID, tr *Tracker) ([]byte, error)
 	// ForEachPage visits every page in ascending ID order, uncounted.
 	ForEachPage(fn func(id PageID, data []byte) error) error
@@ -104,14 +103,11 @@ func NewMapped(pageSize int, pages []MappedPage) (*Mapped, error) {
 // PageSize returns the page size in bytes.
 func (m *Mapped) PageSize() int { return m.pageSize }
 
-// Read returns the page contents. The returned slice aliases the mapping
-// and must not be modified.
-func (m *Mapped) Read(id PageID) ([]byte, error) { return m.ReadTracked(id, nil) }
-
-// ReadTracked is Read with per-query attribution, charging exactly one page
-// access to the source counter and the tracker — the same contract as
-// Store.ReadTracked, which is what keeps Stats.IO bit-identical between
-// heap-decoded and mmap-served engines.
+// ReadTracked returns the page contents, which alias the mapping and must
+// not be modified, charging exactly one page access to the source counter
+// and the tracker — the same contract as Store.ReadTracked, which is what
+// keeps Stats.IO bit-identical between heap-decoded and mmap-served
+// engines.
 func (m *Mapped) ReadTracked(id PageID, tr *Tracker) ([]byte, error) {
 	i := sort.Search(len(m.ids), func(i int) bool { return m.ids[i] >= id })
 	if i >= len(m.ids) || m.ids[i] != id {
@@ -139,16 +135,6 @@ func (m *Mapped) ForEachPage(fn func(id PageID, data []byte) error) error {
 
 // NumPages returns the number of mapped pages.
 func (m *Mapped) NumPages() int { return len(m.ids) }
-
-// MappedBytes returns the total payload bytes served by this source — the
-// snapshot pages' share of the mapping, reported by the storage stats.
-func (m *Mapped) MappedBytes() int64 {
-	var n int64
-	for _, d := range m.data {
-		n += int64(len(d))
-	}
-	return n
-}
 
 // Stats returns the access counters (writes and allocs are always zero:
 // the source is read-only by construction).

@@ -18,9 +18,6 @@ func TestMappedReadAndAccounting(t *testing.T) {
 	if m.PageSize() != 64 || m.NumPages() != 3 {
 		t.Fatalf("pageSize=%d numPages=%d", m.PageSize(), m.NumPages())
 	}
-	if m.MappedBytes() != int64(len("alpha")+len("beta")+len("gamma")) {
-		t.Fatalf("MappedBytes = %d", m.MappedBytes())
-	}
 	var tr Tracker
 	for _, p := range pages {
 		got, err := m.ReadTracked(p.ID, &tr)
@@ -39,7 +36,7 @@ func TestMappedReadAndAccounting(t *testing.T) {
 	}
 	// Missing pages fail like Store does; the failed lookup is not counted.
 	for _, id := range []PageID{1, 3, 10} {
-		if _, err := m.Read(id); err == nil {
+		if _, err := m.ReadTracked(id, nil); err == nil {
 			t.Fatalf("read of missing page %d succeeded", id)
 		}
 	}
@@ -52,7 +49,7 @@ func TestMappedReadAndAccounting(t *testing.T) {
 	}
 	// SetCounting(false) suppresses accounting entirely.
 	m.SetCounting(false)
-	if _, err := m.Read(2); err != nil {
+	if _, err := m.ReadTracked(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r := m.Stats().Reads; r != 0 {
@@ -106,7 +103,7 @@ func TestMappedLatency(t *testing.T) {
 	}
 	m.SetLatency(2 * time.Millisecond)
 	start := time.Now()
-	if _, err := m.Read(1); err != nil {
+	if _, err := m.ReadTracked(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 2*time.Millisecond {
@@ -115,7 +112,7 @@ func TestMappedLatency(t *testing.T) {
 	// Uncounted reads never block.
 	m.SetCounting(false)
 	start = time.Now()
-	if _, err := m.Read(1); err != nil {
+	if _, err := m.ReadTracked(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > time.Millisecond {

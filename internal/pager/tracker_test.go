@@ -17,7 +17,7 @@ func TestReadTracked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Read(id); err != nil {
+	if _, err := s.ReadTracked(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Reads() != 3 {

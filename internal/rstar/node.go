@@ -2,8 +2,9 @@
 // augmented with per-entry subtree record counts in the style of the
 // aggregate R-tree (Papadias et al., SSTD 2001). It is the data-space index
 // the MaxRank paper assumes: the dominator count |D+| is answered by an
-// aggregate range count, and the BBS skyline algorithm (internal/skyline)
-// drives its own best-first traversal through ReadNode.
+// aggregate range count, the depth-first scans walk the tree through
+// Reader.Descend, and the BBS skyline algorithm (internal/skyline) drives
+// its own best-first traversal through Reader.ReadNodeInto.
 //
 // Nodes are sized to the pager's page size and are serialised to pages, so
 // query-time I/O counts reflect genuine page accesses.

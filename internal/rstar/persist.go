@@ -6,68 +6,33 @@ import (
 	"repro/internal/pager"
 )
 
-// Restore reconstructs a finalized tree from previously persisted pages —
-// the load path of an index snapshot. The store must already hold every
-// node page (pager.Store.Restore); root, height and size are the metadata
-// persisted alongside them. Fanout limits are recomputed from the store's
-// page size and the dimensionality, exactly as New does, so a restored
-// tree is structurally indistinguishable from the one that was persisted:
-// identical pages, identical page IDs, identical query-time I/O counts.
+// RestoreFrom reconstructs a finalized tree from previously persisted
+// pages — the load path of an index snapshot. src must already hold every
+// node page; root, height and size are the metadata persisted alongside
+// them. Fanout limits are recomputed from the page size and the
+// dimensionality, exactly as New does, so a restored tree is structurally
+// indistinguishable from the one that was persisted: identical pages,
+// identical page IDs, identical query-time I/O counts.
 //
-// With Options.DirectMemory the node cache is rebuilt eagerly by decoding
-// every page (uncounted, like construction I/O), so query reads are served
-// from memory just as they are after an in-process build; otherwise reads
-// decode pages on demand. In both modes the decoded nodes are bit-identical
-// to the originals — the page encoding is exact for float64 coordinates.
-func Restore(store *pager.Store, dim int, root pager.PageID, height int, size int64, opts Options) (*Tree, error) {
-	return RestoreFrom(store, dim, root, height, size, opts)
-}
-
-// RestoreFrom is Restore over any page source. When src is a heap
-// *pager.Store the tree is writable, exactly as Restore; for any other
-// source — a pager.Mapped view over a memory-mapped v2 snapshot — the tree
-// is read-only: queries serve straight from the source (decode-on-read,
-// identical answers and I/O counts) and mutation attempts fail with a
-// typed error instead of writing through the mapping.
+// The source decides how the tree is read (see Tree): over a heap
+// *pager.Store the node cache is rebuilt here, decoding every page
+// uncounted as construction I/O is. Decoded nodes are bit-identical to the
+// originals: the page encoding is exact for float64 coordinates.
 func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size int64, opts Options) (*Tree, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("rstar: dimension %d < 1", dim)
-	}
 	if height < 1 {
 		return nil, fmt.Errorf("rstar: height %d < 1", height)
 	}
 	if size < 0 {
 		return nil, fmt.Errorf("rstar: negative size %d", size)
 	}
-	ps := opts.PageSize
-	if ps <= 0 {
-		ps = src.PageSize()
+	t, err := emptyTree(src, dim)
+	if err != nil {
+		return nil, err
 	}
-	maxLeaf := MaxLeafEntries(ps, dim)
-	maxBranch := MaxBranchEntries(ps, dim)
-	if maxLeaf < 4 || maxBranch < 4 {
-		return nil, fmt.Errorf("rstar: page size %d too small for dim %d (fanout %d/%d)",
-			ps, dim, maxLeaf, maxBranch)
-	}
-	store, _ := src.(*pager.Store)
-	t := &Tree{
-		src:       src,
-		store:     store,
-		dim:       dim,
-		maxLeaf:   maxLeaf,
-		minLeaf:   max(2, int(minFillFraction*float64(maxLeaf))),
-		maxBranch: maxBranch,
-		minBranch: max(2, int(minFillFraction*float64(maxBranch))),
-		cache:     make(map[pager.PageID]*Node),
-		direct:    opts.DirectMemory,
-		root:      root,
-		height:    height,
-		size:      size,
-		finalized: true,
-	}
+	t.root, t.height, t.size = root, height, size
 	src.SetCounting(false)
 	defer src.SetCounting(true)
-	if opts.DirectMemory {
+	if t.store != nil {
 		err := src.ForEachPage(func(id pager.PageID, data []byte) error {
 			n := new(Node)
 			if err := n.decode(id, data); err != nil {
@@ -79,14 +44,11 @@ func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size 
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := t.cache[root]; !ok {
-			return nil, fmt.Errorf("rstar: restore: root page %d missing from store", root)
-		}
 	}
-	// Sanity-check the root against the persisted metadata whether or not
-	// the cache was rebuilt: a wrong root (or a store holding pages of a
-	// different tree) must fail at load time, not at first query.
-	rn, err := t.ReadNode(root)
+	// Sanity-check the root against the persisted metadata: a wrong root
+	// (or a store holding pages of a different tree) must fail at load
+	// time, not at first query.
+	rn, err := t.readNode(root, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("rstar: restore: reading root page %d: %w", root, err)
 	}

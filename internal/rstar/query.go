@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geom"
@@ -12,41 +13,22 @@ import (
 // box) using the aggregate counts: subtrees fully contained in the window
 // contribute their count without being read, which is how the paper derives
 // the dominator count |D+| cheaply (Section 5).
-func (t *Tree) RangeCount(window geom.Rect) (int64, error) {
-	return t.Reader(nil).RangeCount(window)
-}
-
-// RangeCount is Tree.RangeCount charged to the reader's tracker.
 func (r Reader) RangeCount(window geom.Rect) (int64, error) {
-	return r.rangeCount(r.t.root, window)
-}
-
-func (r Reader) rangeCount(id pager.PageID, window geom.Rect) (int64, error) {
-	n, err := r.ReadNode(id)
+	var total int64
+	err := r.Descend(nil, func(e *Entry, leaf bool) (bool, error) {
+		switch {
+		case !window.Intersects(e.Rect):
+		case leaf:
+			total++
+		case window.ContainsRect(e.Rect):
+			total += e.Count // aggregate shortcut: no descent, no I/O
+		default:
+			return true, nil
+		}
+		return false, nil
+	})
 	if err != nil {
 		return 0, err
-	}
-	var total int64
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !window.Intersects(e.Rect) {
-			continue
-		}
-		if n.Leaf() {
-			if window.Contains(e.Point()) {
-				total++
-			}
-			continue
-		}
-		if window.ContainsRect(e.Rect) {
-			total += e.Count // aggregate shortcut: no descent, no I/O
-			continue
-		}
-		sub, err := r.rangeCount(e.Child, window)
-		if err != nil {
-			return 0, err
-		}
-		total += sub
 	}
 	return total, nil
 }
@@ -58,58 +40,26 @@ type Item struct {
 }
 
 // RangeSearch invokes fn for every record inside the window. Returning
-// false from fn stops the search early.
-func (t *Tree) RangeSearch(window geom.Rect, fn func(Item) bool) error {
-	return t.Reader(nil).RangeSearch(window, fn)
-}
-
-// RangeSearch is Tree.RangeSearch charged to the reader's tracker.
+// false from fn stops the search early. The item's point is valid only
+// during the call.
 func (r Reader) RangeSearch(window geom.Rect, fn func(Item) bool) error {
-	_, err := r.rangeSearch(r.t.root, window, fn)
+	err := r.Descend(nil, func(e *Entry, leaf bool) (bool, error) {
+		if !window.Intersects(e.Rect) {
+			return false, nil
+		}
+		if leaf && !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
+			return false, errStop
+		}
+		return true, nil
+	})
+	if err == errStop {
+		return nil
+	}
 	return err
 }
 
-func (r Reader) rangeSearch(id pager.PageID, window geom.Rect, fn func(Item) bool) (bool, error) {
-	n, err := r.ReadNode(id)
-	if err != nil {
-		return false, err
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !window.Intersects(e.Rect) {
-			continue
-		}
-		if n.Leaf() {
-			if window.Contains(e.Point()) {
-				if !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
-					return false, nil
-				}
-			}
-			continue
-		}
-		cont, err := r.rangeSearch(e.Child, window, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// Walk visits every record in the tree (a full scan, charged as I/O).
-func (t *Tree) Walk(fn func(Item) bool) error {
-	lo := make(vecmath.Point, t.dim)
-	hi := make(vecmath.Point, t.dim)
-	for i := range lo {
-		lo[i] = negInf
-		hi[i] = posInf
-	}
-	return t.RangeSearch(geom.Rect{Lo: lo, Hi: hi}, fn)
-}
-
-const (
-	negInf = -1e308
-	posInf = 1e308
-)
+// errStop ends a RangeSearch whose callback asked to stop.
+var errStop = errors.New("rstar: range search stopped")
 
 // CheckInvariants validates structural invariants: MBR containment, entry
 // count bounds, aggregate count consistency, and uniform leaf depth. It is
@@ -120,7 +70,7 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkNode(id pager.PageID, expectLevel int, isRoot bool) (geom.Rect, int64, error) {
-	n, err := t.ReadNode(id)
+	n, err := t.readNode(id, nil, nil)
 	if err != nil {
 		return geom.Rect{}, 0, err
 	}

@@ -2,7 +2,6 @@ package rstar
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -47,9 +46,6 @@ func TestRestoreFromMappedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Store() != nil {
-		t.Fatal("read-only tree exposes a heap store")
-	}
 	if ro.Source() != pager.Source(mapped) {
 		t.Fatal("Source() does not return the mapped source")
 	}
@@ -58,15 +54,15 @@ func TestRestoreFromMappedSource(t *testing.T) {
 	store.ResetStats()
 	mapped.ResetStats()
 	err = store.ForEachPage(func(id pager.PageID, data []byte) error {
-		hn, err := heap.ReadNode(id)
+		hn, err := heap.Reader(nil).ReadNodeInto(id, nil)
 		if err != nil {
 			return err
 		}
-		mn, err := ro.ReadNode(id)
+		mn, err := ro.Reader(nil).ReadNodeInto(id, nil)
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(hn, mn) {
+		if !sameNode(hn, mn) {
 			t.Fatalf("node %d differs between heap and mapped serving", id)
 		}
 		return nil

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,6 +31,36 @@ func newTree(t *testing.T, d int) (*Tree, *pager.Store) {
 		t.Fatal(err)
 	}
 	return tree, store
+}
+
+// mappedCopy serves the pages of a finalized heap tree through a read-only
+// pager.Mapped source, as a snapshot loaded from a file is served: the same
+// tree, decoding every page it reads.
+func mappedCopy(t testing.TB, tree *Tree) *Tree {
+	t.Helper()
+	var pages []pager.MappedPage
+	tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
+		pages = append(pages, pager.MappedPage{ID: id, Data: data})
+		return nil
+	})
+	src, err := pager.NewMapped(tree.Source().PageSize(), pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := RestoreFrom(src, tree.Dim(), tree.Root(), tree.Height(), tree.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ro
+}
+
+// everything is a window holding every record of a d-dimensional tree.
+func everything(d int) geom.Rect {
+	lo, hi := make(vecmath.Point, d), make(vecmath.Point, d)
+	for i := range lo {
+		lo[i], hi[i] = -math.MaxFloat64, math.MaxFloat64
+	}
+	return geom.Rect{Lo: lo, Hi: hi}
 }
 
 func TestInsertAndInvariants(t *testing.T) {
@@ -100,7 +131,7 @@ func TestRangeCountMatchesBruteForce(t *testing.T) {
 					want++
 				}
 			}
-			got, err := tree.RangeCount(window)
+			got, err := tree.Reader(nil).RangeCount(window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +151,7 @@ func TestRangeSearchReportsAll(t *testing.T) {
 	}
 	window := geom.MustRect(vecmath.Point{0.2, 0.2}, vecmath.Point{0.7, 0.7})
 	seen := map[int64]bool{}
-	err := tree.RangeSearch(window, func(it Item) bool {
+	err := tree.Reader(nil).RangeSearch(window, func(it Item) bool {
 		seen[it.RecordID] = true
 		if !window.Contains(it.Point) {
 			t.Fatalf("record %d outside window", it.RecordID)
@@ -145,7 +176,7 @@ func TestRangeSearchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	err := tree.Walk(func(Item) bool {
+	err := tree.Reader(nil).RangeSearch(everything(2), func(Item) bool {
 		count++
 		return count < 10
 	})
@@ -183,8 +214,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleted records are gone; survivors remain.
-	all := geom.UnitCube(2)
-	got, err := tree.RangeCount(all)
+	got, err := tree.Reader(nil).RangeCount(geom.UnitCube(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,19 +234,15 @@ func TestDelete(t *testing.T) {
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randomPoints(rng, 1500, 3)
-	store := pager.NewStore(0)
-	tree, err := New(store, 3, Options{}) // DirectMemory off: reads decode pages
-	if err != nil {
+	built, _ := newTree(t, 3)
+	if err := built.BulkLoad(pts, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BulkLoad(pts, nil); err != nil {
+	if err := built.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	store.ResetStats()
 	// Every query below decodes nodes from page bytes.
+	tree := mappedCopy(t, built)
 	window := geom.MustRect(vecmath.Point{0.1, 0.1, 0.1}, vecmath.Point{0.9, 0.9, 0.9})
 	want := int64(0)
 	for _, p := range pts {
@@ -224,14 +250,14 @@ func TestSerializationRoundTrip(t *testing.T) {
 			want++
 		}
 	}
-	got, err := tree.RangeCount(window)
+	got, err := tree.Reader(nil).RangeCount(window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("decoded count = %d, want %d", got, want)
 	}
-	if store.Stats().Reads == 0 {
+	if tree.Source().Stats().Reads == 0 {
 		t.Fatal("no page reads counted")
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -243,7 +269,7 @@ func TestAggregateShortcutSavesIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randomPoints(rng, 20000, 2)
 	store := pager.NewStore(0)
-	tree, err := New(store, 2, Options{DirectMemory: true})
+	tree, err := New(store, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +282,13 @@ func TestAggregateShortcutSavesIO(t *testing.T) {
 	store.ResetStats()
 	// A huge window should be answered mostly from aggregate counts.
 	window := geom.MustRect(vecmath.Point{0.01, 0.01}, vecmath.Point{0.99, 0.99})
-	if _, err := tree.RangeCount(window); err != nil {
+	if _, err := tree.Reader(nil).RangeCount(window); err != nil {
 		t.Fatal(err)
 	}
 	countIO := store.Stats().Reads
 	store.ResetStats()
 	found := 0
-	if err := tree.RangeSearch(window, func(Item) bool { found++; return true }); err != nil {
+	if err := tree.Reader(nil).RangeSearch(window, func(Item) bool { found++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	searchIO := store.Stats().Reads
@@ -311,7 +337,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.RangeCount(geom.PointRect(p))
+	got, err := tree.Reader(nil).RangeCount(geom.PointRect(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,39 +420,6 @@ func TestRemapRecordIDs(t *testing.T) {
 	}
 }
 
-// TestSetDirectMemoryAfterRestore: turning direct memory off on a
-// finalized tree drops the node cache; reads still work via page decode
-// and return identical nodes.
-func TestSetDirectMemoryAfterRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tree, _ := newTree(t, 2)
-	pts := randomPoints(rng, 200, 2)
-	for i, p := range pts {
-		if err := tree.Insert(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	direct, err := tree.ReadNode(tree.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.SetDirectMemory(false)
-	decoded, err := tree.ReadNode(tree.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Level != decoded.Level || len(direct.Entries) != len(decoded.Entries) {
-		t.Fatalf("decoded root differs: level %d/%d entries %d/%d",
-			direct.Level, decoded.Level, len(direct.Entries), len(decoded.Entries))
-	}
-	if decoded == direct {
-		t.Fatal("read after SetDirectMemory(false) still served from cache")
-	}
-}
-
 // finalizedTree bulk-loads n random d-dim points onto small pages, so the
 // tree has branch and leaf levels, and finalizes it.
 func finalizedTree(t *testing.T, n, d int, opts Options) (*Tree, *pager.Store) {
@@ -449,15 +442,16 @@ func finalizedTree(t *testing.T, n, d int, opts Options) (*Tree, *pager.Store) {
 // slab, so an append to one entry's bound must reallocate rather than
 // overwrite the next entry's.
 func TestDecodedBoundsAreCapped(t *testing.T) {
-	tree, _ := finalizedTree(t, 300, 3, Options{})
-	if tree.Height() < 2 {
-		t.Fatalf("height %d: no branch level to check", tree.Height())
+	built, _ := finalizedTree(t, 300, 3, Options{})
+	if built.Height() < 2 {
+		t.Fatalf("height %d: no branch level to check", built.Height())
 	}
-	branch, err := tree.ReadNode(tree.Root())
+	rd := mappedCopy(t, built).Reader(nil)
+	branch, err := rd.ReadNodeInto(rd.Root(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := tree.ReadNode(branch.Entries[0].Child)
+	leaf, err := rd.ReadNodeInto(branch.Entries[0].Child, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,31 +472,37 @@ func TestDecodedBoundsAreCapped(t *testing.T) {
 	}
 }
 
-// TestReadNodeInto: on a tree serving from its node cache ReadNodeInto
-// returns the cached node and leaves the buffer alone; on one that decodes
-// it returns the buffer, reused page after page, holding what ReadNode
-// decodes.
+// sameNode reports whether two reads of one page hold the same node. A
+// cached node and a decoded one differ in where their coordinates live, so
+// only the page's content is compared.
+func sameNode(a, b *Node) bool {
+	return a.ID == b.ID && a.Level == b.Level && reflect.DeepEqual(a.Entries, b.Entries)
+}
+
+// TestReadNodeInto: on a heap tree ReadNodeInto returns the cached node and
+// leaves the buffer alone; on a mapped copy of it, which decodes, it
+// returns the buffer, reused page after page, holding the cached node's
+// content, and charges one page read a call.
 func TestReadNodeInto(t *testing.T) {
-	tree, store := finalizedTree(t, 400, 2, Options{DirectMemory: true})
+	tree, store := finalizedTree(t, 400, 2, Options{})
 	var buf Node
-	rd := tree.Reader(nil)
-	cached, err := tree.ReadNode(tree.Root())
+	heap := tree.Reader(nil)
+	cached, err := heap.ReadNodeInto(tree.Root(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := rd.ReadNodeInto(tree.Root(), &buf); err != nil || got != cached {
-		t.Fatalf("direct tree: ReadNodeInto returned %p (%v), want the cached node %p", got, err, cached)
+	if got, err := heap.ReadNodeInto(tree.Root(), &buf); err != nil || got != cached {
+		t.Fatalf("heap tree: ReadNodeInto returned %p (%v), want the cached node %p", got, err, cached)
 	}
 	if buf.Entries != nil {
-		t.Fatal("direct tree: ReadNodeInto decoded into the buffer")
+		t.Fatal("heap tree: ReadNodeInto decoded into the buffer")
 	}
 
-	tree.SetDirectMemory(false)
 	var tr pager.Tracker
-	rd = tree.Reader(&tr)
+	rd := mappedCopy(t, tree).Reader(&tr)
 	reads := 0
 	err = store.ForEachPage(func(id pager.PageID, _ []byte) error {
-		want, err := tree.ReadNode(id)
+		want, err := heap.ReadNodeInto(id, nil)
 		if err != nil {
 			return err
 		}
@@ -514,8 +514,8 @@ func TestReadNodeInto(t *testing.T) {
 		if got != &buf {
 			t.Fatalf("page %d: ReadNodeInto did not decode into the buffer", id)
 		}
-		if got.ID != want.ID || got.Level != want.Level || !reflect.DeepEqual(got.Entries, want.Entries) {
-			t.Fatalf("page %d: ReadNodeInto %+v, ReadNode %+v", id, *got, *want)
+		if !sameNode(got, want) {
+			t.Fatalf("page %d: ReadNodeInto %+v, cached %+v", id, *got, *want)
 		}
 		return nil
 	})
@@ -527,9 +527,10 @@ func TestReadNodeInto(t *testing.T) {
 	}
 }
 
-// TestRestoreThenMutate: a restored tree's construction cache is decoded
-// into per-page slabs, and inserts and deletes — splits, reinserts and
-// condensing moving entries between nodes — keep it a valid tree.
+// TestRestoreThenMutate: a tree restored over a heap store has its node
+// cache decoded into per-page slabs, and inserts and deletes — splits,
+// reinserts and condensing moving entries between nodes — keep it a valid
+// tree.
 func TestRestoreThenMutate(t *testing.T) {
 	built, src := finalizedTree(t, 600, 3, Options{})
 	store := pager.NewStore(src.PageSize())
@@ -537,12 +538,12 @@ func TestRestoreThenMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Restore(store, 3, built.Root(), built.Height(), built.Size(), Options{DirectMemory: true})
+	tree, err := RestoreFrom(store, 3, built.Root(), built.Height(), built.Size(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var items []Item
-	err = built.Walk(func(it Item) bool {
+	err = built.Reader(nil).RangeSearch(everything(3), func(it Item) bool {
 		items = append(items, Item{Point: it.Point.Clone(), RecordID: it.RecordID})
 		return true
 	})
@@ -569,5 +570,17 @@ func TestRestoreThenMutate(t *testing.T) {
 	}
 	if want := int64(600 + 400 - 300); tree.Size() != want {
 		t.Fatalf("size %d, want %d", tree.Size(), want)
+	}
+}
+
+// TestCachedBytes: a heap tree's node cache holds every entry with its
+// coordinates; a mapped copy caches nothing.
+func TestCachedBytes(t *testing.T) {
+	tree, _ := finalizedTree(t, 500, 3, Options{})
+	if points := int64(500 * 3 * 8); tree.CachedBytes() <= points {
+		t.Fatalf("heap tree caches %d bytes, want more than its %d bytes of points", tree.CachedBytes(), points)
+	}
+	if got := mappedCopy(t, tree).CachedBytes(); got != 0 {
+		t.Fatalf("mapped tree caches %d bytes, want 0", got)
 	}
 }

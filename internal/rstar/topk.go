@@ -3,6 +3,7 @@ package rstar
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"repro/internal/pager"
 	"repro/internal/vecmath"
@@ -13,11 +14,6 @@ import (
 // tree: a subtree's upper bound is the score of its MBR's top corner, so
 // whole subtrees that cannot reach the current k-th score are never read.
 // This is the query model the MaxRank paper is defined against.
-func (t *Tree) TopK(q vecmath.Point, k int) ([]Item, error) {
-	return t.Reader(nil).TopK(q, k)
-}
-
-// TopK is Tree.TopK charged to the reader's tracker.
 func (r Reader) TopK(q vecmath.Point, k int) ([]Item, error) {
 	if len(q) != r.t.dim {
 		return nil, fmt.Errorf("rstar: query dim %d != tree dim %d", len(q), r.t.dim)
@@ -25,21 +21,15 @@ func (r Reader) TopK(q vecmath.Point, k int) ([]Item, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rstar: k = %d", k)
 	}
-	pq := &scoreHeap{}
-	root, err := r.ReadNode(r.t.root)
-	if err != nil {
-		return nil, err
-	}
-	pushNodeScored(pq, root, q)
-
+	pq := &scoreHeap{{score: math.Inf(1), node: r.t.root}}
 	out := make([]Item, 0, k)
 	for pq.Len() > 0 && len(out) < k {
 		e := heap.Pop(pq).(scoredEntry)
-		if e.node == NilPageRef {
+		if e.node == pager.NilPage {
 			out = append(out, e.item)
 			continue
 		}
-		n, err := r.ReadNode(pager.PageID(e.node))
+		n, err := r.ReadNodeInto(e.node, nil) // items keep the node's points
 		if err != nil {
 			return nil, err
 		}
@@ -48,12 +38,9 @@ func (r Reader) TopK(q vecmath.Point, k int) ([]Item, error) {
 	return out, nil
 }
 
-// NilPageRef marks a heap entry that carries a record rather than a node.
-const NilPageRef = 0
-
 type scoredEntry struct {
 	score float64
-	node  int64 // page ID, or NilPageRef for a record entry
+	node  pager.PageID // pager.NilPage for a record entry
 	item  Item
 }
 
@@ -77,7 +64,7 @@ func pushNodeScored(pq *scoreHeap, n *Node, q vecmath.Point) {
 		if n.Leaf() {
 			heap.Push(pq, scoredEntry{
 				score: e.Point().Dot(q),
-				node:  NilPageRef,
+				node:  pager.NilPage,
 				item:  Item{Point: e.Point(), RecordID: e.RecordID},
 			})
 			continue
@@ -91,6 +78,6 @@ func pushNodeScored(pq *scoreHeap, n *Node, q vecmath.Point) {
 				ub += w * e.Rect.Lo[j]
 			}
 		}
-		heap.Push(pq, scoredEntry{score: ub, node: int64(e.Child)})
+		heap.Push(pq, scoredEntry{score: ub, node: e.Child})
 	}
 }

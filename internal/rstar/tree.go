@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/pager"
@@ -19,17 +20,21 @@ const minFillFraction = 0.4
 
 // Tree is an aggregate R*-tree over points, backed by a pager.Source.
 //
-// During construction all nodes live in an in-memory cache; Finalize
-// serialises them to pages. Query-time node accesses go through ReadNode,
-// which always charges one page read to the source, so I/O statistics match
-// the paper's counting whether or not DirectMemory is enabled.
+// Every query-time node access charges one page read to the source, so I/O
+// statistics match the paper's counting in both of its deployment
+// scenarios. Which scenario a tree is in follows from its storage, not from
+// an option:
 //
-// Trees come in two flavours: writable trees are backed by a heap
-// *pager.Store (New, BulkLoad, Restore), while read-only trees serve
-// straight from any Source — typically a pager.Mapped view over an mmap'd
-// snapshot (RestoreFrom). Mutating a read-only tree fails with a typed
-// error; the mutation path (Dataset.Apply) promotes the page image into a
-// heap store first, so copy-on-write never writes through a mapping.
+//   - A tree over a heap *pager.Store (New, BulkLoad, RestoreFrom on a
+//     Store) keeps every node decoded in its node cache — the construction
+//     cache, which Finalize serialises to pages and keeps — and serves reads
+//     from it: data and index in main memory. It is writable.
+//   - A tree over any other Source — a pager.Mapped view over an mmap'd
+//     snapshot — caches nothing and decodes each page it reads: the
+//     disk-resident scenario. It is read-only. Mutating it fails with a
+//     typed error; the mutation path (Dataset.Apply) promotes the page
+//     image into a heap store first, so copy-on-write never writes through
+//     a mapping.
 type Tree struct {
 	src   pager.Source
 	store *pager.Store // non-nil only for writable (heap-backed) trees
@@ -42,31 +47,39 @@ type Tree struct {
 	height int // number of levels; 1 = root is a leaf
 	size   int64
 
-	cache map[pager.PageID]*Node
-
-	// direct serves query reads from the cache (the paper's in-memory
-	// scenario) while still counting page accesses.
-	direct    bool
-	finalized bool
+	cache map[pager.PageID]*Node // every node of a heap tree; nil on a read-only tree
 }
 
-// Options configures tree construction.
+// Options configures tree construction. Node size is the source's page
+// size.
 type Options struct {
-	// PageSize in bytes; defaults to the store's page size.
-	PageSize int
-	// DirectMemory serves reads from the node cache (I/O is still counted).
+	// DirectMemory is ignored: a tree over a heap store always serves reads
+	// from its node cache, and a tree over any other source always decodes.
+	//
+	// Deprecated: the storage decides how the index is read. The field
+	// remains only so existing callers compile.
 	DirectMemory bool
 }
 
 // New creates an empty aggregate R*-tree of the given dimensionality.
 func New(store *pager.Store, dim int, opts Options) (*Tree, error) {
+	t, err := emptyTree(store, dim)
+	if err != nil {
+		return nil, err
+	}
+	root := t.newNode(0)
+	t.root = root.ID
+	t.height = 1
+	return t, nil
+}
+
+// emptyTree sizes an empty tree over src: fanouts from the page size and the
+// dimensionality, and a node cache when src is a heap store.
+func emptyTree(src pager.Source, dim int) (*Tree, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("rstar: dimension %d < 1", dim)
 	}
-	ps := opts.PageSize
-	if ps <= 0 {
-		ps = store.PageSize()
-	}
+	ps := src.PageSize()
 	maxLeaf := MaxLeafEntries(ps, dim)
 	maxBranch := MaxBranchEntries(ps, dim)
 	if maxLeaf < 4 || maxBranch < 4 {
@@ -74,19 +87,17 @@ func New(store *pager.Store, dim int, opts Options) (*Tree, error) {
 			ps, dim, maxLeaf, maxBranch)
 	}
 	t := &Tree{
-		src:       store,
-		store:     store,
+		src:       src,
 		dim:       dim,
 		maxLeaf:   maxLeaf,
 		minLeaf:   max(2, int(minFillFraction*float64(maxLeaf))),
 		maxBranch: maxBranch,
 		minBranch: max(2, int(minFillFraction*float64(maxBranch))),
-		cache:     make(map[pager.PageID]*Node),
-		direct:    opts.DirectMemory,
 	}
-	root := t.newNode(0)
-	t.root = root.ID
-	t.height = 1
+	if store, ok := src.(*pager.Store); ok {
+		t.store = store
+		t.cache = make(map[pager.PageID]*Node)
+	}
 	return t, nil
 }
 
@@ -101,9 +112,6 @@ func (t *Tree) Height() int { return t.height }
 
 // Root returns the root page ID.
 func (t *Tree) Root() pager.PageID { return t.root }
-
-// Store exposes the backing heap store, nil for read-only (mapped) trees.
-func (t *Tree) Store() *pager.Store { return t.store }
 
 // Source exposes the backing page source (for I/O statistics).
 func (t *Tree) Source() pager.Source { return t.src }
@@ -134,24 +142,15 @@ func (t *Tree) node(id pager.PageID) *Node {
 	return n
 }
 
-// ReadNode fetches a node for query processing, charging one page access.
-// Use Tree.Reader to additionally attribute the access to a per-query
-// tracker.
-func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
-	return t.readNode(id, nil, nil)
-}
-
-// readNode serves a read from the node cache or decodes the page into buf
-// (a new node when nil).
+// readNode charges one page read and serves the node from the cache when
+// it is there; otherwise it decodes the page into buf (a new node when nil).
 func (t *Tree) readNode(id pager.PageID, tr *pager.Tracker, buf *Node) (*Node, error) {
 	data, err := t.src.ReadTracked(id, tr)
 	if err != nil {
 		return nil, err
 	}
-	if t.direct || !t.finalized {
-		if n, ok := t.cache[id]; ok {
-			return n, nil
-		}
+	if n, ok := t.cache[id]; ok {
+		return n, nil
 	}
 	if buf == nil {
 		buf = new(Node)
@@ -175,7 +174,6 @@ func (t *Tree) Insert(p vecmath.Point, recordID int64) error {
 	reinserted := make(map[int]bool)
 	t.insertEntry(e, 0, reinserted)
 	t.size++
-	t.finalized = false
 	return nil
 }
 
@@ -470,7 +468,6 @@ func (t *Tree) Delete(p vecmath.Point, recordID int64) (bool, error) {
 	}
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 	t.size--
-	t.finalized = false
 	t.condense(path)
 	// Shrink the root if it became a lone-child branch.
 	root := t.node(t.root)
@@ -551,11 +548,10 @@ func (t *Tree) condense(path []pager.PageID) {
 }
 
 // RemapRecordIDs rewrites every leaf entry's record ID through fn. It is
-// a mutation-path operation: the whole tree must live in the construction
-// cache (as after New/BulkLoad, or Restore with DirectMemory), and the
-// tree must be Finalized again afterwards. The error reports a cache that
-// does not cover the tree — remapping only part of the records would
-// corrupt the index silently.
+// a mutation-path operation on the node cache, which a heap tree keeps
+// whole, and the tree must be Finalized again afterwards. The error reports
+// a cache that does not cover the tree — remapping only part of the
+// records would corrupt the index silently.
 func (t *Tree) RemapRecordIDs(fn func(int64) int64) error {
 	if err := t.writable(); err != nil {
 		return err
@@ -573,20 +569,23 @@ func (t *Tree) RemapRecordIDs(fn func(int64) int64) error {
 	if remapped != t.size {
 		return fmt.Errorf("rstar: remap covered %d of %d records (tree not fully cached?)", remapped, t.size)
 	}
-	t.finalized = false
 	return nil
 }
 
-// SetDirectMemory switches query serving between cached nodes and
-// page decode. Turning it off on a finalized tree drops the node cache,
-// so reads decode pages on demand — the disk-resident scenario. Answers
-// and I/O counts are identical either way; only where the decode happens
-// differs.
-func (t *Tree) SetDirectMemory(on bool) {
-	t.direct = on
-	if !on && t.finalized {
-		t.cache = make(map[pager.PageID]*Node)
+// CachedBytes approximates the heap held by the node cache: every cached
+// entry and its coordinates, without per-object overhead. A tree over a
+// mapped source caches nothing and reports 0.
+func (t *Tree) CachedBytes() int64 {
+	entry := int64(unsafe.Sizeof(Entry{}))
+	var b int64
+	for _, n := range t.cache {
+		coords := 2 * t.dim // a branch entry's Lo and Hi
+		if n.Leaf() {
+			coords = t.dim // a leaf entry's Lo and Hi are one point
+		}
+		b += int64(len(n.Entries)) * (entry + 8*int64(coords))
 	}
+	return b
 }
 
 // Finalize serialises every cached node to its page. Construction I/O is
@@ -602,13 +601,5 @@ func (t *Tree) Finalize() error {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
 	}
-	t.finalized = true
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -34,7 +34,7 @@ type diffInput struct {
 func smallPageTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 	t.Helper()
 	store := pager.NewStore(512)
-	tree, err := rstar.New(store, len(pts[0]), rstar.Options{DirectMemory: true})
+	tree, err := rstar.New(store, len(pts[0]), rstar.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +45,27 @@ func smallPageTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// mappedCopy serves the pages of a finalized heap tree through a read-only
+// pager.Mapped source, as a snapshot loaded from a file is served: the same
+// tree, decoding every page it reads.
+func mappedCopy(t testing.TB, tree *rstar.Tree) *rstar.Tree {
+	t.Helper()
+	var pages []pager.MappedPage
+	tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
+		pages = append(pages, pager.MappedPage{ID: id, Data: data})
+		return nil
+	})
+	src, err := pager.NewMapped(tree.Source().PageSize(), pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := rstar.RestoreFrom(src, tree.Dim(), tree.Root(), tree.Height(), tree.Size(), rstar.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ro
 }
 
 // lattice draws n points whose coordinates are multiples of 1/steps: many
@@ -376,10 +397,10 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					}
 					for seed := int64(1); seed <= 4; seed++ {
 						if seed == 3 && tree != nil {
-							// The rest decode every page into the
-							// maintainer's scratch node; seed 4's
-							// maintainer arrives with that node poisoned.
-							tree.SetDirectMemory(false)
+							// The rest read a mapped copy, decoding every
+							// page into the maintainer's scratch node; seed
+							// 4's maintainer arrives with that node poisoned.
+							tree = mappedCopy(t, tree)
 						}
 						driveBoth(t, in, tree, seed)
 					}

@@ -72,7 +72,7 @@ func refNewForQuery(ctx context.Context, rd rstar.Reader, focal vecmath.Point, f
 		expanded: make(map[int64]bool),
 		parked:   make(map[int64][]refEntry),
 	}
-	root, err := rd.ReadNode(rd.Root())
+	root, err := rd.ReadNodeInto(rd.Root(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func (m *refMaintainer) drain() ([]Record, error) {
 				m.park(dom, e)
 				continue
 			}
-			node, err := m.rd.ReadNode(e.child)
+			node, err := m.rd.ReadNodeInto(e.child, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -15,7 +15,7 @@ import (
 func buildTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 	t.Helper()
 	store := pager.NewStore(0)
-	tree, err := rstar.New(store, len(pts[0]), rstar.Options{DirectMemory: true})
+	tree, err := rstar.New(store, len(pts[0]), rstar.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestNoNodeReadTwice(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randomPoints(rng, 2000, 3)
 	store := pager.NewStore(0)
-	tree, err := rstar.New(store, 3, rstar.Options{DirectMemory: true})
+	tree, err := rstar.New(store, 3, rstar.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -436,9 +436,6 @@ func (v *View) PointsZeroCopy() bool {
 // Size returns the total image size in bytes.
 func (v *View) Size() int64 { return int64(len(v.data)) }
 
-// PagesBytes returns the page payload section size in bytes.
-func (v *View) PagesBytes() int64 { return v.l.pagesLen }
-
 // VerifyFile checks the trailing whole-file CRC — the one check Open
 // skips, and the only one covering the page payloads.
 func (v *View) VerifyFile() error {

@@ -46,11 +46,10 @@ import (
 // backing store and can be reset between queries.
 type Dataset struct {
 	points []vecmath.Point
-	tree   *rstar.Tree
-	// src is the page source serving the index: a heap *pager.Store for
-	// built or heap-loaded datasets, a read-only pager.Mapped view for
-	// datasets served straight from a memory-mapped snapshot.
-	src pager.Source
+	// tree is the index. Its page source is a heap *pager.Store for built
+	// or heap-loaded datasets, a read-only pager.Mapped view for datasets
+	// served straight from a memory-mapped snapshot.
+	tree *rstar.Tree
 
 	// quadMaxPartial and quadMaxDepth are the dataset's default quad-tree
 	// partitioning parameters (0 = library default). Per-query WithQuadTree
@@ -59,11 +58,10 @@ type Dataset struct {
 	quadMaxPartial int
 	quadMaxDepth   int
 
-	// directMemory and pageLatency record the serving scenario the dataset
-	// was configured for, so a mutation (Dataset.Apply) can reproduce it on
-	// the successor dataset.
-	directMemory bool
-	pageLatency  time.Duration
+	// pageLatency records the simulated page latency the dataset was
+	// configured with, so a mutation (Dataset.Apply) can reproduce it on the
+	// successor dataset.
+	pageLatency time.Duration
 
 	// loadedVersion and loadedFloat32 say what file this dataset was loaded
 	// from (0 = built in process or derived by Apply). They are reported by
@@ -88,7 +86,6 @@ type DatasetOption func(*datasetConfig)
 
 type datasetConfig struct {
 	pageSize       int
-	directMemory   bool
 	insertBuild    bool
 	noMmap         bool
 	pageLatency    time.Duration
@@ -102,12 +99,6 @@ func WithPageSize(bytes int) DatasetOption {
 	return func(c *datasetConfig) { c.pageSize = bytes }
 }
 
-// WithDirectMemory serves index reads from memory while still counting page
-// accesses — the paper's "data and index reside in main memory" scenario.
-func WithDirectMemory(on bool) DatasetOption {
-	return func(c *datasetConfig) { c.directMemory = on }
-}
-
 // WithInsertBuild builds the R*-tree by repeated insertion (exercising the
 // full R* insertion/split/reinsert machinery) instead of bulk loading.
 func WithInsertBuild(on bool) DatasetOption {
@@ -115,10 +106,9 @@ func WithInsertBuild(on bool) DatasetOption {
 }
 
 // WithPageLatency makes every query-time page access block for d,
-// simulating a disk-resident index (the paper's other deployment
-// scenario). Index construction is unaffected. Concurrent queries overlap
-// these waits, so an Engine with parallelism > 1 recovers most of the
-// simulated I/O time.
+// simulating the latency of a disk-resident index. Index construction is
+// unaffected. Concurrent queries overlap these waits, so an Engine with
+// parallelism > 1 recovers most of the simulated I/O time.
 func WithPageLatency(d time.Duration) DatasetOption {
 	return func(c *datasetConfig) { c.pageLatency = d }
 }
@@ -146,7 +136,7 @@ func WithQuadDefaults(maxPartial, maxDepth int) DatasetOption {
 
 // newDatasetConfig applies opts over the defaults.
 func newDatasetConfig(opts []DatasetOption) datasetConfig {
-	cfg := datasetConfig{directMemory: true}
+	var cfg datasetConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -202,7 +192,7 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 		return nil, err
 	}
 	store := pager.NewStore(cfg.pageSize)
-	tree, err := rstar.New(store, len(pts[0]), rstar.Options{DirectMemory: cfg.directMemory})
+	tree, err := rstar.New(store, len(pts[0]), rstar.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -223,10 +213,8 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 	return &Dataset{
 		points:         pts,
 		tree:           tree,
-		src:            store,
 		quadMaxPartial: cfg.quadMaxPartial,
 		quadMaxDepth:   cfg.quadMaxDepth,
-		directMemory:   cfg.directMemory,
 		pageLatency:    cfg.pageLatency,
 	}, nil
 }
@@ -260,10 +248,10 @@ func (ds *Dataset) Point(i int) ([]float64, error) {
 }
 
 // IOReads returns the page reads accumulated since the last reset.
-func (ds *Dataset) IOReads() int64 { return ds.src.Stats().Reads }
+func (ds *Dataset) IOReads() int64 { return ds.tree.Source().Stats().Reads }
 
 // ResetIO zeroes the page-access counters.
-func (ds *Dataset) ResetIO() { ds.src.ResetStats() }
+func (ds *Dataset) ResetIO() { ds.tree.Source().ResetStats() }
 
 // Close releases the memory mapping of an mmap-served dataset (idempotent,
 // nil-safe in effect: heap datasets have nothing to release). The dataset
@@ -301,11 +289,12 @@ type StorageStats struct {
 	// MappedBytes is the size of the memory-mapped snapshot image (0 for
 	// heap datasets).
 	MappedBytes int64 `json:"mapped_bytes"`
-	// HeapBytes approximates the heap footprint of the records and index
-	// pages: page payloads plus point values, excluding per-object
-	// overhead. For mmap datasets only materialized parts count (the
-	// float64 values of a float32 snapshot; zero when points alias the
-	// mapping).
+	// HeapBytes approximates the heap footprint of the records and index:
+	// point values, page payloads and the decoded node cache a heap index
+	// serves from, excluding per-object overhead. For mmap datasets only
+	// materialized parts count (the float64 values of a float32 snapshot;
+	// zero when points alias the mapping), since a mapped index caches no
+	// nodes.
 	HeapBytes int64 `json:"heap_bytes"`
 }
 
@@ -325,8 +314,8 @@ func (ds *Dataset) Storage() StorageStats {
 		}
 		return st
 	}
-	st.HeapBytes = pointBytes
-	ds.src.ForEachPage(func(id pager.PageID, data []byte) error {
+	st.HeapBytes = pointBytes + ds.tree.CachedBytes()
+	ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		st.HeapBytes += int64(len(data))
 		return nil
 	})

@@ -60,10 +60,10 @@ func DeleteOp(index int) Op { return Op{Kind: OpDelete, Index: index} }
 // LP/leaf counters) may differ, because an incrementally maintained tree
 // legitimately has a different shape than a bulk-loaded one.
 //
-// The successor inherits the receiver's page size, quad-tree defaults,
-// direct-memory mode and simulated page latency. Its fingerprint is
-// recomputed from the new content, so engine result caches keyed by
-// fingerprint never serve stale answers for the mutated dataset.
+// The successor inherits the receiver's page size, quad-tree defaults and
+// simulated page latency. Its fingerprint is recomputed from the new
+// content, so engine result caches keyed by fingerprint never serve stale
+// answers for the mutated dataset.
 func (ds *Dataset) Apply(ops []Op) (*Dataset, error) {
 	return ds.applyOps(context.Background(), ops)
 }
@@ -114,8 +114,9 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	// an mmap-served parent this copy IS the copy-on-write promotion —
 	// mutation never writes through the mapping (pager.Mapped has no write
 	// path at all), it materializes a writable image and edits that.
-	store := pager.NewStore(ds.src.PageSize())
-	err := ds.src.ForEachPage(func(id pager.PageID, data []byte) error {
+	src := ds.tree.Source()
+	store := pager.NewStore(src.PageSize())
+	err := src.ForEachPage(func(id pager.PageID, data []byte) error {
 		if data == nil {
 			return fmt.Errorf("repro: page %d allocated but never written (index not finalized?)", id)
 		}
@@ -128,8 +129,7 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	// mutations freed); reclaim them so the ID space stays bounded across
 	// generations instead of growing by every generation's leftovers.
 	store.ReclaimGaps()
-	tree, err := rstar.Restore(store, dim, ds.tree.Root(), ds.tree.Height(), ds.tree.Size(),
-		rstar.Options{DirectMemory: true}) // mutation needs the full node cache
+	tree, err := rstar.RestoreFrom(store, dim, ds.tree.Root(), ds.tree.Height(), ds.tree.Size(), rstar.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -199,18 +199,13 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	if err := tree.Finalize(); err != nil {
 		return nil, err
 	}
-	if !ds.directMemory {
-		tree.SetDirectMemory(false)
-	}
 	store.ResetStats()
 	store.SetLatency(ds.pageLatency)
 	return &Dataset{
 		points:         pts,
 		tree:           tree,
-		src:            store,
 		quadMaxPartial: ds.quadMaxPartial,
 		quadMaxDepth:   ds.quadMaxDepth,
-		directMemory:   ds.directMemory,
 		pageLatency:    ds.pageLatency,
 	}, nil
 }

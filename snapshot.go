@@ -34,14 +34,14 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 		Fingerprint:    ds.Fingerprint(),
 		Dim:            ds.Dim(),
 		Count:          ds.Len(),
-		PageSize:       ds.src.PageSize(),
+		PageSize:       ds.tree.Source().PageSize(),
 		QuadMaxPartial: ds.quadMaxPartial,
 		QuadMaxDepth:   ds.quadMaxDepth,
 		Root:           int64(ds.tree.Root()),
 		Height:         ds.tree.Height(),
 		Points:         dataset.Flatten(ds.points),
 	}
-	err := ds.src.ForEachPage(func(id pager.PageID, data []byte) error {
+	err := ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		if data == nil {
 			return fmt.Errorf("repro: page %d allocated but never written (index not finalized?)", id)
 		}
@@ -92,8 +92,8 @@ func (e *Engine) Snapshot(w io.Writer) error { return e.ds.WriteSnapshot(w) }
 // the quad-tree defaults come from the snapshot, so WithPageSize and
 // WithQuadDefaults are ignored (the pages were encoded for the persisted
 // size); WithInsertBuild is meaningless here and also ignored.
-// WithDirectMemory (default on, as in NewDataset) and WithPageLatency
-// configure the serving scenario as usual.
+// WithPageLatency configures the simulated page latency as usual. A stream
+// loads onto the heap, so the index serves from its decoded node cache.
 //
 // Decode failures carry the typed errors of internal/snapshot (bad magic,
 // truncation, future version, checksum mismatch); a snapshot whose points
@@ -117,8 +117,10 @@ func LoadSnapshot(r io.Reader, opts ...DatasetOption) (*Dataset, error) {
 //
 // WithMmap(false) loads onto the heap instead, as do platforms without
 // mmap and legacy v1 files (their layout is sequential, not mappable; they
-// are converted on the way in). In mmap mode the index always decodes nodes
-// on demand from the mapping — WithDirectMemory is ignored — and mutation
+// are converted on the way in). A heap load decodes every index page once
+// and serves from that node cache; in mmap mode the index decodes each
+// page it reads from the mapping — the paper's main-memory and
+// disk-resident scenarios, chosen by storage — and mutation
 // (Dataset.Apply) promotes the image into heap pages, never writing
 // through the mapping.
 //
@@ -230,10 +232,7 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 	if err := checkFinite(pts); err != nil {
 		return nil, err
 	}
-	var (
-		src      pager.Source
-		treeOpts rstar.Options
-	)
+	var src pager.Source
 	if heap {
 		store := pager.NewStore(v.PageSize)
 		for i := 0; i < v.NumPages(); i++ {
@@ -246,7 +245,7 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 		// reclaim them so later mutations of the loaded dataset reuse the
 		// slots instead of growing the ID space.
 		store.ReclaimGaps()
-		src, treeOpts.DirectMemory = store, cfg.directMemory
+		src = store
 	} else {
 		pages := make([]pager.MappedPage, v.NumPages())
 		for i := range pages {
@@ -257,7 +256,7 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 			return nil, err
 		}
 	}
-	tree, err := rstar.RestoreFrom(src, v.Dim, pager.PageID(v.Root), v.Height, int64(v.Count), treeOpts)
+	tree, err := rstar.RestoreFrom(src, v.Dim, pager.PageID(v.Root), v.Height, int64(v.Count), rstar.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +265,9 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 	return &Dataset{
 		points:         pts,
 		tree:           tree,
-		src:            src,
 		fp:             v.Fingerprint,
 		quadMaxPartial: v.QuadMaxPartial,
 		quadMaxDepth:   v.QuadMaxDepth,
-		directMemory:   treeOpts.DirectMemory,
 		pageLatency:    cfg.pageLatency,
 		loadedVersion:  snapshot.Version2,
 		loadedFloat32:  v.Float32,

@@ -266,26 +266,6 @@ func TestLoadSnapshotCorruptionTyped(t *testing.T) {
 	})
 }
 
-// TestLoadSnapshotWithoutDirectMemory: the disk-resident configuration
-// decodes pages on demand; answers and I/O counts stay identical.
-func TestLoadSnapshotWithoutDirectMemory(t *testing.T) {
-	built := genDS(t, "ANTI", 400, 3)
-	loaded := roundTripDataset(t, built, repro.WithDirectMemory(false))
-	engBuilt, _ := repro.NewEngine(built)
-	engLoaded, _ := repro.NewEngine(loaded)
-	a, err := engBuilt.Query(context.Background(), 42, repro.WithTau(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := engLoaded.Query(context.Background(), 42, repro.WithTau(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-		t.Fatal("results differ when the loaded index decodes pages on demand")
-	}
-}
-
 // TestLoadSnapshotRejectsNonFinite: a snapshot whose points contain
 // NaN/Inf — hand-crafted, or written before construction-time validation
 // existed — must fail to load, not poison query answers silently. The
