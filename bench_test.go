@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/dataset"
@@ -186,57 +185,6 @@ func BenchmarkSubstrates(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBatchSharing measures shared-arrangement batch execution: a
-// QueryBatch of clustered focals with WithBatchSharing off versus on. The
-// headline pair is FCA at d = 2 with simulated page latency (fca_d2_disk)
-// — FCA scans the full incomparable set per query, so the shared prefix
-// replaces one complete index pass per focal and the batch collapses to
-// roughly one scan plus m sweeps. The aa_d3 pairs are the control: AA has
-// nothing to share and takes the independent path either way, so their
-// two halves must read the same — they lost 20-60% under the
-// dominators-only "light" prefix PR 24 deleted, and stay here so that a
-// regression of that kind is visible. Result caches are disabled so every
-// op pays full computation; answers are bit-identical either way, so
-// ns/op ratios are pure sharing speedup. Measured numbers are in
-// docs/PERFORMANCE.md, "Batch sharing".
-func BenchmarkBatchSharing(b *testing.B) {
-	ctx := context.Background()
-	lat := repro.WithPageLatency(50 * time.Microsecond)
-	for _, scen := range []struct {
-		name string
-		dist string
-		n, d int
-		m    int
-		alg  repro.Algorithm
-		opts []repro.DatasetOption
-	}{
-		{"fca_d2_disk", "IND", 5000, 2, 16, repro.FCA, []repro.DatasetOption{lat}},
-		{"aa_d3_mem", "IND", 4000, 3, 16, repro.AA, nil},
-		{"aa_d3_disk", "IND", 4000, 3, 16, repro.AA, []repro.DatasetOption{lat}},
-	} {
-		ds, err := repro.GenerateDataset(scen.dist, scen.n, scen.d, 1, scen.opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		focals := clusteredFocals(b, ds, 17, scen.m)
-		for _, share := range []bool{false, true} {
-			eng, err := repro.NewEngine(ds, repro.WithCache(0), repro.WithBatchSharing(share))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/share=%v", scen.name, share), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryBatch(ctx, focals, repro.WithAlgorithm(scen.alg)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkApply measures the mutation subsystem: one batch of point

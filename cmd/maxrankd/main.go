@@ -56,7 +56,6 @@ type config struct {
 	cacheCap    int
 	parallel    int
 	resnapshot  bool
-	batchShare  bool
 	pageLatency time.Duration
 	noMmap      bool
 
@@ -112,7 +111,6 @@ func (c *config) engineOptions() []repro.EngineOption {
 	return []repro.EngineOption{
 		repro.WithParallelism(c.parallel),
 		repro.WithCache(c.cacheCap),
-		repro.WithBatchSharing(c.batchShare),
 	}
 }
 
@@ -319,13 +317,12 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "synthetic dataset seed (with -gen)")
 	flag.BoolVar(&cfg.normalize, "normalize", false, "min-max normalise attributes to [0,1] (with -data)")
 	flag.IntVar(&cfg.cacheCap, "cache", 4096, "per-dataset result cache capacity in entries (0 disables)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "batch worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "batch worker pool size (0 = GOMAXPROCS); with -page-latency, a pool larger than the core count overlaps the simulated waits")
 	flag.BoolVar(&cfg.resnapshot, "resnapshot", false, "write each mutated dataset back to <data-dir>/<name>.snap (with -data-dir)")
 	mmapOn := flag.Bool("mmap", true, "serve format-v2 snapshots zero-copy via a read-only memory mapping (false = decode onto the heap)")
 	flag.BoolVar(&cfg.wal, "wal", false, "write-ahead log mutations to <data-dir>/<name>.wal and replay them over snapshots at startup (with -data-dir)")
 	flag.StringVar(&cfg.walSync, "wal-sync", "always", "WAL durability: always (fsync per mutation), interval, or none")
 	flag.DurationVar(&cfg.walSyncInterval, "wal-sync-interval", 100*time.Millisecond, "WAL flush period with -wal-sync interval")
-	flag.BoolVar(&cfg.batchShare, "batch-share", false, "share the dominance-classification prefix across each /v1/batch's clustered focals")
 	flag.DurationVar(&cfg.pageLatency, "page-latency", 0, "simulated latency per index page access (disk-resident scenario; 0 = in-memory)")
 	var (
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")

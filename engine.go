@@ -32,18 +32,12 @@ import (
 // in pooled execution states inside the core package — so one Engine (and
 // one Dataset) serves an arbitrary number of goroutines.
 type Engine struct {
-	ds         *Dataset
-	parallel   int
-	batchShare bool
-	defaults   []Option
-	cacheCap   int // as configured, so Apply can equip successors alike
-	cache      *cache.Cache[*Result]
-	queries    atomic.Int64
-
-	// boundsOnce/dsLo/dsHi lazily cache the dataset bounding box that
-	// anchors the batch-sharing proximity grid (see sharedGroupBounds).
-	boundsOnce sync.Once
-	dsLo, dsHi vecmath.Point
+	ds       *Dataset
+	parallel int
+	defaults []Option
+	cacheCap int // as configured, so Apply can equip successors alike
+	cache    *cache.Cache[*Result]
+	queries  atomic.Int64
 }
 
 // EngineOption configures engine construction.
@@ -51,7 +45,6 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	parallel      int
-	batchShare    bool
 	defaults      []Option
 	cacheCapacity int
 }
@@ -62,6 +55,11 @@ type engineConfig struct {
 //
 // Parallelism is across queries only: every query, in a batch or not, runs
 // on one goroutine.
+//
+// Under WithPageLatency, a pool larger than the core count overlaps the
+// simulated waits: on 2 cores, a 16-focal FCA batch (IND n = 5000, d = 2,
+// 50 µs a page) takes 31–33 ms with WithParallelism(16) and 404–414 ms
+// with the default.
 func WithParallelism(n int) EngineOption {
 	return func(c *engineConfig) { c.parallel = n }
 }
@@ -122,7 +120,7 @@ func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if cfg.parallel <= 0 {
 		cfg.parallel = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{ds: ds, parallel: cfg.parallel, batchShare: cfg.batchShare, defaults: cfg.defaults, cacheCap: cfg.cacheCapacity}
+	e := &Engine{ds: ds, parallel: cfg.parallel, defaults: cfg.defaults, cacheCap: cfg.cacheCapacity}
 	if cfg.cacheCapacity > 0 {
 		e.cache = cache.New[*Result](cfg.cacheCapacity)
 	}
@@ -230,13 +228,6 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 	}
 	if len(focalIndexes) == 0 {
 		return nil, nil
-	}
-	if e.batchShare {
-		// BA and FCA share their group's classification pass; AA reads only
-		// n_a records lazily and has nothing to share.
-		if cfg := e.queryConfig(opts); cfg.Algorithm.resolved() != AA {
-			return e.queryBatchShared(ctx, focalIndexes, &cfg)
-		}
 	}
 	workers := e.parallel
 	if workers > len(focalIndexes) {

@@ -254,6 +254,10 @@ func TestErrBadQuery(t *testing.T) {
 		{"negative focal", func() error { _, err := eng.Query(ctx, -1); return err }},
 		{"wrong point dim", func() error { _, err := eng.QueryPoint(ctx, []float64{0.5}); return err }},
 		{"FCA on 3-d", func() error { _, err := eng.Query(ctx, 1, repro.WithAlgorithm(repro.FCA)); return err }},
+		{"batch focal out of range", func() error {
+			_, err := eng.QueryBatch(ctx, []int{1, 2, 9999}, repro.WithAlgorithm(repro.BA))
+			return err
+		}},
 		{"unknown algorithm", func() error { _, err := eng.Query(ctx, 1, repro.WithAlgorithm(repro.Algorithm(99))); return err }},
 	}
 	for _, tc := range cases {
@@ -263,6 +267,50 @@ func TestErrBadQuery(t *testing.T) {
 	}
 	if _, err := eng.Query(ctx, 1); errors.Is(err, repro.ErrBadQuery) || err != nil {
 		t.Fatalf("valid query errored: %v", err)
+	}
+}
+
+// TestQueryBatchCached: QueryBatch consults and feeds the result cache
+// like Query does. One worker makes the order fixed: a focal listed twice
+// in one batch computes once and its second slot is a hit, a repeated
+// batch is served from memory, and every cached member equals the
+// computed one, cost counters included.
+func TestQueryBatchCached(t *testing.T) {
+	ds, err := repro.GenerateDataset("IND", 600, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := repro.NewEngine(ds, repro.WithParallelism(1), repro.WithCache(64),
+		repro.WithQueryDefaults(repro.WithAlgorithm(repro.FCA)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	focals := clusteredFocals(t, ds, 3, 8)
+	focals = append(focals, focals[0])
+	ctx := context.Background()
+	first, err := eng.QueryBatch(ctx, focals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range first {
+		if want := i == len(focals)-1; res.Cached != want {
+			t.Errorf("first batch member %d: Cached = %v, want %v", i, res.Cached, want)
+		}
+	}
+	second, err := eng.QueryBatch(ctx, focals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range focals {
+		if !second[i].Cached {
+			t.Errorf("repeat batch member %d not served from cache", i)
+		}
+		if !reflect.DeepEqual(answerOf(first[i]), answerOf(second[i])) {
+			t.Errorf("repeat batch member %d differs from the first run", i)
+		}
+	}
+	if s := eng.Stats(); s.CacheMisses != 8 || s.CacheHits != 10 {
+		t.Errorf("Stats = %+v, want 8 misses and 10 hits", s)
 	}
 }
 

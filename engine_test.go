@@ -65,9 +65,51 @@ func batchFocals(top []int) []int {
 	return focals
 }
 
+// clusteredFocals returns the m dataset indexes nearest (L2) to record
+// `around`: a batch whose members share most of their index pages.
+func clusteredFocals(t testing.TB, ds *repro.Dataset, around, m int) []int {
+	t.Helper()
+	center, err := ds.Point(around)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cand struct {
+		idx int
+		d   float64
+	}
+	cands := make([]cand, ds.Len())
+	for i := range cands {
+		p, err := ds.Point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d float64
+		for k, v := range p {
+			dv := v - center[k]
+			d += dv * dv
+		}
+		cands[i] = cand{idx: i, d: d}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].d != cands[b].d {
+			return cands[a].d < cands[b].d
+		}
+		return cands[a].idx < cands[b].idx
+	})
+	out := make([]int, m)
+	for i := range out {
+		out[i] = cands[i].idx
+	}
+	return out
+}
+
 // TestQueryBatchMatchesSequential is the acceptance check: a parallel batch
 // over 64 focal records of the 10k dataset must reproduce the sequential
-// Compute answers exactly — same ranks, same regions, same witnesses.
+// Compute answers exactly — same ranks, same regions, same witnesses. For
+// FCA and BA, the algorithms that scan the whole incomparable set, every
+// member of a clustered, a scattered and a duplicate-containing batch, at
+// τ 0 and 2 with outranking IDs, must equal a lone Query's answer and
+// every cost counter of it, IO included. Run under -race in CI.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	ds, top := get10k(t)
 	focals := batchFocals(top)
@@ -91,6 +133,51 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		assertSameResult(t, focal, batch[i], seq)
 		if err := repro.Validate(ds, focal, batch[i]); err != nil {
 			t.Fatalf("focal %d: %v", focal, err)
+		}
+	}
+
+	ctx := context.Background()
+	for _, tc := range []struct {
+		dist   string
+		n, dim int
+		alg    repro.Algorithm
+	}{
+		{"COR", 700, 2, repro.FCA},
+		{"IND", 300, 3, repro.BA}, // BA materialises every incomparable half-space: keep n small
+	} {
+		ds, err := repro.GenerateDataset(tc.dist, tc.n, tc.dim, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := repro.NewEngine(ds, repro.WithParallelism(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster := clusteredFocals(t, ds, 17, 12)
+		scattered := make([]int, 10)
+		for i := range scattered {
+			scattered[i] = (i * 73) % ds.Len()
+		}
+		mixed := append(append([]int{}, cluster[:8]...), scattered...)
+		mixed = append(mixed, cluster[0]) // a focal twice in one batch
+		for _, focals := range [][]int{cluster, scattered, mixed} {
+			for _, tau := range []int{0, 2} {
+				opts := []repro.Option{repro.WithAlgorithm(tc.alg), repro.WithTau(tau), repro.WithOutrankIDs(true)}
+				batch, err := eng.QueryBatch(ctx, focals, opts...)
+				if err != nil {
+					t.Fatalf("%s/d%d/%v tau=%d batch: %v", tc.dist, tc.dim, tc.alg, tau, err)
+				}
+				for i, focal := range focals {
+					lone, err := eng.Query(ctx, focal, opts...)
+					if err != nil {
+						t.Fatalf("%s/d%d/%v tau=%d focal %d: %v", tc.dist, tc.dim, tc.alg, tau, focal, err)
+					}
+					if !reflect.DeepEqual(answerOf(batch[i]), answerOf(lone)) {
+						t.Errorf("%s/d%d/%v tau=%d focal %d: batch member differs from a lone query\n got: %+v\nwant: %+v",
+							tc.dist, tc.dim, tc.alg, tau, focal, batch[i].Stats, lone.Stats)
+					}
+				}
+			}
 		}
 	}
 }

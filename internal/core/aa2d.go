@@ -195,13 +195,13 @@ func aa2dRun(in Input) (*Result, error) {
 	res := &Result{}
 	p := in.Focal
 
-	dom, err := in.dominators(rd)
+	dom, err := CountDominators(rd, p)
 	if err != nil {
 		return nil, err
 	}
 
-	sky, err := in.resetSkyline(ctx, rd, st)
-	if err != nil {
+	sky := &st.sky
+	if err := sky.Reset(ctx, rd, p, in.FocalID); err != nil {
 		return nil, err
 	}
 	a := &st.aa2d
@@ -292,7 +292,7 @@ func aa2dRun(in Input) (*Result, error) {
 	finishResult(res, regions, oStar, in.Tau, dom)
 	res.Stats.Dominators = dom
 	res.Stats.IncomparableAccessed = sky.Accessed()
-	res.Stats.IO = tr.Reads() + in.sharedIO()
+	res.Stats.IO = tr.Reads()
 	res.Stats.CPUTime = timeNow().Sub(start)
 	return res, nil
 }

@@ -16,8 +16,12 @@ import (
 
 // printed renders a Result's answer by value, so that two renderings
 // compare what the Results held when each was taken and not whether they
-// alias the same memory.
-func printed(res *Result) string { return fmt.Sprintf("%+v", *stripVolatileStats(res)) }
+// alias the same memory. CPUTime, wall time, is left out.
+func printed(res *Result) string {
+	cp := *res
+	cp.Stats.CPUTime = 0
+	return fmt.Sprintf("%+v", cp)
+}
 
 // poison overwrites AA2D's buffers through their capacity (see
 // skyline.Maintainer.Poison).

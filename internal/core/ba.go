@@ -30,7 +30,7 @@ func baRun(in Input) (*Result, error) {
 	res := &Result{}
 	p := in.Focal
 
-	dom, err := in.dominators(rd)
+	dom, err := CountDominators(rd, p)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func baRun(in Input) (*Result, error) {
 		id int64
 	}
 	var incs []incRec
-	err = in.eachIncomparable(ctx, rd, func(r vecmath.Point, id int64) error {
+	err = scanIncomparable(ctx, rd, p, in.FocalID, func(r vecmath.Point, id int64) error {
 		incs = append(incs, incRec{p: r.Clone(), id: id})
 		return nil
 	})
@@ -81,7 +81,7 @@ func baRun(in Input) (*Result, error) {
 	finishResult(res, regions, minOrder, in.Tau, dom)
 	res.Stats.Dominators = dom
 	res.Stats.Iterations = 1
-	res.Stats.IO = tr.Reads() + in.sharedIO()
+	res.Stats.IO = tr.Reads()
 	res.Stats.CPUTime = timeNow().Sub(start)
 	return res, nil
 }

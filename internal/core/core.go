@@ -49,14 +49,6 @@ type Input struct {
 	// Deprecated: queries are sequential; run several queries at once for
 	// parallelism. The field remains only so existing callers compile.
 	Workers int
-	// Shared, when non-nil, is this focal's view of a group prefix built by
-	// BuildGroupPrefix: the dominator count and the incomparable set come
-	// from the prefix's single shared classification pass instead of
-	// per-query tree scans. The answer — regions, ranks, witnesses — is
-	// bit-identical to independent execution; see GroupPrefix for the Stats
-	// fields that legitimately differ. The prefix's focals slice must
-	// contain in.Focal at the view's index (Validate enforces it).
-	Shared *FocalPrefix
 	// Ctx carries cancellation and deadline for the query; nil means
 	// context.Background(). The algorithm loops poll it between tree node
 	// accesses, quad-tree leaves and expansion rounds.
@@ -80,9 +72,6 @@ func (in *Input) Validate() error {
 	}
 	if in.Tau < 0 {
 		return fmt.Errorf("core: negative tau %d", in.Tau)
-	}
-	if in.Shared != nil && !in.Shared.focal().Equal(in.Focal) {
-		return fmt.Errorf("core: shared prefix focal mismatch")
 	}
 	return nil
 }

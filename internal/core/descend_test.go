@@ -5,21 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/rstar"
-	"repro/internal/skyline"
 	"repro/internal/vecmath"
 )
 
-// refScanIncompNode and refBuildGroupPrefix (with refGroupScan) are
-// scanIncomparable and BuildGroupPrefix as they were before their tree
-// scans became rstar.Reader.Descend visitors, kept as the reference they
-// must match read for read. refCountDominators is CountDominators as two
+// refScanIncompNode is scanIncomparable as it was before its tree scan
+// became an rstar.Reader.Descend visitor, kept as the reference it must
+// match read for read. refCountDominators is CountDominators as two
 // range counts over bounded windows.
 func refScanIncompNode(ctx context.Context, rd rstar.Reader, id pager.PageID, p vecmath.Point, focalID int64, fn func(pt vecmath.Point, id int64) error) error {
 	if err := ctx.Err(); err != nil {
@@ -50,83 +47,6 @@ func refScanIncompNode(ctx context.Context, rd rstar.Reader, id pager.PageID, p 
 		}
 	}
 	return nil
-}
-
-func refGroupScan(ctx context.Context, g *GroupPrefix, rd rstar.Reader, id pager.PageID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n, err := rd.ReadNodeInto(id, nil)
-	if err != nil {
-		return err
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if n.Leaf() {
-			g.classify(e.Point(), e.RecordID)
-			continue
-		}
-		if allGeq(g.glo, e.Rect.Hi) {
-			continue
-		}
-		if allGeq(e.Rect.Lo, g.ghi) {
-			g.sharedDom += e.Count
-			continue
-		}
-		if err := refGroupScan(ctx, g, rd, e.Child); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func refBuildGroupPrefix(ctx context.Context, tree *rstar.Tree, focals []vecmath.Point) (*GroupPrefix, error) {
-	g := &GroupPrefix{
-		focals:     focals,
-		glo:        focals[0].Clone(),
-		ghi:        focals[0].Clone(),
-		focalEqGhi: make([]bool, len(focals)),
-		domExtra:   make([]int64, len(focals)),
-		incExtra:   make([][]skyline.Record, len(focals)),
-	}
-	for _, p := range focals[1:] {
-		for i, v := range p {
-			if v < g.glo[i] {
-				g.glo[i] = v
-			}
-			if v > g.ghi[i] {
-				g.ghi[i] = v
-			}
-		}
-	}
-	anyEqGhi := false
-	for i, p := range focals {
-		if p.Equal(g.ghi) {
-			g.focalEqGhi[i] = true
-			anyEqGhi = true
-		}
-	}
-	tr := new(pager.Tracker)
-	rd := tree.Reader(tr)
-	if err := refGroupScan(ctx, g, rd, rd.Root()); err != nil {
-		return nil, err
-	}
-	if anyEqGhi {
-		eq, err := rd.RangeCount(geom.PointRect(g.ghi))
-		if err != nil {
-			return nil, err
-		}
-		g.eqGhi = eq
-	}
-	byID := func(recs []skyline.Record) {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	}
-	byID(g.sharedInc)
-	for _, recs := range g.incExtra {
-		byID(recs)
-	}
-	g.io = tr.Reads()
-	return g, nil
 }
 
 func refCountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
@@ -196,12 +116,12 @@ func scanWith(stopAt int, cancel bool, scan func(ctx context.Context, rd rstar.R
 
 var errStopScan = errors.New("stop scan")
 
-// TestDescendScansMatchRecursiveWalks: the dominator count, the
-// incomparable scan and the group prefix's classification pass, now
-// Descend visitors, return what the recursive walks returned and read
-// exactly the pages they read — on a heap tree serving its node cache and
-// on a mapped copy decoding every page, d = 2…4, IND and ANTI — including
-// scans stopped early by their callback and scans cancelled mid-walk.
+// TestDescendScansMatchRecursiveWalks: the dominator count and the
+// incomparable scan, now Descend visitors, return what the recursive walks
+// returned and read exactly the pages they read — on a heap tree serving
+// its node cache and on a mapped copy decoding every page, d = 2…4, IND and
+// ANTI — including scans stopped early by their callback and scans
+// cancelled mid-walk.
 func TestDescendScansMatchRecursiveWalks(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		for _, dist := range []dataset.Distribution{dataset.IND, dataset.ANTI} {
@@ -247,35 +167,6 @@ func TestDescendScansMatchRecursiveWalks(t *testing.T) {
 						if stop.at > 0 && len(got.ids) >= stop.at && got.err == nil {
 							t.Fatalf("%s focal %d stop %+v: the scan ran on after being stopped", name, f.id, stop)
 						}
-					}
-				}
-
-				// Two groups of records, and two of what-if focals whose box
-				// lies low (most subtrees wholly dominate it) and high (most
-				// subtrees are wholly dominated).
-				groups := [][]vecmath.Point{
-					{uniform(d, 0.15), uniform(d, 0.2)},
-					{uniform(d, 0.8), uniform(d, 0.85)},
-				}
-				for _, group := range [][]int{nearestGroup(points, 2), nearestGroup(points, 12)} {
-					members := make([]vecmath.Point, len(group))
-					for i, idx := range group {
-						members[i] = points[idx]
-					}
-					groups = append(groups, members)
-				}
-				for _, members := range groups {
-					got, err := BuildGroupPrefix(context.Background(), tree, members)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := refBuildGroupPrefix(context.Background(), tree, members)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s group %v: BuildGroupPrefix differs from the recursive walk (reads %d vs %d)",
-							name, members, got.io, want.io)
 					}
 				}
 			}

@@ -32,7 +32,7 @@ func fcaRun(in Input) (*Result, error) {
 	res := &Result{}
 	p := in.Focal
 
-	dom, err := in.dominators(rd)
+	dom, err := CountDominators(rd, p)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func fcaRun(in Input) (*Result, error) {
 	above := make(map[int64]bool) // records above p at the current q1
 	above0 := 0
 	var nInc int64
-	err = in.eachIncomparable(ctx, rd, func(r vecmath.Point, id int64) error {
+	err = scanIncomparable(ctx, rd, p, in.FocalID, func(r vecmath.Point, id int64) error {
 		nInc++
 		// score(r) - score(p) at q1 is (r2-p2) + a*q1 with a the slope gap.
 		a := (r[0] - r[1]) - (p[0] - p[1])
@@ -147,7 +147,7 @@ func fcaRun(in Input) (*Result, error) {
 	finishResult(res, regions, minOrder, in.Tau, dom)
 	res.Stats.Dominators = dom
 	res.Stats.Iterations = 1
-	res.Stats.IO = tr.Reads() + in.sharedIO()
+	res.Stats.IO = tr.Reads()
 	res.Stats.CPUTime = timeNow().Sub(start)
 	return res, nil
 }
@@ -162,7 +162,7 @@ func outranksAt2D(ctx context.Context, in *Input, rd rstar.Reader, q1 float64) (
 	var ids []int64
 	q := vecmath.Point{q1, 1 - q1}
 	ps := in.Focal.Dot(q)
-	err := in.eachIncomparable(ctx, rd, func(r vecmath.Point, id int64) error {
+	err := scanIncomparable(ctx, rd, in.Focal, in.FocalID, func(r vecmath.Point, id int64) error {
 		if r.Dot(q) > ps {
 			ids = append(ids, id)
 		}

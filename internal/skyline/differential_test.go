@@ -47,6 +47,26 @@ func smallPageTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 	return tree
 }
 
+// insertedTree indexes pts like smallPageTree but one record at a time
+// through R* insertion, as a mutated dataset's tree is grown: other page
+// boundaries, overlapping MBRs and underfull nodes for the BBS search.
+func insertedTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
+	t.Helper()
+	tree, err := rstar.New(pager.NewStore(512), len(pts[0]), rstar.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tree.Insert(p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 // mappedCopy serves the pages of a finalized heap tree through a read-only
 // pager.Mapped source, as a snapshot loaded from a file is served: the same
 // tree, decoding every page it reads.
@@ -218,28 +238,14 @@ func recordIDs(recs []Record) []int64 {
 	return out
 }
 
-// incomparable lists the records incomparable to the focal in ascending
-// ID order, the seed NewFromRecords takes.
-func incomparable(in diffInput) []Record {
-	var recs []Record
-	for i, p := range in.pts {
-		if int64(i) != in.focalID && vecmath.Compare(p, in.focal) == vecmath.Incomparable {
-			recs = append(recs, Record{Point: p, ID: int64(i)})
-		}
-	}
-	return recs
-}
-
 // driveBoth runs one seeded Skyline/Expand sequence through the oracle and
-// the Maintainer — both over tree, or both seeded from the incomparable
-// records when tree is nil — and compares, after every call: the records
+// the Maintainer, both over tree, and compares, after every call: the records
 // returned (IDs, in order, and their points), Accessed, the pages each
 // read, and the live set — and holds the live set against the brute-force
 // skyline.
 func driveBoth(t *testing.T, in diffInput, tree *rstar.Tree, seed int64) {
 	t.Helper()
 	var refIO, gotIO pager.Tracker
-	var ref *refMaintainer
 	// Odd seeds run on a new Maintainer, even ones on the one every earlier
 	// even seed used — other inputs, other dimensions — poisoned in between.
 	got := new(Maintainer)
@@ -248,18 +254,12 @@ func driveBoth(t *testing.T, in diffInput, tree *rstar.Tree, seed int64) {
 		got.Release()
 		got.Poison()
 	}
-	if tree == nil {
-		recs := incomparable(in)
-		ref = refNewFromRecords(context.Background(), recs)
-		got.ResetFromRecords(context.Background(), recs)
-	} else {
-		var err error
-		if ref, err = refNewForQuery(context.Background(), tree.Reader(&refIO), in.focal, in.focalID); err != nil {
-			t.Fatal(err)
-		}
-		if err = got.Reset(context.Background(), tree.Reader(&gotIO), in.focal, in.focalID); err != nil {
-			t.Fatal(err)
-		}
+	ref, err := refNewForQuery(context.Background(), tree.Reader(&refIO), in.focal, in.focalID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err = got.Reset(context.Background(), tree.Reader(&gotIO), in.focal, in.focalID); err != nil {
+		t.Fatal(err)
 	}
 	expanded := map[int64]bool{}
 	step := 0
@@ -385,18 +385,15 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			inputs = append(inputs, sumTieInput(), neighbourInput(false), neighbourInput(true))
 		}
 		for _, in := range inputs {
-			for _, fromRecords := range []bool{false, true} {
-				name := fmt.Sprintf("d%d/%s/tree", d, in.name)
-				if fromRecords {
-					name = fmt.Sprintf("d%d/%s/records", d, in.name)
-				}
-				t.Run(name, func(t *testing.T) {
-					var tree *rstar.Tree // nil: seeded from records
-					if !fromRecords {
-						tree = smallPageTree(t, in.pts)
-					}
+			// "tree" is bulk-loaded, "records" inserted record by record.
+			for _, build := range []struct {
+				name  string
+				index func(testing.TB, []vecmath.Point) *rstar.Tree
+			}{{"tree", smallPageTree}, {"records", insertedTree}} {
+				t.Run(fmt.Sprintf("d%d/%s/%s", d, in.name, build.name), func(t *testing.T) {
+					tree := build.index(t, in.pts)
 					for seed := int64(1); seed <= 4; seed++ {
-						if seed == 3 && tree != nil {
+						if seed == 3 {
 							// The rest read a mapped copy, decoding every
 							// page into the maintainer's scratch node; seed
 							// 4's maintainer arrives with that node poisoned.

@@ -80,39 +80,6 @@ func refNewForQuery(ctx context.Context, rd rstar.Reader, focal vecmath.Point, f
 	return m, nil
 }
 
-// refNewFromRecords creates a maintainer seeded directly from an already
-// materialised incomparable set instead of discovering it through the
-// R*-tree — the shared-prefix batch path classifies records once per focal
-// group and seeds each member's maintainer from the result. The BBS heap
-// pops records in descending (coordinate-sum, then ascending record-ID)
-// order whether entries arrive from tree nodes or from this seed, and a
-// record joins the skyline exactly when no live member dominates it, so
-// Skyline and every Expand return the same record sequences as a
-// tree-backed maintainer over the same record set. Accessed reports
-// len(recs): the seed is already materialised, so the tree path's n_a
-// economy (records hidden inside parked nodes are never touched) does not
-// apply.
-//
-// The maintainer keeps the record points by reference; callers must not
-// mutate them for the maintainer's lifetime.
-func refNewFromRecords(ctx context.Context, recs []Record) *refMaintainer {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m := &refMaintainer{
-		ctx:      ctx,
-		focalID:  -1,
-		activeID: make(map[int64]int),
-		expanded: make(map[int64]bool),
-		parked:   make(map[int64][]refEntry),
-	}
-	for _, r := range recs {
-		m.accessed++
-		m.push(refEntry{key: r.Point.Sum(), rec: r})
-	}
-	return m
-}
-
 // Skyline drains the search heap and returns the skyline records discovered
 // by this call (the full current skyline is available via Active).
 func (m *refMaintainer) Skyline() ([]Record, error) { return m.drain() }

@@ -134,67 +134,29 @@ func NewForQuery(ctx context.Context, rd rstar.Reader, focal vecmath.Point, foca
 	return m, nil
 }
 
-// NewFromRecords creates a maintainer seeded directly from an already
-// materialised incomparable set instead of discovering it through the
-// R*-tree — the shared-prefix batch path classifies records once per focal
-// group and seeds each member's maintainer from the result. The BBS heap
-// pops records in descending (coordinate-sum, then ascending record-ID)
-// order whether entries arrive from tree nodes or from this seed, and a
-// record joins the skyline exactly when no live member dominates it, so
-// Skyline and every Expand return the same record sequences as a
-// tree-backed maintainer over the same record set. Accessed reports
-// len(recs): the seed is already materialised, so the tree path's n_a
-// economy (records hidden inside parked nodes are never touched) does not
-// apply.
-func NewFromRecords(ctx context.Context, recs []Record) *Maintainer {
-	m := new(Maintainer)
-	m.ResetFromRecords(ctx, recs)
-	return m
-}
-
 // Reset empties the maintainer, keeping its slabs, and aims it at a new
-// tree-backed query as NewForQuery does.
+// query as NewForQuery does.
 func (m *Maintainer) Reset(ctx context.Context, rd rstar.Reader, focal vecmath.Point, focalID int64) error {
 	if len(focal) != rd.Dim() {
 		return fmt.Errorf("skyline: focal dim %d != tree dim %d", len(focal), rd.Dim())
 	}
-	m.reset(ctx, len(focal))
-	m.rd = rd
-	m.focal = append(m.focal, focal...)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	dim := len(focal)
+	m.ctx, m.rd, m.dim = ctx, rd, dim
+	m.focal = append(m.focal[:0], focal...)
 	m.focalID = focalID
+	m.slots, m.coords, m.heap = m.slots[:0], m.coords[:0], m.heap[:0]
+	m.live, m.out = m.live[:0], m.out[:0]
+	m.stairs = dim == 2
+	m.accessed, m.pops, m.searches, m.err = 0, 0, 0, nil
 	root, err := rd.ReadNodeInto(rd.Root(), &m.node)
 	if err != nil {
 		return err
 	}
 	m.pushNodeEntries(root)
 	return nil
-}
-
-// ResetFromRecords empties the maintainer, keeping its slabs, and seeds it
-// as NewFromRecords does. The record points are copied.
-func (m *Maintainer) ResetFromRecords(ctx context.Context, recs []Record) {
-	dim := 0
-	if len(recs) > 0 {
-		dim = len(recs[0].Point)
-	}
-	m.reset(ctx, dim)
-	m.focalID = -1
-	for _, r := range recs {
-		m.accessed++
-		m.add(r.ID, false, r.Point)
-	}
-}
-
-func (m *Maintainer) reset(ctx context.Context, dim int) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.ctx, m.rd, m.dim = ctx, rstar.Reader{}, dim
-	m.focal = m.focal[:0]
-	m.slots, m.coords, m.heap = m.slots[:0], m.coords[:0], m.heap[:0]
-	m.live, m.out = m.live[:0], m.out[:0]
-	m.stairs = dim == 2
-	m.accessed, m.pops, m.searches, m.err = 0, 0, 0, nil
 }
 
 // Release drops the query's context and reader, so that a pooled

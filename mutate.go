@@ -231,7 +231,6 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (*Engine, error) {
 	}
 	opts := []EngineOption{
 		WithParallelism(e.parallel),
-		WithBatchSharing(e.batchShare),
 		WithCache(e.cacheCap),
 	}
 	if len(e.defaults) > 0 {

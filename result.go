@@ -90,10 +90,6 @@ type Stats struct {
 	// physical index layout: datasets holding the same records but indexed
 	// differently (bulk load vs insert build vs incremental mutation via
 	// Dataset.Apply) report different costs for bit-identical answers.
-	// Under shared-arrangement execution (WithBatchSharing) the group's one
-	// classification scan is charged in full to every member, so a
-	// member's IO is the pages read on its behalf — but summing members'
-	// IO multiply-counts the shared pages.
 	IO int64
 	// IncomparableAccessed is n (BA/FCA) or n_a (AA): the incomparable
 	// records the algorithm actually examined.
