@@ -254,10 +254,6 @@ func TestErrBadQuery(t *testing.T) {
 		{"negative focal", func() error { _, err := eng.Query(ctx, -1); return err }},
 		{"wrong point dim", func() error { _, err := eng.QueryPoint(ctx, []float64{0.5}); return err }},
 		{"FCA on 3-d", func() error { _, err := eng.Query(ctx, 1, repro.WithAlgorithm(repro.FCA)); return err }},
-		{"batch focal out of range", func() error {
-			_, err := eng.QueryBatch(ctx, []int{1, 2, 9999}, repro.WithAlgorithm(repro.BA))
-			return err
-		}},
 		{"unknown algorithm", func() error { _, err := eng.Query(ctx, 1, repro.WithAlgorithm(repro.Algorithm(99))); return err }},
 	}
 	for _, tc := range cases {

@@ -136,15 +136,62 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	ctx := context.Background()
-	for _, tc := range []struct {
-		dist   string
-		n, dim int
-		alg    repro.Algorithm
-	}{
+	checkBatchMembersMatchLone(t, []batchCase{
 		{"COR", 700, 2, repro.FCA},
 		{"IND", 300, 3, repro.BA}, // BA materialises every incomparable half-space: keep n small
-	} {
+	})
+}
+
+// TestBatchSharingBitIdentical runs the default algorithm choice through
+// the same clustered, scattered and duplicate-containing batches, at τ 0
+// and 2 with outranking IDs: every member must equal a lone Query's
+// answer, cost counters included. The name dates from the shared-prefix
+// batch path, since removed; a batch is now the worker pool over
+// independent queries, and this pins that it stays bit-identical.
+func TestBatchSharingBitIdentical(t *testing.T) {
+	checkBatchMembersMatchLone(t, []batchCase{
+		{"IND", 800, 3, repro.Auto},
+		{"ANTI", 400, 2, repro.Auto},
+	})
+}
+
+// TestQueryBatchSharedErrors: a BA batch keeps the QueryBatch contract —
+// a bad focal fails the batch with ErrBadQuery wrapped, and a cancelled
+// context aborts it with ctx.Err.
+func TestQueryBatchSharedErrors(t *testing.T) {
+	ds, err := repro.GenerateDataset("IND", 300, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba := repro.WithAlgorithm(repro.BA)
+	if _, err := eng.QueryBatch(context.Background(), []int{1, 2, 9999}, ba); !errors.Is(err, repro.ErrBadQuery) {
+		t.Errorf("out-of-range focal: err = %v, want ErrBadQuery", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.QueryBatch(ctx, []int{1, 2, 3}, ba); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled batch: err = %v, want context.Canceled", err)
+	}
+}
+
+type batchCase struct {
+	dist   string
+	n, dim int
+	alg    repro.Algorithm
+}
+
+// checkBatchMembersMatchLone runs, for each case, a clustered, a scattered
+// and a duplicate-containing batch at τ 0 and 2 with outranking IDs on a
+// 3-worker engine, and compares every member with a lone Query by answerOf,
+// Stats.IO included.
+func checkBatchMembersMatchLone(t *testing.T, cases []batchCase) {
+	t.Helper()
+	ctx := context.Background()
+	for _, tc := range cases {
 		ds, err := repro.GenerateDataset(tc.dist, tc.n, tc.dim, 5)
 		if err != nil {
 			t.Fatal(err)
