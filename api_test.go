@@ -64,6 +64,27 @@ func TestComputeAgainstValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTiedWitness: at q1 = 0.5 the focal (0.5, 0.5) ties
+// both (0.75, 0.25) and (0.25, 0.75), so a region with that witness lies
+// in no open cell, whatever rank it claims. A witness inside a cell passes.
+func TestValidateRejectsTiedWitness(t *testing.T) {
+	ds, err := repro.NewDataset([][]float64{{0.75, 0.25}, {0.25, 0.75}, {0.5, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := func(q1 float64, rank int) *repro.Result {
+		return &repro.Result{KStar: rank, MinOrder: rank - 1, Regions: []repro.Region{{
+			Rank: rank, Order: rank - 1, Witness: []float64{q1}, QueryVector: []float64{q1, 1 - q1},
+		}}}
+	}
+	if err := repro.Validate(ds, 2, result(0.5, 1)); err == nil || !strings.Contains(err.Error(), "ties") {
+		t.Fatalf("tied witness: Validate = %v, want a tie error", err)
+	}
+	if err := repro.Validate(ds, 2, result(0.25, 2)); err != nil {
+		t.Fatalf("witness inside a cell: %v", err)
+	}
+}
+
 func TestAlgorithmsAgreeOnKStar(t *testing.T) {
 	ds := genDS(t, "ANTI", 300, 2)
 	var ks []int

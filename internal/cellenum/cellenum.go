@@ -6,6 +6,7 @@
 package cellenum
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 
@@ -113,6 +114,7 @@ type Enumerator struct {
 	fixedA []vecmath.Point
 	compl  []geom.Halfspace
 	complA []vecmath.Point
+	norms  []float64 // ‖A‖ of each partial half-space
 	probe  []geom.Halfspace
 	cons   []geom.Halfspace
 
@@ -222,20 +224,23 @@ func (e *Enumerator) buildFixed(box geom.Rect) {
 	e.fixed = append(e.fixed, geom.Halfspace{A: sum, B: -1})
 }
 
-// buildComplements materialises the complement of every partial half-space
-// once, so the candidate loop never re-negates (and never re-allocates)
-// normals.
+// buildComplements materialises the complement and the normal's length of
+// every partial half-space once, so the candidate loop never re-negates
+// (and never re-allocates) normals and the sample loop never re-measures
+// them.
 func (e *Enumerator) buildComplements(partial []geom.Halfspace) {
 	for len(e.complA) < len(partial) {
 		e.complA = append(e.complA, nil)
 	}
 	e.compl = e.compl[:0]
+	e.norms = e.norms[:0]
 	for i, h := range partial {
 		a := reusePoint(&e.complA[i], len(h.A))
 		for j, v := range h.A {
 			a[j] = -v
 		}
 		e.compl = append(e.compl, geom.Halfspace{A: a, B: -h.B})
+		e.norms = append(e.norms, math.Sqrt(h.A.Dot(h.A)))
 	}
 }
 
@@ -248,6 +253,8 @@ func (e *Enumerator) buildComplements(partial []geom.Halfspace) {
 // Beyond the paper, random interior samples certify many combinations
 // non-empty without any LP, and half-spaces that fully cover or fully miss
 // box ∩ simplex are factored out of the combinatorial search up front.
+// A sample within geom.InteriorTol of an active hyperplane, in normalised
+// distance, certifies nothing: the LP would call its "cell" empty.
 //
 // The returned Result owns everything it holds (cells, In sets, witnesses,
 // Forced); nothing aliases the enumerator's recycled scratch.
@@ -335,21 +342,30 @@ func (e *Enumerator) Enumerate(box geom.Rect, partial []geom.Halfspace, cfg Conf
 		e.patterns = append(e.patterns, nil)
 	}
 	e.patterns = e.patterns[:nSamples]
+	kept := 0
+samples:
 	for si := 0; si < nSamples; si++ {
 		s := e.samples[si]
-		bits := reuseBitset(&e.patterns[si], m)
+		bits := reuseBitset(&e.patterns[kept], m)
 		w := 0
 		for ai, oi := range e.active {
-			if partial[oi].Contains(s) {
+			h := partial[oi]
+			v := h.A.Dot(s) - h.B
+			if math.Abs(v) < geom.InteriorTol*e.norms[oi] {
+				continue samples
+			}
+			if v > 0 {
 				bits.Set(ai)
 				w++
 			}
 		}
+		kept++
 		e.keyBuf = bits.AppendKey(e.keyBuf[:0])
 		if _, seen := e.known[string(e.keyBuf)]; !seen {
 			e.known[string(e.keyBuf)] = sampleCell{witness: s, weight: w}
 		}
 	}
+	e.patterns = e.patterns[:kept]
 
 	var cond *binaryConditions
 	if m >= binaryConditionThreshold {

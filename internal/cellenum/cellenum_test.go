@@ -261,3 +261,24 @@ func TestTooManyCombinations(t *testing.T) {
 		t.Fatal("C(100,50) should exceed any practical limit")
 	}
 }
+
+// TestEnumerateSampleOnHyperplane: records (0.75, 0.25) and (0.25, 0.75)
+// against the focal (0.5, 0.5) give the half-spaces q > 0.5 and q < 0.5,
+// so every open cell of [0, 1] lies in exactly one of them. The LP anchor
+// of the box is its centre, q = 0.5, which lies on both hyperplanes; a
+// sample there must not certify the zero-measure "cell" of weight 0.
+func TestEnumerateSampleOnHyperplane(t *testing.T) {
+	partial := []geom.Halfspace{
+		{A: vecmath.Point{0.5}, B: 0.25},
+		{A: vecmath.Point{-0.5}, B: -0.25},
+	}
+	res := Enumerate(unitBox(1), partial, Config{MaxWeight: -1})
+	if res.MinWeight != 1 {
+		t.Fatalf("MinWeight = %d, want 1 (cells %+v)", res.MinWeight, res.Cells)
+	}
+	for _, c := range res.Cells {
+		if w := c.Witness[0]; w == 0.5 {
+			t.Fatalf("cell %v has its witness on a hyperplane", c.In)
+		}
+	}
+}

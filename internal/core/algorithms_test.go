@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,34 +73,6 @@ func directOrderAt(points []vecmath.Point, focalIdx int, q vecmath.Point) int {
 	return order
 }
 
-// checkResult validates a Result against the oracle and by direct scoring.
-func checkResult(t *testing.T, name string, res *Result, points []vecmath.Point, focalIdx int, tau int, oracle BruteResult) {
-	t.Helper()
-	if res.KStar != oracle.KStar {
-		t.Errorf("%s: k* = %d, oracle %d (minOrder %d vs %d, dom %d vs %d)",
-			name, res.KStar, oracle.KStar, res.MinOrder, oracle.MinOrder,
-			res.Dominators, oracle.Dominators)
-		return
-	}
-	if res.Dominators != oracle.Dominators {
-		t.Errorf("%s: dominators = %d, oracle %d", name, res.Dominators, oracle.Dominators)
-	}
-	if len(res.Regions) == 0 {
-		t.Errorf("%s: no regions reported", name)
-	}
-	for i, reg := range res.Regions {
-		if reg.Order < res.MinOrder || reg.Order > res.MinOrder+tau {
-			t.Errorf("%s: region %d order %d outside band [%d,%d]",
-				name, i, reg.Order, res.MinOrder, res.MinOrder+tau)
-		}
-		got := directOrderAt(points, focalIdx, reg.Witness)
-		if got != reg.Order {
-			t.Errorf("%s: region %d witness %v has direct order %d, claimed %d",
-				name, i, reg.Witness, got, reg.Order)
-		}
-	}
-}
-
 // regionsCover reports whether some region contains q (with tolerance).
 func regionsCover(res *Result, q vecmath.Point) bool {
 	const tol = 1e-9
@@ -129,98 +100,25 @@ func boxContainsTol(box interface {
 	return box.Contains(q)
 }
 
-func runAll(t *testing.T, points []vecmath.Point, focalIdx int, tau int, seed int64) {
+// runAll checks every algorithm that supports the instance's dimension, on
+// a heap tree and on a mapped copy of it, against the exact reference, and
+// requires all of them to agree on k*.
+func runAll(t *testing.T, points []vecmath.Point, focalIdx int, tau int) {
 	t.Helper()
-	tree := buildTree(t, points)
-	in := Input{
-		Tree:    tree,
-		Focal:   points[focalIdx],
-		FocalID: int64(focalIdx),
-		Tau:     tau,
-	}
-	oracle := BruteForce(points, points[focalIdx], focalIdx, seed, 4000)
-
-	d := len(points[0])
-	type alg struct {
-		name string
-		run  func(Input) (*Result, error)
-	}
-	algs := []alg{{"BA", BA}, {"AA", AA}}
-	if d == 2 {
-		algs = append(algs, alg{"FCA", FCA}, alg{"AA2D", AA2D})
-	}
-	var results []*Result
-	for _, a := range algs {
-		res, err := a.run(in)
-		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
-		}
-		checkResult(t, a.name, res, points, focalIdx, tau, oracle)
-		results = append(results, res)
-	}
-	// Cross-algorithm agreement on k*.
-	for i := 1; i < len(results); i++ {
-		if results[i].KStar != results[0].KStar {
-			t.Errorf("k* disagreement: %s=%d vs %s=%d",
-				algs[i].name, results[i].KStar, algs[0].name, results[0].KStar)
+	_, answers := checkExactInstance(t, exactInstance{points: points, focal: points[focalIdx], focalIdx: focalIdx, tau: tau})
+	base := answers["BA/heap"]
+	for name, res := range answers {
+		if res.KStar != base.KStar {
+			t.Errorf("k* disagreement: %s=%d vs BA/heap=%d", name, res.KStar, base.KStar)
 		}
 	}
-	// Coverage: every random interior point whose direct order falls in the
-	// band must be covered by a region of every algorithm (sampled points
-	// too close to a boundary are skipped by re-checking a nudged copy).
-	rng := rand.New(rand.NewSource(seed + 99))
-	for s := 0; s < 300; s++ {
-		q := randomSimplexInterior(rng, d-1)
-		order := directOrderAt(points, focalIdx, q)
-		if order > results[0].MinOrder+tau {
-			continue
-		}
-		// Skip points too near any arrangement boundary: containment checks
-		// are ambiguous there.
-		if nearBoundary(points, focalIdx, q, 1e-7) {
-			continue
-		}
-		for i, res := range results {
-			if !regionsCover(res, q) {
-				t.Errorf("%s: point %v (order %d, band <= %d) not covered by any of %d regions",
-					algs[i].name, q, order, results[0].MinOrder+tau, len(res.Regions))
-			}
-		}
-	}
-}
-
-// nearBoundary reports whether q is within eps of any record's hyperplane
-// or a domain facet in the reduced space.
-func nearBoundary(points []vecmath.Point, focalIdx int, q vecmath.Point, eps float64) bool {
-	focal := points[focalIdx]
-	var sum float64
-	for _, v := range q {
-		if v < eps {
-			return true
-		}
-		sum += v
-	}
-	if sum > 1-eps {
-		return true
-	}
-	full := vecmath.LiftQuery(q)
-	fs := focal.Dot(full)
-	for i, r := range points {
-		if i == focalIdx || vecmath.Compare(r, focal) != vecmath.Incomparable {
-			continue
-		}
-		if diff := r.Dot(full) - fs; diff > -eps && diff < eps {
-			return true
-		}
-	}
-	return false
 }
 
 func TestAlgorithmsAgreeSmall2D(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		seed := int64(1000 + trial)
 		points := dataset.Generate(dataset.IND, 30, 2, seed)
-		runAll(t, points, trial%len(points), 0, seed)
+		runAll(t, points, trial%len(points), 0)
 	}
 }
 
@@ -228,7 +126,7 @@ func TestAlgorithmsAgreeSmall3D(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		seed := int64(2000 + trial)
 		points := dataset.Generate(dataset.IND, 25, 3, seed)
-		runAll(t, points, trial%len(points), 0, seed)
+		runAll(t, points, trial%len(points), 0)
 	}
 }
 
@@ -236,7 +134,7 @@ func TestAlgorithmsAgreeSmall4D(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		seed := int64(3000 + trial)
 		points := dataset.Generate(dataset.IND, 18, 4, seed)
-		runAll(t, points, trial%len(points), 0, seed)
+		runAll(t, points, trial%len(points), 0)
 	}
 }
 
@@ -246,7 +144,7 @@ func TestAlgorithmsAgreeTau(t *testing.T) {
 			seed := int64(4000 + trial + 100*tau)
 			points := dataset.Generate(dataset.IND, 24, 3, seed)
 			t.Run(fmt.Sprintf("tau=%d/trial=%d", tau, trial), func(t *testing.T) {
-				runAll(t, points, trial%len(points), tau, seed)
+				runAll(t, points, trial%len(points), tau)
 			})
 		}
 	}
@@ -258,7 +156,7 @@ func TestAlgorithmsAgreeDistributions(t *testing.T) {
 			seed := int64(5000 + trial)
 			points := dataset.Generate(dist, 25, 3, seed)
 			t.Run(fmt.Sprintf("%v/trial=%d", dist, trial), func(t *testing.T) {
-				runAll(t, points, trial%len(points), 0, seed)
+				runAll(t, points, trial%len(points), 0)
 			})
 		}
 	}
@@ -269,7 +167,7 @@ func TestFocalNotInDataset(t *testing.T) {
 	tree := buildTree(t, points)
 	focal := vecmath.Point{0.55, 0.5, 0.45}
 	in := Input{Tree: tree, Focal: focal, FocalID: -1}
-	oracle := BruteForce(points, focal, -1, 7, 4000)
+	ref := exactReference(points, focal, -1, 0)
 	for _, a := range []struct {
 		name string
 		run  func(Input) (*Result, error)
@@ -278,9 +176,7 @@ func TestFocalNotInDataset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
-		if res.KStar != oracle.KStar {
-			t.Errorf("%s: k* = %d, oracle %d", a.name, res.KStar, oracle.KStar)
-		}
+		checkAgainstExact(t, a.name, res, ref, 0)
 	}
 }
 
@@ -302,10 +198,7 @@ func TestDominatedFocal(t *testing.T) {
 		// (0.9,0.9), (0.8,0.85), (0.7,0.75) and (0.6,0.15) all dominate p.
 		t.Fatalf("dominators = %d, want 4", res.Dominators)
 	}
-	oracle := BruteForce(points, points[focalIdx], focalIdx, 1, 2000)
-	if res.KStar != oracle.KStar {
-		t.Fatalf("k* = %d, oracle %d", res.KStar, oracle.KStar)
-	}
+	checkAgainstExact(t, "AA", res, exactReference(points, points[focalIdx], focalIdx, 0), 0)
 }
 
 func TestTopRecordFocal(t *testing.T) {

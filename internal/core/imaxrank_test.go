@@ -10,7 +10,7 @@ import (
 )
 
 // TestIMaxRankBandCoverage validates iMaxRank on instances too large for
-// the vertex oracle: every region witness must have its claimed order, the
+// the exact reference: every region witness must have its claimed order, the
 // band [k*, k*+τ] must be fully covered (checked by sampling), and growing
 // τ must only add regions.
 func TestIMaxRankBandCoverage(t *testing.T) {
@@ -72,6 +72,49 @@ func TestIMaxRankBandCoverage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearBoundary reports whether q is within eps of any record's hyperplane
+// or a domain facet in the reduced space.
+func nearBoundary(points []vecmath.Point, focalIdx int, q vecmath.Point, eps float64) bool {
+	focal := points[focalIdx]
+	var sum float64
+	for _, v := range q {
+		if v < eps {
+			return true
+		}
+		sum += v
+	}
+	if sum > 1-eps {
+		return true
+	}
+	full := vecmath.LiftQuery(q)
+	fs := focal.Dot(full)
+	for i, r := range points {
+		if i == focalIdx || vecmath.Compare(r, focal) != vecmath.Incomparable {
+			continue
+		}
+		if diff := r.Dot(full) - fs; diff > -eps && diff < eps {
+			return true
+		}
+	}
+	return false
+}
+
+// randomSimplexInterior draws a point uniformly from the open simplex
+// {q_i > 0, Σ q_i < 1} via exponential spacings.
+func randomSimplexInterior(rng *rand.Rand, dr int) vecmath.Point {
+	w := make([]float64, dr+1)
+	var sum float64
+	for i := range w {
+		w[i] = rng.ExpFloat64() + 1e-12
+		sum += w[i]
+	}
+	q := make(vecmath.Point, dr)
+	for i := 0; i < dr; i++ {
+		q[i] = w[i] / sum
+	}
+	return q
 }
 
 func TestInputValidation(t *testing.T) {
@@ -239,15 +282,23 @@ func TestCollectRecordIDs(t *testing.T) {
 	}
 }
 
-// TestBruteForceSelfConsistency pins the oracle itself on a constructed
-// instance with a known answer.
+// TestBruteForceSelfConsistency pins the exact reference itself on
+// Figure 1 of the paper: k* = 3 with one dominator, attained on exactly two
+// cells, the intervals (0, 0.2) and (0.4, 0.6) of q1.
 func TestBruteForceSelfConsistency(t *testing.T) {
-	// Figure 1 of the paper: k* = 3.
 	points := []vecmath.Point{
 		{0.8, 0.9}, {0.2, 0.7}, {0.9, 0.4}, {0.7, 0.2}, {0.4, 0.3}, {0.5, 0.5},
 	}
-	br := BruteForce(points, points[5], 5, 1, 2000)
-	if br.KStar != 3 || br.Dominators != 1 {
-		t.Fatalf("oracle says k*=%d dom=%d, want 3/1", br.KStar, br.Dominators)
+	ref := exactReference(points, points[5], 5, 0)
+	if ref.KStar != 3 || ref.Dominators != 1 {
+		t.Fatalf("reference says k*=%d dom=%d, want 3/1", ref.KStar, ref.Dominators)
+	}
+	if len(ref.Cells) != 2 {
+		t.Fatalf("%d optimal cells, want 2: %+v", len(ref.Cells), ref.Cells)
+	}
+	for _, q1 := range []float64{0.1, 0.5} {
+		if ev := ref.eval(vecmath.Point{q1}); !ref.hasCell(ev.Signs) {
+			t.Errorf("q1 = %g (signs %s) lies in no optimal cell", q1, ev.Signs)
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/cellenum"
@@ -16,7 +14,7 @@ import (
 // values: all per-query state lives in the Input and in a pooled execState,
 // so one Algorithm may serve any number of concurrent queries.
 type Algorithm interface {
-	// Name is the canonical strategy name (FCA, BA, AA, AA2D, BRUTE).
+	// Name is the canonical strategy name (FCA, BA, AA, AA2D).
 	Name() string
 	// SupportsDim reports whether the strategy handles datasets of
 	// dimensionality d.
@@ -37,26 +35,7 @@ var (
 	StrategyAA Algorithm = aaStrategy{}
 	// StrategyAA2D is the d = 2 specialisation of AA (Section 6.3).
 	StrategyAA2D Algorithm = aa2dStrategy{}
-	// StrategyBrute is the index-free enumeration oracle; exact with high
-	// probability on small inputs, a sanity check elsewhere. It reports
-	// k* but no regions.
-	StrategyBrute Algorithm = bruteStrategy{}
 )
-
-// Strategies lists every built-in strategy.
-func Strategies() []Algorithm {
-	return []Algorithm{StrategyFCA, StrategyBA, StrategyAA, StrategyAA2D, StrategyBrute}
-}
-
-// StrategyByName resolves a strategy case-insensitively.
-func StrategyByName(name string) (Algorithm, error) {
-	for _, s := range Strategies() {
-		if strings.EqualFold(s.Name(), name) {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("core: unknown strategy %q", name)
-}
 
 type fcaStrategy struct{}
 
@@ -87,12 +66,6 @@ type aa2dStrategy struct{}
 func (aa2dStrategy) Name() string                  { return "AA2D" }
 func (aa2dStrategy) SupportsDim(d int) bool        { return d == 2 }
 func (aa2dStrategy) Run(in Input) (*Result, error) { return aa2dRun(in) }
-
-type bruteStrategy struct{}
-
-func (bruteStrategy) Name() string                  { return "BRUTE" }
-func (bruteStrategy) SupportsDim(d int) bool        { return d >= 2 }
-func (bruteStrategy) Run(in Input) (*Result, error) { return bruteRun(in) }
 
 // execState carries the scratch buffers of one in-flight query. States are
 // recycled through a free list (see acquireState) so a hot engine does not

@@ -2,52 +2,45 @@ package core
 
 import (
 	"context"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/pager"
 )
 
+// strategies lists the built-in strategies.
+var strategies = []Algorithm{StrategyFCA, StrategyBA, StrategyAA, StrategyAA2D}
+
+// TestStrategyByName pins each built-in strategy's canonical name.
 func TestStrategyByName(t *testing.T) {
-	for _, s := range Strategies() {
-		for _, name := range []string{s.Name(), strings.ToLower(s.Name()), strings.ToUpper(s.Name())} {
-			got, err := StrategyByName(name)
-			if err != nil {
-				t.Fatalf("StrategyByName(%q): %v", name, err)
-			}
-			if got.Name() != s.Name() {
-				t.Fatalf("StrategyByName(%q) = %s, want %s", name, got.Name(), s.Name())
-			}
+	for i, want := range []string{"FCA", "BA", "AA", "AA2D"} {
+		if got := strategies[i].Name(); got != want {
+			t.Errorf("strategy %d is named %q, want %q", i, got, want)
 		}
-	}
-	if _, err := StrategyByName("nope"); err == nil {
-		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestStrategyDims(t *testing.T) {
-	for name, want := range map[string]map[int]bool{
-		"FCA":   {2: true, 3: false},
-		"AA2D":  {2: true, 3: false},
-		"BA":    {2: true, 3: true, 5: true},
-		"AA":    {2: true, 3: true, 5: true},
-		"BRUTE": {2: true, 3: true},
+	for _, tc := range []struct {
+		s    Algorithm
+		want map[int]bool
+	}{
+		{StrategyFCA, map[int]bool{2: true, 3: false}},
+		{StrategyAA2D, map[int]bool{2: true, 3: false}},
+		{StrategyBA, map[int]bool{2: true, 3: true, 5: true}},
+		{StrategyAA, map[int]bool{2: true, 3: true, 5: true}},
 	} {
-		s, err := StrategyByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d, ok := range want {
-			if s.SupportsDim(d) != ok {
-				t.Errorf("%s.SupportsDim(%d) = %v, want %v", name, d, !ok, ok)
+		for d, ok := range tc.want {
+			if tc.s.SupportsDim(d) != ok {
+				t.Errorf("%s.SupportsDim(%d) = %v, want %v", tc.s.Name(), d, !ok, ok)
 			}
 		}
 	}
 }
 
-// TestBruteStrategyMatchesAA runs the strategy-interface oracle against AA
-// on small instances.
+// TestBruteStrategyMatchesAA runs AA through the strategy interface
+// against the exact reference on small instances.
 func TestBruteStrategyMatchesAA(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		seed := int64(6000 + trial)
@@ -58,17 +51,7 @@ func TestBruteStrategyMatchesAA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := StrategyBrute.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aa.KStar != br.KStar || aa.Dominators != br.Dominators {
-			t.Fatalf("trial %d: AA (k*=%d dom=%d) vs brute (k*=%d dom=%d)",
-				trial, aa.KStar, aa.Dominators, br.KStar, br.Dominators)
-		}
-		if br.Stats.IO <= 0 {
-			t.Fatal("brute reported no I/O for its full scan")
-		}
+		checkAgainstExact(t, fmt.Sprintf("trial %d: AA", trial), aa, exactReference(points, points[trial], trial, 0), 0)
 	}
 }
 
@@ -98,7 +81,7 @@ func TestRunCancelled(t *testing.T) {
 	tree := buildTree(t, points)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, s := range Strategies() {
+	for _, s := range strategies {
 		in := Input{Tree: tree, Focal: points[0], FocalID: 0, Ctx: ctx}
 		if _, err := s.Run(in); err == nil {
 			t.Errorf("%s: cancelled context accepted", s.Name())

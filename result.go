@@ -170,7 +170,10 @@ func convertResult(res *core.Result, alg Algorithm) *Result {
 
 // Validate re-checks a Result against the dataset by direct scoring at
 // every region witness; it returns an error describing the first mismatch.
-// It is cheap insurance for library users and is used heavily in tests.
+// A witness where some record other than a copy of the focal record scores
+// exactly the focal record's score is an error too: it lies on that
+// record's hyperplane, inside no region. Validate is cheap insurance for
+// library users and is used heavily in tests.
 func Validate(ds *Dataset, focalIndex int, res *Result) error {
 	focal := ds.points[focalIndex]
 	for i := range res.Regions {
@@ -185,8 +188,11 @@ func Validate(ds *Dataset, focalIndex int, res *Result) error {
 			if j == focalIndex {
 				continue
 			}
-			if r.Dot(q) > fs {
+			switch s := r.Dot(q); {
+			case s > fs:
 				rank++
+			case s == fs && !r.Equal(focal):
+				return fmt.Errorf("repro: region %d witness %v ties record %d with the focal record", i, reg.Witness, j)
 			}
 		}
 		if rank != reg.Rank {
