@@ -74,8 +74,8 @@ type exactRef struct {
 
 	dr    int
 	focal []*big.Rat
-	recs  [][]*big.Rat   // the incomparable records, full space
-	hs    []intHalfspace // their reduced-space half-spaces
+	recs  [][]*big.Rat    // the incomparable records, full space
+	hs    []intHalfspace  // their reduced-space half-spaces
 	cells map[string]bool // the Signs of Cells
 }
 

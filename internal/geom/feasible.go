@@ -90,8 +90,23 @@ func (f *Feasibility) FeasibleInterior(hs []Halfspace) (witness vecmath.Point, m
 	f.rows = append(f.rows, capRow)
 	f.b = append(f.b, epsCap)
 
+	// Substitute eps = eps' − K with K = max(0, −min b): every RHS becomes
+	// b + K >= 0, so x = 0, eps' = 0 is feasible and the solver never
+	// needs a phase 1.
+	k := 0.0
+	for _, b := range f.b {
+		if -b > k {
+			k = -b
+		}
+	}
+	for i := range f.b {
+		f.b[i] += k
+	}
 	sol, err := f.solver.Solve(lp.Problem{C: f.c, A: f.rows, B: f.b})
-	if err != nil || sol.Status != lp.Optimal || sol.Value <= InteriorTol {
+	if err != nil || sol.Status != lp.Optimal {
+		return nil, 0, false
+	}
+	if margin = sol.Value - k; margin <= InteriorTol {
 		return nil, 0, false
 	}
 	if cap(f.w) < dr {
@@ -99,7 +114,7 @@ func (f *Feasibility) FeasibleInterior(hs []Halfspace) (witness vecmath.Point, m
 	}
 	f.w = f.w[:dr]
 	copy(f.w, sol.X[:dr])
-	return f.w, sol.Value, true
+	return f.w, margin, true
 }
 
 // FeasibleInterior is the allocation-per-call convenience wrapper around a
@@ -120,29 +135,4 @@ func clearFloat(buf []float64) {
 	for i := range buf {
 		buf[i] = 0
 	}
-}
-
-// IntersectionNonEmpty reports whether the intersection of the closed
-// half-spaces contains any point at all (possibly lower-dimensional). It is
-// used by tests and by coarse pruning where strictness does not matter.
-func IntersectionNonEmpty(hs []Halfspace) bool {
-	if len(hs) == 0 {
-		return true
-	}
-	dr := hs[0].Dim()
-	prob := lp.Problem{
-		C: make([]float64, dr),
-		A: make([][]float64, 0, len(hs)),
-		B: make([]float64, 0, len(hs)),
-	}
-	for _, h := range hs {
-		row := make([]float64, dr)
-		for j, v := range h.A {
-			row[j] = -v
-		}
-		prob.A = append(prob.A, row)
-		prob.B = append(prob.B, -h.B)
-	}
-	sol, err := lp.Solve(prob)
-	return err == nil && sol.Status == lp.Optimal
 }

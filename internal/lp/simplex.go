@@ -1,5 +1,6 @@
 // Package lp implements a small, dependency-free linear-programming solver:
-// a dense two-phase simplex method with Bland's anti-cycling rule.
+// a simplex method on a condensed (dictionary) tableau with Bland's
+// anti-cycling rule.
 //
 // It fills the role Qhull plays in the paper's implementation: every
 // "compute the cell by half-space intersection" step of the MaxRank
@@ -8,14 +9,16 @@
 //
 //	maximize  c·x   subject to  A·x <= b,  x >= 0,
 //
-// with at most a dozen variables, which the dense tableau handles quickly
-// and predictably.
+// with at most a dozen variables. The condensed tableau keeps one row per
+// constraint and one column per nonbasic variable, so a pivot costs
+// m·(n+1) whatever the slack count. When some b_i < 0, phase 1 adds a single
+// auxiliary variable x0 (Chvátal's method) instead of one artificial per
+// negative row; an LP whose origin is feasible skips phase 1 altogether.
 package lp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Status is the outcome of a solve.
@@ -85,99 +88,10 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// tableau is a dense simplex tableau. Columns are laid out as
-// [original variables | slack variables | artificial variables | RHS].
-type tableau struct {
-	rows  [][]float64 // m x (cols+1); last column is the RHS
-	obj   []float64   // objective row (reduced costs), length cols+1
-	basis []int       // basis[i] = column index basic in row i
-	n     int         // original variable count
-	m     int         // constraint count
-	cols  int         // total structural columns (n + slacks + artificials)
-	artLo int         // first artificial column (cols if none)
-
-	unbounded bool // set by iterate when no blocking row exists
-}
-
-// Solve runs the two-phase simplex on p. Each call uses a throwaway
-// Solver, so the returned Solution.X is freshly allocated; hot loops should
-// hold a reusable Solver instead.
+// Solve runs the simplex on p. Each call uses a throwaway Solver, so the
+// returned Solution.X is freshly allocated; hot loops should hold a
+// reusable Solver instead.
 func Solve(p Problem) (Solution, error) {
 	var s Solver
 	return s.Solve(p)
-}
-
-// unbounded is set by iterate when an entering column has no blocking row.
-func (t *tableau) pivot(r, c int) {
-	pr := t.rows[r]
-	pv := pr[c]
-	inv := 1 / pv
-	for j := 0; j <= t.cols; j++ {
-		pr[j] *= inv
-	}
-	for i := 0; i < t.m; i++ {
-		if i == r {
-			continue
-		}
-		f := t.rows[i][c]
-		if f == 0 {
-			continue
-		}
-		row := t.rows[i]
-		for j := 0; j <= t.cols; j++ {
-			row[j] -= f * pr[j]
-		}
-	}
-	if f := t.obj[c]; f != 0 {
-		for j := 0; j <= t.cols; j++ {
-			t.obj[j] -= f * pr[j]
-		}
-	}
-	t.basis[r] = c
-}
-
-// iterate runs simplex pivots until optimality, unboundedness, or the
-// iteration cap. phase1 restricts nothing structurally but is kept for
-// symmetry; artificial columns are excluded from entering during phase 2.
-func (t *tableau) iterate(phase1 bool) error {
-	limit := t.cols
-	if !phase1 {
-		limit = t.artLo // never let artificials re-enter in phase 2
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		// Bland's rule: entering variable = lowest-index column with a
-		// negative reduced cost (we maximize; obj row holds z_j - c_j).
-		enter := -1
-		for j := 0; j < limit; j++ {
-			if t.obj[j] < -pivotTol {
-				enter = j
-				break
-			}
-		}
-		if enter < 0 {
-			return nil // optimal
-		}
-		// Leaving variable: min ratio; ties broken by smallest basis index
-		// (the second half of Bland's rule).
-		leave := -1
-		best := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			a := t.rows[i][enter]
-			if a <= pivotTol {
-				continue
-			}
-			ratio := t.rows[i][t.cols] / a
-			if ratio < best-pivotTol || (math.Abs(ratio-best) <= pivotTol &&
-				(leave < 0 || t.basis[i] < t.basis[leave])) {
-				best = ratio
-				leave = i
-			}
-		}
-		if leave < 0 {
-			t.unbounded = true
-			return nil
-		}
-		t.pivot(leave, enter)
-	}
-	return ErrIterationLimit
 }

@@ -114,6 +114,29 @@ func TestSolveZeroObjectiveFeasibility(t *testing.T) {
 	}
 }
 
+func TestSolveBealeCycling(t *testing.T) {
+	// Beale's LP cycles under Dantzig's largest-coefficient rule; Bland's
+	// rule must reach the optimum 5/4 at (1, 0, 1, 0).
+	p := Problem{
+		C: []float64{0.75, -20, 0.5, -6},
+		A: [][]float64{
+			{0.25, -8, -1, 9},
+			{0.5, -12, -0.5, 3},
+			{0, 0, 1, 0},
+		},
+		B: []float64{0, 0, 1},
+	}
+	sol := solveOK(t, p)
+	if sol.Status != Optimal || math.Abs(sol.Value-1.25) > 1e-9 {
+		t.Fatalf("got %v value %g, want optimal 1.25", sol.Status, sol.Value)
+	}
+	for j, want := range []float64{1, 0, 1, 0} {
+		if math.Abs(sol.X[j]-want) > 1e-9 {
+			t.Fatalf("x = %v, want [1 0 1 0]", sol.X)
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	bad := Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}
 	if err := bad.Validate(); err == nil {
@@ -129,7 +152,7 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestRedundantConstraints(t *testing.T) {
-	// Same constraint repeated; phase 1 may leave a redundant artificial.
+	// Same constraint repeated; phase 1 may end with x0 basic at zero.
 	p := Problem{
 		C: []float64{1},
 		A: [][]float64{{-1}, {-1}, {-1}, {1}},

@@ -12,8 +12,9 @@
 // from scratch on the standard library alone: an aggregate R*-tree over a
 // simulated page store, the BBS skyline algorithm with the paper's implicit
 // half-space subsumption, an augmented quad-tree over the reduced query
-// space, a within-leaf arrangement-cell enumerator, and a dense simplex LP
-// solver that fills the role Qhull plays in the authors' implementation.
+// space, a within-leaf arrangement-cell enumerator, and a condensed-tableau
+// simplex LP solver that fills the role Qhull plays in the authors'
+// implementation.
 //
 // Quick start:
 //
