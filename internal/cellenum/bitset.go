@@ -1,8 +1,3 @@
-// Package cellenum implements the within-leaf processing module of Section
-// 5.2 of the MaxRank paper: enumerate arrangement cells inside one quad-tree
-// leaf in increasing p-order (Hamming weight of the cell's bit-string),
-// pruning bit-strings that violate pairwise binary conditions, and testing
-// the survivors for non-zero extent by half-space intersection (LP).
 package cellenum
 
 import "math/bits"
@@ -15,9 +10,6 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
 // Set sets bit i.
 func (b Bitset) Set(i int) { b[i/64] |= 1 << uint(i%64) }
-
-// Clear clears bit i.
-func (b Bitset) Clear(i int) { b[i/64] &^= 1 << uint(i%64) }
 
 // Get reports bit i.
 func (b Bitset) Get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
@@ -41,16 +33,6 @@ func (b Bitset) IntersectsAny(o Bitset) bool {
 	return false
 }
 
-// ContainsAll reports whether every bit of o is also set in b.
-func (b Bitset) ContainsAll(o Bitset) bool {
-	for i := range o {
-		if o[i]&^b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone copies the bitset.
 func (b Bitset) Clone() Bitset {
 	c := make(Bitset, len(b))
@@ -71,16 +53,14 @@ func (b Bitset) Equal(o Bitset) bool {
 	return true
 }
 
-// AppendKey appends the bitset's compact key encoding to dst and returns
-// it. Looking a reused buffer up as map[string(buf)] lets hot loops probe
-// key maps without allocating; Key remains the allocating convenience.
-func (b Bitset) AppendKey(dst []byte) []byte {
+// hash mixes the bitset's words into a table index.
+func (b Bitset) hash() uint64 {
+	var h uint64
 	for _, w := range b {
-		for s := 0; s < 64; s += 8 {
-			dst = append(dst, byte(w>>uint(s)))
-		}
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
-	return dst
+	return h
 }
 
 // Key returns a compact string usable as a map key.

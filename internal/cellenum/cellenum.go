@@ -1,13 +1,40 @@
 // Package cellenum implements the within-leaf processing module of Section
-// 5.2 of the MaxRank paper: enumerate arrangement cells inside one quad-tree
-// leaf in increasing p-order (Hamming weight of the cell's bit-string),
-// pruning bit-strings that violate pairwise binary conditions, and testing
-// the survivors for non-zero extent by half-space intersection (LP).
+// 5.2 of the MaxRank paper: enumerate the arrangement cells inside one
+// quad-tree leaf in increasing p-order (the Hamming weight of a cell's
+// bit-string), skip the bit-strings that break a pairwise binary condition
+// (the paper's Figure 4), and test the rest for non-zero extent by
+// half-space intersection (LP).
+//
+// As implemented, one leaf goes through four steps, each as cheap as the
+// points already in hand allow:
+//
+//   - Classification. Random interior samples of box ∩ simplex are drawn
+//     first. A half-space some sample clears from the inside cannot miss the
+//     leaf, and one some sample clears from the outside cannot cover it; the
+//     LP runs only for what no sample settles. Forced half-spaces (those
+//     covering box ∩ simplex) join every cell, dead ones (missing it) none;
+//     only the active rest is searched.
+//   - Pair conditions. For each pair of active half-spaces the four joint
+//     patterns are tested by LP, except those a point the leaf already holds
+//     exhibits: a sample, or the witness of any classification or pair LP
+//     that came out feasible.
+//   - The walk. The infeasible patterns are 2-clauses over the bits —
+//     ¬xᵢ∨¬xⱼ, xᵢ∨xⱼ and ¬xᵢ∨xⱼ. Per weight, a walk decides the bits in
+//     index order, 1 before 0, propagating the bits each decision implies,
+//     and emits exactly the bit-strings that satisfy every clause, in
+//     lexicographic order.
+//   - Cells. An emitted bit-string a sample exhibits is a cell with that
+//     sample as witness; any other gets the cell LP, whose witness is kept.
+//
+// "Clears" means a normalised distance above geom.InteriorTol from the
+// half-space's boundary and from every fixed row (the box faces and the
+// simplex): such a point is feasible for the margin LP with a margin above
+// InteriorTol, so the LP would have said yes.
 package cellenum
 
 import (
 	"math"
-	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -39,9 +66,11 @@ type Config struct {
 	// Extra enumerates this many Hamming weights beyond the first weight
 	// with a non-empty cell (τ for iMaxRank; 0 reproduces plain MaxRank).
 	Extra int
-	// CandidateLimit aborts pathological leaves: when the number of
-	// bit-strings surviving pruning exceeds this, enumeration stops and
-	// Result.Truncated is set. Zero means DefaultCandidateLimit.
+	// CandidateLimit aborts pathological leaves: when more bit-strings than
+	// this satisfy every pair condition — the ones that reach the sample
+	// lookup or a cell LP — enumeration stops and Result.Truncated is set.
+	// Before each weight, a C(m, w) above the limit's remainder truncates
+	// too, which bounds the walk itself. Zero means DefaultCandidateLimit.
 	CandidateLimit int
 	// Samples is the number of random interior points used to pre-classify
 	// cells and pairwise conditions without LPs (0 = DefaultSamples).
@@ -80,8 +109,6 @@ type Result struct {
 	MaxPossibleWeight int
 	// LPCalls counts feasibility tests.
 	LPCalls int
-	// Pruned counts bit-strings rejected without an LP.
-	Pruned int
 	// SampleHits counts cells certified non-empty by sampling alone.
 	SampleHits int
 	// Truncated indicates the candidate limit was hit; results may be
@@ -89,18 +116,12 @@ type Result struct {
 	Truncated bool
 }
 
-// sampleCell is one distinct bit pattern certified non-empty by a sample.
-type sampleCell struct {
-	witness vecmath.Point
-	weight  int
-}
-
 // Enumerator owns the scratch of within-leaf enumeration — the pooled LP
 // solver, constraint buffers, sample points, bit patterns, the pairwise
-// condition tables and the subset-DFS state — and recycles all of it across
-// Enumerate calls. One query worker holds one Enumerator, so the per-cell
-// hot path performs no steady-state allocations beyond the cells it
-// actually returns (whose In sets and witnesses escape into Results).
+// condition tables and the walk's state — and recycles all of it across
+// Enumerate calls. One query worker holds one Enumerator, so a leaf
+// allocates nothing beyond the cells it returns and its Forced list (which
+// escape into Results).
 //
 // The zero value is ready to use. An Enumerator is not safe for concurrent
 // use; give each worker its own.
@@ -123,22 +144,34 @@ type Enumerator struct {
 
 	rng *rand.Rand // re-seeded per leaf: a fresh source is 4.9 KB
 
-	active   []int
-	samples  []vecmath.Point
+	samples []vecmath.Point
+	// inside / outside mark the partial half-spaces some sample clears
+	// from the inside / the outside.
+	inside  Bitset
+	outside Bitset
+	active  []int
+	// wits holds the witnesses of the classification LPs that ran.
+	wits []vecmath.Point
+
+	// patterns holds the bit pattern, over the active set, of each sample
+	// no active hyperplane passes through, and keptFrom that sample's
+	// index. known is an open-addressed index from each distinct pattern
+	// to its first occurrence (-1: empty slot).
 	patterns []Bitset
-	known    map[string]sampleCell
-	keyBuf   []byte
+	keptFrom []int
+	known    []int32
 
-	// Subset-DFS scratch.
-	sel       []int
-	bits      Bitset
-	forbidden Bitset
-	scratch   []Bitset
-
-	// Pairwise binary-condition tables.
+	// Pairwise binary-condition tables, and what the pair pass needs:
+	// memberOf[i] / notMemberOf[i] are the kept samples inside / outside
+	// active half-space i, seen[i*m+j] (i < j) the joint patterns of (i, j)
+	// an LP witness exhibits, and clr is certify's scratch.
 	cond        binaryConditions
 	memberOf    []Bitset
 	notMemberOf []Bitset
+	seen        []uint8
+	clr         []int
+
+	walk walker
 }
 
 // Enumerate is the allocation-per-call convenience wrapper around a
@@ -159,10 +192,7 @@ func (e *Enumerator) Reset() {
 	clearHS(e.cons)
 	e.cons = e.cons[:0]
 	// compl normals are owned by complA, but the Halfspace values still
-	// mirror caller B values only — nothing external; keep them. known maps
-	// sample keys to enumerator-owned sample points; clear to free the key
-	// strings.
-	clear(e.known)
+	// mirror caller B values only — nothing external; keep them.
 }
 
 func clearHS(hs []geom.Halfspace) {
@@ -172,31 +202,40 @@ func clearHS(hs []geom.Halfspace) {
 	}
 }
 
+// grow returns s resized to n elements. Elements past len(s) but within its
+// capacity are kept, so the buffers that recycled rows own survive a
+// smaller leaf followed by a larger one.
+func grow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 // reusePoint resizes *p to dr coordinates, reusing its capacity, and zeroes
 // it.
 func reusePoint(p *vecmath.Point, dr int) vecmath.Point {
-	if cap(*p) < dr {
-		*p = make(vecmath.Point, dr)
-	}
-	*p = (*p)[:dr]
-	for i := range *p {
-		(*p)[i] = 0
-	}
+	*p = grow(*p, dr)
+	clear(*p)
 	return *p
 }
 
 // reuseBitset resizes *b to hold n bits, reusing its capacity, and zeroes
 // it.
 func reuseBitset(b *Bitset, n int) Bitset {
-	w := (n + 63) / 64
-	if cap(*b) < w {
-		*b = make(Bitset, w)
-	}
-	*b = (*b)[:w]
-	for i := range *b {
-		(*b)[i] = 0
-	}
+	*b = grow(*b, (n+63)/64)
+	clear(*b)
 	return *b
+}
+
+// reuseBitsetTable resizes a table to m zeroed bitsets of n bits each,
+// recycling rows.
+func reuseBitsetTable(tbl *[]Bitset, m, n int) []Bitset {
+	*tbl = grow(*tbl, m)
+	for i := range *tbl {
+		reuseBitset(&(*tbl)[i], n)
+	}
+	return *tbl
 }
 
 // buildFixed assembles the leaf's fixed constraints — the box faces plus
@@ -204,10 +243,7 @@ func reuseBitset(b *Bitset, n int) Bitset {
 // (axis bounds q_i > 0 are implied by box ⊆ [0,1]^dr).
 func (e *Enumerator) buildFixed(box geom.Rect) {
 	dr := box.Dim()
-	need := 2*dr + 1
-	for len(e.fixedA) < need {
-		e.fixedA = append(e.fixedA, nil)
-	}
+	e.fixedA = grow(e.fixedA, 2*dr+1)
 	e.fixed = e.fixed[:0]
 	for i := 0; i < dr; i++ {
 		lo := reusePoint(&e.fixedA[2*i], dr)
@@ -229,9 +265,7 @@ func (e *Enumerator) buildFixed(box geom.Rect) {
 // (and never re-allocates) normals and the sample loop never re-measures
 // them.
 func (e *Enumerator) buildComplements(partial []geom.Halfspace) {
-	for len(e.complA) < len(partial) {
-		e.complA = append(e.complA, nil)
-	}
+	e.complA = grow(e.complA, len(partial))
 	e.compl = e.compl[:0]
 	e.norms = e.norms[:0]
 	for i, h := range partial {
@@ -244,17 +278,48 @@ func (e *Enumerator) buildComplements(partial []geom.Halfspace) {
 	}
 }
 
+// side reports which side of h the point p clears by a normalised distance
+// above geom.InteriorTol: 1 inside, -1 outside, 0 neither (p is too close
+// to the boundary, or h's normal too short to measure, as the margin LP
+// would treat it).
+func side(h geom.Halfspace, norm float64, p vecmath.Point) int {
+	if norm <= geom.InteriorTol {
+		return 0
+	}
+	switch v := h.A.Dot(p) - h.B; {
+	case v > geom.InteriorTol*norm:
+		return 1
+	case v < -geom.InteriorTol*norm:
+		return -1
+	}
+	return 0
+}
+
+// clearsFixed reports whether p clears every fixed row (box faces and
+// simplex) from the inside.
+func (e *Enumerator) clearsFixed(p vecmath.Point) bool {
+	for _, f := range e.fixed {
+		if side(f, math.Sqrt(f.A.Dot(f.A)), p) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Enumerate finds the non-empty cells of the arrangement of the partial
 // half-spaces within the leaf box (restricted to the domain simplex), in
-// increasing p-order, per Section 5.2 of the paper: bit-strings in
-// increasing Hamming weight, pairwise binary conditions to skip provably
-// empty combinations, and half-space intersection (LP) for the rest.
+// increasing p-order, per Section 5.2 of the paper as the package doc sets
+// out: samples drawn first settle most forced/dead classifications and
+// pair conditions, the remaining pair conditions are LP-tested, and a walk
+// that propagates them as 2-clauses emits, weight by weight, only the
+// bit-strings that satisfy all of them. Each emitted string a sample
+// exhibits is a cell at once; the rest get the cell LP. Only these emitted
+// strings count against Config.CandidateLimit.
 //
-// Beyond the paper, random interior samples certify many combinations
-// non-empty without any LP, and half-spaces that fully cover or fully miss
-// box ∩ simplex are factored out of the combinatorial search up front.
 // A sample within geom.InteriorTol of an active hyperplane, in normalised
-// distance, certifies nothing: the LP would call its "cell" empty.
+// distance, certifies no cell: the LP would call its "cell" empty. LP
+// witnesses certify pair conditions only, never a cell, so every cell's
+// witness is its first sample in draw order, or else its own cell LP's.
 //
 // The returned Result owns everything it holds (cells, In sets, witnesses,
 // Forced); nothing aliases the enumerator's recycled scratch.
@@ -286,27 +351,47 @@ func (e *Enumerator) Enumerate(box geom.Rect, partial []geom.Halfspace, cfg Conf
 	}
 	// The anchor witness aliases the feasibility checker's buffer, which
 	// the classification probes below overwrite: stabilise it first.
-	if cap(e.anchor) < len(anchor) {
-		e.anchor = make(vecmath.Point, len(anchor))
-	}
-	e.anchor = e.anchor[:len(anchor)]
-	copy(e.anchor, anchor)
+	copy(reusePoint(&e.anchor, len(anchor)), anchor)
 
 	e.buildComplements(partial)
 
-	// Classify each half-space against box ∩ simplex: "forced" ones cover
-	// it entirely (they act like |Fl| members), dead ones miss it entirely.
-	e.active = e.active[:0]
-	for i, h := range partial {
-		e.probe = append(e.probe[:0], e.fixed...)
-		res.LPCalls++
-		if _, _, ok := e.feas.FeasibleInterior(append(e.probe, e.compl[i])); !ok {
-			res.Forced = append(res.Forced, i)
+	// Sample interior points. Each sample that clears the fixed rows
+	// settles, for every half-space it clears, one of the two
+	// classification LPs.
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(0))
+	}
+	e.rng.Seed(cfg.Seed + 0x9e3779b9)
+	e.drawSamples(e.rng, box, nSamples)
+	inside := reuseBitset(&e.inside, len(partial))
+	outside := reuseBitset(&e.outside, len(partial))
+	for _, s := range e.samples {
+		if !e.clearsFixed(s) {
 			continue
 		}
-		e.probe = append(e.probe[:0], e.fixed...)
-		res.LPCalls++
-		if _, _, ok := e.feas.FeasibleInterior(append(e.probe, h)); !ok {
+		for i, h := range partial {
+			switch side(h, e.norms[i], s) {
+			case 1:
+				inside.Set(i)
+			case -1:
+				outside.Set(i)
+			}
+		}
+	}
+
+	// Classify each half-space against box ∩ simplex: "forced" ones cover
+	// it entirely (they act like |Fl| members), dead ones miss it entirely.
+	// A feasible classification LP's witness is kept for the pair pass.
+	e.active = e.active[:0]
+	e.wits = e.wits[:0]
+	for i, h := range partial {
+		if !outside.Get(i) {
+			if !e.classify(e.compl[i], &res) {
+				res.Forced = append(res.Forced, i)
+				continue
+			}
+		}
+		if !inside.Get(i) && !e.classify(h, &res) {
 			continue // dead: no cell in this leaf lies inside h
 		}
 		e.active = append(e.active, i)
@@ -326,28 +411,13 @@ func (e *Enumerator) Enumerate(box geom.Rect, partial []geom.Halfspace, cfg Conf
 		return res
 	}
 
-	// Sample interior points; each sample's bit pattern certifies one cell
-	// non-empty and feeds the pairwise-condition tables.
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(0))
-	}
-	e.rng.Seed(cfg.Seed + 0x9e3779b9)
-	e.drawSamples(e.rng, box, nSamples)
-	if e.known == nil {
-		e.known = make(map[string]sampleCell)
-	} else {
-		clear(e.known)
-	}
-	for len(e.patterns) < nSamples {
-		e.patterns = append(e.patterns, nil)
-	}
-	e.patterns = e.patterns[:nSamples]
-	kept := 0
+	// Each sample no active hyperplane passes through certifies the cell
+	// of its bit pattern non-empty and feeds the pair conditions.
+	e.patterns = grow(e.patterns, nSamples)
+	e.keptFrom = e.keptFrom[:0]
 samples:
-	for si := 0; si < nSamples; si++ {
-		s := e.samples[si]
-		bits := reuseBitset(&e.patterns[kept], m)
-		w := 0
+	for si, s := range e.samples {
+		pat := reuseBitset(&e.patterns[len(e.keptFrom)], m)
 		for ai, oi := range e.active {
 			h := partial[oi]
 			v := h.A.Dot(s) - h.B
@@ -355,36 +425,17 @@ samples:
 				continue samples
 			}
 			if v > 0 {
-				bits.Set(ai)
-				w++
+				pat.Set(ai)
 			}
 		}
-		kept++
-		e.keyBuf = bits.AppendKey(e.keyBuf[:0])
-		if _, seen := e.known[string(e.keyBuf)]; !seen {
-			e.known[string(e.keyBuf)] = sampleCell{witness: s, weight: w}
-		}
+		e.keptFrom = append(e.keptFrom, si)
 	}
-	e.patterns = e.patterns[:kept]
+	e.patterns = e.patterns[:len(e.keptFrom)]
+	e.indexPatterns()
 
-	var cond *binaryConditions
+	e.resetConditions(m)
 	if m >= binaryConditionThreshold {
-		cond = e.buildBinaryConditions(partial, &res)
-	}
-
-	// mkCell materialises a cell from an active-index bitset. The In set
-	// and the witness are freshly allocated: they outlive this call (and
-	// the enumerator's recycled sample/LP buffers) inside Results and the
-	// caller's leaf cache.
-	mkCell := func(bits Bitset, witness vecmath.Point, margin float64) Cell {
-		in := make([]int, 0, nForced+bits.Count())
-		in = append(in, res.Forced...)
-		for ai, oi := range e.active {
-			if bits.Get(ai) {
-				in = append(in, oi)
-			}
-		}
-		return Cell{In: in, Witness: witness.Clone(), Margin: margin}
+		res.LPCalls += e.buildBinaryConditions(partial)
 	}
 
 	stopW := maxW
@@ -396,27 +447,25 @@ samples:
 			return res
 		}
 		found := false
-		abort := false
-		e.forEachSubsetDFS(m, aw, cond, func(sel []int, bits Bitset) bool {
-			candidates++
-			if candidates > limit {
-				abort = true
-				return false
+		e.startWalk(m, aw)
+		for {
+			str, ok := e.nextString()
+			if !ok {
+				break
 			}
-			if cond != nil && !cond.completeOK(bits, m) {
-				res.Pruned++
-				return true
+			if candidates++; candidates > limit {
+				res.Truncated = true
+				return res
 			}
-			e.keyBuf = bits.AppendKey(e.keyBuf[:0])
-			if sc, ok := e.known[string(e.keyBuf)]; ok {
+			if pi := e.known[e.lookup(str)]; pi >= 0 {
 				res.SampleHits++
-				res.Cells = append(res.Cells, mkCell(bits, sc.witness, 0))
+				res.Cells = append(res.Cells, e.cell(res.Forced, str, e.samples[e.keptFrom[pi]], 0))
 				found = true
-				return true
+				continue
 			}
 			e.cons = append(e.cons[:0], e.fixed...)
 			for ai, oi := range e.active {
-				if bits.Get(ai) {
+				if str.Get(ai) {
 					e.cons = append(e.cons, partial[oi])
 				} else {
 					e.cons = append(e.cons, e.compl[oi])
@@ -424,14 +473,9 @@ samples:
 			}
 			res.LPCalls++
 			if witness, margin, ok := e.feas.FeasibleInterior(e.cons); ok {
-				res.Cells = append(res.Cells, mkCell(bits, witness, margin))
+				res.Cells = append(res.Cells, e.cell(res.Forced, str, witness, margin))
 				found = true
 			}
-			return true
-		})
-		if abort {
-			res.Truncated = true
-			return res
 		}
 		res.CompleteUpTo = nForced + aw
 		if found && res.MinWeight < 0 {
@@ -447,16 +491,71 @@ samples:
 	return res
 }
 
+// classify runs one classification LP — box ∩ simplex ∩ h — and keeps its
+// witness when it has an interior.
+func (e *Enumerator) classify(h geom.Halfspace, res *Result) bool {
+	e.probe = append(append(e.probe[:0], e.fixed...), h)
+	res.LPCalls++
+	w, _, ok := e.feas.FeasibleInterior(e.probe)
+	if ok {
+		n := len(e.wits)
+		e.wits = grow(e.wits, n+1)
+		copy(reusePoint(&e.wits[n], len(w)), w)
+	}
+	return ok
+}
+
+// cell materialises a cell from an active-index bitset. The In set and the
+// witness are freshly allocated: they outlive this call (and the
+// enumerator's recycled sample/LP buffers) inside Results and the caller's
+// leaf cache.
+func (e *Enumerator) cell(forced []int, str Bitset, witness vecmath.Point, margin float64) Cell {
+	in := make([]int, 0, len(forced)+str.Count())
+	in = append(in, forced...)
+	for ai, oi := range e.active {
+		if str.Get(ai) {
+			in = append(in, oi)
+		}
+	}
+	return Cell{In: in, Witness: witness.Clone(), Margin: margin}
+}
+
+// indexPatterns fills known, sized to at most half full, with the first
+// occurrence of each distinct sample pattern.
+func (e *Enumerator) indexPatterns() {
+	n := 2
+	for n < 2*len(e.patterns) {
+		n <<= 1
+	}
+	e.known = grow(e.known, n)
+	for i := range e.known {
+		e.known[i] = -1
+	}
+	for pi, pat := range e.patterns {
+		if s := e.lookup(pat); e.known[s] < 0 {
+			e.known[s] = int32(pi)
+		}
+	}
+}
+
+// lookup returns the slot of known that holds str's pattern, or the empty
+// slot where it would go.
+func (e *Enumerator) lookup(str Bitset) int {
+	mask := len(e.known) - 1
+	for s := int(str.hash()) & mask; ; s = (s + 1) & mask {
+		if pi := e.known[s]; pi < 0 || e.patterns[pi].Equal(str) {
+			return s
+		}
+	}
+}
+
 // drawSamples fills e.samples[:n] with interior points of box ∩ simplex:
 // rejection sampling plus jittered copies of the LP anchor for thin
 // regions. The sample points are enumerator-owned buffers recycled across
-// calls; anything that escapes (a cell witness) is cloned by mkCell.
+// calls; anything that escapes (a cell witness) is cloned by cell.
 func (e *Enumerator) drawSamples(rng *rand.Rand, box geom.Rect, n int) {
 	dr := box.Dim()
-	for len(e.samples) < n {
-		e.samples = append(e.samples, nil)
-	}
-	e.samples = e.samples[:n]
+	e.samples = grow(e.samples, n)
 	k := 0
 	emit := func(src vecmath.Point) {
 		dst := reusePoint(&e.samples[k], dr)
@@ -508,190 +607,27 @@ func (e *Enumerator) drawSamples(rng *rand.Rand, box geom.Rect, n int) {
 	}
 }
 
-// binaryConditions holds, for every ordered pair of active half-spaces,
-// which joint bit patterns are impossible within the leaf (paper Figure 4,
-// generalised to all four pattern combinations).
-type binaryConditions struct {
-	conflict11 []Bitset // j set in conflict11[i]: i=1,j=1 impossible
-	requires1  []Bitset // j set in requires1[i]: i=1 forces j=1
-	conflict00 []Bitset // j set in conflict00[i]: i=0,j=0 impossible
-}
-
-// reuseBitsetTable resizes a table to m bitsets of n bits each, recycling
-// rows.
-func reuseBitsetTable(tbl *[]Bitset, m, n int) []Bitset {
-	for len(*tbl) < m {
-		*tbl = append(*tbl, nil)
-	}
-	*tbl = (*tbl)[:m]
-	for i := range *tbl {
-		reuseBitset(&(*tbl)[i], n)
-	}
-	return *tbl
-}
-
-// buildBinaryConditions derives the tables, using sample patterns to avoid
-// LPs for combinations already certified non-empty.
-func (e *Enumerator) buildBinaryConditions(partial []geom.Halfspace, res *Result) *binaryConditions {
-	m := len(e.active)
-	bc := &e.cond
-	bc.conflict11 = reuseBitsetTable(&bc.conflict11, m, m)
-	bc.requires1 = reuseBitsetTable(&bc.requires1, m, m)
-	bc.conflict00 = reuseBitsetTable(&bc.conflict00, m, m)
-	// memberOf[i] holds, as a bitset over samples, which samples fall inside
-	// half-space i; pairwise combo coverage then reduces to word-level
-	// intersections instead of per-pair bit probes.
-	nS := len(e.patterns)
-	memberOf := reuseBitsetTable(&e.memberOf, m, nS)
-	for s, bits := range e.patterns {
-		for i := 0; i < m; i++ {
-			if bits.Get(i) {
-				memberOf[i].Set(s)
-			}
-		}
-	}
-	notMemberOf := reuseBitsetTable(&e.notMemberOf, m, nS)
-	for i := 0; i < m; i++ {
-		nm := notMemberOf[i]
-		for w := range nm {
-			nm[w] = ^memberOf[i][w]
-		}
-		// Mask the tail beyond nS bits.
-		if rem := nS % 64; rem != 0 && len(nm) > 0 {
-			nm[len(nm)-1] &= (1 << uint(rem)) - 1
-		}
-	}
-	seen := func(i, j int, combo int) bool {
-		var a, b Bitset
-		if combo&2 != 0 {
-			a = memberOf[i]
-		} else {
-			a = notMemberOf[i]
-		}
-		if combo&1 != 0 {
-			b = memberOf[j]
-		} else {
-			b = notMemberOf[j]
-		}
-		return a.IntersectsAny(b)
-	}
-	test := func(a, b geom.Halfspace) bool {
-		e.probe = append(e.probe[:0], e.fixed...)
-		e.probe = append(e.probe, a, b)
-		res.LPCalls++
-		_, _, ok := e.feas.FeasibleInterior(e.probe)
-		return ok
-	}
-	for i := 0; i < m; i++ {
-		oi := e.active[i]
-		hi, ci := partial[oi], e.compl[oi]
-		for j := i + 1; j < m; j++ {
-			oj := e.active[j]
-			hj, cj := partial[oj], e.compl[oj]
-			if !seen(i, j, 3) && !test(hi, hj) { // 1,1
-				bc.conflict11[i].Set(j)
-				bc.conflict11[j].Set(i)
-			}
-			if !seen(i, j, 2) && !test(hi, cj) { // 1,0
-				bc.requires1[i].Set(j)
-			}
-			if !seen(i, j, 1) && !test(ci, hj) { // 0,1
-				bc.requires1[j].Set(i)
-			}
-			if !seen(i, j, 0) && !test(ci, cj) { // 0,0
-				bc.conflict00[i].Set(j)
-				bc.conflict00[j].Set(i)
-			}
-		}
-	}
-	return bc
-}
-
-// completeOK validates the conditions that need the complete assignment
-// (requires1 and conflict00); conflict11 is enforced during the DFS.
-func (bc *binaryConditions) completeOK(bits Bitset, m int) bool {
-	for i := 0; i < m; i++ {
-		if bits.Get(i) {
-			if !bits.ContainsAll(bc.requires1[i]) {
-				return false
-			}
-		} else if !bits.ContainsAll(bc.conflict00[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// forEachSubsetDFS enumerates size-w subsets of {0..m-1} in lexicographic
-// order, pruning branches whose chosen bits already violate a 1,1 conflict.
-// fn returning false aborts. All DFS state lives in recycled enumerator
-// scratch.
-func (e *Enumerator) forEachSubsetDFS(m, w int, cond *binaryConditions, fn func(sel []int, bits Bitset) bool) {
-	bits := reuseBitset(&e.bits, m)
-	if w == 0 {
-		fn(nil, bits)
-		return
-	}
-	if w > m {
-		return
-	}
-	if cap(e.sel) < w {
-		e.sel = make([]int, 0, w)
-	}
-	sel := e.sel[:0]
-	var forbidden Bitset
-	if cond != nil {
-		forbidden = reuseBitset(&e.forbidden, m)
-		e.scratch = reuseBitsetTable(&e.scratch, w, m)
-	}
-	ok := true
-	var dfs func(start int)
-	dfs = func(start int) {
-		if !ok {
-			return
-		}
-		need := w - len(sel)
-		if need == 0 {
-			ok = fn(sel, bits)
-			return
-		}
-		for i := start; i <= m-need && ok; i++ {
-			if cond != nil && forbidden.Get(i) {
-				continue
-			}
-			sel = append(sel, i)
-			bits.Set(i)
-			if cond != nil {
-				depth := len(sel) - 1
-				copy(e.scratch[depth], forbidden)
-				for k := range forbidden {
-					forbidden[k] |= cond.conflict11[i][k]
-				}
-				dfs(i + 1)
-				copy(forbidden, e.scratch[depth])
-			} else {
-				dfs(i + 1)
-			}
-			bits.Clear(i)
-			sel = sel[:len(sel)-1]
-		}
-	}
-	dfs(0)
-}
-
-// forEachSubsetDFS is kept as a free function for tests and one-off
-// callers.
-func forEachSubsetDFS(m, w int, cond *binaryConditions, fn func(sel []int, bits Bitset) bool) {
-	var e Enumerator
-	e.forEachSubsetDFS(m, w, cond, fn)
-}
-
-// tooManyCombinations reports whether C(m, w) exceeds the limit.
+// tooManyCombinations reports whether C(m, w) exceeds the limit. It builds
+// C(m−w+i, i) for i = 1, 2, … exactly in uint64 — each step's product is
+// divisible by i — and stops as soon as that rising partial value passes
+// the limit.
 func tooManyCombinations(m, w, limit int) bool {
 	if limit <= 0 {
 		return true
 	}
-	c := big.NewInt(1)
-	c.Binomial(int64(m), int64(w))
-	return c.Cmp(big.NewInt(int64(limit))) > 0
+	if w < 0 || w > m {
+		return false
+	}
+	w = min(w, m-w)
+	c := uint64(1)
+	for i := 1; i <= w; i++ {
+		hi, lo := bits.Mul64(c, uint64(m-w+i))
+		if hi >= uint64(i) {
+			return true // the quotient needs more than 64 bits
+		}
+		if c, _ = bits.Div64(hi, lo, uint64(i)); c > uint64(limit) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,8 @@
 package cellenum
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -21,10 +23,6 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatalf("count = %d", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
-		t.Fatal("clear broken")
-	}
 	c := b.Clone()
 	if !c.Equal(b) {
 		t.Fatal("clone not equal")
@@ -38,13 +36,7 @@ func TestBitsetBasics(t *testing.T) {
 	if !b.IntersectsAny(o) {
 		t.Fatal("intersects broken")
 	}
-	if !b.ContainsAll(o) {
-		t.Fatal("containsAll broken")
-	}
 	o.Set(7)
-	if b.ContainsAll(o) {
-		t.Fatal("containsAll false positive")
-	}
 	if b.Key() == o.Key() {
 		t.Fatal("distinct bitsets share a key")
 	}
@@ -232,20 +224,42 @@ func TestEnumerateDeadHalfspace(t *testing.T) {
 	}
 }
 
+// walkStrings drives the walk over the clause tables in e.cond and
+// returns the set bits of every string it emits, in order.
+func walkStrings(e *Enumerator, m, w int) [][]int {
+	var out [][]int
+	e.startWalk(m, w)
+	for {
+		str, ok := e.nextString()
+		if !ok {
+			return out
+		}
+		set := []int{}
+		for i := 0; i < m; i++ {
+			if str.Get(i) {
+				set = append(set, i)
+			}
+		}
+		out = append(out, set)
+	}
+}
+
+// TestForEachSubsetDFSCounts: over empty clause tables the walk emits
+// every size-w subset exactly once.
 func TestForEachSubsetDFSCounts(t *testing.T) {
 	for _, tc := range []struct{ m, w, want int }{
-		{5, 0, 1}, {5, 1, 5}, {5, 2, 10}, {5, 5, 1}, {5, 6, 0}, {6, 3, 20},
+		{5, 0, 1}, {5, 1, 5}, {5, 2, 10}, {5, 5, 1}, {5, 6, 0}, {6, 3, 20}, {0, 0, 1}, {70, 2, 2415},
 	} {
-		count := 0
-		forEachSubsetDFS(tc.m, tc.w, nil, func(sel []int, bits Bitset) bool {
-			count++
-			if len(sel) != tc.w || bits.Count() != tc.w {
-				t.Fatalf("m=%d w=%d: inconsistent subset", tc.m, tc.w)
+		var e Enumerator
+		e.resetConditions(tc.m)
+		got := walkStrings(&e, tc.m, tc.w)
+		for _, set := range got {
+			if len(set) != tc.w {
+				t.Fatalf("m=%d w=%d: emitted %v", tc.m, tc.w, set)
 			}
-			return true
-		})
-		if count != tc.want {
-			t.Fatalf("m=%d w=%d: %d subsets, want %d", tc.m, tc.w, count, tc.want)
+		}
+		if len(got) != tc.want {
+			t.Fatalf("m=%d w=%d: %d subsets, want %d", tc.m, tc.w, len(got), tc.want)
 		}
 	}
 }
@@ -259,6 +273,28 @@ func TestTooManyCombinations(t *testing.T) {
 	}
 	if !tooManyCombinations(100, 50, 1<<30) {
 		t.Fatal("C(100,50) should exceed any practical limit")
+	}
+	// Against math/big at the limit and one either side, for m up to 400.
+	for m := 0; m <= 400; m += 1 + m/8 {
+		for w := 0; w <= m+1; w += 1 + m/16 {
+			c := new(big.Int).Binomial(int64(m), int64(w))
+			if !c.IsInt64() || c.Int64() == math.MaxInt64 {
+				if !tooManyCombinations(m, w, math.MaxInt) {
+					t.Fatalf("C(%d,%d) = %v fits a limit of MaxInt", m, w, c)
+				}
+				continue
+			}
+			n := int(c.Int64())
+			if tooManyCombinations(m, w, n+1) || (n > 0 && tooManyCombinations(m, w, n)) {
+				t.Fatalf("C(%d,%d) = %d exceeds a limit of %d or %d", m, w, n, n, n+1)
+			}
+			if n > 0 && !tooManyCombinations(m, w, n-1) {
+				t.Fatalf("C(%d,%d) = %d fits a limit of %d", m, w, n, n-1)
+			}
+		}
+	}
+	if !tooManyCombinations(5, 2, 0) || tooManyCombinations(5, 6, 1) {
+		t.Fatal("a limit of 0 must truncate and C(5,6) = 0 must fit")
 	}
 }
 

@@ -101,10 +101,10 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 const medianHeavyFocal = 765
 
 // aaAllocBudget bounds a warm AA query at medianHeavyFocal. It measures
-// 1 619: region and result assembly, one half-space per record surfaced,
-// and within-leaf enumeration output — nothing per quad-tree node or per
-// skyline entry.
-const aaAllocBudget = 1800
+// 911: region and result assembly, one half-space per record surfaced,
+// and within-leaf enumeration output (cells and forced lists) — nothing
+// per quad-tree node, per skyline entry or per enumeration scratch row.
+const aaAllocBudget = 1000
 
 // TestWarmArenaAllocations keeps the quad-tree out of the allocator: on a
 // warm state, threading a heavy_d4 focal's first skyline through the tree
