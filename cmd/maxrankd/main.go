@@ -334,7 +334,7 @@ func main() {
 		// shed with 503 — both with Retry-After.
 		maxInflight = flag.Int("max-inflight", 0, "per-dataset concurrent execution cap; excess queues then sheds 429/503 (0 = unbounded)")
 		queueDepth  = flag.Int("queue-depth", 128, "per-dataset admission queue depth (with -max-inflight)")
-		aging       = flag.Duration("aging", 5*time.Second, "queued weight-seconds before a waiter is promoted one priority tier (0 = strict priority, with -max-inflight)")
+		aging       = flag.Duration("aging", 5*time.Second, "time a waiter queues before it is promoted one priority tier (0 = strict priority, with -max-inflight)")
 		quota       = flag.Float64("quota", 0, "per-client request rate limit in requests/second; excess sheds 429 (0 = off)")
 		quotaBurst  = flag.Int("quota-burst", 0, "per-client token-bucket burst size (0 = one second of -quota, min 1)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")

@@ -22,36 +22,30 @@ const (
 )
 
 // WithAdmission bounds what each served dataset is allowed to execute
-// concurrently. Capacity is measured in cost units — one unit is the
-// dataset's median query (its overall p50) — and each request is charged
-// its estimated cost from the per-class latency rings (see the cost model
-// in docs/OPERATIONS.md): at most maxInflight units execute at once, up
-// to queueDepth more requests wait in a bounded accept queue, and
-// everything beyond that is rejected early with 429 instead of being
-// accepted into an unbounded backlog the server cannot serve. Before any
-// latency sample exists every request costs one unit, which makes a
-// fresh gate behave exactly like a request-count semaphore.
+// concurrently. Capacity counts requests: every /v1/query and every
+// /v1/batch, whatever its size, holds one slot. At most maxInflight
+// requests execute at once, up to queueDepth more wait in a bounded
+// accept queue, and everything beyond that is rejected early with 429
+// instead of being accepted into an unbounded backlog the server cannot
+// serve.
 //
 // The queue is priority-aware: requests declare a tier ("interactive" >
 // "normal" > "bulk", default normal), higher tiers are dispatched first,
 // and when the queue is full a new arrival evicts the newest waiter of a
 // strictly lower tier instead of being rejected — bulk sheds first.
-// Dispatch never bypasses a waiting higher-tier request ("head-of-line"
-// is per tier order, so a large interactive request cannot be starved by
-// small bulk ones slipping past it), and aging protects the low tiers
-// from starvation: a waiter that has accumulated one aging threshold of
-// queued weight-seconds (WithAging, default 5s; cost-weighted, so heavy
-// waiters age faster) is promoted one tier, and again a threshold later,
-// so under sustained interactive pressure a bulk request reaches the
-// front in bounded time instead of never.
+// Within a tier dispatch is FIFO, and aging protects the low tiers from
+// starvation: a waiter that has queued for one aging threshold
+// (WithAging, default 5s) is promoted one tier, and again a threshold
+// later, so under sustained interactive pressure a bulk request reaches
+// the front in bounded time instead of never.
 //
 // Queued requests are deadline-aware: a request whose remaining deadline
-// cannot cover its estimated service time is shed with 503 the moment
-// that becomes true rather than holding a queue slot it can only waste;
-// the estimate is re-evaluated each time the shed timer fires, so a
-// queue that drained faster than predicted keeps the request alive.
-// Both rejections carry a Retry-After header computed from the estimated
-// cost of the queued work, so well-behaved clients back off for roughly
+// cannot cover the dataset's p50 query latency is shed with 503 the
+// moment that becomes true rather than holding a queue slot it can only
+// waste; the p50 is re-read each time the shed timer fires, so a queue
+// that drained faster than predicted keeps the request alive. Both
+// rejections carry a Retry-After header estimating how long the queued
+// requests take to drain, so well-behaved clients back off for roughly
 // one queue-drain interval.
 //
 // Status semantics: 429 Too Many Requests means "the accept queue is
@@ -74,10 +68,9 @@ func WithAdmission(maxInflight, queueDepth int) Option {
 }
 
 // WithAging sets the starvation bound of the priority queue: a waiter is
-// promoted one tier each time it accumulates threshold worth of queued
-// weight-seconds (cost-weighted wait — a 3-unit request ages three times
-// as fast as a 1-unit one). Default 5s; d <= 0 disables aging, letting
-// bulk requests starve under sustained higher-tier pressure.
+// promoted one tier each time it has queued for threshold. Default 5s;
+// d <= 0 disables aging, letting bulk requests starve under sustained
+// higher-tier pressure.
 func WithAging(threshold time.Duration) Option {
 	return func(s *Server) { s.aging = threshold }
 }
@@ -86,22 +79,12 @@ func WithAging(threshold time.Duration) Option {
 // control (WithAdmission with a positive in-flight limit).
 func (s *Server) AdmissionEnabled() bool { return s.admitLimit > 0 }
 
-// admitTicket describes one request (a query or a whole batch) to the
-// scheduler: its declared tier and its cost class (what the per-class
-// latency rings estimate its service time from).
-type admitTicket struct {
-	tier  int
-	class costClass
-}
-
 // waiter is one queued request. All state transitions happen under
 // gate.mu; grant is buffered(1) and written exactly once (granted or
 // evicted), so transitions never block on the waiter's goroutine.
 type waiter struct {
 	tier    int // current scheduling tier; decreases as aging promotes
 	billed  int // declared tier, which the counters bill (aging never changes it)
-	units   int
-	enq     time.Time
 	grant   chan waiterEvent
 	state   int
 	promote *time.Timer // pending aging promotion, nil when unarmed
@@ -122,31 +105,36 @@ const (
 	wGone           // removed by its own goroutine (deadline or cancel)
 )
 
+// tierCounts is one admission counter kept per declared tier. Load sums
+// the tiers: each tier only grows, so the total is monotonic too.
+type tierCounts [numTiers]atomic.Int64
+
+// Load returns the counter's total across tiers.
+func (c *tierCounts) Load() int64 {
+	var n int64
+	for t := range c {
+		n += c[t].Load()
+	}
+	return n
+}
+
 // gate is one dataset's admission state: the tiered wait queues, the
-// cost-unit ledger, and the shed/admit counters. Gates are created lazily
-// per dataset name and dropped on detach; the server-level counters
+// slot ledger, and the shed/admit counters. Gates are created lazily per
+// dataset name and dropped on detach; the server-level counters
 // (Server.admitted et al.) stay cumulative across gate lifetimes.
 type gate struct {
 	srv   *Server
-	limit int // capacity in cost units
+	limit int // max executing requests
 	depth int // max queued waiters
 	aging time.Duration
 
-	mu            sync.Mutex
-	queues        [numTiers][]*waiter
-	queued        int // total waiters across tiers
-	queuedUnits   int // summed cost units of queued waiters
-	inflight      int // admission units executing
-	inflightUnits int // summed cost units executing
-	hwm           int // high-water mark of concurrently held cost units
+	mu       sync.Mutex
+	queues   [numTiers][]*waiter
+	queued   int // total waiters across tiers
+	inflight int // requests executing
+	hwm      int // high-water mark of inflight
 
-	admitted      atomic.Int64
-	shedQueueFull atomic.Int64
-	shedDeadline  atomic.Int64
-
-	tierAdmitted      [numTiers]atomic.Int64
-	tierShedQueueFull [numTiers]atomic.Int64
-	tierShedDeadline  [numTiers]atomic.Int64
+	admitted, shedQueueFull, shedDeadline tierCounts
 }
 
 // TierAdmissionStats is one scheduling tier's slice of a dataset's
@@ -169,18 +157,13 @@ type TierAdmissionStats struct {
 // gate's lifetime (a detach discards the gate; the server-level totals
 // in ServerStats survive it); Inflight and Queued are instantaneous.
 type AdmissionStats struct {
-	// MaxInflight and QueueDepth echo the configured bounds. MaxInflight
-	// is in cost units (one unit = the dataset's p50 query).
+	// MaxInflight and QueueDepth echo the configured bounds.
 	MaxInflight int `json:"max_inflight"`
 	QueueDepth  int `json:"queue_depth"`
-	// Inflight is the number of admission units executing right now;
-	// Queued is the number waiting for capacity.
+	// Inflight is the number of requests executing right now; Queued is
+	// the number waiting for a slot.
 	Inflight int `json:"inflight"`
 	Queued   int `json:"queued"`
-	// InflightCostUnits and QueuedCostUnits are the estimated cost (in
-	// units of the dataset's p50) executing and waiting right now.
-	InflightCostUnits int `json:"inflight_cost_units"`
-	QueuedCostUnits   int `json:"queued_cost_units"`
 	// Admitted counts requests that obtained execution capacity.
 	Admitted int64 `json:"admitted"`
 	// ShedQueueFull counts requests rejected with 429 because the accept
@@ -255,94 +238,53 @@ func (s *Server) admissionStats(name string) *AdmissionStats {
 	}
 	g.mu.Lock()
 	st := &AdmissionStats{
-		MaxInflight:       g.limit,
-		QueueDepth:        g.depth,
-		Inflight:          g.inflight,
-		Queued:            g.queued,
-		InflightCostUnits: g.inflightUnits,
-		QueuedCostUnits:   g.queuedUnits,
+		MaxInflight: g.limit,
+		QueueDepth:  g.depth,
+		Inflight:    g.inflight,
+		Queued:      g.queued,
 	}
 	perTierQueued := [numTiers]int{}
 	for t := 0; t < numTiers; t++ {
 		perTierQueued[t] = len(g.queues[t])
 	}
 	g.mu.Unlock()
-	st.Admitted = g.admitted.Load()
-	st.ShedQueueFull = g.shedQueueFull.Load()
-	st.ShedDeadline = g.shedDeadline.Load()
 	st.Tiers = make(map[string]TierAdmissionStats, numTiers)
 	for t := 0; t < numTiers; t++ {
-		st.Tiers[apiv1.TierName(t)] = TierAdmissionStats{
+		ts := TierAdmissionStats{
 			Queued:        perTierQueued[t],
-			Admitted:      g.tierAdmitted[t].Load(),
-			ShedQueueFull: g.tierShedQueueFull[t].Load(),
-			ShedDeadline:  g.tierShedDeadline[t].Load(),
+			Admitted:      g.admitted[t].Load(),
+			ShedQueueFull: g.shedQueueFull[t].Load(),
+			ShedDeadline:  g.shedDeadline[t].Load(),
 		}
+		st.Tiers[apiv1.TierName(t)] = ts
+		st.Admitted += ts.Admitted
+		st.ShedQueueFull += ts.ShedQueueFull
+		st.ShedDeadline += ts.ShedDeadline
 	}
 	return st
 }
 
-// countAdmitted / countShedQueueFull / countShedDeadline bill one
-// request's admission outcome to the gate and server counters, under its
-// declared tier and in total. Counters count requests, while the
-// capacity ledger counts cost units.
-func (s *Server) countAdmitted(g *gate, tier int) {
-	g.tierAdmitted[tier].Add(1)
-	s.tierAdmitted[tier].Add(1)
-	g.admitted.Add(1)
-	s.admitted.Add(1)
+// bill counts one request's admission outcome to the gate's and the
+// server's counter of that kind, under its declared tier.
+func bill(gc, sc *tierCounts, tier int) {
+	gc[tier].Add(1)
+	sc[tier].Add(1)
 }
 
-func (s *Server) countShedQueueFull(g *gate, tier int) {
-	g.tierShedQueueFull[tier].Add(1)
-	s.tierShedQueueFull[tier].Add(1)
-	g.shedQueueFull.Add(1)
-	s.shedQueueFull.Add(1)
-}
-
-func (s *Server) countShedDeadline(g *gate, tier int) {
-	g.tierShedDeadline[tier].Add(1)
-	s.tierShedDeadline[tier].Add(1)
-	g.shedDeadline.Add(1)
-	s.shedDeadline.Add(1)
-}
-
-// unitsFor converts an estimated service time to cost units: how many
-// median queries' worth of capacity the request should hold. With no
-// estimate (or no baseline yet) everything costs one unit — the
-// pre-cost-model behaviour.
-func (g *gate) unitsFor(estMs, unitMs float64) int {
-	if estMs <= 0 || unitMs <= 0 {
-		return 1
-	}
-	u := int(math.Round(estMs / unitMs))
-	if u < 1 {
-		u = 1
-	}
-	if u > g.limit {
-		u = g.limit
-	}
-	return u
-}
-
-// grantLocked moves cost units to the in-flight ledger and bills the
-// admission counters under the request's declared tier. Caller holds
-// g.mu.
-func (g *gate) grantLocked(units, tier int) {
-	g.inflightUnits += units
+// grantLocked takes a slot and bills the admission counters under the
+// request's declared tier. Caller holds g.mu.
+func (g *gate) grantLocked(tier int) {
 	g.inflight++
-	if g.inflightUnits > g.hwm {
-		g.hwm = g.inflightUnits
+	if g.inflight > g.hwm {
+		g.hwm = g.inflight
 	}
-	g.srv.countAdmitted(g, tier)
+	bill(&g.admitted, &g.srv.admitted, tier)
 }
 
 // dispatchLocked grants queued waiters, best tier first and FIFO within a
-// tier, while the head fits the remaining capacity. It stops at the first
-// head that does not fit: a waiting higher-tier request is never bypassed
-// by a smaller lower-tier one. Caller holds g.mu.
+// tier, while a slot is free. Caller holds g.mu.
 func (g *gate) dispatchLocked() {
-	for {
+	for g.inflight < g.limit {
 		var w *waiter
 		tier := -1
 		for t := 0; t < numTiers; t++ {
@@ -352,15 +294,14 @@ func (g *gate) dispatchLocked() {
 				break
 			}
 		}
-		if w == nil || g.inflightUnits+w.units > g.limit {
+		if w == nil {
 			return
 		}
 		g.queues[tier] = g.queues[tier][1:]
 		g.queued--
-		g.queuedUnits -= w.units
 		w.state = wGranted
 		g.stopPromoteLocked(w)
-		g.grantLocked(w.units, w.billed)
+		g.grantLocked(w.billed)
 		w.grant <- evGranted
 	}
 }
@@ -376,7 +317,6 @@ func (g *gate) unqueueLocked(w *waiter) {
 		}
 	}
 	g.queued--
-	g.queuedUnits -= w.units
 	g.stopPromoteLocked(w)
 }
 
@@ -392,18 +332,13 @@ func (g *gate) victimLocked(tier int) *waiter {
 	return nil
 }
 
-// armPromoteLocked schedules w's next aging promotion: one tier step per
-// aging threshold of queued weight-seconds, so a waiter holding more
-// cost units ages proportionally faster. Caller holds g.mu.
+// armPromoteLocked schedules w's next aging promotion, one aging
+// threshold from now. Caller holds g.mu.
 func (g *gate) armPromoteLocked(w *waiter) {
 	if g.aging <= 0 || w.tier == 0 {
 		return
 	}
-	delay := time.Duration(float64(g.aging) / float64(w.units))
-	if delay < time.Millisecond {
-		delay = time.Millisecond
-	}
-	w.promote = time.AfterFunc(delay, func() { g.promoteWaiter(w) })
+	w.promote = time.AfterFunc(g.aging, func() { g.promoteWaiter(w) })
 }
 
 func (g *gate) stopPromoteLocked(w *waiter) {
@@ -436,8 +371,8 @@ func (g *gate) promoteWaiter(w *waiter) {
 	g.dispatchLocked()
 }
 
-// admit asks the named dataset's gate for execution capacity on behalf of
-// one request (a query or a batch — see admitTicket). It returns a
+// admit asks the named dataset's gate for a slot on behalf of one
+// request of the given tier (a query or a whole batch). It returns a
 // release function that must be called exactly once when the execution
 // finishes (idempotent: extra calls are no-ops), or a *shedError when the
 // request was shed:
@@ -445,28 +380,25 @@ func (g *gate) promoteWaiter(w *waiter) {
 //   - 429 shed_queue_full when the accept queue is at queueDepth and the
 //     arrival outranks nothing in it — or, symmetrically, when a queued
 //     waiter is evicted by a strictly higher-tier arrival;
-//   - 503 shed_deadline when ctx carries a deadline that the estimated
-//     service time can no longer be met within — checked at enqueue, and
-//     re-checked with a fresh estimate each time the shed timer fires
+//   - 503 shed_deadline when ctx carries a deadline that the dataset's
+//     p50 query latency no longer fits in — checked at enqueue, and
+//     re-checked with a fresh p50 each time the shed timer fires
 //     (a backlog that drained faster than predicted keeps the request
 //     alive instead of shedding it on a stale forecast).
 //
 // A ctx cancelled while queued (client disconnect) returns ctx.Err()
 // and counts as neither admitted nor shed, so absent disconnects
 // admitted + shed_queue_full + shed_deadline equals the offered load.
-func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (release func(), err error) {
+func (s *Server) admit(ctx context.Context, name string, tier int) (release func(), err error) {
 	g := s.gate(name)
 	if g == nil {
 		return func() {}, nil
 	}
-	unitMs, _ := s.latencyEstimate(name)
-	units := g.unitsFor(s.costEstimate(name, tk.class), unitMs)
 	mkRelease := func() func() {
 		var once sync.Once
 		return func() {
 			once.Do(func() {
 				g.mu.Lock()
-				g.inflightUnits -= units
 				g.inflight--
 				g.dispatchLocked()
 				g.mu.Unlock()
@@ -475,21 +407,21 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 	}
 
 	g.mu.Lock()
-	if g.queued == 0 && g.inflightUnits+units <= g.limit {
-		g.grantLocked(units, tk.tier)
+	if g.queued == 0 && g.inflight < g.limit {
+		g.grantLocked(tier)
 		g.mu.Unlock()
 		return mkRelease(), nil
 	}
 	// Contended: queue, displacing a lower-tier waiter when full.
 	if g.queued >= g.depth {
-		victim := g.victimLocked(tk.tier)
+		victim := g.victimLocked(tier)
 		if victim == nil {
-			queuedUnits := g.queuedUnits
+			queued := g.queued
 			g.mu.Unlock()
-			s.countShedQueueFull(g, tk.tier)
+			bill(&g.shedQueueFull, &s.shedQueueFull, tier)
 			return nil, &shedError{
 				status:     http.StatusTooManyRequests,
-				retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),
+				retryAfter: s.retryAfterSeconds(name, queued, g.limit),
 				reason:     "admission queue full",
 			}
 		}
@@ -498,30 +430,27 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 		victim.grant <- evEvicted
 	}
 	w := &waiter{
-		tier:   tk.tier,
-		billed: tk.tier,
-		units:  units,
-		enq:    time.Now(),
+		tier:   tier,
+		billed: tier,
 		grant:  make(chan waiterEvent, 1),
 	}
 	g.queues[w.tier] = append(g.queues[w.tier], w)
 	g.queued++
-	g.queuedUnits += units
 	g.armPromoteLocked(w)
 	g.dispatchLocked()
 	g.mu.Unlock()
 
 	// Deadline-aware wait: shed at the last instant the request could
-	// still be started and finish by its deadline, assuming its estimated
-	// service time. The estimate is re-taken whenever the timer fires, so
-	// the decision always uses the freshest forecast.
+	// still be started and finish by its deadline, assuming it takes the
+	// dataset's p50. The p50 is re-read whenever the timer fires, so the
+	// decision always uses the freshest forecast.
 	var (
 		shedTimer *time.Timer
 		shedC     <-chan time.Time
 	)
 	deadline, hasDeadline := ctx.Deadline()
 	arm := func() bool {
-		est := time.Duration(s.costEstimate(name, tk.class) * float64(time.Millisecond))
+		est := time.Duration(s.latencyEstimate(name) * float64(time.Millisecond))
 		budget := time.Until(deadline) - est
 		if budget <= 0 {
 			return false
@@ -553,12 +482,12 @@ func (s *Server) admit(ctx context.Context, name string, tk admitTicket) (releas
 				return mkRelease(), nil
 			}
 			g.mu.Lock()
-			queuedUnits := g.queuedUnits
+			queued := g.queued
 			g.mu.Unlock()
-			s.countShedQueueFull(g, w.billed)
+			bill(&g.shedQueueFull, &s.shedQueueFull, w.billed)
 			return nil, &shedError{
 				status:     http.StatusTooManyRequests,
-				retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),
+				retryAfter: s.retryAfterSeconds(name, queued, g.limit),
 				reason:     "evicted by higher-priority request",
 			}
 		case <-shedC:
@@ -603,28 +532,27 @@ func (s *Server) abandonForDeadline(g *gate, w *waiter, name string) *shedError 
 	}
 	g.unqueueLocked(w)
 	w.state = wGone
-	queuedUnits := g.queuedUnits
+	queued := g.queued
 	g.mu.Unlock()
-	s.countShedDeadline(g, w.billed)
+	bill(&g.shedDeadline, &s.shedDeadline, w.billed)
 	return &shedError{
 		status:     http.StatusServiceUnavailable,
-		retryAfter: s.retryAfterSeconds(name, queuedUnits, g.limit),
+		retryAfter: s.retryAfterSeconds(name, queued, g.limit),
 		reason:     "deadline cannot be met in queue",
 	}
 }
 
 // retryAfterSeconds computes the Retry-After a shed response advertises:
-// the time the queued work needs to drain — queuedUnits cost units at
-// one unit (the dataset's p50) each, across `limit` units of capacity —
-// rounded up to whole seconds and clamped to [1, 60]: an honest "come
-// back when the backlog you were rejected behind should be gone", not a
-// fixed magic number.
-func (s *Server) retryAfterSeconds(name string, queuedUnits, limit int) int {
-	p50, _ := s.latencyEstimate(name)
+// the time the queued requests need to drain — queued+1 requests at the
+// dataset's p50 each, across `limit` slots — rounded up to whole seconds
+// and clamped to [1, 60]: an honest "come back when the backlog you were
+// rejected behind should be gone", not a fixed magic number.
+func (s *Server) retryAfterSeconds(name string, queued, limit int) int {
+	p50 := s.latencyEstimate(name)
 	if limit < 1 {
 		limit = 1
 	}
-	drainMs := float64(queuedUnits+1) * p50 / float64(limit)
+	drainMs := float64(queued+1) * p50 / float64(limit)
 	secs := int(math.Ceil(drainMs / 1000))
 	if secs < 1 {
 		secs = 1

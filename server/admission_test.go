@@ -53,7 +53,7 @@ func checkRetryAfter(t *testing.T, rec *httptest.ResponseRecorder) {
 // concurrently against a paged-latency engine. Invariants, checked after
 // the storm drains:
 //
-//   - concurrently executing admission units never exceed max-inflight
+//   - concurrently executing requests never exceed max-inflight
 //     (the gate's high-water mark);
 //   - every response is 200, 429 or 503 — no admitted request is
 //     abandoned, every shed is a proper early rejection;
@@ -201,7 +201,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 
 	// Occupy the only slot, bypassing HTTP so it is held for exactly as
 	// long as this test wants.
-	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
+	release, err := srv.admit(context.Background(), DefaultDataset, tierNormal)
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestAdmissionBatchGated(t *testing.T) {
 	// (slow under -race).
 	srv := newAdmissionServer(t, 20*time.Microsecond,
 		WithAdmission(1, 0), WithRequestTimeout(20*time.Second))
-	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
+	release, err := srv.admit(context.Background(), DefaultDataset, tierNormal)
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -440,6 +440,13 @@ func TestAdmissionStatsAcrossLifecycle(t *testing.T) {
 	if stats.Server.Admitted == 0 {
 		t.Error("no admissions recorded across the lifecycle churn")
 	}
+	// Admission counts requests: the per-class cost model and the
+	// cost-unit occupancy fields are gone from the wire.
+	for _, key := range []string{"cost_model", "inflight_cost_units", "queued_cost_units"} {
+		if strings.Contains(string(body), key) {
+			t.Errorf("/v1/stats still carries %q: %s", key, body)
+		}
+	}
 }
 
 // TestAdmissionDisabledIsTransparent pins the default: without
@@ -450,7 +457,7 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 	if srv.AdmissionEnabled() {
 		t.Fatal("admission reported enabled without WithAdmission")
 	}
-	release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
+	release, err := srv.admit(context.Background(), DefaultDataset, tierNormal)
 	if err != nil {
 		t.Fatalf("admit with admission off: %v", err)
 	}
@@ -473,4 +480,61 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 	if stats.Server.Admitted != 0 || stats.Server.ShedQueueFull != 0 || stats.Server.ShedDeadline != 0 {
 		t.Error("admission counters nonzero with admission disabled")
 	}
+}
+
+// TestAdmissionBatchHoldsOneSlot: a /v1/batch holds one admission slot,
+// however many focals it carries and however long batches have taken.
+// The gate is warmed with batches and queries so every latency ring has
+// samples; then, with a slow batch executing on a 2-slot gate, a single
+// /v1/query must run beside it rather than queue behind it.
+func TestAdmissionBatchHoldsOneSlot(t *testing.T) {
+	srv := newAdmissionServer(t, 200*time.Microsecond,
+		WithAdmission(2, 4), WithRequestTimeout(30*time.Second))
+	// The warm-up batches have the slow batch's shape (11 to 100 focals),
+	// so any price learned from batch latencies applies to it.
+	focals := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = (i * 7) % 400
+		}
+		return out
+	}
+	for i := 0; i < 8; i++ {
+		focal := i
+		if code, body := post(t, srv, "/v1/query", QueryRequest{Focal: &focal}); code != http.StatusOK {
+			t.Fatalf("warm-up query %d = %d: %s", i, code, body)
+		}
+		if code, body := post(t, srv, "/v1/batch", BatchRequest{Focals: focals(16)}); code != http.StatusOK {
+			t.Fatalf("warm-up batch %d = %d: %s", i, code, body)
+		}
+	}
+
+	g := srv.gate(DefaultDataset)
+	inflight := func() int {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.inflight
+	}
+	batchDone := make(chan struct{})
+	go func() {
+		defer close(batchDone)
+		if code, body := post(t, srv, "/v1/batch", BatchRequest{Focals: focals(100)}); code != http.StatusOK {
+			t.Errorf("slow batch = %d: %s", code, body)
+		}
+	}()
+	waitUntil(t, 5*time.Second, func() bool { return inflight() == 1 })
+
+	focal := 3
+	if code, body := post(t, srv, "/v1/query", QueryRequest{Focal: &focal}); code != http.StatusOK {
+		t.Fatalf("query beside the batch = %d: %s", code, body)
+	}
+	select {
+	case <-batchDone:
+		t.Fatal("the batch finished before the query: the query queued behind it")
+	default:
+	}
+	if n := inflight(); n != 1 {
+		t.Errorf("after the query, %d requests hold slots; want the batch's 1", n)
+	}
+	<-batchDone
 }

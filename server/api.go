@@ -109,10 +109,6 @@ type DatasetEntry struct {
 	// when the server runs without WithAdmission or before the dataset's
 	// first gated request.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// CostModel reports the dataset's per-class service-time estimates —
-	// what the admission controller charges requests of each shape; absent
-	// until an execution completes.
-	CostModel []CostClassStats `json:"cost_model,omitempty"`
 	// WAL reports the dataset's write-ahead-log extent; absent when the
 	// server runs without WithMutationLog or the dataset has no log yet.
 	WAL *WALStats `json:"wal,omitempty"`
@@ -202,9 +198,9 @@ type TierTotals struct {
 
 // handleQuery serves POST /v1/query. The reported latency is measured
 // from handler entry, so it includes any admission-queue wait. The
-// request's priority tier and cost class steer admission; the per-client
-// quota (WithQuota) is checked first, so a rate-limited client never
-// occupies queue state.
+// request's priority tier steers admission; the per-client quota
+// (WithQuota) is checked first, so a rate-limited client never occupies
+// queue state.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var req QueryRequest
@@ -228,12 +224,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	admitRelease, err := s.admit(ctx, name, admitTicket{tier: req.Priority.Tier(), class: classOf(opts, 1)})
+	admitRelease, err := s.admit(ctx, name, req.Priority.Tier())
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
 		return
 	}
-	res, err := s.directQuery(ctx, name, eng, &req, opts)
+	var res *repro.Result
+	if req.Focal != nil {
+		res, err = eng.QueryOpts(ctx, *req.Focal, opts)
+	} else {
+		res, err = eng.QueryPointOpts(ctx, req.Point, opts)
+	}
 	admitRelease()
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
@@ -241,23 +242,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordLatency(name, time.Since(began))
 	s.reply(w, http.StatusOK, convertResult(res, req.MaxRegions))
-}
-
-// directQuery executes one query on the resolved engine and feeds the
-// execution time back into the cost model.
-func (s *Server) directQuery(ctx context.Context, name string, eng *repro.Engine, req *QueryRequest, opts repro.QueryOptions) (*repro.Result, error) {
-	began := time.Now()
-	var res *repro.Result
-	var err error
-	if req.Focal != nil {
-		res, err = eng.QueryOpts(ctx, *req.Focal, opts)
-	} else {
-		res, err = eng.QueryPointOpts(ctx, req.Point, opts)
-	}
-	if err == nil {
-		s.recordCost(name, classOf(opts, 1), time.Since(began))
-	}
-	return res, err
 }
 
 // handleBatch serves POST /v1/batch.
@@ -287,24 +271,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	// A batch is one admission unit: it already executes as one shared
-	// computation on the engine's worker pool. Its cost class carries the
-	// batch-size bucket, so the controller charges it what batches of
-	// this shape have actually cost.
-	class := classOf(opts, len(req.Focals))
-	admitRelease, err := s.admit(ctx, name, admitTicket{tier: req.Priority.Tier(), class: class})
+	// A batch holds one slot, like a query: it already executes on the
+	// engine's own bounded worker pool.
+	admitRelease, err := s.admit(ctx, name, req.Priority.Tier())
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
 		return
 	}
-	execBegan := time.Now()
 	results, err := eng.QueryBatchOpts(ctx, req.Focals, opts)
 	admitRelease()
 	if err != nil {
 		s.fail(w, queryStatus(err), err)
 		return
 	}
-	s.recordCost(name, class, time.Since(execBegan))
 	resp := BatchResponse{Results: make([]QueryResponse, len(results))}
 	for i, res := range results {
 		resp.Results[i] = convertResult(res, req.MaxRegions)
@@ -332,9 +311,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		tiers := make(map[string]TierTotals, numTiers)
 		for t := 0; t < numTiers; t++ {
 			tiers[apiv1.TierName(t)] = TierTotals{
-				Admitted:      s.tierAdmitted[t].Load(),
-				ShedQueueFull: s.tierShedQueueFull[t].Load(),
-				ShedDeadline:  s.tierShedDeadline[t].Load(),
+				Admitted:      s.admitted[t].Load(),
+				ShedQueueFull: s.shedQueueFull[t].Load(),
+				ShedDeadline:  s.shedDeadline[t].Load(),
 			}
 		}
 		resp.Server.AdmissionTiers = tiers
@@ -353,7 +332,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Version:   version,
 			Latency:   s.latencyStats(name),
 			Admission: s.admissionStats(name),
-			CostModel: s.costStats(name),
 			WAL:       s.walStats(name),
 			Storage:   ds.Storage(),
 		}

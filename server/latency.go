@@ -3,29 +3,15 @@ package server
 import (
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
-
-	"repro"
 )
 
 // latWindow is the number of most-recent query latencies each dataset's
-// overall ring retains for quantile estimation. 4096 eight-byte samples
+// ring retains for quantile estimation. 4096 eight-byte samples
 // keep the per-dataset footprint at 32 KiB while making p99 meaningful
 // (≈41 samples above it at a full ring).
 const latWindow = 4096
-
-// costWindow is the window of each per-class cost ring. Classes are
-// narrow (one algorithm × τ-bucket × batch-size bucket), so 256 samples
-// give a stable p50 without letting dozens of classes dominate memory.
-const costWindow = 256
-
-// minCostSamples is how many samples a class ring needs before its p50 is
-// trusted as a cost estimate; below it the dataset's overall p50 is used.
-// A handful of samples from a heavy class would otherwise whipsaw the
-// admission arithmetic.
-const minCostSamples = 8
 
 // latRing is a fixed-size ring of latencies. Recording is O(1) under a
 // mutex; quantiles sort a snapshot on demand (stats is called by
@@ -38,14 +24,13 @@ type latRing struct {
 	count   int64   // lifetime samples, not capped by the window
 	max     float64 // lifetime maximum
 
-	// Cached p50/p95 for the admission controller, which consults the
-	// ring on every shed decision and must not pay a full sort each
-	// time. Recomputed at most once per estRecompute, and only when
-	// new samples arrived since the last computation.
+	// Cached p50 for the admission controller, which consults the ring
+	// on every shed decision and must not pay a full sort each time.
+	// Recomputed at most once per estRecompute, and only when new
+	// samples arrived since the last computation.
 	estAt    time.Time
 	estCount int64
 	estP50   float64
-	estP95   float64
 }
 
 func newLatRing(window int) *latRing {
@@ -113,11 +98,10 @@ func (r *latRing) stats() *LatencyStats {
 	return out
 }
 
-// estimate returns cached p50/p95 over the ring (milliseconds; zeros
-// when no sample was recorded) plus the lifetime sample count. Unlike
-// stats it is cheap enough for the admission hot path: the sort reruns at
-// most once per estRecompute.
-func (r *latRing) estimate() (p50, p95 float64, count int64) {
+// estimate returns the cached p50 over the ring in milliseconds (zero
+// when no sample was recorded). Unlike stats it is cheap enough for the
+// admission hot path: the sort reruns at most once per estRecompute.
+func (r *latRing) estimate() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next
@@ -125,18 +109,17 @@ func (r *latRing) estimate() (p50, p95 float64, count int64) {
 		n = len(r.samples)
 	}
 	if n == 0 {
-		return 0, 0, 0
+		return 0
 	}
 	if r.count != r.estCount && time.Since(r.estAt) >= estRecompute {
 		snap := make([]float64, n)
 		copy(snap, r.samples[:n])
 		sort.Float64s(snap)
 		r.estP50 = quantile(snap, 0.50)
-		r.estP95 = quantile(snap, 0.95)
 		r.estAt = time.Now()
 		r.estCount = r.count
 	}
-	return r.estP50, r.estP95, r.count
+	return r.estP50
 }
 
 // quantile returns the nearest-rank q-quantile of ascending-sorted samples.
@@ -151,192 +134,47 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// costClass keys one cost ring: the admission controller's belief about
-// how expensive a request shaped like this is. Algorithm is the
-// *requested* strategy (what the client controls, hence what groups
-// requests of like cost), the τ and batch-size axes are bucketed
-// logarithmically so a 4096-way class explosion cannot happen.
-type costClass struct {
-	alg    string
-	tauB   int
-	batchB int
-}
-
-// classOf buckets one request's shape. batch is the focal count (1 for
-// /v1/query).
-func classOf(o repro.QueryOptions, batch int) costClass {
-	return costClass{alg: o.Algorithm.String(), tauB: logBucket(o.Tau), batchB: logBucket(batch - 1)}
-}
-
-// logBucket maps a non-negative magnitude to a coarse logarithmic bucket:
-// 0, 1-3, 4-10, 11-100, >100.
-func logBucket(n int) int {
-	switch {
-	case n <= 0:
-		return 0
-	case n <= 3:
-		return 1
-	case n <= 10:
-		return 2
-	case n <= 100:
-		return 3
-	default:
-		return 4
-	}
-}
-
-// String renders the class for the stats surface ("AA/tau1/batch0").
-func (c costClass) String() string {
-	return c.alg + "/tau" + strconv.Itoa(c.tauB) + "/batch" + strconv.Itoa(c.batchB)
-}
-
-// dsLatency is one dataset's latency state: the overall /v1/query ring
-// (quantiles in /v1/stats, the cost model's baseline work unit) plus one
-// cost ring per observed request class.
-type dsLatency struct {
-	overall *latRing
-
-	mu      sync.Mutex
-	classes map[costClass]*latRing
-}
-
-func newDSLatency() *dsLatency {
-	return &dsLatency{overall: newLatRing(latWindow), classes: make(map[costClass]*latRing)}
-}
-
-func (d *dsLatency) class(c costClass) *latRing {
-	d.mu.Lock()
-	r := d.classes[c]
-	if r == nil {
-		r = newLatRing(costWindow)
-		d.classes[c] = r
-	}
-	d.mu.Unlock()
-	return r
-}
-
-// CostClassStats is one request class's slice of the dataset's cost model
-// in GET /v1/stats: what the admission controller currently believes a
-// request of this shape costs.
-type CostClassStats struct {
-	// Class names the (algorithm, τ-bucket, batch-size-bucket) key, e.g.
-	// "AA/tau1/batch0".
-	Class string `json:"class"`
-	// EstimateMs is the class's current p50 service-time estimate.
-	EstimateMs float64 `json:"estimate_ms"`
-	// Samples is the lifetime sample count (the estimate is trusted from
-	// 8 samples; below that the dataset's overall p50 is used instead).
-	Samples int64 `json:"samples"`
-}
-
-// dsLat returns the named dataset's latency state, creating it on first
-// use.
-func (s *Server) dsLat(name string) *dsLatency {
+// recordLatency folds one successful query's handler latency into the
+// named dataset's ring, creating it on first use.
+func (s *Server) recordLatency(name string, d time.Duration) {
 	s.latMu.Lock()
-	d := s.lat[name]
-	if d == nil {
-		d = newDSLatency()
-		s.lat[name] = d
+	r := s.lat[name]
+	if r == nil {
+		r = newLatRing(latWindow)
+		s.lat[name] = r
 	}
 	s.latMu.Unlock()
-	return d
+	r.record(d)
 }
 
-// recordLatency folds one successful query's handler latency into the
-// named dataset's overall ring.
-func (s *Server) recordLatency(name string, d time.Duration) {
-	s.dsLat(name).overall.record(d)
-}
-
-// recordCost folds one execution's duration into its class ring — the
-// cost model's learning path. Unlike recordLatency this measures the
-// engine execution alone (no queueing wait), so the estimate converges on
-// service time rather than sojourn time.
-func (s *Server) recordCost(name string, c costClass, d time.Duration) {
-	s.dsLat(name).class(c).record(d)
+// latencyRing returns the named dataset's ring, or nil when no query
+// completed against it yet.
+func (s *Server) latencyRing(name string) *latRing {
+	s.latMu.Lock()
+	defer s.latMu.Unlock()
+	return s.lat[name]
 }
 
 // latencyStats returns the named dataset's latency quantiles, or nil when
 // no query completed against it yet.
 func (s *Server) latencyStats(name string) *LatencyStats {
-	s.latMu.Lock()
-	d := s.lat[name]
-	s.latMu.Unlock()
-	if d == nil {
-		return nil
+	if r := s.latencyRing(name); r != nil {
+		return r.stats()
 	}
-	return d.overall.stats()
+	return nil
 }
 
-// latencyEstimate returns the named dataset's cached p50/p95 overall
-// latency in milliseconds (zeros before any query completes) — the cost
-// model's baseline work unit and the Retry-After drain estimate.
-func (s *Server) latencyEstimate(name string) (p50, p95 float64) {
-	s.latMu.Lock()
-	d := s.lat[name]
-	s.latMu.Unlock()
-	if d == nil {
-		return 0, 0
+// latencyEstimate returns the named dataset's cached p50 query latency in
+// milliseconds (zero before any query completes): the deadline shedder's
+// service-time estimate and the Retry-After drain estimate.
+func (s *Server) latencyEstimate(name string) float64 {
+	if r := s.latencyRing(name); r != nil {
+		return r.estimate()
 	}
-	p50, p95, _ = d.overall.estimate()
-	return p50, p95
+	return 0
 }
 
-// costEstimate returns the estimated service milliseconds for a request
-// of the given class: the class ring's p50 once it has minCostSamples,
-// the dataset's overall p50 before that, and 0 when nothing has ever
-// completed (which disables cost-aware math exactly like the pre-model
-// behaviour).
-func (s *Server) costEstimate(name string, c costClass) float64 {
-	s.latMu.Lock()
-	d := s.lat[name]
-	s.latMu.Unlock()
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	r := d.classes[c]
-	d.mu.Unlock()
-	if r != nil {
-		if p50, _, n := r.estimate(); n >= minCostSamples {
-			return p50
-		}
-	}
-	p50, _, _ := d.overall.estimate()
-	return p50
-}
-
-// costStats snapshots the dataset's cost-model table for /v1/stats,
-// sorted by class name; nil when no class has a sample yet.
-func (s *Server) costStats(name string) []CostClassStats {
-	s.latMu.Lock()
-	d := s.lat[name]
-	s.latMu.Unlock()
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	classes := make(map[costClass]*latRing, len(d.classes))
-	for c, r := range d.classes {
-		classes[c] = r
-	}
-	d.mu.Unlock()
-	out := make([]CostClassStats, 0, len(classes))
-	for c, r := range classes {
-		p50, _, n := r.estimate()
-		if n == 0 {
-			continue
-		}
-		out = append(out, CostClassStats{Class: c.String(), EstimateMs: p50, Samples: n})
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-// dropLatency discards the named dataset's rings (detach): a later
+// dropLatency discards the named dataset's ring (detach): a later
 // dataset of the same name starts a fresh distribution.
 func (s *Server) dropLatency(name string) {
 	s.latMu.Lock()

@@ -42,7 +42,7 @@ func TestPriorityEvictionOrder(t *testing.T) {
 	srv := newAdmissionServer(t, 20*time.Microsecond,
 		WithAdmission(1, 2), WithAging(0), WithRequestTimeout(10*time.Second))
 
-	hold, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tierNormal})
+	hold, err := srv.admit(context.Background(), DefaultDataset, tierNormal)
 	if err != nil {
 		t.Fatalf("occupier admit: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestPriorityEvictionOrder(t *testing.T) {
 	}
 	results := make(chan outcome, 3)
 	wait := func(tier int) {
-		release, err := srv.admit(context.Background(), DefaultDataset, admitTicket{tier: tier})
+		release, err := srv.admit(context.Background(), DefaultDataset, tier)
 		results <- outcome{tier: tier, err: err, at: time.Now()}
 		if err == nil {
 			time.Sleep(5 * time.Millisecond) // hold briefly so grant order is observable
@@ -86,8 +86,8 @@ func TestPriorityEvictionOrder(t *testing.T) {
 	if !asShed(first.err, &shed) || shed.status != http.StatusTooManyRequests {
 		t.Fatalf("bulk eviction error = %v, want a 429 shedError", first.err)
 	}
-	if g.tierShedQueueFull[tierBulk].Load() != 1 {
-		t.Errorf("bulk shed_queue_full = %d, want 1", g.tierShedQueueFull[tierBulk].Load())
+	if g.shedQueueFull[tierBulk].Load() != 1 {
+		t.Errorf("bulk shed_queue_full = %d, want 1", g.shedQueueFull[tierBulk].Load())
 	}
 
 	hold()

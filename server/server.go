@@ -64,7 +64,7 @@ type Server struct {
 	logger     *log.Logger
 	start      time.Time
 
-	admitLimit int           // WithAdmission in-flight cap in cost units (<= 0: admission off)
+	admitLimit int           // WithAdmission in-flight cap in requests (<= 0: admission off)
 	admitDepth int           // WithAdmission accept-queue depth
 	aging      time.Duration // WithAging promotion threshold (<= 0: no aging)
 
@@ -72,7 +72,7 @@ type Server struct {
 	quotaBurst int     // WithQuota per-client burst
 
 	latMu sync.Mutex
-	lat   map[string]*dsLatency // per-dataset latency + cost-model rings
+	lat   map[string]*latRing // per-dataset /v1/query latency rings
 
 	gateMu sync.Mutex
 	gates  map[string]*gate // per-dataset admission gates (lazily created)
@@ -94,19 +94,15 @@ type Server struct {
 	requests atomic.Int64 // all requests routed to a handler
 	errors   atomic.Int64 // requests answered with a 4xx/5xx status
 
-	// Server-level admission totals. Unlike the per-gate counters these
-	// survive dataset detach/re-attach and version swaps, so scrapers see
-	// monotonic counts (same contract as the cumulative engine counters).
-	admitted      atomic.Int64 // requests granted execution capacity
-	shedQueueFull atomic.Int64 // requests rejected 429: accept queue full / evicted
-	shedDeadline  atomic.Int64 // queued requests dropped 503: deadline unmeetable
-	shedQuota     atomic.Int64 // requests rejected 429: client over rate quota
+	// Server-level admission counters, per declared tier. Unlike the
+	// per-gate counters these survive dataset detach/re-attach and
+	// version swaps, so scrapers see monotonic counts (same contract as
+	// the cumulative engine counters).
+	admitted      tierCounts // requests granted execution capacity
+	shedQueueFull tierCounts // requests rejected 429: accept queue full / evicted
+	shedDeadline  tierCounts // queued requests dropped 503: deadline unmeetable
 
-	// Per-tier admission totals, indexed by scheduling tier; same
-	// monotonic-scraper contract as the totals above.
-	tierAdmitted      [numTiers]atomic.Int64
-	tierShedQueueFull [numTiers]atomic.Int64
-	tierShedDeadline  [numTiers]atomic.Int64
+	shedQuota atomic.Int64 // requests rejected 429: client over rate quota
 }
 
 // Option configures a Server.
@@ -237,7 +233,7 @@ func NewMulti(reg *Registry, opts ...Option) (*Server, error) {
 		aging:        5 * time.Second,
 		logger:       log.Default(),
 		start:        time.Now(),
-		lat:          make(map[string]*dsLatency),
+		lat:          make(map[string]*latRing),
 		gates:        make(map[string]*gate),
 		quotaBuckets: make(map[string]*tokenBucket),
 	}
@@ -451,9 +447,9 @@ func publishExpvar(s *Server) {
 		// Per-tier admission totals (admitted_interactive, shed_queue_full_bulk, ...).
 		for tier := 0; tier < numTiers; tier++ {
 			tier := tier
-			m.Set("admitted_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.tierAdmitted[tier].Load() }))
-			m.Set("shed_queue_full_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.tierShedQueueFull[tier].Load() }))
-			m.Set("shed_deadline_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.tierShedDeadline[tier].Load() }))
+			m.Set("admitted_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.admitted[tier].Load() }))
+			m.Set("shed_queue_full_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.shedQueueFull[tier].Load() }))
+			m.Set("shed_deadline_"+apiv1.TierName(tier), counter(func(t *Server) int64 { return t.shedDeadline[tier].Load() }))
 		}
 		// Mutation-log extent, summed across datasets (0 without a log).
 		walSum := func(get func(MutationLogStats) int64) func(*Server) int64 {

@@ -304,8 +304,16 @@ func TestExpvarEndpoint(t *testing.T) {
 	if bytes.Contains(body, []byte("coalesced")) {
 		t.Errorf("/debug/vars still carries a coalesced_* key:\n%s", body)
 	}
-	if _, stats := get(t, srv, "/v1/stats"); bytes.Contains(stats, []byte("coalesced")) {
+	_, stats := get(t, srv, "/v1/stats")
+	if bytes.Contains(stats, []byte("coalesced")) {
 		t.Errorf("/v1/stats still carries a coalesced_* key:\n%s", stats)
+	}
+	// So is the per-class cost model: admission counts requests, and no
+	// surface prices them in cost units.
+	for _, key := range []string{"cost_model", "cost_units"} {
+		if bytes.Contains(body, []byte(key)) || bytes.Contains(stats, []byte(key)) {
+			t.Errorf("a metrics surface still carries %q:\n%s\n%s", key, body, stats)
+		}
 	}
 }
 

@@ -54,18 +54,6 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	return snapshot.WriteV2(w, snap)
 }
 
-// WriteSnapshotVersion is WriteSnapshot. The arguments survive only because
-// the benchmark harness under bench/ passes (snapshot.Version2, false);
-// anything else is an error — there is no other format to write and no
-// lossy float32 mode. Scheduled for removal with the next benchmark PR
-// (ROADMAP).
-func (ds *Dataset) WriteSnapshotVersion(w io.Writer, version int, float32Points bool) error {
-	if err := onlyV2(version, float32Points); err != nil {
-		return err
-	}
-	return ds.WriteSnapshot(w)
-}
-
 func onlyV2(version int, float32Points bool) error {
 	if version != snapshot.Version2 || float32Points {
 		return fmt.Errorf("repro: snapshots are written as float64 format %d only (asked for format %d, float32 %t)",
@@ -288,9 +276,11 @@ func (ds *Dataset) WriteSnapshotFile(path string) error {
 	return ds.writeSnapshotFile(vfs.OS(), path)
 }
 
-// WriteSnapshotFileVersion is WriteSnapshotFile, with the arguments
-// WriteSnapshotVersion keeps for bench/ and the same refusal of anything
-// but (snapshot.Version2, false).
+// WriteSnapshotFileVersion is WriteSnapshotFile. The arguments survive
+// only because the benchmark harness under bench/ passes
+// (snapshot.Version2, false); anything else is an error — there is no
+// other format to write and no lossy float32 mode. Scheduled for removal
+// with the next benchmark PR (ROADMAP).
 func (ds *Dataset) WriteSnapshotFileVersion(path string, version int, float32Points bool) error {
 	if err := onlyV2(version, float32Points); err != nil {
 		return err

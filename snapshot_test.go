@@ -305,28 +305,36 @@ func TestLoadSnapshotRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotVersionOnlyV2: the version-taking writers survive for
-// bench/ alone and accept exactly what it passes.
+// TestWriteSnapshotVersionOnlyV2: the version-taking file writer survives
+// for bench/ alone and accepts exactly what it passes.
 func TestWriteSnapshotVersionOnlyV2(t *testing.T) {
 	ds := genDS(t, "IND", 50, 2)
-	var want, got bytes.Buffer
-	if err := ds.WriteSnapshot(&want); err != nil {
+	dir := t.TempDir()
+	wantPath, path := filepath.Join(dir, "want.snap"), filepath.Join(dir, "ds.snap")
+	if err := ds.WriteSnapshotFile(wantPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.WriteSnapshotVersion(&got, snapshot.Version2, false); err != nil {
+	if err := ds.WriteSnapshotFileVersion(path, snapshot.Version2, false); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("WriteSnapshotVersion(2, false) differs from WriteSnapshot")
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ds.snap")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("WriteSnapshotFileVersion(2, false) differs from WriteSnapshotFile")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []struct {
 		version int
 		f32     bool
 	}{{snapshot.Version1, false}, {snapshot.Version2, true}, {3, false}} {
-		if err := ds.WriteSnapshotVersion(&got, bad.version, bad.f32); err == nil {
-			t.Fatalf("WriteSnapshotVersion(%d, %t) succeeded", bad.version, bad.f32)
-		}
 		if err := ds.WriteSnapshotFileVersion(path, bad.version, bad.f32); err == nil {
 			t.Fatalf("WriteSnapshotFileVersion(%d, %t) succeeded", bad.version, bad.f32)
 		}
