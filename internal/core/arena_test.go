@@ -36,6 +36,14 @@ func (a *aa2dState) poison() {
 	a.cur0, a.aug0 = -1, -1
 }
 
+// poison overwrites FCA's crossing lists through their capacity.
+func (f *fcaState) poison() {
+	nan := math.NaN()
+	fillCap(f.up, nan)
+	fillCap(f.down, nan)
+	fillCap(f.scratch, nan)
+}
+
 func fillCap[T any](s []T, v T) {
 	s = s[:cap(s)]
 	for i := range s {
@@ -45,7 +53,7 @@ func fillCap[T any](s []T, v T) {
 
 // TestResultSurvivesPoisonedRelease is the pooled state's hygiene
 // contract: a Result aliases nothing pooled. A query's state — quad-tree
-// arena, skyline slabs, AA2D's buffers — is poisoned (NaN boxes,
+// arena, skyline slabs, AA2D's and FCA's buffers — is poisoned (NaN boxes,
 // coefficients and points, -1 indexes) as it is released, which is before
 // the caller sees the Result, and the Result (region boxes and OutrankIDs
 // included) must still read as an unpoisoned run's did, and score to its
@@ -57,7 +65,7 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 		tree := buildTree(t, points)
 		algs := []Algorithm{StrategyBA, StrategyAA}
 		if d == 2 {
-			algs = []Algorithm{StrategyAA2D}
+			algs = []Algorithm{StrategyAA2D, StrategyFCA}
 		}
 		for _, alg := range algs {
 			for focal := 0; focal < 4; focal++ {
@@ -70,7 +78,7 @@ func TestResultSurvivesPoisonedRelease(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := printed(res)
-				releaseHook = func(st *execState) { st.qt.Poison(); st.sky.Poison(); st.aa2d.poison() }
+				releaseHook = func(st *execState) { st.qt.Poison(); st.sky.Poison(); st.aa2d.poison(); st.fca.poison() }
 				got, err := alg.Run(in)
 				releaseHook = nil
 				if err != nil {

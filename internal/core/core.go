@@ -16,7 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -203,7 +203,7 @@ func sortedIDs(set map[int64]bool) []int64 {
 	for id := range set {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -339,16 +339,21 @@ func (ds *Dataset) Fingerprint() string {
 // separate so the snapshot loader can verify a file's recorded
 // fingerprint against its points before building any index structures.
 func fingerprintPoints(dim int, pts []vecmath.Point) string {
+	// The values go to the hash 4 KiB at a time, not one Write (an
+	// interface call) per value.
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(dim))
-	h.Write(buf[:])
+	buf := make([]byte, 0, 4096)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(dim))
 	for _, p := range pts {
 		for _, v := range p {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -224,6 +224,40 @@ func TestLoadSnapshotFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned: the content digest is a format, not an
+// implementation detail — snapshots and the WAL's fingerprint chain record
+// it. A literal computed before the hash was fed through a buffer pins
+// it, and the committed v1 fixture still loads, which verifies its points
+// against the fingerprint it recorded when it was written.
+func TestFingerprintPinned(t *testing.T) {
+	ds, err := repro.GenerateDataset("IND", 1000, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ds.Fingerprint(), "b688fa6d889c9c5b4073f15cfa2a0d45"; got != want {
+		t.Fatalf("IND n=1000 d=3 seed 7: fingerprint %s, want %s", got, want)
+	}
+	raw, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := repro.LoadSnapshotFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := repro.GenerateDataset("IND", 200, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Fingerprint() != snap.Fingerprint || built.Fingerprint() != snap.Fingerprint {
+		t.Fatalf("v1 fixture records %s; loaded %s, rebuilt %s", snap.Fingerprint, loaded.Fingerprint(), built.Fingerprint())
+	}
+}
+
 // TestLoadSnapshotCorruptionTyped: the loader surfaces the decoder's typed
 // errors for the canonical corruption modes.
 func TestLoadSnapshotCorruptionTyped(t *testing.T) {
