@@ -8,6 +8,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro"
@@ -188,11 +189,24 @@ func BenchmarkSubstrates(b *testing.B) {
 }
 
 // BenchmarkApply measures the mutation subsystem: one batch of point
-// inserts/deletes producing a new engine version (page-image copy +
-// incremental R* updates + finalize), at two dataset sizes and two batch
-// shapes. Ops/sec here is versions/sec; allocs/op tracks the copy cost.
+// inserts/deletes producing a new engine version (a fork of the parent's
+// index, incremental R* updates, and a finalize that writes only the
+// nodes the batch changed), at two dataset sizes and two batch shapes,
+// plus the mutate_cycle workload's shape: 32 inserts and 32 random
+// deletes on IND n = 100 000, d = 2. Ops/sec here is versions/sec;
+// allocs/op and B/op track what a version costs beyond its batch.
 func BenchmarkApply(b *testing.B) {
 	ctx := context.Background()
+	run := func(name string, eng *repro.Engine, ops []repro.Op) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Apply(ctx, ops); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{2000, 10000} {
 		ds, err := repro.GenerateDataset("IND", n, 3, 1)
 		if err != nil {
@@ -210,14 +224,33 @@ func BenchmarkApply(b *testing.B) {
 					float64(k%97) / 97, float64(k%89) / 89, float64(k%83) / 83,
 				}))
 			}
-			b.Run(fmt.Sprintf("n=%d/ops=%d", n, batch*2), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Apply(ctx, ops); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("n=%d/ops=%d", n, batch*2), eng, ops)
 		}
 	}
+	ds, err := repro.GenerateDataset("IND", 100000, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("mutate_cycle/n=100000/d=2/ops=64", eng, mutateCycleBatch(rand.New(rand.NewSource(1)), ds.Len(), ds.Dim()))
+}
+
+// mutateCycleBatch draws a batch of the mutate_cycle workload's shape on n
+// records: 32 inserts of uniform points and 32 distinct random deletes.
+func mutateCycleBatch(rng *rand.Rand, n, dim int) []repro.Op {
+	var ops []repro.Op
+	for k := 0; k < 32; k++ {
+		p := make([]float64, dim)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		ops = append(ops, repro.InsertOp(p))
+	}
+	for _, i := range rng.Perm(n)[:32] {
+		ops = append(ops, repro.DeleteOp(i))
+	}
+	return ops
 }

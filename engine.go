@@ -371,7 +371,11 @@ func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64
 	if err != nil {
 		return nil, err
 	}
-	return convertResult(res, cfg.Algorithm.resolved()), nil
+	out := convertResult(res, cfg.Algorithm.resolved())
+	for i := range out.Regions {
+		e.ds.toRecordIndexes(out.Regions[i].OutrankIDs)
+	}
+	return out, nil
 }
 
 // strategy maps the public Algorithm selector to its core strategy.

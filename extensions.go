@@ -15,5 +15,6 @@ func (ds *Dataset) TopK(q []float64, k int) ([]int64, error) {
 	for i, it := range items {
 		out[i] = it.RecordID
 	}
+	ds.toRecordIndexes(out)
 	return out, nil
 }

@@ -8,7 +8,8 @@ package pager
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,29 +173,43 @@ func (s *Store) Restore(id PageID, data []byte) error {
 }
 
 // ForEachPage visits every allocated page in ascending ID order with its
-// current contents (nil for pages allocated but never written). The store
-// must not be mutated during the walk; no I/O is counted. It is the
-// persistence path of a finalized index.
+// current contents (nil for pages allocated but never written). No I/O is
+// counted. The walk holds the store's read lock throughout, so fn must not
+// call back into the store. It is the persistence path of a finalized
+// index.
 func (s *Store) ForEachPage(fn func(id PageID, data []byte) error) error {
 	s.mu.RLock()
-	ids := make([]PageID, 0, len(s.pages))
-	for id := range s.pages {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	defer s.mu.RUnlock()
+	ids := slices.Sorted(maps.Keys(s.pages))
 	for _, id := range ids {
-		s.mu.RLock()
-		data, ok := s.pages[id]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if err := fn(id, data); err != nil {
+		if err := fn(id, s.pages[id]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Clone returns a store holding the same pages under the same IDs, as if
+// every page had been Restored into a fresh store and ReclaimGaps called:
+// the allocation cursor sits one past the highest page held and the free
+// list holds the gaps below it, lowest handed out first. The page images
+// themselves are shared, not copied — a page is never modified after Write
+// or Restore, only replaced — so a clone costs one page table, not one
+// copy of every page. Writes, allocations and frees on either store leave
+// the other untouched. The clone's counters start at zero, counting on,
+// with no latency.
+func (s *Store) Clone() *Store {
+	c := NewStore(s.pageSize)
+	s.mu.RLock()
+	c.pages = maps.Clone(s.pages)
+	s.mu.RUnlock()
+	for id := range c.pages {
+		if id >= c.next {
+			c.next = id + 1
+		}
+	}
+	c.ReclaimGaps()
+	return c
 }
 
 // Free releases a page; its ID becomes available to a later Alloc.

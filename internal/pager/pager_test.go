@@ -1,6 +1,8 @@
 package pager
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -222,5 +224,79 @@ func TestReclaimGaps(t *testing.T) {
 	}
 	if got := s.Alloc(); got != 7 {
 		t.Fatalf("alloc = %d, want fresh 7", got)
+	}
+}
+
+// TestStoreClone: a clone matches a store rebuilt by Restore of every page
+// plus ReclaimGaps — allocation cursor, free-list order and page bytes —
+// and shares nothing mutable with its source.
+func TestStoreClone(t *testing.T) {
+	s := NewStore(64)
+	for i := 0; i < 12; i++ {
+		id := s.Alloc()
+		if err := s.Write(id, []byte{byte(id), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Free a scatter of pages, the top one included, so the source's own
+	// free list and cursor differ from what a restore rebuilds.
+	for _, id := range []PageID{7, 2, 12, 9, 11} {
+		s.Free(id)
+	}
+	reused := s.Alloc() // pops 11 off the source's LIFO list
+	if err := s.Write(reused, []byte("reused")); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := NewStore(s.PageSize())
+	if err := s.ForEachPage(func(id PageID, data []byte) error { return ref.Restore(id, data) }); err != nil {
+		t.Fatal(err)
+	}
+	ref.ReclaimGaps()
+	c := s.Clone()
+	if c.MaxPageID() != ref.MaxPageID() || c.NumPages() != ref.NumPages() || c.PageSize() != ref.PageSize() {
+		t.Fatalf("clone max %d pages %d size %d, restore gives %d %d %d",
+			c.MaxPageID(), c.NumPages(), c.PageSize(), ref.MaxPageID(), ref.NumPages(), ref.PageSize())
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("clone starts with counters %+v", st)
+	}
+	if !slices.Equal(c.free, ref.free) {
+		t.Fatalf("clone free list %v, restore gives %v", c.free, ref.free)
+	}
+	err := ref.ForEachPage(func(id PageID, want []byte) error {
+		got, err := c.ReadTracked(id, nil)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d: clone holds %q, restore %q", id, got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Allocation replays identically on both rebuilt stores.
+	for i := 0; i < 4; i++ {
+		if got, want := c.Alloc(), ref.Alloc(); got != want {
+			t.Fatalf("alloc %d: clone %d, restore %d", i, got, want)
+		}
+	}
+
+	// Writes and frees on either side stay on that side.
+	if err := c.Write(1, []byte("clone")); err != nil {
+		t.Fatal(err)
+	}
+	s.Free(3)
+	if got, _ := s.ReadTracked(1, nil); string(got) != "\x01\x00" {
+		t.Fatalf("source page 1 = %q after a clone write", got)
+	}
+	if _, err := c.ReadTracked(3, nil); err != nil {
+		t.Fatalf("clone lost page 3 to a source free: %v", err)
+	}
+	if got := s.Alloc(); got != 3 {
+		t.Fatalf("source alloc = %d, want its own freed 3", got)
 	}
 }

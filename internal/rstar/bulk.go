@@ -37,6 +37,7 @@ func (t *Tree) BulkLoad(points []vecmath.Point, ids []int64) error {
 		t.store.Free(id)
 	}
 	t.cache = make(map[pager.PageID]*Node)
+	t.dirty = make(map[pager.PageID]struct{})
 	t.size = int64(len(points))
 	if len(points) == 0 {
 		root := t.newNode(0)

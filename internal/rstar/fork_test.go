@@ -1,0 +1,235 @@
+package rstar
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/pager"
+	"repro/internal/vecmath"
+)
+
+// chooseSubtreeExhaustive is the R* choose-subtree as first written: every
+// candidate's overlap enlargement summed over every other entry, with a
+// fresh union rectangle per candidate. chooseSubtree must pick the same
+// entry on every input.
+func chooseSubtreeExhaustive(n *Node, r geom.Rect) int {
+	childrenAreLeaves := n.Level == 1
+	best := -1
+	bestOverlap := math.Inf(1)
+	bestEnlarge := math.Inf(1)
+	bestArea := math.Inf(1)
+	for i := range n.Entries {
+		e := &n.Entries[i]
+		enlarged := e.Rect.Union(r)
+		enlarge := enlarged.Area() - e.Rect.Area()
+		area := e.Rect.Area()
+		var overlapDelta float64
+		if childrenAreLeaves {
+			for j := range n.Entries {
+				if j == i {
+					continue
+				}
+				o := &n.Entries[j]
+				overlapDelta += enlarged.IntersectionArea(o.Rect) - e.Rect.IntersectionArea(o.Rect)
+			}
+		}
+		better := false
+		switch {
+		case childrenAreLeaves && overlapDelta < bestOverlap-1e-15:
+			better = true
+		case childrenAreLeaves && overlapDelta > bestOverlap+1e-15:
+			better = false
+		case enlarge < bestEnlarge-1e-15:
+			better = true
+		case enlarge > bestEnlarge+1e-15:
+			better = false
+		default:
+			better = area < bestArea
+		}
+		if best < 0 || better {
+			best = i
+			bestOverlap = overlapDelta
+			bestEnlarge = enlarge
+			bestArea = area
+		}
+	}
+	return best
+}
+
+// randomBranch draws a branch node whose entry rects are built to make
+// chooseSubtree's shortcuts matter: coordinates on a coarse grid, so rects
+// coincide, nest, touch and degenerate to zero width; copies of earlier
+// rects; bounds nudged by a few ulps, so areas and overlap sums tie within
+// 1e-15 without being equal; and in one node in ten, rects with huge
+// coordinates among the small ones, whose areas and intersections
+// overflow to +Inf and whose overlap terms can be Inf − Inf.
+func randomBranch(rng *rand.Rand, d, level, m int) *Node {
+	coord := func(scale float64) float64 {
+		v := float64(rng.Intn(9)) / 8
+		if rng.Intn(4) == 0 {
+			v = math.Nextafter(v, v+float64(rng.Intn(3)-1))
+		}
+		return v * scale
+	}
+	huge := rng.Intn(10) == 0
+	n := &Node{ID: 1, Level: level}
+	for len(n.Entries) < m {
+		if len(n.Entries) > 0 && rng.Intn(5) == 0 {
+			n.Entries = append(n.Entries, n.Entries[rng.Intn(len(n.Entries))])
+			continue
+		}
+		scale := 1.0
+		if huge && rng.Intn(2) == 0 {
+			scale = 1e200
+		}
+		lo, hi := make(vecmath.Point, d), make(vecmath.Point, d)
+		for k := range lo {
+			a, b := coord(scale), coord(scale)
+			lo[k], hi[k] = min(a, b), max(a, b)
+			if rng.Intn(6) == 0 {
+				hi[k] = lo[k] // zero width
+			}
+		}
+		n.Entries = append(n.Entries, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: pager.PageID(len(n.Entries) + 2), Count: 1})
+	}
+	return n
+}
+
+// TestChooseSubtreeMatchesExhaustive: the scratch-rect, early-stopping
+// choose-subtree picks the exhaustive loop's entry on random level-1 and
+// level-2 nodes — overlapping, identical and zero-width MBRs, points
+// inside several MBRs, near-ties within 1e-15 and non-finite areas.
+func TestChooseSubtreeMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, d := range []int{2, 3, 4} {
+		tree, _ := newTree(t, d)
+		for trial := 0; trial < 10000; trial++ {
+			level := 1
+			if trial%5 == 0 {
+				level = 2
+			}
+			m := 2 + rng.Intn(16)
+			if trial%100 == 0 {
+				m = tree.maxBranch + 1 // an overflowing node, as a split sees
+			}
+			n := randomBranch(rng, d, level, m)
+			var r geom.Rect
+			if trial%3 == 0 {
+				// A point inside an existing MBR, often inside several.
+				e := n.Entries[rng.Intn(len(n.Entries))].Rect
+				p := make(vecmath.Point, d)
+				for k := range p {
+					p[k] = e.Lo[k] + rng.Float64()*(e.Hi[k]-e.Lo[k])
+				}
+				r = geom.Rect{Lo: p, Hi: p}
+			} else {
+				r = randomBranch(rng, d, 0, 1).Entries[0].Rect
+			}
+			got, want := tree.chooseSubtree(n, r), chooseSubtreeExhaustive(n, r)
+			if got != want {
+				t.Fatalf("d=%d trial %d (level %d, %d entries, r %v): chose %d, exhaustive loop chose %d",
+					d, trial, level, len(n.Entries), r, got, want)
+			}
+		}
+	}
+}
+
+// TestForkLeavesParentUntouched: a fork mutated through inserts, deletes,
+// splits, reinserts and root changes, and then finalized, holds a valid
+// tree, while its parent — nodes, pages and page IDs — stays exactly as it
+// was and keeps answering. A fork of a fork works the same way, and a
+// tree with unfinalized changes refuses to fork.
+func TestForkLeavesParentUntouched(t *testing.T) {
+	parent, store := finalizedTree(t, 600, 2, Options{})
+	before := map[pager.PageID][]byte{}
+	store.ForEachPage(func(id pager.PageID, data []byte) error {
+		before[id] = bytes.Clone(data)
+		return nil
+	})
+	var items []Item
+	err := parent.Reader(nil).RangeSearch(everything(2), func(it Item) bool {
+		items = append(items, Item{Point: it.Point.Clone(), RecordID: it.RecordID})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(4))
+	cur := parent
+	for gen := 0; gen < 3; gen++ {
+		fork, err := cur.Fork(cur.store.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range randomPoints(rng, 150, 2) {
+			if err := fork.Insert(p, int64(10000*(gen+1)+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, it := range items[gen*150 : (gen+1)*150] {
+			if ok, err := fork.Delete(it.Point, it.RecordID); err != nil || !ok {
+				t.Fatalf("gen %d delete of record %d: %v, %v", gen, it.RecordID, ok, err)
+			}
+		}
+		if _, err := fork.Fork(fork.store.Clone()); err == nil {
+			t.Fatal("a tree with unfinalized changes forked")
+		}
+		if err := fork.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fork.dirty) != 0 {
+			t.Fatalf("gen %d: %d nodes still dirty after Finalize", gen, len(fork.dirty))
+		}
+		if err := fork.CheckInvariants(); err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
+		}
+		if want := int64(600); fork.Size() != want {
+			t.Fatalf("gen %d: size %d, want %d", gen, fork.Size(), want)
+		}
+		// Every finalized node is the one a load decodes from its page.
+		err = fork.store.ForEachPage(func(id pager.PageID, data []byte) error {
+			var want Node
+			if err := want.decode(id, data); err != nil {
+				return err
+			}
+			if !sameNode(fork.cache[id], &want) {
+				t.Fatalf("gen %d: cached node %d differs from its page", gen, id)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = fork
+	}
+
+	if err := parent.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	after := 0
+	store.ForEachPage(func(id pager.PageID, data []byte) error {
+		after++
+		if !bytes.Equal(before[id], data) {
+			t.Fatalf("parent page %d changed under its forks", id)
+		}
+		var want Node
+		if err := want.decode(id, data); err != nil {
+			return err
+		}
+		if !sameNode(parent.cache[id], &want) {
+			t.Fatalf("parent node %d changed under its forks", id)
+		}
+		return nil
+	})
+	if after != len(before) {
+		t.Fatalf("parent holds %d pages after forking, %d before", after, len(before))
+	}
+	n, err := parent.Reader(nil).RangeCount(everything(2))
+	if err != nil || n != 600 {
+		t.Fatalf("parent counts %d records (%v), want 600", n, err)
+	}
+}

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/pager"
@@ -59,4 +60,33 @@ func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size 
 		return nil, fmt.Errorf("rstar: restore: root subtree count %d != persisted size %d", got, size)
 	}
 	return t, nil
+}
+
+// IsLeafPage reports whether a node page holds a leaf.
+func IsLeafPage(page []byte) bool {
+	return len(page) >= nodeHeaderSize && binary.LittleEndian.Uint16(page[0:]) == 0
+}
+
+// RelabelLeafPage rewrites the record IDs of a leaf page in place: record
+// ID id becomes index[id]. It lets a tree that keeps its own record IDs
+// persist pages under the IDs a reader of the pages expects. An ID outside
+// index is an error.
+func RelabelLeafPage(page []byte, index []int64) error {
+	if !IsLeafPage(page) {
+		return fmt.Errorf("rstar: relabel of a page that is not a leaf")
+	}
+	count := int(binary.LittleEndian.Uint16(page[2:]))
+	dim := int(binary.LittleEndian.Uint16(page[4:]))
+	size := leafEntrySize(dim)
+	if want := nodeHeaderSize + count*size; len(page) < want {
+		return fmt.Errorf("rstar: leaf page has %d bytes, want %d", len(page), want)
+	}
+	for off := nodeHeaderSize + size - 8; off < nodeHeaderSize+count*size; off += size {
+		id := int64(binary.LittleEndian.Uint64(page[off:]))
+		if id < 0 || id >= int64(len(index)) {
+			return fmt.Errorf("rstar: leaf record ID %d outside the relabelling table [0,%d)", id, len(index))
+		}
+		binary.LittleEndian.PutUint64(page[off:], uint64(index[id]))
+	}
+	return nil
 }

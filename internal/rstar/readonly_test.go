@@ -88,7 +88,7 @@ func TestRestoreFromMappedSource(t *testing.T) {
 	if err := ro.Finalize(); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("Finalize on read-only tree: %v", err)
 	}
-	if err := ro.RemapRecordIDs(func(id int64) int64 { return id }); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("RemapRecordIDs on read-only tree: %v", err)
+	if _, err := ro.Fork(pager.NewStore(mapped.PageSize())); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("Fork of read-only tree: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -389,25 +390,64 @@ func TestMutationChurnReusesPages(t *testing.T) {
 	}
 }
 
-// TestRemapRecordIDs: leaf record IDs rewrite in place; a partial cache is
-// rejected.
+// TestRemapRecordIDs: RelabelLeafPage rewrites the record IDs of leaf
+// pages and leaves branch pages alone, and a tree restored from the
+// relabelled pages finds its records under the new IDs.
 func TestRemapRecordIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tree, _ := newTree(t, 2)
+	tree, store := newTree(t, 2)
 	pts := randomPoints(rng, 300, 2)
 	for i, p := range pts {
 		if err := tree.Insert(p, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.RemapRecordIDs(func(id int64) int64 { return id + 1000 }); err != nil {
-		t.Fatal(err)
-	}
 	if err := tree.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+	index := make([]int64, len(pts))
+	for i := range index {
+		index[i] = int64(i) + 1000
+	}
+	pages := map[pager.PageID][]byte{}
+	err := store.ForEachPage(func(id pager.PageID, data []byte) error {
+		pages[id] = slices.Clone(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for id, page := range pages {
+		if !IsLeafPage(page) {
+			if err := RelabelLeafPage(page, index); err == nil {
+				t.Fatalf("branch page %d relabelled", id)
+			}
+			continue
+		}
+		leaves++
+		if err := RelabelLeafPage(slices.Clone(page), index[:1]); err == nil {
+			t.Fatalf("leaf page %d relabelled through a table missing its IDs", id)
+		}
+		if err := RelabelLeafPage(page, index); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if leaves < 2 {
+		t.Fatalf("%d leaf pages; the test wants a branch level", leaves)
+	}
+	if err := RelabelLeafPage([]byte{0, 0, 1, 0, 2, 0, 0, 0}, index); err == nil {
+		t.Fatal("truncated leaf page relabelled")
+	}
+	relabelled, err := RestoreFrom(store, 2, tree.Root(), tree.Height(), tree.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range pts {
-		ok, err := tree.Delete(p, int64(i)+1000)
+		ok, err := relabelled.Delete(p, int64(i)+1000)
 		if err != nil {
 			t.Fatal(err)
 		}

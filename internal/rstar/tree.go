@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"unsafe"
@@ -26,9 +27,9 @@ const minFillFraction = 0.4
 // an option:
 //
 //   - A tree over a heap *pager.Store (New, BulkLoad, RestoreFrom on a
-//     Store) keeps every node decoded in its node cache — the construction
-//     cache, which Finalize serialises to pages and keeps — and serves reads
-//     from it: data and index in main memory. It is writable.
+//     Store, Fork) keeps every node decoded in its node cache and serves
+//     reads from it: data and index in main memory. It is writable. A fork
+//     shares its parent's decoded nodes and clones one only to change it.
 //   - A tree over any other Source — a pager.Mapped view over an mmap'd
 //     snapshot — caches nothing and decodes each page it reads: the
 //     disk-resident scenario. It is read-only. Mutating it fails with a
@@ -48,6 +49,13 @@ type Tree struct {
 	size   int64
 
 	cache map[pager.PageID]*Node // every node of a heap tree; nil on a read-only tree
+	// dirty holds the cached nodes this tree owns: those it created or
+	// cloned since its last Finalize. Any other cached node may be shared
+	// with the tree it was forked from and that tree's other forks, so it
+	// is never modified in place.
+	dirty map[pager.PageID]struct{}
+	// enlarged is chooseSubtree's scratch rectangle.
+	enlarged geom.Rect
 }
 
 // Options configures tree construction. Node size is the source's page
@@ -97,8 +105,36 @@ func emptyTree(src pager.Source, dim int) (*Tree, error) {
 	if store, ok := src.(*pager.Store); ok {
 		t.store = store
 		t.cache = make(map[pager.PageID]*Node)
+		t.dirty = make(map[pager.PageID]struct{})
+		t.enlarged = geom.Rect{Lo: make(vecmath.Point, dim), Hi: make(vecmath.Point, dim)}
 	}
 	return t, nil
+}
+
+// Fork returns a writable tree over store, which must be a Clone of this
+// tree's store, holding the same index. The fork shares this tree's
+// decoded nodes and clones a node only the first time it changes it, and
+// its store shares the unchanged pages, so a fork costs two tables, not a
+// decode of every page, and nothing it does reaches this tree, which may
+// keep serving queries meanwhile. This tree must be heap-backed and
+// finalized.
+func (t *Tree) Fork(store *pager.Store) (*Tree, error) {
+	if err := t.writable(); err != nil {
+		return nil, err
+	}
+	if len(t.dirty) > 0 {
+		return nil, fmt.Errorf("rstar: fork of a tree with %d unfinalized nodes", len(t.dirty))
+	}
+	if store.PageSize() != t.store.PageSize() {
+		return nil, fmt.Errorf("rstar: fork onto page size %d, tree has %d", store.PageSize(), t.store.PageSize())
+	}
+	f, err := emptyTree(store, t.dim)
+	if err != nil {
+		return nil, err
+	}
+	f.root, f.height, f.size = t.root, t.height, t.size
+	f.cache = maps.Clone(t.cache)
+	return f, nil
 }
 
 // Dim returns the dimensionality of indexed points.
@@ -130,16 +166,40 @@ func (t *Tree) writable() error {
 func (t *Tree) newNode(level int) *Node {
 	n := &Node{ID: t.store.Alloc(), Level: level}
 	t.cache[n.ID] = n
+	t.dirty[n.ID] = struct{}{}
 	return n
 }
 
-// node returns a mutable in-cache node (construction path only).
+// node returns a cached node for the mutation path to change. A node the
+// tree does not own yet is cloned first: the clone gets its own entry
+// array and shares the original's coordinates, which no mutation writes in
+// place (a changed rect is a new rect).
 func (t *Tree) node(id pager.PageID) *Node {
+	n := t.peek(id)
+	if _, own := t.dirty[id]; own {
+		return n
+	}
+	c := &Node{ID: id, Level: n.Level, Entries: make([]Entry, len(n.Entries), t.maxEntriesFor(n)+1)}
+	copy(c.Entries, n.Entries)
+	t.cache[id] = c
+	t.dirty[id] = struct{}{}
+	return c
+}
+
+// peek returns a cached node for the mutation path to read only.
+func (t *Tree) peek(id pager.PageID) *Node {
 	n, ok := t.cache[id]
 	if !ok {
-		panic(fmt.Sprintf("rstar: node %d not in construction cache", id))
+		panic(fmt.Sprintf("rstar: node %d not in the node cache", id))
 	}
 	return n
+}
+
+// release drops a dissolved node and frees its page.
+func (t *Tree) release(id pager.PageID) {
+	delete(t.cache, id)
+	delete(t.dirty, id)
+	t.store.Free(id)
 }
 
 // readNode charges one page read and serves the node from the cache when
@@ -208,52 +268,73 @@ func (t *Tree) minEntriesFor(n *Node) int {
 // R*-tree ChooseSubtree criteria, returning the page IDs along the way.
 func (t *Tree) choosePath(r geom.Rect, targetLevel int) []pager.PageID {
 	path := []pager.PageID{t.root}
-	cur := t.node(t.root)
+	cur := t.peek(t.root)
 	for cur.Level > targetLevel {
 		idx := t.chooseSubtree(cur, r)
-		child := t.node(cur.Entries[idx].Child)
+		child := t.peek(cur.Entries[idx].Child)
 		path = append(path, child.ID)
 		cur = child
 	}
 	return path
 }
 
-// chooseSubtree picks the child entry to follow for rectangle r.
+// chooseSubtree picks the child entry to follow for rectangle r: when
+// children are leaves, the least overlap enlargement, then the least area
+// enlargement, then the least area; otherwise the least area enlargement,
+// then the least area. Near-ties within 1e-15 fall through to the next
+// criterion.
+//
+// The overlap enlargement of entry E is the sum over the other entries O
+// of A(E′∩O) − A(E∩O), E′ being E grown to cover r. E′ contains E bound
+// for bound and float subtraction and multiplication are monotone, so
+// A(E′∩O) ≥ A(E∩O) and every term is ≥ +0 — or NaN, when both overflow to
+// +Inf, which needs A(E) non-finite, and then neither enlargement nor area
+// can prefer E. So the sum can stop early and still choose exactly what
+// summing every term chooses: an E′ equal to E with A(E) finite adds
+// exactly +0, and once a partial sum passes bestOverlap+1e-15, or reaches
+// bestOverlap−1e-15 when enlargement and area cannot prefer E, E has lost,
+// as its full sum — no smaller, or NaN — would lose.
 func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
-	// When children are leaves, minimise overlap enlargement; otherwise
-	// minimise area enlargement (ties: smaller area).
 	childrenAreLeaves := n.Level == 1
 	best := -1
 	bestOverlap := math.Inf(1)
 	bestEnlarge := math.Inf(1)
 	bestArea := math.Inf(1)
+	enlarged := t.enlarged
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		enlarged := e.Rect.Union(r)
-		enlarge := enlarged.Area() - e.Rect.Area()
+		grown := false
+		for k := range enlarged.Lo {
+			enlarged.Lo[k] = math.Min(e.Rect.Lo[k], r.Lo[k])
+			enlarged.Hi[k] = math.Max(e.Rect.Hi[k], r.Hi[k])
+			grown = grown || enlarged.Lo[k] != e.Rect.Lo[k] || enlarged.Hi[k] != e.Rect.Hi[k]
+		}
+		enlargedArea := enlarged.Area()
 		area := e.Rect.Area()
+		enlarge := enlargedArea - area
+		// laterWins: E beats the best so far on enlargement or area alone.
+		laterWins := enlarge < bestEnlarge-1e-15 || (!(enlarge > bestEnlarge+1e-15) && area < bestArea)
 		var overlapDelta float64
-		if childrenAreLeaves {
+		if childrenAreLeaves && (grown || !(enlargedArea <= math.MaxFloat64)) {
 			for j := range n.Entries {
 				if j == i {
 					continue
 				}
 				o := &n.Entries[j]
 				overlapDelta += enlarged.IntersectionArea(o.Rect) - e.Rect.IntersectionArea(o.Rect)
+				if best >= 0 && (overlapDelta > bestOverlap+1e-15 || (!laterWins && !(overlapDelta < bestOverlap-1e-15))) {
+					break
+				}
 			}
 		}
-		better := false
+		var better bool
 		switch {
 		case childrenAreLeaves && overlapDelta < bestOverlap-1e-15:
 			better = true
 		case childrenAreLeaves && overlapDelta > bestOverlap+1e-15:
 			better = false
-		case enlarge < bestEnlarge-1e-15:
-			better = true
-		case enlarge > bestEnlarge+1e-15:
-			better = false
 		default:
-			better = area < bestArea
+			better = laterWins
 		}
 		if best < 0 || better {
 			best = i
@@ -269,7 +350,7 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 func (t *Tree) adjustUp(path []pager.PageID) {
 	for i := len(path) - 2; i >= 0; i-- {
 		parent := t.node(path[i])
-		child := t.node(path[i+1])
+		child := t.peek(path[i+1])
 		for j := range parent.Entries {
 			if parent.Entries[j].Child == child.ID {
 				parent.Entries[j].Rect = child.MBR()
@@ -284,7 +365,7 @@ func (t *Tree) adjustUp(path []pager.PageID) {
 // first time a level overflows during one top-level insertion, split after.
 func (t *Tree) overflow(path []pager.PageID, reinserted map[int]bool) {
 	nodeID := path[len(path)-1]
-	n := t.node(nodeID)
+	n := t.peek(nodeID)
 	isRoot := nodeID == t.root
 	if !isRoot && !reinserted[n.Level] {
 		reinserted[n.Level] = true
@@ -466,24 +547,24 @@ func (t *Tree) Delete(p vecmath.Point, recordID int64) (bool, error) {
 	if leaf == nil {
 		return false, nil
 	}
+	leaf = t.node(leaf.ID)
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 	t.size--
 	t.condense(path)
 	// Shrink the root if it became a lone-child branch.
-	root := t.node(t.root)
+	root := t.peek(t.root)
 	for !root.Leaf() && len(root.Entries) == 1 {
 		child := root.Entries[0].Child
-		delete(t.cache, t.root)
-		t.store.Free(t.root)
+		t.release(t.root)
 		t.root = child
 		t.height--
-		root = t.node(t.root)
+		root = t.peek(t.root)
 	}
 	return true, nil
 }
 
 func (t *Tree) findLeaf(id pager.PageID, p vecmath.Point, recordID int64, path *[]pager.PageID) (*Node, int) {
-	n := t.node(id)
+	n := t.peek(id)
 	*path = append(*path, id)
 	if n.Leaf() {
 		for i := range n.Entries {
@@ -514,7 +595,7 @@ func (t *Tree) condense(path []pager.PageID) {
 		level int
 	}
 	for i := len(path) - 1; i >= 1; i-- {
-		n := t.node(path[i])
+		n := t.peek(path[i])
 		parent := t.node(path[i-1])
 		if len(n.Entries) < t.minEntriesFor(n) {
 			for j := range parent.Entries {
@@ -529,8 +610,7 @@ func (t *Tree) condense(path []pager.PageID) {
 					level int
 				}{e, n.Level})
 			}
-			delete(t.cache, n.ID)
-			t.store.Free(n.ID)
+			t.release(n.ID)
 		} else {
 			for j := range parent.Entries {
 				if parent.Entries[j].Child == n.ID {
@@ -545,31 +625,6 @@ func (t *Tree) condense(path []pager.PageID) {
 		reinserted := make(map[int]bool)
 		t.insertEntry(o.e, o.level, reinserted)
 	}
-}
-
-// RemapRecordIDs rewrites every leaf entry's record ID through fn. It is
-// a mutation-path operation on the node cache, which a heap tree keeps
-// whole, and the tree must be Finalized again afterwards. The error reports
-// a cache that does not cover the tree — remapping only part of the
-// records would corrupt the index silently.
-func (t *Tree) RemapRecordIDs(fn func(int64) int64) error {
-	if err := t.writable(); err != nil {
-		return err
-	}
-	var remapped int64
-	for _, n := range t.cache {
-		if !n.Leaf() {
-			continue
-		}
-		for i := range n.Entries {
-			n.Entries[i].RecordID = fn(n.Entries[i].RecordID)
-		}
-		remapped += int64(len(n.Entries))
-	}
-	if remapped != t.size {
-		return fmt.Errorf("rstar: remap covered %d of %d records (tree not fully cached?)", remapped, t.size)
-	}
-	return nil
 }
 
 // CachedBytes approximates the heap held by the node cache: every cached
@@ -588,7 +643,12 @@ func (t *Tree) CachedBytes() int64 {
 	return b
 }
 
-// Finalize serialises every cached node to its page. Construction I/O is
+// Finalize serialises every node the tree owns — each node of a new tree,
+// and what a fork changed — to its page, and replaces the node with the
+// one a load would decode from that page: entries over one coordinate
+// slab, not the scattered allocations of the build and mutation paths,
+// which version after version would otherwise spread across the heap. The
+// nodes are then shared, like every other cached node. Construction I/O is
 // not counted (the paper measures query-time accesses only).
 func (t *Tree) Finalize() error {
 	if err := t.writable(); err != nil {
@@ -596,10 +656,17 @@ func (t *Tree) Finalize() error {
 	}
 	t.store.SetCounting(false)
 	defer t.store.SetCounting(true)
-	for id, n := range t.cache {
-		if err := t.store.Write(id, n.encode(t.dim)); err != nil {
+	for id := range t.dirty {
+		page := t.cache[id].encode(t.dim)
+		if err := t.store.Write(id, page); err != nil {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
+		n := new(Node)
+		if err := n.decode(id, page); err != nil {
+			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
+		}
+		t.cache[id] = n
 	}
+	clear(t.dirty)
 	return nil
 }

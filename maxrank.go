@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,12 +46,26 @@ import (
 // Dataset is an indexed collection of records. It is built once and then
 // queried any number of times; page-access statistics accumulate in the
 // backing store and can be reset between queries.
+//
+// Records are addressed two ways. A record index is the record's position
+// in the dataset, 0..Len()-1, and is what every public API speaks. A tree
+// ID is the record ID the R*-tree's leaf entries hold. The two coincide in
+// a built or loaded dataset, but Apply keeps the tree IDs its parent gave
+// the surviving records — renumbering them would rewrite nearly every leaf
+// — so after a delete they differ. slots maps one to the other, ascending,
+// and the query boundary translates: focal indexes go in as tree IDs,
+// OutrankIDs and TopK IDs come out as indexes. Because the mapping keeps
+// order, every sort and comparison of IDs inside a query is unchanged.
+// Snapshots always hold record indexes (see WriteSnapshot).
 type Dataset struct {
 	points []vecmath.Point
 	// tree is the index. Its page source is a heap *pager.Store for built
 	// or heap-loaded datasets, a read-only pager.Mapped view for datasets
 	// served straight from a memory-mapped snapshot.
 	tree *rstar.Tree
+	// slots[i] is record i's tree ID, ascending; nil means the identity.
+	// Apply keeps every tree ID below 2·Len() (see renumber).
+	slots []int64
 
 	// quadMaxPartial and quadMaxDepth are the dataset's default quad-tree
 	// partitioning parameters (0 = library default). Per-query WithQuadTree
@@ -291,11 +306,13 @@ type StorageStats struct {
 	// heap datasets).
 	MappedBytes int64 `json:"mapped_bytes"`
 	// HeapBytes approximates the heap footprint of the records and index:
-	// point values, page payloads and the decoded node cache a heap index
-	// serves from, excluding per-object overhead. For mmap datasets only
-	// materialized parts count (the float64 values of a float32 snapshot;
-	// zero when points alias the mapping), since a mapped index caches no
-	// nodes.
+	// point values, page payloads, the decoded node cache a heap index
+	// serves from and the record-to-tree-ID table a mutated dataset keeps,
+	// excluding per-object overhead. For mmap datasets only materialized
+	// parts count (the float64 values of a float32 snapshot; zero when
+	// points alias the mapping), since a mapped index caches no nodes.
+	// Versions derived by Apply share every page and node the batch left
+	// unchanged, so summing HeapBytes across versions overcounts.
 	HeapBytes int64 `json:"heap_bytes"`
 }
 
@@ -315,7 +332,7 @@ func (ds *Dataset) Storage() StorageStats {
 		}
 		return st
 	}
-	st.HeapBytes = pointBytes + ds.tree.CachedBytes()
+	st.HeapBytes = pointBytes + ds.tree.CachedBytes() + 8*int64(len(ds.slots))
 	ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		st.HeapBytes += int64(len(data))
 		return nil
@@ -390,8 +407,33 @@ func (ds *Dataset) QuadDefaults() (maxPartial, maxDepth int) {
 	return ds.quadMaxPartial, ds.quadMaxDepth
 }
 
-// internalInput assembles a core.Input for this dataset.
-func (ds *Dataset) internalInput(focal vecmath.Point, focalID int64, cfg *queryConfig) core.Input {
+// treeID returns the tree ID of record i.
+func (ds *Dataset) treeID(i int) int64 {
+	if ds.slots == nil {
+		return int64(i)
+	}
+	return ds.slots[i]
+}
+
+// toRecordIndexes rewrites tree IDs the index reported as record indexes,
+// in place.
+func (ds *Dataset) toRecordIndexes(ids []int64) {
+	if ds.slots == nil {
+		return
+	}
+	for k, id := range ids {
+		i, _ := slices.BinarySearch(ds.slots, id)
+		ids[k] = int64(i)
+	}
+}
+
+// internalInput assembles a core.Input for this dataset. focalIndex is a
+// record index, or negative for a focal outside the dataset.
+func (ds *Dataset) internalInput(focal vecmath.Point, focalIndex int64, cfg *queryConfig) core.Input {
+	focalID := focalIndex
+	if focalIndex >= 0 {
+		focalID = ds.treeID(int(focalIndex))
+	}
 	return core.Input{
 		Tree:             ds.tree,
 		Focal:            focal,

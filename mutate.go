@@ -3,11 +3,13 @@ package repro
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/pager"
 	"repro/internal/rstar"
+	"repro/internal/snapshot"
 	"repro/internal/vecmath"
 )
 
@@ -51,14 +53,19 @@ func DeleteOp(index int) Op { return Op{Kind: OpDelete, Index: index} }
 //
 // The successor's records are the survivors in their original order
 // followed by the inserted points in op order, re-indexed densely from 0.
-// Its R*-tree is the receiver's tree incrementally updated through the
-// R* insert/delete machinery — not rebuilt — so Apply costs O(batch ×
-// log n) index work plus one page-image copy, not a bulk load. Query
-// answers (regions, ranks, witnesses) are bit-identical to those of a
-// freshly built dataset over the same record sequence; only cost counters
-// that reflect physical index layout (Stats.IO, IncomparableAccessed,
-// LP/leaf counters) may differ, because an incrementally maintained tree
-// legitimately has a different shape than a bulk-loaded one.
+// Its R*-tree is a fork of the receiver's, updated through the R*
+// insert/delete machinery — not rebuilt, and not copied: the two share
+// every page and decoded node the batch leaves alone, and the successor
+// writes only the nodes it changes. Apply so costs O(batch × log n) index
+// work plus O(n) for the successor's record table, with no per-page work
+// beyond one page table — save that once deletes since the last
+// renumbering pass half the records, it rewrites the leaf pages once (see
+// renumber). Query answers (regions, ranks, witnesses) are
+// bit-identical to those of a freshly built dataset over the same record
+// sequence; only cost counters that reflect physical index layout
+// (Stats.IO, IncomparableAccessed, LP/leaf counters) may differ, because
+// an incrementally maintained tree legitimately has a different shape than
+// a bulk-loaded one.
 //
 // The successor inherits the receiver's page size, quad-tree defaults and
 // simulated page latency. Its fingerprint is recomputed from the new
@@ -108,28 +115,7 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 		return nil, fmt.Errorf("repro: mutation batch would empty the dataset: %w", ErrBadQuery)
 	}
 
-	// Copy the index image into a fresh heap store: the original keeps
-	// serving unperturbed while the copy is mutated. Page IDs are
-	// preserved, so the restored tree is structurally the same index. For
-	// an mmap-served parent this copy IS the copy-on-write promotion —
-	// mutation never writes through the mapping (pager.Mapped has no write
-	// path at all), it materializes a writable image and edits that.
-	src := ds.tree.Source()
-	store := pager.NewStore(src.PageSize())
-	err := src.ForEachPage(func(id pager.PageID, data []byte) error {
-		if data == nil {
-			return fmt.Errorf("repro: page %d allocated but never written (index not finalized?)", id)
-		}
-		return store.Restore(id, data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The copied image preserves the parent's page-ID gaps (pages earlier
-	// mutations freed); reclaim them so the ID space stays bounded across
-	// generations instead of growing by every generation's leftovers.
-	store.ReclaimGaps()
-	tree, err := rstar.RestoreFrom(store, dim, ds.tree.Root(), ds.tree.Height(), ds.tree.Size(), rstar.Options{})
+	tree, err := ds.forkTree()
 	if err != nil {
 		return nil, err
 	}
@@ -137,16 +123,12 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	// Deletes first, in ascending index order (op order is irrelevant —
 	// indexes address the pre-batch dataset — and a fixed order keeps the
 	// successor tree, and hence its snapshot bytes, deterministic).
-	delOrder := make([]int, 0, len(deleted))
-	for idx := range deleted {
-		delOrder = append(delOrder, idx)
-	}
-	sort.Ints(delOrder)
+	delOrder := slices.Sorted(maps.Keys(deleted))
 	for _, idx := range delOrder {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ok, err := tree.Delete(ds.points[idx], int64(idx))
+		ok, err := tree.Delete(ds.points[idx], ds.treeID(idx))
 		if err != nil {
 			return nil, err
 		}
@@ -155,59 +137,133 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 		}
 	}
 
-	// Re-index the survivors densely. The tree's record IDs are remapped to
-	// match, so the successor is indistinguishable — record numbering
-	// included — from a dataset freshly built over the same sequence.
-	pts := make([]vecmath.Point, 0, n-len(deleted)+len(inserts))
-	// Survivor rows of an mmap-served parent alias the mapping; the
-	// successor owns no mapping, so it must deep-copy them — otherwise
-	// closing the parent would unmap memory the successor still points at.
-	survivor := func(p vecmath.Point) vecmath.Point { return p }
-	if ds.pointsAliased {
-		survivor = vecmath.Point.Clone
+	// The survivors keep their tree IDs and the inserts take fresh ones
+	// above the receiver's largest, so the successor's slots stay
+	// ascending. They stay nil (the identity) while nothing has been
+	// deleted, and return to nil when they end at len−1 — ascending,
+	// distinct and non-negative, they are then 0, 1, 2, ….
+	total := n - len(deleted) + len(inserts)
+	pts := make([]vecmath.Point, 0, total)
+	var slots []int64
+	if ds.slots != nil || len(deleted) > 0 {
+		slots = make([]int64, 0, total)
 	}
-	if len(deleted) == 0 {
-		for _, p := range ds.points {
-			pts = append(pts, survivor(p))
-		}
-	} else {
-		newID := make([]int64, n)
-		for i, p := range ds.points {
-			if deleted[i] {
-				newID[i] = -1
-				continue
+	from := 0
+	for _, idx := range append(delOrder, n) {
+		pts = append(pts, ds.points[from:idx]...)
+		switch {
+		case ds.slots != nil:
+			slots = append(slots, ds.slots[from:idx]...)
+		case slots != nil:
+			for i := from; i < idx; i++ {
+				slots = append(slots, int64(i))
 			}
-			newID[i] = int64(len(pts))
-			pts = append(pts, survivor(p))
 		}
-		if err := tree.RemapRecordIDs(func(old int64) int64 { return newID[old] }); err != nil {
-			return nil, err
+		from = idx + 1
+	}
+	if ds.pointsAliased {
+		// Survivor rows of an mmap-served receiver alias its mapping; the
+		// successor owns no mapping, so it copies them — otherwise closing
+		// the receiver would unmap memory the successor still points at.
+		flat := make([]float64, len(pts)*dim)
+		for i, p := range pts {
+			row := flat[i*dim : (i+1)*dim : (i+1)*dim]
+			copy(row, p)
+			pts[i] = row
 		}
 	}
-
-	for _, p := range inserts {
+	nextID := ds.treeID(n-1) + 1
+	for k, p := range inserts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		id := int64(len(pts))
+		id := nextID + int64(k)
 		pts = append(pts, p)
+		if slots != nil {
+			slots = append(slots, id)
+		}
 		if err := tree.Insert(p, id); err != nil {
 			return nil, err
 		}
+	}
+	if slots != nil && slots[len(slots)-1] == int64(len(slots)-1) {
+		slots = nil
 	}
 
 	if err := tree.Finalize(); err != nil {
 		return nil, err
 	}
-	store.ResetStats()
-	store.SetLatency(ds.pageLatency)
+	// Inserts take IDs above the largest, so the ID space grows with every
+	// insert since the tree's IDs were last record indexes. Once the
+	// largest reaches twice the record count, renumber: more deletes than
+	// half the records have gone by since the IDs were dense, and they pay
+	// for the pass over the leaf pages. The IDs, and WriteSnapshot's
+	// relabelling table, so stay below 2n.
+	if slots != nil && slots[len(slots)-1] >= 2*int64(len(slots)) {
+		if tree, err = renumber(tree, slots); err != nil {
+			return nil, err
+		}
+		slots = nil
+	}
+	src := tree.Source()
+	src.ResetStats()
+	src.SetLatency(ds.pageLatency)
 	return &Dataset{
 		points:         pts,
 		tree:           tree,
+		slots:          slots,
 		quadMaxPartial: ds.quadMaxPartial,
 		quadMaxDepth:   ds.quadMaxDepth,
 		pageLatency:    ds.pageLatency,
 	}, nil
+}
+
+// renumber rewrites the leaf pages of a finalized heap tree so that record
+// i's tree ID slots[i] becomes i, and returns the tree decoded from them.
+func renumber(tree *rstar.Tree, slots []int64) (*rstar.Tree, error) {
+	store := tree.Source().(*pager.Store)
+	var pages []snapshot.Page
+	err := store.ForEachPage(func(id pager.PageID, data []byte) error {
+		pages = append(pages, snapshot.Page{ID: int64(id), Data: data})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := relabelLeaves(pages, slots); err != nil {
+		return nil, err
+	}
+	for _, p := range pages {
+		if rstar.IsLeafPage(p.Data) {
+			if err := store.Write(pager.PageID(p.ID), p.Data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rstar.RestoreFrom(store, tree.Dim(), tree.Root(), tree.Height(), tree.Size(), rstar.Options{})
+}
+
+// forkTree returns a writable fork of the dataset's index (see
+// rstar.Tree.Fork). A mapped index is first promoted to the heap — its
+// pages copied into a heap store and decoded — because nothing may write
+// through, or outlive, the mapping; the promoted tree then forks like any
+// other.
+func (ds *Dataset) forkTree() (*rstar.Tree, error) {
+	tree := ds.tree
+	store, ok := tree.Source().(*pager.Store)
+	if !ok {
+		src := tree.Source()
+		store = pager.NewStore(src.PageSize())
+		if err := src.ForEachPage(store.Restore); err != nil {
+			return nil, err
+		}
+		var err error
+		tree, err = rstar.RestoreFrom(store, ds.Dim(), tree.Root(), tree.Height(), tree.Size(), rstar.Options{})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return tree.Fork(store.Clone())
 }
 
 // Apply produces a new engine version serving the mutated dataset; see

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -326,7 +327,8 @@ func TestEngineApplyInheritsConfig(t *testing.T) {
 }
 
 // TestApplyConcurrentQueries runs queries against an engine while
-// successors are derived from it repeatedly and queried too — the -race
+// successors are derived from it repeatedly — two siblings at once, which
+// share the parent's pages and nodes — and queried too: the -race
 // companion to the registry swap test in the server package.
 func TestApplyConcurrentQueries(t *testing.T) {
 	ds := genDS(t, "IND", 120, 3)
@@ -366,8 +368,20 @@ func TestApplyConcurrentQueries(t *testing.T) {
 		e := cur
 		curMu.RUnlock()
 		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		sibling := []repro.Op{repro.DeleteOp(rng.Intn(e.Dataset().Len())), repro.InsertOp([]float64{p[1], p[2], p[0]})}
+		sibDone := make(chan error, 1)
+		go func() {
+			s, err := e.Apply(ctx, sibling)
+			if err == nil {
+				_, err = s.Query(ctx, 0)
+			}
+			sibDone <- err
+		}()
 		next, err := e.Apply(ctx, []repro.Op{repro.DeleteOp(rng.Intn(e.Dataset().Len())), repro.InsertOp(p)})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sibDone; err != nil {
 			t.Fatal(err)
 		}
 		curMu.Lock()
@@ -376,4 +390,52 @@ func TestApplyConcurrentQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestApplyAllocations guards Apply's cost against a whole-index copy or
+// decode coming back. A 32-insert, 32-delete batch — the mutate_cycle
+// workload's shape, on IND d = 2 — runs at n = 20 000 and n = 100 000.
+// The allocation counts may differ by what the larger tree's batch touches
+// (more distinct nodes cloned and rewritten: 90–140 allocations more,
+// measured over eight batches), not by anything per page (600 more pages)
+// or per record. The bytes the extra 80 000 records cost must stay within
+// applyBytesPerRecord each: the successor's record table is 32 bytes a
+// record (a point header and a tree ID), measured 39 with the page and
+// node tables; copying every page and decoding it cost about 208.
+func TestApplyAllocations(t *testing.T) {
+	const (
+		allocSlack          = 200
+		applyBytesPerRecord = 48
+	)
+	var allocs, bytes [2]float64
+	sizes := [2]int{20000, 100000}
+	for k, n := range sizes {
+		ds, err := repro.GenerateDataset("IND", n, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := mutateCycleBatch(rand.New(rand.NewSource(7)), n, 2)
+		apply := func() {
+			if _, err := ds.Apply(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[k] = testing.AllocsPerRun(5, apply)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for i := 0; i < runs; i++ {
+			apply()
+		}
+		runtime.ReadMemStats(&after)
+		bytes[k] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("n=%d: %.0f allocations, %.0f bytes", n, allocs[k], bytes[k])
+	}
+	if allocs[1] > allocs[0]+allocSlack {
+		t.Errorf("Apply makes %.0f allocations at n=%d and %.0f at n=%d: a per-page or per-record allocation is back",
+			allocs[1], sizes[1], allocs[0], sizes[0])
+	}
+	if perRecord := (bytes[1] - bytes[0]) / float64(sizes[1]-sizes[0]); perRecord > applyBytesPerRecord {
+		t.Errorf("Apply allocates %.1f bytes for each record beyond n=%d, budget %d", perRecord, sizes[0], applyBytesPerRecord)
+	}
 }

@@ -19,8 +19,10 @@ import (
 
 // WriteSnapshot persists the dataset and its R*-tree index in the
 // versioned, checksummed binary format of internal/snapshot (format v2,
-// the only one written): the raw records, every index page exactly as the
-// pager stores it, and the dataset's quad-tree partitioning defaults.
+// the only one written): the raw records, every index page as the pager
+// stores it, and the dataset's quad-tree partitioning defaults. Leaf pages
+// are written with record indexes whatever IDs the tree holds (see
+// Dataset), so a loaded snapshot's tree IDs are its record indexes.
 // LoadSnapshot and LoadSnapshotFile restore the dataset without rebuilding
 // anything, and the restored dataset produces bit-identical query results —
 // regions, ranks, witnesses and Stats.IO — to this one.
@@ -51,7 +53,42 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if ds.slots != nil {
+		if err := relabelLeaves(snap.Pages, ds.slots); err != nil {
+			return err
+		}
+	}
 	return snapshot.WriteV2(w, snap)
+}
+
+// relabelLeaves points the leaf pages of a snapshot at copies, in one
+// buffer, whose record IDs are record indexes: slots[i] becomes i, through
+// a table from tree ID to index built once for the write.
+func relabelLeaves(pages []snapshot.Page, slots []int64) error {
+	index := make([]int64, slots[len(slots)-1]+1)
+	for i, id := range slots {
+		index[id] = int64(i)
+	}
+	size := 0
+	for _, p := range pages {
+		if rstar.IsLeafPage(p.Data) {
+			size += len(p.Data)
+		}
+	}
+	buf := make([]byte, 0, size)
+	for i := range pages {
+		p := &pages[i]
+		if !rstar.IsLeafPage(p.Data) {
+			continue
+		}
+		start := len(buf)
+		buf = append(buf, p.Data...)
+		p.Data = buf[start:]
+		if err := rstar.RelabelLeafPage(p.Data, index); err != nil {
+			return fmt.Errorf("repro: snapshot page %d: %w", p.ID, err)
+		}
+	}
+	return nil
 }
 
 func onlyV2(version int, float32Points bool) error {
