@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,21 +11,20 @@ import (
 // BenchmarkAblation_QuadThreshold sweeps the quad-tree leaf split threshold
 // |Pl|max — the paper's main tuning knob (Section 5.1): small thresholds
 // yield many shallow-enumeration leaves, large thresholds few leaves with
-// expensive within-leaf searches.
+// expensive within-leaf searches. The threshold is a dataset default, so
+// each value gets its own copy of the dataset.
 func BenchmarkAblation_QuadThreshold(b *testing.B) {
-	ds, err := repro.GenerateDataset("IND", 1000, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, threshold := range []int{6, 12, 24, 48} {
+		ds, err := repro.GenerateDataset("IND", 1000, 4, 1, repro.WithQuadDefaults(threshold, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := benchEngine(b, ds)
 		b.Run(fmt.Sprintf("maxPartial=%d", threshold), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				focal := (i * 131) % ds.Len()
-				_, err := repro.Compute(ds, focal,
-					repro.WithAlgorithm(repro.AA),
-					repro.WithQuadTree(threshold, 0))
-				if err != nil {
+				if _, err := eng.Query(context.Background(), focal, repro.WithAlgorithm(repro.AA)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -40,11 +40,12 @@ func BenchmarkAblation_AAvsBA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := benchEngine(b, ds)
 	for _, alg := range []repro.Algorithm{repro.AA, repro.BA} {
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.Compute(ds, (i*37)%ds.Len(), repro.WithAlgorithm(alg)); err != nil {
+				if _, err := eng.Query(context.Background(), (i*37)%ds.Len(), repro.WithAlgorithm(alg)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -68,13 +69,24 @@ func BenchmarkAblation_Storage(b *testing.B) {
 	}
 	defer mapped.Close()
 	for _, ds := range []*repro.Dataset{heap, mapped} {
+		eng := benchEngine(b, ds)
 		b.Run(ds.Storage().Mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.Compute(ds, (i*53)%ds.Len()); err != nil {
+				if _, err := eng.Query(context.Background(), (i*53)%ds.Len()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// benchEngine wraps a dataset in an engine.
+func benchEngine(b *testing.B, ds *repro.Dataset) *repro.Engine {
+	b.Helper()
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
 }

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,8 +20,8 @@ func genDS(t testing.TB, dist string, n, d int, opts ...repro.DatasetOption) *re
 	return ds
 }
 
-// mustPoint / mustScore / mustRank unwrap the error-returning dataset
-// accessors for test sites that pass known-valid arguments.
+// mustPoint / mustRank unwrap the error-returning dataset accessors for
+// test sites that pass known-valid arguments.
 func mustPoint(t testing.TB, ds *repro.Dataset, i int) []float64 {
 	t.Helper()
 	p, err := ds.Point(i)
@@ -30,11 +31,12 @@ func mustPoint(t testing.TB, ds *repro.Dataset, i int) []float64 {
 	return p
 }
 
-func mustScore(t testing.TB, ds *repro.Dataset, i int, q []float64) float64 {
+// score is record i's score under the full query vector q.
+func score(t testing.TB, ds *repro.Dataset, i int, q []float64) float64 {
 	t.Helper()
-	s, err := ds.Score(i, q)
-	if err != nil {
-		t.Fatal(err)
+	var s float64
+	for j, v := range mustPoint(t, ds, i) {
+		s += v * q[j]
 	}
 	return s
 }
@@ -51,7 +53,7 @@ func mustRank(t testing.TB, ds *repro.Dataset, rec, q []float64) int {
 func TestComputeAgainstValidate(t *testing.T) {
 	ds := genDS(t, "IND", 400, 3)
 	for _, alg := range []repro.Algorithm{repro.Auto, repro.BA, repro.AA} {
-		res, err := repro.Compute(ds, 7, repro.WithAlgorithm(alg))
+		res, err := query(ds, 7, repro.WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -89,7 +91,7 @@ func TestAlgorithmsAgreeOnKStar(t *testing.T) {
 	ds := genDS(t, "ANTI", 300, 2)
 	var ks []int
 	for _, alg := range []repro.Algorithm{repro.FCA, repro.BA, repro.AA} {
-		res, err := repro.Compute(ds, 42, repro.WithAlgorithm(alg))
+		res, err := query(ds, 42, repro.WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -102,25 +104,25 @@ func TestAlgorithmsAgreeOnKStar(t *testing.T) {
 
 func TestComputeForWhatIf(t *testing.T) {
 	ds := genDS(t, "IND", 300, 3)
-	res, err := repro.ComputeFor(ds, []float64{0.95, 0.95, 0.95})
+	res, err := queryPoint(ds, []float64{0.95, 0.95, 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.KStar != 1 {
 		t.Fatalf("a near-ideal record should reach rank 1, got %d", res.KStar)
 	}
-	if _, err := repro.ComputeFor(ds, []float64{0.5}); err == nil {
+	if _, err := queryPoint(ds, []float64{0.5}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
 
 func TestTauWidensRegions(t *testing.T) {
 	ds := genDS(t, "IND", 250, 3)
-	base, err := repro.Compute(ds, 10)
+	base, err := query(ds, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := repro.Compute(ds, 10, repro.WithTau(3))
+	wide, err := query(ds, 10, repro.WithTau(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +145,10 @@ func TestTauWidensRegions(t *testing.T) {
 
 func TestOutrankIDs(t *testing.T) {
 	ds := genDS(t, "IND", 200, 3)
-	res, err := repro.Compute(ds, 3, repro.WithOutrankIDs(true))
+	res, err := query(ds, 3, repro.WithOutrankIDs(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	focal := mustPoint(t, ds, 3)
 	for _, reg := range res.Regions {
 		if len(reg.OutrankIDs) != reg.Order {
 			t.Fatalf("region lists %d outranking records, order is %d",
@@ -155,20 +156,18 @@ func TestOutrankIDs(t *testing.T) {
 		}
 		// Direct check: each listed record scores above the focal record at
 		// the witness preference.
-		fs := mustScore(t, ds, 3, reg.QueryVector)
-		_ = fs
+		fs := score(t, ds, 3, reg.QueryVector)
 		for _, id := range reg.OutrankIDs {
-			if mustScore(t, ds, int(id), reg.QueryVector) <= mustScore(t, ds, 3, reg.QueryVector) {
+			if score(t, ds, int(id), reg.QueryVector) <= fs {
 				t.Fatalf("record %d listed but does not outrank at witness", id)
 			}
 		}
-		_ = focal
 	}
 }
 
 func TestRegionContains(t *testing.T) {
 	ds := genDS(t, "IND", 150, 3)
-	res, err := repro.Compute(ds, 5)
+	res, err := query(ds, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +195,17 @@ func TestDatasetValidation(t *testing.T) {
 		t.Fatal("n=0 accepted")
 	}
 	ds := genDS(t, "IND", 50, 2)
-	if _, err := repro.Compute(ds, -1); err == nil {
+	if _, err := query(ds, -1); err == nil {
 		t.Fatal("negative focal accepted")
 	}
-	if _, err := repro.Compute(ds, 50); err == nil {
+	if _, err := query(ds, 50); err == nil {
 		t.Fatal("out-of-range focal accepted")
 	}
-	if _, err := repro.Compute(ds, 0, repro.WithAlgorithm(repro.FCA)); err != nil {
+	if _, err := query(ds, 0, repro.WithAlgorithm(repro.FCA)); err != nil {
 		t.Fatalf("FCA at d=2 should work: %v", err)
 	}
 	ds3 := genDS(t, "IND", 50, 3)
-	if _, err := repro.Compute(ds3, 0, repro.WithAlgorithm(repro.FCA)); err == nil {
+	if _, err := query(ds3, 0, repro.WithAlgorithm(repro.FCA)); err == nil {
 		t.Fatal("FCA at d=3 accepted")
 	}
 }
@@ -257,53 +256,62 @@ func TestAlgorithmStringParseRoundTrip(t *testing.T) {
 }
 
 func TestInsertBuildMatchesBulk(t *testing.T) {
-	// The same data indexed by R* insertion vs STR bulk loading must give
-	// identical query answers.
-	pts := make([][]float64, 0, 300)
+	// The same data indexed by R* insertion (through Apply) vs STR bulk
+	// loading must give identical query answers: every region, witness and
+	// outranking set. Only the cost counters may differ.
 	dsBulk := genDS(t, "COR", 300, 3)
-	for i := 0; i < dsBulk.Len(); i++ {
-		pts = append(pts, mustPoint(t, dsBulk, i))
-	}
-	dsIns, err := repro.NewDataset(pts, repro.WithInsertBuild(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dsIns := insertBuilt(t, dsBulk)
 	for _, focal := range []int{0, 50, 299} {
-		a, err := repro.Compute(dsBulk, focal)
+		a, err := query(dsBulk, focal, repro.WithTau(1), repro.WithOutrankIDs(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := repro.Compute(dsIns, focal)
+		b, err := query(dsIns, focal, repro.WithTau(1), repro.WithOutrankIDs(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.KStar != b.KStar || a.Dominators != b.Dominators {
-			t.Fatalf("focal %d: bulk (k*=%d) vs insert (k*=%d) disagree", focal, a.KStar, b.KStar)
-		}
+		compareResults(t, fmt.Sprintf("focal %d: insert-built vs bulk-loaded", focal), b, a)
 	}
 }
 
+// TestIOAccounting: every query reports its own page reads in Stats.IO,
+// positive and the same whether it runs alone, again, or beside copies of
+// itself on other goroutines.
 func TestIOAccounting(t *testing.T) {
 	ds := genDS(t, "IND", 2000, 3)
-	ds.ResetIO()
-	if ds.IOReads() != 0 {
-		t.Fatal("reset did not zero IO")
+	eng, err := repro.NewEngine(ds, repro.WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := repro.Compute(ds, 9)
+	ctx := context.Background()
+	res, err := eng.Query(ctx, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.IO <= 0 {
 		t.Fatal("query reported no I/O")
 	}
-	if ds.IOReads() < res.Stats.IO {
-		t.Fatal("dataset counter below query counter")
+	again, err := eng.Query(ctx, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.IO != res.Stats.IO {
+		t.Fatalf("repeated query read %d pages, first run %d", again.Stats.IO, res.Stats.IO)
+	}
+	batch, err := eng.QueryBatch(ctx, []int{9, 9, 9, 9, 9, 9, 9, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch {
+		if r.Stats.IO != res.Stats.IO {
+			t.Fatalf("concurrent run %d read %d pages, lone run %d", i, r.Stats.IO, res.Stats.IO)
+		}
 	}
 }
 
 func TestRankOfConsistency(t *testing.T) {
 	ds := genDS(t, "IND", 100, 3)
-	res, err := repro.Compute(ds, 11)
+	res, err := query(ds, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +358,7 @@ func TestNonFiniteRejected(t *testing.T) {
 	}
 }
 
-// TestAccessorErrors: Point, Score and RankOf fail cleanly (ErrBadQuery)
+// TestAccessorErrors: Point and RankOf fail cleanly (ErrBadQuery)
 // on out-of-range indexes and dimensionality mismatches instead of
 // panicking.
 func TestAccessorErrors(t *testing.T) {
@@ -360,12 +368,6 @@ func TestAccessorErrors(t *testing.T) {
 	}
 	if _, err := ds.Point(10); !errors.Is(err, repro.ErrBadQuery) {
 		t.Fatalf("Point(10): %v", err)
-	}
-	if _, err := ds.Score(10, []float64{1, 0, 0}); !errors.Is(err, repro.ErrBadQuery) {
-		t.Fatalf("Score out of range: %v", err)
-	}
-	if _, err := ds.Score(0, []float64{1, 0}); !errors.Is(err, repro.ErrBadQuery) {
-		t.Fatalf("Score dim mismatch: %v", err)
 	}
 	if _, err := ds.RankOf([]float64{1, 0}, []float64{1, 0, 0}); !errors.Is(err, repro.ErrBadQuery) {
 		t.Fatalf("RankOf record dim mismatch: %v", err)
@@ -377,8 +379,5 @@ func TestAccessorErrors(t *testing.T) {
 	p := mustPoint(t, ds, 0)
 	if got := mustRank(t, ds, p, []float64{0.3, 0.3, 0.4}); got < 1 || got > 10 {
 		t.Fatalf("rank %d out of [1,10]", got)
-	}
-	if s := mustScore(t, ds, 0, []float64{1, 0, 0}); s != p[0] {
-		t.Fatalf("score %v, want %v", s, p[0])
 	}
 }

@@ -19,11 +19,12 @@ import (
 // at a time on the benchmark goroutine.
 func benchQueries(b *testing.B, ds *repro.Dataset, opts ...repro.Option) {
 	b.Helper()
+	eng := benchEngine(b, ds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		focal := (i * 7919) % ds.Len()
-		if _, err := repro.Compute(ds, focal, opts...); err != nil {
+		if _, err := eng.Query(context.Background(), focal, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,9 +180,18 @@ func BenchmarkSubstrates(b *testing.B) {
 		}
 	})
 	b.Run("InsertBuild/n=2000", func(b *testing.B) {
+		// R* insertion through Apply, onto a one-record dataset.
+		ops := make([]repro.Op, 0, 1999)
+		for _, row := range rows[1:2000] {
+			ops = append(ops, repro.InsertOp(row))
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := repro.NewDataset(rows[:2000], repro.WithInsertBuild(true)); err != nil {
+			first, err := repro.NewDataset(rows[:1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := first.Apply(ops); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,13 +6,13 @@ package main
 // at n = 1,000..10,000.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro"
 	"repro/internal/dataset"
-	"repro/internal/exp"
 )
 
 var supplement = flag.Bool("supplement", false, "run the compact supplement measurements used by EXPERIMENTS.md")
@@ -33,7 +33,7 @@ func runTable4One(name string) {
 	if err != nil {
 		fatalErr(err)
 	}
-	res, err := repro.Compute(ds, 13, repro.WithAlgorithm(repro.AA))
+	res, err := newEngine(ds).Query(context.Background(), 13, repro.WithAlgorithm(repro.AA))
 	if err != nil {
 		fatalErr(err)
 	}
@@ -43,9 +43,6 @@ func runTable4One(name string) {
 }
 
 func runSupplement() {
-	cfg := exp.Config{Scale: exp.ScaleQuick, Queries: 2, Out: os.Stdout}
-	_ = cfg
-
 	fmt.Println("=== Supplement A: dimensionality sweep (IND, n=2000, q=2) ===")
 	fmt.Println("d  AA CPU      AA I/O  k*      |T|")
 	for _, d := range []int{2, 3, 4, 5} {
@@ -53,12 +50,13 @@ func runSupplement() {
 		if err != nil {
 			fatalErr(err)
 		}
+		eng := newEngine(ds)
 		var cpu float64
 		var io, kstar, regions float64
 		const q = 2
 		for i := 0; i < q; i++ {
 			focal := (i*977 + 13) % ds.Len()
-			res, err := repro.Compute(ds, focal, repro.WithAlgorithm(repro.AA))
+			res, err := eng.Query(context.Background(), focal, repro.WithAlgorithm(repro.AA))
 			if err != nil {
 				fatalErr(err)
 			}
@@ -78,18 +76,19 @@ func runSupplement() {
 		if err != nil {
 			fatalErr(err)
 		}
+		eng := newEngine(ds)
 		const q = 2
 		var aaCPU, aaIO, baCPU, baIO float64
 		for i := 0; i < q; i++ {
 			focal := (i*977 + 13) % ds.Len()
-			res, err := repro.Compute(ds, focal, repro.WithAlgorithm(repro.AA))
+			res, err := eng.Query(context.Background(), focal, repro.WithAlgorithm(repro.AA))
 			if err != nil {
 				fatalErr(err)
 			}
 			aaCPU += res.Stats.CPUTime.Seconds()
 			aaIO += float64(res.Stats.IO)
 			if n <= 1000 {
-				res, err = repro.Compute(ds, focal, repro.WithAlgorithm(repro.BA))
+				res, err = eng.Query(context.Background(), focal, repro.WithAlgorithm(repro.BA))
 				if err != nil {
 					fatalErr(err)
 				}
@@ -103,6 +102,14 @@ func runSupplement() {
 			fmt.Printf("%-6d %8.3fs  %6.1f  %8s  %6s\n", n, aaCPU/q, aaIO/q, "-", "-")
 		}
 	}
+}
+
+func newEngine(ds *repro.Dataset) *repro.Engine {
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		fatalErr(err)
+	}
+	return eng
 }
 
 func fatalErr(err error) {

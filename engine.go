@@ -19,10 +19,10 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Engine executes MaxRank / iMaxRank queries against one Dataset. Unlike
-// the free Compute functions (which it powers), an Engine is built for
-// serving: any number of Query calls may run concurrently against the
-// shared index, QueryBatch fans a workload across a bounded worker pool,
+// Engine executes MaxRank / iMaxRank queries against one Dataset, and is
+// the only way to run one. It is built for serving: any number of Query
+// calls may run concurrently against the shared index, QueryBatch fans a
+// workload across a bounded worker pool,
 // every query carries a context whose cancellation and deadline are
 // honoured inside the algorithm loops, and each Result reports the page
 // reads of that query alone even while other queries hammer the same
@@ -34,7 +34,6 @@ import (
 type Engine struct {
 	ds       *Dataset
 	parallel int
-	defaults []Option
 	cacheCap int // as configured, so Apply can equip successors alike
 	cache    *cache.Cache[*Result]
 	queries  atomic.Int64
@@ -45,7 +44,6 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	parallel      int
-	defaults      []Option
 	cacheCapacity int
 }
 
@@ -73,15 +71,9 @@ func WithQueryParallelism(int) EngineOption {
 	return func(*engineConfig) {}
 }
 
-// WithQueryDefaults sets query options applied to every query before the
-// per-call options (so per-call options win).
-func WithQueryDefaults(opts ...Option) EngineOption {
-	return func(c *engineConfig) { c.defaults = append(c.defaults, opts...) }
-}
-
 // WithCache gives the engine an LRU result cache holding up to capacity
 // results, keyed by the full query identity (dataset fingerprint, focal,
-// algorithm, τ and the remaining query options). MaxRank results are
+// algorithm, τ and OutrankIDs). MaxRank results are
 // deterministic per key, so a repeated query is answered from memory with
 // Result.Cached set; N concurrent identical queries are deduplicated so
 // that exactly one computes while the rest wait for and share its result.
@@ -120,7 +112,7 @@ func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if cfg.parallel <= 0 {
 		cfg.parallel = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{ds: ds, parallel: cfg.parallel, defaults: cfg.defaults, cacheCap: cfg.cacheCapacity}
+	e := &Engine{ds: ds, parallel: cfg.parallel, cacheCap: cfg.cacheCapacity}
 	if cfg.cacheCapacity > 0 {
 		e.cache = cache.New[*Result](cfg.cacheCapacity)
 	}
@@ -277,14 +269,17 @@ func (e *Engine) QueryBatch(ctx context.Context, focalIndexes []int, opts ...Opt
 	return results, nil
 }
 
-// run executes one query: it resolves options against the engine defaults,
-// consults the result cache (when enabled), and otherwise computes.
+// run executes one query: it applies the options, consults the result
+// cache (when enabled), and otherwise computes.
 func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, opts []Option) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.queries.Add(1)
-	cfg := e.queryConfig(opts)
+	var cfg QueryOptions
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if e.cache == nil {
 		return e.compute(ctx, focal, focalID, &cfg)
 	}
@@ -302,33 +297,12 @@ func (e *Engine) run(ctx context.Context, focal vecmath.Point, focalID int64, op
 	return &cp, nil
 }
 
-// queryConfig resolves per-query options against the engine defaults, and
-// the dataset-level quad-tree defaults before any cache key is built, so
-// the key reflects the partitioning actually used. Only zero resolves;
-// negative values flow through to the quadtree package, which treats them
-// as "library default" — the per-query escape hatch from a dataset's tuned
-// defaults (see WithQuadTree).
-func (e *Engine) queryConfig(opts []Option) queryConfig {
-	cfg := queryConfig{}
-	for _, o := range e.defaults {
-		o(&cfg)
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.QuadMaxPartial == 0 {
-		cfg.QuadMaxPartial = e.ds.quadMaxPartial
-	}
-	if cfg.QuadMaxDepth == 0 {
-		cfg.QuadMaxDepth = e.ds.quadMaxDepth
-	}
-	return cfg
-}
-
 // cacheKey identifies a query result: dataset content, focal record and
 // every query option that shapes the answer. In-dataset focals are keyed
-// by index; what-if focals (focalID < 0) by their coordinates.
-func (e *Engine) cacheKey(focal vecmath.Point, focalID int64, cfg *queryConfig) string {
+// by index; what-if focals (focalID < 0) by their coordinates. The
+// quad-tree partitioning is not in it: it belongs to the engine's one
+// dataset.
+func (e *Engine) cacheKey(focal vecmath.Point, focalID int64, cfg *QueryOptions) string {
 	var b strings.Builder
 	b.WriteString(e.ds.Fingerprint())
 	b.WriteByte('|')
@@ -348,14 +322,13 @@ func (e *Engine) cacheKey(focal vecmath.Point, focalID int64, cfg *queryConfig) 
 		b.WriteString("pt:")
 		b.WriteString(hex.EncodeToString(buf))
 	}
-	fmt.Fprintf(&b, "|%d|%d|%d|%d|%t",
-		cfg.Algorithm.resolved(), cfg.Tau, cfg.QuadMaxPartial, cfg.QuadMaxDepth, cfg.OutrankIDs)
+	fmt.Fprintf(&b, "|%d|%d|%t", cfg.Algorithm.resolved(), cfg.Tau, cfg.OutrankIDs)
 	return b.String()
 }
 
 // compute executes one query for real: it picks the strategy and
 // attributes I/O to a per-query tracker.
-func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64, cfg *queryConfig) (*Result, error) {
+func (e *Engine) compute(ctx context.Context, focal vecmath.Point, focalID int64, cfg *QueryOptions) (*Result, error) {
 	strat, err := cfg.Algorithm.strategy()
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func TestDatasetFingerprint(t *testing.T) {
 			a.Fingerprint(), b.Fingerprint())
 	}
 	// The fingerprint hashes content, not index layout.
-	c := cacheDataset(t, repro.WithInsertBuild(true))
+	c := insertBuilt(t, a)
 	if c.Fingerprint() != a.Fingerprint() {
 		t.Fatalf("index build mode changed the fingerprint: %q vs %q", c.Fingerprint(), a.Fingerprint())
 	}
@@ -276,15 +276,15 @@ func TestQueryBatchCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.NewEngine(ds, repro.WithParallelism(1), repro.WithCache(64),
-		repro.WithQueryDefaults(repro.WithAlgorithm(repro.FCA)))
+	eng, err := repro.NewEngine(ds, repro.WithParallelism(1), repro.WithCache(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	focals := clusteredFocals(t, ds, 3, 8)
 	focals = append(focals, focals[0])
 	ctx := context.Background()
-	first, err := eng.QueryBatch(ctx, focals)
+	fca := repro.WithAlgorithm(repro.FCA)
+	first, err := eng.QueryBatch(ctx, focals, fca)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestQueryBatchCached(t *testing.T) {
 			t.Errorf("first batch member %d: Cached = %v, want %v", i, res.Cached, want)
 		}
 	}
-	second, err := eng.QueryBatch(ctx, focals)
+	second, err := eng.QueryBatch(ctx, focals, fca)
 	if err != nil {
 		t.Fatal(err)
 	}

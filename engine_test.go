@@ -104,8 +104,8 @@ func clusteredFocals(t testing.TB, ds *repro.Dataset, around, m int) []int {
 }
 
 // TestQueryBatchMatchesSequential is the acceptance check: a parallel batch
-// over 64 focal records of the 10k dataset must reproduce the sequential
-// Compute answers exactly — same ranks, same regions, same witnesses. For
+// over 64 focal records of the 10k dataset must reproduce the answers of
+// lone queries on a fresh engine exactly — same ranks, same regions, same witnesses. For
 // FCA and BA, the algorithms that scan the whole incomparable set, every
 // member of a clustered, a scattered and a duplicate-containing batch, at
 // τ 0 and 2 with outranking IDs, must equal a lone Query's answer and
@@ -126,7 +126,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d focals", len(batch), len(focals))
 	}
 	for i, focal := range focals {
-		seq, err := repro.Compute(ds, focal)
+		seq, err := query(ds, focal)
 		if err != nil {
 			t.Fatalf("sequential focal %d: %v", focal, err)
 		}
@@ -484,8 +484,9 @@ func TestQueryParallelCancellationMidExpansion(t *testing.T) {
 	}
 }
 
-// TestEngineQueryMatchesCompute pins the wrapper contract: the free
-// functions and the engine execute the same path.
+// TestEngineQueryMatchesCompute pins that an engine's state does not leak
+// into answers: a long-lived engine that has already served other queries
+// answers a record and a what-if record exactly as a fresh engine does.
 func TestEngineQueryMatchesCompute(t *testing.T) {
 	ds, err := repro.GenerateDataset("COR", 800, 3, 3)
 	if err != nil {
@@ -495,53 +496,32 @@ func TestEngineQueryMatchesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Query(context.Background(), 17, repro.WithTau(1))
+	ctx := context.Background()
+	what := []float64{0.7, 0.6, 0.65}
+	for _, focal := range []int{3, 17, 400} {
+		if _, err := eng.Query(ctx, focal, repro.WithAlgorithm(repro.BA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := eng.Query(ctx, 17, repro.WithTau(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := repro.Compute(ds, 17, repro.WithTau(1))
+	b, err := query(ds, 17, repro.WithTau(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, 17, a, b)
 
-	what := []float64{0.7, 0.6, 0.65}
-	c, err := eng.QueryPoint(context.Background(), what)
+	c, err := eng.QueryPoint(ctx, what)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := repro.ComputeFor(ds, what)
+	d, err := queryPoint(ds, what)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, -1, c, d)
-}
-
-// TestEngineQueryDefaults checks that engine-level defaults apply and that
-// per-call options override them.
-func TestEngineQueryDefaults(t *testing.T) {
-	ds, err := repro.GenerateDataset("IND", 400, 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := repro.NewEngine(ds, repro.WithQueryDefaults(repro.WithAlgorithm(repro.BA)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Query(context.Background(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Algorithm != repro.BA {
-		t.Fatalf("default algorithm not applied: got %v", res.Stats.Algorithm)
-	}
-	res, err = eng.Query(context.Background(), 5, repro.WithAlgorithm(repro.FCA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Algorithm != repro.FCA {
-		t.Fatalf("per-call override lost: got %v", res.Stats.Algorithm)
-	}
 }
 
 // TestEngineValidation covers the engine's error paths.

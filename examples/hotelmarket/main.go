@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Compute(ds, myIdx, repro.WithOutrankIDs(true))
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := eng.Query(ctx, myIdx, repro.WithOutrankIDs(true))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func main() {
 	// iMaxRank widens the net: preferences where we are within 3 ranks of
 	// our best (strong, if not strongest, appeal — useful for a broader
 	// marketing campaign).
-	res3, err := repro.Compute(ds, myIdx, repro.WithTau(3))
+	res3, err := eng.Query(ctx, myIdx, repro.WithTau(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,11 @@ func main() {
 			bestSum, focal = sum, i
 		}
 	}
-	res, err := repro.Compute(ds, focal, repro.WithTau(1))
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Query(context.Background(), focal, repro.WithTau(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,8 +30,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	res, err := repro.Compute(ds, 5)
+	// Queries run through an Engine, which any number of goroutines may
+	// share.
+	eng, err := repro.NewEngine(ds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Query(context.Background(), 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +62,12 @@ func main() {
 	}
 	strongest := competitiveRecords(big, 4)
 	focal := strongest[0]
-	res, err = repro.Compute(big, focal)
+	// WithParallelism bounds the worker pool that QueryBatch uses below.
+	bigEng, err := repro.NewEngine(big, repro.WithParallelism(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err = bigEng.Query(context.Background(), focal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,24 +80,20 @@ func main() {
 		res.Stats.CPUTime.Round(1e6), res.Stats.IO,
 		res.Stats.IncomparableAccessed, big.Len())
 
-	// Serving many queries? Hold an Engine: queries run concurrently
+	// Serving many queries? Keep the Engine: queries run concurrently
 	// against the shared index, batches fan out over a worker pool, and a
 	// context bounds the latency of the whole batch. Each query runs on one
 	// goroutine; parallelism is across queries (see docs/PERFORMANCE.md).
-	eng, err := repro.NewEngine(big, repro.WithParallelism(4))
-	if err != nil {
-		log.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	batch := strongest
 	start := time.Now()
-	results, err := eng.QueryBatch(ctx, batch)
+	results, err := bigEng.QueryBatch(ctx, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nbatch of %d queries on %d workers in %v:\n",
-		len(batch), eng.Parallelism(), time.Since(start).Round(1e6))
+		len(batch), bigEng.Parallelism(), time.Since(start).Round(1e6))
 	for i, r := range results {
 		fmt.Printf("  record #%-6d k* = %-6d io = %d pages\n", batch[i], r.KStar, r.Stats.IO)
 	}

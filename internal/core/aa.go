@@ -110,7 +110,7 @@ func aaRun(in Input) (*Result, error) {
 		if len(expand) == 0 {
 			// Only the last iteration's cells are the answer, and every leaf
 			// that truncated before was enumerated afresh in it.
-			if err := st.expandLeftOut(qt, oStar, expand); err != nil {
+			if err := st.expandLeftOut(qt, oStar, expand, &res.Stats); err != nil {
 				return nil, err
 			}
 		}

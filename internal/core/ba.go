@@ -71,7 +71,7 @@ func baRun(in Input) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.expandLeftOut(qt, minOrder, nil); err != nil { // BA's half-spaces are all singular
+	if err := st.expandLeftOut(qt, minOrder, nil, &res.Stats); err != nil { // BA's half-spaces are all singular
 		return nil, err
 	}
 	regions := make([]Region, 0, len(cells))
@@ -252,13 +252,13 @@ type truncatedLeaf struct {
 // coverers go into expand, to be expanded like any inaccurate candidate's;
 // a cell with none, or a leaf that cannot be settled, fails with
 // ErrLeafTruncated. Left-out cells of minOrder and above are not looked
-// for; they could only add regions.
-func (st *execState) expandLeftOut(qt *quadtree.Tree, minOrder int, expand map[int64]bool) error {
+// for; they could only add regions. The search's LP calls count in stats.
+func (st *execState) expandLeftOut(qt *quadtree.Tree, minOrder int, expand map[int64]bool, stats *Stats) error {
 	for _, tl := range st.truncated {
 		if minOrder >= 0 && tl.lost >= minOrder {
 			continue
 		}
-		cell, found, settled := st.findCell(tl.leaf.Box(), st.leafPartial(qt, tl.leaf), minOrder-1-tl.leaf.FullCount(), 4)
+		cell, found, settled := st.findCell(tl.leaf.Box(), st.leafPartial(qt, tl.leaf), minOrder-1-tl.leaf.FullCount(), 4, stats)
 		if !found && settled {
 			continue
 		}
@@ -283,8 +283,10 @@ func (st *execState) expandLeftOut(qt *quadtree.Tree, minOrder int, expand map[i
 // same whichever part of it is found. Where the enumeration truncates it
 // looks in the 2^d halves of the box, which cut fewer half-spaces, down to
 // depth halvings; a box still truncated there leaves the search unsettled.
-func (st *execState) findCell(box geom.Rect, partial []geom.Halfspace, maxW, depth int) (cell cellenum.Cell, found, settled bool) {
+// Every enumeration's LP calls are added to stats.
+func (st *execState) findCell(box geom.Rect, partial []geom.Halfspace, maxW, depth int, stats *Stats) (cell cellenum.Cell, found, settled bool) {
 	out := st.enum.Enumerate(box, partial, cellenum.Config{MaxWeight: maxW, CandidateLimit: candidateLimit})
+	stats.LPCalls += int64(out.LPCalls)
 	switch {
 	case len(out.Cells) > 0:
 		return out.Cells[0], true, true
@@ -301,7 +303,7 @@ func (st *execState) findCell(box geom.Rect, partial []geom.Halfspace, maxW, dep
 				half.Lo[i] = m
 			}
 		}
-		if cell, found, settled = st.findCell(half, partial, maxW, depth-1); found || !settled {
+		if cell, found, settled = st.findCell(half, partial, maxW, depth-1, stats); found || !settled {
 			return cell, found, settled
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -176,6 +177,38 @@ func TestLeftOutCellIsExpanded(t *testing.T) {
 	}
 	if aa.KStar != ba.KStar {
 		t.Fatalf("AA k* = %d, BA k* = %d", aa.KStar, ba.KStar)
+	}
+}
+
+// TestLPCallsCountEverySolve: Stats.LPCalls is the number of simplex
+// solves the query ran, read at the solver. The query is
+// TestLeftOutCellIsExpanded's, whose AA searches a truncated leaf for a
+// left-out cell (findCell) before it answers; leaving out that search's
+// solves, as the count once did, misses 987 of 275 258.
+func TestLPCallsCountEverySolve(t *testing.T) {
+	points := dataset.Generate(dataset.IND, 2000, 3, 1)
+	in := Input{Tree: buildTree(t, points), Focal: points[14], FocalID: 14}
+
+	// Run on a fresh state, so its solver has counted this query alone.
+	freeStates.Lock()
+	saved := freeStates.list
+	freeStates.list = nil
+	freeStates.Unlock()
+	var solves int64
+	releaseHook = func(st *execState) {
+		// The count sits unexported in Enumerator.feas.solver.
+		solves = reflect.ValueOf(&st.enum).Elem().FieldByName("feas").FieldByName("solver").FieldByName("solves").Int()
+	}
+	res, err := AA(in)
+	releaseHook = nil
+	freeStates.Lock()
+	freeStates.list = saved
+	freeStates.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.LPCalls != solves {
+		t.Fatalf("Stats.LPCalls = %d, the solver ran %d solves", res.Stats.LPCalls, solves)
 	}
 }
 

@@ -81,13 +81,11 @@ func runQueries(ds *repro.Dataset, cfg *Config, opts ...repro.Option) (Metrics, 
 	if parallel <= 0 {
 		parallel = 1
 	}
-	eng, err := repro.NewEngine(ds,
-		repro.WithParallelism(parallel),
-		repro.WithQueryDefaults(opts...))
+	eng, err := repro.NewEngine(ds, repro.WithParallelism(parallel))
 	if err != nil {
 		return Metrics{}, err
 	}
-	results, err := eng.QueryBatch(context.Background(), idxs)
+	results, err := eng.QueryBatch(context.Background(), idxs, opts...)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("batch over %d focals: %w", len(idxs), err)
 	}

@@ -27,6 +27,7 @@ type Solver struct {
 	m        int // rows
 	w        int // columns in use
 	stride   int // row length in t
+	solves   int // Solve calls over the solver's life, read by tests
 }
 
 // Solve runs the simplex on p, reusing the receiver's buffers.
@@ -35,6 +36,7 @@ type Solver struct {
 // until the next Solve call on this receiver: callers that keep the point
 // must copy it, callers that merely inspect it save the allocation.
 func (s *Solver) Solve(p Problem) (Solution, error) {
+	s.solves++
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}

@@ -18,10 +18,11 @@
 //
 // Quick start:
 //
-//	ds, _ := repro.NewDataset(points)            // [][]float64, one record per row
-//	res, _ := repro.Compute(ds, 17)              // MaxRank of record 17
-//	fmt.Println(res.KStar, len(res.Regions))     // best rank and its regions
-//	q := res.Regions[0].QueryVector              // a preference achieving it
+//	ds, _ := repro.NewDataset(points)              // [][]float64, one record per row
+//	eng, _ := repro.NewEngine(ds)                  // safe for concurrent queries
+//	res, _ := eng.Query(context.Background(), 17)  // MaxRank of record 17
+//	fmt.Println(res.KStar, len(res.Regions))       // best rank and its regions
+//	q := res.Regions[0].QueryVector                // a preference achieving it
 package repro
 
 import (
@@ -44,8 +45,8 @@ import (
 )
 
 // Dataset is an indexed collection of records. It is built once and then
-// queried any number of times; page-access statistics accumulate in the
-// backing store and can be reset between queries.
+// queried any number of times through an Engine; each query reports its
+// own page accesses in Stats.IO.
 //
 // Records are addressed two ways. A record index is the record's position
 // in the dataset, 0..Len()-1, and is what every public API speaks. A tree
@@ -54,7 +55,7 @@ import (
 // the surviving records — renumbering them would rewrite nearly every leaf
 // — so after a delete they differ. slots maps one to the other, ascending,
 // and the query boundary translates: focal indexes go in as tree IDs,
-// OutrankIDs and TopK IDs come out as indexes. Because the mapping keeps
+// OutrankIDs come out as indexes. Because the mapping keeps
 // order, every sort and comparison of IDs inside a query is unchanged.
 // Snapshots always hold record indexes (see WriteSnapshot).
 type Dataset struct {
@@ -68,9 +69,9 @@ type Dataset struct {
 	slots []int64
 
 	// quadMaxPartial and quadMaxDepth are the dataset's default quad-tree
-	// partitioning parameters (0 = library default). Per-query WithQuadTree
-	// options override them; they persist in snapshots so a served dataset
-	// keeps the partitioning it was built for.
+	// partitioning parameters (0 = library default). Every query uses them,
+	// and they persist in snapshots so a served dataset keeps the
+	// partitioning it was built for.
 	quadMaxPartial int
 	quadMaxDepth   int
 
@@ -102,7 +103,6 @@ type DatasetOption func(*datasetConfig)
 
 type datasetConfig struct {
 	pageSize       int
-	insertBuild    bool
 	noMmap         bool
 	pageLatency    time.Duration
 	quadMaxPartial int
@@ -113,12 +113,6 @@ type datasetConfig struct {
 // matching the paper's experimental setup).
 func WithPageSize(bytes int) DatasetOption {
 	return func(c *datasetConfig) { c.pageSize = bytes }
-}
-
-// WithInsertBuild builds the R*-tree by repeated insertion (exercising the
-// full R* insertion/split/reinsert machinery) instead of bulk loading.
-func WithInsertBuild(on bool) DatasetOption {
-	return func(c *datasetConfig) { c.insertBuild = on }
 }
 
 // WithPageLatency makes every query-time page access block for d,
@@ -140,9 +134,9 @@ func WithMmap(on bool) DatasetOption {
 // WithQuadDefaults sets the dataset's default quad-tree partitioning: the
 // leaf split threshold on |Pl| and the depth cap (0 keeps the library
 // defaults; values must lie in [0, snapshot.MaxQuadParam] — dataset
-// construction rejects anything else). Queries that do not pass
-// WithQuadTree use these values, and WriteSnapshot persists them, so an
-// operator-tuned partitioning survives a snapshot/load cycle.
+// construction rejects anything else). Every query on the dataset uses
+// these values, and WriteSnapshot persists them, so an operator-tuned
+// partitioning survives a snapshot/load cycle.
 func WithQuadDefaults(maxPartial, maxDepth int) DatasetOption {
 	return func(c *datasetConfig) {
 		c.quadMaxPartial = maxPartial
@@ -212,13 +206,7 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.insertBuild {
-		for i, p := range pts {
-			if err := tree.Insert(p, int64(i)); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := tree.BulkLoad(pts, nil); err != nil {
+	if err := tree.BulkLoad(pts, nil); err != nil {
 		return nil, err
 	}
 	if err := tree.Finalize(); err != nil {
@@ -262,12 +250,6 @@ func (ds *Dataset) Point(i int) ([]float64, error) {
 	}
 	return ds.points[i].Clone(), nil
 }
-
-// IOReads returns the page reads accumulated since the last reset.
-func (ds *Dataset) IOReads() int64 { return ds.tree.Source().Stats().Reads }
-
-// ResetIO zeroes the page-access counters.
-func (ds *Dataset) ResetIO() { ds.tree.Source().ResetStats() }
 
 // Close releases the memory mapping of an mmap-served dataset (idempotent,
 // nil-safe in effect: heap datasets have nothing to release). The dataset
@@ -374,20 +356,6 @@ func fingerprintPoints(dim int, pts []vecmath.Point) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// Score returns record i's score under the (full, d-dimensional) query
-// vector q. An out-of-range index or a query vector of the wrong
-// dimensionality fails with an ErrBadQuery-wrapped error, like
-// Engine.Query.
-func (ds *Dataset) Score(i int, q []float64) (float64, error) {
-	if i < 0 || i >= len(ds.points) {
-		return 0, fmt.Errorf("repro: record index %d out of range [0,%d): %w", i, len(ds.points), ErrBadQuery)
-	}
-	if len(q) != ds.Dim() {
-		return 0, fmt.Errorf("repro: query vector has %d attributes, dataset has %d: %w", len(q), ds.Dim(), ErrBadQuery)
-	}
-	return ds.points[i].Dot(vecmath.Point(q)), nil
-}
-
 // RankOf returns the 1-based rank of a (possibly external) record under q.
 // A record or query vector of the wrong dimensionality fails with an
 // ErrBadQuery-wrapped error, like Engine.Query.
@@ -429,7 +397,7 @@ func (ds *Dataset) toRecordIndexes(ids []int64) {
 
 // internalInput assembles a core.Input for this dataset. focalIndex is a
 // record index, or negative for a focal outside the dataset.
-func (ds *Dataset) internalInput(focal vecmath.Point, focalIndex int64, cfg *queryConfig) core.Input {
+func (ds *Dataset) internalInput(focal vecmath.Point, focalIndex int64, cfg *QueryOptions) core.Input {
 	focalID := focalIndex
 	if focalIndex >= 0 {
 		focalID = ds.treeID(int(focalIndex))
@@ -439,8 +407,8 @@ func (ds *Dataset) internalInput(focal vecmath.Point, focalIndex int64, cfg *que
 		Focal:            focal,
 		FocalID:          focalID,
 		Tau:              cfg.Tau,
-		QuadMaxPartial:   cfg.QuadMaxPartial,
-		QuadMaxDepth:     cfg.QuadMaxDepth,
+		QuadMaxPartial:   ds.quadMaxPartial,
+		QuadMaxDepth:     ds.quadMaxDepth,
 		CollectRecordIDs: cfg.OutrankIDs,
 	}
 }

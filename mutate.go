@@ -273,10 +273,9 @@ func (ds *Dataset) forkTree() (*rstar.Tree, error) {
 // atomically and let queries pinned to the old version drain naturally
 // (server.Registry.Mutate does exactly that).
 //
-// The new engine inherits the receiver's parallelism, query defaults and
-// cache capacity, with a fresh (empty) result cache: the dataset
-// fingerprint changed, so every previously cached result is unreachable by
-// construction.
+// The new engine inherits the receiver's parallelism and cache capacity,
+// with a fresh (empty) result cache: the dataset fingerprint changed, so
+// every previously cached result is unreachable by construction.
 func (e *Engine) Apply(ctx context.Context, ops []Op) (*Engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -285,12 +284,5 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []EngineOption{
-		WithParallelism(e.parallel),
-		WithCache(e.cacheCap),
-	}
-	if len(e.defaults) > 0 {
-		opts = append(opts, WithQueryDefaults(e.defaults...))
-	}
-	return NewEngine(ds, opts...)
+	return NewEngine(ds, WithParallelism(e.parallel), WithCache(e.cacheCap))
 }

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -158,29 +160,25 @@ func referenceBatch(rng *rand.Rand, ds *Dataset, b int) []Op {
 type observation struct {
 	snapshot    []byte
 	fingerprint string
-	topK        []int64
 	results     []*Result
 }
 
-// observe records a dataset's snapshot bytes, fingerprint, top 20 under
-// the equal-weight preference and whole query Results with τ = 2 and
-// outrank IDs — AA, FCA at d = 2, BA when withBA — on the given focals,
-// CPUTime zeroed.
+// observe records a dataset's snapshot bytes, fingerprint and whole query
+// Results with τ = 2 and outrank IDs — AA, FCA at d = 2, BA when withBA —
+// on the given focals, CPUTime zeroed. The outrank IDs come out of the
+// tree as tree IDs, so comparing them covers the translation to record
+// indexes.
 func observe(t *testing.T, ds *Dataset, focals []int, withBA bool) observation {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ds.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q := make([]float64, ds.Dim())
-	for i := range q {
-		q[i] = 1
-	}
-	top, err := ds.TopK(q, 20)
+	eng, err := NewEngine(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := observation{snapshot: buf.Bytes(), fingerprint: ds.Fingerprint(), topK: top}
+	ob := observation{snapshot: buf.Bytes(), fingerprint: ds.Fingerprint()}
 	algs := []Algorithm{AA}
 	if ds.Dim() == 2 {
 		algs = append(algs, FCA)
@@ -190,7 +188,7 @@ func observe(t *testing.T, ds *Dataset, focals []int, withBA bool) observation {
 	}
 	for _, focal := range focals {
 		for _, alg := range algs {
-			res, err := Compute(ds, focal, WithAlgorithm(alg), WithTau(2), WithOutrankIDs(true))
+			res, err := eng.Query(context.Background(), focal, WithAlgorithm(alg), WithTau(2), WithOutrankIDs(true))
 			if err != nil {
 				t.Fatalf("focal %d %v: %v", focal, alg, err)
 			}
@@ -209,9 +207,6 @@ func sameObservation(t *testing.T, label string, got, want observation) {
 	if got.fingerprint != want.fingerprint {
 		t.Fatalf("%s: fingerprint %s, reference %s", label, got.fingerprint, want.fingerprint)
 	}
-	if !slices.Equal(got.topK, want.topK) {
-		t.Fatalf("%s: TopK %v, reference %v", label, got.topK, want.topK)
-	}
 	for i := range want.results {
 		if !reflect.DeepEqual(got.results[i], want.results[i]) {
 			t.Fatalf("%s: result %d differs\n got: %+v\nwant: %+v", label, i, got.results[i], want.results[i])
@@ -221,7 +216,7 @@ func sameObservation(t *testing.T, label string, got, want observation) {
 
 // TestApplyMatchesReference chains 40 batches through Apply and through
 // applyReference side by side and, after every batch, requires the two
-// datasets to agree on snapshot bytes, fingerprint, TopK and whole query
+// datasets to agree on snapshot bytes, fingerprint and whole query
 // Results with Stats.IO and outrank IDs (BA on IND only, every fourth
 // batch at d = 3: on ANTI at this size a BA query takes seconds). The
 // chains cover delete-only and insert-only batches, deletes of the first
@@ -252,7 +247,7 @@ func TestApplyMatchesReference(t *testing.T) {
 					var parentBefore observation
 					if b%10 == 4 {
 						sibling = referenceBatch(rng, want, b+1)
-						parentBefore = observe(t, got, strongFocals(t, want), withBA)
+						parentBefore = observe(t, got, strongFocals(want), withBA)
 					}
 					nextWant, err := applyReference(want, ops)
 					if err != nil {
@@ -271,12 +266,12 @@ func TestApplyMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("batch %d sibling: %v", b, err)
 						}
-						focals := strongFocals(t, sibWant)
+						focals := strongFocals(sibWant)
 						sameObservation(t, fmt.Sprintf("batch %d sibling", b), observe(t, sibGot, focals, withBA), observe(t, sibWant, focals, withBA))
-						sameObservation(t, fmt.Sprintf("batch %d parent forked twice", b), observe(t, got, strongFocals(t, want), withBA), parentBefore)
+						sameObservation(t, fmt.Sprintf("batch %d parent forked twice", b), observe(t, got, strongFocals(want), withBA), parentBefore)
 					}
 					got, want = nextGot, nextWant
-					focals := strongFocals(t, want)
+					focals := strongFocals(want)
 					sameObservation(t, fmt.Sprintf("batch %d", b), observe(t, got, focals, withBA), observe(t, want, focals, withBA))
 				}
 			})
@@ -288,15 +283,16 @@ func TestApplyMatchesReference(t *testing.T) {
 // best record under one preference and the fifth best under another, so
 // few records are incomparable with them, yet some outrank them. Their
 // indexes move from batch to batch as records go.
-func strongFocals(t *testing.T, ds *Dataset) []int {
-	t.Helper()
+func strongFocals(ds *Dataset) []int {
 	var focals []int
+	order := make([]int, ds.Len())
+	scores := make([]float64, ds.Len())
 	for k, q := range [][]float64{{1, 1, 1}, {3, 1, 2}} {
-		top, err := ds.TopK(q[:ds.Dim()], 1+4*k)
-		if err != nil {
-			t.Fatal(err)
+		for i, p := range ds.points {
+			order[i], scores[i] = i, p.Dot(q[:ds.Dim()])
 		}
-		focals = append(focals, int(top[len(top)-1]))
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(scores[b], scores[a]) })
+		focals = append(focals, order[4*k])
 	}
 	return focals
 }
@@ -349,7 +345,7 @@ func TestApplyRenumbersTreeIDs(t *testing.T) {
 		if got.slots == nil {
 			renumbered++
 		}
-		focals := strongFocals(t, want)
+		focals := strongFocals(want)
 		sameObservation(t, fmt.Sprintf("batch %d", b), observe(t, got, focals, true), observe(t, want, focals, true))
 	}
 	if renumbered < 2 {

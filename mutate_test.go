@@ -134,11 +134,11 @@ func TestApplyEquivalence(t *testing.T) {
 								opts := []repro.Option{
 									repro.WithAlgorithm(alg), repro.WithTau(tau), repro.WithOutrankIDs(true),
 								}
-								got, err := repro.Compute(cur, focal, opts...)
+								got, err := query(cur, focal, opts...)
 								if err != nil {
 									t.Fatalf("batch %d %v tau=%d focal=%d (mutated): %v", batch, alg, tau, focal, err)
 								}
-								want, err := repro.Compute(fresh, focal, opts...)
+								want, err := query(fresh, focal, opts...)
 								if err != nil {
 									t.Fatalf("batch %d %v tau=%d focal=%d (fresh): %v", batch, alg, tau, focal, err)
 								}
@@ -181,11 +181,11 @@ func TestApplyDeleteAllThenInsert(t *testing.T) {
 	if next.Fingerprint() != fresh.Fingerprint() {
 		t.Fatalf("fingerprint %s != fresh %s", next.Fingerprint(), fresh.Fingerprint())
 	}
-	got, err := repro.Compute(next, 7, repro.WithOutrankIDs(true))
+	got, err := query(next, 7, repro.WithOutrankIDs(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := repro.Compute(fresh, 7, repro.WithOutrankIDs(true))
+	want, err := query(fresh, 7, repro.WithOutrankIDs(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestApplyAcrossBatches(t *testing.T) {
 // fingerprint, same results) after successors were derived from it.
 func TestApplyLeavesReceiverServing(t *testing.T) {
 	ds := genDS(t, "COR", 120, 3)
-	before, err := repro.Compute(ds, 11, repro.WithOutrankIDs(true))
+	before, err := query(ds, 11, repro.WithOutrankIDs(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestApplyLeavesReceiverServing(t *testing.T) {
 	if ds.Fingerprint() != fp {
 		t.Fatal("Apply changed the receiver's fingerprint")
 	}
-	after, err := repro.Compute(ds, 11, repro.WithOutrankIDs(true))
+	after, err := query(ds, 11, repro.WithOutrankIDs(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,12 @@ func TestApplyLeavesReceiverServing(t *testing.T) {
 }
 
 // TestEngineApplyInheritsConfig: the successor engine carries the
-// parallelism, query defaults and cache capacity of its parent, with a cold
-// cache.
+// parallelism and cache capacity of its parent, with a cold cache.
 func TestEngineApplyInheritsConfig(t *testing.T) {
 	ds := genDS(t, "IND", 80, 3)
 	eng, err := repro.NewEngine(ds,
 		repro.WithParallelism(3),
 		repro.WithCache(64),
-		repro.WithQueryDefaults(repro.WithTau(1)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -310,16 +308,6 @@ func TestEngineApplyInheritsConfig(t *testing.T) {
 	}
 	if st.CacheSize != 0 || st.Queries != 0 {
 		t.Fatalf("successor not cold: size=%d queries=%d", st.CacheSize, st.Queries)
-	}
-	// The default τ=1 must still apply on the successor.
-	res, err := next.Query(ctx, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, reg := range res.Regions {
-		if reg.Rank > res.KStar+1 {
-			t.Fatalf("region rank %d beyond k*+1=%d: query defaults not inherited", reg.Rank, res.KStar+1)
-		}
 	}
 	if next.Dataset().Fingerprint() == ds.Fingerprint() {
 		t.Fatal("fingerprint unchanged after insert")

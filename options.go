@@ -52,12 +52,14 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return 0, fmt.Errorf("repro: unknown algorithm %q", name)
 }
 
-// QueryOptions is the struct form of a query's configuration — the single
+// QueryOptions is the struct form of a query's configuration: the single
 // source of truth the functional With* options write into. Callers that
 // assemble options from data (a decoded API request, a config file) use
 // the struct directly via Engine.QueryOpts and friends; callers that
 // prefer the option-list style keep using With*, which are thin adapters
-// over this struct. The zero value is a plain Auto MaxRank query.
+// over this struct. The zero value is a plain Auto MaxRank query. The
+// quad-tree partitioning is not a query option: it comes from the
+// dataset (WithQuadDefaults).
 type QueryOptions struct {
 	// Algorithm selects the strategy (default Auto).
 	Algorithm Algorithm
@@ -67,13 +69,6 @@ type QueryOptions struct {
 	// OutrankIDs materialises, per region, the IDs of the records that
 	// outrank the focal record there.
 	OutrankIDs bool
-	// QuadMaxPartial and QuadMaxDepth override the quad-tree leaf split
-	// threshold and depth cap per query. Zero resolves to the dataset's
-	// defaults (WithQuadDefaults) and then to the library defaults; a
-	// negative value forces the library default even on a dataset with
-	// tuned defaults.
-	QuadMaxPartial int
-	QuadMaxDepth   int
 }
 
 // option converts the struct to a single functional option that installs
@@ -83,11 +78,9 @@ func (o QueryOptions) option() Option {
 	return func(c *QueryOptions) { *c = o }
 }
 
-// queryConfig is the historical internal name for the resolved options.
-type queryConfig = QueryOptions
-
-// Option configures a Compute call. With* constructors are thin adapters
-// over QueryOptions; see that type for the field semantics.
+// Option configures one Engine query (Query, QueryPoint, QueryBatch).
+// With* constructors are thin adapters over QueryOptions; see that type
+// for the field semantics.
 type Option func(*QueryOptions)
 
 // WithAlgorithm forces a specific algorithm (default Auto).
@@ -99,17 +92,6 @@ func WithAlgorithm(a Algorithm) Option {
 // k*+tau are reported (default 0 = plain MaxRank).
 func WithTau(tau int) Option {
 	return func(c *QueryOptions) { c.Tau = tau }
-}
-
-// WithQuadTree overrides the quad-tree leaf split threshold and depth cap
-// per query. Zero resolves to the dataset's defaults (WithQuadDefaults)
-// and then to the library defaults; a negative value forces the library
-// default even on a dataset with tuned defaults.
-func WithQuadTree(maxPartial, maxDepth int) Option {
-	return func(c *QueryOptions) {
-		c.QuadMaxPartial = maxPartial
-		c.QuadMaxDepth = maxDepth
-	}
 }
 
 // WithOutrankIDs materialises, per region, the IDs of the records that

@@ -29,7 +29,6 @@ func TestQueryOptsEquivalence(t *testing.T) {
 		{"zero", nil, QueryOptions{}},
 		{"tau", []Option{WithTau(2)}, QueryOptions{Tau: 2}},
 		{"alg+ids", []Option{WithAlgorithm(AA), WithOutrankIDs(true)}, QueryOptions{Algorithm: AA, OutrankIDs: true}},
-		{"quad", []Option{WithTau(1), WithQuadTree(16, 12)}, QueryOptions{Tau: 1, QuadMaxPartial: 16, QuadMaxDepth: 12}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

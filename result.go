@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -88,8 +87,8 @@ type Stats struct {
 	// IO is the number of simulated page accesses attributed to this query.
 	// Like IncomparableAccessed and the LP/leaf counters, it reflects the
 	// physical index layout: datasets holding the same records but indexed
-	// differently (bulk load vs insert build vs incremental mutation via
-	// Dataset.Apply) report different costs for bit-identical answers.
+	// differently (bulk load vs incremental mutation via Dataset.Apply)
+	// report different costs for bit-identical answers.
 	IO int64
 	// IncomparableAccessed is n (BA/FCA) or n_a (AA): the incomparable
 	// records the algorithm actually examined.
@@ -106,29 +105,6 @@ type Stats struct {
 	Iterations int
 	// Algorithm is the strategy that produced the result (Auto resolved).
 	Algorithm Algorithm
-}
-
-// Compute runs MaxRank for the dataset record with the given index. It is
-// a thin wrapper over Engine.Query with a background context; services
-// needing concurrency, batching, cancellation or timeouts should hold a
-// long-lived Engine instead.
-func Compute(ds *Dataset, focalIndex int, opts ...Option) (*Result, error) {
-	eng, err := NewEngine(ds, WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Query(context.Background(), focalIndex, opts...)
-}
-
-// ComputeFor runs MaxRank for a hypothetical record that is not part of the
-// dataset (the paper's "what-if" scenario: evaluating a product before
-// launching it). It is a thin wrapper over Engine.QueryPoint.
-func ComputeFor(ds *Dataset, focal []float64, opts ...Option) (*Result, error) {
-	eng, err := NewEngine(ds, WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	return eng.QueryPoint(context.Background(), focal, opts...)
 }
 
 func convertResult(res *core.Result, alg Algorithm) *Result {

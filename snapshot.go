@@ -116,9 +116,9 @@ func (e *Engine) Snapshot(w io.Writer) error { return e.ds.WriteSnapshot(w) }
 // Options apply as in NewDataset with two exceptions: the page size and
 // the quad-tree defaults come from the snapshot, so WithPageSize and
 // WithQuadDefaults are ignored (the pages were encoded for the persisted
-// size); WithInsertBuild is meaningless here and also ignored.
-// WithPageLatency configures the simulated page latency as usual. A stream
-// loads onto the heap, so the index serves from its decoded node cache.
+// size). WithPageLatency configures the simulated page latency as usual.
+// A stream loads onto the heap, so the index serves from its decoded node
+// cache.
 //
 // Decode failures carry the typed errors of internal/snapshot (bad magic,
 // truncation, future version, checksum mismatch); a snapshot whose points

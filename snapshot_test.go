@@ -143,41 +143,6 @@ func TestSnapshotPreservesQuadDefaults(t *testing.T) {
 	}
 }
 
-// TestQuadTreeNegativeForcesLibraryDefault: on a dataset with tuned quad
-// defaults, WithQuadTree(-1, -1) must reproduce the library-default
-// partitioning (zero would resolve to the dataset defaults instead).
-func TestQuadTreeNegativeForcesLibraryDefault(t *testing.T) {
-	plain, err := repro.GenerateDataset("IND", 400, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := repro.GenerateDataset("IND", 400, 3, 5, repro.WithQuadDefaults(4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engPlain, _ := repro.NewEngine(plain)
-	engTuned, _ := repro.NewEngine(tuned)
-	ctx := context.Background()
-	def, err := engPlain.Query(ctx, 7, repro.WithTau(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := engTuned.Query(ctx, 7, repro.WithTau(1), repro.WithQuadTree(-1, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(answerOf(def), answerOf(forced)) {
-		t.Fatal("WithQuadTree(-1, -1) on a tuned dataset differs from the library default")
-	}
-	viaDefaults, err := engTuned.Query(ctx, 7, repro.WithTau(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(answerOf(def).Regions, answerOf(viaDefaults).Regions) {
-		t.Log("note: tuned defaults happened to produce identical regions; escape hatch still verified above")
-	}
-}
-
 // TestEngineSnapshot: Engine.Snapshot is Dataset.WriteSnapshot.
 func TestEngineSnapshot(t *testing.T) {
 	ds := genDS(t, "COR", 200, 2)
