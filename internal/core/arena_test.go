@@ -36,12 +36,14 @@ func (a *aa2dState) poison() {
 	a.cur0, a.aug0 = -1, -1
 }
 
-// poison overwrites FCA's crossing lists through their capacity.
+// poison overwrites FCA's crossing lists and bucket counts through their
+// capacity.
 func (f *fcaState) poison() {
 	nan := math.NaN()
 	fillCap(f.up, nan)
 	fillCap(f.down, nan)
-	fillCap(f.scratch, nan)
+	fillCap(f.start, -1<<40)
+	fillCap(f.drops, -1<<40)
 }
 
 func fillCap[T any](s []T, v T) {

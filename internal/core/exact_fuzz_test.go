@@ -186,8 +186,9 @@ func FuzzExactAgreement(f *testing.F) {
 	})
 }
 
-// TestGenerateFuzzCorpus (re)generates the committed seed corpus under
-// testdata/fuzz/FuzzExactAgreement from exactSeeds. Skipped unless
+// TestGenerateFuzzCorpus (re)generates the committed seed corpora under
+// testdata/fuzz/FuzzExactAgreement from exactSeeds and under
+// testdata/fuzz/FuzzFCAMatchesReference from fcaSeeds. Skipped unless
 // GEN_FUZZ_CORPUS=1:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/core -run TestGenerateFuzzCorpus
@@ -197,15 +198,24 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
 		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzExactAgreement")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+	corpora := map[string][][]byte{}
+	for _, in := range exactSeeds {
+		corpora["FuzzExactAgreement"] = append(corpora["FuzzExactAgreement"], in.encode())
 	}
-	for i, in := range exactSeeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(in.encode())))
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+	for _, in := range fcaSeeds() {
+		corpora["FuzzFCAMatchesReference"] = append(corpora["FuzzFCAMatchesReference"], in.encode())
+	}
+	for target, entries := range corpora {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+		for i, data := range entries {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("wrote %d corpus entries to %s", len(entries), dir)
 	}
-	t.Logf("wrote %d corpus entries to %s", len(exactSeeds), dir)
 }

@@ -23,10 +23,16 @@ func FCA(in Input) (*Result, error) { return StrategyFCA.Run(in) }
 
 // fcaState is FCA's share of the pooled execState: the crossing values of
 // the records that rise above p (up) and drop below it (down), and the
-// radix sort's scratch. Its lists hold plain floats, so a released state
-// pins nothing and every buffer is simply truncated by the next query.
+// per-bucket counts that bound which of them the answer can need. start
+// has one entry per bucket and one past the last, drops one per bucket;
+// together they take about a byte per crossing, beside the eight of the
+// lists. Every field holds plain numbers, so a released state pins nothing
+// and each buffer is simply resized by the next query.
 type fcaState struct {
-	up, down, scratch []float64
+	up, down []float64
+	// start[j] is p's order just before bucket j (after every crossing of
+	// the buckets below it); drops[j] counts bucket j's down crossings.
+	start, drops []int
 }
 
 func fcaRun(in Input) (*Result, error) {
@@ -85,17 +91,115 @@ func fcaRun(in Input) (*Result, error) {
 		return nil, err
 	}
 	res.Stats.IncomparableAccessed = nInc
-	f.scratch = radixSortFloats(f.up, f.scratch)
-	f.scratch = radixSortFloats(f.down, f.scratch)
+	f.prune(above0, in.Tau)
+	slices.Sort(f.up)
+	slices.Sort(f.down)
 
 	// The intervals of (0,1) lie between consecutive distinct crossing
 	// values. The first sweep finds the least order among them; the second
-	// keeps those within τ of it, applying all crossings at one value
-	// together, so the order among equal values cannot matter.
-	minOrder := f.minOrder(above0)
+	// keeps those within τ of it.
+	minOrder := above0
+	f.sweep(above0, func(_, _ float64, order int) { minOrder = min(minOrder, order) })
 	var regions []Region
+	f.sweep(above0, func(lo, hi float64, order int) {
+		if err != nil || order > minOrder+in.Tau {
+			return
+		}
+		reg := Region{
+			Box:     geom.MustRect(vecmath.Point{lo}, vecmath.Point{hi}),
+			Witness: vecmath.Point{(lo + hi) / 2},
+			Order:   order,
+		}
+		if in.CollectRecordIDs {
+			if reg.OutrankIDs, err = outranksAt2D(ctx, &in, rd, reg.Witness[0]); err != nil {
+				return
+			}
+		}
+		regions = append(regions, reg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	finishResult(res, regions, minOrder, in.Tau, dom)
+	res.Stats.Dominators = dom
+	res.Stats.Iterations = 1
+	res.Stats.IO = tr.Reads()
+	res.Stats.CPUTime = timeNow().Sub(start)
+	return res, nil
+}
+
+// bucket is the bucket of crossing value t: buckets split (0,1) into
+// len(f.drops) equal widths. It is monotone in t, so tied values share a
+// bucket and each bucket's values are a run of the sorted crossings.
+func (f *fcaState) bucket(t float64) int {
+	nb := len(f.drops)
+	return min(int(t*float64(nb)), nb-1)
+}
+
+// prune drops from up and down every crossing of a bucket in which no
+// interval can be within tau of the least order, so only the rest are
+// sorted and swept: the count bound of the paper's AA (Section 6) applied
+// to FCA. With one bucket per 16 crossings it counts each bucket's rises
+// and drops, and from them derives start, the exact order before each
+// bucket, and least, the least order at any bucket's end. least is the
+// order of a real interval, so it is at least the least order k. No
+// interval that begins inside bucket j has an order below
+// start[j] − drops[j]; when that exceeds least + tau ≥ k + tau, the bucket
+// is pruned.
+//
+// The sweep over what is left is still exact. An interval of order at most
+// least + tau is bounded by crossings of kept buckets only: the bucket it
+// begins in has a bound at most its order, and if it ends in a later
+// bucket b, its order is start[b], which is at least b's bound. Where two
+// consecutive kept crossings straddle a pruned bucket, the sweep sees one
+// interval between them, but the order it carries there is that of the
+// real interval entering the first pruned bucket, which exceeds
+// least + tau, so it is neither the least order nor emitted.
+func (f *fcaState) prune(above0, tau int) {
+	nb := max(1, (len(f.up)+len(f.down))/16)
+	f.start = slices.Grow(f.start[:0], nb+1)[:nb+1]
+	f.drops = slices.Grow(f.drops[:0], nb)[:nb]
+	clear(f.start)
+	clear(f.drops)
+	for _, t := range f.up {
+		f.start[f.bucket(t)+1]++
+	}
+	for _, t := range f.down {
+		b := f.bucket(t)
+		f.start[b+1]--
+		f.drops[b]++
+	}
+	f.start[0] = above0
+	least := math.MaxInt
+	for j := 1; j <= nb; j++ {
+		f.start[j] += f.start[j-1]
+		least = min(least, f.start[j])
+	}
+	limit := least + tau
+	f.up = f.keep(f.up, limit)
+	f.down = f.keep(f.down, limit)
+}
+
+// keep returns v without the crossings of the buckets whose order bound
+// exceeds limit, filtered in place.
+func (f *fcaState) keep(v []float64, limit int) []float64 {
+	kept := v[:0]
+	for _, t := range v {
+		if b := f.bucket(t); f.start[b]-f.drops[b] <= limit {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
+// sweep calls visit with each interval between consecutive distinct
+// values of the sorted, pruned crossings, in increasing q1, and p's order
+// over it. All crossings at one value apply together, so the order among
+// equal values cannot matter. On entering a bucket the order restarts
+// from start, which skips the crossings of the pruned buckets before it.
+func (f *fcaState) sweep(above0 int, visit func(lo, hi float64, order int)) {
 	up, down := f.up, f.down
-	order, lo := above0, 0.0
+	order, lo, cur := above0, 0.0, -1
 	for {
 		hi := 1.0
 		if len(up) > 0 {
@@ -104,22 +208,12 @@ func fcaRun(in Input) (*Result, error) {
 		if len(down) > 0 && down[0] < hi {
 			hi = down[0]
 		}
-		if order <= minOrder+in.Tau {
-			reg := Region{
-				Box:     geom.MustRect(vecmath.Point{lo}, vecmath.Point{hi}),
-				Witness: vecmath.Point{(lo + hi) / 2},
-				Order:   order,
-			}
-			if in.CollectRecordIDs {
-				reg.OutrankIDs, err = outranksAt2D(ctx, &in, rd, reg.Witness[0])
-				if err != nil {
-					return nil, err
-				}
-			}
-			regions = append(regions, reg)
+		visit(lo, hi, order)
+		if hi == 1 {
+			return
 		}
-		if len(up) == 0 && len(down) == 0 {
-			break
+		if b := f.bucket(hi); b != cur {
+			order, cur = f.start[b], b
 		}
 		for len(up) > 0 && up[0] == hi {
 			order++
@@ -131,92 +225,6 @@ func fcaRun(in Input) (*Result, error) {
 		}
 		lo = hi
 	}
-	finishResult(res, regions, minOrder, in.Tau, dom)
-	res.Stats.Dominators = dom
-	res.Stats.Iterations = 1
-	res.Stats.IO = tr.Reads()
-	res.Stats.CPUTime = timeNow().Sub(start)
-	return res, nil
-}
-
-// minOrder is the least order of p over the intervals between the sorted
-// crossings, starting from above0. It merges the lists one crossing at a
-// time and takes the rises at a tied value first. Then every order reached
-// by a drop is at least that of the interval after the tie, the tie's last
-// drop reaches exactly that, and a rise never lowers the least, so the
-// least order reached is the least interval order.
-func (f *fcaState) minOrder(above0 int) int {
-	up, down := f.up, f.down
-	order, least := above0, above0
-	for len(down) > 0 {
-		if len(up) > 0 && up[0] <= down[0] {
-			order++
-			up = up[1:]
-			continue
-		}
-		order--
-		down = down[1:]
-		least = min(least, order)
-	}
-	return least
-}
-
-// radixSortCutoff is the length below which radixSortFloats leaves the
-// work to slices.Sort: the six 2 048-bucket histograms cost a fixed few
-// microseconds, which a comparison sort of uniform values in (0,1) beats
-// up to about 768 of them (11–12 µs against 16–20 µs at 512; 51 against
-// 25–34 µs at 1 024, on a 2-core KVM guest).
-const radixSortCutoff = 768
-
-const (
-	radixBits    = 11
-	radixBuckets = 1 << radixBits
-	radixPasses  = (64 + radixBits - 1) / radixBits
-)
-
-// radixSortFloats sorts v ascending in place and returns the scratch
-// buffer, grown as the sort needed. Every value must be finite and
-// non-negative (FCA's crossings lie in (0,1)): for those, math.Float64bits
-// orders as the value does, so an LSD radix sort on the bits, 11 at a
-// time, sorts the floats. A pass whose digit is the same for every value
-// is skipped.
-func radixSortFloats(v, scratch []float64) []float64 {
-	if len(v) < radixSortCutoff {
-		slices.Sort(v)
-		return scratch
-	}
-	var counts [radixPasses][radixBuckets]uint32
-	for _, x := range v {
-		b := math.Float64bits(x)
-		for pass := range counts {
-			counts[pass][(b>>(pass*radixBits))&(radixBuckets-1)]++
-		}
-	}
-	scratch = slices.Grow(scratch[:0], len(v))[:len(v)]
-	src, dst := v, scratch
-	first := math.Float64bits(v[0])
-	for pass := range counts {
-		shift := pass * radixBits
-		c := &counts[pass]
-		if c[(first>>shift)&(radixBuckets-1)] == uint32(len(v)) {
-			continue
-		}
-		var sum uint32
-		for i, n := range c {
-			c[i] = sum
-			sum += n
-		}
-		for _, x := range src {
-			d := (math.Float64bits(x) >> shift) & (radixBuckets - 1)
-			dst[c[d]] = x
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &v[0] {
-		copy(v, src)
-	}
-	return scratch
 }
 
 // outranksAt2D recomputes the set of incomparable records outranking p at

@@ -160,11 +160,42 @@ func gridPoints() []vecmath.Point {
 	return pts
 }
 
+// zigzagPoints is a focal record (0.5, 0.5) and 66 records whose score
+// lines cross its own at q1 = i/64, i = 1..63, the odd ones dropping below
+// it and the even ones rising above, and a second, dropping record at
+// 1/4, 1/2 and 3/4. The focal's order only zigzags, so every bucket of the
+// sweep's four is within reach of the least order and none is pruned,
+// and the tied crossings at 1/4, 1/2 and 3/4 lie exactly on bucket edges.
+func zigzagPoints() []vecmath.Point {
+	pts := []vecmath.Point{{0.5, 0.5}}
+	for i := 1; i < 64; i++ {
+		t := float64(i) / 64
+		if i%2 == 0 {
+			pts = append(pts, vecmath.Point{0.75 - t/4, 0.5 - t/4})
+		}
+		if i%2 == 1 || i%16 == 0 {
+			pts = append(pts, vecmath.Point{0.25 + t/4, 0.5 + t/4})
+		}
+	}
+	return pts
+}
+
+// counted is the number of crossings the last query's prune counted, kept
+// or not: the rises less the drops, plus twice the drops.
+func (f *fcaState) counted() int {
+	m := f.start[len(f.drops)] - f.start[0]
+	for _, d := range f.drops {
+		m += 2 * d
+	}
+	return m
+}
+
 // TestFCAMatchesReference: the pooled sweep answers exactly as the
 // reference does — regions, boxes, witnesses, orders, OutrankIDs and every
 // Stats field but CPUTime — on the three distributions, on a grid full of
-// tied crossings and on what-if focals, at τ = 0 and 2, with and without
-// record IDs.
+// tied crossings, on a zigzag order curve whose buckets the bound cannot
+// prune and on what-if focals, at τ = 0 and 2, with and without record
+// IDs.
 func TestFCAMatchesReference(t *testing.T) {
 	type set struct {
 		name   string
@@ -214,18 +245,33 @@ func TestFCAMatchesReference(t *testing.T) {
 	}
 	sets = append(sets, set{"grid8", grid, gridFocals})
 
-	// What each query sorted, so the test can show it reached the radix
-	// path and crossings tied at one value, not only slices.Sort and
-	// distinct values.
-	longest, tie := 0, false
+	zig := zigzagPoints()
+	sets = append(sets, set{"zigzag", zig, []Input{
+		{Focal: zig[0], FocalID: 0},
+		{Focal: vecmath.Point{0.5, 0.5}, FocalID: -1},
+		{Focal: vecmath.Point{0.5, 0.5 + 1.0/256}, FocalID: -1},
+	}})
+
+	// What each query kept after the bucket bound, so the test can show it
+	// pruned some queries and kept every bucket of others, kept a crossing
+	// on a bucket edge (where the sweep restarts the order) and tied
+	// crossings at one value.
+	buckets, pruned, edge, tie := 0, false, false, false
 	releaseHook = func(st *execState) {
-		longest = max(len(st.fca.up), len(st.fca.down))
-		all := slices.Concat(st.fca.up, st.fca.down)
+		f := &st.fca
+		buckets = len(f.drops)
+		all := slices.Concat(f.up, f.down)
+		pruned = len(all) < f.counted()
+		edge = false
+		for _, t := range all {
+			j := t * float64(buckets)
+			edge = edge || (buckets > 1 && j == math.Trunc(j))
+		}
 		slices.Sort(all)
-		tie = len(slices.Compact(all)) < len(st.fca.up)+len(st.fca.down)
+		tie = len(slices.Compact(all)) < len(f.up)+len(f.down)
 	}
 	defer func() { releaseHook = nil }()
-	queries, multi, radix, tied := 0, 0, 0, 0
+	queries, multi, prunes, whole, edges, tied := 0, 0, 0, 0, 0, 0
 	for _, s := range sets {
 		tree := buildTree(t, s.points)
 		for fi, in := range s.focals {
@@ -240,8 +286,14 @@ func TestFCAMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if longest >= radixSortCutoff {
-						radix++
+					switch {
+					case pruned:
+						prunes++
+					case buckets > 1:
+						whole++
+					}
+					if edge {
+						edges++
 					}
 					if tie {
 						tied++
@@ -259,59 +311,145 @@ func TestFCAMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d queries agree: %d with more than one region, %d radix-sorted, %d with tied crossings", queries, multi, radix, tied)
-	if multi == 0 || radix == 0 || tied == 0 {
-		t.Fatalf("%d multi-region, %d radix-sorted and %d tied queries: not the coverage this test is about", multi, radix, tied)
+	t.Logf("%d queries agree: %d with more than one region, %d that pruned a bucket, %d that kept all of several, %d with a crossing on a bucket edge, %d with tied crossings",
+		queries, multi, prunes, whole, edges, tied)
+	if multi == 0 || prunes == 0 || whole == 0 || edges == 0 || tied == 0 {
+		t.Fatalf("%d multi-region, %d pruned, %d unpruned multi-bucket, %d bucket-edge and %d tied queries: not the coverage this test is about",
+			multi, prunes, whole, edges, tied)
 	}
 }
 
-// TestRadixSortFloats holds the crossing sort to slices.Sort on the
-// shapes FCA feeds it: uniform values in (0,1), heavy ties, values that
-// share their high bits or their low bits (so those passes are skipped),
-// tiny and subnormal values, and lengths either side of the cutoff.
-func TestRadixSortFloats(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	shapes := []struct {
-		name string
-		gen  func(i int) float64
-	}{
-		{"uniform", func(int) float64 { return rng.Float64() }},
-		{"ties", func(int) float64 { return float64(1+rng.Intn(7)) / 8 }},
-		{"allsame", func(int) float64 { return 0.375 }},
-		{"sharedhigh", func(int) float64 {
-			return math.Float64frombits(math.Float64bits(0.6) + uint64(rng.Intn(1<<12)))
-		}},
-		{"sharedlow", func(int) float64 {
-			return math.Float64frombits(math.Float64bits(0.6) + uint64(rng.Intn(1<<12))<<40)
-		}},
-		{"tiny", func(int) float64 {
-			switch rng.Intn(3) {
-			case 0:
-				return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(100))
-			case 1:
-				return math.Ldexp(rng.Float64(), -1000-rng.Intn(20))
-			}
-			return rng.Float64() * 1e-300
-		}},
-		{"descending", func(i int) float64 { return 1 / float64(i+2) }},
+// fcaInstance is an FCA query on the k/16 grid, for FuzzFCAMatchesReference.
+type fcaInstance struct {
+	points   []vecmath.Point
+	focal    vecmath.Point
+	focalIdx int // −1 for a what-if focal
+	tau      int
+	ids      bool // CollectRecordIDs
+}
+
+// decodeFCAInstance reads an instance from fuzz bytes: n − 1, a flags byte
+// (bits 0–1 τ, bit 2 CollectRecordIDs, bit 3 a what-if focal whose
+// coordinates follow the records), the focal's index mod n, then the 2n
+// record coordinates, each byte b giving (b mod 17)/16. n reaches 256, so
+// a query can have far more than the 32 crossings at which the bucket
+// bound starts to prune. It reports false when the bytes run out.
+func decodeFCAInstance(data []byte) (fcaInstance, bool) {
+	if len(data) < 3 {
+		return fcaInstance{}, false
 	}
-	var scratch []float64
-	for _, sh := range shapes {
-		for _, n := range []int{0, 1, 2, radixSortCutoff - 1, radixSortCutoff, radixSortCutoff + 1, 5000} {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = sh.gen(i)
-			}
-			want := slices.Clone(v)
-			slices.Sort(want)
-			scratch = radixSortFloats(v, scratch)
-			for i := range v {
-				if math.Float64bits(v[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s n=%d: position %d holds %v, slices.Sort puts %v there", sh.name, n, i, v[i], want[i])
-				}
-			}
+	n := 1 + int(data[0])
+	flags := data[1]
+	in := fcaInstance{focalIdx: int(data[2]) % n, tau: int(flags & 3), ids: flags&4 != 0}
+	need := 2 * n
+	if flags&8 != 0 {
+		in.focalIdx = -1
+		need += 2
+	}
+	coords := data[3:]
+	if len(coords) < need {
+		return fcaInstance{}, false
+	}
+	at := func(i int) vecmath.Point {
+		return vecmath.Point{float64(coords[2*i]%17) / 16, float64(coords[2*i+1]%17) / 16}
+	}
+	for i := 0; i < n; i++ {
+		in.points = append(in.points, at(i))
+	}
+	if in.focalIdx < 0 {
+		in.focal = at(n)
+	} else {
+		in.focal = in.points[in.focalIdx]
+	}
+	return in, true
+}
+
+// encode is decodeFCAInstance's inverse for coordinates on the grid.
+func (in fcaInstance) encode() []byte {
+	flags := byte(in.tau)
+	if in.ids {
+		flags |= 4
+	}
+	focal, pts := byte(in.focalIdx), in.points
+	if in.focalIdx < 0 {
+		flags |= 8
+		focal, pts = 0, append(pts[:len(pts):len(pts)], in.focal)
+	}
+	out := []byte{byte(len(in.points) - 1), flags, focal}
+	for _, p := range pts {
+		out = append(out, byte(p[0]*16), byte(p[1]*16))
+	}
+	return out
+}
+
+// fcaSeeds are FuzzFCAMatchesReference's seed instances: random grid
+// records with an in-dataset focal at τ = 0 and 1, a what-if focal at τ = 3
+// with record IDs, a lone record, and an anti-diagonal whose every record
+// crosses the what-if focal (0.5, 0.5) at q1 = 1/2, a bucket edge whenever
+// the bucket count is even.
+func fcaSeeds() []fcaInstance {
+	rng := rand.New(rand.NewSource(40))
+	grid := func(n int) []vecmath.Point {
+		pts := make([]vecmath.Point, n)
+		for i := range pts {
+			pts[i] = vecmath.Point{float64(rng.Intn(17)) / 16, float64(rng.Intn(17)) / 16}
+		}
+		return pts
+	}
+	seeds := []fcaInstance{
+		{points: grid(256), focalIdx: 17},
+		{points: grid(96), focalIdx: 5, tau: 1, ids: true},
+		{points: grid(200), focal: vecmath.Point{0.5, 0.5}, focalIdx: -1, tau: 3, ids: true},
+		{points: grid(1), focalIdx: 0},
+	}
+	diag := grid(64)
+	for k := 0; k <= 16; k++ {
+		if k != 8 {
+			diag = append(diag, vecmath.Point{float64(k) / 16, float64(16-k) / 16})
 		}
 	}
+	seeds = append(seeds, fcaInstance{points: diag, focal: vecmath.Point{0.5, 0.5}, focalIdx: -1, tau: 2})
+	for i := range seeds {
+		if s := &seeds[i]; s.focalIdx >= 0 {
+			s.focal = s.points[s.focalIdx]
+		}
+	}
+	return seeds
+}
+
+// FuzzFCAMatchesReference decodes FCA queries on the k/16 grid (n ≤ 256,
+// in-dataset or what-if focal, τ 0–3, with or without record IDs) and
+// holds fcaRun to fcaReference, whole Result for whole Result but CPUTime.
+func FuzzFCAMatchesReference(f *testing.F) {
+	for i, in := range fcaSeeds() {
+		if got, ok := decodeFCAInstance(in.encode()); !ok || fmt.Sprint(got) != fmt.Sprint(in) {
+			f.Fatalf("seed %d does not round-trip: %v", i, got)
+		}
+		f.Add(in.encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fi, ok := decodeFCAInstance(data)
+		if !ok {
+			return
+		}
+		in := Input{
+			Tree:  buildTree(t, fi.points),
+			Focal: fi.focal, FocalID: int64(fi.focalIdx),
+			Tau: fi.tau, CollectRecordIDs: fi.ids,
+		}
+		want, err := fcaReference(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fcaRun(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats.CPUTime, got.Stats.CPUTime = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v:\n got  %+v\n want %+v", fi, got, want)
+		}
+	})
 }
 
 // fcaAllocBudget bounds a warm FCA query with one answer region. It
