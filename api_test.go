@@ -324,6 +324,23 @@ func TestRankOfConsistency(t *testing.T) {
 	}
 }
 
+// TestRankOfFigure1 is the paper's Figure 1: among these records, the
+// external record p = (0.5, 0.5) ranks 4th under q1 = (0.7, 0.3) and 3rd
+// under q2 = (0.1, 0.9).
+func TestRankOfFigure1(t *testing.T) {
+	ds, err := repro.NewDataset([][]float64{{0.8, 0.9}, {0.2, 0.7}, {0.9, 0.4}, {0.7, 0.2}, {0.4, 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := []float64{0.5, 0.5}
+	if got := mustRank(t, ds, p, []float64{0.7, 0.3}); got != 4 {
+		t.Errorf("rank under q1 = %d, want 4", got)
+	}
+	if got := mustRank(t, ds, p, []float64{0.1, 0.9}); got != 3 {
+		t.Errorf("rank under q2 = %d, want 3", got)
+	}
+}
+
 // TestNonFiniteRejected: NaN / ±Inf coordinates must fail at dataset
 // construction and at what-if query time — a single NaN silently poisons
 // LP feasibility, score ordering and the content fingerprint otherwise.

@@ -200,20 +200,30 @@ func BenchmarkSubstrates(b *testing.B) {
 
 // BenchmarkApply measures the mutation subsystem: one batch of point
 // inserts/deletes producing a new engine version (a fork of the parent's
-// index, incremental R* updates, and a finalize that writes only the
-// nodes the batch changed), at two dataset sizes and two batch shapes,
-// plus the mutate_cycle workload's shape: 32 inserts and 32 random
-// deletes on IND n = 100 000, d = 2. Ops/sec here is versions/sec;
-// allocs/op and B/op track what a version costs beyond its batch.
+// index and record table, incremental R* updates, and a finalize that
+// writes only the nodes the batch changed), at two dataset sizes and two
+// batch shapes, plus the mutate_cycle workload's shape: 32 inserts and 32
+// random deletes on IND n = 100 000, d = 2. Ops/sec here is versions/sec;
+// allocs/op and B/op track what a version costs beyond its batch. The
+// successor's hash, which Apply starts on a goroutine of its own, is
+// waited for with the timer stopped, so it does not compete with the next
+// batch; the mutate_cycle shape's ack case times it too: Apply and then
+// Fingerprint, what a write waits for before it is acknowledged.
 func BenchmarkApply(b *testing.B) {
 	ctx := context.Background()
-	run := func(name string, eng *repro.Engine, ops []repro.Op) {
+	run := func(name string, eng *repro.Engine, ops []repro.Op, ack bool) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Apply(ctx, ops); err != nil {
+				next, err := eng.Apply(ctx, ops)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if !ack {
+					b.StopTimer()
+				}
+				next.Dataset().Fingerprint()
+				b.StartTimer()
 			}
 		})
 	}
@@ -234,7 +244,7 @@ func BenchmarkApply(b *testing.B) {
 					float64(k%97) / 97, float64(k%89) / 89, float64(k%83) / 83,
 				}))
 			}
-			run(fmt.Sprintf("n=%d/ops=%d", n, batch*2), eng, ops)
+			run(fmt.Sprintf("n=%d/ops=%d", n, batch*2), eng, ops, false)
 		}
 	}
 	ds, err := repro.GenerateDataset("IND", 100000, 2, 1)
@@ -245,7 +255,9 @@ func BenchmarkApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("mutate_cycle/n=100000/d=2/ops=64", eng, mutateCycleBatch(rand.New(rand.NewSource(1)), ds.Len(), ds.Dim()))
+	ops := mutateCycleBatch(rand.New(rand.NewSource(1)), ds.Len(), ds.Dim())
+	run("mutate_cycle/n=100000/d=2/ops=64", eng, ops, false)
+	run("mutate_cycle/n=100000/d=2/ops=64/ack", eng, ops, true)
 }
 
 // mutateCycleBatch draws a batch of the mutate_cycle workload's shape on n

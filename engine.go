@@ -168,10 +168,10 @@ func (e *Engine) Stats() EngineStats {
 // loops; a cancelled query returns ctx.Err() promptly. The query runs on
 // the caller's goroutine.
 func (e *Engine) Query(ctx context.Context, focalIndex int, opts ...Option) (*Result, error) {
-	if focalIndex < 0 || focalIndex >= len(e.ds.points) {
-		return nil, fmt.Errorf("repro: focal index %d out of range [0,%d): %w", focalIndex, len(e.ds.points), ErrBadQuery)
+	if focalIndex < 0 || focalIndex >= e.ds.Len() {
+		return nil, fmt.Errorf("repro: focal index %d out of range [0,%d): %w", focalIndex, e.ds.Len(), ErrBadQuery)
 	}
-	return e.run(ctx, e.ds.points[focalIndex], int64(focalIndex), opts)
+	return e.run(ctx, e.ds.tab.row(focalIndex), int64(focalIndex), opts)
 }
 
 // QueryOpts is Query in struct form: the options arrive as one

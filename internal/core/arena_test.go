@@ -42,8 +42,10 @@ func (f *fcaState) poison() {
 	nan := math.NaN()
 	fillCap(f.up, nan)
 	fillCap(f.down, nan)
+	fillCap(f.scratch, nan)
 	fillCap(f.start, -1<<40)
 	fillCap(f.drops, -1<<40)
+	fillCap(f.ends, -1<<40)
 }
 
 func fillCap[T any](s []T, v T) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/vecmath"
 )
 
 // BenchmarkAA2DDisk answers wide_d2's mean focal (meanWideFocal) on a
@@ -32,8 +34,10 @@ func BenchmarkAA2DDisk(b *testing.B) {
 // query state: the scan, the bucket bound, the sort of the crossings it
 // keeps and the sweep. It runs the three distributions at mutate_cycle's
 // n = 100 000 and IND at serve_mix's n = 2 000; ANTI, whose order curve is
-// the flattest, keeps the most. crossings/op and kept/op are the crossings
-// in (0,1) and those the bound kept, per query.
+// the flattest, keeps the most. zigzag is the bound's worst case: a flat
+// order curve, where every bucket is kept (see zigzagDipPoints). crossings/op
+// and kept/op are the crossings in (0,1) and those the bound kept, per
+// query.
 func BenchmarkFCA(b *testing.B) {
 	for _, c := range []struct {
 		dist dataset.Distribution
@@ -42,28 +46,65 @@ func BenchmarkFCA(b *testing.B) {
 		b.Run(fmt.Sprintf("%v/n=%d", c.dist, c.n), func(b *testing.B) {
 			points := dataset.Generate(c.dist, c.n, 2, 20150833)
 			tree := buildTree(b, points)
-			in := func(i int) Input {
+			benchFCA(b, func(i int) Input {
 				id := (i * 7919) % c.n
 				return Input{Tree: tree, Focal: points[id], FocalID: int64(id)}
-			}
-			if _, err := fcaRun(in(0)); err != nil {
-				b.Fatal(err)
-			}
-			var crossings, kept int
-			releaseHook = func(st *execState) {
-				kept += len(st.fca.up) + len(st.fca.down)
-				crossings += st.fca.counted()
-			}
-			defer func() { releaseHook = nil }()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fcaRun(in(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(crossings)/float64(b.N), "crossings/op")
-			b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
+			})
 		})
 	}
+	b.Run("zigzag", func(b *testing.B) {
+		tree := buildTree(b, zigzagDipPoints(65537))
+		focal := Input{Tree: tree, Focal: vecmath.Point{0.5, 0.5}, FocalID: -1}
+		benchFCA(b, func(int) Input { return focal })
+	})
+}
+
+// benchFCA times fcaRun(in(i)) for i = 0, 1, … after one warm-up query.
+func benchFCA(b *testing.B, in func(i int) Input) {
+	if _, err := fcaRun(in(0)); err != nil {
+		b.Fatal(err)
+	}
+	var crossings, kept int
+	releaseHook = func(st *execState) {
+		kept += len(st.fca.up) + len(st.fca.down)
+		crossings += st.fca.counted()
+	}
+	defer func() { releaseHook = nil }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fcaRun(in(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(crossings)/float64(b.N), "crossings/op")
+	b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
+}
+
+// zigzagDipPoints returns m records, m odd, incomparable with (0.5, 0.5),
+// whose crossings with it lie at t = k/(m+1), k = 1..m, and alternate: a
+// record above it drops below, then one below rises above. p's order so
+// zigzags between two values, save one dip at the middle, where two drops
+// come before two rises: one region at τ = 0, and no bucket the bound can
+// prune. Each record lies at a random distance along its direction from
+// p, so the index scans the crossings in no particular order.
+func zigzagDipPoints(m int) []vecmath.Point {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]vecmath.Point, m)
+	for k := range pts {
+		t := float64(k+1) / float64(m+1)
+		down := k%2 == 0
+		if mid := m / 2 &^ 1; k == mid+1 || k == mid+2 {
+			down = !down
+		}
+		// For any s in (0, 0.5], (0.5 − (1−t)s, 0.5 + ts) starts above p
+		// and crosses it at t; (0.5 + (1−t)s, 0.5 − ts) starts below.
+		s := 0.05 + 0.45*rng.Float64()
+		if down {
+			pts[k] = vecmath.Point{0.5 - (1-t)*s, 0.5 + t*s}
+		} else {
+			pts[k] = vecmath.Point{0.5 + (1-t)*s, 0.5 - t*s}
+		}
+	}
+	return pts
 }

@@ -24,15 +24,20 @@ func FCA(in Input) (*Result, error) { return StrategyFCA.Run(in) }
 // fcaState is FCA's share of the pooled execState: the crossing values of
 // the records that rise above p (up) and drop below it (down), and the
 // per-bucket counts that bound which of them the answer can need. start
-// has one entry per bucket and one past the last, drops one per bucket;
-// together they take about a byte per crossing, beside the eight of the
-// lists. Every field holds plain numbers, so a released state pins nothing
-// and each buffer is simply resized by the next query.
+// has one entry per bucket and one past the last, drops and ends one per
+// bucket; together they take about a byte and a half per crossing, beside
+// the eight of the lists and of scratch, the sort's other buffer. Every
+// field holds plain numbers, so a released state pins nothing and each
+// buffer is simply resized by the next query.
 type fcaState struct {
-	up, down []float64
+	up, down, scratch []float64
 	// start[j] is p's order just before bucket j (after every crossing of
 	// the buckets below it); drops[j] counts bucket j's down crossings.
 	start, drops []int
+	// ends[j] is where bucket j ends in the list keep is sorting, or −1
+	// when the bucket is pruned; pruned says some bucket is.
+	ends   []int
+	pruned bool
 }
 
 func fcaRun(in Input) (*Result, error) {
@@ -92,8 +97,6 @@ func fcaRun(in Input) (*Result, error) {
 	}
 	res.Stats.IncomparableAccessed = nInc
 	f.prune(above0, in.Tau)
-	slices.Sort(f.up)
-	slices.Sort(f.down)
 
 	// The intervals of (0,1) lie between consecutive distinct crossing
 	// values. The first sweep finds the least order among them; the second
@@ -176,27 +179,71 @@ func (f *fcaState) prune(above0, tau int) {
 		least = min(least, f.start[j])
 	}
 	limit := least + tau
-	f.up = f.keep(f.up, limit)
-	f.down = f.keep(f.down, limit)
+	f.up = f.keep(f.up, limit, true)
+	f.down = f.keep(f.down, limit, false)
 }
 
-// keep returns v without the crossings of the buckets whose order bound
-// exceeds limit, filtered in place.
-func (f *fcaState) keep(v []float64, limit int) []float64 {
-	kept := v[:0]
-	for _, t := range v {
-		if b := f.bucket(t); f.start[b]-f.drops[b] <= limit {
-			kept = append(kept, t)
+// keep returns the crossings of v, up or down, that lie in buckets whose
+// order bound is within limit, sorted; v becomes the next scratch. With
+// the counts prune took, it scatters them into scratch in bucket order,
+// then sorts each bucket, about 16 values, on its own.
+func (f *fcaState) keep(v []float64, limit int, up bool) []float64 {
+	nb := len(f.drops)
+	f.ends = slices.Grow(f.ends[:0], nb)[:nb]
+	n := 0
+	f.pruned = false
+	for j := range nb {
+		f.ends[j] = -1
+		if f.start[j]-f.drops[j] > limit {
+			f.pruned = true
+			continue
+		}
+		f.ends[j] = n // where bucket j begins, until the scatter
+		if n += f.drops[j]; up {
+			n += f.start[j+1] - f.start[j] // the rises less the drops
 		}
 	}
-	return kept
+	out := slices.Grow(f.scratch[:0], n)[:n]
+	for _, t := range v {
+		b := f.bucket(t)
+		if e := f.ends[b]; e >= 0 {
+			out[e] = t
+			f.ends[b] = e + 1
+		}
+	}
+	lo := 0
+	for _, hi := range f.ends {
+		if hi >= 0 {
+			sortSmall(out[lo:hi])
+			lo = hi
+		}
+	}
+	f.scratch = v[:0]
+	return out
+}
+
+// sortSmall sorts v, by insertion when it is as short as a bucket
+// usually is.
+func sortSmall(v []float64) {
+	if len(v) > 32 {
+		slices.Sort(v)
+		return
+	}
+	for i := 1; i < len(v); i++ {
+		t, j := v[i], i
+		for ; j > 0 && t < v[j-1]; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = t
+	}
 }
 
 // sweep calls visit with each interval between consecutive distinct
 // values of the sorted, pruned crossings, in increasing q1, and p's order
 // over it. All crossings at one value apply together, so the order among
 // equal values cannot matter. On entering a bucket the order restarts
-// from start, which skips the crossings of the pruned buckets before it.
+// from start, which skips the crossings of the pruned buckets before it;
+// with none pruned, there is nothing to skip.
 func (f *fcaState) sweep(above0 int, visit func(lo, hi float64, order int)) {
 	up, down := f.up, f.down
 	order, lo, cur := above0, 0.0, -1
@@ -212,8 +259,10 @@ func (f *fcaState) sweep(above0 int, visit func(lo, hi float64, order int)) {
 		if hi == 1 {
 			return
 		}
-		if b := f.bucket(hi); b != cur {
-			order, cur = f.start[b], b
+		if f.pruned {
+			if b := f.bucket(hi); b != cur {
+				order, cur = f.start[b], b
+			}
 		}
 		for len(up) > 0 && up[0] == hi {
 			order++

@@ -111,21 +111,6 @@ func DominatesStrict(a, b Point) bool { return Compare(a, b) == Dominates }
 // Score returns r · q, the record's score under query vector q.
 func Score(r, q Point) float64 { return r.Dot(q) }
 
-// OrderOf returns the order (1-based rank position) of the focal record
-// among records under query vector q: one plus the number of records scoring
-// strictly higher than focal. It is the brute-force oracle used by tests and
-// by the first-cut reasoning in the paper's Figure 1.
-func OrderOf(records []Point, focal, q Point) int {
-	fs := focal.Dot(q)
-	order := 1
-	for _, r := range records {
-		if r.Dot(q) > fs {
-			order++
-		}
-	}
-	return order
-}
-
 // LiftQuery reconstructs the full d-dimensional permissible query vector from
 // a point in the reduced (d-1)-dimensional query space, i.e. it appends
 // q_d = 1 - Σ q_i.

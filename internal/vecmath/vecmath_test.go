@@ -148,19 +148,6 @@ func TestUniformQuery(t *testing.T) {
 	}
 }
 
-func TestOrderOf(t *testing.T) {
-	records := []Point{{0.8, 0.9}, {0.2, 0.7}, {0.9, 0.4}, {0.7, 0.2}, {0.4, 0.3}}
-	p := Point{0.5, 0.5}
-	// The paper's Figure 1: with q1=(0.7,0.3) the order of p is 4; with
-	// q2=(0.1,0.9) it is 3.
-	if got := OrderOf(records, p, Point{0.7, 0.3}); got != 4 {
-		t.Errorf("order w.r.t. q1 = %d, want 4", got)
-	}
-	if got := OrderOf(records, p, Point{0.1, 0.9}); got != 3 {
-		t.Errorf("order w.r.t. q2 = %d, want 3", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]Point{{1, 5}, {3, 2}, {2, 8}})
 	if !lo.Equal(Point{1, 2}) || !hi.Equal(Point{3, 8}) {

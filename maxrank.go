@@ -32,8 +32,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -48,25 +50,26 @@ import (
 // queried any number of times through an Engine; each query reports its
 // own page accesses in Stats.IO.
 //
+// The records live in a persistent table of chunks of at most chunkCap
+// records, each holding its records' coordinates row-major and their tree
+// IDs. Versions derived by Apply share every chunk their batch left alone.
+//
 // Records are addressed two ways. A record index is the record's position
 // in the dataset, 0..Len()-1, and is what every public API speaks. A tree
 // ID is the record ID the R*-tree's leaf entries hold. The two coincide in
 // a built or loaded dataset, but Apply keeps the tree IDs its parent gave
 // the surviving records — renumbering them would rewrite nearly every leaf
-// — so after a delete they differ. slots maps one to the other, ascending,
-// and the query boundary translates: focal indexes go in as tree IDs,
-// OutrankIDs come out as indexes. Because the mapping keeps
+// — so after a delete they differ. The table keeps each record's tree ID,
+// ascending, and the query boundary translates: focal indexes go in as
+// tree IDs, OutrankIDs come out as indexes. Because the mapping keeps
 // order, every sort and comparison of IDs inside a query is unchanged.
 // Snapshots always hold record indexes (see WriteSnapshot).
 type Dataset struct {
-	points []vecmath.Point
+	tab table
 	// tree is the index. Its page source is a heap *pager.Store for built
 	// or heap-loaded datasets, a read-only pager.Mapped view for datasets
 	// served straight from a memory-mapped snapshot.
 	tree *rstar.Tree
-	// slots[i] is record i's tree ID, ascending; nil means the identity.
-	// Apply keeps every tree ID below 2·Len() (see renumber).
-	slots []int64
 
 	// quadMaxPartial and quadMaxDepth are the dataset's default quad-tree
 	// partitioning parameters (0 = library default). Every query uses them,
@@ -88,14 +91,122 @@ type Dataset struct {
 	loadedFloat32 bool
 
 	// mapping owns the mmap backing when the dataset serves zero-copy from
-	// a v2 snapshot (nil otherwise); points and pages alias it, so it must
-	// outlive the dataset. pointsAliased records whether points alias the
-	// mapping (false for float32 snapshots, whose points materialize).
-	mapping       *mmap.Mapping
-	pointsAliased bool
+	// a v2 snapshot (nil otherwise); the pages alias it, and so do the
+	// chunks' coordinates unless the file holds float32 points, so it must
+	// outlive the dataset.
+	mapping *mmap.Mapping
 
+	// fpOnce guards fp. Apply starts it on a goroutine of its own; every
+	// other dataset runs it on the first Fingerprint call.
 	fpOnce sync.Once
 	fp     string
+}
+
+// chunkCap is the most records a chunk of the record table holds.
+const chunkCap = 256
+
+// chunk is a run of consecutive records. A chunk is never written once a
+// table holds it, so tables share chunks freely.
+type chunk struct {
+	coords []float64 // row-major, dim values a record
+	ids    []int64   // tree IDs, ascending
+}
+
+// newChunk returns an empty chunk with room for chunkCap records, made by
+// one pointer-free allocation: the IDs sit in the coordinates' block.
+func newChunk(dim int) chunk {
+	buf := make([]float64, chunkCap*(dim+1))
+	ids := unsafe.Slice((*int64)(unsafe.Pointer(&buf[chunkCap*dim])), chunkCap)
+	return chunk{coords: buf[: 0 : chunkCap*dim], ids: ids[:0]}
+}
+
+// add appends records from..to of src to c, which must have room.
+func (c *chunk) add(src chunk, from, to, dim int) {
+	c.coords = append(c.coords, src.coords[from*dim:to*dim]...)
+	c.ids = append(c.ids, src.ids[from:to]...)
+}
+
+// table is one version's record table: its chunks in record order, with
+// starts[k] the index of chunk k's first record. Tree IDs ascend across
+// chunks, and no two neighbouring chunks fit in one.
+type table struct {
+	dim    int
+	n      int
+	chunks []chunk
+	starts []int
+}
+
+// flatTable returns the table of n records whose coordinates are flat,
+// row-major, and whose tree IDs are their indexes. Its chunks are views of
+// flat, which must not change afterwards.
+func flatTable(flat []float64, dim int) table {
+	n := len(flat) / dim
+	ids := identityIDs(n)
+	t := table{dim: dim, n: n}
+	for lo := 0; lo < n; lo += chunkCap {
+		hi := min(lo+chunkCap, n)
+		t.chunks = append(t.chunks, chunk{coords: flat[lo*dim : hi*dim : hi*dim], ids: ids[lo:hi:hi]})
+		t.starts = append(t.starts, lo)
+	}
+	return t
+}
+
+// identity holds 0, 1, 2, …: the tree IDs of every built or loaded
+// dataset, which their chunks view rather than each holding a copy. It
+// only grows, and a grown array never changes.
+var identity struct {
+	sync.Mutex
+	ids []int64
+}
+
+// identityIDs returns 0..n-1.
+func identityIDs(n int) []int64 {
+	identity.Lock()
+	defer identity.Unlock()
+	if len(identity.ids) < n {
+		ids := make([]int64, max(n, 2*len(identity.ids)))
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		identity.ids = ids
+	}
+	return identity.ids[:n:n]
+}
+
+// locate returns the chunk holding record i and i's offset in it.
+func (t *table) locate(i int) (k, j int) {
+	k, found := slices.BinarySearch(t.starts, i)
+	if !found {
+		k--
+	}
+	return k, i - t.starts[k]
+}
+
+// row returns record i's coordinates, aliasing the table.
+func (t *table) row(i int) vecmath.Point {
+	k, j := t.locate(i)
+	return t.chunks[k].coords[j*t.dim : (j+1)*t.dim : (j+1)*t.dim]
+}
+
+// id returns record i's tree ID.
+func (t *table) id(i int) int64 {
+	k, j := t.locate(i)
+	return t.chunks[k].ids[j]
+}
+
+// lastID returns the largest tree ID, the last record's.
+func (t *table) lastID() int64 {
+	ids := t.chunks[len(t.chunks)-1].ids
+	return ids[len(ids)-1]
+}
+
+// flat returns every record's coordinates, row-major, in one new slice.
+func (t *table) flat() []float64 {
+	out := make([]float64, 0, t.n*t.dim)
+	for _, c := range t.chunks {
+		out = append(out, c.coords...)
+	}
+	return out
 }
 
 // DatasetOption configures dataset construction.
@@ -169,7 +280,7 @@ func NewDataset(points [][]float64, opts ...DatasetOption) (*Dataset, error) {
 		if len(row) != dim {
 			return nil, fmt.Errorf("repro: record %d has %d attributes, want %d", i, len(row), dim)
 		}
-		pts[i] = vecmath.Point(row).Clone()
+		pts[i] = row
 	}
 	return buildDataset(pts, newDatasetConfig(opts))
 }
@@ -178,12 +289,10 @@ func NewDataset(points [][]float64, opts ...DatasetOption) (*Dataset, error) {
 // poisons everything downstream — LP feasibility tests, score ordering,
 // BBS dominance pruning and the dataset fingerprint — so non-finite input
 // must fail at the door, not corrupt answers later.
-func checkFinite(pts []vecmath.Point) error {
-	for i, p := range pts {
-		for j, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("repro: record %d attribute %d is %v; coordinates must be finite", i, j, v)
-			}
+func checkFinite(flat []float64, dim int) error {
+	for k, v := range flat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("repro: record %d attribute %d is %v; coordinates must be finite", k/dim, k%dim, v)
 		}
 	}
 	return nil
@@ -198,7 +307,8 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 		return nil, fmt.Errorf("repro: quad-tree defaults (%d, %d) out of [0, %d]",
 			cfg.quadMaxPartial, cfg.quadMaxDepth, snapshot.MaxQuadParam)
 	}
-	if err := checkFinite(pts); err != nil {
+	flat := dataset.Flatten(pts)
+	if err := checkFinite(flat, len(pts[0])); err != nil {
 		return nil, err
 	}
 	store := pager.NewStore(cfg.pageSize)
@@ -215,7 +325,7 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 	store.ResetStats()
 	store.SetLatency(cfg.pageLatency)
 	return &Dataset{
-		points:         pts,
+		tab:            flatTable(flat, len(pts[0])),
 		tree:           tree,
 		quadMaxPartial: cfg.quadMaxPartial,
 		quadMaxDepth:   cfg.quadMaxDepth,
@@ -237,7 +347,7 @@ func GenerateDataset(dist string, n, dim int, seed int64, opts ...DatasetOption)
 }
 
 // Len returns the number of records.
-func (ds *Dataset) Len() int { return len(ds.points) }
+func (ds *Dataset) Len() int { return ds.tab.n }
 
 // Dim returns the record dimensionality.
 func (ds *Dataset) Dim() int { return ds.tree.Dim() }
@@ -245,10 +355,10 @@ func (ds *Dataset) Dim() int { return ds.tree.Dim() }
 // Point returns record i (a copy). An out-of-range index fails with an
 // ErrBadQuery-wrapped error, like Engine.Query.
 func (ds *Dataset) Point(i int) ([]float64, error) {
-	if i < 0 || i >= len(ds.points) {
-		return nil, fmt.Errorf("repro: record index %d out of range [0,%d): %w", i, len(ds.points), ErrBadQuery)
+	if i < 0 || i >= ds.tab.n {
+		return nil, fmt.Errorf("repro: record index %d out of range [0,%d): %w", i, ds.tab.n, ErrBadQuery)
 	}
-	return ds.points[i].Clone(), nil
+	return ds.tab.row(i).Clone(), nil
 }
 
 // Close releases the memory mapping of an mmap-served dataset (idempotent,
@@ -288,13 +398,14 @@ type StorageStats struct {
 	// heap datasets).
 	MappedBytes int64 `json:"mapped_bytes"`
 	// HeapBytes approximates the heap footprint of the records and index:
-	// point values, page payloads, the decoded node cache a heap index
-	// serves from and the record-to-tree-ID table a mutated dataset keeps,
-	// excluding per-object overhead. For mmap datasets only materialized
-	// parts count (the float64 values of a float32 snapshot; zero when
-	// points alias the mapping), since a mapped index caches no nodes.
-	// Versions derived by Apply share every page and node the batch left
-	// unchanged, so summing HeapBytes across versions overcounts.
+	// the record table's coordinates and tree IDs, page payloads and the
+	// decoded node cache a heap index serves from, excluding per-object
+	// overhead. For mmap datasets only materialized parts count (the
+	// float64 values of a float32 snapshot; zero when the points alias the
+	// mapping), since a mapped index caches no nodes and its tree IDs are
+	// its record indexes. Versions derived by Apply share every chunk, page
+	// and node the batch left unchanged, so summing HeapBytes across
+	// versions overcounts.
 	HeapBytes int64 `json:"heap_bytes"`
 }
 
@@ -305,16 +416,16 @@ func (ds *Dataset) Storage() StorageStats {
 		SnapshotVersion: ds.loadedVersion,
 		Float32:         ds.loadedFloat32,
 	}
-	pointBytes := int64(len(ds.points)) * int64(ds.Dim()) * 8
+	pointBytes := int64(ds.tab.n) * int64(ds.Dim()) * 8
 	if ds.mapping != nil {
 		st.Mode = StorageMmap
 		st.MappedBytes = ds.mapping.Size()
-		if !ds.pointsAliased {
+		if ds.loadedFloat32 {
 			st.HeapBytes = pointBytes
 		}
 		return st
 	}
-	st.HeapBytes = pointBytes + ds.tree.CachedBytes() + 8*int64(len(ds.slots))
+	st.HeapBytes = pointBytes + 8*int64(ds.tab.n) + ds.tree.CachedBytes()
 	ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		st.HeapBytes += int64(len(data))
 		return nil
@@ -326,34 +437,44 @@ func (ds *Dataset) Storage() StorageStats {
 // record values, in order, plus the dimensionality). Two datasets with the
 // same records share a fingerprint regardless of how they were indexed, so
 // it identifies a dataset across processes — it keys the result cache and
-// is reported by the serving layer. Computed lazily once and then cached.
+// is reported by the serving layer. It is computed once and then cached: a
+// dataset made by Apply starts the hash on a goroutine of its own before
+// it edits the index, and Fingerprint waits for that; any other dataset
+// computes it on the first call, or took it from its snapshot.
 func (ds *Dataset) Fingerprint() string {
-	ds.fpOnce.Do(func() {
-		ds.fp = fingerprintPoints(ds.Dim(), ds.points)
-	})
+	ds.fpOnce.Do(ds.hash)
 	return ds.fp
 }
 
-// fingerprintPoints computes the content digest behind Fingerprint. It is
-// separate so the snapshot loader can verify a file's recorded
-// fingerprint against its points before building any index structures.
-func fingerprintPoints(dim int, pts []vecmath.Point) string {
-	// The values go to the hash 4 KiB at a time, not one Write (an
-	// interface call) per value.
-	h := sha256.New()
-	buf := make([]byte, 0, 4096)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(dim))
-	for _, p := range pts {
-		for _, v := range p {
-			if len(buf) == cap(buf) {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+// hash fills in ds.fp, unless the snapshot the dataset was loaded from
+// recorded it.
+func (ds *Dataset) hash() {
+	if ds.fp == "" {
+		ds.fp = fingerprintChunks(&ds.tab)
 	}
-	h.Write(buf)
+}
+
+// fingerprintChunks computes the content digest behind Fingerprint: the
+// dimensionality, then every coordinate, as little-endian 8-byte words. A
+// chunk's coordinates are those bytes as they lie in memory (see init), so
+// each goes to the hash in one Write.
+func fingerprintChunks(t *table) string {
+	h := sha256.New()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(t.dim)))
+	for _, c := range t.chunks {
+		h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&c.coords[0])), 8*len(c.coords)))
+	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// init checks what the package assumes of the host: a float64 in memory is
+// its little-endian encoding. The fingerprint hashes the record table's
+// memory, and snapshot.View.Points serves a mapping's little-endian bytes
+// as float64 values.
+func init() {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		panic("repro: the host must be little-endian")
+	}
 }
 
 // RankOf returns the 1-based rank of a (possibly external) record under q.
@@ -366,7 +487,16 @@ func (ds *Dataset) RankOf(record, q []float64) (int, error) {
 	if len(q) != ds.Dim() {
 		return 0, fmt.Errorf("repro: query vector has %d attributes, dataset has %d: %w", len(q), ds.Dim(), ErrBadQuery)
 	}
-	return vecmath.OrderOf(ds.points, vecmath.Point(record), vecmath.Point(q)), nil
+	fs := vecmath.Point(record).Dot(q)
+	order := 1
+	for _, c := range ds.tab.chunks {
+		for j := range c.ids {
+			if vecmath.Point(c.coords[j*len(q):(j+1)*len(q)]).Dot(q) > fs {
+				order++
+			}
+		}
+	}
+	return order, nil
 }
 
 // QuadDefaults returns the dataset's default quad-tree partitioning
@@ -375,23 +505,14 @@ func (ds *Dataset) QuadDefaults() (maxPartial, maxDepth int) {
 	return ds.quadMaxPartial, ds.quadMaxDepth
 }
 
-// treeID returns the tree ID of record i.
-func (ds *Dataset) treeID(i int) int64 {
-	if ds.slots == nil {
-		return int64(i)
-	}
-	return ds.slots[i]
-}
-
 // toRecordIndexes rewrites tree IDs the index reported as record indexes,
 // in place.
 func (ds *Dataset) toRecordIndexes(ids []int64) {
-	if ds.slots == nil {
-		return
-	}
-	for k, id := range ids {
-		i, _ := slices.BinarySearch(ds.slots, id)
-		ids[k] = int64(i)
+	t := &ds.tab
+	for n, id := range ids {
+		k := sort.Search(len(t.chunks), func(k int) bool { return t.chunks[k].ids[0] > id }) - 1
+		j, _ := slices.BinarySearch(t.chunks[k].ids, id)
+		ids[n] = int64(t.starts[k] + j)
 	}
 }
 
@@ -400,7 +521,7 @@ func (ds *Dataset) toRecordIndexes(ids []int64) {
 func (ds *Dataset) internalInput(focal vecmath.Point, focalIndex int64, cfg *QueryOptions) core.Input {
 	focalID := focalIndex
 	if focalIndex >= 0 {
-		focalID = ds.treeID(int(focalIndex))
+		focalID = ds.tab.id(int(focalIndex))
 	}
 	return core.Input{
 		Tree:             ds.tree,

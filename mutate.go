@@ -3,14 +3,12 @@ package repro
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
 	"repro/internal/pager"
 	"repro/internal/rstar"
 	"repro/internal/snapshot"
-	"repro/internal/vecmath"
 )
 
 // OpKind distinguishes the point mutations of an Apply batch.
@@ -53,24 +51,30 @@ func DeleteOp(index int) Op { return Op{Kind: OpDelete, Index: index} }
 //
 // The successor's records are the survivors in their original order
 // followed by the inserted points in op order, re-indexed densely from 0.
-// Its R*-tree is a fork of the receiver's, updated through the R*
-// insert/delete machinery — not rebuilt, and not copied: the two share
-// every page and decoded node the batch leaves alone, and the successor
-// writes only the nodes it changes. Apply so costs O(batch × log n) index
-// work plus O(n) for the successor's record table, with no per-page work
-// beyond one page table — save that once deletes since the last
-// renumbering pass half the records, it rewrites the leaf pages once (see
-// renumber). Query answers (regions, ranks, witnesses) are
-// bit-identical to those of a freshly built dataset over the same record
-// sequence; only cost counters that reflect physical index layout
-// (Stats.IO, IncomparableAccessed, LP/leaf counters) may differ, because
-// an incrementally maintained tree legitimately has a different shape than
-// a bulk-loaded one.
+// Its record table shares every chunk of the receiver's that the batch
+// leaves alone: Apply copies the chunks its deletes touch and the one its
+// inserts go to, and merges neighbours that fit in one chunk. Its R*-tree
+// is a fork of the receiver's, updated through the R* insert/delete
+// machinery — not rebuilt, and not copied: the two share every page and
+// decoded node the batch leaves alone, and the successor writes only the
+// nodes it changes. Apply so costs O(batch × log n) index work and
+// O(batch) table work, plus one page table and one chunk directory (n/256
+// entries) — save that once deletes since the last renumbering pass half
+// the records, it rewrites the leaf pages once (see renumber). A successor
+// of an mmap-served receiver copies the whole table, since nothing may
+// outlive the mapping. Query answers
+// (regions, ranks, witnesses) are bit-identical to those of a freshly
+// built dataset over the same record sequence; only cost counters that
+// reflect physical index layout (Stats.IO, IncomparableAccessed, LP/leaf
+// counters) may differ, because an incrementally maintained tree
+// legitimately has a different shape than a bulk-loaded one.
 //
 // The successor inherits the receiver's page size, quad-tree defaults and
-// simulated page latency. Its fingerprint is recomputed from the new
+// simulated page latency. Its fingerprint is computed from the new
 // content, so engine result caches keyed by fingerprint never serve stale
-// answers for the mutated dataset.
+// answers for the mutated dataset. Apply starts that hash on a goroutine
+// of its own as soon as the successor's table exists, so it runs beside
+// the index work; Fingerprint waits for it.
 func (ds *Dataset) Apply(ops []Op) (*Dataset, error) {
 	return ds.applyOps(context.Background(), ops)
 }
@@ -79,10 +83,89 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("repro: empty mutation batch: %w", ErrBadQuery)
 	}
-	dim := ds.Dim()
-	n := len(ds.points)
-	deleted := make(map[int]bool)
-	var inserts []vecmath.Point
+	dels, err := ds.checkBatch(ops)
+	if err != nil {
+		return nil, err
+	}
+	if inserts := len(ops) - len(dels); ds.Len()-len(dels)+inserts == 0 {
+		return nil, fmt.Errorf("repro: mutation batch would empty the dataset: %w", ErrBadQuery)
+	}
+
+	// The table depends only on the receiver's and the batch, so it is
+	// built first and hashed while the index is edited. The survivors keep
+	// their tree IDs and the inserts take fresh ones above the receiver's
+	// largest, so the IDs stay ascending.
+	tab := ds.tab.successor(dels, ops, ds.mapping != nil)
+	next := &Dataset{
+		tab:            tab,
+		quadMaxPartial: ds.quadMaxPartial,
+		quadMaxDepth:   ds.quadMaxDepth,
+		pageLatency:    ds.pageLatency,
+	}
+	// Inserts take IDs above the largest, so the ID space grows with every
+	// insert since the tree's IDs were last record indexes. Once the
+	// largest reaches twice the record count, renumber: more deletes than
+	// half the records have gone by since the IDs were dense, and they pay
+	// for the pass over the leaf pages. The IDs, and WriteSnapshot's
+	// relabelling table, so stay below 2n.
+	renumbered := tab.lastID() >= 2*int64(tab.n)
+	if renumbered {
+		next.tab = tab.withIndexIDs()
+	}
+	go next.fpOnce.Do(next.hash)
+
+	tree, err := ds.forkTree()
+	if err != nil {
+		return nil, err
+	}
+	// Deletes first, in ascending index order (op order is irrelevant —
+	// indexes address the pre-batch dataset — and a fixed order keeps the
+	// successor tree, and hence its snapshot bytes, deterministic).
+	for _, idx := range dels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ok, err := tree.Delete(ds.tab.row(idx), ds.tab.id(idx))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("repro: record %d missing from index during delete", idx)
+		}
+	}
+	id := ds.tab.lastID()
+	for _, op := range ops {
+		if op.Kind != OpInsert {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		id++
+		if err := tree.Insert(op.Point, id); err != nil {
+			return nil, err
+		}
+	}
+	if err := tree.Finalize(); err != nil {
+		return nil, err
+	}
+	if renumbered {
+		if tree, err = renumber(tree, &tab); err != nil {
+			return nil, err
+		}
+	}
+	src := tree.Source()
+	src.ResetStats()
+	src.SetLatency(ds.pageLatency)
+	next.tree = tree
+	return next, nil
+}
+
+// checkBatch validates a batch against the receiver and returns the
+// indexes it deletes, ascending.
+func (ds *Dataset) checkBatch(ops []Op) ([]int, error) {
+	dim, n := ds.Dim(), ds.Len()
+	var dels []int
 	for i, op := range ops {
 		switch op.Kind {
 		case OpInsert:
@@ -96,131 +179,135 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 						i, j, v, ErrBadQuery)
 				}
 			}
-			inserts = append(inserts, vecmath.Point(op.Point).Clone())
 		case OpDelete:
 			if op.Index < 0 || op.Index >= n {
 				return nil, fmt.Errorf("repro: op %d deletes index %d, out of range [0,%d): %w",
 					i, op.Index, n, ErrBadQuery)
 			}
-			if deleted[op.Index] {
-				return nil, fmt.Errorf("repro: op %d deletes index %d twice in one batch: %w",
-					i, op.Index, ErrBadQuery)
+			if dels == nil {
+				dels = make([]int, 0, len(ops))
 			}
-			deleted[op.Index] = true
+			dels = append(dels, op.Index)
 		default:
 			return nil, fmt.Errorf("repro: op %d has unknown kind %d: %w", i, op.Kind, ErrBadQuery)
 		}
 	}
-	if n-len(deleted)+len(inserts) == 0 {
-		return nil, fmt.Errorf("repro: mutation batch would empty the dataset: %w", ErrBadQuery)
-	}
-
-	tree, err := ds.forkTree()
-	if err != nil {
-		return nil, err
-	}
-
-	// Deletes first, in ascending index order (op order is irrelevant —
-	// indexes address the pre-batch dataset — and a fixed order keeps the
-	// successor tree, and hence its snapshot bytes, deterministic).
-	delOrder := slices.Sorted(maps.Keys(deleted))
-	for _, idx := range delOrder {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ok, err := tree.Delete(ds.points[idx], ds.treeID(idx))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("repro: record %d missing from index during delete", idx)
+	slices.Sort(dels)
+	for k := 1; k < len(dels); k++ {
+		if dels[k] == dels[k-1] {
+			return nil, fmt.Errorf("repro: the batch deletes index %d twice: %w", dels[k], ErrBadQuery)
 		}
 	}
-
-	// The survivors keep their tree IDs and the inserts take fresh ones
-	// above the receiver's largest, so the successor's slots stay
-	// ascending. They stay nil (the identity) while nothing has been
-	// deleted, and return to nil when they end at len−1 — ascending,
-	// distinct and non-negative, they are then 0, 1, 2, ….
-	total := n - len(deleted) + len(inserts)
-	pts := make([]vecmath.Point, 0, total)
-	var slots []int64
-	if ds.slots != nil || len(deleted) > 0 {
-		slots = make([]int64, 0, total)
-	}
-	from := 0
-	for _, idx := range append(delOrder, n) {
-		pts = append(pts, ds.points[from:idx]...)
-		switch {
-		case ds.slots != nil:
-			slots = append(slots, ds.slots[from:idx]...)
-		case slots != nil:
-			for i := from; i < idx; i++ {
-				slots = append(slots, int64(i))
-			}
-		}
-		from = idx + 1
-	}
-	if ds.pointsAliased {
-		// Survivor rows of an mmap-served receiver alias its mapping; the
-		// successor owns no mapping, so it copies them — otherwise closing
-		// the receiver would unmap memory the successor still points at.
-		flat := make([]float64, len(pts)*dim)
-		for i, p := range pts {
-			row := flat[i*dim : (i+1)*dim : (i+1)*dim]
-			copy(row, p)
-			pts[i] = row
-		}
-	}
-	nextID := ds.treeID(n-1) + 1
-	for k, p := range inserts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id := nextID + int64(k)
-		pts = append(pts, p)
-		if slots != nil {
-			slots = append(slots, id)
-		}
-		if err := tree.Insert(p, id); err != nil {
-			return nil, err
-		}
-	}
-	if slots != nil && slots[len(slots)-1] == int64(len(slots)-1) {
-		slots = nil
-	}
-
-	if err := tree.Finalize(); err != nil {
-		return nil, err
-	}
-	// Inserts take IDs above the largest, so the ID space grows with every
-	// insert since the tree's IDs were last record indexes. Once the
-	// largest reaches twice the record count, renumber: more deletes than
-	// half the records have gone by since the IDs were dense, and they pay
-	// for the pass over the leaf pages. The IDs, and WriteSnapshot's
-	// relabelling table, so stay below 2n.
-	if slots != nil && slots[len(slots)-1] >= 2*int64(len(slots)) {
-		if tree, err = renumber(tree, slots); err != nil {
-			return nil, err
-		}
-		slots = nil
-	}
-	src := tree.Source()
-	src.ResetStats()
-	src.SetLatency(ds.pageLatency)
-	return &Dataset{
-		points:         pts,
-		tree:           tree,
-		slots:          slots,
-		quadMaxPartial: ds.quadMaxPartial,
-		quadMaxDepth:   ds.quadMaxDepth,
-		pageLatency:    ds.pageLatency,
-	}, nil
+	return dels, nil
 }
 
-// renumber rewrites the leaf pages of a finalized heap tree so that record
-// i's tree ID slots[i] becomes i, and returns the tree decoded from them.
-func renumber(tree *rstar.Tree, slots []int64) (*rstar.Tree, error) {
+// successor returns the table after deleting the records at dels
+// (ascending) and appending the batch's inserts in op order, with tree IDs
+// above t's largest. It shares every chunk the batch leaves alone, unless
+// copyAll: the chunks of an mmap-served table are views of the mapping.
+func (t *table) successor(dels []int, ops []Op, copyAll bool) table {
+	size := len(t.chunks) + 1 + (len(ops)-len(dels))/chunkCap
+	b := tableBuilder{table: table{dim: t.dim, chunks: make([]chunk, 0, size), starts: make([]int, 0, size)}}
+	d := 0
+	for k, c := range t.chunks {
+		lo, hi := t.starts[k], t.starts[k]+len(c.ids)
+		if !copyAll && (d == len(dels) || dels[d] >= hi) {
+			b.push(c, false)
+			continue
+		}
+		nc := newChunk(t.dim)
+		from := 0
+		for ; d < len(dels) && dels[d] < hi; d++ {
+			nc.add(c, from, dels[d]-lo, t.dim)
+			from = dels[d] - lo + 1
+		}
+		nc.add(c, from, len(c.ids), t.dim)
+		b.push(nc, true)
+	}
+	id := t.lastID()
+	for _, op := range ops {
+		if op.Kind == OpInsert {
+			id++
+			b.insert(op.Point, id)
+		}
+	}
+	return b.table
+}
+
+// tableBuilder assembles a table chunk by chunk, keeping no two
+// neighbouring chunks that fit in one.
+type tableBuilder struct {
+	table
+	// fresh says the last chunk was made by this builder, so it may still
+	// be written.
+	fresh bool
+}
+
+// push appends chunk c, merging it into the last chunk when the two fit
+// in one; a merge writes into a chunk this builder made. fresh says c was
+// made by this builder.
+func (b *tableBuilder) push(c chunk, fresh bool) {
+	n := len(c.ids)
+	if n == 0 {
+		return
+	}
+	k := len(b.chunks) - 1
+	if k < 0 || len(b.chunks[k].ids)+n > chunkCap {
+		b.chunks = append(b.chunks, c)
+		b.starts = append(b.starts, b.n)
+		b.n += n
+		b.fresh = fresh
+		return
+	}
+	last := &b.chunks[k]
+	if !b.fresh {
+		merged := newChunk(b.dim)
+		merged.add(*last, 0, len(last.ids), b.dim)
+		*last = merged
+	}
+	last.add(c, 0, n, b.dim)
+	b.n += n
+	b.fresh = true
+}
+
+// insert appends one record, starting a chunk when the last is full and
+// copying the last when it is shared.
+func (b *tableBuilder) insert(p []float64, id int64) {
+	k := len(b.chunks) - 1
+	switch {
+	case k < 0 || len(b.chunks[k].ids) == chunkCap:
+		b.chunks = append(b.chunks, newChunk(b.dim))
+		b.starts = append(b.starts, b.n)
+		k++
+	case !b.fresh:
+		c := newChunk(b.dim)
+		c.add(b.chunks[k], 0, len(b.chunks[k].ids), b.dim)
+		b.chunks[k] = c
+	}
+	b.fresh = true
+	c := &b.chunks[k]
+	c.coords = append(c.coords, p...)
+	c.ids = append(c.ids, id)
+	b.n++
+}
+
+// withIndexIDs returns t with every record's tree ID its index; the
+// coordinates stay shared.
+func (t table) withIndexIDs() table {
+	ids := identityIDs(t.n)
+	chunks := make([]chunk, len(t.chunks))
+	for k, c := range t.chunks {
+		lo, hi := t.starts[k], t.starts[k]+len(c.ids)
+		chunks[k] = chunk{coords: c.coords, ids: ids[lo:hi:hi]}
+	}
+	t.chunks = chunks
+	return t
+}
+
+// renumber rewrites the leaf pages of a finalized heap tree so that each
+// record's tree ID in t becomes its index, and returns the tree decoded
+// from them.
+func renumber(tree *rstar.Tree, t *table) (*rstar.Tree, error) {
 	store := tree.Source().(*pager.Store)
 	var pages []snapshot.Page
 	err := store.ForEachPage(func(id pager.PageID, data []byte) error {
@@ -230,7 +317,7 @@ func renumber(tree *rstar.Tree, slots []int64) (*rstar.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := relabelLeaves(pages, slots); err != nil {
+	if err := relabelLeaves(pages, t); err != nil {
 		return nil, err
 	}
 	for _, p := range pages {

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/pager"
 	"repro/internal/rstar"
 	"repro/internal/vecmath"
@@ -25,10 +26,10 @@ import (
 // valid and the receiver's tree IDs its record indexes, as every dataset
 // this function returns has.
 func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
-	if ds.slots != nil {
+	n := ds.Len()
+	if ds.tab.lastID() != int64(n-1) {
 		return nil, fmt.Errorf("reference apply on a dataset with its own tree IDs")
 	}
-	n := len(ds.points)
 	deleted := map[int]bool{}
 	var inserts []vecmath.Point
 	for _, op := range ops {
@@ -54,21 +55,17 @@ func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
 	}
 	slices.Sort(delOrder)
 	for _, idx := range delOrder {
-		if ok, err := tree.Delete(ds.points[idx], int64(idx)); err != nil || !ok {
+		if ok, err := tree.Delete(ds.tab.row(idx), int64(idx)); err != nil || !ok {
 			return nil, fmt.Errorf("reference delete of record %d: %t, %v", idx, ok, err)
 		}
 	}
-	survivor := func(p vecmath.Point) vecmath.Point { return p }
-	if ds.pointsAliased {
-		survivor = vecmath.Point.Clone
-	}
 	pts := make([]vecmath.Point, 0, n-len(deleted)+len(inserts))
 	newID := make([]int64, n)
-	for i, p := range ds.points {
+	for i := range n {
 		newID[i] = -1
 		if !deleted[i] {
 			newID[i] = int64(len(pts))
-			pts = append(pts, survivor(p))
+			pts = append(pts, ds.tab.row(i))
 		}
 	}
 	if len(deleted) > 0 {
@@ -110,7 +107,7 @@ func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
 	store.ResetStats()
 	store.SetLatency(ds.pageLatency)
 	return &Dataset{
-		points:         pts,
+		tab:            flatTable(dataset.Flatten(pts), ds.Dim()),
 		tree:           tree,
 		quadMaxPartial: ds.quadMaxPartial,
 		quadMaxDepth:   ds.quadMaxDepth,
@@ -122,27 +119,58 @@ func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
 // records: 32 deletes and 32 inserts, with every fourth batch delete-only
 // and every fifth insert-only, the first and last record among the
 // deletes every third batch, and some inserts copying a current record.
-func referenceBatch(rng *rand.Rand, ds *Dataset, b int) []Op {
+// Batches also meet the edges of the chunks of tab, the record table of
+// the Apply side: by the batch number, they delete a whole chunk (b%10 ==
+// 1), the first and last records of three chunks (2), a run across a
+// chunk edge (5), or insert enough to fill the tail chunk and open
+// another (6).
+func referenceBatch(rng *rand.Rand, ds *Dataset, tab *table, b int) []Op {
 	n, dim := ds.Len(), ds.Dim()
 	deleteOnly := b%4 == 3
 	insertOnly := !deleteOnly && b%5 == 4
-	var ops []Op
+	var del []int
 	if !insertOnly {
-		del := rng.Perm(n)[:32]
+		del = rng.Perm(n)[:32]
 		if b%3 == 0 {
 			del[0], del[1] = 0, n-1
-			slices.Sort(del)
-			del = slices.Compact(del)
 		}
-		for _, i := range del {
-			ops = append(ops, DeleteOp(i))
+		chunk := func() (lo, hi int) {
+			k := rng.Intn(len(tab.chunks))
+			return tab.starts[k], tab.starts[k] + len(tab.chunks[k].ids)
 		}
+		switch b % 10 {
+		case 1:
+			lo, hi := chunk()
+			for i := lo; i < hi; i++ {
+				del = append(del, i)
+			}
+		case 2:
+			for range 3 {
+				lo, hi := chunk()
+				del = append(del, lo, hi-1)
+			}
+		case 5:
+			k := 1 + rng.Intn(len(tab.chunks)-1)
+			for i := tab.starts[k] - 10; i < tab.starts[k]+10; i++ {
+				del = append(del, i)
+			}
+		}
+		slices.Sort(del)
+		del = slices.Compact(del)
+	}
+	inserts := 32
+	if b%10 == 6 {
+		inserts += chunkCap - len(tab.chunks[len(tab.chunks)-1].ids) + 1
+	}
+	var ops []Op
+	for _, i := range del {
+		ops = append(ops, DeleteOp(i))
 	}
 	if !deleteOnly {
-		for k := 0; k < 32; k++ {
+		for k := 0; k < inserts; k++ {
 			p := make([]float64, dim)
 			if k%8 == 0 {
-				copy(p, ds.points[rng.Intn(n)])
+				copy(p, ds.tab.row(rng.Intn(n)))
 			} else {
 				for j := range p {
 					p[j] = rng.Float64()
@@ -220,9 +248,12 @@ func sameObservation(t *testing.T, label string, got, want observation) {
 // Results with Stats.IO and outrank IDs (BA on IND only, every fourth
 // batch at d = 3: on ANTI at this size a BA query takes seconds). The
 // chains cover delete-only and insert-only batches, deletes of the first
-// and the last record, inserts duplicating a record, a mapped parent every
-// tenth batch (both sides reloaded from their own snapshot files), and a
-// parent forked twice — which must itself answer and snapshot as before.
+// and the last record, inserts duplicating a record, batches at the edges
+// of the Apply side's chunks — a whole chunk deleted, its first and last
+// records, a run across an edge, inserts spilling into a new chunk — a
+// mapped parent every tenth batch (both sides reloaded from their own
+// snapshot files), and a parent forked twice, which must itself answer and
+// snapshot as before.
 func TestApplyMatchesReference(t *testing.T) {
 	for _, dist := range []string{"IND", "ANTI"} {
 		for _, dim := range []int{2, 3} {
@@ -242,11 +273,11 @@ func TestApplyMatchesReference(t *testing.T) {
 						want = reloadMapped(t, want, filepath.Join(dir, fmt.Sprintf("want%d.snap", b)))
 					}
 					withBA := dist == "IND" && (dim == 2 || b%4 == 0)
-					ops := referenceBatch(rng, want, b)
+					ops := referenceBatch(rng, want, &got.tab, b)
 					var sibling []Op
 					var parentBefore observation
 					if b%10 == 4 {
-						sibling = referenceBatch(rng, want, b+1)
+						sibling = referenceBatch(rng, want, &got.tab, b+1)
 						parentBefore = observe(t, got, strongFocals(want), withBA)
 					}
 					nextWant, err := applyReference(want, ops)
@@ -271,6 +302,7 @@ func TestApplyMatchesReference(t *testing.T) {
 						sameObservation(t, fmt.Sprintf("batch %d parent forked twice", b), observe(t, got, strongFocals(want), withBA), parentBefore)
 					}
 					got, want = nextGot, nextWant
+					checkTable(t, &got.tab)
 					focals := strongFocals(want)
 					sameObservation(t, fmt.Sprintf("batch %d", b), observe(t, got, focals, withBA), observe(t, want, focals, withBA))
 				}
@@ -288,8 +320,8 @@ func strongFocals(ds *Dataset) []int {
 	order := make([]int, ds.Len())
 	scores := make([]float64, ds.Len())
 	for k, q := range [][]float64{{1, 1, 1}, {3, 1, 2}} {
-		for i, p := range ds.points {
-			order[i], scores[i] = i, p.Dot(q[:ds.Dim()])
+		for i := range order {
+			order[i], scores[i] = i, ds.tab.row(i).Dot(q[:ds.Dim()])
 		}
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(scores[b], scores[a]) })
 		focals = append(focals, order[4*k])
@@ -339,10 +371,11 @@ func TestApplyRenumbersTreeIDs(t *testing.T) {
 		if got, err = got.Apply(ops); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
-		if top := got.treeID(n - 1); top >= 2*n {
+		top := got.tab.lastID()
+		if top >= 2*n {
 			t.Fatalf("batch %d: largest tree ID %d, want below %d", b, top, 2*n)
 		}
-		if got.slots == nil {
+		if top == n-1 {
 			renumbered++
 		}
 		focals := strongFocals(want)

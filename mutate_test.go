@@ -387,13 +387,16 @@ func TestApplyConcurrentQueries(t *testing.T) {
 // (more distinct nodes cloned and rewritten: 90–140 allocations more,
 // measured over eight batches), not by anything per page (600 more pages)
 // or per record. The bytes the extra 80 000 records cost must stay within
-// applyBytesPerRecord each: the successor's record table is 32 bytes a
-// record (a point header and a tree ID), measured 39 with the page and
-// node tables; copying every page and decoding it cost about 208.
+// applyBytesPerRecord each: measured 7, nearly all of it the page and
+// node tables, since the batch copies only the chunks of the record table
+// it touches. Copying the record table whole cost 32 more, and copying
+// every page and decoding it about 208. Each Apply is followed by
+// Fingerprint, so the hash Apply starts on a goroutine of its own is done,
+// and counted, inside the window.
 func TestApplyAllocations(t *testing.T) {
 	const (
 		allocSlack          = 200
-		applyBytesPerRecord = 48
+		applyBytesPerRecord = 12
 	)
 	var allocs, bytes [2]float64
 	sizes := [2]int{20000, 100000}
@@ -404,9 +407,11 @@ func TestApplyAllocations(t *testing.T) {
 		}
 		ops := mutateCycleBatch(rand.New(rand.NewSource(7)), n, 2)
 		apply := func() {
-			if _, err := ds.Apply(ops); err != nil {
+			next, err := ds.Apply(ops)
+			if err != nil {
 				t.Fatal(err)
 			}
+			next.Fingerprint()
 		}
 		allocs[k] = testing.AllocsPerRun(5, apply)
 		var before, after runtime.MemStats

@@ -151,7 +151,8 @@ func convertResult(res *core.Result, alg Algorithm) *Result {
 // record's hyperplane, inside no region. Validate is cheap insurance for
 // library users and is used heavily in tests.
 func Validate(ds *Dataset, focalIndex int, res *Result) error {
-	focal := ds.points[focalIndex]
+	t := &ds.tab
+	focal := t.row(focalIndex)
 	for i := range res.Regions {
 		reg := &res.Regions[i]
 		q := vecmath.Point(reg.QueryVector)
@@ -160,15 +161,18 @@ func Validate(ds *Dataset, focalIndex int, res *Result) error {
 		}
 		fs := focal.Dot(q)
 		rank := 1
-		for j, r := range ds.points {
-			if j == focalIndex {
-				continue
-			}
-			switch s := r.Dot(q); {
-			case s > fs:
-				rank++
-			case s == fs && !r.Equal(focal):
-				return fmt.Errorf("repro: region %d witness %v ties record %d with the focal record", i, reg.Witness, j)
+		for k, c := range t.chunks {
+			for j := range c.ids {
+				if t.starts[k]+j == focalIndex {
+					continue
+				}
+				r := vecmath.Point(c.coords[j*t.dim : (j+1)*t.dim])
+				switch s := r.Dot(q); {
+				case s > fs:
+					rank++
+				case s == fs && !r.Equal(focal):
+					return fmt.Errorf("repro: region %d witness %v ties record %d with the focal record", i, reg.Witness, t.starts[k]+j)
+				}
 			}
 		}
 		if rank != reg.Rank {

@@ -8,12 +8,10 @@ import (
 	"path/filepath"
 	"slices"
 
-	"repro/internal/dataset"
 	"repro/internal/mmap"
 	"repro/internal/pager"
 	"repro/internal/rstar"
 	"repro/internal/snapshot"
-	"repro/internal/vecmath"
 	"repro/internal/vfs"
 )
 
@@ -41,7 +39,7 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 		QuadMaxDepth:   ds.quadMaxDepth,
 		Root:           int64(ds.tree.Root()),
 		Height:         ds.tree.Height(),
-		Points:         dataset.Flatten(ds.points),
+		Points:         ds.tab.flat(),
 	}
 	err := ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		if data == nil {
@@ -53,8 +51,8 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if ds.slots != nil {
-		if err := relabelLeaves(snap.Pages, ds.slots); err != nil {
+	if ds.tab.lastID() != int64(ds.Len()-1) {
+		if err := relabelLeaves(snap.Pages, &ds.tab); err != nil {
 			return err
 		}
 	}
@@ -62,12 +60,14 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 }
 
 // relabelLeaves points the leaf pages of a snapshot at copies, in one
-// buffer, whose record IDs are record indexes: slots[i] becomes i, through
-// a table from tree ID to index built once for the write.
-func relabelLeaves(pages []snapshot.Page, slots []int64) error {
-	index := make([]int64, slots[len(slots)-1]+1)
-	for i, id := range slots {
-		index[id] = int64(i)
+// buffer, whose record IDs are record indexes: record i's tree ID becomes
+// i, through a table from tree ID to index built once for the write.
+func relabelLeaves(pages []snapshot.Page, t *table) error {
+	index := make([]int64, t.lastID()+1)
+	for k, c := range t.chunks {
+		for j, id := range c.ids {
+			index[id] = int64(t.starts[k] + j)
+		}
 	}
 	size := 0
 	for _, p := range pages {
@@ -204,16 +204,16 @@ func loadHeapImage(data []byte, cfg datasetConfig) (*Dataset, error) {
 // image. What differs between its two modes is where the bytes live and
 // how far they are trusted.
 //
-// With a mapping (m owns data) the dataset serves zero-copy: the points
-// become row sub-slices of the image's flat array (float32 images
+// With a mapping (m owns data) the dataset serves zero-copy: the record
+// table's chunks are views of the image's flat points array (float32 images
 // materialize exactly) and the index pages are served through a read-only
 // pager.Mapped source, so nothing is decoded up front and nothing can write
-// back into the image. Validation is the View's own — header, directory
-// and points CRCs, every bound — plus the finiteness gate; the page
-// payloads are not checksummed and the fingerprint is not re-derived (the
-// recorded value is covered by the header CRC and the points by their own
-// CRC, so against corruption it is as trustworthy as a recomputation, and
-// cold start stays proportional to validation, not to hashing the points).
+// back into the image. Validation is the View's own — header, directory and
+// points CRCs, every bound — plus the finiteness gate; the page payloads
+// are not checksummed and the fingerprint is not re-derived (the recorded
+// value is covered by the header CRC and the points by their own CRC, so
+// against corruption it is as trustworthy as a recomputation, and cold
+// start stays proportional to validation, not to hashing the points).
 //
 // Without one (m == nil: WithMmap(false), LoadSnapshot, platforms without
 // mmap, converted v1 streams) the image is additionally verified in full —
@@ -240,21 +240,18 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 	if heap && v.PointsZeroCopy() {
 		flat = slices.Clone(flat)
 	}
-	pts := make([]vecmath.Point, v.Count)
-	for i := range pts {
-		pts[i] = vecmath.Point(flat[i*v.Dim : (i+1)*v.Dim : (i+1)*v.Dim])
-	}
+	tab := flatTable(flat, v.Dim)
 	if heap {
 		// The fingerprint ties the points to the index pages: verify before
 		// building anything from pages that may describe other records.
-		if fp := fingerprintPoints(v.Dim, pts); fp != v.Fingerprint {
+		if fp := fingerprintChunks(&tab); fp != v.Fingerprint {
 			return nil, fmt.Errorf("%w: points hash to %s, snapshot records %s",
 				ErrSnapshotMismatch, fp, v.Fingerprint)
 		}
 	}
 	// Finiteness gate, exactly as NewDataset: the format allows any float64
 	// bit pattern, but query answers must never see NaN/Inf.
-	if err := checkFinite(pts); err != nil {
+	if err := checkFinite(flat, v.Dim); err != nil {
 		return nil, err
 	}
 	var src pager.Source
@@ -288,7 +285,7 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 	src.ResetStats()
 	src.SetLatency(cfg.pageLatency)
 	return &Dataset{
-		points:         pts,
+		tab:            tab,
 		tree:           tree,
 		fp:             v.Fingerprint,
 		quadMaxPartial: v.QuadMaxPartial,
@@ -297,7 +294,6 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 		loadedVersion:  snapshot.Version2,
 		loadedFloat32:  v.Float32,
 		mapping:        m,
-		pointsAliased:  !heap && v.PointsZeroCopy(),
 	}, nil
 }
 
