@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pager"
+	"repro/internal/rstar"
+	"repro/internal/snapshot"
 	"repro/internal/vecmath"
 )
 
@@ -33,19 +36,30 @@ func BenchmarkAA2DDisk(b *testing.B) {
 // BenchmarkFCA answers FCA over the fixed focals (i*7919) % n, on a warm
 // query state: the scan, the bucket bound, the sort of the crossings it
 // keeps and the sweep. It runs the three distributions at mutate_cycle's
-// n = 100 000 and IND at serve_mix's n = 2 000; ANTI, whose order curve is
-// the flattest, keeps the most. zigzag is the bound's worst case: a flat
-// order curve, where every bucket is kept (see zigzagDipPoints). crossings/op
-// and kept/op are the crossings in (0,1) and those the bound kept, per
-// query.
+// n = 100 000 and IND at serve_mix's n = 2 000, on the heap; and IND at
+// n = 100 000 again from a v2 snapshot image served through pager.Mapped,
+// as mutate_cycle's reads after a snapshot load are, decoding every page
+// it reads. ANTI, whose order curve is the flattest, keeps the most.
+// zigzag is the bound's worst case: a flat order curve, where every bucket
+// is kept (see zigzagDipPoints). pages/op and records/op are the pages the
+// query read and the incomparable records it scanned; crossings/op and
+// kept/op the crossings in (0,1) and those the bound kept.
 func BenchmarkFCA(b *testing.B) {
 	for _, c := range []struct {
-		dist dataset.Distribution
-		n    int
-	}{{dataset.IND, 100000}, {dataset.COR, 100000}, {dataset.ANTI, 100000}, {dataset.IND, 2000}} {
-		b.Run(fmt.Sprintf("%v/n=%d", c.dist, c.n), func(b *testing.B) {
+		dist   dataset.Distribution
+		n      int
+		mapped bool
+	}{{dataset.IND, 100000, false}, {dataset.COR, 100000, false}, {dataset.ANTI, 100000, false}, {dataset.IND, 2000, false}, {dataset.IND, 100000, true}} {
+		name := fmt.Sprintf("%v/n=%d", c.dist, c.n)
+		if c.mapped {
+			name += "/mapped"
+		}
+		b.Run(name, func(b *testing.B) {
 			points := dataset.Generate(c.dist, c.n, 2, 20150833)
 			tree := buildTree(b, points)
+			if c.mapped {
+				tree = mappedSnapshot(b, tree, points)
+			}
 			benchFCA(b, func(i int) Input {
 				id := (i * 7919) % c.n
 				return Input{Tree: tree, Focal: points[id], FocalID: int64(id)}
@@ -65,6 +79,7 @@ func benchFCA(b *testing.B, in func(i int) Input) {
 		b.Fatal(err)
 	}
 	var crossings, kept int
+	var pages, records int64
 	releaseHook = func(st *execState) {
 		kept += len(st.fca.up) + len(st.fca.down)
 		crossings += st.fca.counted()
@@ -73,12 +88,58 @@ func benchFCA(b *testing.B, in func(i int) Input) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fcaRun(in(i)); err != nil {
+		res, err := fcaRun(in(i))
+		if err != nil {
 			b.Fatal(err)
 		}
+		pages += res.Stats.IO
+		records += res.Stats.IncomparableAccessed
 	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	b.ReportMetric(float64(records)/float64(b.N), "records/op")
 	b.ReportMetric(float64(crossings)/float64(b.N), "crossings/op")
 	b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
+}
+
+// mappedSnapshot encodes tree and its points as a v2 snapshot image and
+// restores the tree over the image's pages through pager.Mapped, as a
+// loaded snapshot file is served: the same tree, decoding every page it
+// reads.
+func mappedSnapshot(b testing.TB, tree *rstar.Tree, points []vecmath.Point) *rstar.Tree {
+	b.Helper()
+	snap := &snapshot.Snapshot{
+		Dim: tree.Dim(), Count: len(points), PageSize: tree.Source().PageSize(),
+		Root: int64(tree.Root()), Height: tree.Height(),
+	}
+	for _, p := range points {
+		snap.Points = append(snap.Points, p...)
+	}
+	tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
+		snap.Pages = append(snap.Pages, snapshot.Page{ID: int64(id), Data: data})
+		return nil
+	})
+	img, err := snapshot.EncodeV2(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := snapshot.Open(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pages := make([]pager.MappedPage, v.NumPages())
+	for i := range pages {
+		id, data := v.Page(i)
+		pages[i] = pager.MappedPage{ID: pager.PageID(id), Data: data}
+	}
+	src, err := pager.NewMapped(v.PageSize, pages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ro, err := rstar.RestoreFrom(src, v.Dim, pager.PageID(v.Root), v.Height, int64(v.Count), rstar.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ro
 }
 
 // zigzagDipPoints returns m records, m odd, incomparable with (0.5, 0.5),

@@ -157,15 +157,22 @@ type Result struct {
 // set contributes its count without being read.
 func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
 	var geq int64
-	err := rd.Descend(nil, func(e *rstar.Entry, leaf bool) (bool, error) {
+	err := rd.Descend(nil, func(e *rstar.Entry) bool {
 		switch {
 		case !allGeq(e.Rect.Hi, p): // nothing inside is >= p
-		case leaf || allGeq(e.Rect.Lo, p):
+		case allGeq(e.Rect.Lo, p):
 			geq += e.Count
 		default:
-			return true, nil
+			return true
 		}
-		return false, nil
+		return false
+	}, func(n *rstar.Node) error {
+		for i := range n.Entries {
+			if allGeq(n.Entries[i].Point(), p) {
+				geq++
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return 0, err
@@ -182,15 +189,19 @@ func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
 // incomparable-region focusing of Section 5). The context is polled before
 // every node access. The point handed to fn is valid only during the call.
 func scanIncomparable(ctx context.Context, rd rstar.Reader, p vecmath.Point, focalID int64, fn func(pt vecmath.Point, id int64) error) error {
-	return rd.Descend(ctx, func(e *rstar.Entry, leaf bool) (bool, error) {
-		if !leaf {
-			// Skip a pure dominee or pure dominator subtree.
-			return !allGeq(p, e.Rect.Hi) && !allGeq(e.Rect.Lo, p), nil
+	return rd.Descend(ctx, func(e *rstar.Entry) bool {
+		// Skip a pure dominee or pure dominator subtree.
+		return !allGeq(p, e.Rect.Hi) && !allGeq(e.Rect.Lo, p)
+	}, func(n *rstar.Node) error {
+		for i := range n.Entries {
+			e := &n.Entries[i]
+			if e.RecordID != focalID && vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
+				if err := fn(e.Point(), e.RecordID); err != nil {
+					return err
+				}
+			}
 		}
-		if e.RecordID != focalID && vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
-			return false, fn(e.Point(), e.RecordID)
-		}
-		return false, nil
+		return nil
 	})
 }
 

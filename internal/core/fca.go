@@ -60,38 +60,7 @@ func fcaRun(in Input) (*Result, error) {
 		return nil, err
 	}
 
-	// above0 counts incomparable records scoring above p as q1 -> 0+; every
-	// crossing inside (0,1) moves p's order by one: down as a record above
-	// p drops below it, up as one below rises above.
-	f.up, f.down = f.up[:0], f.down[:0]
-	above0 := 0
-	var nInc int64
-	err = scanIncomparable(ctx, rd, p, in.FocalID, func(r vecmath.Point, _ int64) error {
-		nInc++
-		// score(r) - score(p) at q1 is (r2-p2) + a*q1 with a the slope gap.
-		a := (r[0] - r[1]) - (p[0] - p[1])
-		c := r[1] - p[1]
-		isAbove0 := c > 0 || (c == 0 && a > 0)
-		if isAbove0 {
-			above0++
-		}
-		if a == 0 {
-			// Parallel score lines never reorder; for incomparable records
-			// this cannot happen (it would imply dominance), but guard for
-			// degenerate inputs.
-			return nil
-		}
-		t := -c / a
-		if t <= 0 || t >= 1 {
-			return nil // reordering outside the permissible domain
-		}
-		if isAbove0 {
-			f.down = append(f.down, t)
-		} else {
-			f.up = append(f.up, t)
-		}
-		return nil
-	})
+	above0, nInc, err := f.scan(ctx, rd, p, in.FocalID)
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +98,60 @@ func fcaRun(in Input) (*Result, error) {
 	res.Stats.IO = tr.Reads()
 	res.Stats.CPUTime = timeNow().Sub(start)
 	return res, nil
+}
+
+// scan is FCA's pass over the records incomparable to p: scanIncomparable
+// for d = 2, with both of its tests inlined and each leaf's records read
+// from the node's coordinate slab. It skips the subtrees and visits the
+// records scanIncomparable does, in the same order, so it reads the same
+// pages. It returns above0, the number of incomparable records scoring
+// above p as q1 -> 0+, and nInc, the number of them all, and leaves in up
+// and down the crossings inside (0,1) of the records that rise above p
+// and drop below it there: each moves p's order by one.
+func (f *fcaState) scan(ctx context.Context, rd rstar.Reader, p vecmath.Point, focalID int64) (above0 int, nInc int64, err error) {
+	p0, p1 := p[0], p[1]
+	up, down := f.up[:0], f.down[:0]
+	err = rd.Descend(ctx, func(e *rstar.Entry) bool {
+		// Skip a pure dominee or pure dominator subtree.
+		lo, hi := e.Rect.Lo, e.Rect.Hi
+		return (p0 < hi[0] || p1 < hi[1]) && (lo[0] < p0 || lo[1] < p1)
+	}, func(n *rstar.Node) error {
+		ids := n.RecordIDs()[:len(n.Entries)]
+		xy := n.Coords()[:2*len(ids)]
+		for i, id := range ids {
+			r0, r1 := xy[2*i], xy[2*i+1]
+			// Incomparable: below p on one axis and above it on the other.
+			if !(r0 < p0 || r1 < p1) || !(r0 > p0 || r1 > p1) || id == focalID {
+				continue
+			}
+			nInc++
+			// score(r) - score(p) at q1 is (r2-p2) + a*q1 with a the slope gap.
+			a := (r0 - r1) - (p0 - p1)
+			c := r1 - p1
+			isAbove0 := c > 0 || (c == 0 && a > 0)
+			if isAbove0 {
+				above0++
+			}
+			if a == 0 {
+				// Parallel score lines never reorder; for incomparable
+				// records this cannot happen (it would imply dominance),
+				// but guard for degenerate inputs.
+				continue
+			}
+			t := -c / a
+			if t <= 0 || t >= 1 {
+				continue // reordering outside the permissible domain
+			}
+			if isAbove0 {
+				down = append(down, t)
+			} else {
+				up = append(up, t)
+			}
+		}
+		return nil
+	})
+	f.up, f.down = up, down
+	return above0, nInc, err
 }
 
 // bucket is the bucket of crossing value t: buckets split (0,1) into

@@ -16,8 +16,10 @@ import (
 
 // fcaReference is FCA as it was before the pooled sweep: one crossing
 // list of structs sorted with sort.Slice, an explicit interval list, and a
-// per-record map the sweep kept under CollectRecordIDs. TestFCAMatchesReference
-// holds fcaRun to it, whole Result for whole Result.
+// per-record map the sweep kept under CollectRecordIDs. It scans the tree
+// with the recursive reference walk (refScanIncompNode), not Descend, so
+// TestFCAMatchesReference, holding fcaRun to it whole Result for whole
+// Result, compares two scans as well as two sweeps.
 func fcaReference(in Input) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func fcaReference(in Input) (*Result, error) {
 	above := make(map[int64]bool) // records above p at the current q1
 	above0 := 0
 	var nInc int64
-	err = scanIncomparable(ctx, rd, p, in.FocalID, func(r vecmath.Point, id int64) error {
+	err = refScanIncompNode(ctx, rd, rd.Root(), p, in.FocalID, func(r vecmath.Point, id int64) error {
 		nInc++
 		// score(r) - score(p) at q1 is (r2-p2) + a*q1 with a the slope gap.
 		a := (r[0] - r[1]) - (p[0] - p[1])
@@ -132,10 +134,18 @@ func fcaReference(in Input) (*Result, error) {
 			Order:   iv.order,
 		}
 		if in.CollectRecordIDs {
-			reg.OutrankIDs, err = outranksAt2D(ctx, &in, rd, reg.Witness[0])
+			q := vecmath.Point{reg.Witness[0], 1 - reg.Witness[0]}
+			ps := p.Dot(q)
+			err = refScanIncompNode(ctx, rd, rd.Root(), p, in.FocalID, func(r vecmath.Point, id int64) error {
+				if r.Dot(q) > ps {
+					reg.OutrankIDs = append(reg.OutrankIDs, id)
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
+			slices.Sort(reg.OutrankIDs)
 		}
 		regions = append(regions, reg)
 	}
@@ -190,12 +200,13 @@ func (f *fcaState) counted() int {
 	return m
 }
 
-// TestFCAMatchesReference: the pooled sweep answers exactly as the
-// reference does — regions, boxes, witnesses, orders, OutrankIDs and every
-// Stats field but CPUTime — on the three distributions, on a grid full of
-// tied crossings, on a zigzag order curve whose buckets the bound cannot
-// prune and on what-if focals, at τ = 0 and 2, with and without record
-// IDs.
+// TestFCAMatchesReference: the leaf-kernel scan and the pooled sweep
+// answer exactly as the reference does — the pages read and the
+// incomparable records first, then regions, boxes, witnesses, orders,
+// OutrankIDs and every Stats field but CPUTime — on the three
+// distributions, on a grid full of tied crossings, on a zigzag order curve
+// whose buckets the bound cannot prune and on what-if focals, at τ = 0 and
+// 2, with and without record IDs.
 func TestFCAMatchesReference(t *testing.T) {
 	type set struct {
 		name   string
@@ -297,6 +308,10 @@ func TestFCAMatchesReference(t *testing.T) {
 					}
 					if tie {
 						tied++
+					}
+					if g, w := got.Stats, want.Stats; g.IO != w.IO || g.IncomparableAccessed != w.IncomparableAccessed {
+						t.Fatalf("%s focal %d τ=%d ids=%t: %d pages and %d incomparable records, reference %d and %d",
+							s.name, fi, tau, ids, g.IO, g.IncomparableAccessed, w.IO, w.IncomparableAccessed)
 					}
 					want.Stats.CPUTime, got.Stats.CPUTime = 0, 0
 					if !reflect.DeepEqual(got, want) {
@@ -419,7 +434,8 @@ func fcaSeeds() []fcaInstance {
 
 // FuzzFCAMatchesReference decodes FCA queries on the k/16 grid (n ≤ 256,
 // in-dataset or what-if focal, τ 0–3, with or without record IDs) and
-// holds fcaRun to fcaReference, whole Result for whole Result but CPUTime.
+// holds fcaRun to fcaReference, whole Result for whole Result but CPUTime:
+// the pages read and incomparable records first.
 func FuzzFCAMatchesReference(f *testing.F) {
 	for i, in := range fcaSeeds() {
 		if got, ok := decodeFCAInstance(in.encode()); !ok || fmt.Sprint(got) != fmt.Sprint(in) {
@@ -444,6 +460,10 @@ func FuzzFCAMatchesReference(f *testing.F) {
 		got, err := fcaRun(in)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g, w := got.Stats, want.Stats; g.IO != w.IO || g.IncomparableAccessed != w.IncomparableAccessed {
+			t.Fatalf("%+v: %d pages and %d incomparable records, reference %d and %d",
+				fi, g.IO, g.IncomparableAccessed, w.IO, w.IncomparableAccessed)
 		}
 		want.Stats.CPUTime, got.Stats.CPUTime = 0, 0
 		if !reflect.DeepEqual(got, want) {

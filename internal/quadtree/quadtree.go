@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -89,9 +90,12 @@ type Tree struct {
 	// half-space its dr coefficients then B, and a mask whose bit i is set
 	// when coefficient i is not >= 0, i.e. when the corner minimising A·x
 	// takes Hi on axis i.
-	coef       []float64
-	neg        []uint32
-	rel        []geom.BoxRelation // split's scratch: a partial list against one child
+	coef []float64
+	neg  []uint32
+	// rel stacks the child relation tables of the inserts and splits in
+	// progress; sums is childRelations' scratch.
+	rel        []geom.BoxRelation
+	sums       []float64
 	nextNodeID int
 	// splitBound, when >= 0, stops leaves whose inherited full-containment
 	// count already exceeds it from splitting: such leaves are pruned by
@@ -193,6 +197,7 @@ func (t *Tree) Release() {
 	}
 	t.refs, t.nodes, t.children = t.refs[:0], t.nodes[:0], t.children[:0]
 	t.boxes, t.lists, t.coef, t.neg = t.boxes[:0], t.lists[:0], t.coef[:0], t.neg[:0]
+	t.rel = t.rel[:0] // an overflow may have left a table on it
 	t.err = nil
 }
 
@@ -267,7 +272,12 @@ func (t *Tree) Insert(ref *HalfspaceRef) (idx int) {
 		}
 	}
 	c[t.dr], t.neg[idx] = ref.H.B, neg
-	t.insertAt(0, idx, c, neg, 0)
+	switch classify(c, neg, t.box(0)) {
+	case geom.BoxInside:
+		t.push(&t.nodes[0].full, idx)
+	case geom.BoxPartial:
+		t.insertAt(0, idx, c, neg, 0)
+	}
 	return idx
 }
 
@@ -282,23 +292,63 @@ func (t *Tree) box(ni int) []float64 { return t.boxes[ni*2*t.dr : (ni+1)*2*t.dr]
 // classify is geom.Halfspace.Classify against a box laid out Lo then Hi —
 // the same products summed in the same order — for a half-space given by
 // its coefficient row c (A then B) and sign mask, selecting each axis's
-// corner by the mask instead of branching on the coefficient.
+// corner by the mask instead of branching on the coefficient. Each product
+// is rounded on its own (float64(a*x)), as childRelations' are, so that no
+// architecture fuses a multiply-add into one and not the other.
 func classify(c []float64, neg uint32, box []float64) geom.BoxRelation {
 	dr := len(c) - 1
 	box = box[:2*dr]
 	var minV, maxV float64
 	for i, a := range c[:dr] {
 		hi := int(neg>>uint(i)&1) * dr
-		minV += a * box[i+hi]
-		maxV += a * box[i+dr-hi]
+		minV += float64(a * box[i+hi])
+		maxV += float64(a * box[i+dr-hi])
 	}
-	switch b := c[dr]; {
+	return relation(minV, maxV, c[dr])
+}
+
+// relation places a box whose least and greatest value of A·x are minV
+// and maxV against the half-space A·x >= b.
+func relation(minV, maxV, b float64) geom.BoxRelation {
+	switch {
 	case minV >= b:
 		return geom.BoxInside
 	case maxV <= b:
 		return geom.BoxOutside
 	default:
 		return geom.BoxPartial
+	}
+}
+
+// childRelations writes to rel[mask·stride] what classify answers for the
+// half-space against child mask of box as split carves it: [Lo, centre] on
+// axis i when bit i of mask is clear, [centre, Hi] when it is set. So each
+// corner product is a·Lo, a·centre or a·Hi, computed once, and each
+// child's extremes are summed from 0 in axis order, as classify sums them,
+// up a prefix tree: children agreeing on bits 0..i share the sums of axes
+// 0..i.
+func (t *Tree) childRelations(c []float64, neg uint32, box []float64, rel []geom.BoxRelation, stride int) {
+	dr, k := t.dr, 1<<uint(t.dr)
+	t.sums = slices.Grow(t.sums[:0], 2*k)[:2*k]
+	lo, hi := t.sums[:k], t.sums[k:]
+	lo[0], hi[0] = 0, 0
+	for i, a := range c[:dr] {
+		l, h := box[i], box[dr+i]
+		pl, pc, ph := float64(a*l), float64(a*((l+h)/2)), float64(a*h)
+		// Each half's least and greatest product.
+		min0, max0, min1, max1 := pl, pc, pc, ph
+		if neg>>uint(i)&1 != 0 {
+			min0, max0, min1, max1 = pc, pl, ph, pc
+		}
+		// In place, each sum of axes 0..i−1 (at q < w) fans out to q and q|w.
+		w := 1 << uint(i)
+		for q := w - 1; q >= 0; q-- {
+			lo[q|w], hi[q|w] = lo[q]+min1, hi[q]+max1
+			lo[q], hi[q] = lo[q]+min0, hi[q]+max0
+		}
+	}
+	for mask := range k {
+		rel[mask*stride] = relation(lo[mask], hi[mask], c[dr])
 	}
 }
 
@@ -317,14 +367,9 @@ func (t *Tree) push(s *span, v int) {
 	s.n++
 }
 
+// insertAt threads half-space idx into node ni, which it partly overlaps:
+// onto a leaf's partial list, or into an internal node's children.
 func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFull int) {
-	switch classify(c, neg, t.box(int(ni))) {
-	case geom.BoxOutside:
-		return
-	case geom.BoxInside:
-		t.push(&t.nodes[ni].full, idx)
-		return
-	}
 	n := &t.nodes[ni]
 	if n.child < 0 {
 		t.push(&n.partial, idx)
@@ -336,13 +381,23 @@ func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFul
 		return
 	}
 	inheritedFull += int(n.full.n)
-	// The recursion may move t.nodes and t.children; only offsets survive it.
-	first := int(n.child)
-	for slot := first; slot < first+1<<uint(t.dr); slot++ {
-		if child := t.children[slot]; child >= 0 {
+	// The recursion may move t.nodes, t.children and t.rel: keep offsets.
+	first, k, off := int(n.child), 1<<uint(t.dr), len(t.rel)
+	t.rel = slices.Grow(t.rel, k)[:off+k]
+	t.childRelations(c, neg, t.box(int(ni)), t.rel[off:], 1)
+	for mask := range k {
+		child := t.children[first+mask]
+		if child < 0 {
+			continue
+		}
+		switch t.rel[off+mask] {
+		case geom.BoxInside:
+			t.push(&t.nodes[child].full, idx)
+		case geom.BoxPartial:
 			t.insertAt(child, idx, c, neg, inheritedFull)
 		}
 	}
+	t.rel = t.rel[:off]
 }
 
 // split subdivides a leaf into 2^dr children and redistributes its partial
@@ -363,6 +418,14 @@ func (t *Tree) split(ni int32) {
 	n.version++
 	depth, parts := n.depth+1, n.partial
 	n.partial = span{}
+	// Half-space j of the partial list against child mask is at
+	// t.rel[off+mask·np+j], a table the recursion below leaves in place.
+	np, off := int(parts.n), len(t.rel)
+	t.rel = slices.Grow(t.rel, k*np)[:off+k*np]
+	for j, h := range t.list(parts) {
+		c, neg := t.halfspace(h)
+		t.childRelations(c, neg, t.box(int(ni)), t.rel[off+j:], np)
+	}
 	for mask := 0; mask < k; mask++ {
 		id := t.nextNodeID
 		t.nextNodeID++
@@ -384,28 +447,24 @@ func (t *Tree) split(ni int32) {
 			t.boxes = t.boxes[:ci*2*dr]
 			continue
 		}
-		// Classify the parent's partial list once, then carve the child's
-		// lists at the slab's tail: full at its exact size, partial with
-		// room up to the split threshold, so that a leaf never relocates
-		// before it splits.
-		t.rel = t.rel[:0]
+		// Carve the child's lists at the slab's tail: full at its exact
+		// size, partial with room up to the split threshold, so that a leaf
+		// never relocates before it splits.
+		rel := t.rel[off+mask*np : off+(mask+1)*np]
 		nFull, nPart := 0, 0
-		for _, h := range t.list(parts) {
-			c, neg := t.halfspace(h)
-			r := classify(c, neg, cb)
+		for _, r := range rel {
 			switch r {
 			case geom.BoxInside:
 				nFull++
 			case geom.BoxPartial:
 				nPart++
 			}
-			t.rel = append(t.rel, r)
 		}
-		off, pcap := len(t.lists), max(nPart, t.maxPartial+1)
+		at, pcap := len(t.lists), max(nPart, t.maxPartial+1)
 		t.lists = grow(t.lists, nFull+pcap)
-		fullAt, partAt := off, off+nFull
+		fullAt, partAt := at, at+nFull
 		for j, h := range t.list(parts) {
-			switch t.rel[j] {
+			switch rel[j] {
 			case geom.BoxInside:
 				t.lists[fullAt] = h
 				fullAt++
@@ -417,8 +476,8 @@ func (t *Tree) split(ni int32) {
 		t.nodes = grow(t.nodes, 1)
 		t.nodes[ci] = node{
 			id: int32(id), parent: ni, child: -1, depth: depth,
-			full:    span{int32(off), int32(nFull), int32(nFull)},
-			partial: span{int32(off + nFull), int32(nPart), int32(pcap)},
+			full:    span{int32(at), int32(nFull), int32(nFull)},
+			partial: span{int32(at + nFull), int32(nPart), int32(pcap)},
 		}
 		t.children[first+mask] = int32(ci)
 		// The child may inherit more crossings than the threshold allows;
@@ -427,6 +486,7 @@ func (t *Tree) split(ni int32) {
 			t.split(int32(ci))
 		}
 	}
+	t.rel = t.rel[:off]
 }
 
 // list returns a span's elements, capped so that an append cannot reach

@@ -214,7 +214,8 @@ func TestInvalidDimensions(t *testing.T) {
 
 // TestClassifyMatchesGeom holds the arena's kernel to geom's definition on
 // every node of random trees, with coefficients that are zero, negative
-// zero and of mixed sign, where the per-axis corner choice matters.
+// zero and of mixed sign, where the per-axis corner choice matters; and
+// childRelations, on every internal node, to the kernel on each child.
 func TestClassifyMatchesGeom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []float64{0, math.Copysign(0, -1), 1, -1}
@@ -238,6 +239,30 @@ func TestClassifyMatchesGeom(t *testing.T) {
 					t.Fatalf("dr=%d node %d half-space %d: arena says %v, geom says %v", dr, ni, h, got, want)
 				}
 			}
+		}
+		rel := make([]geom.BoxRelation, 1<<dr)
+		internal := 0
+		for ni, n := range qt.nodes {
+			if n.child < 0 {
+				continue
+			}
+			internal++
+			for h := 0; h < qt.NumHalfspaces(); h++ {
+				c, neg := qt.halfspace(h)
+				qt.childRelations(c, neg, qt.box(ni), rel, 1)
+				for mask, got := range rel {
+					child := qt.children[int(n.child)+mask]
+					if child < 0 {
+						continue
+					}
+					if want := classify(c, neg, qt.box(int(child))); got != want {
+						t.Fatalf("dr=%d node %d child %d half-space %d: childRelations says %v, classify says %v", dr, ni, mask, h, got, want)
+					}
+				}
+			}
+		}
+		if internal == 0 {
+			t.Fatalf("dr=%d: no internal node to hold childRelations to", dr)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // refRangeCount and refRangeSearch are the hand-written recursive walks
-// RangeCount and RangeSearch ran before they became Descend visitors, kept
-// as the reference they must match read for read.
+// RangeCount and RangeSearch ran before they went through Descend, kept as
+// the reference they must match read for read.
 func refRangeCount(r Reader, id pager.PageID, window geom.Rect) (int64, error) {
 	n, err := r.ReadNodeInto(id, nil)
 	if err != nil {
@@ -99,11 +99,62 @@ func searched(t *testing.T, limit int, run func(fn func(Item) bool) error) []Ite
 	return items
 }
 
-// TestDescendMatchesRecursiveWalks: RangeCount and RangeSearch, now Descend
-// visitors, return what the recursive walks returned and read exactly the
-// pages they read — on a heap tree serving its node cache and on a mapped
-// copy decoding every page — over random windows, the whole tree, and
-// searches stopped early.
+// forkedCopy forks a finalized heap tree, inserts and deletes a tenth of
+// pts through the fork and finalizes it, as Dataset.Apply does: the fork
+// then caches nodes it shares with tree beside nodes Finalize re-decoded.
+func forkedCopy(t *testing.T, tree *Tree, pts []vecmath.Point, seed int64) *Tree {
+	t.Helper()
+	fork, err := tree.Fork(tree.store.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i, p := range randomPoints(rng, len(pts)/10, tree.Dim()) {
+		if err := fork.Insert(p, int64(len(pts)+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < len(pts); i += 10 {
+		if ok, err := fork.Delete(pts[i], int64(i)); err != nil || !ok {
+			t.Fatalf("delete of record %d: %v, %v", i, ok, err)
+		}
+	}
+	if err := fork.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return fork
+}
+
+// leafSlabsMatch walks every leaf of tree and checks that the coordinate
+// and ID slabs Descend hands a leaf loop hold exactly its entries' points
+// and record IDs.
+func leafSlabsMatch(t *testing.T, name string, tree *Tree) {
+	t.Helper()
+	d, leaves := tree.Dim(), 0
+	err := tree.Reader(nil).Descend(nil, func(*Entry) bool { return true }, func(n *Node) error {
+		leaves++
+		xy, ids := n.Coords(), n.RecordIDs()
+		if len(xy) != d*len(n.Entries) || len(ids) != len(n.Entries) {
+			t.Fatalf("%s leaf %d: %d coordinates and %d IDs for %d entries", name, n.ID, len(xy), len(ids), len(n.Entries))
+		}
+		for i, e := range n.Entries {
+			if got := vecmath.Point(xy[i*d : (i+1)*d]); !got.Equal(e.Point()) || ids[i] != e.RecordID {
+				t.Fatalf("%s leaf %d entry %d: slabs hold %v #%d, entry %v #%d", name, n.ID, i, got, ids[i], e.Point(), e.RecordID)
+			}
+		}
+		return nil
+	})
+	if err != nil || leaves < 2 {
+		t.Fatalf("%s: %d leaves walked (%v)", name, leaves, err)
+	}
+}
+
+// TestDescendMatchesRecursiveWalks: RangeCount and RangeSearch, which go
+// through Descend, return what the recursive walks returned and read
+// exactly the pages they read — on a heap tree serving its node cache, on
+// a mapped copy decoding every page and on a fork that caches shared and
+// re-decoded nodes side by side — over random windows, the whole tree, and
+// searches stopped early. Every leaf's coordinate slab holds its points.
 func TestDescendMatchesRecursiveWalks(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		for _, dist := range []dataset.Distribution{dataset.IND, dataset.ANTI} {
@@ -120,8 +171,9 @@ func TestDescendMatchesRecursiveWalks(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(d)))
-			for _, tree := range []*Tree{heap, mappedCopy(t, heap)} {
-				name := fmt.Sprintf("d%d/%s/%T", d, dist, tree.Source())
+			for k, tree := range []*Tree{heap, mappedCopy(t, heap), forkedCopy(t, heap, pts, int64(d))} {
+				name := fmt.Sprintf("d%d/%s/%T#%d", d, dist, tree.Source(), k)
+				leafSlabsMatch(t, name, tree)
 				windows := []geom.Rect{everything(d)}
 				for i := 0; i < 40; i++ {
 					windows = append(windows, randomWindow(rng, d))
@@ -212,13 +264,13 @@ func TestWalkReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			first := true
-			err := rd.Descend(nil, func(*Entry, bool) (bool, error) {
+			err := rd.Descend(nil, func(*Entry) bool { return true }, func(*Node) error {
 				if first {
 					first = false
 					started.Done()
 					<-release // limit+2 walks are in flight at once
 				}
-				return false, nil
+				return nil
 			})
 			if err != nil {
 				t.Error(err)

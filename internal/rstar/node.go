@@ -39,7 +39,18 @@ type Node struct {
 	Level   int // 0 = leaf
 	Entries []Entry
 	coords  []float64 // a decoded node's coordinates, which its entries' rects view
+	ids     []int64   // a decoded leaf's record IDs
 }
+
+// Coords returns the coordinate slab of a node decoded from its page, as
+// every node of a finalized or restored tree is: a leaf's entry i is the
+// point at [i·d, (i+1)·d), a branch's its Lo then Hi at [i·2d, (i+1)·2d).
+// Leaf loops read it and RecordIDs, not the entries, a cache line or more
+// apart. A node built in memory and not yet finalized has neither (nil).
+func (n *Node) Coords() []float64 { return n.coords }
+
+// RecordIDs returns a decoded leaf's record IDs in entry order (see Coords).
+func (n *Node) RecordIDs() []int64 { return n.ids }
 
 // Leaf reports whether the node is at leaf level.
 func (n *Node) Leaf() bool { return n.Level == 0 }
@@ -149,6 +160,10 @@ func (n *Node) decode(id pager.PageID, page []byte) error {
 	n.ID, n.Level = id, level
 	n.Entries = resize(n.Entries, count)
 	n.coords = resize(n.coords, count*width)
+	n.ids = n.ids[:0]
+	if level == 0 {
+		n.ids = resize(n.ids, count)
+	}
 	off := nodeHeaderSize
 	getI := func() int64 {
 		v := int64(binary.LittleEndian.Uint64(page[off:]))
@@ -162,7 +177,8 @@ func (n *Node) decode(id pager.PageID, page []byte) error {
 			off += 8
 		}
 		if level == 0 {
-			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c, Hi: c}, RecordID: getI(), Count: 1}
+			n.ids[i] = getI()
+			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c, Hi: c}, RecordID: n.ids[i], Count: 1}
 		} else {
 			child := pager.PageID(getI())
 			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}, Child: child, Count: getI()}

@@ -15,17 +15,22 @@ import (
 // the dominator count |D+| cheaply (Section 5).
 func (r Reader) RangeCount(window geom.Rect) (int64, error) {
 	var total int64
-	err := r.Descend(nil, func(e *Entry, leaf bool) (bool, error) {
+	err := r.Descend(nil, func(e *Entry) bool {
 		switch {
 		case !window.Intersects(e.Rect):
-		case leaf:
-			total++
 		case window.ContainsRect(e.Rect):
 			total += e.Count // aggregate shortcut: no descent, no I/O
 		default:
-			return true, nil
+			return true
 		}
-		return false, nil
+		return false
+	}, func(n *Node) error {
+		for i := range n.Entries {
+			if window.Intersects(n.Entries[i].Rect) {
+				total++
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return 0, err
@@ -43,14 +48,14 @@ type Item struct {
 // false from fn stops the search early. The item's point is valid only
 // during the call.
 func (r Reader) RangeSearch(window geom.Rect, fn func(Item) bool) error {
-	err := r.Descend(nil, func(e *Entry, leaf bool) (bool, error) {
-		if !window.Intersects(e.Rect) {
-			return false, nil
+	err := r.Descend(nil, func(e *Entry) bool { return window.Intersects(e.Rect) }, func(n *Node) error {
+		for i := range n.Entries {
+			e := &n.Entries[i]
+			if window.Intersects(e.Rect) && !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
+				return errStop
+			}
 		}
-		if leaf && !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
-			return false, errStop
-		}
-		return true, nil
+		return nil
 	})
 	if err == errStop {
 		return nil

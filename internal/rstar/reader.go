@@ -43,24 +43,24 @@ func (r Reader) ReadNodeInto(id pager.PageID, buf *Node) (*Node, error) {
 	return r.t.readNode(id, r.tr, buf)
 }
 
-// Descend walks the tree depth first from the root. It calls visit for
-// every entry of every node it reads, in page order; on a branch entry,
-// visit's first result says whether to read that child next. An error from
-// visit ends the walk and is returned as is. When ctx is non-nil it is
-// polled before every node read.
+// Descend walks the tree depth first from the root, reading nodes in page
+// order. On a branch node it calls enter for each entry in turn, and reads
+// that entry's child next when enter returns true; a leaf node it hands to
+// leaf whole, whose error ends the walk and is returned as is. When ctx is
+// non-nil it is polled before every node read.
 //
 // Node reads are charged as ReadNodeInto's are, so a walk reads the pages a
-// recursive scan with the same visitor would. Nodes the tree does not
-// cache are decoded into per-depth scratch, so a warm walk allocates
-// nothing: the entry handed to visit, with its point and rect, is valid
-// only during the call.
-func (r Reader) Descend(ctx context.Context, visit func(e *Entry, leaf bool) (bool, error)) error {
+// recursive scan with the same tests would. Nodes the tree does not cache
+// are decoded into per-depth scratch, so a warm walk allocates nothing: the
+// entry handed to enter and the node handed to leaf are valid only during
+// the call.
+func (r Reader) Descend(ctx context.Context, enter func(e *Entry) bool, leaf func(n *Node) error) error {
 	w := acquireWalk()
 	defer releaseWalk(w)
-	return r.descend(ctx, w, r.t.root, 0, visit)
+	return r.descend(ctx, w, r.t.root, 0, enter, leaf)
 }
 
-func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int, visit func(e *Entry, leaf bool) (bool, error)) error {
+func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int, enter func(e *Entry) bool, leaf func(n *Node) error) error {
 	if ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
@@ -71,15 +71,12 @@ func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int
 	if err != nil {
 		return err
 	}
-	leaf := n.Leaf()
+	if n.Leaf() {
+		return leaf(n)
+	}
 	for i := range n.Entries {
-		e := &n.Entries[i]
-		into, err := visit(e, leaf)
-		if err != nil {
-			return err
-		}
-		if into && !leaf {
-			if err := r.descend(ctx, w, e.Child, depth+1, visit); err != nil {
+		if e := &n.Entries[i]; enter(e) {
+			if err := r.descend(ctx, w, e.Child, depth+1, enter, leaf); err != nil {
 				return err
 			}
 		}

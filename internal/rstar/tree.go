@@ -628,15 +628,15 @@ func (t *Tree) condense(path []pager.PageID) {
 }
 
 // CachedBytes approximates the heap held by the node cache: every cached
-// entry and its coordinates, without per-object overhead. A tree over a
-// mapped source caches nothing and reports 0.
+// entry, its coordinates and a leaf entry's record ID, without per-object
+// overhead. A tree over a mapped source caches nothing and reports 0.
 func (t *Tree) CachedBytes() int64 {
 	entry := int64(unsafe.Sizeof(Entry{}))
 	var b int64
 	for _, n := range t.cache {
 		coords := 2 * t.dim // a branch entry's Lo and Hi
 		if n.Leaf() {
-			coords = t.dim // a leaf entry's Lo and Hi are one point
+			coords = t.dim + 1 // a leaf entry's Lo and Hi are one point; its ID
 		}
 		b += int64(len(n.Entries)) * (entry + 8*int64(coords))
 	}
@@ -644,12 +644,14 @@ func (t *Tree) CachedBytes() int64 {
 }
 
 // Finalize serialises every node the tree owns — each node of a new tree,
-// and what a fork changed — to its page, and replaces the node with the
-// one a load would decode from that page: entries over one coordinate
-// slab, not the scattered allocations of the build and mutation paths,
-// which version after version would otherwise spread across the heap. The
-// nodes are then shared, like every other cached node. Construction I/O is
-// not counted (the paper measures query-time accesses only).
+// and what a fork changed — to its page, and decodes the page back into
+// the node, as a load would: its own entry array, now over one fresh
+// coordinate slab (its rects may view coordinates shared with the tree it
+// was forked from), not the scattered allocations of the build and
+// mutation paths, which version after version would otherwise spread
+// across the heap. The nodes are then shared, like every other cached
+// node. Construction I/O is not counted (the paper measures query-time
+// accesses only).
 func (t *Tree) Finalize() error {
 	if err := t.writable(); err != nil {
 		return err
@@ -657,15 +659,16 @@ func (t *Tree) Finalize() error {
 	t.store.SetCounting(false)
 	defer t.store.SetCounting(true)
 	for id := range t.dirty {
-		page := t.cache[id].encode(t.dim)
+		n := t.cache[id]
+		page := n.encode(t.dim)
 		if err := t.store.Write(id, page); err != nil {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
-		n := new(Node)
+		n.coords, n.ids = nil, nil
 		if err := n.decode(id, page); err != nil {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
-		t.cache[id] = n
+		clear(n.Entries[len(n.Entries):cap(n.Entries)]) // pins no old rects
 	}
 	clear(t.dirty)
 	return nil

@@ -387,16 +387,17 @@ func TestApplyConcurrentQueries(t *testing.T) {
 // (more distinct nodes cloned and rewritten: 90–140 allocations more,
 // measured over eight batches), not by anything per page (600 more pages)
 // or per record. The bytes the extra 80 000 records cost must stay within
-// applyBytesPerRecord each: measured 7, nearly all of it the page and
+// applyBytesPerRecord each: measured 5.5, nearly all of it the page and
 // node tables, since the batch copies only the chunks of the record table
-// it touches. Copying the record table whole cost 32 more, and copying
+// it touches. Finalize decoding each changed node into a second entry
+// array cost 1.7 more, copying the record table whole 32 more, and copying
 // every page and decoding it about 208. Each Apply is followed by
 // Fingerprint, so the hash Apply starts on a goroutine of its own is done,
 // and counted, inside the window.
 func TestApplyAllocations(t *testing.T) {
 	const (
 		allocSlack          = 200
-		applyBytesPerRecord = 12
+		applyBytesPerRecord = 7
 	)
 	var allocs, bytes [2]float64
 	sizes := [2]int{20000, 100000}
