@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -305,6 +307,61 @@ func TestIOAccounting(t *testing.T) {
 	for i, r := range batch {
 		if r.Stats.IO != res.Stats.IO {
 			t.Fatalf("concurrent run %d read %d pages, lone run %d", i, r.Stats.IO, res.Stats.IO)
+		}
+	}
+}
+
+// TestPageLatencyOnlyAfterConstruction: WithPageLatency slows queries and
+// nothing else. Building a dataset, loading its snapshot (mapped and on
+// the heap) and applying a batch each return well within one page's
+// latency, and a query on every one of them blocks for at least one.
+func TestPageLatencyOnlyAfterConstruction(t *testing.T) {
+	const latency = 50 * time.Millisecond
+	slow := repro.WithPageLatency(latency)
+	fast := func(what string, build func() (*repro.Dataset, error)) *repro.Dataset {
+		t.Helper()
+		start := time.Now()
+		ds, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := time.Since(start); d >= latency/2 {
+			t.Fatalf("%s took %v with a %v page latency: construction slept", what, d, latency)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+	built := fast("build", func() (*repro.Dataset, error) {
+		return repro.GenerateDataset("IND", 200, 2, 12345, slow)
+	})
+	path := filepath.Join(t.TempDir(), "slow.snap")
+	if err := built.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped := fast("mapped load", func() (*repro.Dataset, error) {
+		return repro.LoadSnapshotFile(path, slow)
+	})
+	heap := fast("heap load", func() (*repro.Dataset, error) {
+		return repro.LoadSnapshotFile(path, slow, repro.WithMmap(false))
+	})
+	batch := []repro.Op{{Kind: repro.OpInsert, Point: []float64{0.5, 0.5}}, {Kind: repro.OpDelete, Index: 3}}
+	applied := fast("apply", func() (*repro.Dataset, error) { return built.Apply(batch) })
+	appliedMapped := fast("apply to the mapped load", func() (*repro.Dataset, error) { return mapped.Apply(batch) })
+
+	for name, ds := range map[string]*repro.Dataset{
+		"built": built, "mapped": mapped, "heap": heap, "applied": applied, "applied to mapped": appliedMapped,
+	} {
+		eng, err := repro.NewEngine(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := eng.Query(context.Background(), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := time.Since(start); d < latency || res.Stats.IO < 1 {
+			t.Fatalf("%s: query read %d pages in %v, want at least one %v wait", name, res.Stats.IO, d, latency)
 		}
 	}
 }

@@ -217,15 +217,6 @@ func (c *Cache[V]) Keys() []string {
 	return keys
 }
 
-// Purge drops every stored entry. Counters are preserved; in-flight
-// computations are unaffected (their results are stored on completion).
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.items)
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

@@ -199,13 +199,14 @@ func TestPurgeAndCapacityClamp(t *testing.T) {
 	if c.Capacity() != 1 {
 		t.Fatalf("Capacity() = %d, want 1", c.Capacity())
 	}
+	// The clamped cache holds one entry: a second Add evicts the first.
 	c.Add("a", "x")
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d after Purge, want 0", c.Len())
+	c.Add("b", "y")
+	if c.Len() != 1 {
+		t.Fatalf("Len() = %d after two Adds, want 1", c.Len())
 	}
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry survived Purge")
+		t.Fatal("entry survived eviction at capacity 1")
 	}
 }
 

@@ -27,7 +27,6 @@ func buildTree(t testing.TB, points []vecmath.Point) *rstar.Tree {
 	if err := tree.Finalize(); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	store.ResetStats()
 	return tree
 }
 

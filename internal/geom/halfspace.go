@@ -2,7 +2,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/vecmath"
 )
@@ -36,17 +35,6 @@ func (h Halfspace) Complement() Halfspace {
 		a[i] = -v
 	}
 	return Halfspace{A: a, B: -h.B}
-}
-
-// IsDegenerate reports whether the normal vector is (numerically) zero, in
-// which case the half-space is either everything or nothing.
-func (h Halfspace) IsDegenerate(tol float64) bool {
-	for _, v := range h.A {
-		if math.Abs(v) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 func (h Halfspace) String() string {

@@ -1,9 +1,10 @@
 // Package pager simulates the secondary-storage layer of the paper's
 // experimental setup: a page-oriented store with a fixed page size (4 KB by
-// default, matching Section 8) and read/write counters. The MaxRank
-// experiments report I/O cost as the number of page accesses, which is
-// hardware independent, so a faithful counter is all that is needed — no
-// actual disk is involved.
+// default, matching Section 8). The MaxRank experiments report I/O cost as
+// the number of page accesses, which is hardware independent, so a
+// faithful count is all that is needed — no actual disk is involved. Each
+// query counts its own accesses in a Tracker passed to ReadTracked; that
+// is the only I/O count there is.
 package pager
 
 import (
@@ -25,17 +26,9 @@ type PageID int64
 // NilPage is the null page reference.
 const NilPage PageID = 0
 
-// Stats counts page-level activity.
-type Stats struct {
-	Reads  int64
-	Writes int64
-	Allocs int64
-}
-
 // Store is an in-memory simulation of a paged disk file. It is safe for
 // concurrent use: the page table is guarded by an RWMutex so concurrent
-// readers never serialise on each other, and the activity counters are
-// atomics so the hot read path stays contention-free.
+// readers never serialise on each other.
 type Store struct {
 	mu       sync.RWMutex // guards pages, next and free
 	pageSize int
@@ -47,13 +40,7 @@ type Store struct {
 	// space monotonically and never reclaim released slots.
 	free []PageID
 
-	reads  atomic.Int64
-	writes atomic.Int64
-	allocs atomic.Int64
-	// countIO can be toggled off while bulk-building structures so that
-	// construction cost does not pollute query measurements.
-	countIO atomic.Bool
-	// latencyNs > 0 simulates disk access time: every counted read blocks
+	// latencyNs > 0 simulates disk access time: every ReadTracked blocks
 	// for this long. Concurrent queries overlap these waits, which is
 	// exactly the win a parallel engine buys on a disk-resident index.
 	latencyNs atomic.Int64
@@ -65,13 +52,11 @@ func NewStore(pageSize int) *Store {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	s := &Store{
+	return &Store{
 		pageSize: pageSize,
 		pages:    make(map[PageID][]byte),
 		next:     1,
 	}
-	s.countIO.Store(true)
-	return s
 }
 
 // PageSize returns the configured page size in bytes.
@@ -100,7 +85,6 @@ func (s *Store) Alloc() PageID {
 	}
 	s.pages[id] = nil
 	s.mu.Unlock()
-	s.allocs.Add(1)
 	return id
 }
 
@@ -119,15 +103,11 @@ func (s *Store) Write(id PageID, data []byte) error {
 	copy(buf, data)
 	s.pages[id] = buf
 	s.mu.Unlock()
-	if s.countIO.Load() {
-		s.writes.Add(1)
-	}
 	return nil
 }
 
 // ReadTracked returns the contents of the page, which the caller must not
-// modify, and charges the access to both the store-wide counter and the
-// tracker (when non-nil).
+// modify, and charges the access to the tracker (when non-nil).
 func (s *Store) ReadTracked(id PageID, tr *Tracker) ([]byte, error) {
 	s.mu.RLock()
 	data, ok := s.pages[id]
@@ -135,25 +115,23 @@ func (s *Store) ReadTracked(id PageID, tr *Tracker) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("pager: read of unallocated page %d", id)
 	}
-	if s.countIO.Load() {
-		s.reads.Add(1)
-		tr.AddReads(1)
-		if ns := s.latencyNs.Load(); ns > 0 {
-			time.Sleep(time.Duration(ns))
-		}
+	tr.AddReads(1)
+	if ns := s.latencyNs.Load(); ns > 0 {
+		time.Sleep(time.Duration(ns))
 	}
 	return data, nil
 }
 
-// SetLatency makes every counted page read block for d, simulating a
-// storage device (0 restores pure in-memory behaviour). Uncounted reads —
-// construction-time I/O — never block.
+// SetLatency makes every ReadTracked block for d, simulating a storage
+// device (0 restores pure in-memory behaviour). Write, Restore and
+// ForEachPage never block. Callers set it only once the index over the
+// store is built, so construction never sleeps.
 func (s *Store) SetLatency(d time.Duration) { s.latencyNs.Store(int64(d)) }
 
-// Restore installs a page image at a specific ID without counting any
-// I/O — the restore path of a persisted index (internal/snapshot). The ID
-// is allocated if necessary and the allocation cursor advances past it, so
-// later Alloc calls never collide with restored pages.
+// Restore installs a page image at a specific ID — the restore path of a
+// persisted index (internal/snapshot). The ID is allocated if necessary
+// and the allocation cursor advances past it, so later Alloc calls never
+// collide with restored pages.
 func (s *Store) Restore(id PageID, data []byte) error {
 	if id <= NilPage {
 		return fmt.Errorf("pager: restore of invalid page id %d", id)
@@ -173,10 +151,10 @@ func (s *Store) Restore(id PageID, data []byte) error {
 }
 
 // ForEachPage visits every allocated page in ascending ID order with its
-// current contents (nil for pages allocated but never written). No I/O is
-// counted. The walk holds the store's read lock throughout, so fn must not
-// call back into the store. It is the persistence path of a finalized
-// index.
+// current contents (nil for pages allocated but never written), charging
+// no tracker and never blocking. The walk holds the store's read lock
+// throughout, so fn must not call back into the store. It is the
+// persistence path of a finalized index.
 func (s *Store) ForEachPage(fn func(id PageID, data []byte) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -196,8 +174,7 @@ func (s *Store) ForEachPage(fn func(id PageID, data []byte) error) error {
 // themselves are shared, not copied — a page is never modified after Write
 // or Restore, only replaced — so a clone costs one page table, not one
 // copy of every page. Writes, allocations and frees on either store leave
-// the other untouched. The clone's counters start at zero, counting on,
-// with no latency.
+// the other untouched. The clone has no latency.
 func (s *Store) Clone() *Store {
 	c := NewStore(s.pageSize)
 	s.mu.RLock()
@@ -259,27 +236,11 @@ func (s *Store) ReclaimGaps() {
 	}
 }
 
-// Stats returns a snapshot of the counters. Under concurrency the snapshot
-// is per-counter consistent (each counter is read atomically).
-func (s *Store) Stats() Stats {
-	return Stats{
-		Reads:  s.reads.Load(),
-		Writes: s.writes.Load(),
-		Allocs: s.allocs.Load(),
-	}
-}
-
-// ResetStats zeroes the counters (typically called between the build phase
-// and the measured query phase).
-func (s *Store) ResetStats() {
-	s.reads.Store(0)
-	s.writes.Store(0)
-	s.allocs.Store(0)
-}
-
-// SetCounting toggles I/O accounting; construction code disables it so that
-// only query-time accesses are measured, mirroring the paper's methodology.
-func (s *Store) SetCounting(on bool) { s.countIO.Store(on) }
+// ResetStats does nothing: each query counts its page reads in the Tracker
+// it passes to ReadTracked, and the store keeps no count of its own.
+//
+// Deprecated: there is nothing to reset.
+func (s *Store) ResetStats() {}
 
 // NumPages returns the number of allocated pages.
 func (s *Store) NumPages() int {

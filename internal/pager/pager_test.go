@@ -17,16 +17,16 @@ func TestAllocWriteRead(t *testing.T) {
 	if err := s.Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadTracked(id, nil)
+	var tr Tracker
+	got, err := s.ReadTracked(id, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(data) {
 		t.Fatalf("read %q", got)
 	}
-	st := s.Stats()
-	if st.Reads != 1 || st.Writes != 1 || st.Allocs != 1 {
-		t.Fatalf("stats = %+v", st)
+	if tr.Reads() != 1 {
+		t.Fatalf("tracker reads = %d, want 1", tr.Reads())
 	}
 }
 
@@ -143,26 +143,6 @@ func TestFreeDoubleAndRestoreInterplay(t *testing.T) {
 	}
 }
 
-func TestCountingToggleAndReset(t *testing.T) {
-	s := NewStore(0)
-	id := s.Alloc()
-	_ = s.Write(id, []byte{1})
-	s.SetCounting(false)
-	_, _ = s.ReadTracked(id, nil)
-	if s.Stats().Reads != 0 {
-		t.Fatal("read counted while counting disabled")
-	}
-	s.SetCounting(true)
-	_, _ = s.ReadTracked(id, nil)
-	if s.Stats().Reads != 1 {
-		t.Fatal("read not counted")
-	}
-	s.ResetStats()
-	if st := s.Stats(); st.Reads != 0 || st.Writes != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore(0)
 	ids := make([]PageID, 64)
@@ -172,14 +152,17 @@ func TestConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		tr Tracker
+	)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				id := ids[(g*31+i)%len(ids)]
-				if _, err := s.ReadTracked(id, nil); err != nil {
+				if _, err := s.ReadTracked(id, &tr); err != nil {
 					t.Error(err)
 					return
 				}
@@ -187,8 +170,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Stats().Reads != 8000 {
-		t.Fatalf("reads = %d", s.Stats().Reads)
+	if tr.Reads() != 8000 {
+		t.Fatalf("reads = %d", tr.Reads())
 	}
 }
 
@@ -257,9 +240,6 @@ func TestStoreClone(t *testing.T) {
 	if c.MaxPageID() != ref.MaxPageID() || c.NumPages() != ref.NumPages() || c.PageSize() != ref.PageSize() {
 		t.Fatalf("clone max %d pages %d size %d, restore gives %d %d %d",
 			c.MaxPageID(), c.NumPages(), c.PageSize(), ref.MaxPageID(), ref.NumPages(), ref.PageSize())
-	}
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("clone starts with counters %+v", st)
 	}
 	if !slices.Equal(c.free, ref.free) {
 		t.Fatalf("clone free list %v, restore gives %v", c.free, ref.free)

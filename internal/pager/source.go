@@ -10,10 +10,9 @@ import (
 // Source is the read side of a page store — the seam that lets an R*-tree
 // serve queries from either a heap-backed Store or a zero-copy view over a
 // memory-mapped snapshot (Mapped). Both implementations share the exact
-// accounting contract: every tracked read charges one page access to the
-// source-wide counter and to the per-query Tracker, honours SetCounting,
-// and blocks for the configured latency — so I/O statistics are
-// bit-identical regardless of the backing.
+// accounting contract: every ReadTracked charges one page access to the
+// caller's Tracker and blocks for the configured latency — so I/O
+// statistics are bit-identical regardless of the backing.
 //
 // Source deliberately has no Write/Alloc/Free: mutation requires a heap
 // *Store. Callers that need to mutate assert the concrete type, which makes
@@ -25,17 +24,14 @@ type Source interface {
 	// ReadTracked returns the contents of the page, which must not be
 	// modified, charging the access to the tracker too (tr may be nil).
 	ReadTracked(id PageID, tr *Tracker) ([]byte, error)
-	// ForEachPage visits every page in ascending ID order, uncounted.
+	// ForEachPage visits every page in ascending ID order, charging no
+	// tracker and never blocking.
 	ForEachPage(fn func(id PageID, data []byte) error) error
 	// NumPages returns the number of pages held.
 	NumPages() int
-	// Stats returns the access counters.
-	Stats() Stats
-	// ResetStats zeroes the access counters.
-	ResetStats()
-	// SetCounting toggles I/O accounting.
-	SetCounting(on bool)
-	// SetLatency makes every counted read block for d (0 disables).
+	// SetLatency makes every ReadTracked block for d (0 disables).
+	// Callers set it once the index is built, so construction never
+	// sleeps.
 	SetLatency(d time.Duration)
 }
 
@@ -59,15 +55,13 @@ type MappedPage struct {
 // into a fresh heap Store instead (copy-on-write).
 //
 // Reads are lock-free: the page directory is immutable after construction
-// and lookups are a binary search over the sorted IDs. The accounting
-// counters behave exactly as Store's.
+// and lookups are a binary search over the sorted IDs. Accounting and
+// latency behave exactly as Store's.
 type Mapped struct {
 	pageSize int
 	ids      []PageID // sorted ascending
 	data     [][]byte // data[i] belongs to ids[i]
 
-	reads     atomic.Int64
-	countIO   atomic.Bool
 	latencyNs atomic.Int64
 }
 
@@ -96,7 +90,6 @@ func NewMapped(pageSize int, pages []MappedPage) (*Mapped, error) {
 		m.ids[i] = p.ID
 		m.data[i] = p.Data
 	}
-	m.countIO.Store(true)
 	return m, nil
 }
 
@@ -104,26 +97,23 @@ func NewMapped(pageSize int, pages []MappedPage) (*Mapped, error) {
 func (m *Mapped) PageSize() int { return m.pageSize }
 
 // ReadTracked returns the page contents, which alias the mapping and must
-// not be modified, charging exactly one page access to the source counter
-// and the tracker — the same contract as Store.ReadTracked, which is what
-// keeps Stats.IO bit-identical between heap-decoded and mmap-served
-// engines.
+// not be modified, charging exactly one page access to the tracker — the
+// same contract as Store.ReadTracked, which is what keeps Stats.IO
+// bit-identical between heap-decoded and mmap-served engines.
 func (m *Mapped) ReadTracked(id PageID, tr *Tracker) ([]byte, error) {
 	i := sort.Search(len(m.ids), func(i int) bool { return m.ids[i] >= id })
 	if i >= len(m.ids) || m.ids[i] != id {
 		return nil, fmt.Errorf("pager: read of unallocated page %d", id)
 	}
-	if m.countIO.Load() {
-		m.reads.Add(1)
-		tr.AddReads(1)
-		if ns := m.latencyNs.Load(); ns > 0 {
-			time.Sleep(time.Duration(ns))
-		}
+	tr.AddReads(1)
+	if ns := m.latencyNs.Load(); ns > 0 {
+		time.Sleep(time.Duration(ns))
 	}
 	return m.data[i], nil
 }
 
-// ForEachPage visits every page in ascending ID order, uncounted.
+// ForEachPage visits every page in ascending ID order, charging no
+// tracker and never blocking.
 func (m *Mapped) ForEachPage(fn func(id PageID, data []byte) error) error {
 	for i, id := range m.ids {
 		if err := fn(id, m.data[i]); err != nil {
@@ -136,16 +126,7 @@ func (m *Mapped) ForEachPage(fn func(id PageID, data []byte) error) error {
 // NumPages returns the number of mapped pages.
 func (m *Mapped) NumPages() int { return len(m.ids) }
 
-// Stats returns the access counters (writes and allocs are always zero:
-// the source is read-only by construction).
-func (m *Mapped) Stats() Stats { return Stats{Reads: m.reads.Load()} }
-
-// ResetStats zeroes the read counter.
-func (m *Mapped) ResetStats() { m.reads.Store(0) }
-
-// SetCounting toggles I/O accounting.
-func (m *Mapped) SetCounting(on bool) { m.countIO.Store(on) }
-
-// SetLatency makes every counted read block for d, simulating a storage
-// device (0 restores pure in-memory behaviour).
+// SetLatency makes every ReadTracked block for d, simulating a storage
+// device (0 restores pure in-memory behaviour). Callers set it once the
+// index over the source is restored, so construction never sleeps.
 func (m *Mapped) SetLatency(d time.Duration) { m.latencyNs.Store(int64(d)) }

@@ -28,34 +28,18 @@ func TestMappedReadAndAccounting(t *testing.T) {
 			t.Fatalf("page %d: got %q want %q", p.ID, got, p.Data)
 		}
 	}
-	if r := m.Stats().Reads; r != 3 {
-		t.Fatalf("source reads = %d, want 3", r)
-	}
 	if r := tr.Reads(); r != 3 {
 		t.Fatalf("tracker reads = %d, want 3", r)
 	}
 	// Missing pages fail like Store does; the failed lookup is not counted.
 	for _, id := range []PageID{1, 3, 10} {
-		if _, err := m.ReadTracked(id, nil); err == nil {
+		if _, err := m.ReadTracked(id, &tr); err == nil {
 			t.Fatalf("read of missing page %d succeeded", id)
 		}
 	}
-	if r := m.Stats().Reads; r != 3 {
+	if r := tr.Reads(); r != 3 {
 		t.Fatalf("failed reads were counted: %d", r)
 	}
-	m.ResetStats()
-	if r := m.Stats().Reads; r != 0 {
-		t.Fatalf("reads after reset = %d", r)
-	}
-	// SetCounting(false) suppresses accounting entirely.
-	m.SetCounting(false)
-	if _, err := m.ReadTracked(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r := m.Stats().Reads; r != 0 {
-		t.Fatalf("uncounted read was counted: %d", r)
-	}
-	m.SetCounting(true)
 }
 
 func TestMappedForEachPageOrder(t *testing.T) {
@@ -107,15 +91,6 @@ func TestMappedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Fatalf("counted read returned in %v, want >= 2ms", d)
-	}
-	// Uncounted reads never block.
-	m.SetCounting(false)
-	start = time.Now()
-	if _, err := m.ReadTracked(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > time.Millisecond {
-		t.Fatalf("uncounted read blocked for %v", d)
+		t.Fatalf("read returned in %v, want >= 2ms", d)
 	}
 }

@@ -2,11 +2,12 @@ package pager
 
 import "sync/atomic"
 
-// Tracker attributes page accesses to one logical activity — typically a
-// single query — independently of the store-wide counters. Concurrent
-// queries against the same Store each carry their own Tracker, so a query's
-// reported I/O is exactly the pages *it* read, not whatever the shared
-// counter happened to accumulate while it ran.
+// Tracker counts the page accesses of one logical activity — typically a
+// single query — and is the only I/O count the pager keeps: a source
+// charges each ReadTracked to the Tracker passed with it and counts
+// nothing itself. Concurrent queries against the same source each carry
+// their own Tracker, so a query's reported I/O is exactly the pages *it*
+// read, whatever else ran beside it. A nil Tracker charges nothing.
 //
 // The zero value is ready to use. All methods are safe for concurrent use.
 type Tracker struct {

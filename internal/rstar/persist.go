@@ -16,9 +16,11 @@ import (
 // identical page IDs, identical query-time I/O counts.
 //
 // The source decides how the tree is read (see Tree): over a heap
-// *pager.Store the node cache is rebuilt here, decoding every page
-// uncounted as construction I/O is. Decoded nodes are bit-identical to the
-// originals: the page encoding is exact for float64 coordinates.
+// *pager.Store the node cache is rebuilt here, decoding every page that
+// ForEachPage hands over. Decoded nodes are bit-identical to the
+// originals: the page encoding is exact for float64 coordinates. The one
+// page read, the root's, charges no tracker; it would sleep for src's
+// latency, so callers set the latency only after RestoreFrom returns.
 func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size int64, opts Options) (*Tree, error) {
 	if height < 1 {
 		return nil, fmt.Errorf("rstar: height %d < 1", height)
@@ -31,8 +33,6 @@ func RestoreFrom(src pager.Source, dim int, root pager.PageID, height int, size 
 		return nil, err
 	}
 	t.root, t.height, t.size = root, height, size
-	src.SetCounting(false)
-	defer src.SetCounting(true)
 	if t.store != nil {
 		err := src.ForEachPage(func(id pager.PageID, data []byte) error {
 			n := new(Node)

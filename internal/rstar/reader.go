@@ -9,11 +9,11 @@ import (
 )
 
 // Reader is a per-query read handle on a finalized tree. Every node access
-// made through a Reader is charged to its pager.Tracker (in addition to the
-// store-wide counters), which is how concurrent queries attribute I/O to
+// made through a Reader is charged to its pager.Tracker, the only I/O count
+// the storage keeps, which is how concurrent queries attribute I/O to
 // themselves. A Reader is a small value; create one per query.
 //
-// The tracker may be nil, in which case only the store-wide counters move.
+// The tracker may be nil, in which case the reads are counted nowhere.
 // Readers must not be used while the tree is being mutated
 // (Insert/Delete/BulkLoad); queries against a finalized tree are safe to
 // run concurrently.
@@ -22,8 +22,8 @@ type Reader struct {
 	tr *pager.Tracker
 }
 
-// Reader creates a read handle charging node accesses to tr (nil = store
-// counters only).
+// Reader creates a read handle charging node accesses to tr (nil = no
+// count).
 func (t *Tree) Reader(tr *pager.Tracker) Reader { return Reader{t: t, tr: tr} }
 
 // Dim returns the dimensionality of indexed points.
@@ -33,12 +33,12 @@ func (r Reader) Dim() int { return r.t.dim }
 func (r Reader) Root() pager.PageID { return r.t.root }
 
 // ReadNodeInto fetches a node for query processing, charging one page
-// access to the store and to the reader's tracker. It returns the cached
-// node when the tree keeps one (a tree over a heap store always does), and
-// otherwise decodes the page into buf, reusing buf's Entries and coordinate
-// storage, and returns buf (a new Node when buf is nil). Either way the
-// node is read-only, and it is valid only until the next read into buf: a
-// caller that keeps anything of it copies it.
+// access to the reader's tracker. It returns the cached node when the tree
+// keeps one (a tree over a heap store always does), and otherwise decodes
+// the page into buf, reusing buf's Entries and coordinate storage, and
+// returns buf (a new Node when buf is nil). Either way the node is
+// read-only, and it is valid only until the next read into buf: a caller
+// that keeps anything of it copies it.
 func (r Reader) ReadNodeInto(id pager.PageID, buf *Node) (*Node, error) {
 	return r.t.readNode(id, r.tr, buf)
 }

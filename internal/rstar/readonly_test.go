@@ -51,14 +51,13 @@ func TestRestoreFromMappedSource(t *testing.T) {
 	}
 
 	// Node-for-node identity, with identical per-read accounting.
-	store.ResetStats()
-	mapped.ResetStats()
+	var heapReads, mappedReads pager.Tracker
 	err = store.ForEachPage(func(id pager.PageID, data []byte) error {
-		hn, err := heap.Reader(nil).ReadNodeInto(id, nil)
+		hn, err := heap.Reader(&heapReads).ReadNodeInto(id, nil)
 		if err != nil {
 			return err
 		}
-		mn, err := ro.Reader(nil).ReadNodeInto(id, nil)
+		mn, err := ro.Reader(&mappedReads).ReadNodeInto(id, nil)
 		if err != nil {
 			return err
 		}
@@ -70,8 +69,8 @@ func TestRestoreFromMappedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hr, mr := store.Stats().Reads, mapped.Stats().Reads; hr != mr {
-		t.Fatalf("read accounting diverged: heap %d, mapped %d", hr, mr)
+	if hr, mr := heapReads.Reads(), mappedReads.Reads(); hr != mr || hr != int64(store.NumPages()) {
+		t.Fatalf("read accounting diverged: heap %d, mapped %d, pages %d", hr, mr, store.NumPages())
 	}
 
 	// Every mutation entry point must refuse.

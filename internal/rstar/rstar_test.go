@@ -251,14 +251,15 @@ func TestSerializationRoundTrip(t *testing.T) {
 			want++
 		}
 	}
-	got, err := tree.Reader(nil).RangeCount(window)
+	var tr pager.Tracker
+	got, err := tree.Reader(&tr).RangeCount(window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("decoded count = %d, want %d", got, want)
 	}
-	if tree.Source().Stats().Reads == 0 {
+	if tr.Reads() == 0 {
 		t.Fatal("no page reads counted")
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -280,21 +281,20 @@ func TestAggregateShortcutSavesIO(t *testing.T) {
 	if err := tree.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	store.ResetStats()
 	// A huge window should be answered mostly from aggregate counts.
 	window := geom.MustRect(vecmath.Point{0.01, 0.01}, vecmath.Point{0.99, 0.99})
-	if _, err := tree.Reader(nil).RangeCount(window); err != nil {
+	var countTr, searchTr pager.Tracker
+	if _, err := tree.Reader(&countTr).RangeCount(window); err != nil {
 		t.Fatal(err)
 	}
-	countIO := store.Stats().Reads
-	store.ResetStats()
+	countReads := countTr.Reads()
 	found := 0
-	if err := tree.Reader(nil).RangeSearch(window, func(Item) bool { found++; return true }); err != nil {
+	if err := tree.Reader(&searchTr).RangeSearch(window, func(Item) bool { found++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	searchIO := store.Stats().Reads
-	if countIO*2 > searchIO {
-		t.Fatalf("aggregate count used %d reads vs search %d: shortcut not effective", countIO, searchIO)
+	searchReads := searchTr.Reads()
+	if countReads*2 > searchReads {
+		t.Fatalf("aggregate count used %d reads vs search %d: shortcut not effective", countReads, searchReads)
 	}
 }
 

@@ -21,10 +21,10 @@ const minFillFraction = 0.4
 
 // Tree is an aggregate R*-tree over points, backed by a pager.Source.
 //
-// Every query-time node access charges one page read to the source, so I/O
-// statistics match the paper's counting in both of its deployment
-// scenarios. Which scenario a tree is in follows from its storage, not from
-// an option:
+// Every query-time node access charges one page read to the query's
+// pager.Tracker, so I/O statistics match the paper's counting in both of
+// its deployment scenarios. Which scenario a tree is in follows from its
+// storage, not from an option:
 //
 //   - A tree over a heap *pager.Store (New, BulkLoad, RestoreFrom on a
 //     Store, Fork) keeps every node decoded in its node cache and serves
@@ -149,7 +149,7 @@ func (t *Tree) Height() int { return t.height }
 // Root returns the root page ID.
 func (t *Tree) Root() pager.PageID { return t.root }
 
-// Source exposes the backing page source (for I/O statistics).
+// Source exposes the backing page source.
 func (t *Tree) Source() pager.Source { return t.src }
 
 // writable guards the mutation entry points: read-only trees (RestoreFrom
@@ -650,14 +650,12 @@ func (t *Tree) CachedBytes() int64 {
 // was forked from), not the scattered allocations of the build and
 // mutation paths, which version after version would otherwise spread
 // across the heap. The nodes are then shared, like every other cached
-// node. Construction I/O is not counted (the paper measures query-time
-// accesses only).
+// node. Finalize reads no page, so it charges no tracker and never
+// sleeps.
 func (t *Tree) Finalize() error {
 	if err := t.writable(); err != nil {
 		return err
 	}
-	t.store.SetCounting(false)
-	defer t.store.SetCounting(true)
 	for id := range t.dirty {
 		n := t.cache[id]
 		page := n.encode(t.dim)

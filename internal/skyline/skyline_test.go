@@ -25,7 +25,6 @@ func buildTree(t testing.TB, pts []vecmath.Point) *rstar.Tree {
 	if err := tree.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	store.ResetStats()
 	return tree
 }
 
@@ -184,9 +183,8 @@ func TestNoNodeReadTwice(t *testing.T) {
 	if err := tree.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	store.ResetStats()
-
-	m, err := New(tree, pts[0], 0)
+	var tr pager.Tracker
+	m, err := NewForQuery(context.Background(), tree.Reader(&tr), pts[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestNoNodeReadTwice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reads := store.Stats().Reads
+	reads := tr.Reads()
 	if reads > int64(store.NumPages()) {
 		t.Fatalf("%d reads exceed %d pages: some node was read twice", reads, store.NumPages())
 	}

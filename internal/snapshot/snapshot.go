@@ -309,7 +309,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	// sanity cap must fail with ErrTruncated once the stream runs dry, not
 	// abort the process on a huge allocation.
 	nvals := s.Count * s.Dim
-	s.Points = make([]float64, 0, minInt(nvals, 1<<16))
+	s.Points = make([]float64, 0, min(nvals, 1<<16))
 	raw := make([]byte, 8*4096)
 	for off := 0; off < nvals; {
 		chunk := nvals - off
@@ -331,7 +331,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if numPages < 1 || numPages > maxPages {
 		return nil, fmt.Errorf("%w: page count %d", ErrCorrupt, numPages)
 	}
-	s.Pages = make([]Page, 0, minInt(int(numPages), 1<<16))
+	s.Pages = make([]Page, 0, min(int(numPages), 1<<16))
 	for i := uint64(0); i < numPages; i++ {
 		id, err := rd.uint(8)
 		if err != nil {
@@ -365,13 +365,4 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// minInt caps decoder preallocations so header-declared sizes are never
-// trusted before the corresponding bytes have been read.
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -108,9 +108,6 @@ func Compare(a, b Point) Dominance {
 // DominatesStrict reports whether a dominates b (a >= b on all axes, a != b).
 func DominatesStrict(a, b Point) bool { return Compare(a, b) == Dominates }
 
-// Score returns r · q, the record's score under query vector q.
-func Score(r, q Point) float64 { return r.Dot(q) }
-
 // LiftQuery reconstructs the full d-dimensional permissible query vector from
 // a point in the reduced (d-1)-dimensional query space, i.e. it appends
 // q_d = 1 - Σ q_i.
@@ -140,15 +137,6 @@ func IsPermissible(q Point, tol float64) bool {
 		s += v
 	}
 	return math.Abs(s-1) <= tol
-}
-
-// UniformQuery returns the permissible query vector with equal weights 1/d.
-func UniformQuery(d int) Point {
-	q := make(Point, d)
-	for i := range q {
-		q[i] = 1 / float64(d)
-	}
-	return q
 }
 
 // MinMax returns per-axis minima and maxima over the given points. It panics

@@ -141,13 +141,6 @@ func TestIsPermissible(t *testing.T) {
 	}
 }
 
-func TestUniformQuery(t *testing.T) {
-	q := UniformQuery(4)
-	if !IsPermissible(q, 1e-12) {
-		t.Fatalf("uniform query %v not permissible", q)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]Point{{1, 5}, {3, 2}, {2, 8}})
 	if !lo.Equal(Point{1, 2}) || !hi.Equal(Point{3, 8}) {

@@ -45,6 +45,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -272,7 +273,7 @@ func decodePayload(b []byte) (*Record, error) {
 	if numOps == 0 || numOps > maxOps {
 		return nil, fmt.Errorf("%w: %d ops", ErrTorn, numOps)
 	}
-	rec.Ops = make([]Op, 0, minInt(int(numOps), 4096))
+	rec.Ops = make([]Op, 0, min(int(numOps), 4096))
 	for i := uint64(0); i < numOps; i++ {
 		kind, err := p.uint(1)
 		if err != nil {
@@ -410,7 +411,7 @@ func scanRecords(r io.Reader) (recs []Record, ends []int64, valid int64, err err
 			return recs, ends, off, &TailError{Offset: off, Discarded: discarded(n), Reason: fmt.Errorf("%w: payload length %d", ErrTorn, payloadLen)}
 		}
 		if int(payloadLen) > cap(payload) {
-			payload = make([]byte, minInt(int(payloadLen), 1<<16))
+			payload = make([]byte, min(int(payloadLen), 1<<16))
 			for cap(payload) < int(payloadLen) {
 				payload = append(payload[:cap(payload)], 0)
 			}
@@ -808,7 +809,7 @@ func (l *Log) CompactTo(fp string) (int, error) {
 	// crash before the rename leaves the original intact (plus a swept
 	// orphan temp); after it, the log is exactly the surviving suffix.
 	keepFrom := l.recs[cut].end
-	tmp, err := vfs.CreateTemp(l.fsys, dirOf(l.path), ".wal-*")
+	tmp, err := vfs.CreateTemp(l.fsys, filepath.Dir(l.path), ".wal-*")
 	if err != nil {
 		return 0, err
 	}
@@ -859,7 +860,7 @@ func (l *Log) CompactTo(fp string) (int, error) {
 		}
 		return 0, err
 	}
-	if err := vfs.SyncDir(l.fsys, dirOf(l.path)); err != nil {
+	if err := vfs.SyncDir(l.fsys, filepath.Dir(l.path)); err != nil {
 		// The rename happened; the new file IS the log. Continue, but
 		// report: until the directory entry is durable a power loss may
 		// resurface the old inode — whose longer history still replays
@@ -902,19 +903,6 @@ func (l *Log) reopenAfterCompact(cut int) error {
 	return nil
 }
 
-// dirOf is filepath.Dir without importing path/filepath twice over.
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(path[i]) {
-			if i == 0 {
-				return string(path[0])
-			}
-			return path[:i]
-		}
-	}
-	return "."
-}
-
 // Stats reports the log's current extent.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
@@ -946,11 +934,4 @@ func (l *Log) Close() error {
 		return serr
 	}
 	return cerr
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -96,8 +96,9 @@ type Dataset struct {
 	// outlive the dataset.
 	mapping *mmap.Mapping
 
-	// fpOnce guards fp. Apply starts it on a goroutine of its own; every
-	// other dataset runs it on the first Fingerprint call.
+	// fpOnce guards fp. Apply starts it on a goroutine of its own, unless
+	// Fingerprint gets there first; every other dataset runs it on the
+	// first Fingerprint call.
 	fpOnce sync.Once
 	fp     string
 }
@@ -322,7 +323,6 @@ func buildDataset(pts []vecmath.Point, cfg datasetConfig) (*Dataset, error) {
 	if err := tree.Finalize(); err != nil {
 		return nil, err
 	}
-	store.ResetStats()
 	store.SetLatency(cfg.pageLatency)
 	return &Dataset{
 		tab:            flatTable(flat, len(pts[0])),
@@ -439,8 +439,10 @@ func (ds *Dataset) Storage() StorageStats {
 // it identifies a dataset across processes — it keys the result cache and
 // is reported by the serving layer. It is computed once and then cached: a
 // dataset made by Apply starts the hash on a goroutine of its own before
-// it edits the index, and Fingerprint waits for that; any other dataset
-// computes it on the first call, or took it from its snapshot.
+// it edits the index, and Fingerprint waits for that goroutine if it has
+// begun, or, when no core was free to start it, computes the hash on the
+// caller's goroutine; any other dataset computes it on the first call, or
+// took it from its snapshot.
 func (ds *Dataset) Fingerprint() string {
 	ds.fpOnce.Do(ds.hash)
 	return ds.fp

@@ -73,8 +73,12 @@ func DeleteOp(index int) Op { return Op{Kind: OpDelete, Index: index} }
 // simulated page latency. Its fingerprint is computed from the new
 // content, so engine result caches keyed by fingerprint never serve stale
 // answers for the mutated dataset. Apply starts that hash on a goroutine
-// of its own as soon as the successor's table exists, so it runs beside
-// the index work; Fingerprint waits for it.
+// of its own as soon as the successor's table exists, so with a core idle
+// it runs beside the index work and Fingerprint waits for it. Both go
+// through one sync.Once: when no core is idle that goroutine may not have
+// started by the time Fingerprint is called, and Fingerprint then
+// computes the hash on the caller's goroutine (the usual case at
+// GOMAXPROCS 1).
 func (ds *Dataset) Apply(ops []Op) (*Dataset, error) {
 	return ds.applyOps(context.Background(), ops)
 }
@@ -154,9 +158,7 @@ func (ds *Dataset) applyOps(ctx context.Context, ops []Op) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	src := tree.Source()
-	src.ResetStats()
-	src.SetLatency(ds.pageLatency)
+	tree.Source().SetLatency(ds.pageLatency)
 	next.tree = tree
 	return next, nil
 }

@@ -104,7 +104,6 @@ func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
 	if err := tree.Finalize(); err != nil {
 		return nil, err
 	}
-	store.ResetStats()
 	store.SetLatency(ds.pageLatency)
 	return &Dataset{
 		tab:            flatTable(dataset.Flatten(pts), ds.Dim()),

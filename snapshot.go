@@ -282,7 +282,6 @@ func loadImage(data []byte, m *mmap.Mapping, cfg datasetConfig) (*Dataset, error
 	if err != nil {
 		return nil, err
 	}
-	src.ResetStats()
 	src.SetLatency(cfg.pageLatency)
 	return &Dataset{
 		tab:            tab,
