@@ -173,13 +173,14 @@ func (t *Tree) newNode(level int) *Node {
 // node returns a cached node for the mutation path to change. A node the
 // tree does not own yet is cloned first: the clone gets its own entry
 // array and shares the original's coordinates, which no mutation writes in
-// place (a changed rect is a new rect).
+// place (a changed rect is a new rect). The array holds the entries plus
+// the one an insert adds; append grows it for the rare second.
 func (t *Tree) node(id pager.PageID) *Node {
 	n := t.peek(id)
 	if _, own := t.dirty[id]; own {
 		return n
 	}
-	c := &Node{ID: id, Level: n.Level, Entries: make([]Entry, len(n.Entries), t.maxEntriesFor(n)+1)}
+	c := &Node{ID: id, Level: n.Level, Entries: make([]Entry, len(n.Entries), len(n.Entries)+1)}
 	copy(c.Entries, n.Entries)
 	t.cache[id] = c
 	t.dirty[id] = struct{}{}

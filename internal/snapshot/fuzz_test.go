@@ -3,7 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -87,7 +90,7 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		// Success: the snapshot must satisfy its own invariants ...
-		if err := s.validate(); err != nil {
+		if err := s.validate(len(s.Points)); err != nil {
 			t.Fatalf("Read accepted a snapshot its own validate rejects: %v", err)
 		}
 		// ... encode as v2 — for an input that was v2 already, to exactly
@@ -108,6 +111,99 @@ func FuzzRead(f *testing.F) {
 		}
 		if !reflect.DeepEqual(s, s2) {
 			t.Fatal("round-trip decode produced a different snapshot")
+		}
+	})
+}
+
+// randomSnapshot builds a valid snapshot from rng: any shape the format
+// allows at a small size, float32 points when f32 is set.
+func randomSnapshot(rng *rand.Rand, f32 bool) *Snapshot {
+	s := &Snapshot{
+		Float32:        f32,
+		Fingerprint:    strings.Repeat("f", rng.Intn(41)),
+		Dim:            2 + rng.Intn(5),
+		Count:          1 + rng.Intn(200),
+		PageSize:       64 + rng.Intn(449),
+		QuadMaxPartial: rng.Intn(MaxQuadParam + 1),
+		QuadMaxDepth:   rng.Intn(64),
+		Height:         1 + rng.Intn(4),
+	}
+	s.Points = make([]float64, s.Count*s.Dim)
+	for i := range s.Points {
+		s.Points[i] = rng.NormFloat64()
+		if f32 {
+			s.Points[i] = float64(float32(s.Points[i]))
+		}
+	}
+	id := int64(0)
+	for range 1 + rng.Intn(12) {
+		id += 1 + rng.Int63n(3)
+		data := make([]byte, rng.Intn(s.PageSize+1))
+		rng.Read(data)
+		s.Pages = append(s.Pages, Page{ID: id, Data: data})
+	}
+	s.Root = s.Pages[rng.Intn(len(s.Pages))].ID
+	return s
+}
+
+// FuzzWriteV2Runs holds the streaming encoder to the format: a random
+// valid snapshot, its points cut into runs at the offsets cuts gives
+// (empty runs included) and the pages whose bit is set in rewrites
+// replaced through the scratch buffer, streams exactly the bytes EncodeV2
+// lays out for the equivalent flat snapshot, and those bytes open and
+// verify. The committed corpus under testdata/fuzz/FuzzWriteV2Runs (see
+// TestGenerateFuzzCorpus) runs with every plain `go test`.
+func FuzzWriteV2Runs(f *testing.F) {
+	f.Add(int64(1), []byte{0, 3, 0, 255}, uint64(0b101), false)
+	f.Add(int64(2), []byte{}, uint64(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, cuts []byte, rewrites uint64, f32 bool) {
+		s := randomSnapshot(rand.New(rand.NewSource(seed)), f32)
+		var runs [][]float64
+		rest := s.Points
+		for _, c := range cuts {
+			n := min(int(c), len(rest))
+			runs, rest = append(runs, rest[:n]), rest[n:]
+		}
+		runs = append(runs, rest)
+		flat := *s
+		flat.Pages = slices.Clone(s.Pages)
+		for i := range flat.Pages {
+			if rewrites>>(i%64)&1 == 1 {
+				flat.Pages[i].Data = bytes.Clone(s.Pages[i].Data)
+				for j := range flat.Pages[i].Data {
+					flat.Pages[i].Data[j] ^= byte(i + j + 1)
+				}
+			}
+		}
+		want, err := EncodeV2(&flat)
+		if err != nil {
+			t.Fatalf("EncodeV2: %v", err)
+		}
+		s.Points = nil
+		var got bytes.Buffer
+		err = WriteV2Runs(&got, s, runs, func(p Page, scratch []byte) ([]byte, error) {
+			i := slices.IndexFunc(s.Pages, func(q Page) bool { return q.ID == p.ID })
+			if len(scratch) != len(p.Data) {
+				t.Fatalf("page %d: scratch of %d bytes for %d", p.ID, len(scratch), len(p.Data))
+			}
+			if rewrites>>(i%64)&1 == 0 {
+				return p.Data, nil
+			}
+			copy(scratch, flat.Pages[i].Data)
+			return scratch, nil
+		})
+		if err != nil {
+			t.Fatalf("WriteV2Runs: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("streamed %d bytes differ from the %d-byte encoding", got.Len(), len(want))
+		}
+		v, err := Open(got.Bytes())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := v.VerifyFile(); err != nil {
+			t.Fatalf("VerifyFile: %v", err)
 		}
 	})
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestGenerateFuzzCorpus (re)generates the committed seed corpus under
-// testdata/fuzz/FuzzRead. It is skipped unless GEN_FUZZ_CORPUS=1, because
+// TestGenerateFuzzCorpus (re)generates the committed seed corpora under
+// testdata/fuzz/FuzzRead and testdata/fuzz/FuzzWriteV2Runs. It is skipped unless GEN_FUZZ_CORPUS=1, because
 // its job is to produce checked-in files, not to test anything:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/snapshot -run TestGenerateFuzzCorpus
@@ -23,7 +23,7 @@ import (
 // entry through FuzzRead on every run.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
-		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz/FuzzRead")
+		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
 	}
 	// Legacy v1 entries come from the committed fixture. (The un-prefixed
 	// seed-valid, seed-trunc-* and seed-flip-* files are tiny v1 images from
@@ -90,4 +90,30 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("wrote %d corpus entries to %s", len(corpus), dir)
+
+	// FuzzWriteV2Runs seeds: one float64 and one float32 snapshot each as a
+	// single run, in many short runs with empty ones among them, and with
+	// every page or none rewritten.
+	dir = filepath.Join("testdata", "fuzz", "FuzzWriteV2Runs")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range []struct {
+		seed     int64
+		cuts     []byte
+		rewrites uint64
+		f32      bool
+	}{
+		{1, nil, 0, false},
+		{2, nil, ^uint64(0), true},
+		{3, []byte{0, 0, 1, 7, 0, 64, 255, 0}, 0b1011, false},
+		{4, bytes.Repeat([]byte{2, 0}, 40), ^uint64(0), true},
+		{5, []byte{255, 255, 255, 255, 0}, 0b10, false},
+	} {
+		body := fmt.Sprintf("go test fuzz v1\nint64(%d)\n[]byte(%s)\nuint64(%d)\nbool(%t)\n",
+			seed.seed, strconv.Quote(string(seed.cuts)), seed.rewrites, seed.f32)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-runs-%d", i)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

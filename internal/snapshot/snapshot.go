@@ -152,15 +152,16 @@ type Snapshot struct {
 	Pages []Page
 }
 
-// validate checks the structural invariants shared by EncodeV2 and Read.
-func (s *Snapshot) validate() error {
+// validate checks the structural invariants shared by the encoder and Read,
+// for a snapshot whose points hold nvals values.
+func (s *Snapshot) validate(nvals int) error {
 	switch {
 	case s.Dim < 2 || s.Dim > maxDim:
 		return fmt.Errorf("%w: dimensionality %d", ErrCorrupt, s.Dim)
 	case s.Count < 1 || int64(s.Count) > maxCount:
 		return fmt.Errorf("%w: record count %d", ErrCorrupt, s.Count)
-	case len(s.Points) != s.Count*s.Dim:
-		return fmt.Errorf("%w: %d point values for %d×%d records", ErrCorrupt, len(s.Points), s.Count, s.Dim)
+	case nvals != s.Count*s.Dim:
+		return fmt.Errorf("%w: %d point values for %d×%d records", ErrCorrupt, nvals, s.Count, s.Dim)
 	case s.PageSize < 64 || s.PageSize > maxPageSize:
 		return fmt.Errorf("%w: page size %d", ErrCorrupt, s.PageSize)
 	// Same bounds on both sides: a snapshot that encodes must read
@@ -361,7 +362,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if got := binary.LittleEndian.Uint32(trailer[:]); got != want {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
 	}
-	if err := s.validate(); err != nil {
+	if err := s.validate(len(s.Points)); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -106,94 +108,132 @@ func v2LayoutFor(fpLen, nvals, valSize, numPages, pagesLen int64) v2Layout {
 	return l
 }
 
-// EncodeV2 serialises the snapshot in format v2 and returns the complete
-// image. The result is deterministic: identical snapshots produce
-// byte-identical images.
+// EncodeV2 returns the v2 encoding of the snapshot, the bytes WriteV2
+// streams. Identical snapshots produce byte-identical images.
 func EncodeV2(s *Snapshot) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("snapshot: nil snapshot")
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	valSize := int64(8)
-	if s.Float32 {
-		valSize = 4
-		for i, v := range s.Points {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("snapshot: point value %d is NaN; float32 snapshots require NaN-free points", i)
-			}
-			if float64(float32(v)) != v {
-				return nil, fmt.Errorf("snapshot: point value %d (%v) is not exactly representable as float32", i, v)
-			}
-		}
-	}
-	var pagesLen int64
-	for i := range s.Pages {
-		pagesLen += int64(len(s.Pages[i].Data))
-	}
-	l := v2LayoutFor(int64(len(s.Fingerprint)), int64(len(s.Points)), valSize, int64(len(s.Pages)), pagesLen)
-	buf := make([]byte, l.total)
-	le := binary.LittleEndian
-	copy(buf[0:8], Magic)
-	le.PutUint32(buf[8:], Version2)
-	var flags uint32
-	if s.Float32 {
-		flags |= FlagFloat32
-	}
-	le.PutUint32(buf[12:], flags)
-	le.PutUint32(buf[16:], uint32(s.Dim))
-	le.PutUint32(buf[20:], uint32(s.PageSize))
-	le.PutUint64(buf[24:], uint64(s.Count))
-	le.PutUint32(buf[32:], uint32(s.QuadMaxPartial))
-	le.PutUint32(buf[36:], uint32(s.QuadMaxDepth))
-	le.PutUint64(buf[40:], uint64(s.Root))
-	le.PutUint32(buf[48:], uint32(s.Height))
-	le.PutUint32(buf[52:], uint32(len(s.Pages)))
-	le.PutUint64(buf[56:], uint64(l.pointsOff))
-	le.PutUint64(buf[64:], uint64(l.pointsLen))
-	le.PutUint64(buf[72:], uint64(l.dirOff))
-	le.PutUint64(buf[80:], uint64(l.dirLen))
-	le.PutUint64(buf[88:], uint64(l.pagesOff))
-	le.PutUint64(buf[96:], uint64(l.pagesLen))
-	points := buf[l.pointsOff : l.pointsOff+l.pointsLen]
-	if s.Float32 {
-		for i, v := range s.Points {
-			le.PutUint32(points[4*i:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for i, v := range s.Points {
-			le.PutUint64(points[8*i:], math.Float64bits(v))
-		}
-	}
-	le.PutUint32(buf[104:], crc32.Checksum(points, castagnoli))
-	le.PutUint32(buf[108:], uint32(len(s.Fingerprint)))
-	copy(buf[v2HeaderLen:], s.Fingerprint)
-	hdrEnd := v2HeaderLen + int64(len(s.Fingerprint))
-	le.PutUint32(buf[hdrEnd:], crc32.Checksum(buf[:hdrEnd], castagnoli))
-	var off uint64
-	for i := range s.Pages {
-		p := &s.Pages[i]
-		e := buf[l.dirOff+int64(i)*v2DirEntryLen:]
-		le.PutUint64(e, uint64(p.ID))
-		le.PutUint64(e[8:], off)
-		le.PutUint32(e[16:], uint32(len(p.Data)))
-		copy(buf[l.pagesOff+int64(off):], p.Data)
-		off += uint64(len(p.Data))
-	}
-	le.PutUint32(buf[l.dirOff+l.dirLen:], crc32.Checksum(buf[l.dirOff:l.dirOff+l.dirLen], castagnoli))
-	le.PutUint32(buf[l.total-4:], crc32.Checksum(buf[:l.total-4], castagnoli))
-	return buf, nil
+	var b bytes.Buffer
+	err := WriteV2(&b, s) // writes nothing when it fails
+	return b.Bytes(), err
 }
 
-// WriteV2 serialises the snapshot in format v2; see EncodeV2.
+// WriteV2 streams the snapshot to w in format v2; see WriteV2Runs.
 func WriteV2(w io.Writer, s *Snapshot) error {
-	buf, err := EncodeV2(s)
-	if err != nil {
+	if s == nil {
+		return fmt.Errorf("snapshot: nil snapshot")
+	}
+	return WriteV2Runs(w, s, [][]float64{s.Points}, nil)
+}
+
+// WriteV2Runs streams the v2 encoding of s to w without building the file
+// in memory. The points are runs, concatenated row-major, in place of
+// s.Points, which is ignored. A non-nil rewrite supplies each page's
+// bytes: given the page and one page-sized scratch buffer cut to the
+// page's length, it returns the page's own bytes or the scratch rewritten.
+// Every check on s and the points runs before the first byte is written;
+// an error from rewrite or w leaves w holding a prefix. A float64 run's
+// bytes are its memory (the format is little-endian, as is every host that
+// maps it): one pass computes the points CRC the header holds, a second
+// writes them, through one 64 KiB buffer that also feeds the file CRC.
+func WriteV2Runs(w io.Writer, s *Snapshot, runs [][]float64, rewrite func(p Page, scratch []byte) ([]byte, error)) error {
+	nvals, pointsCRC := 0, uint32(0)
+	for _, run := range runs {
+		for i, v := range run {
+			if s.Float32 && float64(float32(v)) != v { // NaN included
+				return fmt.Errorf("snapshot: point value %d (%v) is not exactly representable as float32", nvals+i, v)
+			}
+		}
+		nvals += len(run)
+		pointsCRC = crc32.Update(pointsCRC, castagnoli, runBytes(run, s.Float32))
+	}
+	if err := s.validate(nvals); err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
+	valSize, flags := int64(8), uint32(0)
+	if s.Float32 {
+		valSize, flags = 4, FlagFloat32
+	}
+	var pagesLen int64
+	for _, p := range s.Pages {
+		pagesLen += int64(len(p.Data))
+	}
+	l := v2LayoutFor(int64(len(s.Fingerprint)), int64(nvals), valSize, int64(len(s.Pages)), pagesLen)
+	hdr := make([]byte, l.pointsOff) // header, fingerprint, header CRC, padding
+	le := binary.LittleEndian
+	copy(hdr[0:8], Magic)
+	le.PutUint32(hdr[8:], Version2)
+	le.PutUint32(hdr[12:], flags)
+	le.PutUint32(hdr[16:], uint32(s.Dim))
+	le.PutUint32(hdr[20:], uint32(s.PageSize))
+	le.PutUint64(hdr[24:], uint64(s.Count))
+	le.PutUint32(hdr[32:], uint32(s.QuadMaxPartial))
+	le.PutUint32(hdr[36:], uint32(s.QuadMaxDepth))
+	le.PutUint64(hdr[40:], uint64(s.Root))
+	le.PutUint32(hdr[48:], uint32(s.Height))
+	le.PutUint32(hdr[52:], uint32(len(s.Pages)))
+	le.PutUint64(hdr[56:], uint64(l.pointsOff))
+	le.PutUint64(hdr[64:], uint64(l.pointsLen))
+	le.PutUint64(hdr[72:], uint64(l.dirOff))
+	le.PutUint64(hdr[80:], uint64(l.dirLen))
+	le.PutUint64(hdr[88:], uint64(l.pagesOff))
+	le.PutUint64(hdr[96:], uint64(l.pagesLen))
+	le.PutUint32(hdr[104:], pointsCRC)
+	le.PutUint32(hdr[108:], uint32(len(s.Fingerprint)))
+	copy(hdr[v2HeaderLen:], s.Fingerprint)
+	hdrEnd := v2HeaderLen + int64(len(s.Fingerprint))
+	le.PutUint32(hdr[hdrEnd:], crc32.Checksum(hdr[:hdrEnd], castagnoli))
+	if b, ok := w.(*bytes.Buffer); ok { // EncodeV2: one allocation
+		b.Grow(int(l.total))
+	}
+	// bufio's error is sticky: Flush reports the first failed write.
+	file := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, file), 64<<10)
+	bw.Write(hdr)
+	for _, run := range runs {
+		bw.Write(runBytes(run, s.Float32))
+	}
+	var zeros, e [v2DirEntryLen]byte
+	bw.Write(zeros[:l.dirOff-l.pointsOff-l.pointsLen])
+	dirCRC, off := uint32(0), uint64(0)
+	for _, p := range s.Pages {
+		entry := le.AppendUint32(le.AppendUint64(le.AppendUint64(e[:0], uint64(p.ID)), off), uint32(len(p.Data)))
+		dirCRC = crc32.Update(dirCRC, castagnoli, entry)
+		bw.Write(entry)
+		off += uint64(len(p.Data))
+	}
+	bw.Write(le.AppendUint32(e[:0], dirCRC))
+	bw.Write(zeros[:l.pagesOff-l.dirOff-l.dirLen-4])
+	scratch := make([]byte, s.PageSize)
+	for _, p := range s.Pages {
+		data := p.Data
+		if rewrite != nil {
+			var err error
+			if data, err = rewrite(p, scratch[:len(p.Data)]); err != nil {
+				return err
+			}
+			if len(data) != len(p.Data) {
+				return fmt.Errorf("snapshot: page %d rewritten to %d bytes from %d", p.ID, len(data), len(p.Data))
+			}
+		}
+		bw.Write(data)
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(le.AppendUint32(e[:0], file.Sum32()))
 	return err
+}
+
+// runBytes returns a run's stored bytes: its own memory as float64, a new
+// float32 encoding otherwise.
+func runBytes(run []float64, f32 bool) []byte {
+	if !f32 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), 8*len(run))
+	}
+	b := make([]byte, 0, 4*len(run))
+	for _, v := range run {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
+	}
+	return b
 }
 
 // View is a validated, zero-copy window over a v2 image (typically a
@@ -476,7 +516,7 @@ func DecodeV2(data []byte) (*Snapshot, error) {
 		id, pd := v.Page(i)
 		s.Pages[i] = Page{ID: id, Data: append([]byte(nil), pd...)}
 	}
-	if err := s.validate(); err != nil {
+	if err := s.validate(len(s.Points)); err != nil {
 		return nil, err
 	}
 	return s, nil

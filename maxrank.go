@@ -201,13 +201,16 @@ func (t *table) lastID() int64 {
 	return ids[len(ids)-1]
 }
 
-// flat returns every record's coordinates, row-major, in one new slice.
-func (t *table) flat() []float64 {
-	out := make([]float64, 0, t.n*t.dim)
-	for _, c := range t.chunks {
-		out = append(out, c.coords...)
+// indexes returns the table from tree ID to record index: record i's tree
+// ID maps to i.
+func (t *table) indexes() []int64 {
+	index := make([]int64, t.lastID()+1)
+	for k, c := range t.chunks {
+		for j, id := range c.ids {
+			index[id] = int64(t.starts[k] + j)
+		}
 	}
-	return out
+	return index
 }
 
 // DatasetOption configures dataset construction.

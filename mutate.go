@@ -311,22 +311,24 @@ func (t table) withIndexIDs() table {
 // from them.
 func renumber(tree *rstar.Tree, t *table) (*rstar.Tree, error) {
 	store := tree.Source().(*pager.Store)
-	var pages []snapshot.Page
+	var leaves []snapshot.Page
 	err := store.ForEachPage(func(id pager.PageID, data []byte) error {
-		pages = append(pages, snapshot.Page{ID: int64(id), Data: data})
+		if rstar.IsLeafPage(data) {
+			leaves = append(leaves, snapshot.Page{ID: int64(id), Data: data})
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := relabelLeaves(pages, t); err != nil {
-		return nil, err
-	}
-	for _, p := range pages {
-		if rstar.IsLeafPage(p.Data) {
-			if err := store.Write(pager.PageID(p.ID), p.Data); err != nil {
-				return nil, err
-			}
+	relabel, scratch := relabelLeaves(t.indexes()), make([]byte, store.PageSize())
+	for _, p := range leaves {
+		data, err := relabel(p, scratch[:len(p.Data)])
+		if err != nil {
+			return nil, err
+		}
+		if err := store.Write(pager.PageID(p.ID), data); err != nil {
+			return nil, err
 		}
 	}
 	return rstar.RestoreFrom(store, tree.Dim(), tree.Root(), tree.Height(), tree.Size(), rstar.Options{})

@@ -28,7 +28,9 @@ import (
 // The stream is deterministic: the same dataset writes byte-identical
 // snapshots, whatever it was built or loaded from (a dataset loaded from a
 // legacy v1 or a float32 file re-snapshots as float64 v2 with its
-// fingerprint preserved). The dataset must not be mutated concurrently.
+// fingerprint preserved). It streams: beside a 64 KiB buffer it allocates
+// only the tree-ID to index table of a mutated dataset, and an error leaves
+// w holding a prefix. The dataset must not be mutated concurrently.
 func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	snap := &snapshot.Snapshot{
 		Fingerprint:    ds.Fingerprint(),
@@ -39,7 +41,7 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 		QuadMaxDepth:   ds.quadMaxDepth,
 		Root:           int64(ds.tree.Root()),
 		Height:         ds.tree.Height(),
-		Points:         ds.tab.flat(),
+		Pages:          make([]snapshot.Page, 0, ds.tree.Source().NumPages()),
 	}
 	err := ds.tree.Source().ForEachPage(func(id pager.PageID, data []byte) error {
 		if data == nil {
@@ -51,44 +53,31 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if ds.tab.lastID() != int64(ds.Len()-1) {
-		if err := relabelLeaves(snap.Pages, &ds.tab); err != nil {
-			return err
-		}
+	runs := make([][]float64, len(ds.tab.chunks))
+	for k, c := range ds.tab.chunks {
+		runs[k] = c.coords
 	}
-	return snapshot.WriteV2(w, snap)
+	var rewrite func(snapshot.Page, []byte) ([]byte, error)
+	if ds.tab.lastID() != int64(ds.Len()-1) {
+		rewrite = relabelLeaves(ds.tab.indexes())
+	}
+	return snapshot.WriteV2Runs(w, snap, runs, rewrite)
 }
 
-// relabelLeaves points the leaf pages of a snapshot at copies, in one
-// buffer, whose record IDs are record indexes: record i's tree ID becomes
-// i, through a table from tree ID to index built once for the write.
-func relabelLeaves(pages []snapshot.Page, t *table) error {
-	index := make([]int64, t.lastID()+1)
-	for k, c := range t.chunks {
-		for j, id := range c.ids {
-			index[id] = int64(t.starts[k] + j)
-		}
-	}
-	size := 0
-	for _, p := range pages {
-		if rstar.IsLeafPage(p.Data) {
-			size += len(p.Data)
-		}
-	}
-	buf := make([]byte, 0, size)
-	for i := range pages {
-		p := &pages[i]
+// relabelLeaves returns the page rewrite that copies a leaf page into
+// scratch, which has the page's length, with its record IDs made record
+// indexes: tree ID id becomes index[id]. Any other page is kept as it is.
+func relabelLeaves(index []int64) func(p snapshot.Page, scratch []byte) ([]byte, error) {
+	return func(p snapshot.Page, scratch []byte) ([]byte, error) {
 		if !rstar.IsLeafPage(p.Data) {
-			continue
+			return p.Data, nil
 		}
-		start := len(buf)
-		buf = append(buf, p.Data...)
-		p.Data = buf[start:]
-		if err := rstar.RelabelLeafPage(p.Data, index); err != nil {
-			return fmt.Errorf("repro: snapshot page %d: %w", p.ID, err)
+		copy(scratch, p.Data)
+		if err := rstar.RelabelLeafPage(scratch, index); err != nil {
+			return nil, fmt.Errorf("repro: snapshot page %d: %w", p.ID, err)
 		}
+		return scratch, nil
 	}
-	return nil
 }
 
 func onlyV2(version int, float32Points bool) error {

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -158,6 +160,62 @@ func TestWriteSnapshotFileCrashLeavesOldSnapshot(t *testing.T) {
 			mustLoadSnapshotFile(t, path, old.Fingerprint())
 		default:
 			t.Fatalf("crash at %d: unexpected error %v", crashAt, err)
+		}
+	}
+}
+
+// TestWriteSnapshotFileCrashInEachSection cuts the power inside each
+// section of a snapshot that streams out in many buffered writes: header,
+// points, directory, pages and trailer, at offsets read from the file's
+// own layout. The old snapshot survives every crash, and the orphaned temp
+// file holds exactly the bytes before the crash.
+func TestWriteSnapshotFileCrashInEachSection(t *testing.T) {
+	old, err := GenerateDataset("IND", 5000, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := mutatedDataset(t, old, 2, 1)
+	var img bytes.Buffer
+	if err := mutated.WriteSnapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	at := func(off int) int64 { return int64(binary.LittleEndian.Uint64(b[off:])) }
+	pointsOff, dirOff, pagesOff := at(56), at(72), at(88)
+	if len(b) < 3*64<<10 {
+		t.Fatalf("a %d-byte file streams in fewer than three buffered writes", len(b))
+	}
+	for _, c := range []struct {
+		section string
+		crashAt int64
+	}{
+		{"header", 40},
+		{"points", pointsOff + at(64)/2},
+		{"directory", dirOff + at(80)/2},
+		{"pages", pagesOff + at(96)/2},
+		{"trailer", int64(len(b)) - 2},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "d.snap")
+		if err := old.WriteSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		ffs := vfs.NewFaultFS(vfs.OS())
+		ffs.CrashAfterBytes(c.crashAt)
+		if err := mutated.writeSnapshotFile(ffs, path); !errors.Is(err, vfs.ErrCrashed) {
+			t.Fatalf("crash in the %s at %d: error %v, want ErrCrashed", c.section, c.crashAt, err)
+		}
+		mustLoadSnapshotFile(t, path, old.Fingerprint())
+		temps, err := filepath.Glob(filepath.Join(dir, ".snap-*"))
+		if err != nil || len(temps) != 1 {
+			t.Fatalf("crash in the %s: temp files %v (%v)", c.section, temps, err)
+		}
+		got, err := os.ReadFile(temps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b[:c.crashAt]) {
+			t.Fatalf("crash in the %s at %d: temp file holds %d bytes that are not the snapshot's prefix", c.section, c.crashAt, len(got))
 		}
 	}
 }
