@@ -157,18 +157,18 @@ type Result struct {
 // set contributes its count without being read.
 func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
 	var geq int64
-	err := rd.Descend(nil, func(e *rstar.Entry) bool {
+	err := rd.Descend(nil, func(n *rstar.Node, i int) bool {
 		switch {
-		case !allGeq(e.Rect.Hi, p): // nothing inside is >= p
-		case allGeq(e.Rect.Lo, p):
-			geq += e.Count
+		case !allGeq(n.Hi(i), p): // nothing inside is >= p
+		case allGeq(n.Lo(i), p):
+			geq += n.Count(i)
 		default:
 			return true
 		}
 		return false
 	}, func(n *rstar.Node) error {
-		for i := range n.Entries {
-			if allGeq(n.Entries[i].Point(), p) {
+		for i := 0; i < n.Len(); i++ {
+			if allGeq(n.Lo(i), p) {
 				geq++
 			}
 		}
@@ -189,14 +189,13 @@ func CountDominators(rd rstar.Reader, p vecmath.Point) (int64, error) {
 // incomparable-region focusing of Section 5). The context is polled before
 // every node access. The point handed to fn is valid only during the call.
 func scanIncomparable(ctx context.Context, rd rstar.Reader, p vecmath.Point, focalID int64, fn func(pt vecmath.Point, id int64) error) error {
-	return rd.Descend(ctx, func(e *rstar.Entry) bool {
+	return rd.Descend(ctx, func(n *rstar.Node, i int) bool {
 		// Skip a pure dominee or pure dominator subtree.
-		return !allGeq(p, e.Rect.Hi) && !allGeq(e.Rect.Lo, p)
+		return !allGeq(p, n.Hi(i)) && !allGeq(n.Lo(i), p)
 	}, func(n *rstar.Node) error {
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			if e.RecordID != focalID && vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
-				if err := fn(e.Point(), e.RecordID); err != nil {
+		for i := 0; i < n.Len(); i++ {
+			if id := n.RecordID(i); id != focalID && vecmath.Compare(n.Lo(i), p) == vecmath.Incomparable {
+				if err := fn(n.Lo(i), id); err != nil {
 					return err
 				}
 			}

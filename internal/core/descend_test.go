@@ -27,23 +27,22 @@ func refScanIncompNode(ctx context.Context, rd rstar.Reader, id pager.PageID, p 
 	if err != nil {
 		return err
 	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
-			if e.RecordID == focalID {
+			if n.RecordID(i) == focalID {
 				continue
 			}
-			if vecmath.Compare(e.Point(), p) == vecmath.Incomparable {
-				if err := fn(e.Point().Clone(), e.RecordID); err != nil {
+			if vecmath.Compare(n.Lo(i), p) == vecmath.Incomparable {
+				if err := fn(n.Lo(i).Clone(), n.RecordID(i)); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if allGeq(p, e.Rect.Hi) || allGeq(e.Rect.Lo, p) {
+		if allGeq(p, n.Hi(i)) || allGeq(n.Lo(i), p) {
 			continue
 		}
-		if err := refScanIncompNode(ctx, rd, e.Child, p, focalID, fn); err != nil {
+		if err := refScanIncompNode(ctx, rd, n.Child(i), p, focalID, fn); err != nil {
 			return err
 		}
 	}
@@ -258,7 +257,7 @@ func checkScans(t *testing.T, name string, tree *rstar.Tree, p vecmath.Point, id
 // incomparable scan and FCA's scan, which go through Descend, return what
 // the recursive walks returned and read exactly the pages they read — on a
 // heap tree serving its node cache, on a mapped copy decoding every page
-// and on a fork caching shared and re-decoded nodes side by side, d = 2…4,
+// and on a fork caching shared and changed nodes side by side, d = 2…4,
 // IND and ANTI — including scans stopped early by their callback and
 // scans cancelled mid-walk.
 func TestDescendScansMatchRecursiveWalks(t *testing.T) {

@@ -111,12 +111,12 @@ func fcaRun(in Input) (*Result, error) {
 func (f *fcaState) scan(ctx context.Context, rd rstar.Reader, p vecmath.Point, focalID int64) (above0 int, nInc int64, err error) {
 	p0, p1 := p[0], p[1]
 	up, down := f.up[:0], f.down[:0]
-	err = rd.Descend(ctx, func(e *rstar.Entry) bool {
+	err = rd.Descend(ctx, func(n *rstar.Node, i int) bool {
 		// Skip a pure dominee or pure dominator subtree.
-		lo, hi := e.Rect.Lo, e.Rect.Hi
+		lo, hi := n.Lo(i), n.Hi(i)
 		return (p0 < hi[0] || p1 < hi[1]) && (lo[0] < p0 || lo[1] < p1)
 	}, func(n *rstar.Node) error {
-		ids := n.RecordIDs()[:len(n.Entries)]
+		ids := n.RecordIDs()
 		xy := n.Coords()[:2*len(ids)]
 		for i, id := range ids {
 			r0, r1 := xy[2*i], xy[2*i+1]

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/vecmath"
 )
@@ -46,102 +45,95 @@ func (t *Tree) BulkLoad(points []vecmath.Point, ids []int64) error {
 		return nil
 	}
 
-	entries := make([]Entry, len(points))
+	src := &Node{dim: t.dim, coords: make([]float64, 0, len(points)*t.dim), ids: make([]int64, len(points))}
 	for i, p := range points {
-		id := int64(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		pp := p.Clone()
-		entries[i] = Entry{Rect: geom.Rect{Lo: pp, Hi: pp}, RecordID: id, Count: 1}
+		src.coords = append(src.coords, p...)
+		src.ids[i] = int64(i)
+	}
+	if ids != nil {
+		copy(src.ids, ids)
 	}
 
 	level := 0
-	capPerNode := int(bulkFill * float64(t.maxLeaf))
-	if capPerNode < 2 {
-		capPerNode = 2
-	}
+	capPerNode := max(2, int(bulkFill*float64(t.maxLeaf)))
 	for {
-		nodes := t.strPack(entries, level, capPerNode)
+		nodes := t.strPack(src, level, capPerNode)
 		if len(nodes) == 1 {
 			t.root = nodes[0].ID
 			t.height = level + 1
 			return nil
 		}
-		entries = make([]Entry, len(nodes))
-		for i, n := range nodes {
-			entries[i] = Entry{Rect: n.MBR(), Child: n.ID, Count: n.subtreeCount()}
-		}
 		level++
-		capPerNode = int(bulkFill * float64(t.maxBranch))
-		if capPerNode < 2 {
-			capPerNode = 2
+		src = &Node{Level: level, dim: t.dim}
+		src.reserve(len(nodes))
+		for _, n := range nodes {
+			src.pushChild(n)
 		}
+		capPerNode = max(2, int(bulkFill*float64(t.maxBranch)))
 	}
 }
 
-// strPack tiles entries into nodes of the given level using the STR scheme:
-// recursively sort by successive axes and cut into vertical "slabs".
-func (t *Tree) strPack(entries []Entry, level, capPerNode int) []*Node {
-	nNodes := (len(entries) + capPerNode - 1) / capPerNode
-	groups := t.strSlice(entries, 0, nNodes)
+// strPack tiles the entries of src into nodes of the given level using the
+// STR scheme: recursively sort by successive axes and cut into vertical
+// "slabs". The sorts order a permutation of src's entries, as split does,
+// by each entry's Lo + Hi on the axis, summed once up front.
+func (t *Tree) strPack(src *Node, level, capPerNode int) []*Node {
+	n := src.Len()
+	perm, centers := make([]int, n), make([][]float64, t.dim)
+	flat := make([]float64, t.dim*n)
+	for axis := range centers {
+		centers[axis] = flat[axis*n : (axis+1)*n]
+	}
+	for i := range perm {
+		perm[i] = i
+		for axis, r := range centers {
+			r[i] = src.Lo(i)[axis] + src.Hi(i)[axis]
+		}
+	}
+	groups := t.strSlice(centers, perm, 0, (n+capPerNode-1)/capPerNode)
 	nodes := make([]*Node, 0, len(groups))
 	for _, g := range groups {
-		n := t.newNode(level)
-		n.Entries = append(n.Entries, g...)
-		nodes = append(nodes, n)
+		node := t.newNode(level)
+		node.reserve(len(g))
+		for _, i := range g {
+			node.pushFrom(src, i)
+		}
+		nodes = append(nodes, node)
 	}
 	return nodes
 }
 
-// strSlice recursively partitions entries across axes. nGroups is the total
-// number of node-sized groups this slice must produce.
-func (t *Tree) strSlice(entries []Entry, axis, nGroups int) [][]Entry {
-	if nGroups <= 1 || len(entries) == 0 {
-		return [][]Entry{entries}
+// strSlice recursively partitions the entries perm lists across axes.
+// nGroups is the total number of node-sized groups this slice must produce.
+func (t *Tree) strSlice(centers [][]float64, perm []int, axis, nGroups int) [][]int {
+	if nGroups <= 1 || len(perm) == 0 {
+		return [][]int{perm}
 	}
+	center := centers[axis]
+	sort.Slice(perm, func(i, j int) bool { return center[perm[i]] < center[perm[j]] })
 	if axis == t.dim-1 {
 		// Final axis: cut into nGroups equal runs after sorting.
-		sortEntriesByCenter(entries, axis)
-		return cutRuns(entries, nGroups)
+		return cutRuns(perm, nGroups)
 	}
 	// Number of slabs along this axis: ceil(nGroups^(1/(remaining axes))).
 	remaining := t.dim - axis
-	slabs := int(math.Ceil(math.Pow(float64(nGroups), 1/float64(remaining))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	sortEntriesByCenter(entries, axis)
-	runs := cutRuns(entries, slabs)
+	slabs := max(1, int(math.Ceil(math.Pow(float64(nGroups), 1/float64(remaining)))))
+	runs := cutRuns(perm, slabs)
 	perSlab := (nGroups + len(runs) - 1) / len(runs)
-	var groups [][]Entry
+	var groups [][]int
 	for _, run := range runs {
-		groups = append(groups, t.strSlice(run, axis+1, perSlab)...)
+		groups = append(groups, t.strSlice(centers, run, axis+1, perSlab)...)
 	}
 	return groups
 }
 
-func sortEntriesByCenter(entries []Entry, axis int) {
-	sort.Slice(entries, func(i, j int) bool {
-		ci := entries[i].Rect.Lo[axis] + entries[i].Rect.Hi[axis]
-		cj := entries[j].Rect.Lo[axis] + entries[j].Rect.Hi[axis]
-		return ci < cj
-	})
-}
-
 // cutRuns splits a slice into n nearly-equal contiguous runs.
-func cutRuns(entries []Entry, n int) [][]Entry {
-	if n < 1 {
-		n = 1
-	}
-	size := (len(entries) + n - 1) / n
-	var runs [][]Entry
-	for start := 0; start < len(entries); start += size {
-		end := start + size
-		if end > len(entries) {
-			end = len(entries)
-		}
-		runs = append(runs, entries[start:end])
+func cutRuns(perm []int, n int) [][]int {
+	n = max(1, n)
+	size := (len(perm) + n - 1) / n
+	var runs [][]int
+	for start := 0; start < len(perm); start += size {
+		runs = append(runs, perm[start:min(start+size, len(perm))])
 	}
 	return runs
 }

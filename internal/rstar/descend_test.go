@@ -23,22 +23,21 @@ func refRangeCount(r Reader, id pager.PageID, window geom.Rect) (int64, error) {
 		return 0, err
 	}
 	var total int64
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !window.Intersects(e.Rect) {
+	for i := 0; i < n.Len(); i++ {
+		if !window.Intersects(n.rect(i)) {
 			continue
 		}
 		if n.Leaf() {
-			if window.Contains(e.Point()) {
+			if window.Contains(n.Lo(i)) {
 				total++
 			}
 			continue
 		}
-		if window.ContainsRect(e.Rect) {
-			total += e.Count
+		if window.ContainsRect(n.rect(i)) {
+			total += n.Count(i)
 			continue
 		}
-		sub, err := refRangeCount(r, e.Child, window)
+		sub, err := refRangeCount(r, n.Child(i), window)
 		if err != nil {
 			return 0, err
 		}
@@ -52,20 +51,19 @@ func refRangeSearch(r Reader, id pager.PageID, window geom.Rect, fn func(Item) b
 	if err != nil {
 		return false, err
 	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !window.Intersects(e.Rect) {
+	for i := 0; i < n.Len(); i++ {
+		if !window.Intersects(n.rect(i)) {
 			continue
 		}
 		if n.Leaf() {
-			if window.Contains(e.Point()) {
-				if !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
+			if window.Contains(n.Lo(i)) {
+				if !fn(Item{Point: n.Lo(i), RecordID: n.RecordID(i)}) {
 					return false, nil
 				}
 			}
 			continue
 		}
-		cont, err := refRangeSearch(r, e.Child, window, fn)
+		cont, err := refRangeSearch(r, n.Child(i), window, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -101,7 +99,7 @@ func searched(t *testing.T, limit int, run func(fn func(Item) bool) error) []Ite
 
 // forkedCopy forks a finalized heap tree, inserts and deletes a tenth of
 // pts through the fork and finalizes it, as Dataset.Apply does: the fork
-// then caches nodes it shares with tree beside nodes Finalize re-decoded.
+// then caches nodes it shares with tree beside the nodes it changed.
 func forkedCopy(t *testing.T, tree *Tree, pts []vecmath.Point, seed int64) *Tree {
 	t.Helper()
 	fork, err := tree.Fork(tree.store.Clone())
@@ -126,20 +124,20 @@ func forkedCopy(t *testing.T, tree *Tree, pts []vecmath.Point, seed int64) *Tree
 }
 
 // leafSlabsMatch walks every leaf of tree and checks that the coordinate
-// and ID slabs Descend hands a leaf loop hold exactly its entries' points
-// and record IDs.
+// and ID slabs Descend hands a leaf loop hold exactly the points and record
+// IDs the entry accessors read.
 func leafSlabsMatch(t *testing.T, name string, tree *Tree) {
 	t.Helper()
 	d, leaves := tree.Dim(), 0
-	err := tree.Reader(nil).Descend(nil, func(*Entry) bool { return true }, func(n *Node) error {
+	err := tree.Reader(nil).Descend(nil, func(*Node, int) bool { return true }, func(n *Node) error {
 		leaves++
 		xy, ids := n.Coords(), n.RecordIDs()
-		if len(xy) != d*len(n.Entries) || len(ids) != len(n.Entries) {
-			t.Fatalf("%s leaf %d: %d coordinates and %d IDs for %d entries", name, n.ID, len(xy), len(ids), len(n.Entries))
+		if len(xy) != d*n.Len() || len(ids) != n.Len() {
+			t.Fatalf("%s leaf %d: %d coordinates and %d IDs for %d entries", name, n.ID, len(xy), len(ids), n.Len())
 		}
-		for i, e := range n.Entries {
-			if got := vecmath.Point(xy[i*d : (i+1)*d]); !got.Equal(e.Point()) || ids[i] != e.RecordID {
-				t.Fatalf("%s leaf %d entry %d: slabs hold %v #%d, entry %v #%d", name, n.ID, i, got, ids[i], e.Point(), e.RecordID)
+		for i := 0; i < n.Len(); i++ {
+			if got := vecmath.Point(xy[i*d : (i+1)*d]); !got.Equal(n.Lo(i)) || !n.Hi(i).Equal(got) || ids[i] != n.RecordID(i) {
+				t.Fatalf("%s leaf %d entry %d: slabs hold %v #%d, entry %v..%v #%d", name, n.ID, i, got, ids[i], n.Lo(i), n.Hi(i), n.RecordID(i))
 			}
 		}
 		return nil
@@ -153,7 +151,7 @@ func leafSlabsMatch(t *testing.T, name string, tree *Tree) {
 // through Descend, return what the recursive walks returned and read
 // exactly the pages they read — on a heap tree serving its node cache, on
 // a mapped copy decoding every page and on a fork that caches shared and
-// re-decoded nodes side by side — over random windows, the whole tree, and
+// changed nodes side by side — over random windows, the whole tree, and
 // searches stopped early. Every leaf's coordinate slab holds its points.
 func TestDescendMatchesRecursiveWalks(t *testing.T) {
 	for d := 2; d <= 4; d++ {
@@ -264,7 +262,7 @@ func TestWalkReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			first := true
-			err := rd.Descend(nil, func(*Entry) bool { return true }, func(*Node) error {
+			err := rd.Descend(nil, func(*Node, int) bool { return true }, func(*Node) error {
 				if first {
 					first = false
 					started.Done()

@@ -21,19 +21,19 @@ func chooseSubtreeExhaustive(n *Node, r geom.Rect) int {
 	bestOverlap := math.Inf(1)
 	bestEnlarge := math.Inf(1)
 	bestArea := math.Inf(1)
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		enlarged := e.Rect.Union(r)
-		enlarge := enlarged.Area() - e.Rect.Area()
-		area := e.Rect.Area()
+	for i := 0; i < n.Len(); i++ {
+		e := n.rect(i)
+		enlarged := e.Union(r)
+		enlarge := enlarged.Area() - e.Area()
+		area := e.Area()
 		var overlapDelta float64
 		if childrenAreLeaves {
-			for j := range n.Entries {
+			for j := 0; j < n.Len(); j++ {
 				if j == i {
 					continue
 				}
-				o := &n.Entries[j]
-				overlapDelta += enlarged.IntersectionArea(o.Rect) - e.Rect.IntersectionArea(o.Rect)
+				o := n.rect(j)
+				overlapDelta += enlarged.IntersectionArea(o) - e.IntersectionArea(o)
 			}
 		}
 		better := false
@@ -75,10 +75,10 @@ func randomBranch(rng *rand.Rand, d, level, m int) *Node {
 		return v * scale
 	}
 	huge := rng.Intn(10) == 0
-	n := &Node{ID: 1, Level: level}
-	for len(n.Entries) < m {
-		if len(n.Entries) > 0 && rng.Intn(5) == 0 {
-			n.Entries = append(n.Entries, n.Entries[rng.Intn(len(n.Entries))])
+	n := &Node{ID: 1, Level: level, dim: d}
+	for n.Len() < m {
+		if n.Len() > 0 && rng.Intn(5) == 0 {
+			n.pushFrom(n, rng.Intn(n.Len()))
 			continue
 		}
 		scale := 1.0
@@ -93,7 +93,7 @@ func randomBranch(rng *rand.Rand, d, level, m int) *Node {
 				hi[k] = lo[k] // zero width
 			}
 		}
-		n.Entries = append(n.Entries, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: pager.PageID(len(n.Entries) + 2), Count: 1})
+		n.push(geom.Rect{Lo: lo, Hi: hi}, int64(n.Len()+2), 1)
 	}
 	return n
 }
@@ -119,19 +119,19 @@ func TestChooseSubtreeMatchesExhaustive(t *testing.T) {
 			var r geom.Rect
 			if trial%3 == 0 {
 				// A point inside an existing MBR, often inside several.
-				e := n.Entries[rng.Intn(len(n.Entries))].Rect
+				e := n.rect(rng.Intn(n.Len()))
 				p := make(vecmath.Point, d)
 				for k := range p {
 					p[k] = e.Lo[k] + rng.Float64()*(e.Hi[k]-e.Lo[k])
 				}
 				r = geom.Rect{Lo: p, Hi: p}
 			} else {
-				r = randomBranch(rng, d, 0, 1).Entries[0].Rect
+				r = randomBranch(rng, d, 1, 1).rect(0) // level 1: a leaf entry would keep only Lo
 			}
 			got, want := tree.chooseSubtree(n, r), chooseSubtreeExhaustive(n, r)
 			if got != want {
 				t.Fatalf("d=%d trial %d (level %d, %d entries, r %v): chose %d, exhaustive loop chose %d",
-					d, trial, level, len(n.Entries), r, got, want)
+					d, trial, level, n.Len(), r, got, want)
 			}
 		}
 	}

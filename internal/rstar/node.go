@@ -7,68 +7,175 @@
 // its own best-first traversal through Reader.ReadNodeInto.
 //
 // Nodes are sized to the pager's page size and are serialised to pages, so
-// query-time I/O counts reflect genuine page accesses.
+// query-time I/O counts reflect genuine page accesses. In memory a node is
+// its page's content in three pointer-free slabs, coordinates, IDs and
+// counts, read through accessors; there is no per-entry struct.
 package rstar
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/vecmath"
 )
 
-// Entry is a slot in a node: either a child pointer with its MBR and
-// aggregate count (branch nodes) or a data point with its record ID (leaf
-// nodes).
-type Entry struct {
-	Rect     geom.Rect
-	Child    pager.PageID // branch entries only
-	RecordID int64        // leaf entries only
-	Count    int64        // records in the subtree (1 for leaf entries)
-}
-
-// Point returns the data point of a leaf entry (its degenerate MBR corner).
-func (e *Entry) Point() vecmath.Point { return e.Rect.Lo }
-
-// Node is one page worth of entries.
+// Node is one page of entries, held in three slabs as the page lists them:
+// coords (a leaf's entry i is the point at [i·d, (i+1)·d), a branch's its
+// Lo then Hi at [i·2d, (i+1)·2d)), ids (a leaf's record IDs, a branch's
+// child page IDs) and counts (a branch's subtree record counts). The
+// slabs hold no pointers, so copying a node is three copies and the
+// collector never scans one. Entry i is read through the accessors.
 type Node struct {
-	ID      pager.PageID
-	Level   int // 0 = leaf
-	Entries []Entry
-	coords  []float64 // a decoded node's coordinates, which its entries' rects view
-	ids     []int64   // a decoded leaf's record IDs
+	ID     pager.PageID
+	Level  int // 0 = leaf
+	dim    int
+	coords []float64
+	ids    []int64
+	counts []int64 // branch only
 }
 
-// Coords returns the coordinate slab of a node decoded from its page, as
-// every node of a finalized or restored tree is: a leaf's entry i is the
-// point at [i·d, (i+1)·d), a branch's its Lo then Hi at [i·2d, (i+1)·2d).
-// Leaf loops read it and RecordIDs, not the entries, a cache line or more
-// apart. A node built in memory and not yet finalized has neither (nil).
+// Len returns the number of entries.
+func (n *Node) Len() int { return len(n.ids) }
+
+// Lo returns entry i's lower bound (a leaf entry's point). It views the
+// coordinate slab, capped, so an append to it never overwrites the next
+// entry.
+func (n *Node) Lo(i int) vecmath.Point { return n.rect(i).Lo }
+
+// Hi returns entry i's upper bound (a leaf entry's point), as Lo does.
+func (n *Node) Hi(i int) vecmath.Point { return n.rect(i).Hi }
+
+// Child returns a branch entry's child page.
+func (n *Node) Child(i int) pager.PageID { return pager.PageID(n.ids[i]) }
+
+// RecordID returns a leaf entry's record ID.
+func (n *Node) RecordID(i int) int64 { return n.ids[i] }
+
+// Count returns the records under entry i: 1 for a leaf entry.
+func (n *Node) Count(i int) int64 {
+	if n.Leaf() {
+		return 1
+	}
+	return n.counts[i]
+}
+
+// Coords returns the coordinate slab (see Node). Leaf loops read it and
+// RecordIDs rather than calling the accessors entry by entry.
 func (n *Node) Coords() []float64 { return n.coords }
 
-// RecordIDs returns a decoded leaf's record IDs in entry order (see Coords).
+// RecordIDs returns a leaf's record IDs in entry order.
 func (n *Node) RecordIDs() []int64 { return n.ids }
 
 // Leaf reports whether the node is at leaf level.
 func (n *Node) Leaf() bool { return n.Level == 0 }
 
-// MBR returns the minimum bounding rectangle of all entries.
-func (n *Node) MBR() geom.Rect {
-	r := n.Entries[0].Rect.Clone()
-	for _, e := range n.Entries[1:] {
-		r.Extend(e.Rect)
+// width is the number of coordinates an entry holds.
+func (n *Node) width() int {
+	if n.Leaf() {
+		return n.dim
 	}
-	return r
+	return 2 * n.dim
+}
+
+// rect views entry i's bounds.
+func (n *Node) rect(i int) geom.Rect {
+	w := n.width()
+	lo, hi := i*w, (i+1)*w-n.dim
+	return geom.Rect{Lo: n.coords[lo : lo+n.dim : lo+n.dim], Hi: n.coords[hi : hi+n.dim : hi+n.dim]}
+}
+
+// push appends an entry with bounds r (a leaf entry's Hi is its Lo).
+func (n *Node) push(r geom.Rect, id, count int64) {
+	n.coords = append(n.coords, r.Lo...)
+	if !n.Leaf() {
+		n.coords = append(n.coords, r.Hi...)
+		n.counts = append(n.counts, count)
+	}
+	n.ids = append(n.ids, id)
+}
+
+// pushFrom appends entry i of src.
+func (n *Node) pushFrom(src *Node, i int) { n.push(src.rect(i), src.ids[i], src.Count(i)) }
+
+// pushChild appends a branch entry for child c, bounded and counted as
+// setChild bounds and counts it.
+func (n *Node) pushChild(c *Node) {
+	n.push(c.rect(0), int64(c.ID), 0)
+	n.setChild(n.Len()-1, c)
+}
+
+// setChild sets branch entry i's bounds to c's MBR and its count to c's
+// record count.
+func (n *Node) setChild(i int, c *Node) {
+	c.mbrInto(n.rect(i), 0, c.Len())
+	n.counts[i] = c.subtreeCount()
+}
+
+// childIndex returns the index of the entry pointing at child id, or -1.
+func (n *Node) childIndex(id pager.PageID) int {
+	for i, c := range n.ids {
+		if pager.PageID(c) == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove deletes entry i, keeping the order of the rest.
+func (n *Node) remove(i int) {
+	w := n.width()
+	n.coords = append(n.coords[:i*w], n.coords[(i+1)*w:]...)
+	n.ids = append(n.ids[:i], n.ids[i+1:]...)
+	if !n.Leaf() {
+		n.counts = append(n.counts[:i], n.counts[i+1:]...)
+	}
+}
+
+// empty removes every entry, keeping the slabs.
+func (n *Node) empty() { n.coords, n.ids, n.counts = n.coords[:0], n.ids[:0], n.counts[:0] }
+
+// reserve makes room for k more entries.
+func (n *Node) reserve(k int) {
+	n.coords = slices.Grow(n.coords, k*n.width())
+	n.ids = slices.Grow(n.ids, k)
+	if !n.Leaf() {
+		n.counts = slices.Grow(n.counts, k)
+	}
+}
+
+// clone copies the node into slabs of its own with room for extra more
+// entries.
+func (n *Node) clone(extra int) *Node {
+	c := &Node{ID: n.ID, Level: n.Level, dim: n.dim}
+	c.reserve(n.Len() + extra)
+	c.coords = append(c.coords, n.coords...)
+	c.ids = append(c.ids, n.ids...)
+	c.counts = append(c.counts, n.counts...)
+	return c
+}
+
+// mbrInto writes the minimum bounding rectangle of entries [from, to)
+// into r.
+func (n *Node) mbrInto(r geom.Rect, from, to int) {
+	copy(r.Lo, n.Lo(from))
+	copy(r.Hi, n.Hi(from))
+	for i := from + 1; i < to; i++ {
+		r.Extend(n.rect(i))
+	}
 }
 
 // subtreeCount returns the number of data records under this node.
 func (n *Node) subtreeCount() int64 {
+	if n.Leaf() {
+		return int64(n.Len())
+	}
 	var c int64
-	for i := range n.Entries {
-		c += n.Entries[i].Count
+	for _, v := range n.counts {
+		c += v
 	}
 	return c
 }
@@ -97,52 +204,30 @@ func MaxBranchEntries(pageSize, dim int) int {
 }
 
 // encode serialises the node into a page-sized buffer.
-func (n *Node) encode(dim int) []byte {
-	var size int
-	if n.Leaf() {
-		size = nodeHeaderSize + len(n.Entries)*leafEntrySize(dim)
-	} else {
-		size = nodeHeaderSize + len(n.Entries)*branchEntrySize(dim)
-	}
-	buf := make([]byte, size)
+func (n *Node) encode() []byte {
+	buf := make([]byte, nodeHeaderSize+8*(len(n.coords)+len(n.ids)+len(n.counts)))
 	binary.LittleEndian.PutUint16(buf[0:], uint16(n.Level))
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.Entries)))
-	binary.LittleEndian.PutUint16(buf[4:], uint16(dim))
-	off := nodeHeaderSize
-	putF := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+	binary.LittleEndian.PutUint16(buf[2:], uint16(n.Len()))
+	binary.LittleEndian.PutUint16(buf[4:], uint16(n.dim))
+	off, w := nodeHeaderSize, n.width()
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[off:], v)
 		off += 8
 	}
-	putI := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-		off += 8
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if n.Leaf() {
-			for j := 0; j < dim; j++ {
-				putF(e.Rect.Lo[j])
-			}
-			putI(e.RecordID)
-		} else {
-			for j := 0; j < dim; j++ {
-				putF(e.Rect.Lo[j])
-			}
-			for j := 0; j < dim; j++ {
-				putF(e.Rect.Hi[j])
-			}
-			putI(int64(e.Child))
-			putI(e.Count)
+	for i, id := range n.ids {
+		for _, v := range n.coords[i*w : (i+1)*w] {
+			put(math.Float64bits(v))
+		}
+		put(uint64(id))
+		if !n.Leaf() {
+			put(uint64(n.counts[i]))
 		}
 	}
 	return buf
 }
 
-// decode reconstructs the node from its page image, reusing its Entries
-// and coordinate slab when their capacity suffices. All of the page's
-// coordinates go to the one slab; each rect bound is a capacity-capped
-// window of it, so an append to one reallocates instead of overwriting the
-// next.
+// decode reconstructs the node from its page image into its own slabs,
+// reusing them when their capacity suffices.
 func (n *Node) decode(id pager.PageID, page []byte) error {
 	if len(page) < nodeHeaderSize {
 		return fmt.Errorf("rstar: page %d truncated (%d bytes)", id, len(page))
@@ -150,38 +235,34 @@ func (n *Node) decode(id pager.PageID, page []byte) error {
 	level := int(binary.LittleEndian.Uint16(page[0:]))
 	count := int(binary.LittleEndian.Uint16(page[2:]))
 	dim := int(binary.LittleEndian.Uint16(page[4:]))
-	entSize, width := branchEntrySize(dim), 2*dim
+	entSize := branchEntrySize(dim)
 	if level == 0 {
-		entSize, width = leafEntrySize(dim), dim
+		entSize = leafEntrySize(dim)
 	}
 	if want := nodeHeaderSize + count*entSize; len(page) < want {
 		return fmt.Errorf("rstar: page %d has %d bytes, want %d", id, len(page), want)
 	}
-	n.ID, n.Level = id, level
-	n.Entries = resize(n.Entries, count)
-	n.coords = resize(n.coords, count*width)
-	n.ids = n.ids[:0]
-	if level == 0 {
-		n.ids = resize(n.ids, count)
+	n.ID, n.Level, n.dim = id, level, dim
+	w := n.width()
+	n.coords = resize(n.coords, count*w)
+	n.ids = resize(n.ids, count)
+	n.counts = n.counts[:0]
+	if level > 0 {
+		n.counts = resize(n.counts, count)
 	}
 	off := nodeHeaderSize
-	getI := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(page[off:]))
+	get := func() uint64 {
+		v := binary.LittleEndian.Uint64(page[off:])
 		off += 8
 		return v
 	}
-	for i := range n.Entries {
-		c := n.coords[i*width : (i+1)*width : (i+1)*width]
-		for j := range c {
-			c[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[off:]))
-			off += 8
+	for i := range n.ids {
+		for j := i * w; j < (i+1)*w; j++ {
+			n.coords[j] = math.Float64frombits(get())
 		}
-		if level == 0 {
-			n.ids[i] = getI()
-			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c, Hi: c}, RecordID: n.ids[i], Count: 1}
-		} else {
-			child := pager.PageID(getI())
-			n.Entries[i] = Entry{Rect: geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}, Child: child, Count: getI()}
+		n.ids[i] = int64(get())
+		if level > 0 {
+			n.counts[i] = int64(get())
 		}
 	}
 	return nil

@@ -15,18 +15,18 @@ import (
 // the dominator count |D+| cheaply (Section 5).
 func (r Reader) RangeCount(window geom.Rect) (int64, error) {
 	var total int64
-	err := r.Descend(nil, func(e *Entry) bool {
-		switch {
-		case !window.Intersects(e.Rect):
-		case window.ContainsRect(e.Rect):
-			total += e.Count // aggregate shortcut: no descent, no I/O
+	err := r.Descend(nil, func(n *Node, i int) bool {
+		switch e := n.rect(i); {
+		case !window.Intersects(e):
+		case window.ContainsRect(e):
+			total += n.Count(i) // aggregate shortcut: no descent, no I/O
 		default:
 			return true
 		}
 		return false
 	}, func(n *Node) error {
-		for i := range n.Entries {
-			if window.Intersects(n.Entries[i].Rect) {
+		for i := 0; i < n.Len(); i++ {
+			if window.Intersects(n.rect(i)) {
 				total++
 			}
 		}
@@ -48,10 +48,9 @@ type Item struct {
 // false from fn stops the search early. The item's point is valid only
 // during the call.
 func (r Reader) RangeSearch(window geom.Rect, fn func(Item) bool) error {
-	err := r.Descend(nil, func(e *Entry) bool { return window.Intersects(e.Rect) }, func(n *Node) error {
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			if window.Intersects(e.Rect) && !fn(Item{Point: e.Point(), RecordID: e.RecordID}) {
+	err := r.Descend(nil, func(n *Node, i int) bool { return window.Intersects(n.rect(i)) }, func(n *Node) error {
+		for i := 0; i < n.Len(); i++ {
+			if window.Intersects(n.rect(i)) && !fn(Item{Point: n.Lo(i), RecordID: n.RecordID(i)}) {
 				return errStop
 			}
 		}
@@ -82,40 +81,41 @@ func (t *Tree) checkNode(id pager.PageID, expectLevel int, isRoot bool) (geom.Re
 	if n.Level != expectLevel {
 		return geom.Rect{}, 0, errf("node %d at level %d, expected %d", id, n.Level, expectLevel)
 	}
-	if len(n.Entries) == 0 {
+	if n.Len() == 0 {
 		if !isRoot || t.size != 0 {
 			return geom.Rect{}, 0, errf("node %d is empty", id)
 		}
 		return geom.UnitCube(t.dim), 0, nil
 	}
-	if !isRoot && len(n.Entries) < t.minEntriesFor(n) {
-		return geom.Rect{}, 0, errf("node %d underfull: %d < %d", id, len(n.Entries), t.minEntriesFor(n))
+	if !isRoot && n.Len() < t.minEntriesFor(n) {
+		return geom.Rect{}, 0, errf("node %d underfull: %d < %d", id, n.Len(), t.minEntriesFor(n))
 	}
-	if len(n.Entries) > t.maxEntriesFor(n) {
-		return geom.Rect{}, 0, errf("node %d overfull: %d > %d", id, len(n.Entries), t.maxEntriesFor(n))
+	if n.Len() > t.maxEntriesFor(n) {
+		return geom.Rect{}, 0, errf("node %d overfull: %d > %d", id, n.Len(), t.maxEntriesFor(n))
 	}
 	var total int64
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
 			total++
 			continue
 		}
-		childRect, childCount, err := t.checkNode(e.Child, n.Level-1, false)
+		childRect, childCount, err := t.checkNode(n.Child(i), n.Level-1, false)
 		if err != nil {
 			return geom.Rect{}, 0, err
 		}
-		if !e.Rect.ContainsRect(childRect) {
+		if !n.rect(i).ContainsRect(childRect) {
 			return geom.Rect{}, 0, errf("node %d entry %d MBR %v does not contain child MBR %v",
-				id, i, e.Rect, childRect)
+				id, i, n.rect(i), childRect)
 		}
-		if e.Count != childCount {
+		if n.Count(i) != childCount {
 			return geom.Rect{}, 0, errf("node %d entry %d count %d != subtree count %d",
-				id, i, e.Count, childCount)
+				id, i, n.Count(i), childCount)
 		}
 		total += childCount
 	}
-	return n.MBR(), total, nil
+	box := newRect(t.dim)
+	n.mbrInto(box, 0, n.Len())
+	return box, total, nil
 }
 
 func errf(format string, args ...any) error {

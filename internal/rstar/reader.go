@@ -35,8 +35,8 @@ func (r Reader) Root() pager.PageID { return r.t.root }
 // ReadNodeInto fetches a node for query processing, charging one page
 // access to the reader's tracker. It returns the cached node when the tree
 // keeps one (a tree over a heap store always does), and otherwise decodes
-// the page into buf, reusing buf's Entries and coordinate storage, and
-// returns buf (a new Node when buf is nil). Either way the node is
+// the page into buf, reusing buf's slabs, and returns buf (a new Node when
+// buf is nil). Either way the node is
 // read-only, and it is valid only until the next read into buf: a caller
 // that keeps anything of it copies it.
 func (r Reader) ReadNodeInto(id pager.PageID, buf *Node) (*Node, error) {
@@ -44,23 +44,22 @@ func (r Reader) ReadNodeInto(id pager.PageID, buf *Node) (*Node, error) {
 }
 
 // Descend walks the tree depth first from the root, reading nodes in page
-// order. On a branch node it calls enter for each entry in turn, and reads
-// that entry's child next when enter returns true; a leaf node it hands to
-// leaf whole, whose error ends the walk and is returned as is. When ctx is
-// non-nil it is polled before every node read.
+// order. On a branch node n it calls enter(n, i) for each entry i in turn,
+// and reads that entry's child next when enter returns true; a leaf node it
+// hands to leaf whole, whose error ends the walk and is returned as is.
+// When ctx is non-nil it is polled before every node read.
 //
 // Node reads are charged as ReadNodeInto's are, so a walk reads the pages a
 // recursive scan with the same tests would. Nodes the tree does not cache
 // are decoded into per-depth scratch, so a warm walk allocates nothing: the
-// entry handed to enter and the node handed to leaf are valid only during
-// the call.
-func (r Reader) Descend(ctx context.Context, enter func(e *Entry) bool, leaf func(n *Node) error) error {
+// nodes handed to enter and leaf are valid only during the call.
+func (r Reader) Descend(ctx context.Context, enter func(n *Node, i int) bool, leaf func(n *Node) error) error {
 	w := acquireWalk()
 	defer releaseWalk(w)
 	return r.descend(ctx, w, r.t.root, 0, enter, leaf)
 }
 
-func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int, enter func(e *Entry) bool, leaf func(n *Node) error) error {
+func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int, enter func(n *Node, i int) bool, leaf func(n *Node) error) error {
 	if ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
@@ -74,9 +73,9 @@ func (r Reader) descend(ctx context.Context, w *walk, id pager.PageID, depth int
 	if n.Leaf() {
 		return leaf(n)
 	}
-	for i := range n.Entries {
-		if e := &n.Entries[i]; enter(e) {
-			if err := r.descend(ctx, w, e.Child, depth+1, enter, leaf); err != nil {
+	for i := 0; i < n.Len(); i++ {
+		if enter(n, i) {
+			if err := r.descend(ctx, w, n.Child(i), depth+1, enter, leaf); err != nil {
 				return err
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"sort"
-	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/pager"
@@ -27,9 +26,10 @@ const minFillFraction = 0.4
 // storage, not from an option:
 //
 //   - A tree over a heap *pager.Store (New, BulkLoad, RestoreFrom on a
-//     Store, Fork) keeps every node decoded in its node cache and serves
-//     reads from it: data and index in main memory. It is writable. A fork
-//     shares its parent's decoded nodes and clones one only to change it.
+//     Store, Fork) keeps every node in its node cache and serves reads
+//     from it: data and index in main memory. It is writable. A fork
+//     shares its parent's nodes and clones one, three slab copies, only
+//     to change it.
 //   - A tree over any other Source — a pager.Mapped view over an mmap'd
 //     snapshot — caches nothing and decodes each page it reads: the
 //     disk-resident scenario. It is read-only. Mutating it fails with a
@@ -106,14 +106,14 @@ func emptyTree(src pager.Source, dim int) (*Tree, error) {
 		t.store = store
 		t.cache = make(map[pager.PageID]*Node)
 		t.dirty = make(map[pager.PageID]struct{})
-		t.enlarged = geom.Rect{Lo: make(vecmath.Point, dim), Hi: make(vecmath.Point, dim)}
+		t.enlarged = newRect(dim)
 	}
 	return t, nil
 }
 
 // Fork returns a writable tree over store, which must be a Clone of this
 // tree's store, holding the same index. The fork shares this tree's
-// decoded nodes and clones a node only the first time it changes it, and
+// nodes and clones a node only the first time it changes it, and
 // its store shares the unchanged pages, so a fork costs two tables, not a
 // decode of every page, and nothing it does reaches this tree, which may
 // keep serving queries meanwhile. This tree must be heap-backed and
@@ -164,24 +164,21 @@ func (t *Tree) writable() error {
 }
 
 func (t *Tree) newNode(level int) *Node {
-	n := &Node{ID: t.store.Alloc(), Level: level}
+	n := &Node{ID: t.store.Alloc(), Level: level, dim: t.dim}
 	t.cache[n.ID] = n
 	t.dirty[n.ID] = struct{}{}
 	return n
 }
 
 // node returns a cached node for the mutation path to change. A node the
-// tree does not own yet is cloned first: the clone gets its own entry
-// array and shares the original's coordinates, which no mutation writes in
-// place (a changed rect is a new rect). The array holds the entries plus
-// the one an insert adds; append grows it for the rare second.
+// tree does not own yet is cloned first, into slabs of its own with room
+// for the entry an insert adds; append grows them for the rare second.
 func (t *Tree) node(id pager.PageID) *Node {
 	n := t.peek(id)
 	if _, own := t.dirty[id]; own {
 		return n
 	}
-	c := &Node{ID: id, Level: n.Level, Entries: make([]Entry, len(n.Entries), len(n.Entries)+1)}
-	copy(c.Entries, n.Entries)
+	c := n.clone(1)
 	t.cache[id] = c
 	t.dirty[id] = struct{}{}
 	return c
@@ -230,23 +227,20 @@ func (t *Tree) Insert(p vecmath.Point, recordID int64) error {
 	if len(p) != t.dim {
 		return fmt.Errorf("rstar: inserting %d-dim point into %d-dim tree", len(p), t.dim)
 	}
-	pp := p.Clone()
-	e := Entry{Rect: geom.Rect{Lo: pp, Hi: pp}, RecordID: recordID, Count: 1}
-	reinserted := make(map[int]bool)
-	t.insertEntry(e, 0, reinserted)
+	t.insertEntry(geom.Rect{Lo: p, Hi: p}, recordID, 1, 0, make(map[int]bool))
 	t.size++
 	return nil
 }
 
-// insertEntry places e at the target level, handling overflow by forced
-// reinsert (once per level per top-level insertion) or R*-split.
-func (t *Tree) insertEntry(e Entry, level int, reinserted map[int]bool) {
-	path := t.choosePath(e.Rect, level)
-	leafID := path[len(path)-1]
-	n := t.node(leafID)
-	n.Entries = append(n.Entries, e)
+// insertEntry places an entry with bounds r, ID id and count at the target
+// level, handling overflow by forced reinsert (once per level per top-level
+// insertion) or R*-split. The node copies r.
+func (t *Tree) insertEntry(r geom.Rect, id, count int64, level int, reinserted map[int]bool) {
+	path := t.choosePath(r, level)
+	n := t.node(path[len(path)-1])
+	n.push(r, id, count)
 	t.adjustUp(path)
-	if len(n.Entries) > t.maxEntriesFor(n) {
+	if n.Len() > t.maxEntriesFor(n) {
 		t.overflow(path, reinserted)
 	}
 }
@@ -272,7 +266,7 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) []pager.PageID {
 	cur := t.peek(t.root)
 	for cur.Level > targetLevel {
 		idx := t.chooseSubtree(cur, r)
-		child := t.peek(cur.Entries[idx].Child)
+		child := t.peek(cur.Child(idx))
 		path = append(path, child.ID)
 		cur = child
 	}
@@ -302,27 +296,27 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	bestEnlarge := math.Inf(1)
 	bestArea := math.Inf(1)
 	enlarged := t.enlarged
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	for i := 0; i < n.Len(); i++ {
+		e := n.rect(i)
 		grown := false
 		for k := range enlarged.Lo {
-			enlarged.Lo[k] = math.Min(e.Rect.Lo[k], r.Lo[k])
-			enlarged.Hi[k] = math.Max(e.Rect.Hi[k], r.Hi[k])
-			grown = grown || enlarged.Lo[k] != e.Rect.Lo[k] || enlarged.Hi[k] != e.Rect.Hi[k]
+			enlarged.Lo[k] = math.Min(e.Lo[k], r.Lo[k])
+			enlarged.Hi[k] = math.Max(e.Hi[k], r.Hi[k])
+			grown = grown || enlarged.Lo[k] != e.Lo[k] || enlarged.Hi[k] != e.Hi[k]
 		}
 		enlargedArea := enlarged.Area()
-		area := e.Rect.Area()
+		area := e.Area()
 		enlarge := enlargedArea - area
 		// laterWins: E beats the best so far on enlargement or area alone.
 		laterWins := enlarge < bestEnlarge-1e-15 || (!(enlarge > bestEnlarge+1e-15) && area < bestArea)
 		var overlapDelta float64
 		if childrenAreLeaves && (grown || !(enlargedArea <= math.MaxFloat64)) {
-			for j := range n.Entries {
+			for j := 0; j < n.Len(); j++ {
 				if j == i {
 					continue
 				}
-				o := &n.Entries[j]
-				overlapDelta += enlarged.IntersectionArea(o.Rect) - e.Rect.IntersectionArea(o.Rect)
+				o := n.rect(j)
+				overlapDelta += enlarged.IntersectionArea(o) - e.IntersectionArea(o)
 				if best >= 0 && (overlapDelta > bestOverlap+1e-15 || (!laterWins && !(overlapDelta < bestOverlap-1e-15))) {
 					break
 				}
@@ -352,12 +346,8 @@ func (t *Tree) adjustUp(path []pager.PageID) {
 	for i := len(path) - 2; i >= 0; i-- {
 		parent := t.node(path[i])
 		child := t.peek(path[i+1])
-		for j := range parent.Entries {
-			if parent.Entries[j].Child == child.ID {
-				parent.Entries[j].Rect = child.MBR()
-				parent.Entries[j].Count = child.subtreeCount()
-				break
-			}
+		if j := parent.childIndex(child.ID); j >= 0 {
+			parent.setChild(j, child)
 		}
 	}
 }
@@ -377,38 +367,35 @@ func (t *Tree) overflow(path []pager.PageID, reinserted map[int]bool) {
 }
 
 // reinsert removes the reinsertFraction entries farthest from the node's
-// center and re-inserts them from the root (R*-tree forced reinsert).
+// center and re-inserts them from the root (R*-tree forced reinsert). The
+// entries are ordered by sorting a permutation, which from the node's
+// order makes the comparisons and swaps sorting the entries would.
 func (t *Tree) reinsert(path []pager.PageID, reinserted map[int]bool) {
 	n := t.node(path[len(path)-1])
-	center := n.MBR().Center()
-	type distEntry struct {
-		dist float64
-		e    Entry
-	}
-	des := make([]distEntry, len(n.Entries))
-	for i, e := range n.Entries {
-		c := e.Rect.Center()
+	box := newRect(t.dim)
+	n.mbrInto(box, 0, n.Len())
+	center := box.Center()
+	old := n.clone(0)
+	perm, dist := make([]int, old.Len()), make([]float64, old.Len())
+	for i := range perm {
+		perm[i] = i
+		lo, hi := old.Lo(i), old.Hi(i)
 		var d float64
-		for j := range c {
-			dd := c[j] - center[j]
+		for j := range center {
+			dd := (lo[j]+hi[j])/2 - center[j]
 			d += dd * dd
 		}
-		des[i] = distEntry{dist: d, e: e}
+		dist[i] = d
 	}
-	sort.Slice(des, func(i, j int) bool { return des[i].dist < des[j].dist })
-	p := int(reinsertFraction * float64(len(des)))
-	if p < 1 {
-		p = 1
-	}
-	keep := des[:len(des)-p]
-	evict := des[len(des)-p:]
-	n.Entries = n.Entries[:0]
-	for _, de := range keep {
-		n.Entries = append(n.Entries, de.e)
+	sort.Slice(perm, func(i, j int) bool { return dist[perm[i]] < dist[perm[j]] })
+	p := max(1, int(reinsertFraction*float64(len(perm))))
+	n.empty()
+	for _, i := range perm[:len(perm)-p] {
+		n.pushFrom(old, i)
 	}
 	t.adjustUp(path)
-	for _, de := range evict {
-		t.insertEntry(de.e, n.Level, reinserted)
+	for _, i := range perm[len(perm)-p:] {
+		t.insertEntry(old.rect(i), old.ids[i], old.Count(i), n.Level, reinserted)
 	}
 }
 
@@ -417,120 +404,90 @@ func (t *Tree) reinsert(path []pager.PageID, reinserted map[int]bool) {
 func (t *Tree) splitUp(path []pager.PageID, reinserted map[int]bool) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := t.node(path[i])
-		if len(n.Entries) <= t.maxEntriesFor(n) {
+		if n.Len() <= t.maxEntriesFor(n) {
 			t.adjustUp(path[:i+1])
 			return
 		}
 		sibling := t.split(n)
 		if path[i] == t.root {
 			newRoot := t.newNode(n.Level + 1)
-			newRoot.Entries = []Entry{
-				{Rect: n.MBR(), Child: n.ID, Count: n.subtreeCount()},
-				{Rect: sibling.MBR(), Child: sibling.ID, Count: sibling.subtreeCount()},
-			}
+			newRoot.pushChild(n)
+			newRoot.pushChild(sibling)
 			t.root = newRoot.ID
 			t.height++
 			return
 		}
 		parent := t.node(path[i-1])
-		for j := range parent.Entries {
-			if parent.Entries[j].Child == n.ID {
-				parent.Entries[j].Rect = n.MBR()
-				parent.Entries[j].Count = n.subtreeCount()
-				break
-			}
+		if j := parent.childIndex(n.ID); j >= 0 {
+			parent.setChild(j, n)
 		}
-		parent.Entries = append(parent.Entries, Entry{
-			Rect:  sibling.MBR(),
-			Child: sibling.ID,
-			Count: sibling.subtreeCount(),
-		})
+		parent.pushChild(sibling)
 		// Continue loop: parent may now overflow.
 	}
 }
 
 // split performs the R* topological split: choose the axis with minimum
-// margin sum, then the distribution with minimum overlap (ties: area).
+// margin sum, then the distribution with minimum overlap (ties: area). Each
+// axis sort orders a permutation from the node's order, as reinsert does,
+// and copies the entries in that order.
 func (t *Tree) split(n *Node) *Node {
 	minE := t.minEntriesFor(n)
-	entries := n.Entries
-	bestAxis, bestLower := -1, false
-	bestSplit := -1
-	bestMargin := math.Inf(1)
-
-	type axisChoice struct {
-		axis    int
-		lower   bool
-		split   int
-		overlap float64
-		area    float64
+	perm := make([]int, n.Len())
+	sorted := &Node{Level: n.Level, dim: n.dim}
+	sorted.reserve(n.Len())
+	sortAxis := func(axis int, lower bool) {
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.Slice(perm, func(i, j int) bool {
+			if lower {
+				return n.Lo(perm[i])[axis] < n.Lo(perm[j])[axis]
+			}
+			return n.Hi(perm[i])[axis] < n.Hi(perm[j])[axis]
+		})
+		sorted.empty()
+		for _, i := range perm {
+			sorted.pushFrom(n, i)
+		}
 	}
-	var candidates []axisChoice
-
+	left, right := newRect(t.dim), newRect(t.dim)
+	bestAxis, bestLower, bestSplit, bestMargin := -1, false, -1, math.Inf(1)
 	for axis := 0; axis < t.dim; axis++ {
 		for _, lower := range []bool{true, false} {
-			sorted := make([]Entry, len(entries))
-			copy(sorted, entries)
-			ax, lw := axis, lower
-			sort.Slice(sorted, func(i, j int) bool {
-				if lw {
-					return sorted[i].Rect.Lo[ax] < sorted[j].Rect.Lo[ax]
-				}
-				return sorted[i].Rect.Hi[ax] < sorted[j].Rect.Hi[ax]
-			})
+			sortAxis(axis, lower)
+			// The sort's split: min overlap, tie area.
 			var marginSum float64
-			for k := minE; k <= len(sorted)-minE; k++ {
-				left := mbrOf(sorted[:k])
-				right := mbrOf(sorted[k:])
+			split, bestOverlap, bestArea := -1, math.Inf(1), math.Inf(1)
+			for k := minE; k <= sorted.Len()-minE; k++ {
+				sorted.mbrInto(left, 0, k)
+				sorted.mbrInto(right, k, sorted.Len())
 				marginSum += left.Margin() + right.Margin()
-				candidates = append(candidates, axisChoice{
-					axis: axis, lower: lower, split: k,
-					overlap: left.IntersectionArea(right),
-					area:    left.Area() + right.Area(),
-				})
+				overlap, area := left.IntersectionArea(right), left.Area()+right.Area()
+				if overlap < bestOverlap-1e-15 || (math.Abs(overlap-bestOverlap) <= 1e-15 && area < bestArea) {
+					split, bestOverlap, bestArea = k, overlap, area
+				}
 			}
 			if marginSum < bestMargin {
-				bestMargin = marginSum
-				bestAxis = axis
-				bestLower = lower
+				bestAxis, bestLower, bestSplit, bestMargin = axis, lower, split, marginSum
 			}
 		}
 	}
-	// Among candidates on the chosen axis/sort, pick min overlap, tie area.
-	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for _, c := range candidates {
-		if c.axis != bestAxis || c.lower != bestLower {
-			continue
-		}
-		if c.overlap < bestOverlap-1e-15 ||
-			(math.Abs(c.overlap-bestOverlap) <= 1e-15 && c.area < bestArea) {
-			bestOverlap = c.overlap
-			bestArea = c.area
-			bestSplit = c.split
+	sortAxis(bestAxis, bestLower)
+	n.empty()
+	sibling := t.newNode(n.Level)
+	for i := 0; i < sorted.Len(); i++ {
+		if i < bestSplit {
+			n.pushFrom(sorted, i)
+		} else {
+			sibling.pushFrom(sorted, i)
 		}
 	}
-
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	ax, lw := bestAxis, bestLower
-	sort.Slice(sorted, func(i, j int) bool {
-		if lw {
-			return sorted[i].Rect.Lo[ax] < sorted[j].Rect.Lo[ax]
-		}
-		return sorted[i].Rect.Hi[ax] < sorted[j].Rect.Hi[ax]
-	})
-	n.Entries = append(n.Entries[:0], sorted[:bestSplit]...)
-	sibling := t.newNode(n.Level)
-	sibling.Entries = append(sibling.Entries, sorted[bestSplit:]...)
 	return sibling
 }
 
-func mbrOf(entries []Entry) geom.Rect {
-	r := entries[0].Rect.Clone()
-	for _, e := range entries[1:] {
-		r.Extend(e.Rect)
-	}
-	return r
+// newRect returns a d-dimensional rectangle to write bounds into.
+func newRect(d int) geom.Rect {
+	return geom.Rect{Lo: make(vecmath.Point, d), Hi: make(vecmath.Point, d)}
 }
 
 // Delete removes one record with the given point and record ID. It returns
@@ -548,14 +505,13 @@ func (t *Tree) Delete(p vecmath.Point, recordID int64) (bool, error) {
 	if leaf == nil {
 		return false, nil
 	}
-	leaf = t.node(leaf.ID)
-	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
+	t.node(leaf.ID).remove(idx)
 	t.size--
 	t.condense(path)
 	// Shrink the root if it became a lone-child branch.
 	root := t.peek(t.root)
-	for !root.Leaf() && len(root.Entries) == 1 {
-		child := root.Entries[0].Child
+	for !root.Leaf() && root.Len() == 1 {
+		child := root.Child(0)
 		t.release(t.root)
 		t.root = child
 		t.height--
@@ -568,18 +524,17 @@ func (t *Tree) findLeaf(id pager.PageID, p vecmath.Point, recordID int64, path *
 	n := t.peek(id)
 	*path = append(*path, id)
 	if n.Leaf() {
-		for i := range n.Entries {
-			if n.Entries[i].RecordID == recordID && n.Entries[i].Rect.Lo.Equal(p) {
+		for i := 0; i < n.Len(); i++ {
+			if n.ids[i] == recordID && n.Lo(i).Equal(p) {
 				return n, i
 			}
 		}
 		*path = (*path)[:len(*path)-1]
 		return nil, -1
 	}
-	pr := geom.PointRect(p)
-	for i := range n.Entries {
-		if n.Entries[i].Rect.ContainsRect(pr) {
-			if leaf, idx := t.findLeaf(n.Entries[i].Child, p, recordID, path); leaf != nil {
+	for i := 0; i < n.Len(); i++ {
+		if n.rect(i).Contains(p) {
+			if leaf, idx := t.findLeaf(n.Child(i), p, recordID, path); leaf != nil {
 				return leaf, idx
 			}
 		}
@@ -589,85 +544,56 @@ func (t *Tree) findLeaf(id pager.PageID, p vecmath.Point, recordID int64, path *
 }
 
 // condense walks the deletion path bottom-up, dissolving underfull nodes and
-// re-inserting their entries at the proper level.
+// re-inserting their entries at the proper level. A dissolved node leaves
+// the cache, so no mutation reaches the entries read back from it.
 func (t *Tree) condense(path []pager.PageID) {
-	var orphans []struct {
-		e     Entry
-		level int
-	}
+	var orphans []*Node
 	for i := len(path) - 1; i >= 1; i-- {
 		n := t.peek(path[i])
 		parent := t.node(path[i-1])
-		if len(n.Entries) < t.minEntriesFor(n) {
-			for j := range parent.Entries {
-				if parent.Entries[j].Child == n.ID {
-					parent.Entries = append(parent.Entries[:j], parent.Entries[j+1:]...)
-					break
-				}
+		j := parent.childIndex(n.ID)
+		if n.Len() < t.minEntriesFor(n) {
+			if j >= 0 {
+				parent.remove(j)
 			}
-			for _, e := range n.Entries {
-				orphans = append(orphans, struct {
-					e     Entry
-					level int
-				}{e, n.Level})
-			}
+			orphans = append(orphans, n)
 			t.release(n.ID)
-		} else {
-			for j := range parent.Entries {
-				if parent.Entries[j].Child == n.ID {
-					parent.Entries[j].Rect = n.MBR()
-					parent.Entries[j].Count = n.subtreeCount()
-					break
-				}
-			}
+		} else if j >= 0 {
+			parent.setChild(j, n)
 		}
 	}
 	for _, o := range orphans {
-		reinserted := make(map[int]bool)
-		t.insertEntry(o.e, o.level, reinserted)
+		for i := 0; i < o.Len(); i++ {
+			t.insertEntry(o.rect(i), o.ids[i], o.Count(i), o.Level, make(map[int]bool))
+		}
 	}
 }
 
 // CachedBytes approximates the heap held by the node cache: every cached
-// entry, its coordinates and a leaf entry's record ID, without per-object
-// overhead. A tree over a mapped source caches nothing and reports 0.
+// node's coordinate, ID and count slabs, without per-object overhead or
+// spare capacity. A tree over a mapped source caches nothing and reports
+// 0.
 func (t *Tree) CachedBytes() int64 {
-	entry := int64(unsafe.Sizeof(Entry{}))
 	var b int64
 	for _, n := range t.cache {
-		coords := 2 * t.dim // a branch entry's Lo and Hi
-		if n.Leaf() {
-			coords = t.dim + 1 // a leaf entry's Lo and Hi are one point; its ID
-		}
-		b += int64(len(n.Entries)) * (entry + 8*int64(coords))
+		b += 8 * int64(len(n.coords)+len(n.ids)+len(n.counts))
 	}
 	return b
 }
 
 // Finalize serialises every node the tree owns — each node of a new tree,
-// and what a fork changed — to its page, and decodes the page back into
-// the node, as a load would: its own entry array, now over one fresh
-// coordinate slab (its rects may view coordinates shared with the tree it
-// was forked from), not the scattered allocations of the build and
-// mutation paths, which version after version would otherwise spread
-// across the heap. The nodes are then shared, like every other cached
-// node. Finalize reads no page, so it charges no tracker and never
-// sleeps.
+// and what a fork changed — to its page. Its slabs already hold exactly
+// what the page does, so the node is then shared as it is, like every
+// other cached node. Finalize reads no page, so it charges no tracker and
+// never sleeps.
 func (t *Tree) Finalize() error {
 	if err := t.writable(); err != nil {
 		return err
 	}
 	for id := range t.dirty {
-		n := t.cache[id]
-		page := n.encode(t.dim)
-		if err := t.store.Write(id, page); err != nil {
+		if err := t.store.Write(id, t.cache[id].encode()); err != nil {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
-		n.coords, n.ids = nil, nil
-		if err := n.decode(id, page); err != nil {
-			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
-		}
-		clear(n.Entries[len(n.Entries):cap(n.Entries)]) // pins no old rects
 	}
 	clear(t.dirty)
 	return nil

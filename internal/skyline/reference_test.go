@@ -152,17 +152,16 @@ func (m *refMaintainer) drain() ([]Record, error) {
 // pushNodeEntries filters a node's entries against the incomparability
 // window and pushes survivors onto the heap.
 func (m *refMaintainer) pushNodeEntries(n *rstar.Node) {
-	for i := range n.Entries {
-		ne := &n.Entries[i]
+	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
-			if ne.RecordID == m.focalID {
+			if n.RecordID(i) == m.focalID {
 				continue
 			}
-			switch vecmath.Compare(ne.Point(), m.focal) {
+			switch vecmath.Compare(n.Lo(i), m.focal) {
 			case vecmath.Incomparable:
 				m.accessed++
-				p := ne.Point().Clone()
-				m.push(refEntry{key: p.Sum(), rec: Record{Point: p, ID: ne.RecordID}})
+				p := n.Lo(i).Clone()
+				m.push(refEntry{key: p.Sum(), rec: Record{Point: p, ID: n.RecordID(i)}})
 			default:
 				// Dominators are counted separately via RangeCount; dominees
 				// and duplicates of the focal record are irrelevant.
@@ -170,18 +169,18 @@ func (m *refMaintainer) pushNodeEntries(n *rstar.Node) {
 			continue
 		}
 		// Subtree filters: all-dominee and all-dominator boxes are pruned.
-		if refDominatesOrEqual(m.focal, ne.Rect.Hi) {
+		if refDominatesOrEqual(m.focal, n.Hi(i)) {
 			continue // every record inside is dominated by (or equals) focal
 		}
-		if refDominatesOrEqual(ne.Rect.Lo, m.focal) {
+		if refDominatesOrEqual(n.Lo(i), m.focal) {
 			continue // every record inside dominates (or equals) focal
 		}
 		m.push(refEntry{
-			key:    ne.Rect.Hi.Sum(),
+			key:    n.Hi(i).Sum(),
 			isNode: true,
-			child:  ne.Child,
-			hi:     ne.Rect.Hi.Clone(),
-			lo:     ne.Rect.Lo.Clone(),
+			child:  n.Child(i),
+			hi:     n.Hi(i).Clone(),
+			lo:     n.Lo(i).Clone(),
 		})
 	}
 }

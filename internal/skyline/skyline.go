@@ -164,8 +164,10 @@ func (m *Maintainer) Reset(ctx context.Context, rd rstar.Reader, focal vecmath.P
 func (m *Maintainer) Release() { m.ctx, m.rd = nil, rstar.Reader{} }
 
 // Poison overwrites every slab through its capacity with values no query
-// could have put there: a test's proof that nothing a caller still holds
-// reads from a released Maintainer, and that Reset rebuilds all it reads.
+// could have put there, the decode scratch's coordinates and IDs included
+// (the maintainer reads no counts): a test's proof that nothing a caller
+// still holds reads from a released Maintainer, and that Reset rebuilds
+// all it reads.
 func (m *Maintainer) Poison() {
 	fill(m.slots, slot{math.NaN(), -1, -2, -2, true})
 	fill(m.coords, math.NaN())
@@ -173,12 +175,8 @@ func (m *Maintainer) Poison() {
 	fill(m.live, -1)
 	fill(m.focal, math.NaN())
 	m.node.ID, m.node.Level = -1, -1
-	ents := m.node.Entries[:cap(m.node.Entries)]
-	for i := range ents {
-		fill(ents[i].Rect.Lo, math.NaN())
-		fill(ents[i].Rect.Hi, math.NaN())
-		ents[i].Child, ents[i].RecordID, ents[i].Count = -1, -1, -1
-	}
+	fill(m.node.Coords(), math.NaN())
+	fill(m.node.RecordIDs(), -1)
 }
 
 func fill[T any](s []T, v T) {
@@ -280,28 +278,27 @@ func (m *Maintainer) drain() ([]Record, error) {
 // pushNodeEntries filters a node's entries against the incomparability
 // window and admits the survivors.
 func (m *Maintainer) pushNodeEntries(n *rstar.Node) {
-	for i := range n.Entries {
-		ne := &n.Entries[i]
+	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
-			if ne.RecordID == m.focalID {
+			if n.RecordID(i) == m.focalID {
 				continue
 			}
 			// Dominators are counted separately via RangeCount; dominees
 			// and duplicates of the focal record are irrelevant.
-			if p := ne.Point(); vecmath.Compare(p, m.focal) == vecmath.Incomparable {
+			if p := n.Lo(i); vecmath.Compare(p, m.focal) == vecmath.Incomparable {
 				m.accessed++
-				m.add(ne.RecordID, false, p)
+				m.add(n.RecordID(i), false, p)
 			}
 			continue
 		}
 		// Subtree filters: all-dominee and all-dominator boxes are pruned.
-		if dominatesOrEqual(m.focal, ne.Rect.Hi) {
+		if dominatesOrEqual(m.focal, n.Hi(i)) {
 			continue // every record inside is dominated by (or equals) focal
 		}
-		if dominatesOrEqual(ne.Rect.Lo, m.focal) {
+		if dominatesOrEqual(n.Lo(i), m.focal) {
 			continue // every record inside dominates (or equals) focal
 		}
-		m.add(int64(ne.Child), true, ne.Rect.Hi)
+		m.add(int64(n.Child(i)), true, n.Hi(i))
 	}
 }
 
