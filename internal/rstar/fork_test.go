@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/vecmath"
@@ -98,10 +100,11 @@ func randomBranch(rng *rand.Rand, d, level, m int) *Node {
 	return n
 }
 
-// TestChooseSubtreeMatchesExhaustive: the scratch-rect, early-stopping
-// choose-subtree picks the exhaustive loop's entry on random level-1 and
-// level-2 nodes — overlapping, identical and zero-width MBRs, points
-// inside several MBRs, near-ties within 1e-15 and non-finite areas.
+// TestChooseSubtreeMatchesExhaustive: the pruning choose-subtree picks the
+// exhaustive loop's entry on random level-1 and level-2 nodes —
+// overlapping, identical and zero-width MBRs, points inside several MBRs,
+// near-ties within 1e-15 and non-finite areas — and on leaf parents of
+// full fanout tiled like STR leaves.
 func TestChooseSubtreeMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for _, d := range []int{2, 3, 4} {
@@ -135,6 +138,134 @@ func TestChooseSubtreeMatchesExhaustive(t *testing.T) {
 			}
 		}
 	}
+
+	// At real fanout: leaf parents of maxBranch and maxBranch + 1 entries
+	// tiled like STR leaves, and points r strictly inside one rect, inside
+	// one of the first three (a zero-overlap best found early), inside
+	// several, on an edge (often one that two rects share) and outside all.
+	// One node in ten has a rect of area +Inf among its first quarter, and
+	// one in ten is shrunk by 1e-2 to 1e-7, so overlap sums fall near the
+	// 1e-15 the criteria compare within.
+	// skipLosers must both start the loop past the first entry and give up
+	// on some nodes where an entry after the first covers r.
+	var started, gaveUp int
+	for _, d := range []int{2, 3} {
+		for trial := 0; trial < 2000; trial++ {
+			tree, _ := newTree(t, d)
+			n := strBranch(rng, tree, tree.maxBranch+trial%2, trial%3 == 0)
+			switch trial % 10 {
+			case 0:
+				n.Hi(rng.Intn(n.Len() / 4))[rng.Intn(d)] = 1e200
+			case 5:
+				scale := math.Pow(10, -float64(2+rng.Intn(6)))
+				for i := range n.coords {
+					n.coords[i] *= scale
+				}
+			}
+			r := probePoint(rng, n, trial%5)
+			c := 0
+			for c < n.Len() && !n.rect(c).ContainsRect(r) {
+				c++
+			}
+			switch start := tree.skipLosers(n, r); {
+			case start > 0:
+				started++
+			case c > 0 && c < n.Len():
+				gaveUp++
+			}
+			got, want := tree.chooseSubtree(n, r), chooseSubtreeExhaustive(n, r)
+			if got != want {
+				t.Fatalf("d=%d STR trial %d (%d entries, r %v): chose %d, exhaustive loop chose %d",
+					d, trial, n.Len(), r, got, want)
+			}
+		}
+	}
+	t.Logf("STR trials: skipLosers started past the first entry %d times and gave up %d times", started, gaveUp)
+	if started == 0 || gaveUp == 0 {
+		t.Fatalf("skipLosers started %d times and gave up %d times; the trials must exercise both", started, gaveUp)
+	}
+}
+
+// strBranch returns a leaf parent of m entries whose rects are the MBRs of
+// STR-packed groups of six random points, tiled as a bulk load tiles
+// leaves: they nearly cover the unit cube, overlapping a little and
+// leaving gaps. With grid set the points lie on a 1/16 lattice, so rects
+// share edges and some have zero width. Copies of random entries fill the
+// node up to m when the packing makes fewer groups.
+func strBranch(rng *rand.Rand, tree *Tree, m int, grid bool) *Node {
+	src := &Node{dim: tree.dim}
+	for _, p := range randomPoints(rng, 6*m, tree.dim) {
+		if grid {
+			for k := range p {
+				p[k] = math.Floor(p[k]*16) / 16
+			}
+		}
+		src.push(geom.Rect{Lo: p, Hi: p}, 0, 1)
+	}
+	n := &Node{ID: 1, Level: 1, dim: tree.dim}
+	for _, leaf := range tree.strPack(src, 0, 6) {
+		n.pushChild(leaf)
+	}
+	for n.Len() < m {
+		n.pushFrom(n, rng.Intn(n.Len()))
+	}
+	for n.Len() > m {
+		n.remove(n.Len() - 1)
+	}
+	return n
+}
+
+// probePoint draws a point for strBranch's node n by kind: 0 strictly
+// inside a random entry, 1 inside one of the first three, 2 inside two
+// entries that overlap (else as 0), 3 on a random entry's edge, 4 outside
+// every entry, drawn from a box 10% larger than the unit cube (after 100
+// draws inside some entry, the last draw).
+func probePoint(rng *rand.Rand, n *Node, kind int) geom.Rect {
+	d := n.dim
+	p := make(vecmath.Point, d)
+	inside := func(e geom.Rect) {
+		for k := range p {
+			p[k] = e.Lo[k] + (0.05+0.9*rng.Float64())*(e.Hi[k]-e.Lo[k])
+		}
+	}
+	inside(n.rect(rng.Intn(n.Len())))
+	switch kind {
+	case 1:
+		inside(n.rect(rng.Intn(3)))
+	case 2:
+		for try := 0; try < 100; try++ {
+			a, b := n.rect(rng.Intn(n.Len())), n.rect(rng.Intn(n.Len()))
+			both := newRect(d)
+			for k := range both.Lo {
+				both.Lo[k], both.Hi[k] = max(a.Lo[k], b.Lo[k]), min(a.Hi[k], b.Hi[k])
+			}
+			if both.Area() > 0 && !slices.Equal(a.Lo, b.Lo) {
+				inside(both)
+				break
+			}
+		}
+	case 3:
+		e, k := n.rect(rng.Intn(n.Len())), rng.Intn(d)
+		inside(e)
+		p[k] = e.Lo[k]
+		if rng.Intn(2) == 0 {
+			p[k] = e.Hi[k]
+		}
+	case 4:
+	draw:
+		for try := 0; try < 100; try++ {
+			for k := range p {
+				p[k] = -0.05 + 1.1*rng.Float64()
+			}
+			for i := 0; i < n.Len(); i++ {
+				if n.rect(i).Contains(p) {
+					continue draw
+				}
+			}
+			break
+		}
+	}
+	return geom.Rect{Lo: p, Hi: p}
 }
 
 // TestForkLeavesParentUntouched: a fork mutated through inserts, deletes,
@@ -231,5 +362,50 @@ func TestForkLeavesParentUntouched(t *testing.T) {
 	n, err := parent.Reader(nil).RangeCount(everything(2))
 	if err != nil || n != 600 {
 		t.Fatalf("parent counts %d records (%v), want 600", n, err)
+	}
+}
+
+// BenchmarkInsert measures the index half of one mutate_cycle batch: on a
+// fork of a bulk-loaded IND n = 100 000, d = 2 tree over 4 KiB pages, 32
+// inserts of uniform points, 32 deletes of random records and a Finalize.
+// Every batch starts from the same parent, so each one does the same work;
+// ns/op and allocs/op are per batch.
+func BenchmarkInsert(b *testing.B) {
+	const n, d = 100000, 2
+	store := pager.NewStore(4096)
+	tree, err := New(store, d, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := dataset.Generate(dataset.IND, n, d, 1)
+	if err := tree.BulkLoad(pts, nil); err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.Finalize(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	inserts := randomPoints(rng, 32, d)
+	deletes := rng.Perm(n)[:32]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		fork, err := tree.Fork(store.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, p := range inserts {
+			if err := fork.Insert(p, int64(n+i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, i := range deletes {
+			if ok, err := fork.Delete(pts[i], int64(i)); err != nil || !ok {
+				b.Fatalf("delete of record %d: %v, %v", i, ok, err)
+			}
+		}
+		if err := fork.Finalize(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,9 +3,11 @@ package rstar
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -27,11 +29,17 @@ func (s *opStream) next() byte {
 }
 
 // gridPoint draws a point on a 16-step grid of the unit cube, so that
-// inputs repeat points, coordinates and bounds often.
+// inputs repeat points, coordinates and bounds often. A byte whose low
+// four bits are zero gives −0 when its bit 4 is set and +0 otherwise, so
+// the zeros of a bound have either sign.
 func gridPoint(d int, next func() byte) vecmath.Point {
 	p := make(vecmath.Point, d)
 	for k := range p {
-		p[k] = float64(next()%16) / 16
+		b := next()
+		p[k] = float64(b%16) / 16
+		if b%32 == 16 {
+			p[k] = math.Copysign(0, -1)
+		}
 	}
 	return p
 }
@@ -58,9 +66,9 @@ func stateOf(tree *Tree) treeState {
 
 // checkFinalized checks a tree just finalized against the model multiset
 // of its records: its invariants, its size, a range count over a window
-// drawn from next against brute force, and every cached node against a
-// decode of its page. Each ancestor must still hold the pages and nodes it
-// held when it was forked.
+// drawn from next against brute force, every cached node against a decode
+// of its page, and every branch entry against its child's MBR. Each
+// ancestor must still hold the pages and nodes it held when it was forked.
 func checkFinalized(t *testing.T, tree *Tree, model []Item, ancestors []treeState, next func() byte) {
 	t.Helper()
 	if err := tree.CheckInvariants(); err != nil {
@@ -99,6 +107,18 @@ func checkFinalized(t *testing.T, tree *Tree, model []Item, ancestors []treeStat
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every branch entry holds, bit for bit, the bounds a re-scan of its
+	// child gives: the signs of zero bounds included.
+	box := newRect(tree.Dim())
+	for id, n := range tree.cache {
+		for i := 0; i < n.Len() && !n.Leaf(); i++ {
+			c := tree.cache[n.Child(i)]
+			c.mbrInto(box, 0, c.Len())
+			if e := n.rect(i); !bitsEqual(e.Lo, box.Lo) || !bitsEqual(e.Hi, box.Hi) {
+				t.Fatalf("node %d entry %d bounds %v, its child re-scans to %v", id, i, e, box)
+			}
+		}
+	}
 	for gen, s := range ancestors {
 		err := s.tree.store.ForEachPage(func(id pager.PageID, data []byte) error {
 			if !bytes.Equal(s.pages[id], data) {
@@ -118,6 +138,11 @@ func checkFinalized(t *testing.T, tree *Tree, model []Item, ancestors []treeStat
 			t.Fatalf("ancestor %d: %v", gen, err)
 		}
 	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // FuzzTreeOps decodes its input into inserts, deletes, forks and
@@ -248,8 +273,9 @@ func runTreeOps(t *testing.T, data []byte) {
 
 // treeOpsSeeds are FuzzTreeOps' seed inputs: bulk loads with runs of
 // inserts, duplicates and deletes between finalizes and forks, long
-// enough at either d to split, reinsert, condense and shrink the root.
-// Each operation is followed by exactly the bytes it reads.
+// enough at either d to split, reinsert, condense and shrink the root,
+// with single inserts often at −0 or +0 on some axis. Each operation is
+// followed by exactly the bytes it reads.
 func treeOpsSeeds() [][]byte {
 	var seeds [][]byte
 	for i := range 6 {
@@ -259,6 +285,16 @@ func treeOpsSeeds() [][]byte {
 		args := func(k int) {
 			for range k {
 				seed = append(seed, byte(rng.Intn(256)))
+			}
+		}
+		// coords draws a point's bytes, a third of them zeros of either sign.
+		coords := func(k int) {
+			for range k {
+				b := byte(rng.Intn(256))
+				if rng.Intn(3) == 0 {
+					b &^= 15
+				}
+				seed = append(seed, b)
 			}
 		}
 		for op := 0; op < 80+40*i; op++ {
@@ -272,7 +308,7 @@ func treeOpsSeeds() [][]byte {
 			seed = append(seed, byte(kind+8*rng.Intn(32)))
 			switch fork := rng.Intn(2); kind {
 			case 0, 1:
-				args(d)
+				coords(d)
 			case 7:
 				seed = append(seed, byte(2*rng.Intn(128)+fork))
 				if fork == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -234,16 +235,20 @@ func (t *Tree) Insert(p vecmath.Point, recordID int64) error {
 
 // insertEntry places an entry with bounds r, ID id and count at the target
 // level, handling overflow by forced reinsert (once per level per top-level
-// insertion) or R*-split. The node copies r.
+// insertion) or R*-split. The node copies r. The path is on this call's
+// stack: reinsert and condense re-enter insertEntry while theirs is live.
 func (t *Tree) insertEntry(r geom.Rect, id, count int64, level int, reinserted map[int]bool) {
-	path := t.choosePath(r, level)
+	var buf [pathCap]pager.PageID
+	path := t.choosePath(r, level, buf[:0])
 	n := t.node(path[len(path)-1])
 	n.push(r, id, count)
-	t.adjustUp(path)
+	t.extendUp(path, r, count)
 	if n.Len() > t.maxEntriesFor(n) {
 		t.overflow(path, reinserted)
 	}
 }
+
+const pathCap = 16 // the tree height a path holds before append allocates
 
 func (t *Tree) maxEntriesFor(n *Node) int {
 	if n.Leaf() {
@@ -260,9 +265,9 @@ func (t *Tree) minEntriesFor(n *Node) int {
 }
 
 // choosePath descends from the root to the node at targetLevel following the
-// R*-tree ChooseSubtree criteria, returning the page IDs along the way.
-func (t *Tree) choosePath(r geom.Rect, targetLevel int) []pager.PageID {
-	path := []pager.PageID{t.root}
+// R*-tree ChooseSubtree criteria, appending the page IDs along the way to path.
+func (t *Tree) choosePath(r geom.Rect, targetLevel int, path []pager.PageID) []pager.PageID {
+	path = append(path, t.root)
 	cur := t.peek(t.root)
 	for cur.Level > targetLevel {
 		idx := t.chooseSubtree(cur, r)
@@ -284,11 +289,16 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) []pager.PageID {
 // for bound and float subtraction and multiplication are monotone, so
 // A(E′∩O) ≥ A(E∩O) and every term is ≥ +0 — or NaN, when both overflow to
 // +Inf, which needs A(E) non-finite, and then neither enlargement nor area
-// can prefer E. So the sum can stop early and still choose exactly what
-// summing every term chooses: an E′ equal to E with A(E) finite adds
-// exactly +0, and once a partial sum passes bestOverlap+1e-15, or reaches
-// bestOverlap−1e-15 when enlargement and area cannot prefer E, E has lost,
-// as its full sum — no smaller, or NaN — would lose.
+// can prefer E (coordinates are never NaN). So the sum can stop early and
+// still choose exactly what summing every term chooses: an E′ equal to E
+// with A(E) finite adds exactly +0, and once a partial sum passes
+// bestOverlap+1e-15, or reaches bestOverlap−1e-15 when enlargement and
+// area cannot prefer E, E has lost, as its full sum — no smaller, or NaN —
+// would lose. Likewise no sum is taken when enlargement and area cannot
+// prefer E and bestOverlap ≤ 1e-15, and a sibling E′ does not reach with
+// positive extent on every axis is skipped: its +0 − +0 leaves a sum of
+// terms ≥ +0 as it was, bit for bit. The rest are added in index order.
+// At a leaf's parent the loop may start at skipLosers' entry.
 func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	childrenAreLeaves := n.Level == 1
 	best := -1
@@ -296,26 +306,24 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	bestEnlarge := math.Inf(1)
 	bestArea := math.Inf(1)
 	enlarged := t.enlarged
-	for i := 0; i < n.Len(); i++ {
+	for i := t.skipLosers(n, r); i < n.Len(); i++ {
 		e := n.rect(i)
-		grown := false
-		for k := range enlarged.Lo {
-			enlarged.Lo[k] = math.Min(e.Lo[k], r.Lo[k])
-			enlarged.Hi[k] = math.Max(e.Hi[k], r.Hi[k])
-			grown = grown || enlarged.Lo[k] != e.Lo[k] || enlarged.Hi[k] != e.Hi[k]
-		}
+		grown := t.grow(e, r)
 		enlargedArea := enlarged.Area()
 		area := e.Area()
 		enlarge := enlargedArea - area
 		// laterWins: E beats the best so far on enlargement or area alone.
 		laterWins := enlarge < bestEnlarge-1e-15 || (!(enlarge > bestEnlarge+1e-15) && area < bestArea)
 		var overlapDelta float64
-		if childrenAreLeaves && (grown || !(enlargedArea <= math.MaxFloat64)) {
+		if childrenAreLeaves && (grown || !(enlargedArea <= math.MaxFloat64)) && (laterWins || !(bestOverlap <= 1e-15)) {
+		siblings:
 			for j := 0; j < n.Len(); j++ {
-				if j == i {
-					continue
-				}
 				o := n.rect(j)
+				for k := range o.Lo {
+					if j == i || min(enlarged.Hi[k], o.Hi[k]) <= max(enlarged.Lo[k], o.Lo[k]) {
+						continue siblings
+					}
+				}
 				overlapDelta += enlarged.IntersectionArea(o) - e.IntersectionArea(o)
 				if best >= 0 && (overlapDelta > bestOverlap+1e-15 || (!laterWins && !(overlapDelta < bestOverlap-1e-15))) {
 					break
@@ -341,7 +349,39 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	return best
 }
 
-// adjustUp refreshes MBRs and aggregate counts along a root-to-node path.
+// skipLosers returns the first entry C of a leaf's parent that covers r
+// with a finite area if each entry E before it has A(E) finite and a term
+// against C above 1e-15, else 0. E's sum has no NaN term and so is above
+// 1e-15 too; C's is +0, so C beats whichever was best before it, and the
+// loop may start at C. r is nearly always covered: O(fanout) a choice.
+func (t *Tree) skipLosers(n *Node, r geom.Rect) int {
+	for c := 0; n.Level == 1 && c < n.Len(); c++ {
+		if cr := n.rect(c); cr.ContainsRect(r) && cr.Area() <= math.MaxFloat64 {
+			for i := 0; i < c; i++ {
+				e := n.rect(i)
+				t.grow(e, r)
+				if !(e.Area() <= math.MaxFloat64 && t.enlarged.IntersectionArea(cr)-e.IntersectionArea(cr) > 1e-15) {
+					return 0
+				}
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// grow sets t.enlarged to e grown to cover r and reports whether it grew.
+func (t *Tree) grow(e, r geom.Rect) bool {
+	grown := false
+	for k := range t.enlarged.Lo {
+		t.enlarged.Lo[k] = math.Min(e.Lo[k], r.Lo[k])
+		t.enlarged.Hi[k] = math.Max(e.Hi[k], r.Hi[k])
+		grown = grown || t.enlarged.Lo[k] != e.Lo[k] || t.enlarged.Hi[k] != e.Hi[k]
+	}
+	return grown
+}
+
+// adjustUp refreshes MBRs and counts along a root-to-node path by re-scanning.
 func (t *Tree) adjustUp(path []pager.PageID) {
 	for i := len(path) - 2; i >= 0; i-- {
 		parent := t.node(path[i])
@@ -349,6 +389,26 @@ func (t *Tree) adjustUp(path []pager.PageID) {
 		if j := parent.childIndex(child.ID); j >= 0 {
 			parent.setChild(j, child)
 		}
+	}
+}
+
+// extendUp is adjustUp, bit for bit, after the path's last node gained an
+// entry r of count records, in O(d) a level: it extends each entry by r
+// and adds count. A re-scan folds a child's entries with Extend, keeping
+// the first of equal bounds; at the leaf's parent r is the fold's last
+// entry, and above it equal bounds are the same bits but for ±0, so only a
+// zero in r could show the fold's order, and then it re-scans.
+func (t *Tree) extendUp(path []pager.PageID, r geom.Rect, count int64) {
+	if slices.Contains(r.Lo, 0) || slices.Contains(r.Hi, 0) {
+		t.adjustUp(path)
+		return
+	}
+	for i := len(path) - 2; i >= 0; i-- {
+		parent := t.node(path[i])
+		j := parent.childIndex(path[i+1])
+		b := parent.rect(j)
+		b.Extend(r)
+		parent.counts[j] += count
 	}
 }
 
@@ -500,12 +560,12 @@ func (t *Tree) Delete(p vecmath.Point, recordID int64) (bool, error) {
 	if len(p) != t.dim {
 		return false, fmt.Errorf("rstar: deleting %d-dim point from %d-dim tree", len(p), t.dim)
 	}
-	var path []pager.PageID
-	leaf, idx := t.findLeaf(t.root, p, recordID, &path)
-	if leaf == nil {
+	var buf [pathCap]pager.PageID
+	path, idx := t.findLeaf(t.root, p, recordID, buf[:0])
+	if path == nil {
 		return false, nil
 	}
-	t.node(leaf.ID).remove(idx)
+	t.node(path[len(path)-1]).remove(idx)
 	t.size--
 	t.condense(path)
 	// Shrink the root if it became a lone-child branch.
@@ -520,26 +580,25 @@ func (t *Tree) Delete(p vecmath.Point, recordID int64) (bool, error) {
 	return true, nil
 }
 
-func (t *Tree) findLeaf(id pager.PageID, p vecmath.Point, recordID int64, path *[]pager.PageID) (*Node, int) {
+// findLeaf appends the path from id to the record's leaf; nil if absent.
+func (t *Tree) findLeaf(id pager.PageID, p vecmath.Point, recordID int64, path []pager.PageID) ([]pager.PageID, int) {
 	n := t.peek(id)
-	*path = append(*path, id)
+	path = append(path, id)
 	if n.Leaf() {
 		for i := 0; i < n.Len(); i++ {
 			if n.ids[i] == recordID && n.Lo(i).Equal(p) {
-				return n, i
+				return path, i
 			}
 		}
-		*path = (*path)[:len(*path)-1]
 		return nil, -1
 	}
 	for i := 0; i < n.Len(); i++ {
 		if n.rect(i).Contains(p) {
-			if leaf, idx := t.findLeaf(n.Child(i), p, recordID, path); leaf != nil {
-				return leaf, idx
+			if found, idx := t.findLeaf(n.Child(i), p, recordID, path); found != nil {
+				return found, idx
 			}
 		}
 	}
-	*path = (*path)[:len(*path)-1]
 	return nil, -1
 }
 
