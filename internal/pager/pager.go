@@ -88,21 +88,26 @@ func (s *Store) Alloc() PageID {
 	return id
 }
 
-// Write stores data in the page. Data longer than the page size is an
-// error: the caller (the R*-tree) sizes its nodes to fit.
+// Write stores a copy of data in the page, so the caller may reuse data.
+// Data longer than the page size is an error: the caller (the R*-tree)
+// sizes its nodes to fit.
 func (s *Store) Write(id PageID, data []byte) error {
+	return s.Adopt(id, append(make([]byte, 0, len(data)), data...))
+}
+
+// Adopt stores data itself as the page, without a copy: the caller hands
+// over a buffer it made for the page and must never modify it again. It
+// checks what Write checks.
+func (s *Store) Adopt(id PageID, data []byte) error {
 	if len(data) > s.pageSize {
 		return fmt.Errorf("pager: %d bytes exceed page size %d", len(data), s.pageSize)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.pages[id]; !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("pager: write to unallocated page %d", id)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	s.pages[id] = buf
-	s.mu.Unlock()
+	s.pages[id] = data
 	return nil
 }
 
@@ -171,8 +176,8 @@ func (s *Store) ForEachPage(fn func(id PageID, data []byte) error) error {
 // every page had been Restored into a fresh store and ReclaimGaps called:
 // the allocation cursor sits one past the highest page held and the free
 // list holds the gaps below it, lowest handed out first. The page images
-// themselves are shared, not copied — a page is never modified after Write
-// or Restore, only replaced — so a clone costs one page table, not one
+// themselves are shared, not copied — a page is never modified after Write,
+// Adopt or Restore, only replaced — so a clone costs one page table, not one
 // copy of every page. Writes, allocations and frees on either store leave
 // the other untouched. The clone has no latency.
 func (s *Store) Clone() *Store {

@@ -44,6 +44,30 @@ func TestWriteIsolation(t *testing.T) {
 	}
 }
 
+// TestAdoptKeepsTheBuffer: Adopt stores the caller's buffer itself, with
+// no allocation, and checks what Write checks.
+func TestAdoptKeepsTheBuffer(t *testing.T) {
+	s := NewStore(64)
+	id := s.Alloc()
+	buf := []byte{1, 2, 3}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Adopt(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Adopt allocates %.0f times", allocs)
+	}
+	if got, _ := s.ReadTracked(id, nil); &got[0] != &buf[0] {
+		t.Fatal("Adopt stored a copy")
+	}
+	if err := s.Adopt(id, make([]byte, 65)); err == nil {
+		t.Fatal("oversized adopt accepted")
+	}
+	if err := s.Adopt(42, buf); err == nil {
+		t.Fatal("adopt of an unallocated page succeeded")
+	}
+}
+
 func TestPageSizeEnforced(t *testing.T) {
 	s := NewStore(8)
 	id := s.Alloc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -362,6 +363,199 @@ func TestForkLeavesParentUntouched(t *testing.T) {
 	n, err := parent.Reader(nil).RangeCount(everything(2))
 	if err != nil || n != 600 {
 		t.Fatalf("parent counts %d records (%v), want 600", n, err)
+	}
+}
+
+// countsDownOnly reports whether deleting p from the leaf ending path can
+// leave every bound as it is: no node below the root goes underfull, and p
+// lies strictly inside its leaf's entry on every axis. A re-scan folds
+// entries keeping the first of equal bounds, and p equals no bound, so the
+// leaf's other entries fold to the same bits, and so does each ancestor.
+func countsDownOnly(t *Tree, path []pager.PageID, p vecmath.Point) bool {
+	if len(path) < 2 {
+		return false
+	}
+	for i, id := range path[1:] {
+		n := t.peek(id)
+		left := n.Len()
+		if i == len(path)-2 {
+			left-- // the leaf loses the deleted entry
+		}
+		if left < t.minEntriesFor(n) {
+			return false
+		}
+	}
+	parent := t.peek(path[len(path)-2])
+	b := parent.rect(parent.childIndex(path[len(path)-1]))
+	for k, v := range p {
+		if !(b.Lo[k] < v && v < b.Hi[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// deleteCountingDown deletes as Delete does, except that when
+// countsDownOnly holds it re-scans nothing: it removes the entry and takes
+// one from each count on the path. It reports whether it took that path.
+func deleteCountingDown(t *Tree, p vecmath.Point, recordID int64) (counted, ok bool) {
+	var buf [pathCap]pager.PageID
+	path, idx := t.findLeaf(t.root, p, recordID, buf[:0])
+	if path == nil {
+		return false, false
+	}
+	if !countsDownOnly(t, path, p) {
+		ok, err := t.Delete(p, recordID)
+		return false, ok && err == nil
+	}
+	t.node(path[len(path)-1]).remove(idx)
+	t.size--
+	for i := len(path) - 2; i >= 0; i-- {
+		parent := t.node(path[i])
+		parent.counts[parent.childIndex(path[i+1])]--
+	}
+	return true, true
+}
+
+// TestCondenseMatchesRescan: wherever countsDownOnly holds, Delete's re-scan
+// leaves every node bit for bit as deleteCountingDown does by only counting
+// the path down, so such a delete could skip the re-scan. Points lie on a
+// 1/64 grid with one coordinate in eight ±0 and one insert in four a live
+// point's duplicate, so deleted points often lie on their leaf's boundary or
+// equal a bound but for its zero's sign; deletes outnumber inserts, so nodes
+// also go underfull.
+func TestCondenseMatchesRescan(t *testing.T) {
+	for _, d := range []int{2, 3} {
+		rng := rand.New(rand.NewSource(int64(49 + d)))
+		point := func() vecmath.Point {
+			p := make(vecmath.Point, d)
+			for k := range p {
+				p[k] = float64(rng.Intn(65)) / 64
+				if rng.Intn(8) == 0 {
+					p[k] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				}
+			}
+			return p
+		}
+		type rec struct {
+			p  vecmath.Point
+			id int64
+		}
+		var live []rec
+		for i := range 1500 {
+			live = append(live, rec{point(), int64(i)})
+		}
+		pts := make([]vecmath.Point, len(live))
+		for i, r := range live {
+			pts[i] = r.p
+		}
+		var trees [2]*Tree
+		for k := range trees {
+			tree, err := New(pager.NewStore(512), d, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.BulkLoad(pts, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			trees[k] = tree
+		}
+		got, want := trees[0], trees[1]
+		kept, rescanned := 0, 0
+		for op := 0; op < 3000 && len(live) > 1; op++ {
+			if rng.Intn(3) == 0 {
+				p := point()
+				if rng.Intn(4) == 0 {
+					p = live[rng.Intn(len(live))].p.Clone()
+				}
+				id := int64(1500 + op)
+				if err := got.Insert(p, id); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.Insert(p.Clone(), id); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, rec{p, id})
+			} else {
+				k := rng.Intn(len(live))
+				r := live[k]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				keep, ok := deleteCountingDown(got, r.p, r.id)
+				if !ok {
+					t.Fatalf("d=%d: counting-down delete of record %d missed", d, r.id)
+				}
+				if ok, err := want.Delete(r.p, r.id); err != nil || !ok {
+					t.Fatalf("d=%d: delete of record %d: %v, %v", d, r.id, ok, err)
+				}
+				if keep {
+					kept++
+				} else {
+					rescanned++
+				}
+			}
+			if got.root != want.root || got.height != want.height || got.size != want.size || len(got.cache) != len(want.cache) {
+				t.Fatalf("d=%d op %d: root %d height %d size %d over %d nodes, Delete's %d %d %d over %d",
+					d, op, got.root, got.height, got.size, len(got.cache), want.root, want.height, want.size, len(want.cache))
+			}
+			for id, n := range got.cache {
+				if !sameNode(n, want.cache[id]) {
+					t.Fatalf("d=%d op %d: node %d differs from Delete's re-scan", d, op, id)
+				}
+			}
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		t.Logf("d=%d: %d deletes counted down, %d re-scanned", d, kept, rescanned)
+		if kept < 200 || rescanned < 200 {
+			t.Fatalf("d=%d: %d deletes counted down and %d re-scanned; the test wants many of each", d, kept, rescanned)
+		}
+	}
+}
+
+// TestFinalizeAllocatesOnlyPages: Finalize of k dirty nodes makes k
+// allocations, each node's page, which the store keeps as encode made it.
+func TestFinalizeAllocatesOnlyPages(t *testing.T) {
+	parent, _ := finalizedTree(t, 600, 2, Options{})
+	var items []Item
+	err := parent.Reader(nil).RangeSearch(everything(2), func(it Item) bool {
+		items = append(items, Item{Point: it.Point.Clone(), RecordID: it.RecordID})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(49))
+	for batch := range 4 {
+		fork, err := parent.Fork(parent.store.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range randomPoints(rng, 20*batch+1, 2) {
+			if err := fork.Insert(p, int64(10000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, it := range items[batch*20 : batch*20+10*batch] {
+			if ok, err := fork.Delete(it.Point, it.RecordID); err != nil || !ok {
+				t.Fatalf("delete of record %d: %v, %v", it.RecordID, ok, err)
+			}
+		}
+		k := len(fork.dirty)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = fork.Finalize()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.Mallocs - before.Mallocs; got != uint64(k) {
+			t.Errorf("batch %d: Finalize of %d dirty nodes made %d allocations", batch, k, got)
+		}
 	}
 }
 

@@ -69,9 +69,10 @@ func IsLeafPage(page []byte) bool {
 
 // RelabelLeafPage rewrites the record IDs of a leaf page in place: record
 // ID id becomes index[id]. It lets a tree that keeps its own record IDs
-// persist pages under the IDs a reader of the pages expects. An ID outside
-// index is an error.
-func RelabelLeafPage(page []byte, index []int64) error {
+// persist pages under the IDs a reader of the pages expects; those are
+// record indexes, so 4 bytes an ID hold them. An ID outside index is an
+// error.
+func RelabelLeafPage(page []byte, index []uint32) error {
 	if !IsLeafPage(page) {
 		return fmt.Errorf("rstar: relabel of a page that is not a leaf")
 	}
@@ -82,9 +83,9 @@ func RelabelLeafPage(page []byte, index []int64) error {
 		return fmt.Errorf("rstar: leaf page has %d bytes, want %d", len(page), want)
 	}
 	for off := nodeHeaderSize + size - 8; off < nodeHeaderSize+count*size; off += size {
-		id := int64(binary.LittleEndian.Uint64(page[off:]))
-		if id < 0 || id >= int64(len(index)) {
-			return fmt.Errorf("rstar: leaf record ID %d outside the relabelling table [0,%d)", id, len(index))
+		id := binary.LittleEndian.Uint64(page[off:])
+		if id >= uint64(len(index)) {
+			return fmt.Errorf("rstar: leaf record ID %d outside the relabelling table [0,%d)", int64(id), len(index))
 		}
 		binary.LittleEndian.PutUint64(page[off:], uint64(index[id]))
 	}

@@ -404,9 +404,9 @@ func TestRemapRecordIDs(t *testing.T) {
 	if err := tree.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	index := make([]int64, len(pts))
+	index := make([]uint32, len(pts))
 	for i := range index {
-		index[i] = int64(i) + 1000
+		index[i] = uint32(i) + 1000
 	}
 	pages := map[pager.PageID][]byte{}
 	err := store.ForEachPage(func(id pager.PageID, data []byte) error {

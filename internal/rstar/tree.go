@@ -643,14 +643,15 @@ func (t *Tree) CachedBytes() int64 {
 // Finalize serialises every node the tree owns — each node of a new tree,
 // and what a fork changed — to its page. Its slabs already hold exactly
 // what the page does, so the node is then shared as it is, like every
-// other cached node. Finalize reads no page, so it charges no tracker and
-// never sleeps.
+// other cached node. The store adopts the buffer encode made, so a node
+// costs one allocation, its page. Finalize reads no page, so it charges no
+// tracker and never sleeps.
 func (t *Tree) Finalize() error {
 	if err := t.writable(); err != nil {
 		return err
 	}
 	for id := range t.dirty {
-		if err := t.store.Write(id, t.cache[id].encode()); err != nil {
+		if err := t.store.Adopt(id, t.cache[id].encode()); err != nil {
 			return fmt.Errorf("rstar: finalize node %d: %w", id, err)
 		}
 	}

@@ -202,15 +202,19 @@ func (t *table) lastID() int64 {
 }
 
 // indexes returns the table from tree ID to record index: record i's tree
-// ID maps to i.
-func (t *table) indexes() []int64 {
-	index := make([]int64, t.lastID()+1)
+// ID maps to i. A record index takes 4 bytes, so a table of more than
+// 1<<32 records has none.
+func (t *table) indexes() ([]uint32, error) {
+	if int64(t.n) > math.MaxUint32+1 {
+		return nil, fmt.Errorf("repro: %d records have indexes beyond 32 bits", t.n)
+	}
+	index := make([]uint32, t.lastID()+1)
 	for k, c := range t.chunks {
 		for j, id := range c.ids {
-			index[id] = int64(t.starts[k] + j)
+			index[id] = uint32(t.starts[k] + j)
 		}
 	}
-	return index
+	return index, nil
 }
 
 // DatasetOption configures dataset construction.

@@ -308,7 +308,7 @@ func (t table) withIndexIDs() table {
 
 // renumber rewrites the leaf pages of a finalized heap tree so that each
 // record's tree ID in t becomes its index, and returns the tree decoded
-// from them.
+// from them. Each relabelled leaf is a new page the store adopts.
 func renumber(tree *rstar.Tree, t *table) (*rstar.Tree, error) {
 	store := tree.Source().(*pager.Store)
 	var leaves []snapshot.Page
@@ -321,13 +321,17 @@ func renumber(tree *rstar.Tree, t *table) (*rstar.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	relabel, scratch := relabelLeaves(t.indexes()), make([]byte, store.PageSize())
+	index, err := t.indexes()
+	if err != nil {
+		return nil, err
+	}
+	relabel := relabelLeaves(index)
 	for _, p := range leaves {
-		data, err := relabel(p, scratch[:len(p.Data)])
+		data, err := relabel(p, make([]byte, len(p.Data)))
 		if err != nil {
 			return nil, err
 		}
-		if err := store.Write(pager.PageID(p.ID), data); err != nil {
+		if err := store.Adopt(pager.PageID(p.ID), data); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -60,11 +61,11 @@ func applyReference(ds *Dataset, ops []Op) (*Dataset, error) {
 		}
 	}
 	pts := make([]vecmath.Point, 0, n-len(deleted)+len(inserts))
-	newID := make([]int64, n)
+	newID := make([]uint32, n)
 	for i := range n {
-		newID[i] = -1
+		newID[i] = math.MaxUint32 // a deleted record's ID is in no leaf
 		if !deleted[i] {
-			newID[i] = int64(len(pts))
+			newID[i] = uint32(len(pts))
 			pts = append(pts, ds.tab.row(i))
 		}
 	}

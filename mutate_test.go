@@ -392,22 +392,24 @@ func TestApplyConcurrentQueries(t *testing.T) {
 // pointerful entries, cloned entry by entry and decoded back by Finalize,
 // it was 5.0, and copying the record table whole cost 32 more and copying
 // every page and decoding it about 208. At n = 100 000 a batch must also
-// stay within applyBatchBytes: measured 1 029 200 B, and 1 688 500 B with
-// pointerful nodes. The ceiling is a fifth above the measurement, because
-// Finalize decoding each page back into its node (1 283 400 B, tried) must
-// cross it. A batch at n = 100 000 must also stay within
-// applyBatchAllocs allocations: measured 455, with every insert and delete
-// descending along a path held on its caller's stack; a path slice
-// allocated for each of them measures 647, and the ceiling is 65 above
-// the measurement, so that must cross it. Each Apply is followed by
-// Fingerprint, so the hash Apply starts on a goroutine of its own is done,
-// and counted, inside the window.
+// stay within applyBatchBytes: measured 785 800 B, with the store keeping
+// the page Finalize encodes; 1 029 200 B while the store copied it, and
+// 1 688 500 B with pointerful nodes. The ceiling is a fifth above the
+// measurement, so that copy coming back, or Finalize decoding each page
+// back into its node, must cross it. A batch at n = 100 000 must also stay
+// within applyBatchAllocs allocations: measured 380, with one allocation a
+// finalized node and every insert and delete descending along a path held
+// on its caller's stack; the page copy back measures 455, a path slice
+// allocated for each insert and delete 573, and the ceiling is
+// 65 above the measurement, so each must cross it. Each Apply is followed
+// by Fingerprint, so the hash Apply starts on a goroutine of its own is
+// done, and counted, inside the window.
 func TestApplyAllocations(t *testing.T) {
 	const (
 		allocSlack          = 200
 		applyBytesPerRecord = 4.5
-		applyBatchBytes     = 1_240_000
-		applyBatchAllocs    = 520
+		applyBatchBytes     = 943_000
+		applyBatchAllocs    = 445
 	)
 	var allocs, bytes [2]float64
 	sizes := [2]int{20000, 100000}

@@ -28,9 +28,10 @@ import (
 // The stream is deterministic: the same dataset writes byte-identical
 // snapshots, whatever it was built or loaded from (a dataset loaded from a
 // legacy v1 or a float32 file re-snapshots as float64 v2 with its
-// fingerprint preserved). It streams: beside a 64 KiB buffer it allocates
-// only the tree-ID to index table of a mutated dataset, and an error leaves
-// w holding a prefix. The dataset must not be mutated concurrently.
+// fingerprint preserved). It streams: beside a 64 KiB buffer, one page of
+// scratch and the list of pages, it allocates only a mutated dataset's
+// table from tree ID to record index, 4 bytes a tree ID, and an error
+// leaves w holding a prefix. The dataset must not be mutated concurrently.
 func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	snap := &snapshot.Snapshot{
 		Fingerprint:    ds.Fingerprint(),
@@ -59,7 +60,11 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 	}
 	var rewrite func(snapshot.Page, []byte) ([]byte, error)
 	if ds.tab.lastID() != int64(ds.Len()-1) {
-		rewrite = relabelLeaves(ds.tab.indexes())
+		index, err := ds.tab.indexes()
+		if err != nil {
+			return err
+		}
+		rewrite = relabelLeaves(index)
 	}
 	return snapshot.WriteV2Runs(w, snap, runs, rewrite)
 }
@@ -67,7 +72,7 @@ func (ds *Dataset) WriteSnapshot(w io.Writer) error {
 // relabelLeaves returns the page rewrite that copies a leaf page into
 // scratch, which has the page's length, with its record IDs made record
 // indexes: tree ID id becomes index[id]. Any other page is kept as it is.
-func relabelLeaves(index []int64) func(p snapshot.Page, scratch []byte) ([]byte, error) {
+func relabelLeaves(index []uint32) func(p snapshot.Page, scratch []byte) ([]byte, error) {
 	return func(p snapshot.Page, scratch []byte) ([]byte, error) {
 		if !rstar.IsLeafPage(p.Data) {
 			return p.Data, nil
