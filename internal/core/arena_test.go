@@ -120,7 +120,8 @@ const aaAllocBudget = 1000
 
 // TestWarmArenaAllocations keeps the quad-tree out of the allocator: on a
 // warm state, threading a heavy_d4 focal's first skyline through the tree
-// allocates nothing, and the whole query stays under a committed budget,
+// and scanning every leaf off the frontier allocates nothing, and the
+// whole query stays under a committed budget,
 // so an append that sneaks back into the tree fails here and not only in
 // the benchmark.
 func TestWarmArenaAllocations(t *testing.T) {
@@ -151,8 +152,12 @@ func TestWarmArenaAllocations(t *testing.T) {
 		for _, ref := range refs {
 			qt.Insert(ref)
 		}
-		st.leaves = qt.AppendLeaves(st.leaves[:0])
-		leaves = len(st.leaves)
+		st.frontier.Reset(qt)
+		for leaves = 0; ; leaves++ {
+			if _, ok := st.frontier.Next(-1); !ok {
+				break
+			}
+		}
 	}
 	build() // warm the arena
 	if n := testing.AllocsPerRun(10, build); n != 0 {

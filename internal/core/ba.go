@@ -139,8 +139,9 @@ func (e *leafCacheEntry) validFor(maxW, tau int) bool {
 }
 
 // collectCells runs the leaf loop shared by BA and each AA iteration:
-// leaves ascending by |Fl| (counting sort), within-leaf enumeration bounded
-// by the best order found so far plus τ. A non-negative orderCap
+// leaves ascending by |Fl|, ties depth-first, off the state's best-first
+// frontier, within-leaf enumeration bounded by the best order found so far
+// plus τ. A non-negative orderCap
 // additionally bounds collection (AA passes its current accurate optimum
 // o*), and AA sets useCache so unchanged leaves are not re-enumerated
 // across its iterations.
@@ -154,10 +155,8 @@ func (e *leafCacheEntry) validFor(maxW, tau int) bool {
 // enumeration hit the candidate limit are listed in st.truncated for
 // expandLeftOut.
 func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stats, orderCap int, st *execState, useCache bool) (int, []foundCell, error) {
-	st.leaves = qt.AppendLeaves(st.leaves[:0])
-	order := st.sortLeavesByFullCount(st.leaves)
-	total := len(order)
-
+	frontier := &st.frontier
+	frontier.Reset(qt)
 	best := -1 // min cell order found; -1 = nothing yet
 	st.truncated = st.truncated[:0]
 	bound := func() int {
@@ -168,19 +167,22 @@ func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stat
 		return b
 	}
 	cells := st.cells[:0]
-	for i, leaf := range order {
+	popped := 0
+	for ; ; popped++ {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		if b := bound(); b >= 0 && leaf.FullCount() > b+in.Tau {
-			// The scan order ascends by |Fl|: this leaf and every later
-			// one are prunable.
-			stats.LeavesPruned += total - i
+		limit := -1 // leaves past bound + τ are pruned
+		if b := bound(); b >= 0 {
+			limit = b + in.Tau
+		}
+		leaf, ok := frontier.Next(limit)
+		if !ok {
 			break
 		}
 		maxW := -1
-		if b := bound(); b >= 0 {
-			maxW = b + in.Tau - leaf.FullCount()
+		if limit >= 0 {
+			maxW = limit - leaf.FullCount()
 		}
 		out, hit := st.cacheLookup(leaf, maxW, in.Tau, useCache)
 		if !hit {
@@ -203,40 +205,13 @@ func collectCells(ctx context.Context, qt *quadtree.Tree, in *Input, stats *Stat
 			cells = append(cells, foundCell{leaf: leaf, cell: cell, order: order})
 		}
 	}
+	if err := qt.Err(); err != nil {
+		return 0, nil, err
+	}
+	stats.LeavesPruned += qt.NumLeaves() - popped
 	// Trim to the final bound (cells collected early may exceed it).
 	st.cells = trimCells(cells, bound(), in.Tau)
 	return best, st.cells, nil
-}
-
-// sortLeavesByFullCount stable-sorts the leaves into ascending-|Fl| scan
-// order via a counting sort over the pooled bucket headers (overwriting
-// them with append would discard the inner slices' capacity — the point
-// of pooling them).
-func (st *execState) sortLeavesByFullCount(leaves []quadtree.Leaf) []quadtree.Leaf {
-	maxFC := 0
-	for _, l := range leaves {
-		if fc := l.FullCount(); fc > maxFC {
-			maxFC = fc
-		}
-	}
-	buckets := st.buckets[:cap(st.buckets)]
-	for len(buckets) < maxFC+1 {
-		buckets = append(buckets, nil)
-	}
-	buckets = buckets[:maxFC+1]
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	st.buckets = buckets
-	for _, l := range leaves {
-		buckets[l.FullCount()] = append(buckets[l.FullCount()], l)
-	}
-	order := st.order[:0]
-	for _, b := range buckets {
-		order = append(order, b...)
-	}
-	st.order = order
-	return order
 }
 
 // truncatedLeaf is a leaf whose enumeration hit the candidate limit; lost

@@ -12,6 +12,36 @@ import (
 	"repro/internal/vecmath"
 )
 
+// BenchmarkAA answers heavy_d4's shape — IND n = 1 500, d = 4, on the
+// heap — at the fixed focals heavyD4Focals in turn, on a warm query state:
+// skyline expansion, quad-tree build, leaf scan and within-leaf
+// enumeration. leaves/op and lps/op are the leaves a query enumerated and
+// its LP calls.
+func BenchmarkAA(b *testing.B) {
+	points := dataset.Generate(dataset.IND, 1500, 4, 20150831)
+	tree := buildTree(b, points)
+	in := func(i int) Input {
+		f := heavyD4Focals[i%len(heavyD4Focals)]
+		return Input{Tree: tree, Focal: points[f], FocalID: int64(f)}
+	}
+	if _, err := aaRun(in(0)); err != nil {
+		b.Fatal(err)
+	}
+	var leaves, lps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := aaRun(in(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves += int64(res.Stats.LeavesProcessed)
+		lps += res.Stats.LPCalls
+	}
+	b.ReportMetric(float64(leaves)/float64(b.N), "leaves/op")
+	b.ReportMetric(float64(lps)/float64(b.N), "lps/op")
+}
+
 // BenchmarkAA2DDisk answers wide_d2's mean focal (meanWideFocal) on a
 // mapped tree, which decodes every page it reads, on a warm query state.
 // iterations/op is the query's expansion rounds.

@@ -70,7 +70,7 @@ func (aa2dStrategy) Run(in Input) (*Result, error) { return aa2dRun(in) }
 // execState carries the scratch buffers of one in-flight query. States are
 // recycled through a free list (see acquireState) so a hot engine does not
 // re-allocate the skyline maintainer's slabs, AA2D's arrangement, FCA's
-// crossing lists, the quad-tree arena, leaf-loop buckets, cell lists,
+// crossing lists, the quad-tree arena, the leaf scan's heap, cell lists,
 // within-leaf enumerator arenas and the AA leaf cache on every query. Nothing in an execState
 // escapes into a Result: makeRegion and AA2D's region assembly copy what
 // they keep, so releasing the state after the query is safe.
@@ -83,16 +83,14 @@ func (aa2dStrategy) Run(in Input) (*Result, error) { return aa2dRun(in) }
 // A state belongs to exactly one query, and a query runs on its caller's
 // goroutine, so nothing in it is shared or locked.
 type execState struct {
-	sky     skyline.Maintainer // AA's and AA2D's skyline of unexpanded records
-	aa2d    aa2dState          // AA2D's arrangement and iteration buffers
-	qt      quadtree.Tree      // BA's and AA's arrangement; its Leaf handles point back here
-	cells   []foundCell
-	buckets [][]quadtree.Leaf
-	leaves  []quadtree.Leaf // leaf gather buffer, in DFS order
-	order   []quadtree.Leaf // the same leaves in ascending-|Fl| order
-	cache   leafCache
-	enum    cellenum.Enumerator
-	partial []geom.Halfspace
+	sky      skyline.Maintainer // AA's and AA2D's skyline of unexpanded records
+	aa2d     aa2dState          // AA2D's arrangement and iteration buffers
+	qt       quadtree.Tree      // BA's and AA's arrangement; its Leaf handles point back here
+	frontier quadtree.Frontier  // collectCells' leaf scan over qt
+	cells    []foundCell
+	cache    leafCache
+	enum     cellenum.Enumerator
+	partial  []geom.Halfspace
 	// truncated lists the leaves of the last collectCells whose enumeration
 	// hit the candidate limit.
 	truncated []truncatedLeaf
@@ -151,8 +149,8 @@ func releaseState(st *execState) {
 	// Clear the full capacity, not just the current length: elements past
 	// len (left over from larger earlier queries) would otherwise pin that
 	// query's half-spaces and enumeration output for the list's lifetime.
-	// Leaf handles only point back into the state's own tree, so the leaf
-	// buffers and buckets stay as they are; their users truncate them. The
+	// The frontier only points back into the state's own tree, so it
+	// stays as it is; collectCells resets it. The
 	// enumerator's Reset drops the references its constraint scratch holds
 	// into the query's half-spaces while keeping the numeric arenas.
 	st.cells = clearTail(st.cells)

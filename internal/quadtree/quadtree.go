@@ -8,6 +8,12 @@
 // bounds the cost of within-leaf processing (internal/cellenum). Nodes that
 // fall entirely outside the domain simplex Σ q_i < 1 are discarded at
 // creation (the reduced query space is only "half of the unit hyper-cube").
+//
+// Under a split bound, a half-space reaching an internal node whose |F|
+// exceeds it waits on the node's pending list (see insertAt) until a scan
+// (Frontier) or another half-space passes through; Leaves and Stats settle
+// the whole tree first, so every caller sees the tree eager insertion
+// builds.
 package quadtree
 
 import (
@@ -117,7 +123,9 @@ type node struct {
 	// changes; callers use (id, version) to cache within-leaf results.
 	version int32
 	full    span // half-spaces fully containing this node but not its parent
-	partial span // leaves only
+	// partial is a leaf's P_l; at an internal node, the half-spaces waiting
+	// to be threaded into its children, in insertion order (see insertAt).
+	partial span
 }
 
 // arenaLimit bounds the length of every slab and the node IDs, which are
@@ -255,13 +263,7 @@ func (t *Tree) Insert(ref *HalfspaceRef) (idx int) {
 	if t.err != nil {
 		return idx
 	}
-	defer func() {
-		if r := recover(); r == errArenaFull {
-			t.err = errArenaFull
-		} else if r != nil {
-			panic(r)
-		}
-	}()
+	defer t.catchArenaFull()
 	t.coef, t.neg = grow(t.coef, t.dr+1), grow(t.neg, 1)
 	c, _ := t.halfspace(idx)
 	var neg uint32
@@ -279,6 +281,15 @@ func (t *Tree) Insert(ref *HalfspaceRef) (idx int) {
 		t.insertAt(0, idx, c, neg, 0)
 	}
 	return idx
+}
+
+// catchArenaFull, deferred, turns an arena overflow into t.err.
+func (t *Tree) catchArenaFull() {
+	if r := recover(); r == errArenaFull {
+		t.err = errArenaFull
+	} else if r != nil {
+		panic(r)
+	}
 }
 
 // halfspace returns what classification reads of half-space h.
@@ -368,19 +379,29 @@ func (t *Tree) push(s *span, v int) {
 }
 
 // insertAt threads half-space idx into node ni, which it partly overlaps:
-// onto a leaf's partial list, or into an internal node's children.
+// onto a leaf's partial list, or into an internal node's children. An
+// internal node whose |F| exceeds the split bound defers it to its pending
+// list instead: no leaf below, each with at least that |F|, may split, so
+// threading it down later (settle) yields the same lists, versions and
+// shape. A node it passes through settles first, so lists keep insertion
+// order and every |F| read is exact.
 func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFull int) {
 	n := &t.nodes[ni]
+	inheritedFull += int(n.full.n)
+	maySplit := t.splitBound < 0 || inheritedFull <= t.splitBound
 	if n.child < 0 {
 		t.push(&n.partial, idx)
 		n.version++
-		if int(n.partial.n) > t.maxPartial && int(n.depth) < t.maxDepth &&
-			(t.splitBound < 0 || inheritedFull+int(n.full.n) <= t.splitBound) {
+		if int(n.partial.n) > t.maxPartial && int(n.depth) < t.maxDepth && maySplit {
 			t.split(ni)
 		}
 		return
 	}
-	inheritedFull += int(n.full.n)
+	if !maySplit {
+		t.push(&n.partial, idx)
+		return
+	}
+	t.settle(ni)
 	// The recursion may move t.nodes, t.children and t.rel: keep offsets.
 	first, k, off := int(n.child), 1<<uint(t.dr), len(t.rel)
 	t.rel = slices.Grow(t.rel, k)[:off+k]
@@ -400,6 +421,49 @@ func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFul
 	t.rel = t.rel[:off]
 }
 
+// settle threads internal node ni's pending half-spaces one level down, in
+// order: into a child's full list, a child leaf's partial list (a version
+// each, as eager insertion gave it) or a child node's pending list. No leaf
+// splits: each was deferred where none could.
+func (t *Tree) settle(ni int32) {
+	if t.nodes[ni].partial.n == 0 {
+		return // and writes nothing: a settled tree is only read
+	}
+	first, k, off := int(t.nodes[ni].child), 1<<uint(t.dr), len(t.rel)
+	t.rel = slices.Grow(t.rel, k)[:off+k]
+	for _, h := range t.list(t.nodes[ni].partial) {
+		c, neg := t.halfspace(h)
+		t.childRelations(c, neg, t.box(int(ni)), t.rel[off:], 1)
+		for mask, child := range t.children[first : first+k] {
+			if child < 0 {
+				continue
+			}
+			switch cn := &t.nodes[child]; t.rel[off+mask] {
+			case geom.BoxInside:
+				t.push(&cn.full, h)
+			case geom.BoxPartial:
+				t.push(&cn.partial, h)
+				if cn.child < 0 {
+					cn.version++
+				}
+			}
+		}
+	}
+	t.nodes[ni].partial.n = 0
+	t.rel = t.rel[:off]
+}
+
+// settleAll settles every pending list, parents first (a parent precedes
+// its children in the arena).
+func (t *Tree) settleAll() {
+	defer t.catchArenaFull()
+	for ni := range t.nodes {
+		if t.nodes[ni].child >= 0 {
+			t.settle(int32(ni))
+		}
+	}
+}
+
 // split subdivides a leaf into 2^dr children and redistributes its partial
 // set. Children entirely outside the domain simplex Σ q_i < 1 are not
 // created, but each still consumes a node ID.
@@ -417,7 +481,7 @@ func (t *Tree) split(ni int32) {
 	n.child = int32(first)
 	n.version++
 	depth, parts := n.depth+1, n.partial
-	n.partial = span{}
+	n.partial.n = 0 // its storage becomes the pending list's
 	// Half-space j of the partial list against child mask is at
 	// t.rel[off+mask·np+j], a table the recursion below leaves in place.
 	np, off := int(parts.n), len(t.rel)
@@ -534,16 +598,16 @@ func (l Leaf) NodeID() int { return int(l.t.nodes[l.n].id) }
 // split; cached within-leaf results for older versions are stale.
 func (l Leaf) Version() int { return int(l.t.nodes[l.n].version) }
 
-// Leaves returns handles to all live leaves with their |F_l| counts.
-func (t *Tree) Leaves() []Leaf { return t.AppendLeaves(nil) }
-
-// AppendLeaves appends handles to all live leaves (with their |F_l|
-// counts) to dst, in deterministic depth-first order, and returns the
-// extended slice. Passing a recycled buffer keeps repeated leaf scans —
-// one per AA iteration — allocation-free.
-func (t *Tree) AppendLeaves(dst []Leaf) []Leaf {
-	return t.appendSubtree(dst, 0, 0)
+// Leaves settles the tree and returns handles to all live leaves with
+// their |F_l| counts, in deterministic depth-first order.
+func (t *Tree) Leaves() []Leaf {
+	t.settleAll()
+	return t.appendSubtree(nil, 0, 0)
 }
+
+// NumLeaves returns the number of live leaves: every node but those split,
+// each of which holds 2^dr child slots.
+func (t *Tree) NumLeaves() int { return len(t.nodes) - len(t.children)>>uint(t.dr) }
 
 // appendSubtree appends the leaves under node ni, whose ancestors fully
 // contain inherited half-spaces, in depth-first order.
@@ -561,6 +625,87 @@ func (t *Tree) appendSubtree(dst []Leaf, ni, inherited int32) []Leaf {
 	return dst
 }
 
+// Frontier hands out a tree's leaves in the order of Leaves stably sorted
+// by FullCount, from a min-heap of node handles keyed by (|F|, depth-first
+// position), a key no leaf below a node undercuts. Opening a node settles
+// it and pushes its children, so a scan stopped at a limit leaves the rest
+// of the tree deferred. The zero Frontier is ready for Reset.
+type Frontier struct {
+	t    *Tree
+	heap []Leaf
+}
+
+// Reset starts a scan of t, keeping the heap; inserting into t ends it.
+func (f *Frontier) Reset(t *Tree) {
+	f.t, f.heap = t, f.heap[:0]
+	f.push(Leaf{t, 0, t.nodes[0].full.n})
+}
+
+// Next hands out the next leaf; it returns false when none is left or,
+// for a non-negative limit, when every leaf left has |F_l| > limit. An
+// arena overflow while opening a node (see Tree.Err) ends the scan.
+func (f *Frontier) Next(limit int) (Leaf, bool) {
+	t := f.t
+	defer t.catchArenaFull()
+	for len(f.heap) > 0 && t.err == nil && (limit < 0 || int(f.heap[0].fullCount) <= limit) {
+		e := f.pop()
+		first := t.nodes[e.n].child
+		if first < 0 {
+			return e, true
+		}
+		t.settle(e.n)
+		for _, c := range t.children[first : int(first)+1<<uint(t.dr)] {
+			if c >= 0 {
+				f.push(Leaf{t, c, e.fullCount + t.nodes[c].full.n})
+			}
+		}
+	}
+	return Leaf{}, false
+}
+
+// less orders the heap by count, then depth-first: siblings are created in
+// slot order, so it compares the indexes of the two ancestors that are
+// children of the lowest common one, at any depth.
+func (f *Frontier) less(i, j int) bool {
+	nodes, a, b := f.t.nodes, f.heap[i].n, f.heap[j].n
+	if ca, cb := f.heap[i].fullCount, f.heap[j].fullCount; ca != cb {
+		return ca < cb
+	}
+	for nodes[a].depth > nodes[b].depth {
+		a = nodes[a].parent
+	}
+	for nodes[b].depth > nodes[a].depth {
+		b = nodes[b].parent
+	}
+	for nodes[a].parent != nodes[b].parent {
+		a, b = nodes[a].parent, nodes[b].parent
+	}
+	return a < b
+}
+
+func (f *Frontier) push(e Leaf) {
+	f.heap = append(f.heap, e)
+	for i := len(f.heap) - 1; i > 0 && f.less(i, (i-1)/2); i = (i - 1) / 2 {
+		f.heap[i], f.heap[(i-1)/2] = f.heap[(i-1)/2], f.heap[i]
+	}
+}
+
+func (f *Frontier) pop() Leaf {
+	h, last := f.heap, len(f.heap)-1
+	top := h[0]
+	h[0], f.heap = h[last], h[:last]
+	for i, c := 0, 1; c < last; i, c = c, 2*c+1 {
+		if c+1 < last && f.less(c+1, c) {
+			c++
+		}
+		if !f.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	return top
+}
+
 // Stats summarises the tree shape (used by experiments and tests).
 type Stats struct {
 	Leaves     int
@@ -569,8 +714,9 @@ type Stats struct {
 	TotalFull  int
 }
 
-// Stats computes shape statistics.
+// Stats settles the tree and computes shape statistics.
 func (t *Tree) Stats() Stats {
+	t.settleAll()
 	var s Stats
 	for i := range t.nodes {
 		n := &t.nodes[i]

@@ -437,6 +437,9 @@ func TestApplyAllocations(t *testing.T) {
 		bytes[k] = float64(after.TotalAlloc-before.TotalAlloc) / runs
 		t.Logf("n=%d: %.0f allocations, %.0f bytes", n, allocs[k], bytes[k])
 	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates: the budgets are enforced without -race")
+	}
 	if allocs[1] > allocs[0]+allocSlack {
 		t.Errorf("Apply makes %.0f allocations at n=%d and %.0f at n=%d: a per-page or per-record allocation is back",
 			allocs[1], sizes[1], allocs[0], sizes[0])
