@@ -47,8 +47,9 @@ func quadGoldenCases() []quadGoldenCase {
 
 // quadGolden is one BA or AA answer: the whole Result but CPU time. The
 // regions — order, box, witness, constraints and OutrankIDs, floats as bit
-// patterns — are folded into one digest; the first region's witness is
-// kept in the clear.
+// patterns — are folded into one digest, and again without the witnesses
+// into Shape, which a change of leaf sampling leaves alone; the first
+// region's witness is kept in the clear.
 type quadGolden struct {
 	Alg, Case  string
 	Focal, Tau int
@@ -59,6 +60,7 @@ type quadGolden struct {
 	Regions    int
 	Witness    string
 	Digest     string
+	Shape      string
 }
 
 func floatBits(vs ...[]float64) string {
@@ -78,17 +80,20 @@ func quadGoldenOf(alg, name string, focal, tau int, res *Result) quadGolden {
 		Stats: res.Stats, Regions: len(res.Regions),
 	}
 	g.Stats.CPUTime = 0
-	h := sha256.New()
+	h, shape := sha256.New(), sha256.New()
 	for i, reg := range res.Regions {
 		if i == 0 {
 			g.Witness = floatBits(reg.Witness)
 		}
 		fmt.Fprintln(h, reg.Order, floatBits(reg.Box.Lo, reg.Box.Hi), floatBits(reg.Witness), reg.OutrankIDs)
+		fmt.Fprintln(shape, reg.Order, floatBits(reg.Box.Lo, reg.Box.Hi), reg.OutrankIDs)
 		for _, c := range reg.Constraints {
 			fmt.Fprintln(h, floatBits(c.A, []float64{c.B}))
+			fmt.Fprintln(shape, floatBits(c.A, []float64{c.B}))
 		}
 	}
 	g.Digest = fmt.Sprintf("%x", h.Sum(nil)[:16])
+	g.Shape = fmt.Sprintf("%x", shape.Sum(nil)[:16])
 	return g
 }
 
