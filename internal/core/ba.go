@@ -109,9 +109,10 @@ func (fc *foundCell) containingRefs() []int {
 }
 
 // leafCache memoises within-leaf enumerations across AA iterations, keyed
-// by quad-tree node ID; entries are invalidated by version changes. The
-// cache lives in the query's execState: node IDs are only meaningful within
-// one query's quad-tree, so it never outlives the query.
+// by the leaf's arena index in the quad-tree; entries are invalidated by
+// version changes. The cache lives in the query's execState: arena indexes
+// are only meaningful within one query's quad-tree, so it never outlives
+// the query.
 type leafCache map[int]leafCacheEntry
 
 type leafCacheEntry struct {
@@ -323,7 +324,7 @@ func (st *execState) cacheLookup(leaf quadtree.Leaf, maxW, tau int, useCache boo
 	if !useCache {
 		return cellenum.Result{}, false
 	}
-	if ent, ok := st.cache[leaf.NodeID()]; ok && ent.version == leaf.Version() && ent.validFor(maxW, tau) {
+	if ent, ok := st.cache[leaf.Index()]; ok && ent.version == leaf.Version() && ent.validFor(maxW, tau) {
 		return ent.out, true
 	}
 	return cellenum.Result{}, false
@@ -334,7 +335,7 @@ func (st *execState) cacheStore(leaf quadtree.Leaf, out cellenum.Result, useCach
 	if !useCache || out.Truncated {
 		return
 	}
-	st.cache[leaf.NodeID()] = leafCacheEntry{version: leaf.Version(), out: out}
+	st.cache[leaf.Index()] = leafCacheEntry{version: leaf.Version(), out: out}
 }
 
 // trimCells keeps only the cells within the final bound + τ, in place.

@@ -140,8 +140,8 @@ func (st *execState) resetTree(in *Input) (*quadtree.Tree, error) {
 var releaseHook func(*execState)
 
 func releaseState(st *execState) {
-	// Leaf-cache keys are quad-tree node IDs, which are only unique within
-	// one query's quad-tree — stale entries would be wrong, not just
+	// Leaf-cache keys are quad-tree arena indexes, which are only unique
+	// within one query's quad-tree — stale entries would be wrong, not just
 	// wasteful, so the map is always cleared.
 	clear(st.cache)
 	st.qt.Release()

@@ -10,9 +10,10 @@ import (
 	"repro/internal/vecmath"
 )
 
-// insertEager is Insert without pending lists: the half-space is threaded
-// at once to every leaf it overlaps, as the tree did before it deferred
-// pushes. It is the reference the lazy tree is held to.
+// insertEager is Insert without deferral: the half-space is threaded at
+// once to every leaf it overlaps, and a leaf that overflows is split at
+// once, recursively, as the tree did before it deferred pushes and splits.
+// It is the reference the lazy tree is held to.
 func (t *Tree) insertEager(ref *HalfspaceRef) {
 	idx := len(t.refs)
 	t.refs = append(t.refs, ref)
@@ -42,7 +43,8 @@ func (t *Tree) insertAtEager(ni int32, idx int, c []float64, neg uint32, inherit
 		n.version++
 		if int(n.partial.n) > t.maxPartial && int(n.depth) < t.maxDepth &&
 			(t.splitBound < 0 || inheritedFull+int(n.full.n) <= t.splitBound) {
-			t.split(ni)
+			n.owed = n.partial.n
+			t.splitEager(ni)
 		}
 		return
 	}
@@ -65,38 +67,63 @@ func (t *Tree) insertAtEager(ni int32, idx int, c []float64, neg uint32, inherit
 	t.rel = t.rel[:off]
 }
 
-// sameTree reports the first difference between two trees node for node:
-// ID, parent, children, depth, version, box, and the full and partial
-// lists' contents in order.
+// splitEager carves node ni, which owes a split, and every descendant
+// that comes to owe one.
+func (t *Tree) splitEager(ni int32) {
+	t.carve(ni)
+	first, k := int(t.nodes[ni].child), 1<<uint(t.dr)
+	for _, c := range t.children[first : first+k] {
+		if c >= 0 && t.nodes[c].owed > 0 {
+			t.splitEager(c)
+		}
+	}
+}
+
+// sameTree walks two trees from the root and reports the first difference
+// node for node: ID, depth, which children exist, box, and the full and
+// partial lists' contents in order. Versions may differ, and so may the
+// order in which the nodes were carved into the arena.
 func sameTree(got, want *Tree) error {
-	if len(got.nodes) != len(want.nodes) || got.nextNodeID != want.nextNodeID {
-		return fmt.Errorf("%d nodes, next ID %d; want %d, %d", len(got.nodes), got.nextNodeID, len(want.nodes), want.nextNodeID)
-	}
-	if !slices.Equal(got.children, want.children) || !slices.Equal(got.boxes, want.boxes) {
-		return fmt.Errorf("child table or boxes differ")
-	}
-	for i := range got.nodes {
-		g, w := got.nodes[i], want.nodes[i]
-		if g.id != w.id || g.parent != w.parent || g.child != w.child || g.depth != w.depth || g.version != w.version {
-			return fmt.Errorf("node %d: id %d parent %d child %d depth %d version %d; want %d %d %d %d %d",
-				i, g.id, g.parent, g.child, g.depth, g.version, w.id, w.parent, w.child, w.depth, w.version)
+	var walk func(g, w int32) error
+	walk = func(g, w int32) error {
+		gn, wn := &got.nodes[g], &want.nodes[w]
+		switch {
+		case gn.id != wn.id || gn.depth != wn.depth || gn.owed != wn.owed || (gn.child < 0) != (wn.child < 0):
+			return fmt.Errorf("node %d at depth %d, owing %d, carved %v; want node %d at %d, %d, %v",
+				gn.id, gn.depth, gn.owed, gn.child >= 0, wn.id, wn.depth, wn.owed, wn.child >= 0)
+		case !slices.Equal(got.box(int(g)), want.box(int(w))):
+			return fmt.Errorf("node %d: box %v, want %v", gn.id, got.box(int(g)), want.box(int(w)))
+		case !slices.Equal(got.list(gn.full), want.list(wn.full)):
+			return fmt.Errorf("node %d: full %v, want %v", gn.id, got.list(gn.full), want.list(wn.full))
+		case !slices.Equal(got.list(gn.partial), want.list(wn.partial)):
+			return fmt.Errorf("node %d: partial %v, want %v", gn.id, got.list(gn.partial), want.list(wn.partial))
+		case gn.child < 0:
+			return nil
 		}
-		if !slices.Equal(got.list(g.full), want.list(w.full)) {
-			return fmt.Errorf("node %d: full %v, want %v", i, got.list(g.full), want.list(w.full))
+		k := 1 << uint(got.dr)
+		for mask := range k {
+			gc, wc := got.children[int(gn.child)+mask], want.children[int(wn.child)+mask]
+			if (gc < 0) != (wc < 0) {
+				return fmt.Errorf("node %d: child %d exists in one tree only", gn.id, mask)
+			}
+			if gc >= 0 {
+				if err := walk(gc, wc); err != nil {
+					return err
+				}
+			}
 		}
-		if !slices.Equal(got.list(g.partial), want.list(w.partial)) {
-			return fmt.Errorf("node %d: partial %v, want %v", i, got.list(g.partial), want.list(w.partial))
-		}
+		return nil
 	}
-	return nil
+	return walk(0, 0)
 }
 
 // TestLazyMatchesEager threads random half-spaces into a lazy tree and an
 // eager reference side by side, changing the split bound along the way
 // (raised, lowered, reset to unlimited), and between inserts scans a
 // random part of the lazy tree through a Frontier, as AA does, so that
-// some pending lists settle early and others later. Once settled, the two
-// trees must agree node for node. Each case must have deferred something.
+// some pending lists settle and some owed splits are carved early and
+// others later. Once settled, the two trees must agree node for node.
+// Each case must have deferred a push and a split.
 func TestLazyMatchesEager(t *testing.T) {
 	for dr := 1; dr <= 4; dr++ {
 		for seed := int64(0); seed < 12; seed++ {
@@ -108,15 +135,16 @@ func TestLazyMatchesEager(t *testing.T) {
 			}
 			eager, _ := New(dr, opts)
 			var f Frontier
-			deferred := 0
+			deferred, owed := 0, 0
 			n := []int{150, 120, 70, 45}[dr-1]
+			firstScan := int(seed%2) * n / 2 // odd seeds join owed split lists longer
 			for i := 0; i < n; i++ {
 				if rng.Intn(10) == 0 {
 					b := []int{-1, 0, 1, 2, 3, 5, 8}[rng.Intn(7)]
 					lazy.SetSplitBound(b)
 					eager.SetSplitBound(b)
 				}
-				if rng.Intn(4) == 0 {
+				if rng.Intn(4) == 0 && i >= firstScan {
 					f.Reset(lazy)
 					limit := rng.Intn(6)
 					for _, ok := f.Next(limit); ok && rng.Intn(8) != 0; _, ok = f.Next(limit) {
@@ -126,19 +154,100 @@ func TestLazyMatchesEager(t *testing.T) {
 				lazy.Insert(&HalfspaceRef{H: h, RecordID: int64(i)})
 				eager.insertEager(&HalfspaceRef{H: h, RecordID: int64(i)})
 				for _, nd := range lazy.nodes {
-					if nd.child >= 0 {
-						deferred += int(nd.partial.n)
+					if nd.child >= 0 || nd.owed > 0 {
+						deferred += int(nd.partial.n - nd.owed)
 					}
+					owed += min(int(nd.owed), 1)
 				}
 			}
 			lazy.settleAll()
 			if err := sameTree(lazy, eager); err != nil {
 				t.Fatalf("dr=%d seed %d (%+v): settled lazy tree differs from the eager one: %v", dr, seed, opts, err)
 			}
-			if deferred == 0 {
-				t.Errorf("dr=%d seed %d: nothing was ever deferred", dr, seed)
+			if deferred == 0 || owed == 0 {
+				t.Errorf("dr=%d seed %d: %d pushes and %d splits deferred", dr, seed, deferred, owed)
 			}
 		}
+	}
+}
+
+// sameLeaf reports whether two leaves hand their enumerations the same:
+// NodeID and Version, which seed its sampling, box, and full and partial
+// lists.
+func sameLeaf(a, b Leaf) bool {
+	return a.NodeID() == b.NodeID() && a.Version() == b.Version() && slices.Equal(a.t.box(int(a.n)), b.t.box(int(b.n))) &&
+		slices.Equal(a.Full(), b.Full()) && slices.Equal(a.Partial(), b.Partial())
+}
+
+func leafKey(l Leaf) string {
+	return fmt.Sprintf("%d v%d %v-%v full %v partial %v", l.NodeID(), l.Version(), l.Box().Lo, l.Box().Hi, l.Full(), l.Partial())
+}
+
+// TestOpeningOrderInvisible gives two trees the same inserts, split bounds
+// and scan points. At each scan point one is opened by a Frontier scan to
+// a random limit, stopped at random, and the other by Leaves. Every leaf
+// the scan hands out must be the leaf of that NodeID that Leaves hands
+// out, and once both are settled every leaf must be the same in both. So
+// a replay over Leaves repeats the enumerations, seeds included, of a
+// query that scanned.
+func TestOpeningOrderInvisible(t *testing.T) {
+	handed, owing := 0, 0
+	for dr := 1; dr <= 4; dr++ {
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(300*int64(dr) + seed))
+			opts := Options{MaxPartial: 2 + rng.Intn(4), MaxDepth: []int{0, 3, 8}[rng.Intn(3)]}
+			scanned, err := New(dr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settled, _ := New(dr, opts)
+			var f Frontier
+			n := []int{150, 120, 70, 45}[dr-1]
+			for i := 0; i < n; i++ {
+				if rng.Intn(10) == 0 {
+					b := []int{-1, 0, 1, 2, 3, 5, 8}[rng.Intn(7)]
+					scanned.SetSplitBound(b)
+					settled.SetSplitBound(b)
+				}
+				if i > 0 && rng.Intn(6) == 0 {
+					byID := map[int]Leaf{}
+					for _, l := range settled.Leaves() {
+						byID[l.NodeID()] = l
+					}
+					f.Reset(scanned)
+					limit := rng.Intn(12) - 1
+					for l, ok := f.Next(limit); ok && rng.Intn(40) != 0; l, ok = f.Next(limit) {
+						want, ok := byID[l.NodeID()]
+						if !ok {
+							t.Fatalf("dr=%d seed %d insert %d: the scan hands out %s, which Leaves has not", dr, seed, i, leafKey(l))
+						}
+						if !sameLeaf(l, want) {
+							t.Fatalf("dr=%d seed %d insert %d: the scan hands out\n %s\nLeaves has\n %s", dr, seed, i, leafKey(l), leafKey(want))
+						}
+						handed++
+					}
+					for _, nd := range scanned.nodes {
+						owing += min(int(nd.owed), 1)
+					}
+				}
+				h := randomHalfspace(rng, dr)
+				scanned.Insert(&HalfspaceRef{H: h, RecordID: int64(i)})
+				settled.Insert(&HalfspaceRef{H: h, RecordID: int64(i)})
+			}
+			got, want := scanned.Leaves(), settled.Leaves()
+			if len(got) != len(want) {
+				t.Fatalf("dr=%d seed %d: %d leaves, want %d", dr, seed, len(got), len(want))
+			}
+			for i := range got {
+				if !sameLeaf(got[i], want[i]) {
+					t.Fatalf("dr=%d seed %d: leaf %d is\n %s\nwant\n %s", dr, seed, i, leafKey(got[i]), leafKey(want[i]))
+				}
+			}
+		}
+	}
+	t.Logf("%d leaves handed out, %d splits left owed by scans", handed, owing)
+	if handed < 1000 || owing < 100 {
+		t.Fatalf("%d leaves handed out, %d splits left owed by scans: the property was hardly exercised", handed, owing)
 	}
 }
 

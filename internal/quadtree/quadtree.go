@@ -9,11 +9,15 @@
 // fall entirely outside the domain simplex Σ q_i < 1 are discarded at
 // creation (the reduced query space is only "half of the unit hyper-cube").
 //
-// Under a split bound, a half-space reaching an internal node whose |F|
-// exceeds it waits on the node's pending list (see insertAt) until a scan
-// (Frontier) or another half-space passes through; Leaves and Stats settle
-// the whole tree first, so every caller sees the tree eager insertion
-// builds.
+// Both kinds of work are deferred until something needs them (see
+// insertAt). A leaf that overflows keeps the list it would split on and
+// owes the split; it is carved one level at a time when a scan (Frontier)
+// opens it or a half-space the split bound lets through must pass it.
+// Under a split bound, a half-space reaching a node whose |F| exceeds it
+// waits on the node's pending list until the node is opened. Leaves and
+// Stats carry out everything still owed, so every node a caller sees has
+// the box and lists eager insertion gives it; only leaf versions differ,
+// and a node's ID is its path from the root, whichever order opened it.
 package quadtree
 
 import (
@@ -40,7 +44,7 @@ type Options struct {
 	// MaxPartial is the leaf split threshold on |Pl| (default 12).
 	MaxPartial int
 	// MaxDepth caps subdivision; a leaf at MaxDepth absorbs any number of
-	// partial half-spaces (default 12).
+	// partial half-spaces (default DefaultMaxDepth(dr)).
 	MaxDepth int
 }
 
@@ -98,38 +102,46 @@ type Tree struct {
 	// takes Hi on axis i.
 	coef []float64
 	neg  []uint32
-	// rel stacks the child relation tables of the inserts and splits in
+	// rel stacks the child relation tables of the inserts and carvings in
 	// progress; sums is childRelations' scratch.
-	rel        []geom.BoxRelation
-	sums       []float64
-	nextNodeID int
+	rel  []geom.BoxRelation
+	sums []float64
 	// splitBound, when >= 0, stops leaves whose inherited full-containment
 	// count already exceeds it from splitting: such leaves are pruned by
 	// the |Fl| bound anyway, so refining them is wasted work. AA updates it
 	// as its interim result improves.
 	splitBound int
-	err        error
+	// scanned is set by the first scan (Frontier.Reset, Leaves, Stats).
+	scanned bool
+	err     error
 }
 
 // span locates one list in Tree.lists.
 type span struct{ off, n, cap int32 }
 
 type node struct {
-	id     int32
-	parent int32 // -1 at the root
-	child  int32 // offset of the node's slots in Tree.children; -1 for a leaf
+	id     uint64 // the path code NodeID returns; see childID
+	parent int32  // -1 at the root
+	child  int32  // offset of the node's slots in Tree.children; -1 until carved
 	depth  int32
-	// version increments whenever the leaf's partial set or structure
-	// changes; callers use (id, version) to cache within-leaf results.
+	// version increments whenever the leaf's partial set changes; callers
+	// use (id, version) to cache within-leaf results.
 	version int32
-	full    span // half-spaces fully containing this node but not its parent
-	// partial is a leaf's P_l; at an internal node, the half-spaces waiting
-	// to be threaded into its children, in insertion order (see insertAt).
+	// owed > 0 marks a node that owes a split: the first owed entries of
+	// partial are the list it splits on.
+	owed int32
+	full span // half-spaces fully containing this node but not its parent
+	// partial is a leaf's P_l; past owed, or at an internal node, the
+	// half-spaces waiting to be threaded into its children, in insertion
+	// order (see insertAt).
 	partial span
 }
 
-// arenaLimit bounds the length of every slab and the node IDs, which are
-// all held as int32. It is a variable only so that a test can reach it.
+// isLeaf reports whether the node is a leaf and owes no split.
+func (n *node) isLeaf() bool { return n.child < 0 && n.owed == 0 }
+
+// arenaLimit bounds the length of every slab, whose offsets are all held
+// as int32. It is a variable only so that a test can reach it.
 var arenaLimit = math.MaxInt32
 
 var errArenaFull = errors.New("quadtree: arrangement outgrew the arena's int32 offsets")
@@ -183,9 +195,8 @@ func (t *Tree) Reset(dr int, opts Options) error {
 	if t.byRecord == nil {
 		t.byRecord = make(map[int64]int)
 	}
-	t.nextNodeID = 1
-	t.splitBound = -1
-	t.nodes = append(t.nodes, node{parent: -1, child: -1})
+	t.splitBound, t.scanned = -1, false
+	t.nodes = append(t.nodes, node{id: 1, parent: -1, child: -1})
 	t.boxes = grow(t.boxes, 2*dr)
 	for i := 0; i < dr; i++ {
 		t.boxes[i], t.boxes[dr+i] = 0, 1
@@ -214,7 +225,7 @@ func (t *Tree) Release() {
 // released tree to show that nothing handed out earlier aliases the arena
 // and that Reset rebuilds everything it reads.
 func (t *Tree) Poison() {
-	fill(t.nodes, node{-1, -1, -1, -1, -1, span{-1, -1, -1}, span{-1, -1, -1}})
+	fill(t.nodes, node{^uint64(0), -1, -1, -1, -1, -1, span{-1, -1, -1}, span{-1, -1, -1}})
 	fill(t.children, -1)
 	fill(t.lists, -1)
 	fill(t.boxes, math.NaN())
@@ -379,31 +390,42 @@ func (t *Tree) push(s *span, v int) {
 }
 
 // insertAt threads half-space idx into node ni, which it partly overlaps:
-// onto a leaf's partial list, or into an internal node's children. An
-// internal node whose |F| exceeds the split bound defers it to its pending
-// list instead: no leaf below, each with at least that |F|, may split, so
-// threading it down later (settle) yields the same lists, versions and
-// shape. A node it passes through settles first, so lists keep insertion
-// order and every |F| read is exact.
+// onto a leaf's partial list, or into the children of a node that is, or
+// owes to be, split. A leaf that overflows is not carved: it owes the
+// split (owed) and keeps the list it would split on.
+//
+// A node whose |F| exceeds the split bound defers idx to its pending list
+// instead: no leaf below, each with at least that |F|, may split, so
+// threading it down later (settle) yields the same lists and shape. Before
+// the first scan, with no split bound, idx joins the split-on list of an
+// owing node with nothing pending, which carving then divides as eager
+// insertion would have; after it, a leaf's version would tell the two
+// apart. Any other node idx passes through is opened first, so lists keep
+// insertion order and every |F| read is exact.
 func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFull int) {
 	n := &t.nodes[ni]
 	inheritedFull += int(n.full.n)
 	maySplit := t.splitBound < 0 || inheritedFull <= t.splitBound
-	if n.child < 0 {
+	switch {
+	case n.isLeaf():
 		t.push(&n.partial, idx)
 		n.version++
 		if int(n.partial.n) > t.maxPartial && int(n.depth) < t.maxDepth && maySplit {
-			t.split(ni)
+			n.owed = n.partial.n
 		}
 		return
-	}
-	if !maySplit {
+	case !maySplit:
 		t.push(&n.partial, idx)
 		return
+	case n.owed > 0 && n.owed == n.partial.n && !t.scanned && t.splitBound < 0:
+		t.push(&n.partial, idx)
+		n.owed++
+		return
 	}
-	t.settle(ni)
-	// The recursion may move t.nodes, t.children and t.rel: keep offsets.
-	first, k, off := int(n.child), 1<<uint(t.dr), len(t.rel)
+	t.open(ni)
+	// Carving and the recursion may move t.nodes, t.children and t.rel:
+	// keep offsets.
+	first, k, off := int(t.nodes[ni].child), 1<<uint(t.dr), len(t.rel)
 	t.rel = slices.Grow(t.rel, k)[:off+k]
 	t.childRelations(c, neg, t.box(int(ni)), t.rel[off:], 1)
 	for mask := range k {
@@ -421,10 +443,18 @@ func (t *Tree) insertAt(ni int32, idx int, c []float64, neg uint32, inheritedFul
 	t.rel = t.rel[:off]
 }
 
+// open carves node ni if it owes a split and settles its pending list.
+func (t *Tree) open(ni int32) {
+	if t.nodes[ni].owed > 0 {
+		t.carve(ni)
+	}
+	t.settle(ni)
+}
+
 // settle threads internal node ni's pending half-spaces one level down, in
 // order: into a child's full list, a child leaf's partial list (a version
 // each, as eager insertion gave it) or a child node's pending list. No leaf
-// splits: each was deferred where none could.
+// comes to owe a split: each was deferred where none could.
 func (t *Tree) settle(ni int32) {
 	if t.nodes[ni].partial.n == 0 {
 		return // and writes nothing: a settled tree is only read
@@ -443,7 +473,7 @@ func (t *Tree) settle(ni int32) {
 				t.push(&cn.full, h)
 			case geom.BoxPartial:
 				t.push(&cn.partial, h)
-				if cn.child < 0 {
+				if cn.isLeaf() {
 					cn.version++
 				}
 			}
@@ -453,25 +483,40 @@ func (t *Tree) settle(ni int32) {
 	t.rel = t.rel[:off]
 }
 
-// settleAll settles every pending list, parents first (a parent precedes
-// its children in the arena).
+// settleAll carves every node that owes a split and settles every pending
+// list, parents first (a parent precedes its children in the arena, and
+// carving appends them). On a settled tree it writes nothing.
 func (t *Tree) settleAll() {
 	defer t.catchArenaFull()
-	for ni := range t.nodes {
-		if t.nodes[ni].child >= 0 {
-			t.settle(int32(ni))
+	if !t.scanned {
+		t.scanned = true
+	}
+	for ni := 0; ni < len(t.nodes) && t.err == nil; ni++ {
+		if !t.nodes[ni].isLeaf() {
+			t.open(int32(ni))
 		}
 	}
 }
 
-// split subdivides a leaf into 2^dr children and redistributes its partial
-// set. Children entirely outside the domain simplex Σ q_i < 1 are not
-// created, but each still consumes a node ID.
-func (t *Tree) split(ni int32) {
-	dr, k := t.dr, 1<<uint(t.dr)
-	if t.nextNodeID+k > arenaLimit {
-		panic(errArenaFull)
+// childID is the ID of the child in slot mask of a node with ID id, the
+// child at the given depth: the path code id<<dr | mask while it fits in
+// 62 bits (in every default configuration), then a 64-bit mix of the two.
+func (t *Tree) childID(id uint64, depth int32, mask int) uint64 {
+	if 1+t.dr*int(depth) <= 62 {
+		return id<<uint(t.dr) | uint64(mask)
 	}
+	z := id*0x9e3779b97f4a7c15 + uint64(mask)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return (z ^ z>>31) >> 2
+}
+
+// carve splits node ni, which owes it, one level: 2^dr children share out
+// the list it owed the split on, and the rest of its partial list becomes
+// its pending list. Children entirely outside the domain simplex
+// Σ q_i < 1 are not created; a child that overflows owes its own split.
+func (t *Tree) carve(ni int32) {
+	dr, k := t.dr, 1<<uint(t.dr)
 	first := len(t.children)
 	t.children = grow(t.children, k)
 	for slot := first; slot < first+k; slot++ {
@@ -479,11 +524,11 @@ func (t *Tree) split(ni int32) {
 	}
 	n := &t.nodes[ni]
 	n.child = int32(first)
-	n.version++
-	depth, parts := n.depth+1, n.partial
-	n.partial.n = 0 // its storage becomes the pending list's
-	// Half-space j of the partial list against child mask is at
-	// t.rel[off+mask·np+j], a table the recursion below leaves in place.
+	depth, id, parts := n.depth+1, n.id, span{n.partial.off, n.owed, n.owed}
+	n.partial = span{parts.off + parts.n, n.partial.n - parts.n, n.partial.cap - parts.n}
+	n.owed = 0
+	// Half-space j of the split-on list against child mask is at
+	// t.rel[off+mask·np+j].
 	np, off := int(parts.n), len(t.rel)
 	t.rel = slices.Grow(t.rel, k*np)[:off+k*np]
 	for j, h := range t.list(parts) {
@@ -491,8 +536,6 @@ func (t *Tree) split(ni int32) {
 		t.childRelations(c, neg, t.box(int(ni)), t.rel[off+j:], np)
 	}
 	for mask := 0; mask < k; mask++ {
-		id := t.nextNodeID
-		t.nextNodeID++
 		ci := len(t.nodes)
 		t.boxes = grow(t.boxes, 2*dr)
 		pb, cb := t.box(int(ni)), t.box(ci)
@@ -539,16 +582,17 @@ func (t *Tree) split(ni int32) {
 		}
 		t.nodes = grow(t.nodes, 1)
 		t.nodes[ci] = node{
-			id: int32(id), parent: ni, child: -1, depth: depth,
+			id: t.childID(id, depth, mask), parent: ni, child: -1, depth: depth,
 			full:    span{int32(at), int32(nFull), int32(nFull)},
 			partial: span{int32(at + nFull), int32(nPart), int32(pcap)},
 		}
-		t.children[first+mask] = int32(ci)
 		// The child may inherit more crossings than the threshold allows;
-		// keep splitting (bounded by the depth cap).
+		// it owes a split then (bounded by the depth cap), as eager
+		// insertion split it whatever the split bound.
 		if nPart > t.maxPartial && int(depth) < t.maxDepth {
-			t.split(int32(ci))
+			t.nodes[ci].owed = int32(nPart)
 		}
+		t.children[first+mask] = int32(ci)
 	}
 	t.rel = t.rel[:off]
 }
@@ -590,23 +634,32 @@ func (l Leaf) Full() []int {
 // storage; treat as read-only).
 func (l Leaf) Partial() []int { return l.t.list(l.t.nodes[l.n].partial) }
 
-// NodeID identifies the underlying quad-tree node; together with Version it
-// forms a cache key for within-leaf results.
+// NodeID identifies the underlying quad-tree node by its path from the
+// root: the root is 1 and the child in slot s of node p is p<<dr | s, so
+// the ID does not depend on when or by what the node was carved. Past 62
+// bits of path the ID is a 64-bit mix of p and s, which two nodes may
+// share. Together with Version it seeds within-leaf sampling.
 func (l Leaf) NodeID() int { return int(l.t.nodes[l.n].id) }
 
-// Version increments whenever the leaf's partial set changes or the node is
-// split; cached within-leaf results for older versions are stale.
+// Index returns the leaf's position in the tree's arena: unique among the
+// tree's nodes and stable until the next Reset, a key for per-query caches.
+func (l Leaf) Index() int { return int(l.n) }
+
+// Version increments whenever the leaf's partial set changes; cached
+// within-leaf results for older versions are stale.
 func (l Leaf) Version() int { return int(l.t.nodes[l.n].version) }
 
-// Leaves settles the tree and returns handles to all live leaves with
-// their |F_l| counts, in deterministic depth-first order.
+// Leaves carries out every split still owed, settles the tree and returns
+// handles to all live leaves with their |F_l| counts, in deterministic
+// depth-first order.
 func (t *Tree) Leaves() []Leaf {
 	t.settleAll()
 	return t.appendSubtree(nil, 0, 0)
 }
 
-// NumLeaves returns the number of live leaves: every node but those split,
-// each of which holds 2^dr child slots.
+// NumLeaves returns the number of live leaves: every node but those
+// carved, each of which holds 2^dr child slots. A node that owes a split
+// counts as one leaf.
 func (t *Tree) NumLeaves() int { return len(t.nodes) - len(t.children)>>uint(t.dr) }
 
 // appendSubtree appends the leaves under node ni, whose ancestors fully
@@ -627,9 +680,10 @@ func (t *Tree) appendSubtree(dst []Leaf, ni, inherited int32) []Leaf {
 
 // Frontier hands out a tree's leaves in the order of Leaves stably sorted
 // by FullCount, from a min-heap of node handles keyed by (|F|, depth-first
-// position), a key no leaf below a node undercuts. Opening a node settles
-// it and pushes its children, so a scan stopped at a limit leaves the rest
-// of the tree deferred. The zero Frontier is ready for Reset.
+// position), a key no leaf below a node undercuts. Opening a node carves
+// it if it owes a split, settles it and pushes its children, so a scan
+// stopped at a limit leaves the rest of the tree deferred. The zero
+// Frontier is ready for Reset.
 type Frontier struct {
 	t    *Tree
 	heap []Leaf
@@ -637,7 +691,7 @@ type Frontier struct {
 
 // Reset starts a scan of t, keeping the heap; inserting into t ends it.
 func (f *Frontier) Reset(t *Tree) {
-	f.t, f.heap = t, f.heap[:0]
+	f.t, f.heap, t.scanned = t, f.heap[:0], true
 	f.push(Leaf{t, 0, t.nodes[0].full.n})
 }
 
@@ -649,11 +703,11 @@ func (f *Frontier) Next(limit int) (Leaf, bool) {
 	defer t.catchArenaFull()
 	for len(f.heap) > 0 && t.err == nil && (limit < 0 || int(f.heap[0].fullCount) <= limit) {
 		e := f.pop()
-		first := t.nodes[e.n].child
-		if first < 0 {
+		if t.nodes[e.n].isLeaf() {
 			return e, true
 		}
-		t.settle(e.n)
+		t.open(e.n)
+		first := t.nodes[e.n].child
 		for _, c := range t.children[first : int(first)+1<<uint(t.dr)] {
 			if c >= 0 {
 				f.push(Leaf{t, c, e.fullCount + t.nodes[c].full.n})
@@ -663,7 +717,7 @@ func (f *Frontier) Next(limit int) (Leaf, bool) {
 	return Leaf{}, false
 }
 
-// less orders the heap by count, then depth-first: siblings are created in
+// less orders the heap by count, then depth-first: siblings are carved in
 // slot order, so it compares the indexes of the two ancestors that are
 // children of the lowest common one, at any depth.
 func (f *Frontier) less(i, j int) bool {
@@ -714,7 +768,8 @@ type Stats struct {
 	TotalFull  int
 }
 
-// Stats settles the tree and computes shape statistics.
+// Stats carries out every split still owed, settles the tree and computes
+// shape statistics.
 func (t *Tree) Stats() Stats {
 	t.settleAll()
 	var s Stats

@@ -198,7 +198,7 @@ func TestRefByRecordAndVersioning(t *testing.T) {
 	v0 := leaves[0].Version()
 	qt.Insert(&HalfspaceRef{H: geom.Halfspace{A: vecmath.Point{0, 1}, B: 0.3}, RecordID: 43})
 	leaves = qt.Leaves()
-	if leaves[0].Version() == v0 && leaves[0].NodeID() == 0 {
+	if leaves[0].Version() == v0 && leaves[0].NodeID() == 1 {
 		t.Fatal("version did not change after a partial insert into the root leaf")
 	}
 }
@@ -213,9 +213,10 @@ func TestInvalidDimensions(t *testing.T) {
 }
 
 // TestClassifyMatchesGeom holds the arena's kernel to geom's definition on
-// every node of random trees, with coefficients that are zero, negative
-// zero and of mixed sign, where the per-axis corner choice matters; and
-// childRelations, on every internal node, to the kernel on each child.
+// every node of random trees, settled first, with coefficients that are
+// zero, negative zero and of mixed sign, where the per-axis corner choice
+// matters; and childRelations, on every internal node, to the kernel on
+// each child.
 func TestClassifyMatchesGeom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []float64{0, math.Copysign(0, -1), 1, -1}
@@ -231,6 +232,7 @@ func TestClassifyMatchesGeom(t *testing.T) {
 			}
 			qt.Insert(&HalfspaceRef{H: h, RecordID: int64(i)})
 		}
+		qt.Leaves()
 		for ni := range qt.nodes {
 			box := Leaf{t: qt, n: int32(ni)}.Box()
 			for h := 0; h < qt.NumHalfspaces(); h++ {
@@ -268,8 +270,9 @@ func TestClassifyMatchesGeom(t *testing.T) {
 }
 
 // TestArenaOverflowIsAnError lowers the int32 limit until a small tree
-// reaches it: Insert must not panic or wrap, Err must report it from then
-// on, the tree must stay walkable, and a Reset must clear the error.
+// reaches it, settling the tree after every insert: neither Insert nor
+// settling may panic or wrap, Err must report it from then on, the tree
+// must stay walkable, and a Reset must clear the error.
 func TestArenaOverflowIsAnError(t *testing.T) {
 	defer func(old int) { arenaLimit = old }(arenaLimit)
 	rng := rand.New(rand.NewSource(8))
@@ -284,6 +287,7 @@ func TestArenaOverflowIsAnError(t *testing.T) {
 			if got := qt.Insert(&HalfspaceRef{H: randomHalfspace(rng, 2), RecordID: int64(i)}); got != i {
 				t.Fatalf("limit %d: Insert %d returned index %d", limit, i, got)
 			}
+			qt.Stats()
 			if qt.Err() != nil && full < 0 {
 				full = i
 			}
@@ -294,9 +298,9 @@ func TestArenaOverflowIsAnError(t *testing.T) {
 		if full < 0 {
 			t.Fatalf("limit %d: 400 half-spaces never filled the arena", limit)
 		}
-		if len(qt.nodes) > limit || len(qt.children) > limit || len(qt.lists) > limit || len(qt.boxes) > limit || qt.nextNodeID > limit {
-			t.Fatalf("limit %d: arena grew past it (%d nodes, %d child slots, %d list entries, %d box floats, next ID %d)",
-				limit, len(qt.nodes), len(qt.children), len(qt.lists), len(qt.boxes), qt.nextNodeID)
+		if len(qt.nodes) > limit || len(qt.children) > limit || len(qt.lists) > limit || len(qt.boxes) > limit {
+			t.Fatalf("limit %d: arena grew past it (%d nodes, %d child slots, %d list entries, %d box floats)",
+				limit, len(qt.nodes), len(qt.children), len(qt.lists), len(qt.boxes))
 		}
 		for _, l := range qt.Leaves() { // incomplete, but still walkable
 			if len(l.Full()) != l.FullCount() || l.Box().Dim() != 2 {
