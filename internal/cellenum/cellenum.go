@@ -35,7 +35,6 @@ package cellenum
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/geom"
 	"repro/internal/vecmath"
@@ -75,7 +74,8 @@ type Config struct {
 	// Samples is the number of random interior points used to pre-classify
 	// cells and pairwise conditions without LPs (0 = DefaultSamples).
 	Samples int
-	// Seed makes sampling deterministic (useful in tests).
+	// Seed starts the SplitMix64 stream the samples are drawn from, so
+	// that an enumeration is a function of its inputs.
 	Seed int64
 }
 
@@ -141,8 +141,6 @@ type Enumerator struct {
 
 	anchor vecmath.Point
 	tmp    vecmath.Point
-
-	rng *rand.Rand // re-seeded per leaf: a fresh source is 4.9 KB
 
 	samples []vecmath.Point
 	// inside / outside mark the partial half-spaces some sample clears
@@ -358,11 +356,8 @@ func (e *Enumerator) Enumerate(box geom.Rect, partial []geom.Halfspace, cfg Conf
 	// Sample interior points. Each sample that clears the fixed rows
 	// settles, for every half-space it clears, one of the two
 	// classification LPs.
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(0))
-	}
-	e.rng.Seed(cfg.Seed + 0x9e3779b9)
-	e.drawSamples(e.rng, box, nSamples)
+	rng := splitMix64(cfg.Seed)
+	e.drawSamples(&rng, box, nSamples)
 	inside := reuseBitset(&e.inside, len(partial))
 	outside := reuseBitset(&e.outside, len(partial))
 	for _, s := range e.samples {
@@ -553,7 +548,7 @@ func (e *Enumerator) lookup(str Bitset) int {
 // rejection sampling plus jittered copies of the LP anchor for thin
 // regions. The sample points are enumerator-owned buffers recycled across
 // calls; anything that escapes (a cell witness) is cloned by cell.
-func (e *Enumerator) drawSamples(rng *rand.Rand, box geom.Rect, n int) {
+func (e *Enumerator) drawSamples(rng *splitMix64, box geom.Rect, n int) {
 	dr := box.Dim()
 	e.samples = grow(e.samples, n)
 	k := 0
@@ -605,6 +600,20 @@ func (e *Enumerator) drawSamples(rng *rand.Rand, box geom.Rect, n int) {
 			emit(e.anchor)
 		}
 	}
+}
+
+// splitMix64 is the SplitMix64 generator: its state steps by a constant
+// and each output is a mix of the state. Seeding it is one store, where a
+// math/rand source re-seeds 607 words.
+type splitMix64 uint64
+
+// Float64 returns the next value in [0, 1).
+func (s *splitMix64) Float64() float64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return float64((z^z>>31)>>11) / (1 << 53)
 }
 
 // tooManyCombinations reports whether C(m, w) exceeds the limit. It builds
