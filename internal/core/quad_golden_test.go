@@ -145,7 +145,9 @@ func strongestSpread(points []vecmath.Point, k int) []int {
 // the quad-tree deferred its pushes and the leaf scan became best-first:
 // k*, every Stats field but CPUTime (LPCalls, LeavesProcessed and
 // LeavesPruned included), and every region's order, box, witness,
-// constraints and OutrankIDs to the bit and in order. Regenerate with
+// constraints and OutrankIDs to the bit and in order. Deferred splits and
+// SplitMix64 sampling moved witnesses, LPCalls and LeavesPruned only; the
+// Shape column, pinned before them, held. Regenerate with
 // go test ./internal/core -run TestQuadGolden -update-quad, and only for a
 // change that means to move answers.
 func TestQuadGolden(t *testing.T) {
