@@ -603,8 +603,8 @@ func (e *Enumerator) drawSamples(rng *splitMix64, box geom.Rect, n int) {
 }
 
 // splitMix64 is the SplitMix64 generator: its state steps by a constant
-// and each output is a mix of the state. Seeding it is one store, where a
-// math/rand source re-seeds 607 words.
+// and each output is a mix of the state. Seeding it is one store, so every
+// leaf can start its own stream.
 type splitMix64 uint64
 
 // Float64 returns the next value in [0, 1).

@@ -130,7 +130,8 @@ type Stats struct {
 	// LPCalls counts half-space-intersection feasibility tests.
 	LPCalls int64
 	// LeavesProcessed / LeavesPruned count within-leaf invocations vs leaves
-	// skipped by the |Fl| bound.
+	// skipped by the |Fl| bound. A quad-tree node that owes a split and is
+	// never carved counts as one pruned leaf.
 	LeavesProcessed int
 	LeavesPruned    int
 	// Iterations counts AA expansion rounds (1 for BA/FCA).

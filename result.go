@@ -98,7 +98,9 @@ type Stats struct {
 	// LPCalls counts simplex invocations by the within-leaf enumerator.
 	LPCalls int64
 	// LeavesProcessed and LeavesPruned count quad-tree leaves enumerated
-	// versus discarded by the order bounds.
+	// versus discarded by the order bounds. The quad-tree splits a node only
+	// when a query needs its children, so a node that is never split counts
+	// as one pruned leaf, however many eager splitting would have made.
 	LeavesProcessed int
 	LeavesPruned    int
 	// Iterations counts AA's incremental expansion rounds (1 for BA/FCA).
